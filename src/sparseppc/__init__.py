@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .channel import BufferState, ChannelTrace, DropoutModel, actuate, generate_trace
 from .codec import (EncodedPacket, PacketCodec, PositionCoder, Quantizer,
-                    bitrate_report, decode, dequantize, encode, quantize,
-                    quantize_packet, train_codec)
+                    decode, dequantize, encode, quantize_packet, train_codec)
 from .controllers import (ControlPacket, FeasibilityCertificate, check_feasible,
                           exhaustive_l0_packet, l1l2_packet, l2_packet,
                           least_squares_packet, omp_packet)

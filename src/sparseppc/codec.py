@@ -36,19 +36,11 @@ class Quantizer:
             raise ConfigError(f"quantizer step must be positive, got {self.delta}")
 
 
-def quantize(q: Quantizer, v: float):
-    """Round v to the nearest level (ties to even); returns (index, value)."""
-    if not np.isfinite(v):
-        raise QuantizerRangeError(f"cannot quantize non-finite value {v}")
-    idx = float(np.rint(v / q.delta))
-    if abs(idx) > _INDEX_LIMIT:
-        raise QuantizerRangeError(f"|{v} / {q.delta}| exceeds the 32-bit index range")
-    idx = int(idx)
-    return idx, idx * q.delta
-
-
 def quantize_packet(q: Quantizer, u: np.ndarray) -> np.ndarray:
-    """Vector form of quantize(); returns int64 indices."""
+    """Round every entry to the nearest level (ties to even); int64 indices.
+
+    u may have any shape: one packet, or a stack of recorded packets.
+    """
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise QuantizerRangeError("cannot quantize non-finite packet")
@@ -260,14 +252,6 @@ def decode(codec: PacketCodec, enc: EncodedPacket) -> np.ndarray:
         raise DecodeError(f"{len(bits) - pos} unread bits after the last symbol",
                           bit_offset=pos)
     return idx
-
-
-def bitrate_report(codec: PacketCodec, packets) -> dict:
-    """Mean and per-packet encoded sizes for a set of quantized packets."""
-    per_packet = [encode(codec, p).bit_count for p in packets]
-    if not per_packet:
-        raise ConfigError("bitrate report requires at least one packet")
-    return {"mean_bits": float(np.mean(per_packet)), "per_packet": per_packet}
 
 
 def codec_to_dict(codec: PacketCodec) -> dict:

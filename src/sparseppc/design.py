@@ -110,7 +110,7 @@ def design_constants(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int,
     the nonsymmetric products are taken via equivalent symmetric pencils.
     """
     c1 = -np.inf
-    for Phi_i in hm.Phi_blocks:
+    for Phi_i in hm.Phi.reshape(N, m.n, N):  # the n x N row blocks of Phi
         Mi = Phi_i.T @ P @ Phi_i
         c1 = max(c1, float(pencil_eigvals(Mi, hm.GtG)[-1]))
     if not (c1 > 0.0):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignInfeasibleError
-from .linalg import check_sym_pd, numerical_rank, power_lmax, sym_sqrt
+from .linalg import check_sym_pd, numerical_rank, sym_sqrt
 from .plant import PlantModel, _frozen
 
 
@@ -19,29 +19,24 @@ from .plant import PlantModel, _frozen
 class HorizonMatrices:
     """Prediction operators for one (plant, Q, P, N) combination.
 
-    Phi_blocks[i] is the i-th row block of Phi (shape n x N). GtG, GtH,
-    HtH, col_norm_sq and GtG_lmax are cached products every packet solver
-    needs; they carry no information beyond G and H.
+    GtG, GtH, col_norm_sq and GtG_lmax are cached products the packet
+    solvers need; they carry no information beyond G and H.
     """
 
     N: int
     n: int
     Phi: np.ndarray
-    Phi_blocks: tuple
     Upsilon: np.ndarray
-    Qbar: np.ndarray
-    QbarSqrt: np.ndarray
     G: np.ndarray
     H: np.ndarray
     GtG: np.ndarray
     GtH: np.ndarray
-    HtH: np.ndarray
     col_norm_sq: np.ndarray
     GtG_lmax: float
 
 
 def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> HorizonMatrices:
-    """Assemble Phi, Upsilon, Qbar and the weighted operators G, H."""
+    """Assemble Phi, Upsilon and the weighted operators G, H."""
     if N < 1:
         raise DesignInfeasibleError(f"horizon length must be >= 1, got {N}")
     Q = check_sym_pd(np.asarray(Q, dtype=float), "Q")
@@ -59,7 +54,6 @@ def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> Horizo
     for j in range(N):
         for i in range(j, N):
             Phi[i * n:(i + 1) * n, j] = blocks[i - j]
-    Phi_blocks = tuple(_frozen(Phi[i * n:(i + 1) * n, :]) for i in range(N))
 
     Upsilon = np.empty((N * n, n))
     Ap = np.eye(n)
@@ -67,16 +61,12 @@ def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> Horizo
         Ap = m.A @ Ap
         Upsilon[i * n:(i + 1) * n, :] = Ap
 
-    Qbar = np.zeros((N * n, N * n))
+    # Qbar^(1/2) = blockdiag(Q^(1/2), ..., Q^(1/2), P^(1/2))
     QbarSqrt = np.zeros((N * n, N * n))
-    Qs, Ps = sym_sqrt(Q), sym_sqrt(P)
+    Qs = sym_sqrt(Q)
     for i in range(N - 1):
-        sl = slice(i * n, (i + 1) * n)
-        Qbar[sl, sl] = Q
-        QbarSqrt[sl, sl] = Qs
-    sl = slice((N - 1) * n, N * n)
-    Qbar[sl, sl] = P
-    QbarSqrt[sl, sl] = Ps
+        QbarSqrt[i * n:(i + 1) * n, i * n:(i + 1) * n] = Qs
+    QbarSqrt[(N - 1) * n:, (N - 1) * n:] = sym_sqrt(P)
 
     G = QbarSqrt @ Phi
     H = -QbarSqrt @ Upsilon
@@ -91,17 +81,13 @@ def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> Horizo
         N=N,
         n=n,
         Phi=_frozen(Phi),
-        Phi_blocks=Phi_blocks,
         Upsilon=_frozen(Upsilon),
-        Qbar=_frozen(Qbar),
-        QbarSqrt=_frozen(QbarSqrt),
         G=_frozen(G),
         H=_frozen(H),
         GtG=_frozen(GtG),
         GtH=_frozen(G.T @ H),
-        HtH=_frozen(H.T @ H),
         col_norm_sq=_frozen(np.sum(G * G, axis=0)),
-        GtG_lmax=power_lmax(GtG),
+        GtG_lmax=float(np.linalg.eigvalsh(GtG)[-1]),
     )
 
 

@@ -114,25 +114,3 @@ def pencil_eigvals(M: np.ndarray, S: np.ndarray) -> np.ndarray:
     C = np.linalg.solve(L, Y.T).T
     return np.linalg.eigvalsh(0.5 * (C + C.T))
 
-
-def power_lmax(M: np.ndarray, iters: int = 500, tol: float = 1e-12) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    # Deterministic start with a ramp so it is not orthogonal to the top
-    # eigenvector for structured matrices.
-    v = 1.0 + 0.01 * np.arange(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return lam

@@ -1,7 +1,9 @@
 """Closed-loop simulation engine, Monte Carlo harness, sweeps, bit-rate runs.
 
 The controller computes (and is charged for) a packet at every step; the
-channel decides whether it reaches the actuator buffer. Trials are paired
+channel decides whether it reaches the actuator buffer. The actuator plays
+unquantized packets, so bit-rate runs quantize and code the recorded
+packets after each closed loop instead of inside it. Trials are paired
 across controllers: trial i always sees the same initial state, dropout
 trace, and noise stream regardless of which solver is running, so
 comparisons between controller families are like-for-like.
@@ -170,15 +172,11 @@ class TrialResult:
     V: np.ndarray             # x(k)' P x(k)
     d: np.ndarray             # dropout bit at k
     u_applied: np.ndarray     # actuator output at k
+    packets: np.ndarray       # (T, N) packet computed at k, delivered or not
     sparsity: np.ndarray      # nonzeros of the packet computed at k
     solve_seconds: np.ndarray
     x_final: np.ndarray       # state after the last input, x(T)
     overrides: int
-    bits: np.ndarray = None   # encoded size of the packet computed at k
-    hexes: list = None        # hex dumps of the encoded packets
-    indices: list = None      # quantized packets (training collection)
-    roundtrip_failures: int = 0
-    max_quant_error: float = 0.0
     violations: int = None    # filled by the harness on noise-free runs
 
     @property
@@ -191,23 +189,17 @@ class TrialResult:
 
 
 def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
-              noise_rng=None, controller=None, trial: int = 0,
-              quantizer: Quantizer = None, codec: PacketCodec = None,
-              keep_indices: bool = False) -> TrialResult:
+              noise_rng=None, controller=None, trial: int = 0) -> TrialResult:
     """Simulate one closed loop over the length of the trace.
 
-    The packet is computed from x(k) at every k; only delivered packets
-    (d(k) = 0) reach the buffer. With a quantizer attached, packets are
-    also quantized for accounting; with a codec, they are entropy-coded
-    and round-trip-checked.
+    The packet is computed from x(k) at every k and recorded; only
+    delivered packets (d(k) = 0) reach the buffer.
     """
     cfg = setup.cfg
     T = trace.T
     n = setup.model.n
     if controller is None:
         controller = make_controller(setup)
-    if codec is not None and quantizer is None:
-        raise ConfigError("encoding requires a quantizer alongside the codec")
     kind, sigma = noise_params(cfg.noise)
     if kind == "gaussian" and sigma > 0 and noise_rng is None:
         raise ConfigError("gaussian noise requires a noise stream")
@@ -216,36 +208,21 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
     norms = np.empty(T)
     V = np.empty(T)
     u_applied = np.empty(T)
+    packets = np.empty((T, setup.design.N))
     sparsity = np.empty(T, dtype=np.int64)
     solve_seconds = np.empty(T)
-    bits = np.empty(T, dtype=np.int64) if codec is not None else None
-    hexes = [] if codec is not None else None
-    indices_kept = [] if keep_indices else None
-    roundtrip_failures = 0
-    max_quant_error = 0.0
 
     A, B, P = setup.model.A, setup.model.B, setup.design.P
     x = np.asarray(x0, dtype=float)
     buf = None
     for k in range(T):
         pkt = controller(x)
-        if quantizer is not None:
-            idx = quantize_packet(quantizer, pkt.u)
-            err = float(np.max(np.abs(pkt.u - dequantize(quantizer, idx)))) if idx.size else 0.0
-            max_quant_error = max(max_quant_error, err)
-            if indices_kept is not None:
-                indices_kept.append(idx)
-            if codec is not None:
-                enc = encode(codec, idx)
-                bits[k] = enc.bit_count
-                hexes.append(enc.to_hex())
-                if not np.array_equal(decode(codec, enc), idx):
-                    roundtrip_failures += 1
         u, buf = actuate(buf, int(trace.d[k]), incoming=pkt)
         states[k] = x
         norms[k] = np.linalg.norm(x)
         V[k] = float(x @ P @ x)
         u_applied[k] = u
+        packets[k] = pkt.u
         sparsity[k] = pkt.sparsity
         solve_seconds[k] = pkt.solve_seconds
         v = noise_rng.normal(0.0, sigma, n) if (kind == "gaussian" and sigma > 0) else 0.0
@@ -253,11 +230,9 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
 
     return TrialResult(trial=trial, states=states, norms=norms, V=V,
                        d=np.array(trace.d, dtype=np.int8), u_applied=u_applied,
-                       sparsity=sparsity, solve_seconds=solve_seconds,
-                       x_final=x, overrides=trace.overrides, bits=bits,
-                       hexes=hexes, indices=indices_kept,
-                       roundtrip_failures=roundtrip_failures,
-                       max_quant_error=max_quant_error)
+                       packets=packets, sparsity=sparsity,
+                       solve_seconds=solve_seconds, x_final=x,
+                       overrides=trace.overrides)
 
 
 @dataclass
@@ -311,15 +286,13 @@ class MonteCarloReport:
     mean_sparsity: np.ndarray
     per_trial_perf: np.ndarray
     total_overrides: int
-    mean_bits: float = None
     total_violations: int = None
     mean_solve_seconds: float = 0.0
 
 
 def monte_carlo(cfg: SimConfig, design: CostDesign = None,
                 namespace: int = NS_MAIN, setup: SimSetup = None,
-                controller_name: str = None, quantizer: Quantizer = None,
-                codec: PacketCodec = None, keep_indices: bool = False) -> MonteCarloReport:
+                controller_name: str = None) -> MonteCarloReport:
     """Run cfg.trials independent paired trials and aggregate per-k stats."""
     if setup is None:
         setup = build_setup(cfg, design=design)
@@ -334,9 +307,7 @@ def monte_carlo(cfg: SimConfig, design: CostDesign = None,
             trace = generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
             x0 = draw_x0(cfg, setup.model.n, rng_x0)
             res = run_trial(setup, trace, x0, noise_rng=rng_noise,
-                            controller=controller, trial=trial,
-                            quantizer=quantizer, codec=codec,
-                            keep_indices=keep_indices)
+                            controller=controller, trial=trial)
             if kind == "none":
                 res.violations = lyapunov_audit(res, setup.design).total
             results.append(res)
@@ -362,8 +333,6 @@ def monte_carlo(cfg: SimConfig, design: CostDesign = None,
         total_overrides=sum(r.overrides for r in results),
         mean_solve_seconds=float(np.mean([r.solve_seconds.mean() for r in results])),
     )
-    if codec is not None:
-        report.mean_bits = float(np.mean(np.concatenate([r.bits for r in results])))
     if kind == "none":
         report.total_violations = int(sum(r.violations for r in results))
     return report
@@ -421,6 +390,33 @@ class BitrateReport:
     codec_l2: PacketCodec
     test_omp: MonteCarloReport
     test_l2: MonteCarloReport
+    bits: dict                # scheme -> (trials, T) encoded size of each test packet
+    hexes: dict               # scheme -> per test trial, hex dumps of its packets
+
+
+def _recorded_packets(rep: MonteCarloReport) -> np.ndarray:
+    """Every packet the successful trials computed, as (trials, T, N)."""
+    return np.stack([r.packets for r in rep.results])
+
+
+def _code_packets(codec: PacketCodec, indices: np.ndarray):
+    """Encode, then decode, each quantized packet of a (trials, T, N) stack.
+
+    Returns the bit counts (trials, T), the hex dumps per trial, and how
+    many packets failed to decode back to the indices that were encoded.
+    """
+    bits = np.empty(indices.shape[:2], dtype=np.int64)
+    hexes = []
+    failures = 0
+    for i, trial_indices in enumerate(indices):
+        dumps = []
+        for k, idx in enumerate(trial_indices):
+            enc = encode(codec, idx)
+            failures += not np.array_equal(decode(codec, enc), idx)
+            bits[i, k] = enc.bit_count
+            dumps.append(enc.to_hex())
+        hexes.append(dumps)
+    return bits, hexes, failures
 
 
 def bitrate_experiment(cfg: SimConfig, design: CostDesign = None) -> BitrateReport:
@@ -428,43 +424,55 @@ def bitrate_experiment(cfg: SimConfig, design: CostDesign = None) -> BitrateRepo
 
     Phase 1 runs cfg.train_trials noisy trials per controller and fits the
     sparse-scheme codec to the greedy packets and the dense-scheme codec to
-    the Tikhonov packets. Phase 2 reruns on disjoint seeds with the codecs
-    attached and reports mean bits per packet and the relative reduction.
+    the Tikhonov packets. Phase 2 reruns on disjoint seeds, then quantizes
+    and codes the recorded test packets and reports mean bits per packet
+    and the relative reduction.
     """
     kind, sigma = noise_params(cfg.noise)
     if kind != "gaussian" or sigma <= 0:
         raise ConfigError("bitrate experiment requires gaussian noise with sigma > 0")
+    if cfg.N % 2 != 0:
+        raise ConfigError("sparse scheme requires an even packet length")
     setup = build_setup(cfg, design=design)
     quantizer = Quantizer(delta=cfg.quantizer_delta)
+    plan = (("omp", "sparse"), ("l2", "dense"))
 
     train_cfg = replace(cfg, trials=cfg.train_trials)
     codecs = {}
-    for name, scheme in (("omp", "sparse"), ("l2", "dense")):
+    for name, scheme in plan:
         rep = monte_carlo(train_cfg, namespace=NS_TRAIN, setup=setup,
-                          controller_name=name, quantizer=quantizer,
-                          keep_indices=True)
-        samples = [idx for r in rep.results for idx in r.indices]
+                          controller_name=name)
+        samples = quantize_packet(quantizer, _recorded_packets(rep)).reshape(-1, cfg.N)
         codecs[name] = train_codec(samples, scheme, quantizer)
 
-    tests = {}
-    for name in ("omp", "l2"):
+    tests, bits, hexes = {}, {}, {}
+    roundtrip_failures = 0
+    max_quant_error = 0.0
+    for name, scheme in plan:
         tests[name] = monte_carlo(cfg, namespace=NS_TEST, setup=setup,
-                                  controller_name=name, quantizer=quantizer,
-                                  codec=codecs[name])
+                                  controller_name=name)
+        packets = _recorded_packets(tests[name])
+        indices = quantize_packet(quantizer, packets)
+        err = float(np.max(np.abs(packets - dequantize(quantizer, indices))))
+        max_quant_error = max(max_quant_error, err)
+        bits[scheme], hexes[scheme], failures = _code_packets(codecs[name], indices)
+        roundtrip_failures += failures
 
-    mean_omp = tests["omp"].mean_bits
-    mean_l2 = tests["l2"].mean_bits
+    mean_omp = float(np.mean(bits["sparse"]))
+    mean_l2 = float(np.mean(bits["dense"]))
     return BitrateReport(
         cfg=cfg,
         mean_bits_omp=mean_omp,
         mean_bits_l2=mean_l2,
         reduction_pct=100.0 * (1.0 - mean_omp / mean_l2),
-        roundtrip_failures=sum(r.roundtrip_failures for t in tests.values() for r in t.results),
-        max_quant_error=max(r.max_quant_error for t in tests.values() for r in t.results),
+        roundtrip_failures=roundtrip_failures,
+        max_quant_error=max_quant_error,
         codec_omp=codecs["omp"],
         codec_l2=codecs["l2"],
         test_omp=tests["omp"],
         test_l2=tests["l2"],
+        bits=bits,
+        hexes=hexes,
     )
 
 
@@ -509,19 +517,17 @@ def summary_rows(report: MonteCarloReport):
                float(report.mean_sparsity[k]))
 
 
-def rate_rows(breport: BitrateReport):
-    for scheme, rep in (("sparse", breport.test_omp), ("dense", breport.test_l2)):
-        for r in rep.results:
-            for k, b in enumerate(r.bits):
-                yield (r.trial, k, scheme, int(b))
-
-
 def packet_rows(breport: BitrateReport):
     """Hex-dumped bitstreams with their exact bit counts."""
     for scheme, rep in (("sparse", breport.test_omp), ("dense", breport.test_l2)):
-        for r in rep.results:
-            for k, (b, h) in enumerate(zip(r.bits, r.hexes)):
+        for r, bits, dumps in zip(rep.results, breport.bits[scheme], breport.hexes[scheme]):
+            for k, (b, h) in enumerate(zip(bits, dumps)):
                 yield (r.trial, k, scheme, int(b), h)
+
+
+def rate_rows(breport: BitrateReport):
+    for row in packet_rows(breport):
+        yield row[:4]
 
 
 def sweep_rows(sreport: SweepReport):

@@ -62,6 +62,16 @@ def test_meta_config_lists_every_parameter(tmp_path):
     assert "l1l2_zero_clamp" in meta["config"]
 
 
+def test_design_reads_a_simulate_config(tmp_path, capsys):
+    sim_cfg = {"trials": 2, "steps": 15, "N": 8, "eta": 0.5,
+               "noise": {"kind": "gaussian", "sigma": 0.01}}
+    assert main(["design", "--config", _write(tmp_path / "s.json", sim_cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["N"] == 8 and doc["eta"] == 0.5
+    bad = _write(tmp_path / "bad.json", {"N": 8, "not_a_key": 1})
+    assert main(["design", "--config", bad]) == 2
+
+
 def test_design_hidden_horizon_dump(tmp_path):
     out = tmp_path / "d"
     assert main(["design", "--out-dir", str(out), "--dump-horizon"]) == 0
@@ -131,6 +141,13 @@ def test_bitrate_cli(tmp_path):
     assert meta["rates"]["roundtrip_failures"] == 0
     codec = json.loads((out / "codec_omp.json").read_text())
     assert codec["scheme"] == "sparse" and len(codec["coders"]) == 10
+
+
+def test_bitrate_quantizer_overflow_exit_code(tmp_path):
+    # packets of order 1 overflow the 32-bit index range at a 1e-12 step
+    cfg = _write(tmp_path / "c.json", {"trials": 2, "train_trials": 2, "steps": 10,
+                                        "quantizer_delta": 1e-12})
+    assert main(["bitrate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
 
 
 def test_bitrate_byte_identical_reruns(tmp_path):

@@ -10,11 +10,11 @@ from sparseppc.errors import (CodecTrainingError, ConfigError, DecodeError,
 
 def test_quantize_examples():
     q = Quantizer(delta=0.001)
-    assert sp.quantize(q, 0.0) == (0, 0.0)
-    assert sp.quantize(q, 0.0004) == (0, 0.0)
     # tie at 1.5 steps resolves to the even index under ties-to-even
-    assert sp.quantize(q, 0.0015) == (2, 0.002)
-    assert sp.quantize(q, -0.0015) == (-2, -0.002)
+    idx = sp.quantize_packet(q, [0.0, 0.0004, 0.0015, -0.0015])
+    assert idx.dtype == np.int64
+    assert idx.tolist() == [0, 0, 2, -2]
+    assert sp.dequantize(q, idx).tolist() == [0.0, 0.0, 0.002, -0.002]
 
 
 def test_quantize_error_bound_random(rng):
@@ -28,9 +28,9 @@ def test_quantize_error_bound_random(rng):
 def test_quantize_range_and_validation():
     q = Quantizer(delta=0.001)
     with pytest.raises(QuantizerRangeError):
-        sp.quantize(q, 1e9)
+        sp.quantize_packet(q, [1e9])
     with pytest.raises(QuantizerRangeError):
-        sp.quantize(q, float("nan"))
+        sp.quantize_packet(q, [float("nan")])
     with pytest.raises(ConfigError):
         Quantizer(delta=0.0)
 
@@ -148,18 +148,6 @@ def test_decode_malformed_raises_with_offset(rng):
     assert exc_info.value.bit_offset is not None
 
 
-def test_bitrate_report(rng):
-    packets = [rng.integers(-4, 5, 6) for _ in range(60)]
-    codec = _train(packets, "dense")
-    rep = sp.bitrate_report(codec, packets)
-    assert len(rep["per_packet"]) == 60
-    assert np.isclose(rep["mean_bits"], np.mean(rep["per_packet"]))
-    single = sp.bitrate_report(codec, packets[:1])
-    assert single["mean_bits"] == single["per_packet"][0]
-    with pytest.raises(ConfigError):
-        sp.bitrate_report(codec, [])
-
-
 def test_skewed_alphabet_expected_length_near_entropy(rng):
     # 90/10 two-symbol position plus the escape pseudo-count: the trained
     # code's expected length on the training set stays within one bit of
@@ -187,8 +175,8 @@ def test_mean_bits_matches_entropy_accounting_oracle(rng):
         packets.append(p)
     for scheme in ("dense", "sparse"):
         codec = _train(packets, scheme)
-        rep = sp.bitrate_report(codec, packets)
-        assert abs(rep["mean_bits"] - expected_mean_bits(codec, packets)) <= 0.1
+        mean_bits = np.mean([sp.encode(codec, p).bit_count for p in packets])
+        assert abs(mean_bits - expected_mean_bits(codec, packets)) <= 0.1
 
 
 def test_codec_serialization_roundtrip(rng):

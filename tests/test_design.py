@@ -80,7 +80,8 @@ def test_design_constants_cessna_fixture_and_power_iteration(cessna, cessna_desi
     assert np.isclose(d.c1, CESSNA_C1, rtol=1e-9)
     assert np.isclose(d.rho, CESSNA_RHO, rtol=1e-12)
     assert np.isclose(d.c, CESSNA_C, rtol=1e-9)
-    lmax = max(pencil_lmax_power(Phi_i.T @ d.P @ Phi_i, hm.GtG) for Phi_i in hm.Phi_blocks)
+    lmax = max(pencil_lmax_power(Phi_i.T @ d.P @ Phi_i, hm.GtG)
+               for Phi_i in hm.Phi.reshape(hm.N, hm.n, hm.N))
     assert np.isclose(d.c1, lmax, rtol=1e-6)
     lmin = pencil_lmin_power(d.Q, d.P)
     assert np.isclose(d.rho, 1.0 - lmin, rtol=1e-6, atol=1e-9)

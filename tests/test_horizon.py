@@ -16,7 +16,6 @@ def test_single_step_horizon_blocks(cessna, cessna_design):
     Ps = sym_sqrt(d.P)
     assert np.allclose(hm.Phi[:, 0], cessna.B)
     assert np.allclose(hm.Upsilon, cessna.A)
-    assert np.allclose(hm.Qbar, d.P)
     assert np.allclose(hm.G[:, 0], Ps @ cessna.B, rtol=1e-12, atol=1e-12)
     assert np.allclose(hm.H, -Ps @ cessna.A, rtol=1e-12, atol=1e-12)
 
@@ -46,18 +45,6 @@ def test_cessna_horizon_matches_naive_assembly(cessna, cessna_design, cessna_hor
 def test_cessna_gh_digest_fixture(cessna_horizon):
     assert matrix_digest(cessna_horizon.G) == CESSNA_G_SHA256
     assert matrix_digest(cessna_horizon.H) == CESSNA_H_SHA256
-
-
-def test_phi_blocks_are_row_blocks(cessna_horizon):
-    hm = cessna_horizon
-    for i, blk in enumerate(hm.Phi_blocks):
-        assert np.array_equal(blk, hm.Phi[i * hm.n:(i + 1) * hm.n, :])
-
-
-def test_qbar_sqrt_squares_back(cessna_horizon):
-    hm = cessna_horizon
-    err = np.linalg.norm(hm.QbarSqrt @ hm.QbarSqrt - hm.Qbar, "fro")
-    assert err <= 1e-10 * np.linalg.norm(hm.Qbar, "fro")
 
 
 def test_g_full_column_rank_for_random_reachable_plants(rng):

@@ -197,6 +197,47 @@ def test_bitrate_experiment_smoke():
         sp.bitrate_experiment(SimConfig(noise={"kind": "none"}))
 
 
+def test_bitrate_bits_code_the_recorded_test_packets():
+    cfg = SimConfig(trials=3, train_trials=3, steps=20, seed=17,
+                    noise={"kind": "gaussian", "sigma": 0.01})
+    rep = sp.bitrate_experiment(cfg)
+    q = sp.Quantizer(delta=cfg.quantizer_delta)
+    for scheme, codec, test, mean in (
+            ("sparse", rep.codec_omp, rep.test_omp, rep.mean_bits_omp),
+            ("dense", rep.codec_l2, rep.test_l2, rep.mean_bits_l2)):
+        bits = rep.bits[scheme]
+        assert bits.shape == (3, 20)
+        assert mean == np.mean(bits)
+        for r, row, dumps in zip(test.results, bits, rep.hexes[scheme]):
+            assert len(dumps) == 20
+            for pkt, b, h in zip(r.packets, row, dumps):
+                enc = sp.encode(codec, sp.quantize_packet(q, pkt))
+                assert enc.bit_count == b and enc.to_hex() == h
+
+
+def test_bitrate_rejects_odd_horizon_before_any_trial(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    calls = []
+    monkeypatch.setattr(sim_mod, "monte_carlo", lambda *a, **kw: calls.append(a))
+    cfg = SimConfig(N=9, trials=2, train_trials=2, steps=10, seed=3,
+                    noise={"kind": "gaussian", "sigma": 0.01})
+    with pytest.raises(ConfigError, match="even packet length"):
+        sim_mod.bitrate_experiment(cfg)
+    assert calls == []
+
+
+def test_recorded_packets_replay_to_the_applied_inputs():
+    from .oracles import interpret_trace
+
+    cfg = SimConfig(trials=1, steps=60, seed=23,
+                    noise={"kind": "gaussian", "sigma": 0.01})
+    r = monte_carlo(cfg).results[0]
+    assert r.packets.shape == (60, cfg.N)
+    assert np.count_nonzero(r.d) > 0
+    assert np.array_equal(interpret_trace(r.d, r.packets), r.u_applied)
+
+
 def test_vanishing_noise_rates_collapse_to_scheme_floor():
     # sigma -> 0: after the transient every packet quantizes to all zeros,
     # so sparse packets cost 5 head zero-codewords + 5 bitmap bits and
@@ -204,14 +245,12 @@ def test_vanishing_noise_rates_collapse_to_scheme_floor():
     cfg = SimConfig(trials=4, train_trials=4, steps=100, seed=31,
                     noise={"kind": "gaussian", "sigma": 1e-9})
     rep = sp.bitrate_experiment(cfg)
-    for test_rep, floor in ((rep.test_omp, None), (rep.test_l2, None)):
-        late = np.concatenate([r.bits[70:] for r in test_rep.results])
-        assert np.all(late == late[0])  # flat at the floor
-    late_omp = np.concatenate([r.bits[70:] for r in rep.test_omp.results])
+    for bits in rep.bits.values():
+        late = bits[:, 70:]
+        assert np.all(late == late[0, 0])  # flat at the floor
     head_zero = sum(len(rep.codec_omp.coders[p].codebook[0]) for p in range(5))
-    assert late_omp[0] == head_zero + 5
-    late_l2 = np.concatenate([r.bits[70:] for r in rep.test_l2.results])
-    assert late_l2[0] == sum(len(rep.codec_l2.coders[p].codebook[0]) for p in range(10))
+    assert rep.bits["sparse"][0, 70] == head_zero + 5
+    assert rep.bits["dense"][0, 70] == sum(len(rep.codec_l2.coders[p].codebook[0]) for p in range(10))
 
 
 def test_five_controller_families_run_paired():
