@@ -16,10 +16,11 @@ import numpy as np
 from . import __version__
 from .design import design_from_dict, design_to_dict
 from .errors import ConfigError, SparsePpcError
-from .sim import (MonteCarloReport, bitrate_experiment, build_setup,
-                  config_from_dict, monte_carlo, packet_rows, rate_rows,
-                  resolved_config, summary_rows, sweep_regularization,
-                  sweep_rows, trace_rows, trajectory_rows, write_csv)
+from .sim import (CONTROLLERS, MonteCarloReport, bitrate_experiment,
+                  build_setup, config_from_dict, monte_carlo, packet_rows,
+                  rate_rows, resolved_config, summary_rows,
+                  sweep_regularization, sweep_rows, trace_rows,
+                  trajectory_rows, write_csv)
 from .codec import codec_to_dict
 from .svgplot import write_line_svg
 
@@ -126,7 +127,7 @@ def _emit_simulation(out: Path, report: MonteCarloReport, meta_extra: dict,
 def _cmd_simulate(args) -> int:
     cfg = config_from_dict(_load_config(args.config), **_config_overrides(args))
     design = design_from_dict(_load_config(args.design)) if args.design else None
-    report = monte_carlo(cfg, design=design)
+    report = monte_carlo(cfg, setup=build_setup(cfg, design=design))
     out = _out_dir(args)
     _emit_simulation(out, report, {}, args.plots)
     print(f"simulate: {len(report.results)}/{cfg.trials} trials ok, "
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, help="steps per trial override")
         p.add_argument("--plots", action="store_true", help="emit SVG plots")
         if controller:
-            p.add_argument("--controller", choices=["omp", "l1l2", "l2", "least_squares", "oracle"],
+            p.add_argument("--controller", choices=CONTROLLERS,
                            help="controller override")
 
     p = sub.add_parser("design", help="build the stabilizing cost design")

@@ -181,8 +181,8 @@ def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float,
                 max_iter: int = 10_000, tol: float = 1e-10) -> ControlPacket:
     """FISTA solution of min nu1 ||u||_1 + 0.5 ||G u - H x||^2.
 
-    Step size 1/L with L the largest eigenvalue of G'G (power iteration,
-    cached on the horizon), with adaptive function restart: momentum is
+    Step size 1/L with L the largest eigenvalue of G'G (from eigvalsh,
+    stored on the horizon), with adaptive function restart: momentum is
     reset whenever the objective rises, which restores fast convergence on
     badly conditioned Gram matrices. Stops on relative objective change
     below tol; the best iterate seen is returned, flagged non-converged if

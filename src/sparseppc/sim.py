@@ -58,6 +58,10 @@ class SimConfig:
     oracle_cap: int = 12
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ConfigError(f"N must be >= 1, got {self.N}")
+        if not (self.nu1 > 0 and self.nu2 > 0):
+            raise ConfigError(f"nu1 and nu2 must be positive, got {self.nu1}, {self.nu2}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.trials < 1:
@@ -97,7 +101,12 @@ def noise_params(noise: dict):
 
 @dataclass(frozen=True)
 class SimSetup:
-    """Immutable per-experiment bundle shared by every trial."""
+    """Immutable per-experiment bundle shared by every trial.
+
+    Plant, design, horizon and dropout model are built once; the controller,
+    its nu, the noise and the oracle cap come from cfg, which monte_carlo
+    rebinds to the run's own config.
+    """
 
     cfg: SimConfig
     model: PlantModel
@@ -127,10 +136,10 @@ def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
     return SimSetup(cfg=cfg, model=model, design=design, hm=hm, dropout=dropout)
 
 
-def make_controller(setup: SimSetup, name: str = None):
-    """Packet solver as a pure function of the state."""
+def make_controller(setup: SimSetup):
+    """The config's packet solver as a pure function of the state."""
     cfg, hm, design = setup.cfg, setup.hm, setup.design
-    name = cfg.controller if name is None else name
+    name = cfg.controller
     if name == "omp":
         return lambda x: omp_packet(hm, design.W, x)
     if name == "oracle":
@@ -141,7 +150,6 @@ def make_controller(setup: SimSetup, name: str = None):
         return lambda x: l2_packet(hm, x, cfg.nu2)
     if name == "l1l2":
         return lambda x: l1l2_packet(hm, x, cfg.nu1)
-    raise ConfigError(f"unknown controller {name!r}")
 
 
 def trial_streams(master_seed: int, namespace: int, trial: int):
@@ -175,7 +183,6 @@ class TrialResult:
     packets: np.ndarray       # (T, N) packet computed at k, delivered or not
     sparsity: np.ndarray      # nonzeros of the packet computed at k
     solve_seconds: np.ndarray
-    x_final: np.ndarray       # state after the last input, x(T)
     overrides: int
     violations: int = None    # filled by the harness on noise-free runs
 
@@ -231,8 +238,7 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
     return TrialResult(trial=trial, states=states, norms=norms, V=V,
                        d=np.array(trace.d, dtype=np.int8), u_applied=u_applied,
                        packets=packets, sparsity=sparsity,
-                       solve_seconds=solve_seconds, x_final=x,
-                       overrides=trace.overrides)
+                       solve_seconds=solve_seconds, overrides=trace.overrides)
 
 
 @dataclass
@@ -290,13 +296,16 @@ class MonteCarloReport:
     mean_solve_seconds: float = 0.0
 
 
-def monte_carlo(cfg: SimConfig, design: CostDesign = None,
-                namespace: int = NS_MAIN, setup: SimSetup = None,
-                controller_name: str = None) -> MonteCarloReport:
-    """Run cfg.trials independent paired trials and aggregate per-k stats."""
-    if setup is None:
-        setup = build_setup(cfg, design=design)
-    controller = make_controller(setup, controller_name)
+def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
+                namespace: int = NS_MAIN) -> MonteCarloReport:
+    """Run cfg.trials independent paired trials and aggregate per-k stats.
+
+    A given setup is rebound to cfg, so the run's config alone picks the
+    controller, nu, noise and oracle cap. A config error ends the run;
+    any other package error fails only its trial.
+    """
+    setup = build_setup(cfg) if setup is None else replace(setup, cfg=cfg)
+    controller = make_controller(setup)
     kind, _sigma = noise_params(cfg.noise)
 
     results = []
@@ -311,6 +320,8 @@ def monte_carlo(cfg: SimConfig, design: CostDesign = None,
             if kind == "none":
                 res.violations = lyapunov_audit(res, setup.design).total
             results.append(res)
+        except ConfigError:
+            raise
         except SparsePpcError as exc:
             failures.append((trial, f"{type(exc).__name__}: {exc}"))
 
@@ -362,12 +373,12 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
         raise ConfigError("sweep grid must be non-empty")
     if family not in ("l1l2", "l2"):
         raise ConfigError(f"sweep family must be 'l1l2' or 'l2', got {family!r}")
-    perfs = []
-    for nu in grid:
-        sub = replace(cfg, controller=family,
-                      **({"nu1": nu} if family == "l1l2" else {"nu2": nu}))
-        rep = monte_carlo(sub)
-        perfs.append(float(np.mean(rep.per_trial_perf)))
+    key = "nu1" if family == "l1l2" else "nu2"
+    subs = [replace(cfg, controller=family, **{key: nu}) for nu in grid]
+    # nu does not enter the design, so every grid point shares one setup
+    setup = build_setup(subs[0])
+    perfs = [float(np.mean(monte_carlo(sub, setup=setup).per_trial_perf))
+             for sub in subs]
     best = int(np.argmin(perfs))
     report = SweepReport(family=family, grid=grid, mean_perf=perfs,
                          argmin_nu=grid[best], argmin_perf=perfs[best])
@@ -419,7 +430,7 @@ def _code_packets(codec: PacketCodec, indices: np.ndarray):
     return bits, hexes, failures
 
 
-def bitrate_experiment(cfg: SimConfig, design: CostDesign = None) -> BitrateReport:
+def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
     """Train per-position coders, then measure rates on fresh seeds.
 
     Phase 1 runs cfg.train_trials noisy trials per controller and fits the
@@ -433,15 +444,14 @@ def bitrate_experiment(cfg: SimConfig, design: CostDesign = None) -> BitrateRepo
         raise ConfigError("bitrate experiment requires gaussian noise with sigma > 0")
     if cfg.N % 2 != 0:
         raise ConfigError("sparse scheme requires an even packet length")
-    setup = build_setup(cfg, design=design)
+    setup = build_setup(cfg)
     quantizer = Quantizer(delta=cfg.quantizer_delta)
     plan = (("omp", "sparse"), ("l2", "dense"))
 
-    train_cfg = replace(cfg, trials=cfg.train_trials)
     codecs = {}
     for name, scheme in plan:
-        rep = monte_carlo(train_cfg, namespace=NS_TRAIN, setup=setup,
-                          controller_name=name)
+        rep = monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials),
+                          setup=setup, namespace=NS_TRAIN)
         samples = quantize_packet(quantizer, _recorded_packets(rep)).reshape(-1, cfg.N)
         codecs[name] = train_codec(samples, scheme, quantizer)
 
@@ -449,8 +459,8 @@ def bitrate_experiment(cfg: SimConfig, design: CostDesign = None) -> BitrateRepo
     roundtrip_failures = 0
     max_quant_error = 0.0
     for name, scheme in plan:
-        tests[name] = monte_carlo(cfg, namespace=NS_TEST, setup=setup,
-                                  controller_name=name)
+        tests[name] = monte_carlo(replace(cfg, controller=name), setup=setup,
+                                  namespace=NS_TEST)
         packets = _recorded_packets(tests[name])
         indices = quantize_packet(quantizer, packets)
         err = float(np.max(np.abs(packets - dequantize(quantizer, indices))))

@@ -99,6 +99,22 @@ def test_validation_exit_code(tmp_path):
     assert main(["simulate", "--config", cfg2, "--out-dir", str(tmp_path / "o2")]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                  "--out-dir", str(tmp_path / "o3")]) == 2
+    # config errors that only a trial's first step can find still exit 2
+    run = {"trials": 2, "steps": 5}
+    cases = [
+        ({"nu2": 0}, ["--controller", "l2"]),
+        ({"N": 0}, []),
+        ({"x0": [1, 2]}, []),
+        ({"dropout": {"kind": "scripted", "script": [0, 1, 0]}}, []),
+        ({"oracle_cap": 4}, ["--controller", "oracle"]),
+    ]
+    for i, (doc, extra) in enumerate(cases):
+        cfg = _write(tmp_path / f"bad{i}.json", {**run, **doc})
+        argv = ["simulate", "--config", cfg, "--out-dir", str(tmp_path / f"o{i}")]
+        assert main(argv + extra) == 2, doc
+    cfg = _write(tmp_path / "sweep.json", run)
+    assert main(["sweep", "--config", cfg, "--family", "l2", "--grid", "1e2,-1",
+                 "--out-dir", str(tmp_path / "s")]) == 2
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sparseppc as sp
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
-from sparseppc.sim import (NS_MAIN, SimConfig, build_setup, config_from_dict,
-                           draw_x0, lyapunov_audit, make_controller,
+from sparseppc.sim import (CONTROLLERS, NS_MAIN, SimConfig, build_setup,
+                           config_from_dict, draw_x0, lyapunov_audit, make_controller,
                            monte_carlo, run_trial, sweep_regularization,
                            trial_streams, write_csv)
 
@@ -21,6 +23,9 @@ def test_config_validation():
         SimConfig(controller="bogus")
     with pytest.raises(ConfigError):
         SimConfig(noise={"kind": "weird"})
+    for bad in ({"N": 0}, {"nu1": 0.0}, {"nu2": -1.0}, {"nu1": float("nan")}):
+        with pytest.raises(ConfigError):
+            SimConfig(**bad)
     with pytest.raises(ConfigError):
         config_from_dict({"not_a_key": 1})
     cfg = config_from_dict({"trials": 7}, seed=99)
@@ -149,20 +154,53 @@ def test_monte_carlo_continues_after_trial_failure(monkeypatch):
     assert rep.failures == [(1, "NumericError: synthetic failure")]
 
 
-def test_monte_carlo_raises_when_everything_fails():
-    cfg = SimConfig(trials=2, steps=5, seed=5, controller="oracle", oracle_cap=9)
-    with pytest.raises(sp.SparsePpcError):
-        monte_carlo(cfg)
+def test_monte_carlo_raises_when_everything_fails(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    def broken(setup, trace, x0, **kw):
+        raise sp.NumericError(f"synthetic failure {kw['trial']}")
+
+    monkeypatch.setattr(sim_mod, "run_trial", broken)
+    with pytest.raises(sp.SparsePpcError,
+                       match="all 2 trials failed; first: NumericError: synthetic failure 0"):
+        sim_mod.monte_carlo(SimConfig(trials=2, steps=5, seed=5))
 
 
-def test_controller_dispatch(cessna_design):
+def test_monte_carlo_config_error_ends_the_run(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    calls = []
+    real = sim_mod.run_trial
+
+    def counted(*a, **kw):
+        calls.append(kw["trial"])
+        return real(*a, **kw)
+
+    monkeypatch.setattr(sim_mod, "run_trial", counted)
+    cfg = SimConfig(trials=3, steps=5, seed=5, controller="oracle", oracle_cap=9)
+    with pytest.raises(ConfigError, match="exhaustive search refused"):
+        sim_mod.monte_carlo(cfg)
+    assert calls == [0]
+
+
+def test_controller_dispatch():
     setup = _setup(trials=1, steps=5)
-    for name in ("omp", "l1l2", "l2", "least_squares", "oracle"):
-        fn = make_controller(setup, name)
+    for name in CONTROLLERS:
+        fn = make_controller(replace(setup, cfg=replace(setup.cfg, controller=name)))
         pkt = fn(np.zeros(4))
         assert pkt.sparsity == 0
-    with pytest.raises(ConfigError):
-        make_controller(setup, "nope")
+
+
+def test_run_config_picks_controller_over_setup_config():
+    cfg = SimConfig(trials=3, steps=20, seed=19)
+    l2 = replace(cfg, controller="l2")
+    shared = monte_carlo(l2, setup=build_setup(cfg))
+    own = monte_carlo(l2)
+    for a, b in zip(shared.results, own.results):
+        assert np.array_equal(a.norms, b.norms)
+        assert np.array_equal(a.d, b.d)
+        assert np.array_equal(a.u_applied, b.u_applied)
+    assert np.all(shared.mean_sparsity == cfg.N)
 
 
 def test_sweep_single_point_and_curve():
@@ -183,6 +221,35 @@ def test_sweep_single_point_and_curve():
         sweep_regularization(cfg, "l2", [])
     with pytest.raises(ConfigError):
         sweep_regularization(cfg, "omp", [1.0])
+
+
+def test_sweep_builds_one_design(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    calls = []
+    real = sim_mod.build_design
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(sim_mod, "build_design", counted)
+    rep = sim_mod.sweep_regularization(SimConfig(trials=2, steps=10, seed=9), "l2",
+                                       [1.0, 1e2, 1e4])
+    assert len(rep.mean_perf) == 3
+    assert len(calls) == 1
+
+
+def test_sweep_rejects_nonpositive_nu_before_any_trial(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    calls = []
+    monkeypatch.setattr(sim_mod, "monte_carlo", lambda *a, **kw: calls.append(a))
+    cfg = SimConfig(trials=2, steps=10, seed=9)
+    for family, grid in (("l2", [1e2, -1.0]), ("l1l2", [1e2, 0.0])):
+        with pytest.raises(ConfigError, match="must be positive"):
+            sim_mod.sweep_regularization(cfg, family, grid)
+    assert calls == []
 
 
 def test_bitrate_experiment_smoke():
