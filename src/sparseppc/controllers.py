@@ -8,11 +8,13 @@ budget for closed-form penalties (none, Tikhonov, or l1).
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import sqrt
 from time import perf_counter
 
 import numpy as np
 
-from .errors import ConfigError, DesignInfeasibleError, FeasibilityError
+from .errors import (ConfigError, DesignInfeasibleError, FeasibilityError,
+                     SolverFailureError)
 from .horizon import HorizonMatrices
 from .plant import _frozen
 
@@ -82,39 +84,65 @@ def _support_lsq(G: np.ndarray, support, Hx: np.ndarray):
 def omp_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:
     """Orthogonal matching pursuit for the sparsity-minimizing packet.
 
-    Loop invariant: u is the exact least-squares solution on the support
-    chosen so far and r = Hx - Gu its residual. While ||r||^2 exceeds the
-    budget x'Wx, score every unselected column j by the single-column fit
-    z_j = g_j'r / ||g_j||^2, e_j = ||g_j z_j - r||^2, add the minimizer
-    (smallest index on ties), and re-solve on the enlarged support. For
-    budgets built by the design procedure the full-support residual is
-    strictly below the budget, so the loop terminates for every x.
+    Loop invariant: the columns of Qb[:, :k] are an orthonormal basis of
+    the k columns picked so far, G[:, support] = Qb[:, :k] R[:k, :k] with R
+    upper triangular, and r = Hx - Qb Qb'Hx is the explicit least-squares
+    residual on that support. While ||r||^2 exceeds the budget x'Wx, pick
+    the unselected column with the largest (g_j'r)^2 / ||g_j||^2 (smallest
+    index on ties); this is the column whose single-column fit to r leaves
+    the smallest error. Its component orthogonal to the basis, from
+    classical Gram-Schmidt with one re-orthogonalization pass, becomes the
+    next basis vector, and r loses its projection on it. One triangular
+    solve R u_S = Qb'Hx gives the packet. For budgets built by the design
+    procedure the full-support residual is strictly below the budget, so
+    the loop terminates for every x.
     """
     t0 = perf_counter()
     x = np.asarray(x, dtype=float)
     N = hm.N
+    G = hm.G
     budget = budget_for(W, x)
     Hx = hm.H @ x
-    u = np.zeros(N)
     r = Hx.copy()
+    Qb = np.empty((Hx.size, N))
+    R = np.zeros((N, N))
     support = []
 
     while float(r @ r) > budget:
-        if len(support) == N:
+        k = len(support)
+        if k == N:
             raise FeasibilityError(
                 "all columns selected but the residual still exceeds the budget",
                 residual_sq=float(r @ r), budget=budget)
-        z = (hm.G.T @ r) / hm.col_norm_sq
-        e = np.sum((hm.G * z[None, :] - r[:, None]) ** 2, axis=0)
-        e[support] = np.inf
-        j0 = int(np.argmin(e))
-        support.append(j0)
-        coef, Gs = _support_lsq(hm.G, support, Hx)
-        u = np.zeros(N)
-        u[support] = coef
-        r = Hx - Gs @ coef
+        c = G.T @ r
+        score = c * c / hm.col_norm_sq
+        score[support] = -np.inf
+        j = int(np.argmax(score))
+        basis, g = Qb[:, :k], G[:, j]
+        h = basis.T @ g
+        v = g - basis @ h
+        h2 = basis.T @ v
+        v -= basis @ h2
+        norm = sqrt(v @ v)
+        if not norm > 0.0:
+            raise SolverFailureError(
+                f"column {j} has no component orthogonal to the support {support}",
+                residual=float(r @ r))
+        np.add(h, h2, out=R[:k, k])
+        R[k, k] = norm
+        q = np.divide(v, norm, out=Qb[:, k])
+        r -= (q @ r) * q
+        support.append(j)
 
-    return _finish(u, len(support), t0)
+    u = np.zeros(N)
+    k = len(support)
+    if k:
+        try:
+            u[support] = np.linalg.solve(R[:k, :k], Qb[:, :k].T @ Hx)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"support solve failed: {exc}",
+                                     residual=float(r @ r)) from exc
+    return _finish(u, k, t0)
 
 
 def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray,
@@ -142,7 +170,11 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray,
     for k in range(1, hm.N + 1):
         for support in combinations(range(hm.N), k):
             examined += 1
-            coef, Gs = _support_lsq(hm.G, list(support), Hx)
+            try:
+                coef, Gs = _support_lsq(hm.G, list(support), Hx)
+            except np.linalg.LinAlgError as exc:
+                raise SolverFailureError(
+                    f"support {support} solve failed: {exc}") from exc
             r = Hx - Gs @ coef
             if float(r @ r) <= budget + slack:
                 u = np.zeros(hm.N)
@@ -169,7 +201,10 @@ def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
         raise ConfigError(f"nu2 must be positive, got {nu2}")
     t0 = perf_counter()
     x = np.asarray(x, dtype=float)
-    u = np.linalg.solve(nu2 * np.eye(hm.N) + hm.GtG, hm.GtH @ x)
+    try:
+        u = np.linalg.solve(nu2 * np.eye(hm.N) + hm.GtG, hm.GtH @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailureError(f"nu2 I + G'G solve failed: {exc}") from exc
     return _finish(u, 1, t0)
 
 

@@ -13,7 +13,8 @@ SeedSequence spawn keys (namespace, trial, substream), so any trial is
 reproducible in isolation and training/test phases never share entropy.
 """
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -33,6 +34,9 @@ CONTROLLERS = ("omp", "l1l2", "l2", "least_squares", "oracle")
 NS_MAIN = 0
 NS_TRAIN = 1
 NS_TEST = 2
+
+# JSON numbers accepted for SimConfig's int and float fields (bool excluded).
+_NUMBER_TYPES = {int: Integral, float: Real}
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,11 @@ class SimConfig:
     oracle_cap: int = 12
 
     def __post_init__(self):
+        for f in fields(self):
+            want = _NUMBER_TYPES.get(f.type)
+            value = getattr(self, f.name)
+            if want and (isinstance(value, bool) or not isinstance(value, want)):
+                raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if not (self.nu1 > 0 and self.nu2 > 0):

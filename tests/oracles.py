@@ -4,7 +4,8 @@ Each oracle takes a deliberately different route from the production code:
 Taylor series instead of Pade for the exponential, a QZ deflating-subspace
 solve instead of fixed-point iteration for the Riccati equation, explicit
 matrix powers instead of incremental assembly, power iteration instead of
-eigh, and a stateless trace interpreter instead of the buffer walk.
+eigh, a stateless trace interpreter instead of the buffer walk, and a
+per-pick QR refactorization instead of the incremental Gram-Schmidt OMP.
 """
 
 import numpy as np
@@ -127,6 +128,39 @@ def pencil_lmax_power(M: np.ndarray, S: np.ndarray, iters: int = 20_000) -> floa
 
 def pencil_lmin_power(M: np.ndarray, S: np.ndarray, iters: int = 20_000) -> float:
     return 1.0 / pencil_lmax_power(S, M, iters)
+
+
+def omp_reference(hm, W, x):
+    """Greedy OMP that refactors the whole support with a QR at every pick.
+
+    Scores each unselected column by the error of its single-column fit,
+    e_j = ||g_j z_j - r||^2 with z_j = g_j'r / ||g_j||^2, picks the
+    minimizer (smallest index on ties), and re-solves the least squares on
+    the enlarged support from scratch. Returns the packet and the columns
+    in the order they were picked.
+    """
+    from sparseppc.controllers import _support_lsq
+    from sparseppc.errors import FeasibilityError
+
+    x = np.asarray(x, dtype=float)
+    budget = float(x @ W @ x)
+    Hx = hm.H @ x
+    u = np.zeros(hm.N)
+    r = Hx.copy()
+    support = []
+    while float(r @ r) > budget:
+        if len(support) == hm.N:
+            raise FeasibilityError("all columns selected but the budget is still exceeded",
+                                   residual_sq=float(r @ r), budget=budget)
+        z = (hm.G.T @ r) / hm.col_norm_sq
+        e = np.sum((hm.G * z[None, :] - r[:, None]) ** 2, axis=0)
+        e[support] = np.inf
+        support.append(int(np.argmin(e)))
+        coef, Gs = _support_lsq(hm.G, support, Hx)
+        u = np.zeros(hm.N)
+        u[support] = coef
+        r = Hx - Gs @ coef
+    return u, support
 
 
 def interpret_trace(d, packets) -> np.ndarray:

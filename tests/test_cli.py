@@ -107,6 +107,10 @@ def test_validation_exit_code(tmp_path):
         ({"x0": [1, 2]}, []),
         ({"dropout": {"kind": "scripted", "script": [0, 1, 0]}}, []),
         ({"oracle_cap": 4}, ["--controller", "oracle"]),
+        ({"N": "10"}, []),
+        ({"nu1": "1e3"}, []),
+        ({"steps": 2.5}, []),
+        ({"oracle_cap": "x"}, ["--controller", "oracle"]),
     ]
     for i, (doc, extra) in enumerate(cases):
         cfg = _write(tmp_path / f"bad{i}.json", {**run, **doc})

@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.controllers import FEASIBILITY_SLACK, _support_lsq
-from sparseppc.errors import ConfigError
+from sparseppc.errors import ConfigError, SolverFailureError
+from sparseppc.sim import SimConfig, monte_carlo
+
+from .oracles import omp_reference
 
 W_SCALE_HUGE = 1e6
 
@@ -122,6 +129,69 @@ def test_omp_dominated_by_exhaustive_oracle(cessna_design, cessna_horizon, rng):
         assert oracle.sparsity <= greedy.sparsity
         ties += oracle.sparsity == greedy.sparsity
     assert 0 <= ties <= trials
+
+
+def _assert_matches_reference(hm, W, x):
+    pkt = sp.omp_packet(hm, W, x)
+    u, order = omp_reference(hm, W, x)
+    assert np.array_equal(np.flatnonzero(pkt.u), np.sort(order)), x
+    assert pkt.solver_iters == len(order)
+    assert np.linalg.norm(pkt.u - u) <= 1e-9 * np.linalg.norm(u), x
+
+
+def test_omp_matches_qr_reference(cessna_design, cessna_horizon, rng):
+    # every state a 30 x 100 closed loop visits, then 500 random states
+    d, hm = cessna_design, cessna_horizon
+    rep = monte_carlo(SimConfig(trials=30, steps=100, seed=3))
+    assert not rep.failures
+    for x in np.concatenate([r.states for r in rep.results]):
+        _assert_matches_reference(hm, d.W, x)
+    for _ in range(500):
+        _assert_matches_reference(hm, d.W, rng.standard_normal(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.floats(-2.0, 0.5))
+def test_omp_matches_qr_reference_across_scales(cessna_design, cessna_horizon, seed, s):
+    z = np.random.default_rng(seed).standard_normal(4)
+    _assert_matches_reference(cessna_horizon, cessna_design.W, z * 10.0**s)
+
+
+def _with_bad_column(hm, value):
+    G = hm.G.copy()
+    G[:, 0] = value
+    return replace(hm, G=G, col_norm_sq=np.sum(G * G, axis=0))
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_omp_degenerate_column_raises_solver_failure(cessna_design, cessna_horizon, rng, value):
+    # a zero or NaN column scores NaN, is picked first, and has no
+    # orthogonal component to normalize
+    hm = _with_bad_column(cessna_horizon, value)
+    with np.errstate(invalid="ignore"), pytest.raises(SolverFailureError, match="column 0"):
+        sp.omp_packet(hm, cessna_design.W, rng.standard_normal(4))
+
+
+def test_omp_failed_support_solve_raises_solver_failure(cessna_design, cessna_horizon, rng,
+                                                         monkeypatch):
+    def singular(*_a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolverFailureError, match="support solve failed"):
+        sp.omp_packet(cessna_horizon, cessna_design.W, rng.standard_normal(4))
+
+
+def test_exhaustive_singular_support_raises_solver_failure(cessna_design, cessna_horizon, rng):
+    hm = _with_bad_column(cessna_horizon, 0.0)
+    with pytest.raises(SolverFailureError, match="support \\(0,\\)"):
+        sp.exhaustive_l0_packet(hm, cessna_design.W, rng.standard_normal(4))
+
+
+def test_l2_singular_system_raises_solver_failure(cessna_horizon, rng):
+    hm = replace(cessna_horizon, GtG=-np.eye(10))
+    with pytest.raises(SolverFailureError):
+        sp.l2_packet(hm, rng.standard_normal(4), 1.0)
 
 
 def test_exhaustive_zero_state_and_cap(cessna_design, cessna_horizon):

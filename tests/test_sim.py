@@ -23,7 +23,8 @@ def test_config_validation():
         SimConfig(controller="bogus")
     with pytest.raises(ConfigError):
         SimConfig(noise={"kind": "weird"})
-    for bad in ({"N": 0}, {"nu1": 0.0}, {"nu2": -1.0}, {"nu1": float("nan")}):
+    for bad in ({"N": 0}, {"nu1": 0.0}, {"nu2": -1.0}, {"nu1": float("nan")},
+                {"N": True}, {"trials": 3.0}, {"eta": "0.5"}):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
     with pytest.raises(ConfigError):
@@ -152,6 +153,30 @@ def test_monte_carlo_continues_after_trial_failure(monkeypatch):
     rep = sim_mod.monte_carlo(SimConfig(trials=3, steps=10, seed=5))
     assert len(rep.results) == 2
     assert rep.failures == [(1, "NumericError: synthetic failure")]
+
+
+def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
+    # trial 1 runs OMP on a horizon with a zero column: the kernel's
+    # SolverFailureError must fail that trial and leave the others alone
+    import sparseppc.sim as sim_mod
+
+    real = sim_mod.run_trial
+
+    def broken_horizon(setup, trace, x0, **kw):
+        if kw["trial"] == 1:
+            G = setup.hm.G.copy()
+            G[:, 0] = 0.0
+            hm = replace(setup.hm, G=G, col_norm_sq=np.sum(G * G, axis=0))
+            setup = replace(setup, hm=hm)
+            kw["controller"] = None
+        return real(setup, trace, x0, **kw)
+
+    monkeypatch.setattr(sim_mod, "run_trial", broken_horizon)
+    with np.errstate(invalid="ignore"):
+        rep = sim_mod.monte_carlo(SimConfig(trials=3, steps=10, seed=5))
+    assert [r.trial for r in rep.results] == [0, 2]
+    assert [t for t, _ in rep.failures] == [1]
+    assert rep.failures[0][1].startswith("SolverFailureError: column 0")
 
 
 def test_monte_carlo_raises_when_everything_fails(monkeypatch):
