@@ -3,7 +3,8 @@
 Every solver maps a measured state x to a length-N packet of tentative
 inputs. The sparse solvers minimize the nonzero count subject to the
 quadratic budget ||G u - H x||^2 <= x' W x; the baselines trade that
-budget for closed-form penalties (none, Tikhonov, or l1).
+budget for a penalty (none, Tikhonov, or l1). All are exact: the l1
+packet ends a finite lasso homotopy, so no solver has a tolerance.
 """
 
 from dataclasses import dataclass
@@ -22,17 +23,14 @@ from .plant import _frozen
 # strict float inequalities do not flap at the boundary.
 FEASIBILITY_SLACK = 1e-9
 
-# l1 solutions are clamped to exact zero below this fraction of the peak
-# magnitude before sparsity is counted (and in the stored packet).
-L1_ZERO_CLAMP = 1e-8
-
 
 @dataclass(frozen=True)
 class ControlPacket:
     """A tentative-input packet plus solve metadata.
 
-    sparsity counts exact nonzeros: the sparse solvers produce structural
-    zeros, and the l1 solver clamps before counting.
+    sparsity counts exact nonzeros: every solver produces structural zeros
+    off its support. converged is always True, since every solver is exact
+    or raises.
     """
 
     u: np.ndarray
@@ -52,10 +50,9 @@ class FeasibilityCertificate:
     feasible: bool
 
 
-def _finish(u: np.ndarray, iters: int, t0: float, converged: bool = True) -> ControlPacket:
+def _finish(u: np.ndarray, iters: int, t0: float) -> ControlPacket:
     return ControlPacket(u=u, sparsity=int(np.count_nonzero(u)),
-                         solver_iters=iters, solve_seconds=perf_counter() - t0,
-                         converged=converged)
+                         solver_iters=iters, solve_seconds=perf_counter() - t0)
 
 
 def budget_for(W: np.ndarray, x: np.ndarray) -> float:
@@ -208,62 +205,67 @@ def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
     return _finish(u, 1, t0)
 
 
-def _soft_threshold(v: np.ndarray, thr: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float) -> ControlPacket:
+    """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
 
-
-def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float,
-                max_iter: int = 10_000, tol: float = 1e-10) -> ControlPacket:
-    """FISTA solution of min nu1 ||u||_1 + 0.5 ||G u - H x||^2.
-
-    Step size 1/L with L the largest eigenvalue of G'G (from eigvalsh,
-    stored on the horizon), with adaptive function restart: momentum is
-    reset whenever the objective rises, which restores fast convergence on
-    badly conditioned Gram matrices. Stops on relative objective change
-    below tol; the best iterate seen is returned, flagged non-converged if
-    the iteration cap is hit first. Entries below L1_ZERO_CLAMP * ||u||_inf
-    are clamped to exact zero so sparsity counts are well defined.
+    Walks lam from ||G'Hx||_inf (u = 0) down to nu1 (Osborne, Presnell &
+    Turlach 2000). On the active set S with signs s, u_S(lam) =
+    (G'G)_SS^-1 (G'Hx_S - lam s). A breakpoint is where an inactive
+    correlation g_j'(Hx - G u) reaches +-lam (j joins) or a coefficient
+    moving toward zero reaches 0 (j leaves, barred from rejoining on the
+    same side at once); u_S is re-solved at each one and at nu1. Over 50 N
+    breakpoints, or a packet that misses the KKT conditions, raises
+    SolverFailureError; solver_iters counts breakpoints.
     """
     if not (nu1 > 0.0):
         raise ConfigError(f"nu1 must be positive, got {nu1}")
     t0 = perf_counter()
     x = np.asarray(x, dtype=float)
-    GtHx = hm.GtH @ x
+    N, G, K = hm.N, hm.G, hm.GtG
+    b = hm.GtH @ x
+    lam = lam0 = float(np.max(np.abs(b)))
+    if not lam > nu1:
+        return _finish(np.zeros(N), 0, t0)
     Hx = hm.H @ x
-    L = hm.GtG_lmax * (1.0 + 1e-6)
-
-    def objective(u):
-        # evaluated on the true residual: the expanded quadratic form loses
-        # too many digits to cancellation for the stop test to be meaningful
-        r = hm.G @ u - Hx
-        return nu1 * float(np.sum(np.abs(u))) + 0.5 * float(r @ r)
-
-    u = np.zeros(hm.N)
-    y = u
-    t = 1.0
-    best_u, best_obj = u, objective(u)
-    obj_prev = best_obj
-    converged = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        grad = hm.GtG @ y - GtHx
-        u_new = _soft_threshold(y - grad / L, nu1 / L)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = u_new + ((t - 1.0) / t_new) * (u_new - u)
-        u, t = u_new, t_new
-        obj = objective(u)
-        if obj < best_obj:
-            best_u, best_obj = u, obj
-        if abs(obj - obj_prev) <= tol * max(1.0, abs(obj)):
-            converged = True
+    s = np.zeros(N)                 # signs on the active set, 0 off it
+    j = int(np.argmax(np.abs(b)))
+    s[j] = np.sign(b[j])
+    left = (0, j)                   # (side, column) barred from rejoining
+    for iters in range(50 * N):
+        S = np.flatnonzero(s)
+        try:
+            d, u_S = np.linalg.solve(K[np.ix_(S, S)],
+                                     np.column_stack([s[S], b[S] - lam * s[S]])).T
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"active-set solve failed: {exc}") from exc
+        c = G.T @ (Hx - G[:, S] @ u_S)
+        if lam == nu1:
             break
-        if obj > obj_prev:
-            t = 1.0
-            y = u
-        obj_prev = obj
+        # as lam drops by g, u_S moves by g d and c by -g a
+        a = K[:, S] @ d
+        leave = np.full(N, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            join = np.stack([(lam - c) / (1.0 - a), (lam + c) / (1.0 + a)])
+            leave[S] = np.where(d * s[S] < 0.0, -u_S / d, np.inf)
+        join[:, S] = join[left] = np.inf
+        join[~(join > 0.0)] = np.inf
+        side, j = np.unravel_index(np.argmin(join), join.shape)
+        i = int(np.argmin(leave))
+        if min(join[side, j], leave[i]) >= lam - nu1:
+            lam = nu1
+        elif leave[i] <= join[side, j]:
+            lam -= max(leave[i], 0.0)
+            left, s[i] = (int(s[i] < 0), i), 0.0
+        else:                       # j is active now, so left bars nothing
+            lam -= join[side, j]
+            left, s[j] = (side, j), 1.0 - 2.0 * side
+    else:
+        raise SolverFailureError(f"lasso path exceeded {50 * N} breakpoints")
 
-    out = best_u.copy()
-    peak = float(np.max(np.abs(out))) if out.size else 0.0
-    if peak > 0.0:
-        out[np.abs(out) < L1_ZERO_CLAMP * peak] = 0.0
-    return _finish(out, iters, t0, converged=converged)
+    u = np.zeros(N)
+    u[S] = u_S
+    worst = float(np.max(np.where(u != 0.0, np.abs(c - nu1 * np.sign(u)), np.abs(c) - nu1)))
+    if not worst <= 1e-9 * lam0:   # also catches a NaN from an overflowed x
+        raise SolverFailureError(f"lasso packet misses the KKT conditions by {worst:.3g}",
+                                 residual=worst)
+    return _finish(u, iters, t0)

@@ -19,8 +19,8 @@ from .plant import PlantModel, _frozen
 class HorizonMatrices:
     """Prediction operators for one (plant, Q, P, N) combination.
 
-    GtG, GtH, col_norm_sq and GtG_lmax are cached products the packet
-    solvers need; they carry no information beyond G and H.
+    GtG, GtH and col_norm_sq are cached products the packet solvers read
+    at every solve; they carry no information beyond G and H.
     """
 
     N: int
@@ -32,7 +32,6 @@ class HorizonMatrices:
     GtG: np.ndarray
     GtH: np.ndarray
     col_norm_sq: np.ndarray
-    GtG_lmax: float
 
 
 def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> HorizonMatrices:
@@ -76,7 +75,6 @@ def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> Horizo
         # but any failure here would poison every solver downstream.
         raise DesignInfeasibleError(f"G is column-rank deficient: rank {rank} < {N}")
 
-    GtG = G.T @ G
     return HorizonMatrices(
         N=N,
         n=n,
@@ -84,10 +82,9 @@ def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> Horizo
         Upsilon=_frozen(Upsilon),
         G=_frozen(G),
         H=_frozen(H),
-        GtG=_frozen(GtG),
+        GtG=_frozen(G.T @ G),
         GtH=_frozen(G.T @ H),
         col_norm_sq=_frozen(np.sum(G * G, axis=0)),
-        GtG_lmax=float(np.linalg.eigvalsh(GtG)[-1]),
     )
 
 

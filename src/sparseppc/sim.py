@@ -13,6 +13,7 @@ SeedSequence spawn keys (namespace, trial, substream), so any trial is
 reproducible in isolation and training/test phases never share entropy.
 """
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 
@@ -21,10 +22,10 @@ import numpy as np
 from .channel import ChannelTrace, DropoutModel, actuate, generate_trace
 from .codec import (PacketCodec, Quantizer, decode, dequantize, encode,
                     quantize_packet, train_codec)
-from .controllers import (L1_ZERO_CLAMP, exhaustive_l0_packet, l1l2_packet,
-                          l2_packet, least_squares_packet, omp_packet)
+from .controllers import (exhaustive_l0_packet, l1l2_packet, l2_packet,
+                          least_squares_packet, omp_packet)
 from .design import CostDesign, build_design
-from .errors import ConfigError, SparsePpcError
+from .errors import ConfigError, NumericError, SparsePpcError
 from .horizon import HorizonMatrices, build_horizon
 from .plant import PlantModel, resolve_plant
 
@@ -79,6 +80,16 @@ class SimConfig:
             raise ConfigError(f"train_trials must be >= 1, got {self.train_trials}")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
+        if not isinstance(self.dropout, dict):
+            raise ConfigError(f"dropout must be a mapping, got {self.dropout!r}")
+        if not (isinstance(self.Q, str) and self.Q == "identity"):
+            try:
+                Q = np.asarray(self.Q, dtype=float)
+            except (TypeError, ValueError):
+                Q = np.empty(0)
+            if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not np.all(np.isfinite(Q)):
+                raise ConfigError(f"Q must be 'identity' or a square matrix of "
+                                  f"finite numbers, got {self.Q!r}")
         kind, sigma = noise_params(self.noise)
         if kind == "gaussian" and sigma < 0:
             raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
@@ -104,7 +115,10 @@ def noise_params(noise: dict):
     if kind == "none":
         return "none", 0.0
     if kind == "gaussian":
-        return "gaussian", float(noise.get("sigma", 0.01))
+        sigma = noise.get("sigma", 0.01)
+        if isinstance(sigma, bool) or not isinstance(sigma, Real):
+            raise ConfigError(f"noise sigma must be a number, got {sigma!r}")
+        return "gaussian", float(sigma)
     raise ConfigError(f"noise kind must be 'none' or 'gaussian', got {kind!r}")
 
 
@@ -209,7 +223,8 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
     """Simulate one closed loop over the length of the trace.
 
     The packet is computed from x(k) at every k and recorded; only
-    delivered packets (d(k) = 0) reach the buffer.
+    delivered packets (d(k) = 0) reach the buffer. A state whose V(k) is
+    not finite raises NumericError, which fails the trial.
     """
     cfg = setup.cfg
     T = trace.T
@@ -232,11 +247,13 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
     x = np.asarray(x0, dtype=float)
     buf = None
     for k in range(T):
+        V[k] = float(x @ P @ x)
+        if not math.isfinite(V[k]):
+            raise NumericError(f"state is not finite at step {k}: V = {V[k]}")
         pkt = controller(x)
         u, buf = actuate(buf, int(trace.d[k]), incoming=pkt)
         states[k] = x
         norms[k] = np.linalg.norm(x)
-        V[k] = float(x @ P @ x)
         u_applied[k] = u
         packets[k] = pkt.u
         sparsity[k] = pkt.sparsity
@@ -557,7 +574,6 @@ def sweep_rows(sreport: SweepReport):
 def resolved_config(cfg: SimConfig) -> dict:
     """Every parameter that shaped the run, defaults included."""
     doc = asdict(cfg)
-    doc["l1l2_zero_clamp"] = L1_ZERO_CLAMP
     # trial i always sees the same trace/x0/noise regardless of controller
     doc["paired_trials"] = True
     return doc

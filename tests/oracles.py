@@ -4,8 +4,10 @@ Each oracle takes a deliberately different route from the production code:
 Taylor series instead of Pade for the exponential, a QZ deflating-subspace
 solve instead of fixed-point iteration for the Riccati equation, explicit
 matrix powers instead of incremental assembly, power iteration instead of
-eigh, a stateless trace interpreter instead of the buffer walk, and a
-per-pick QR refactorization instead of the incremental Gram-Schmidt OMP.
+eigh, a stateless trace interpreter instead of the buffer walk, a
+per-pick QR refactorization instead of the incremental Gram-Schmidt OMP,
+and the lasso optimality (KKT) conditions, checked column by column,
+instead of the homotopy path.
 """
 
 import numpy as np
@@ -161,6 +163,28 @@ def omp_reference(hm, W, x):
         u[support] = coef
         r = Hx - Gs @ coef
     return u, support
+
+
+def lasso_kkt_violation(hm, x, u, nu1) -> float:
+    """How far u is from minimizing nu1 ||u||_1 + 0.5 ||G u - H x||^2.
+
+    With r = Hx - G u, u is optimal iff |g_j'r| <= nu1 for every j with
+    u_j = 0 and g_j'r = nu1 sign(u_j) for every j with u_j != 0. Returns
+    the largest violation of these conditions relative to
+    max(nu1, ||G'Hx||_inf); a certified packet returns at most 1e-9.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    Hx = hm.H @ x
+    r = Hx - hm.G @ u
+    worst = 0.0
+    for j in range(hm.N):
+        g = hm.G[:, j]
+        if u[j] == 0.0:
+            worst = max(worst, abs(g @ r) - nu1)
+        else:
+            worst = max(worst, abs(g @ r - nu1 * np.sign(u[j])))
+    return worst / max(nu1, float(np.max(np.abs(hm.G.T @ Hx))))
 
 
 def interpret_trace(d, packets) -> np.ndarray:

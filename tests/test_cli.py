@@ -59,7 +59,6 @@ def test_meta_config_lists_every_parameter(tmp_path):
     for field in SimConfig.__dataclass_fields__:
         assert field in meta["config"], field
     assert meta["config"]["paired_trials"] is True
-    assert "l1l2_zero_clamp" in meta["config"]
 
 
 def test_design_reads_a_simulate_config(tmp_path, capsys):
@@ -111,6 +110,9 @@ def test_validation_exit_code(tmp_path):
         ({"nu1": "1e3"}, []),
         ({"steps": 2.5}, []),
         ({"oracle_cap": "x"}, ["--controller", "oracle"]),
+        ({"dropout": 5}, []),
+        ({"Q": "bogus"}, []),
+        ({"noise": {"kind": "gaussian", "sigma": "a"}}, []),
     ]
     for i, (doc, extra) in enumerate(cases):
         cfg = _write(tmp_path / f"bad{i}.json", {**run, **doc})

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import sparseppc as sp
 from sparseppc.controllers import FEASIBILITY_SLACK, _support_lsq
 from sparseppc.errors import ConfigError, SolverFailureError
-from sparseppc.sim import SimConfig, monte_carlo
+from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
-from .oracles import omp_reference
+from .oracles import lasso_kkt_violation, omp_reference
 
 W_SCALE_HUGE = 1e6
 
@@ -254,19 +254,19 @@ def test_l1l2_zero_condition(cessna_horizon, rng):
 
 
 def test_l1l2_small_penalty_matches_least_squares(cessna_horizon, rng):
-    # limit behavior check; run the solver tighter than its defaults because
-    # the 1e-10 objective-change stop cannot certify 1e-5 coefficients at
-    # this Gram conditioning (~3e5)
+    # limit behavior: at a vanishing penalty the path ends on the full
+    # support, where the packet is the least-squares one
     hm = cessna_horizon
     x = rng.standard_normal(4)
     ls = sp.least_squares_packet(hm, x)
-    pkt = sp.l1l2_packet(hm, x, 1e-12, max_iter=30_000, tol=0.0)
+    pkt = sp.l1l2_packet(hm, x, 1e-12)
     scale = max(1.0, float(np.max(np.abs(ls.u))))
     assert np.allclose(pkt.u, ls.u, rtol=1e-5, atol=1e-5 * scale)
-    assert pkt.converged
 
 
 def test_l1l2_objective_dominance(cessna_horizon, rng):
+    # the KKT conditions certify the packet optimal, so its objective is
+    # at most that of the zero and the least-squares packets
     hm = cessna_horizon
 
     def objective(u, x, nu1):
@@ -276,11 +276,67 @@ def test_l1l2_objective_dominance(cessna_horizon, rng):
         for _ in range(10):
             x = rng.standard_normal(4)
             pkt = sp.l1l2_packet(hm, x, nu1)
+            assert lasso_kkt_violation(hm, x, pkt.u, nu1) <= 1e-9
+            assert pkt.solver_iters >= pkt.sparsity
             ls = sp.least_squares_packet(hm, x)
             got = objective(pkt.u, x, nu1)
             assert got <= objective(np.zeros(10), x, nu1) + 1e-9
             assert got <= objective(ls.u, x, nu1) + 1e-9
-            assert pkt.converged
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.floats(-2.0, 0.5),
+       nu1=st.sampled_from([1.0, 5.3, 1e2, 1e3, 5.3e3, 1e4]))
+def test_l1l2_meets_kkt_across_scales(cessna_horizon, seed, s, nu1):
+    hm = cessna_horizon
+    x = np.random.default_rng(seed).standard_normal(4) * 10.0**s
+    pkt = sp.l1l2_packet(hm, x, nu1)
+    assert lasso_kkt_violation(hm, x, pkt.u, nu1) <= 1e-9
+    # the zero packet is optimal exactly when no correlation exceeds nu1
+    assert (pkt.sparsity == 0) == (float(np.max(np.abs(hm.GtH @ x))) <= nu1)
+
+
+def test_l1l2_long_paths_meet_kkt(cessna_horizon, rng):
+    # tiny penalties walk the whole path down to the dense least-squares
+    # end, through dozens of joins and leaves
+    hm = cessna_horizon
+    for nu1 in (1e-6, 1e-3):
+        for _ in range(100):
+            x = rng.standard_normal(4) * 10.0 ** rng.uniform(-2.0, 0.5)
+            pkt = sp.l1l2_packet(hm, x, nu1)
+            assert lasso_kkt_violation(hm, x, pkt.u, nu1) <= 1e-9
+
+
+def test_l1l2_closed_loop_packets_meet_kkt():
+    # every packet of a run shaped like the l1 sweep: 2 trials x 100 steps
+    # at each nu1 of the grid 1e2 .. 1e4
+    cfg = SimConfig(trials=2, steps=100, seed=1, controller="l1l2")
+    setup = build_setup(cfg)
+    for nu1 in (1e2, 1e3, 5.3e3, 1e4):
+        rep = monte_carlo(replace(cfg, nu1=nu1), setup=setup)
+        assert rep.failures == []
+        for r in rep.results:
+            for x, u in zip(r.states, r.packets):
+                assert lasso_kkt_violation(setup.hm, x, u, nu1) <= 1e-9
+
+
+def test_l1l2_never_returns_a_packet_that_misses_kkt(cessna_horizon, rng, monkeypatch):
+    # a solve that is off by 1e-6 relative leaves the correlations on the
+    # support off by far more than the 1e-9 certificate allows
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: real(A, B) * (1.0 + 1e-6))
+    with pytest.raises(SolverFailureError, match="KKT"):
+        sp.l1l2_packet(cessna_horizon, rng.standard_normal(4), 5.3)
+
+
+def test_l1l2_failed_active_set_solve_raises_solver_failure(cessna_horizon, rng,
+                                                            monkeypatch):
+    def singular(*_a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolverFailureError, match="active-set solve failed"):
+        sp.l1l2_packet(cessna_horizon, rng.standard_normal(4), 5.3)
 
 
 def test_l1l2_rejects_bad_penalty(cessna_horizon):

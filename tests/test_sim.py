@@ -24,7 +24,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(noise={"kind": "weird"})
     for bad in ({"N": 0}, {"nu1": 0.0}, {"nu2": -1.0}, {"nu1": float("nan")},
-                {"N": True}, {"trials": 3.0}, {"eta": "0.5"}):
+                {"N": True}, {"trials": 3.0}, {"eta": "0.5"}, {"dropout": [0, 1]},
+                {"Q": "diag"}, {"Q": [1.0, 2.0]}, {"Q": [[1.0, 0.0]]},
+                {"Q": [[1.0, 0.0], [0.0, float("inf")]]}, {"Q": [[1.0], [2.0, 3.0]]},
+                {"noise": {"kind": "gaussian", "sigma": "0.1"}},
+                {"noise": {"kind": "gaussian", "sigma": True}}):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
     with pytest.raises(ConfigError):
@@ -366,6 +370,42 @@ def test_run_trial_requires_noise_stream():
     trace = sp.generate_trace(setup.dropout, 5, rng=np.random.default_rng(0))
     with pytest.raises(ConfigError):
         run_trial(setup, trace, np.zeros(4))
+
+
+def test_run_trial_raises_on_a_non_finite_state():
+    setup = _setup(trials=1, steps=5)
+    trace = sp.generate_trace(setup.dropout, 5, rng=np.random.default_rng(0))
+    with np.errstate(invalid="ignore"), pytest.raises(sp.NumericError, match="step 0"):
+        run_trial(setup, trace, np.array([np.inf, 0.0, 0.0, 0.0]))
+
+
+def test_overflowing_trial_fails_and_leaves_no_nonfinite_rows(monkeypatch, tmp_path):
+    # trial 1 starts so large that V(0) = x'Px overflows: it must be listed
+    # as failed, and no inf or nan may reach the CSVs
+    import json
+
+    import sparseppc.sim as sim_mod
+    from sparseppc.cli import main
+
+    real = sim_mod.draw_x0
+    drawn = []
+
+    def overflowing(cfg, n, rng):
+        drawn.append(real(cfg, n, rng))
+        return drawn[-1] * (1e200 if len(drawn) == 2 else 1.0)
+
+    monkeypatch.setattr(sim_mod, "draw_x0", overflowing)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"trials": 3, "steps": 10, "seed": 5}))
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    failures = json.loads((out / "meta.json").read_text())["results"]["failures"]
+    assert [f["trial"] for f in failures] == [1]
+    assert failures[0]["error"].startswith("NumericError: state is not finite at step 0")
+    for name in ("trace.csv", "trajectory.csv", "summary.csv"):
+        text = (out / name).read_text().lower()
+        assert "nan" not in text and "inf" not in text, name
 
 
 def test_scripted_dropout_through_config():
