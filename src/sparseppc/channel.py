@@ -6,11 +6,13 @@ than N - 1, so the buffer below never runs past the end of a packet.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolViolationError, TraceValidationError
 from .controllers import ControlPacket
+from .linalg import number_array
 
 _KINDS = ("iid", "markov", "scripted")
 
@@ -39,12 +41,15 @@ class DropoutModel:
             raise ConfigError(f"packet length N must be >= 1, got {self.N}")
         for name in ("p_drop", "p_dd", "p_dg"):
             p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1], got {p}")
+            if isinstance(p, bool) or not isinstance(p, Real) or not (0.0 <= p <= 1.0):
+                raise ConfigError(f"{name} must be a number in [0, 1], got {p!r}")
         if self.kind == "scripted":
             if self.script is None:
                 raise ConfigError("scripted dropout model requires a script")
-            object.__setattr__(self, "script", tuple(int(b) for b in self.script))
+            bits = number_array(self.script, "dropout script", kinds="iu")
+            if bits.ndim != 1:
+                raise ConfigError(f"dropout script must be a list of bits, got {self.script!r}")
+            object.__setattr__(self, "script", tuple(int(b) for b in bits))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Uniform scalar quantization plus per-position Huffman coding of packets.
+"""Uniform scalar quantization plus per-position canonical Huffman coding.
 
 Two packet schemes are supported. dense: every one of the N positions is
 entropy-coded. sparse: the first N/2 positions are coded unconditionally,
 the second half is signaled by an N/2-bit presence bitmap followed by codes
 for the flagged (nonzero-index) positions only. Indices never seen in
 training are carried by an escape codeword followed by a 32-bit raw index,
-so every in-range packet round-trips exactly.
+so every in-range packet round-trips exactly. A position's code is its
+table of code lengths; the codewords follow from it canonically.
 """
 
 import heapq
@@ -54,68 +55,75 @@ def dequantize(q: Quantizer, indices: np.ndarray) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64) * q.delta
 
 
-def _huffman_codebook(freqs: dict) -> dict:
-    """Deterministic Huffman code for symbol -> frequency.
+def _symbol_order(symbols) -> list:
+    """Integers ascending, then the escape symbol if present."""
+    ints = sorted(s for s in symbols if s != ESCAPE)
+    return ints + [ESCAPE] if ESCAPE in symbols else ints
 
-    Leaves enter the heap in sorted symbol order (integers ascending, the
-    escape symbol last) and merges pop the two smallest (frequency, order)
-    entries, so the codebook is reproducible. A single-symbol alphabet gets
-    the 1-bit code "0" to keep the stream self-delimiting.
+
+def _code_lengths(freqs: dict) -> dict:
+    """Deterministic Huffman code lengths for symbol -> frequency.
+
+    Leaves enter the heap in symbol order and merges pop the two smallest
+    (frequency, order) entries, so the lengths are reproducible. A symbol's
+    length is the number of merges above its leaf. A single-symbol alphabet
+    gets length 1 to keep the stream self-delimiting.
     """
     if not freqs:
         raise CodecTrainingError("cannot build a code over an empty alphabet")
-    symbols = sorted((s for s in freqs if s != ESCAPE)) + ([ESCAPE] if ESCAPE in freqs else [])
-    if len(symbols) == 1:
-        return {symbols[0]: "0"}
-    heap = []
-    order = 0
-    for sym in symbols:
-        heapq.heappush(heap, (freqs[sym], order, sym))
-        order += 1
-    while len(heap) > 1:
-        fa, _, a = heapq.heappop(heap)
-        fb, _, b = heapq.heappop(heap)
-        heapq.heappush(heap, (fa + fb, order, (a, b)))
-        order += 1
-    codebook = {}
-
-    def walk(node, prefix):
-        if isinstance(node, tuple):
-            walk(node[0], prefix + "0")
-            walk(node[1], prefix + "1")
-        else:
-            codebook[node] = prefix
-
-    walk(heap[0][2], "")
-    return codebook
+    symbols = _symbol_order(freqs)
+    n = len(symbols)
+    if n == 1:
+        return {symbols[0]: 1}
+    # Node ids double as the merge order: leaves 0..n-1, merges n..2n-2.
+    heap = [(freqs[sym], node) for node, sym in enumerate(symbols)]
+    heapq.heapify(heap)
+    parent = [0] * (2 * n - 1)
+    for node in range(n, 2 * n - 1):
+        fa, a = heapq.heappop(heap)
+        fb, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (fa + fb, node))
+    # A parent's id exceeds its children's, so one downward pass suffices.
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    return {sym: depth[node] for node, sym in enumerate(symbols)}
 
 
 @dataclass(frozen=True)
 class PositionCoder:
-    """Prefix code for one packet position, with an escape fallback."""
+    """Canonical prefix code for one packet position, with an escape fallback.
+
+    lengths maps every symbol to its code length, and is the whole code:
+    symbols sorted by (length, symbol order) take consecutive integer
+    codewords, shifted left whenever the length grows (Moffat & Turpin,
+    1997). codebook holds the resulting symbol -> bitstring map.
+    """
 
     position: int
-    codebook: dict
+    lengths: dict
     escape_bits: int = ESCAPE_RAW_BITS
 
     def __post_init__(self):
-        if ESCAPE not in self.codebook:
-            raise CodecTrainingError(f"position {self.position}: codebook lacks an escape symbol")
-        words = sorted(self.codebook.values())
-        if len(set(words)) != len(words):
-            raise CodecTrainingError(f"position {self.position}: duplicate codewords")
-        # In sorted order a prefix lands immediately before a word it prefixes.
-        for w, nxt in zip(words, words[1:]):
-            if nxt.startswith(w):
-                raise CodecTrainingError(
-                    f"position {self.position}: codeword {w} prefixes {nxt}")
-        if sum(2.0 ** -len(w) for w in words) > 1.0 + 1e-12:
+        if ESCAPE not in self.lengths:
+            raise CodecTrainingError(f"position {self.position}: code lacks an escape symbol")
+        if min(self.lengths.values()) < 1:
+            raise CodecTrainingError(f"position {self.position}: code lengths must be >= 1")
+        longest = max(self.lengths.values())
+        if sum(2 ** (longest - n) for n in self.lengths.values()) > 2 ** longest:
             raise CodecTrainingError(f"position {self.position}: Kraft inequality violated")
-        object.__setattr__(self, "_decode", {w: s for s, w in self.codebook.items()})
-        object.__setattr__(self, "_max_len", max(len(w) for w in words))
-
-    def kraft_sum(self) -> float:
-        return sum(2.0 ** -len(w) for w in self.codebook.values())
+        codebook = {}
+        code = width = 0
+        # a stable sort by length keeps symbol order within each length
+        for sym in sorted(_symbol_order(self.lengths), key=self.lengths.__getitem__):
+            code <<= self.lengths[sym] - width
+            width = self.lengths[sym]
+            codebook[sym] = format(code, "b").zfill(width)
+            code += 1
+        object.__setattr__(self, "codebook", codebook)
+        object.__setattr__(self, "_decode", {w: s for s, w in codebook.items()})
+        object.__setattr__(self, "_max_len", longest)
 
     def encode_index(self, idx: int) -> str:
         word = self.codebook.get(int(idx))
@@ -144,15 +152,13 @@ class PacketCodec:
 
 @dataclass(frozen=True)
 class EncodedPacket:
-    """Bitstring plus its length; bitmap is the sparse-scheme presence field."""
+    """One encoded packet as a '0'/'1' string."""
 
     bits: str
-    bit_count: int
-    bitmap: str = None
 
-    def __post_init__(self):
-        if self.bit_count != len(self.bits):
-            raise ConfigError("bit_count must equal the bitstring length")
+    @property
+    def bit_count(self) -> int:
+        return len(self.bits)
 
     def to_hex(self) -> str:
         """Hex dump, zero-padded to whole bytes (bit_count disambiguates)."""
@@ -161,7 +167,7 @@ class EncodedPacket:
 
 
 def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
-    """Fit per-position Huffman coders to quantized packets.
+    """Fit per-position Huffman code lengths to quantized packets.
 
     samples is an iterable of integer index vectors of a common length N.
     For the sparse scheme, positions >= N/2 are trained on their nonzero
@@ -172,11 +178,6 @@ def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise CodecTrainingError("training requires at least one packet")
     N = mat.shape[1]
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    if scheme == "sparse" and N % 2 != 0:
-        raise ConfigError("sparse scheme requires an even packet length")
-
     coders = []
     for p in range(N):
         col = mat[:, p]
@@ -184,7 +185,7 @@ def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
             col = col[col != 0]
         freqs = {int(s): int(c) for s, c in Counter(col.tolist()).items()}
         freqs[ESCAPE] = 1
-        coders.append(PositionCoder(position=p, codebook=_huffman_codebook(freqs)))
+        coders.append(PositionCoder(position=p, lengths=_code_lengths(freqs)))
     return PacketCodec(N=N, quantizer=quantizer, coders=tuple(coders), scheme=scheme)
 
 
@@ -194,15 +195,14 @@ def encode(codec: PacketCodec, indices: np.ndarray) -> EncodedPacket:
     if idx.shape != (codec.N,):
         raise ConfigError(f"packet must have shape ({codec.N},), got {idx.shape}")
     if codec.scheme == "dense":
-        bits = "".join(codec.coders[p].encode_index(idx[p]) for p in range(codec.N))
-        return EncodedPacket(bits=bits, bit_count=len(bits))
+        return EncodedPacket(bits="".join(codec.coders[p].encode_index(idx[p])
+                                          for p in range(codec.N)))
     half = codec.N // 2
     head = "".join(codec.coders[p].encode_index(idx[p]) for p in range(half))
     bitmap = "".join("1" if idx[p] != 0 else "0" for p in range(half, codec.N))
     tail = "".join(codec.coders[p].encode_index(idx[p])
                    for p in range(half, codec.N) if idx[p] != 0)
-    bits = head + bitmap + tail
-    return EncodedPacket(bits=bits, bit_count=len(bits), bitmap=bitmap)
+    return EncodedPacket(bits=head + bitmap + tail)
 
 
 def _read_symbol(coder: PositionCoder, bits: str, pos: int):
@@ -255,7 +255,7 @@ def decode(codec: PacketCodec, enc: EncodedPacket) -> np.ndarray:
 
 
 def codec_to_dict(codec: PacketCodec) -> dict:
-    """JSON-ready form: codebooks as symbol-string -> bitstring maps."""
+    """JSON-ready form: per position, the code length of every symbol."""
     return {
         "N": codec.N,
         "scheme": codec.scheme,
@@ -264,25 +264,8 @@ def codec_to_dict(codec: PacketCodec) -> dict:
             {
                 "position": c.position,
                 "escape_bits": c.escape_bits,
-                "codebook": {str(s): w for s, w in c.codebook.items()},
+                "lengths": {str(s): n for s, n in c.lengths.items()},
             }
             for c in codec.coders
         ],
     }
-
-
-def codec_from_dict(doc: dict) -> PacketCodec:
-    try:
-        coders = tuple(
-            PositionCoder(
-                position=int(c["position"]),
-                codebook={(s if s == ESCAPE else int(s)): w
-                          for s, w in c["codebook"].items()},
-                escape_bits=int(c.get("escape_bits", ESCAPE_RAW_BITS)),
-            )
-            for c in doc["coders"]
-        )
-        return PacketCodec(N=int(doc["N"]), quantizer=Quantizer(delta=float(doc["delta"])),
-                           coders=coders, scheme=doc["scheme"])
-    except KeyError as exc:
-        raise ConfigError(f"codec document is missing field {exc}") from exc

@@ -6,7 +6,7 @@ Everything here targets small matrices (state dimension <= 16, horizon
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 # Pade(13) numerator/denominator coefficients for the scaling-and-squaring
 # matrix exponential (b[0] multiplies I, b[13] the highest power).
@@ -58,6 +58,21 @@ def expm(M: np.ndarray) -> np.ndarray:
         for _ in range(s):
             R = R @ R
     return R
+
+
+def number_array(value, name: str, kinds: str = "iuf") -> np.ndarray:
+    """value as an array of a numpy dtype kind in kinds, else ConfigError.
+
+    Strings, bools, None and ragged nesting are rejected, so config input
+    is checked before any of it is computed with.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in kinds:
+        raise ConfigError(f"{name} must hold only numbers, got {value!r}")
+    return arr
 
 
 def numerical_rank(M: np.ndarray, rel_tol: float = 1e-12) -> int:

@@ -7,11 +7,12 @@ across concurrent trial workers.
 
 from dataclasses import dataclass
 import json
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .linalg import expm, numerical_rank
+from .linalg import expm, number_array, numerical_rank
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -21,7 +22,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _as_square(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+    M = number_array(M, name).astype(float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"{name} must be a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -31,7 +32,7 @@ def _as_square(M, name: str) -> np.ndarray:
 
 def _as_column(v, n: int, name: str) -> np.ndarray:
     """Accept shape (n,), (n,1), or nested single-column lists; return (n,)."""
-    v = np.asarray(v, dtype=float)
+    v = number_array(v, name).astype(float)
     if v.ndim == 2:
         if v.shape != (n, 1):
             raise ConfigError(f"{name} must be a single column of {n} rows, got shape {v.shape}")
@@ -102,8 +103,8 @@ def zoh_discretize(cp: ContinuousPlant, Ts: float) -> PlantModel:
     B = int_0^Ts exp(Ac s) ds Bc fall out of one matrix exponential of the
     augmented block matrix [[Ac, Bc], [0, 0]] * Ts.
     """
-    if not (Ts > 0):
-        raise ConfigError(f"sample time must be positive, got {Ts}")
+    if isinstance(Ts, bool) or not isinstance(Ts, Real) or not (Ts > 0):
+        raise ConfigError(f"sample time must be a positive number, got {Ts!r}")
     n = cp.n
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = cp.Ac
@@ -187,11 +188,11 @@ def resolve_plant(spec) -> PlantModel:
         if name not in PRESETS:
             raise ConfigError(f"unknown plant preset {name!r}")
         factory, default_ts = PRESETS[name]
-        return zoh_discretize(factory(), float(spec.get("Ts", default_ts)))
+        return zoh_discretize(factory(), spec.get("Ts", default_ts))
     if "A" in spec and "B" in spec:
         return PlantModel(A=spec["A"], B=spec["B"])
     if "Ac" in spec and "Bc" in spec:
         if "Ts" not in spec:
             raise ConfigError("continuous plant spec requires a sample time Ts")
-        return zoh_discretize(ContinuousPlant(Ac=spec["Ac"], Bc=spec["Bc"]), float(spec["Ts"]))
+        return zoh_discretize(ContinuousPlant(Ac=spec["Ac"], Bc=spec["Bc"]), spec["Ts"])
     raise ConfigError("plant spec must provide A/B, Ac/Bc/Ts, or a preset name")

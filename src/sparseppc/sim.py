@@ -27,6 +27,7 @@ from .controllers import (exhaustive_l0_packet, l1l2_packet, l2_packet,
 from .design import CostDesign, build_design
 from .errors import ConfigError, NumericError, SparsePpcError
 from .horizon import HorizonMatrices, build_horizon
+from .linalg import number_array
 from .plant import PlantModel, resolve_plant
 
 CONTROLLERS = ("omp", "l1l2", "l2", "least_squares", "oracle")
@@ -82,11 +83,10 @@ class SimConfig:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
         if not isinstance(self.dropout, dict):
             raise ConfigError(f"dropout must be a mapping, got {self.dropout!r}")
+        if not (isinstance(self.x0, str) and self.x0 == "standard_normal"):
+            number_array(self.x0, "x0 ('standard_normal' or a vector)")
         if not (isinstance(self.Q, str) and self.Q == "identity"):
-            try:
-                Q = np.asarray(self.Q, dtype=float)
-            except (TypeError, ValueError):
-                Q = np.empty(0)
+            Q = number_array(self.Q, "Q").astype(float)
             if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not np.all(np.isfinite(Q)):
                 raise ConfigError(f"Q must be 'identity' or a square matrix of "
                                   f"finite numbers, got {self.Q!r}")
@@ -139,23 +139,20 @@ class SimSetup:
 
 
 def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
+    """Plant, dropout model, design and horizon; the inputs are checked first."""
+    if design is not None and design.N != cfg.N:
+        raise ConfigError(f"design horizon {design.N} does not match config N {cfg.N}")
     model = resolve_plant(cfg.plant)
+    drop = dict(cfg.dropout)
+    kind = drop.pop("kind", "markov")
+    unknown = set(drop) - {"p_drop", "p_dd", "p_dg", "script"}
+    if unknown:
+        raise ConfigError(f"unknown dropout keys: {sorted(unknown)}")
+    dropout = DropoutModel(kind=kind, N=cfg.N, seed=cfg.seed, **drop)
     if design is None:
         Q = None if cfg.Q == "identity" else np.asarray(cfg.Q, dtype=float)
         design = build_design(model, Q=Q, N=cfg.N, eta=cfg.eta, delta=cfg.delta)
-    elif design.N != cfg.N:
-        raise ConfigError(f"design horizon {design.N} does not match config N {cfg.N}")
     hm = build_horizon(model, design.Q, design.P, design.N)
-    drop = dict(cfg.dropout)
-    kind = drop.pop("kind", "markov")
-    script = drop.pop("script", None)
-    if script is not None:
-        script = tuple(int(b) for b in script)
-    unknown = set(drop) - {"p_drop", "p_dd", "p_dg"}
-    if unknown:
-        raise ConfigError(f"unknown dropout keys: {sorted(unknown)}")
-    dropout = DropoutModel(kind=kind, N=design.N, script=script,
-                           seed=cfg.seed, **drop)
     return SimSetup(cfg=cfg, model=model, design=design, hm=hm, dropout=dropout)
 
 
@@ -184,8 +181,6 @@ def trial_streams(master_seed: int, namespace: int, trial: int):
 
 def draw_x0(cfg: SimConfig, n: int, rng) -> np.ndarray:
     if isinstance(cfg.x0, str):
-        if cfg.x0 != "standard_normal":
-            raise ConfigError(f"unknown x0 spec {cfg.x0!r}")
         return rng.standard_normal(n)
     x0 = np.asarray(cfg.x0, dtype=float)
     if x0.shape != (n,):

@@ -6,8 +6,9 @@ solve instead of fixed-point iteration for the Riccati equation, explicit
 matrix powers instead of incremental assembly, power iteration instead of
 eigh, a stateless trace interpreter instead of the buffer walk, a
 per-pick QR refactorization instead of the incremental Gram-Schmidt OMP,
-and the lasso optimality (KKT) conditions, checked column by column,
-instead of the homotopy path.
+the lasso optimality (KKT) conditions, checked column by column,
+instead of the homotopy path, and an explicit Huffman tree walked for
+its codewords instead of counting merges per symbol.
 """
 
 import numpy as np
@@ -253,12 +254,48 @@ def random_spd(rng, n: int) -> np.ndarray:
     return M.T @ M + 0.1 * np.eye(n)
 
 
-def expected_mean_bits(codec, samples) -> float:
-    """Mean encoded size recomputed from codebook tables and raw counts.
+def huffman_reference(freqs: dict) -> dict:
+    """Huffman codewords from an explicit tree, symbol -> bitstring.
 
-    Walks the samples and sums codeword lengths position by position from
-    the codebook dictionaries directly (plus bitmap bits for the sparse
-    scheme), without calling the encoder.
+    Leaves enter the heap in symbol order (integers ascending, the escape
+    symbol last), merges pop the two smallest (frequency, order) entries,
+    and the finished tree is walked with 0 for the first child and 1 for
+    the second. A single symbol gets the codeword "0".
+    """
+    import heapq
+
+    symbols = sorted(s for s in freqs if s != "esc") + (["esc"] if "esc" in freqs else [])
+    if len(symbols) == 1:
+        return {symbols[0]: "0"}
+    heap = []
+    order = 0
+    for sym in symbols:
+        heapq.heappush(heap, (freqs[sym], order, sym))
+        order += 1
+    while len(heap) > 1:
+        fa, _, a = heapq.heappop(heap)
+        fb, _, b = heapq.heappop(heap)
+        heapq.heappush(heap, (fa + fb, order, (a, b)))
+        order += 1
+    codebook = {}
+
+    def walk(node, prefix):
+        if isinstance(node, tuple):
+            walk(node[0], prefix + "0")
+            walk(node[1], prefix + "1")
+        else:
+            codebook[node] = prefix
+
+    walk(heap[0][2], "")
+    return codebook
+
+
+def expected_mean_bits(codec, samples) -> float:
+    """Mean encoded size recomputed from code-length tables and raw counts.
+
+    Walks the samples and sums code lengths position by position from the
+    length tables directly (plus bitmap bits for the sparse scheme),
+    without calling the encoder or looking at a codeword.
     """
     total = 0
     count = 0
@@ -270,11 +307,11 @@ def expected_mean_bits(codec, samples) -> float:
             in_tail = codec.scheme == "sparse" and p >= half
             if in_tail and v == 0:
                 continue
-            book = codec.coders[p].codebook
-            if v in book:
-                bits += len(book[v])
+            lengths = codec.coders[p].lengths
+            if v in lengths:
+                bits += lengths[v]
             else:
-                bits += len(book["esc"]) + codec.coders[p].escape_bits
+                bits += lengths["esc"] + codec.coders[p].escape_bits
         if codec.scheme == "sparse":
             bits += half
         total += bits

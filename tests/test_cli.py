@@ -3,6 +3,8 @@ import json
 import numpy as np
 
 from sparseppc.cli import main
+from sparseppc.codec import (ESCAPE, EncodedPacket, PacketCodec, PositionCoder,
+                             Quantizer, decode, encode)
 
 
 def _write(path, doc):
@@ -113,6 +115,12 @@ def test_validation_exit_code(tmp_path):
         ({"dropout": 5}, []),
         ({"Q": "bogus"}, []),
         ({"noise": {"kind": "gaussian", "sigma": "a"}}, []),
+        ({"x0": [1, "a", 0, 0]}, []),
+        ({"plant": {"A": "x", "B": [1]}}, []),
+        ({"plant": {"preset": "cessna500", "Ts": "x"}}, []),
+        ({"dropout": {"kind": "markov", "p_dd": "x"}}, []),
+        ({"dropout": {"kind": "iid", "p_drop": None}}, []),
+        ({"dropout": {"kind": "scripted", "script": [0, "a"]}}, []),
     ]
     for i, (doc, extra) in enumerate(cases):
         cfg = _write(tmp_path / f"bad{i}.json", {**run, **doc})
@@ -151,18 +159,44 @@ def test_sweep_cli(tmp_path):
     assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "s2")]) == 2
 
 
+def _codec_from_json(path):
+    """Rebuild a codec from the code-length tables of a codec_*.json file."""
+    doc = json.loads(path.read_text())
+    coders = tuple(
+        PositionCoder(position=c["position"], escape_bits=c["escape_bits"],
+                      lengths={(s if s == ESCAPE else int(s)): n
+                               for s, n in c["lengths"].items()})
+        for c in doc["coders"])
+    return PacketCodec(N=doc["N"], quantizer=Quantizer(delta=doc["delta"]),
+                       coders=coders, scheme=doc["scheme"])
+
+
 def test_bitrate_cli(tmp_path):
     cfg = _write(tmp_path / "c.json", {"trials": 4, "train_trials": 4, "steps": 25})
     out = tmp_path / "rates"
-    code = main(["bitrate", "--config", cfg, "--out-dir", str(out), "--seed", "2"])
+    code = main(["bitrate", "--config", cfg, "--out-dir", str(out), "--seed", "2",
+                 "--dump-packets"])
     assert code == 0
     rows = (out / "rates.csv").read_text().strip().splitlines()
     assert rows[0] == "trial,k,scheme,bits"
     assert len(rows) == 1 + 2 * 4 * 25
     meta = json.loads((out / "meta.json").read_text())
     assert meta["rates"]["roundtrip_failures"] == 0
-    codec = json.loads((out / "codec_omp.json").read_text())
-    assert codec["scheme"] == "sparse" and len(codec["coders"]) == 10
+    codecs = {"sparse": _codec_from_json(out / "codec_omp.json"),
+              "dense": _codec_from_json(out / "codec_l2.json")}
+    assert codecs["sparse"].scheme == "sparse" and len(codecs["sparse"].coders) == 10
+    assert codecs["dense"].scheme == "dense"
+    # every dumped packet, cut to its bit count, decodes with the codec
+    # rebuilt from the lengths alone and re-encodes to the same hex
+    packets = (out / "packets.csv").read_text().strip().splitlines()
+    assert packets[0] == "trial,k,scheme,bit_count,hex"
+    assert [p.split(",")[:4] for p in packets[1:]] == [r.split(",") for r in rows[1:]]
+    for row in packets[1:]:
+        _trial, _k, scheme, bit_count, hexdump = row.split(",")
+        bits = format(int(hexdump, 16), f"0{4 * len(hexdump)}b")[:int(bit_count)]
+        codec = codecs[scheme]
+        enc = encode(codec, decode(codec, EncodedPacket(bits=bits)))
+        assert enc.to_hex() == hexdump
 
 
 def test_bitrate_quantizer_overflow_exit_code(tmp_path):

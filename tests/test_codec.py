@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseppc as sp
-from sparseppc.codec import (ESCAPE, PositionCoder, Quantizer,
-                             _huffman_codebook, codec_from_dict, codec_to_dict)
+from sparseppc.codec import ESCAPE, PositionCoder, Quantizer, _code_lengths
 from sparseppc.errors import (CodecTrainingError, ConfigError, DecodeError,
                               QuantizerRangeError)
+
+from .oracles import huffman_reference
 
 
 def test_quantize_examples():
@@ -36,18 +39,40 @@ def test_quantize_range_and_validation():
 
 
 def test_huffman_degenerate_single_symbol():
-    book = _huffman_codebook({0: 100})
-    assert book == {0: "0"}
+    assert _code_lengths({0: 100}) == {0: 1}
+    assert PositionCoder(position=0, lengths=_code_lengths({ESCAPE: 1})).codebook == {ESCAPE: "0"}
 
 
 def test_huffman_uniform_four_symbols():
-    book = _huffman_codebook({0: 10, 1: 10, 2: 10, 3: 10})
-    assert sorted(len(w) for w in book.values()) == [2, 2, 2, 2]
+    lengths = _code_lengths({0: 10, 1: 10, 2: 10, 3: 10})
+    assert sorted(lengths.values()) == [2, 2, 2, 2]
 
 
 def test_huffman_deterministic_codebooks():
     freqs = {0: 5, 1: 5, 2: 7, ESCAPE: 1}
-    assert _huffman_codebook(dict(freqs)) == _huffman_codebook(dict(reversed(list(freqs.items()))))
+    lengths = _code_lengths(dict(freqs))
+    assert lengths == _code_lengths(dict(reversed(list(freqs.items()))))
+    shuffled = dict(reversed(list(lengths.items())))
+    assert PositionCoder(0, lengths).codebook == PositionCoder(0, shuffled).codebook
+
+
+def _kraft_sum(lengths) -> float:
+    return sum(2.0 ** -n for n in lengths.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(freqs=st.dictionaries(st.integers(-1000, 1000), st.integers(1, 40), max_size=60),
+       escape=st.one_of(st.none(), st.integers(1, 40)))
+def test_code_lengths_match_tree_reference(freqs, escape):
+    # small frequency ranges force ties; the escape-only alphabet is included
+    if escape is not None:
+        freqs[ESCAPE] = escape
+    if not freqs:
+        with pytest.raises(CodecTrainingError):
+            _code_lengths(freqs)
+        return
+    want = {s: len(w) for s, w in huffman_reference(freqs).items()}
+    assert _code_lengths(freqs) == want
 
 
 def _train(samples, scheme, delta=0.001):
@@ -64,8 +89,19 @@ def test_position_coder_prefix_free_and_kraft(rng):
             for w in words:
                 others = [o for o in words if o is not w]
                 assert not any(o.startswith(w) for o in others)
-            assert coder.kraft_sum() <= 1.0 + 1e-12
-            assert ESCAPE in coder.codebook
+            assert _kraft_sum(coder.lengths) <= 1.0 + 1e-12
+            assert ESCAPE in coder.lengths
+            assert {s: len(w) for s, w in coder.codebook.items()} == coder.lengths
+
+
+def test_codewords_are_canonical():
+    # sorted by (length, symbol order), codewords count up by one and are
+    # shifted left whenever the length grows
+    coder = PositionCoder(position=0, lengths={ESCAPE: 4, 9: 4, -3: 3, 5: 2, 0: 1})
+    assert coder.codebook == {0: "0", 5: "10", -3: "110", 9: "1110", ESCAPE: "1111"}
+    # within one length: integers ascending, the escape symbol last
+    coder = PositionCoder(position=0, lengths={3: 2, ESCAPE: 2, 0: 2, -1: 2})
+    assert coder.codebook == {-1: "00", 0: "01", 3: "10", ESCAPE: "11"}
 
 
 def test_sparse_tail_trained_on_nonzero_only():
@@ -73,9 +109,9 @@ def test_sparse_tail_trained_on_nonzero_only():
     codec = _train(packets, "sparse")
     for p in range(5, 10):
         # zero never entered the tail alphabets: escape plus nothing else
-        assert set(codec.coders[p].codebook) == {1, ESCAPE} or \
-            set(codec.coders[p].codebook) == {ESCAPE}
-    assert set(codec.coders[9].codebook) == {ESCAPE}  # all-zero position
+        assert set(codec.coders[p].lengths) == {1, ESCAPE} or \
+            set(codec.coders[p].lengths) == {ESCAPE}
+    assert set(codec.coders[9].lengths) == {ESCAPE}  # all-zero position
 
 
 def test_train_codec_rejects_empty():
@@ -87,9 +123,9 @@ def test_encode_all_zero_packet_sparse_scheme():
     packets = [np.zeros(10, dtype=np.int64) for _ in range(20)]
     codec = _train(packets, "sparse")
     enc = sp.encode(codec, np.zeros(10, dtype=np.int64))
-    head_bits = sum(len(codec.coders[p].codebook[0]) for p in range(5))
-    assert enc.bitmap == "00000"
-    assert enc.bit_count == head_bits + 5  # no tail codewords at all
+    head_bits = sum(codec.coders[p].lengths[0] for p in range(5))
+    assert enc.bits[head_bits:] == "00000"  # the bitmap, then no tail codewords
+    assert enc.bit_count == head_bits + 5
     assert np.array_equal(sp.decode(codec, enc), np.zeros(10))
 
 
@@ -98,7 +134,7 @@ def test_dense_bit_count_is_sum_of_codeword_lengths(rng):
     codec = _train(packets, "dense")
     pkt = packets[0]
     enc = sp.encode(codec, pkt)
-    want = sum(len(codec.coders[p].codebook[int(v)]) for p, v in enumerate(pkt))
+    want = sum(codec.coders[p].lengths[int(v)] for p, v in enumerate(pkt))
     assert enc.bit_count == want == len(enc.bits)
 
 
@@ -111,11 +147,12 @@ def test_sparse_accounting_recount(rng):
     codec = _train(packets, "sparse")
     for pkt in packets[:50]:
         enc = sp.encode(codec, pkt)
-        head = sum(len(codec.coders[i].codebook[int(pkt[i])]) for i in range(5))
-        tail = sum(len(codec.coders[i].codebook[int(pkt[i])])
+        head = sum(codec.coders[i].lengths[int(pkt[i])] for i in range(5))
+        tail = sum(codec.coders[i].lengths[int(pkt[i])]
                    for i in range(5, 10) if pkt[i] != 0)
         assert enc.bit_count == head + 5 + tail
-        assert enc.bitmap == "".join("1" if pkt[i] != 0 else "0" for i in range(5, 10))
+        bitmap = "".join("1" if pkt[i] != 0 else "0" for i in range(5, 10))
+        assert enc.bits[head:head + 5] == bitmap
 
 
 def test_escape_roundtrip():
@@ -124,8 +161,8 @@ def test_escape_roundtrip():
     unseen = np.array([73, -120000], dtype=np.int64)
     enc = sp.encode(codec, unseen)
     assert np.array_equal(sp.decode(codec, enc), unseen)
-    esc_len = len(codec.coders[0].codebook[ESCAPE])
-    assert enc.bit_count >= esc_len + 32
+    esc_bits = sum(c.lengths[ESCAPE] + c.escape_bits for c in codec.coders)
+    assert enc.bit_count == esc_bits
 
 
 def test_roundtrip_property_random_packets(rng):
@@ -138,11 +175,51 @@ def test_roundtrip_property_random_packets(rng):
             assert np.array_equal(sp.decode(codec, enc), pkt)
 
 
+@st.composite
+def _length_table(draw):
+    """A Kraft-valid length table over the escape plus up to 59 integers.
+
+    Leaves of a binary tree are split at random, then some are dropped, so
+    both complete (Kraft sum 1) and incomplete codes come out.
+    """
+    leaves = [1, 1]
+    for pick in draw(st.lists(st.integers(0, 2**16), max_size=58)):
+        depth = leaves.pop(pick % len(leaves))
+        leaves += [depth + 1, depth + 1]
+    keep = draw(st.lists(st.booleans(), min_size=len(leaves), max_size=len(leaves)))
+    leaves = [n for n, k in zip(leaves, keep) if k] or leaves[:1]
+    symbols = draw(st.lists(st.integers(-40, 40), unique=True,
+                            min_size=len(leaves) - 1, max_size=len(leaves) - 1))
+    return dict(zip(symbols + [ESCAPE], draw(st.permutations(leaves))))
+
+
+_INDEX = st.integers(-2**31, 2**31 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from(["dense", "sparse"]),
+       N=st.sampled_from([2, 4, 6]))
+def test_roundtrip_over_random_length_tables(data, scheme, N):
+    coders = tuple(PositionCoder(position=p, lengths=data.draw(_length_table()))
+                   for p in range(N))
+    codec = sp.PacketCodec(N=N, quantizer=Quantizer(delta=0.001), coders=coders,
+                           scheme=scheme)
+    # trained symbols, zeros, and indices outside the alphabet (escape path)
+    pkt = np.array([data.draw(st.one_of(st.sampled_from(sorted(set(c.lengths) - {ESCAPE})
+                                                        or [0]), st.just(0), _INDEX))
+                    for c in coders], dtype=np.int64)
+    enc = sp.encode(codec, pkt)
+    assert np.array_equal(sp.decode(codec, enc), pkt)
+    cut = data.draw(st.integers(0, enc.bit_count - 1))
+    with pytest.raises(DecodeError) as exc_info:
+        sp.decode(codec, sp.EncodedPacket(bits=enc.bits[:cut]))
+    assert exc_info.value.bit_offset is not None
+
+
 def test_decode_malformed_raises_with_offset(rng):
     codec = _train([rng.integers(-3, 4, 6) for _ in range(50)], "dense")
     enc = sp.encode(codec, np.array([1, 2, 3, -1, 0, 2], dtype=np.int64))
-    truncated = sp.EncodedPacket(bits=enc.bits[: len(enc.bits) // 2],
-                                 bit_count=len(enc.bits) // 2)
+    truncated = sp.EncodedPacket(bits=enc.bits[: len(enc.bits) // 2])
     with pytest.raises(DecodeError) as exc_info:
         sp.decode(codec, truncated)
     assert exc_info.value.bit_offset is not None
@@ -155,13 +232,13 @@ def test_skewed_alphabet_expected_length_near_entropy(rng):
     samples = [[0] if rng.random() < 0.9 else [7] for _ in range(2000)]
     codec = _train(samples, "dense")
     coder = codec.coders[0]
-    assert coder.kraft_sum() <= 1.0 + 1e-12
+    assert _kraft_sum(coder.lengths) <= 1.0 + 1e-12
     counts = {0: sum(s[0] == 0 for s in samples), 7: sum(s[0] == 7 for s in samples)}
     total = sum(counts.values())
     probs = np.array([c / total for c in counts.values()])
     entropy = float(-np.sum(probs * np.log2(probs)))
-    mean_len = sum(counts[s] * len(coder.codebook[s]) for s in counts) / total
-    esc_overhead = len(coder.codebook[ESCAPE]) / total  # pseudo-count share
+    mean_len = sum(counts[s] * coder.lengths[s] for s in counts) / total
+    esc_overhead = coder.lengths[ESCAPE] / total  # pseudo-count share
     assert mean_len <= entropy + 1.0 + esc_overhead
 
 
@@ -179,16 +256,6 @@ def test_mean_bits_matches_entropy_accounting_oracle(rng):
         assert abs(mean_bits - expected_mean_bits(codec, packets)) <= 0.1
 
 
-def test_codec_serialization_roundtrip(rng):
-    packets = [rng.integers(-8, 9, 10) for _ in range(100)]
-    codec = _train(packets, "sparse")
-    doc = codec_to_dict(codec)
-    back = codec_from_dict(doc)
-    pkt = packets[0]
-    assert sp.encode(back, pkt).bits == sp.encode(codec, pkt).bits
-    assert back.scheme == "sparse" and back.quantizer.delta == codec.quantizer.delta
-
-
 def test_encoded_packet_hex_dump(rng):
     packets = [rng.integers(-3, 4, 4) for _ in range(30)]
     codec = _train(packets, "dense")
@@ -204,7 +271,9 @@ def test_sparse_scheme_requires_even_length(rng):
 
 
 def test_position_coder_rejects_bad_codebooks():
-    with pytest.raises(CodecTrainingError):
-        PositionCoder(position=0, codebook={0: "0", 1: "01", ESCAPE: "1"})
-    with pytest.raises(CodecTrainingError):
-        PositionCoder(position=0, codebook={0: "0", 1: "1"})
+    with pytest.raises(CodecTrainingError):  # Kraft sum 5/4
+        PositionCoder(position=0, lengths={0: 1, 1: 2, ESCAPE: 1})
+    with pytest.raises(CodecTrainingError):  # no escape symbol
+        PositionCoder(position=0, lengths={0: 1, 1: 1})
+    with pytest.raises(CodecTrainingError):  # an empty codeword
+        PositionCoder(position=0, lengths={ESCAPE: 0})

@@ -28,9 +28,23 @@ def test_config_validation():
                 {"Q": "diag"}, {"Q": [1.0, 2.0]}, {"Q": [[1.0, 0.0]]},
                 {"Q": [[1.0, 0.0], [0.0, float("inf")]]}, {"Q": [[1.0], [2.0, 3.0]]},
                 {"noise": {"kind": "gaussian", "sigma": "0.1"}},
-                {"noise": {"kind": "gaussian", "sigma": True}}):
+                {"noise": {"kind": "gaussian", "sigma": True}},
+                {"x0": [1, "a", 0, 0]}, {"x0": [[1.0], [2.0, 3.0]]}, {"x0": "bogus"}):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
+    # plant and dropout entries are checked when the setup is built, before
+    # any design or trial work
+    for bad in ({"plant": {"A": "x", "B": [1]}},
+                {"plant": {"preset": "cessna500", "Ts": "x"}},
+                {"plant": {"Ac": [[0.0]], "Bc": [1.0], "Ts": True}},
+                {"dropout": {"kind": "markov", "p_dd": "x"}},
+                {"dropout": {"kind": "iid", "p_drop": None}},
+                {"dropout": {"kind": "scripted", "script": [0, "a"]}},
+                {"dropout": {"kind": "scripted", "script": 5}}):
+        with pytest.raises(ConfigError):
+            build_setup(SimConfig(**bad))
+    # a non-finite explicit x0 is well formed; its trial fails instead
+    SimConfig(x0=[float("inf"), 0.0, 0.0, 0.0])
     with pytest.raises(ConfigError):
         config_from_dict({"not_a_key": 1})
     cfg = config_from_dict({"trials": 7}, seed=99)
@@ -344,9 +358,9 @@ def test_vanishing_noise_rates_collapse_to_scheme_floor():
     for bits in rep.bits.values():
         late = bits[:, 70:]
         assert np.all(late == late[0, 0])  # flat at the floor
-    head_zero = sum(len(rep.codec_omp.coders[p].codebook[0]) for p in range(5))
+    head_zero = sum(rep.codec_omp.coders[p].lengths[0] for p in range(5))
     assert rep.bits["sparse"][0, 70] == head_zero + 5
-    assert rep.bits["dense"][0, 70] == sum(len(rep.codec_l2.coders[p].codebook[0]) for p in range(10))
+    assert rep.bits["dense"][0, 70] == sum(rep.codec_l2.coders[p].lengths[0] for p in range(10))
 
 
 def test_five_controller_families_run_paired():
