@@ -21,7 +21,7 @@ from .errors import (CodecTrainingError, ConfigError, DecodeError,
                      ProtocolViolationError, QuantizerRangeError,
                      SolverFailureError, SparsePpcError, TraceValidationError)
 from .horizon import HorizonMatrices, build_horizon, cost_quadratic
-from .plant import (ContinuousPlant, PlantModel, PlantState, cessna500,
-                    reachability_rank, resolve_plant, step, zoh_discretize)
+from .plant import (ContinuousPlant, PlantModel, cessna500, reachability_rank,
+                    resolve_plant, zoh_discretize)
 from .sim import (SimConfig, TrialResult, bitrate_experiment, build_setup,
                   lyapunov_audit, monte_carlo, run_trial, sweep_regularization)

@@ -23,7 +23,7 @@ class DropoutModel:
 
     iid: each step drops with p_drop. markov: drop probability is p_dd
     after a drop and p_dg after a delivery. scripted: replay an explicit
-    bit sequence.
+    bit sequence, which must itself be a valid trace.
     """
 
     kind: str
@@ -32,7 +32,6 @@ class DropoutModel:
     p_dd: float = 0.8
     p_dg: float = 0.2
     script: tuple = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -49,6 +48,7 @@ class DropoutModel:
             bits = number_array(self.script, "dropout script", kinds="iu")
             if bits.ndim != 1:
                 raise ConfigError(f"dropout script must be a list of bits, got {self.script!r}")
+            ChannelTrace(d=bits, N=self.N)
             object.__setattr__(self, "script", tuple(int(b) for b in bits))
 
 
@@ -66,11 +66,12 @@ class ChannelTrace:
     overrides: int = 0
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.int8)
+        d = np.asarray(self.d)
         if d.ndim != 1 or d.size < 1:
             raise TraceValidationError("trace must be a non-empty 1-D bit sequence")
         if not np.all((d == 0) | (d == 1)):
             raise TraceValidationError("trace bits must be 0 or 1")
+        d = d.astype(np.int8, copy=False)
         if d[0] != 0:
             raise TraceValidationError("first packet must be delivered: d(0) = 0")
         if _max_run(d) > self.N - 1:
@@ -101,12 +102,12 @@ def _max_run(d: np.ndarray) -> int:
     return best
 
 
-def generate_trace(model: DropoutModel, T: int, rng=None) -> ChannelTrace:
+def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:
     """Realize a length-T trace, forcing deliveries to keep runs <= N - 1.
 
     A sampled loss that would make an N-th consecutive drop is emitted as a
-    delivery and counted in overrides. Deterministic given (model, seed, T);
-    passing rng overrides the model seed with a caller-managed stream.
+    delivery and counted in overrides. Random models draw T uniforms from
+    rng; a scripted model replays its first T bits and ignores rng.
     """
     if T < 1:
         raise ConfigError(f"trace length must be >= 1, got {T}")
@@ -116,8 +117,6 @@ def generate_trace(model: DropoutModel, T: int, rng=None) -> ChannelTrace:
                 f"script has {len(model.script)} bits but {T} are required")
         return ChannelTrace(d=np.array(model.script[:T], dtype=np.int8), N=model.N)
 
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
     uniforms = rng.random(T)
     d = np.zeros(T, dtype=np.int8)
     overrides = 0

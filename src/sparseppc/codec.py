@@ -103,7 +103,6 @@ class PositionCoder:
 
     position: int
     lengths: dict
-    escape_bits: int = ESCAPE_RAW_BITS
 
     def __post_init__(self):
         if ESCAPE not in self.lengths:
@@ -126,11 +125,14 @@ class PositionCoder:
         object.__setattr__(self, "_max_len", longest)
 
     def encode_index(self, idx: int) -> str:
-        word = self.codebook.get(int(idx))
+        idx = int(idx)
+        if not -_INDEX_LIMIT <= idx <= _INDEX_LIMIT:
+            raise QuantizerRangeError(f"index {idx} exceeds the 32-bit index range")
+        word = self.codebook.get(idx)
         if word is not None:
             return word
         # Two's-complement raw index after the escape marker.
-        return self.codebook[ESCAPE] + format(int(idx) & 0xFFFFFFFF, f"0{self.escape_bits}b")
+        return self.codebook[ESCAPE] + format(idx & 0xFFFFFFFF, f"0{ESCAPE_RAW_BITS}b")
 
 
 @dataclass(frozen=True)
@@ -219,12 +221,12 @@ def _read_symbol(coder: PositionCoder, bits: str, pos: int):
     if sym is None:
         raise DecodeError("no codeword matches the stream", bit_offset=pos)
     if sym == ESCAPE:
-        raw_end = j + coder.escape_bits
+        raw_end = j + ESCAPE_RAW_BITS
         if raw_end > len(bits):
             raise DecodeError("escape raw field runs past the end", bit_offset=j)
         raw = int(bits[j:raw_end], 2)
-        if raw >= 2 ** (coder.escape_bits - 1):
-            raw -= 2 ** coder.escape_bits
+        if raw >= 2 ** (ESCAPE_RAW_BITS - 1):
+            raw -= 2 ** ESCAPE_RAW_BITS
         return raw, raw_end
     return int(sym), j
 
@@ -263,7 +265,6 @@ def codec_to_dict(codec: PacketCodec) -> dict:
         "coders": [
             {
                 "position": c.position,
-                "escape_bits": c.escape_bits,
                 "lengths": {str(s): n for s, n in c.lengths.items()},
             }
             for c in codec.coders

@@ -23,6 +23,9 @@ from .plant import _frozen
 # strict float inequalities do not flap at the boundary.
 FEASIBILITY_SLACK = 1e-9
 
+# Largest packet length the exhaustive search accepts (2^12 supports).
+ORACLE_CAP = 12
+
 
 @dataclass(frozen=True)
 class ControlPacket:
@@ -142,19 +145,18 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPack
     return _finish(u, k, t0)
 
 
-def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray,
-                         n_max: int = 12) -> ControlPacket:
+def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:
     """Globally sparsity-minimal packet by support enumeration.
 
     Scans support sizes k = 0, 1, ... and within each size the supports in
     lexicographic order, returning the first feasible restricted
-    least-squares solution. Exponential in N; refused above n_max. Intended
+    least-squares solution. Exponential in N; refused above ORACLE_CAP. Intended
     as the correctness oracle for the greedy solver, not for control loops
     at scale.
     """
-    if hm.N > n_max:
+    if hm.N > ORACLE_CAP:
         raise ConfigError(
-            f"exhaustive search refused for N = {hm.N} > cap {n_max}")
+            f"exhaustive search refused for N = {hm.N} > cap {ORACLE_CAP}")
     t0 = perf_counter()
     x = np.asarray(x, dtype=float)
     budget = budget_for(W, x)

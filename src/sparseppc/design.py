@@ -18,6 +18,9 @@ from .horizon import HorizonMatrices, build_horizon
 from .linalg import check_sym_pd, is_sym_pd, pencil_eigvals
 from .plant import PlantModel, _frozen, require_reachable
 
+# A Riccati solution's residual may be at most this fraction of ||P||_F.
+RICCATI_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CostDesign:
@@ -83,7 +86,7 @@ def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0,
             f"(residual {res:.3e})", residual=res)
 
     res = dare_residual(m, P, Q, delta)
-    if res > 1e-9 * np.linalg.norm(P, "fro"):
+    if res > RICCATI_RTOL * np.linalg.norm(P, "fro"):
         raise SolverFailureError(
             f"Riccati solution fails the residual contract: {res:.3e}", residual=res)
     if not is_sym_pd(P):

@@ -1,4 +1,4 @@
-"""LTI plant containers, zero-order-hold discretization, state propagation.
+"""LTI plant containers, zero-order-hold discretization, reachability.
 
 All plants are single-input: B is a column, inputs are scalars. Matrices
 are stored as read-only float64 arrays so models can be shared freely
@@ -80,22 +80,6 @@ class PlantModel:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Plant state vector together with its time index."""
-
-    x: np.ndarray
-    k: int = 0
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise ConfigError(f"state must be a 1-D vector, got shape {x.shape}")
-        if self.k < 0:
-            raise ConfigError("time index must be non-negative")
-        object.__setattr__(self, "x", _frozen(x))
-
-
 def zoh_discretize(cp: ContinuousPlant, Ts: float) -> PlantModel:
     """Exact zero-order-hold discretization with sample time Ts.
 
@@ -115,18 +99,6 @@ def zoh_discretize(cp: ContinuousPlant, Ts: float) -> PlantModel:
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise NumericError("discretization overflowed: non-finite entries in A or B")
     return PlantModel(A=A, B=B)
-
-
-def step(m: PlantModel, s: PlantState, u: float, v=None) -> PlantState:
-    """One plant update x(k+1) = A x(k) + B u(k) + v(k)."""
-    if v is None:
-        v = np.zeros(m.n)
-    else:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (m.n,):
-            raise ConfigError(f"noise must have shape ({m.n},), got {v.shape}")
-    x_next = m.A @ s.x + m.B * float(u) + v
-    return PlantState(x=x_next, k=s.k + 1)
 
 
 def controllability_matrix(m: PlantModel) -> np.ndarray:

@@ -22,10 +22,11 @@ import numpy as np
 from .channel import ChannelTrace, DropoutModel, actuate, generate_trace
 from .codec import (PacketCodec, Quantizer, decode, dequantize, encode,
                     quantize_packet, train_codec)
-from .controllers import (exhaustive_l0_packet, l1l2_packet, l2_packet,
-                          least_squares_packet, omp_packet)
-from .design import CostDesign, build_design
-from .errors import ConfigError, NumericError, SparsePpcError
+from .controllers import (ORACLE_CAP, exhaustive_l0_packet, l1l2_packet,
+                          l2_packet, least_squares_packet, omp_packet)
+from .design import RICCATI_RTOL, CostDesign, build_design, dare_residual
+from .errors import (ConfigError, NumericError, SparsePpcError,
+                     TraceValidationError)
 from .horizon import HorizonMatrices, build_horizon
 from .linalg import number_array
 from .plant import PlantModel, resolve_plant
@@ -61,7 +62,6 @@ class SimConfig:
     x0: object = "standard_normal"
     seed: int = 12345
     quantizer_delta: float = 1e-3
-    oracle_cap: int = 12
 
     def __post_init__(self):
         for f in fields(self):
@@ -90,9 +90,17 @@ class SimConfig:
             if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not np.all(np.isfinite(Q)):
                 raise ConfigError(f"Q must be 'identity' or a square matrix of "
                                   f"finite numbers, got {self.Q!r}")
-        kind, sigma = noise_params(self.noise)
-        if kind == "gaussian" and sigma < 0:
-            raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
+        if not (isinstance(self.noise, dict) and self.noise.get("kind") in ("none", "gaussian")):
+            raise ConfigError(f"noise must be a mapping with kind 'none' or 'gaussian', "
+                              f"got {self.noise!r}")
+        sigma = self.sigma
+        if isinstance(sigma, bool) or not isinstance(sigma, Real) or not sigma >= 0:
+            raise ConfigError(f"noise sigma must be a number >= 0, got {sigma!r}")
+
+    @property
+    def sigma(self):
+        """Process-noise standard deviation; noise kind 'none' means 0."""
+        return self.noise.get("sigma", 0.01) if self.noise["kind"] == "gaussian" else 0.0
 
 
 _CONFIG_FIELDS = set(SimConfig.__dataclass_fields__)
@@ -108,27 +116,13 @@ def config_from_dict(doc: dict, **overrides) -> SimConfig:
     return SimConfig(**merged)
 
 
-def noise_params(noise: dict):
-    if not isinstance(noise, dict) or "kind" not in noise:
-        raise ConfigError("noise spec must be a mapping with a 'kind' key")
-    kind = noise["kind"]
-    if kind == "none":
-        return "none", 0.0
-    if kind == "gaussian":
-        sigma = noise.get("sigma", 0.01)
-        if isinstance(sigma, bool) or not isinstance(sigma, Real):
-            raise ConfigError(f"noise sigma must be a number, got {sigma!r}")
-        return "gaussian", float(sigma)
-    raise ConfigError(f"noise kind must be 'none' or 'gaussian', got {kind!r}")
-
-
 @dataclass(frozen=True)
 class SimSetup:
     """Immutable per-experiment bundle shared by every trial.
 
     Plant, design, horizon and dropout model are built once; the controller,
-    its nu, the noise and the oracle cap come from cfg, which monte_carlo
-    rebinds to the run's own config.
+    its nu and the noise come from cfg, which monte_carlo rebinds to the
+    run's own config.
     """
 
     cfg: SimConfig
@@ -139,21 +133,45 @@ class SimSetup:
 
 
 def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
-    """Plant, dropout model, design and horizon; the inputs are checked first."""
-    if design is not None and design.N != cfg.N:
-        raise ConfigError(f"design horizon {design.N} does not match config N {cfg.N}")
+    """Plant, dropout model, design and horizon; the inputs are checked first.
+
+    A given design must match cfg.N and solve the Riccati equation of the
+    config's plant and delta to solve_dare's own residual contract.
+    """
     model = resolve_plant(cfg.plant)
     drop = dict(cfg.dropout)
     kind = drop.pop("kind", "markov")
     unknown = set(drop) - {"p_drop", "p_dd", "p_dg", "script"}
     if unknown:
         raise ConfigError(f"unknown dropout keys: {sorted(unknown)}")
-    dropout = DropoutModel(kind=kind, N=cfg.N, seed=cfg.seed, **drop)
+    dropout = DropoutModel(kind=kind, N=cfg.N, **drop)
+    _check_trials(cfg, model, dropout)
     if design is None:
         Q = None if cfg.Q == "identity" else np.asarray(cfg.Q, dtype=float)
         design = build_design(model, Q=Q, N=cfg.N, eta=cfg.eta, delta=cfg.delta)
+    elif design.N != cfg.N:
+        raise ConfigError(f"design horizon {design.N} does not match config N {cfg.N}")
+    elif {design.P.shape, design.Q.shape} != {(model.n, model.n)} or not (
+            dare_residual(model, design.P, design.Q, cfg.delta)
+            <= RICCATI_RTOL * np.linalg.norm(design.P, "fro")):
+        raise ConfigError("design does not solve the Riccati equation of the "
+                          "config's plant and delta")
     hm = build_horizon(model, design.Q, design.P, design.N)
     return SimSetup(cfg=cfg, model=model, design=design, hm=hm, dropout=dropout)
+
+
+def _check_trials(cfg: SimConfig, model: PlantModel, dropout: DropoutModel) -> None:
+    """Reject the config errors a trial would otherwise meet at its first step."""
+    if not isinstance(cfg.x0, str) and np.shape(cfg.x0) != (model.n,):
+        raise ConfigError(f"explicit x0 must have shape ({model.n},), "
+                          f"got {np.shape(cfg.x0)}")
+    if dropout.N != cfg.N:
+        raise ConfigError(f"setup horizon {dropout.N} does not match config N {cfg.N}")
+    if dropout.kind == "scripted" and len(dropout.script) < cfg.steps:
+        raise TraceValidationError(f"script has {len(dropout.script)} bits but "
+                                   f"steps is {cfg.steps}")
+    if cfg.controller == "oracle" and cfg.N > ORACLE_CAP:
+        raise ConfigError(f"exhaustive search refused for N = {cfg.N} > cap {ORACLE_CAP}")
 
 
 def make_controller(setup: SimSetup):
@@ -163,7 +181,7 @@ def make_controller(setup: SimSetup):
     if name == "omp":
         return lambda x: omp_packet(hm, design.W, x)
     if name == "oracle":
-        return lambda x: exhaustive_l0_packet(hm, design.W, x, n_max=cfg.oracle_cap)
+        return lambda x: exhaustive_l0_packet(hm, design.W, x)
     if name == "least_squares":
         return lambda x: least_squares_packet(hm, x)
     if name == "l2":
@@ -182,10 +200,7 @@ def trial_streams(master_seed: int, namespace: int, trial: int):
 def draw_x0(cfg: SimConfig, n: int, rng) -> np.ndarray:
     if isinstance(cfg.x0, str):
         return rng.standard_normal(n)
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (n,):
-        raise ConfigError(f"explicit x0 must have shape ({n},), got {x0.shape}")
-    return x0
+    return np.asarray(cfg.x0, dtype=float)
 
 
 @dataclass
@@ -226,8 +241,8 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
     n = setup.model.n
     if controller is None:
         controller = make_controller(setup)
-    kind, sigma = noise_params(cfg.noise)
-    if kind == "gaussian" and sigma > 0 and noise_rng is None:
+    sigma = cfg.sigma
+    if sigma > 0 and noise_rng is None:
         raise ConfigError("gaussian noise requires a noise stream")
 
     states = np.empty((T, n))
@@ -253,7 +268,7 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
         packets[k] = pkt.u
         sparsity[k] = pkt.sparsity
         solve_seconds[k] = pkt.solve_seconds
-        v = noise_rng.normal(0.0, sigma, n) if (kind == "gaussian" and sigma > 0) else 0.0
+        v = noise_rng.normal(0.0, sigma, n) if sigma > 0 else 0.0
         x = A @ x + B * u + v
 
     return TrialResult(trial=trial, states=states, norms=norms, V=V,
@@ -275,20 +290,19 @@ class AuditReport:
         return self.pair_violations + self.burst_violations
 
 
-def lyapunov_audit(result: TrialResult, design: CostDesign,
-                   zero_tol: float = 1e-9) -> AuditReport:
+def lyapunov_audit(result: TrialResult, design: CostDesign) -> AuditReport:
     """Count Lyapunov-decrease violations, recomputing V from raw states.
 
     Checks V(x(k_{i+1})) < V(x(k_i)) for consecutive delivery instants with
-    nonzero state, and V(x(k)) < V(x(k_i)) for every k inside the following
-    dropout burst.
+    nonzero state (||x(k_i)|| > 1e-9), and V(x(k)) < V(x(k_i)) for every k
+    inside the following dropout burst.
     """
     V = np.einsum("ki,ij,kj->k", result.states, design.P, result.states)
     norms = np.linalg.norm(result.states, axis=1)
     deliveries = np.flatnonzero(result.d == 0)
     pair = burst = 0
     for i, ki in enumerate(deliveries):
-        if norms[ki] <= zero_tol:
+        if norms[ki] <= 1e-9:
             continue
         kj = deliveries[i + 1] if i + 1 < len(deliveries) else None
         end = kj if kj is not None else len(V)
@@ -322,12 +336,17 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
     """Run cfg.trials independent paired trials and aggregate per-k stats.
 
     A given setup is rebound to cfg, so the run's config alone picks the
-    controller, nu, noise and oracle cap. A config error ends the run;
-    any other package error fails only its trial.
+    controller, nu and noise; cfg is first checked against the setup's
+    plant and dropout model, as build_setup does. A noise-free run
+    (sigma = 0) is audited for Lyapunov decrease. A config error ends the
+    run; any other package error fails only its trial.
     """
-    setup = build_setup(cfg) if setup is None else replace(setup, cfg=cfg)
+    if setup is None:
+        setup = build_setup(cfg)
+    else:
+        _check_trials(cfg, setup.model, setup.dropout)
+        setup = replace(setup, cfg=cfg)
     controller = make_controller(setup)
-    kind, _sigma = noise_params(cfg.noise)
 
     results = []
     failures = []
@@ -338,7 +357,7 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
             x0 = draw_x0(cfg, setup.model.n, rng_x0)
             res = run_trial(setup, trace, x0, noise_rng=rng_noise,
                             controller=controller, trial=trial)
-            if kind == "none":
+            if cfg.sigma == 0:
                 res.violations = lyapunov_audit(res, setup.design).total
             results.append(res)
         except ConfigError:
@@ -365,7 +384,7 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
         total_overrides=sum(r.overrides for r in results),
         mean_solve_seconds=float(np.mean([r.solve_seconds.mean() for r in results])),
     )
-    if kind == "none":
+    if cfg.sigma == 0:
         report.total_violations = int(sum(r.violations for r in results))
     return report
 
@@ -460,8 +479,7 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
     and codes the recorded test packets and reports mean bits per packet
     and the relative reduction.
     """
-    kind, sigma = noise_params(cfg.noise)
-    if kind != "gaussian" or sigma <= 0:
+    if not cfg.sigma > 0:
         raise ConfigError("bitrate experiment requires gaussian noise with sigma > 0")
     if cfg.N % 2 != 0:
         raise ConfigError("sparse scheme requires an even packet length")

@@ -311,7 +311,7 @@ def expected_mean_bits(codec, samples) -> float:
             if v in lengths:
                 bits += lengths[v]
             else:
-                bits += lengths["esc"] + codec.coders[p].escape_bits
+                bits += lengths["esc"] + 32  # escape codeword, then the raw field
         if codec.scheme == "sparse":
             bits += half
         total += bits

@@ -217,16 +217,17 @@ def test_criterion_6_protocol_conformance(rng):
                 run = run + 1 if b else 0
                 bits.append(b)
             model = DropoutModel(kind="scripted", N=N, script=bits)
+            trace_rng = None
         elif kind == "iid":
-            model = DropoutModel(kind="iid", N=N, p_drop=float(rng.uniform(0, 1)),
-                                 seed=int(rng.integers(0, 2**31)))
+            model = DropoutModel(kind="iid", N=N, p_drop=float(rng.uniform(0, 1)))
+            trace_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
             T = int(rng.integers(1, 40))
         else:
             model = DropoutModel(kind="markov", N=N, p_dd=float(rng.uniform(0, 1)),
-                                 p_dg=float(rng.uniform(0, 1)),
-                                 seed=int(rng.integers(0, 2**31)))
+                                 p_dg=float(rng.uniform(0, 1)))
+            trace_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
             T = int(rng.integers(1, 40))
-        tr = sp.generate_trace(model, T)
+        tr = sp.generate_trace(model, T, rng=trace_rng)
         packets = [ControlPacket(u=rng.standard_normal(N), sparsity=N,
                                  solver_iters=0, solve_seconds=0.0) for _ in range(T)]
         buf = None
@@ -244,8 +245,8 @@ def test_criterion_6_protocol_conformance(rng):
                                     ("iid", {"p_drop": 0.5}),
                                     ("markov", {"p_dd": 0.8, "p_dg": 0.2})]):
         N = 10
-        model = DropoutModel(kind=kind, N=N, seed=1000 + j, **kw)
-        tr = sp.generate_trace(model, 250_000)
+        model = DropoutModel(kind=kind, N=N, **kw)
+        tr = sp.generate_trace(model, 250_000, rng=np.random.default_rng(1000 + j))
         total_steps += tr.T
         max_excess = max(max_excess, int(tr.gaps().max(initial=0)) - (N - 1))
     ok = mismatches == 0 and max_excess <= 0 and total_steps == 1_000_000

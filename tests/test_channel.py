@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.channel import BufferState, ChannelTrace, DropoutModel
@@ -19,8 +21,8 @@ def _packet(values):
 
 
 def test_no_drop_trace_is_all_deliveries():
-    model = DropoutModel(kind="iid", N=5, p_drop=0.0, seed=0)
-    tr = sp.generate_trace(model, 50)
+    model = DropoutModel(kind="iid", N=5, p_drop=0.0)
+    tr = sp.generate_trace(model, 50, rng=np.random.default_rng(0))
     assert np.all(tr.d == 0)
     assert np.array_equal(tr.delivery_instants(), np.arange(50))
     assert np.all(tr.gaps() == 0)
@@ -29,35 +31,40 @@ def test_no_drop_trace_is_all_deliveries():
 
 def test_scripted_trace_valid_and_gap_bookkeeping():
     model = DropoutModel(kind="scripted", N=3, script=(0, 1, 1, 0))
-    tr = sp.generate_trace(model, 4)
+    tr = sp.generate_trace(model, 4, rng=None)
     assert np.array_equal(tr.d, [0, 1, 1, 0])
     assert np.array_equal(tr.gaps(), [2])  # bound N - 1 = 2 met exactly
 
 
 def test_scripted_trace_validation_errors():
+    # a script must be a valid trace as a whole, however much of it is played
     with pytest.raises(TraceValidationError):
-        sp.generate_trace(DropoutModel(kind="scripted", N=3, script=(1, 0)), 2)
+        DropoutModel(kind="scripted", N=3, script=(1, 0))
     with pytest.raises(TraceValidationError):
-        sp.generate_trace(DropoutModel(kind="scripted", N=3, script=(0, 1, 1, 1, 0)), 5)
+        DropoutModel(kind="scripted", N=3, script=(0, 1, 1, 1, 0))
     with pytest.raises(TraceValidationError):
-        sp.generate_trace(DropoutModel(kind="scripted", N=3, script=(0, 1)), 3)
+        DropoutModel(kind="scripted", N=3, script=(0, 0, 0, 1, 1, 1))
+    with pytest.raises(TraceValidationError):
+        DropoutModel(kind="scripted", N=3, script=(0, 256))   # not 0 in int8
+    with pytest.raises(TraceValidationError):
+        sp.generate_trace(DropoutModel(kind="scripted", N=3, script=(0, 1)), 3, rng=None)
     with pytest.raises(TraceValidationError):
         ChannelTrace(d=np.array([0, 2]), N=3)
     with pytest.raises(ConfigError):
-        sp.generate_trace(DropoutModel(kind="iid", N=3, seed=0), 0)
+        sp.generate_trace(DropoutModel(kind="iid", N=3), 0, rng=np.random.default_rng(0))
 
 
 def test_trace_loadable_from_json_array():
     script = json.loads("[0, 1, 0, 1, 1, 0]")
     model = DropoutModel(kind="scripted", N=4, script=script)
-    tr = sp.generate_trace(model, 6)
+    tr = sp.generate_trace(model, 6, rng=None)
     assert tr.T == 6
 
 
 def test_markov_trace_run_lengths_and_overrides_match_chain():
     p_dd, p_dg, N, T = 0.9, 0.3, 10, 100_000
-    model = DropoutModel(kind="markov", N=N, p_dd=p_dd, p_dg=p_dg, seed=7)
-    tr = sp.generate_trace(model, T)
+    model = DropoutModel(kind="markov", N=N, p_dd=p_dd, p_dg=p_dg)
+    tr = sp.generate_trace(model, T, rng=np.random.default_rng(7))
     gaps = tr.gaps()
     assert gaps.max() <= N - 1
 
@@ -77,9 +84,9 @@ def test_markov_trace_run_lengths_and_overrides_match_chain():
 
 
 def test_trace_generation_reproducible():
-    model = DropoutModel(kind="markov", N=6, p_dd=0.7, p_dg=0.25, seed=99)
-    t1 = sp.generate_trace(model, 5000)
-    t2 = sp.generate_trace(model, 5000)
+    model = DropoutModel(kind="markov", N=6, p_dd=0.7, p_dg=0.25)
+    t1 = sp.generate_trace(model, 5000, rng=np.random.default_rng(99))
+    t2 = sp.generate_trace(model, 5000, rng=np.random.default_rng(99))
     assert np.array_equal(t1.d, t2.d)
     assert t1.overrides == t2.overrides
 
@@ -90,12 +97,32 @@ def test_trace_generation_reproducible():
     ("markov", {"p_dd": 0.97, "p_dg": 0.6}),
 ])
 def test_bound_enforced_over_long_traces(kind, kwargs):
-    model = DropoutModel(kind=kind, N=4, seed=5, **kwargs)
-    tr = sp.generate_trace(model, 200_000)
+    model = DropoutModel(kind=kind, N=4, **kwargs)
+    tr = sp.generate_trace(model, 200_000, rng=np.random.default_rng(5))
     assert tr.gaps().max() <= 3
     if kwargs.get("p_drop") == 1.0:
         # deterministic pattern: one delivery then N-1 forced-capped drops
         assert np.array_equal(tr.d[:8], [0, 1, 1, 1, 0, 1, 1, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(markov=st.booleans(), N=st.integers(1, 12), T=st.integers(1, 300),
+       p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_trace_bound_and_override_count(markov, N, T, p, q, seed):
+    model = (DropoutModel(kind="markov", N=N, p_dd=p, p_dg=q) if markov
+             else DropoutModel(kind="iid", N=N, p_drop=p))
+    tr = sp.generate_trace(model, T, rng=np.random.default_rng(seed))
+    d = tr.d
+    assert d[0] == 0
+    runs = "".join(str(b) for b in d.tolist()).split("0")   # a trailing run too
+    assert max(len(r) for r in runs) <= N - 1
+    # a sampled loss is overridden exactly when N - 1 losses precede it
+    u = np.random.default_rng(seed).random(T)
+    forced = 0
+    for k in range(max(1, N - 1), T):
+        p_k = (p if d[k - 1] else q) if markov else p
+        forced += d[k] == 0 and bool(np.all(d[k - N + 1:k] == 1)) and u[k] < p_k
+    assert tr.overrides == forced
 
 
 def test_buffer_consumes_packet_elements_in_order():
@@ -128,7 +155,7 @@ def test_worst_case_burst_consumes_all_ten_elements():
     N = 10
     script = [0] + [1] * (N - 1)
     model = DropoutModel(kind="scripted", N=N, script=script)
-    tr = sp.generate_trace(model, N)
+    tr = sp.generate_trace(model, N, rng=None)
     pkt = _packet(np.arange(1.0, N + 1.0))
     buf = None
     outputs = []
@@ -142,9 +169,9 @@ def test_buffer_matches_trace_interpreter_oracle(rng):
     N = 6
     for _ in range(200):
         T = int(rng.integers(1, 60))
-        model = DropoutModel(kind="markov", N=N, p_dd=0.8, p_dg=0.4,
-                             seed=int(rng.integers(0, 2**31)))
-        tr = sp.generate_trace(model, T)
+        trace_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
+        model = DropoutModel(kind="markov", N=N, p_dd=0.8, p_dg=0.4)
+        tr = sp.generate_trace(model, T, rng=trace_rng)
         packets = [_packet(rng.standard_normal(N)) for _ in range(T)]
         buf = None
         got = np.empty(T)

@@ -38,6 +38,21 @@ def test_design_to_file_and_reuse_in_simulate(tmp_path, capsys):
     assert meta["results"]["total_violations"] == 0
 
 
+def test_simulate_rejects_a_design_of_another_plant(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["design", "--out-dir", str(out)]) == 0
+    design = str(out / "design.json")
+    for plant in ({"preset": "cessna500", "Ts": 0.4},
+                  {"A": np.eye(2).tolist(), "B": [1.0, 1.0]}):
+        cfg = _write(tmp_path / "c.json", {"trials": 3, "steps": 10, "plant": plant})
+        assert main(["simulate", "--config", cfg, "--design", design,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "Riccati equation" in capsys.readouterr().err
+    cfg = _write(tmp_path / "c.json", {"trials": 3, "steps": 10, "delta": 1e-3})
+    assert main(["simulate", "--config", cfg, "--design", design,
+                 "--out-dir", str(tmp_path / "o")]) == 2
+
+
 def test_simulate_with_saved_design_is_byte_identical(tmp_path):
     # reusing design.json must not perturb a single output byte
     out = tmp_path / "d"
@@ -100,18 +115,20 @@ def test_validation_exit_code(tmp_path):
     assert main(["simulate", "--config", cfg2, "--out-dir", str(tmp_path / "o2")]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                  "--out-dir", str(tmp_path / "o3")]) == 2
-    # config errors that only a trial's first step can find still exit 2
+    # config errors found before any design or trial work still exit 2
     run = {"trials": 2, "steps": 5}
     cases = [
         ({"nu2": 0}, ["--controller", "l2"]),
         ({"N": 0}, []),
         ({"x0": [1, 2]}, []),
         ({"dropout": {"kind": "scripted", "script": [0, 1, 0]}}, []),
-        ({"oracle_cap": 4}, ["--controller", "oracle"]),
+        ({"N": 3, "dropout": {"kind": "scripted", "script": [0, 1, 1, 1] * 5}}, []),
+        ({"N": 13}, ["--controller", "oracle"]),
         ({"N": "10"}, []),
         ({"nu1": "1e3"}, []),
         ({"steps": 2.5}, []),
-        ({"oracle_cap": "x"}, ["--controller", "oracle"]),
+        ({"oracle_cap": 12}, []),
+        ({"noise": {"kind": "gaussian", "sigma": -1}}, []),
         ({"dropout": 5}, []),
         ({"Q": "bogus"}, []),
         ({"noise": {"kind": "gaussian", "sigma": "a"}}, []),
@@ -121,6 +138,7 @@ def test_validation_exit_code(tmp_path):
         ({"dropout": {"kind": "markov", "p_dd": "x"}}, []),
         ({"dropout": {"kind": "iid", "p_drop": None}}, []),
         ({"dropout": {"kind": "scripted", "script": [0, "a"]}}, []),
+        ({"dropout": {"kind": "scripted", "script": [0, 256, 0, 0, 0]}}, []),
     ]
     for i, (doc, extra) in enumerate(cases):
         cfg = _write(tmp_path / f"bad{i}.json", {**run, **doc})
@@ -163,7 +181,7 @@ def _codec_from_json(path):
     """Rebuild a codec from the code-length tables of a codec_*.json file."""
     doc = json.loads(path.read_text())
     coders = tuple(
-        PositionCoder(position=c["position"], escape_bits=c["escape_bits"],
+        PositionCoder(position=c["position"],
                       lengths={(s if s == ESCAPE else int(s)): n
                                for s, n in c["lengths"].items()})
         for c in doc["coders"])
@@ -186,6 +204,9 @@ def test_bitrate_cli(tmp_path):
               "dense": _codec_from_json(out / "codec_l2.json")}
     assert codecs["sparse"].scheme == "sparse" and len(codecs["sparse"].coders) == 10
     assert codecs["dense"].scheme == "dense"
+    for name in ("codec_omp.json", "codec_l2.json"):
+        doc = json.loads((out / name).read_text())
+        assert all(set(c) == {"position", "lengths"} for c in doc["coders"])
     # every dumped packet, cut to its bit count, decodes with the codec
     # rebuilt from the lengths alone and re-encodes to the same hex
     packets = (out / "packets.csv").read_text().strip().splitlines()

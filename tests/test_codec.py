@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseppc as sp
-from sparseppc.codec import ESCAPE, PositionCoder, Quantizer, _code_lengths
+from sparseppc.codec import (ESCAPE, ESCAPE_RAW_BITS, PositionCoder, Quantizer,
+                             _code_lengths)
 from sparseppc.errors import (CodecTrainingError, ConfigError, DecodeError,
                               QuantizerRangeError)
 
@@ -161,8 +162,18 @@ def test_escape_roundtrip():
     unseen = np.array([73, -120000], dtype=np.int64)
     enc = sp.encode(codec, unseen)
     assert np.array_equal(sp.decode(codec, enc), unseen)
-    esc_bits = sum(c.lengths[ESCAPE] + c.escape_bits for c in codec.coders)
+    esc_bits = sum(c.lengths[ESCAPE] + ESCAPE_RAW_BITS for c in codec.coders)
     assert enc.bit_count == esc_bits
+
+
+def test_escape_field_limits():
+    # the 32-bit escape field carries exactly the quantizer's index range
+    codec = _train([[0, 1] for _ in range(10)], "dense")
+    edge = np.array([2**31 - 1, -(2**31 - 1)], dtype=np.int64)
+    assert np.array_equal(sp.decode(codec, sp.encode(codec, edge)), edge)
+    for bad in ([2**40 + 5, -2**33], [0, 2**31], [-(2**31), 1]):
+        with pytest.raises(QuantizerRangeError):
+            sp.encode(codec, bad)
 
 
 def test_roundtrip_property_random_packets(rng):

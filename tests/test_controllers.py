@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseppc as sp
-from sparseppc.controllers import FEASIBILITY_SLACK, _support_lsq
+from sparseppc.controllers import FEASIBILITY_SLACK, ORACLE_CAP, _support_lsq
 from sparseppc.errors import ConfigError, SolverFailureError
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
@@ -194,11 +194,17 @@ def test_l2_singular_system_raises_solver_failure(cessna_horizon, rng):
         sp.l2_packet(hm, rng.standard_normal(4), 1.0)
 
 
-def test_exhaustive_zero_state_and_cap(cessna_design, cessna_horizon):
+def test_exhaustive_zero_state_and_cap(cessna, cessna_design, cessna_horizon):
     pkt = sp.exhaustive_l0_packet(cessna_horizon, cessna_design.W, np.zeros(4))
     assert pkt.sparsity == 0
-    with pytest.raises(ConfigError):
-        sp.exhaustive_l0_packet(cessna_horizon, cessna_design.W, np.zeros(4), n_max=9)
+    d = cessna_design
+    for N, refused in ((ORACLE_CAP, False), (ORACLE_CAP + 1, True)):
+        hm = sp.build_horizon(cessna, d.Q, d.P, N)
+        if refused:
+            with pytest.raises(ConfigError, match="exhaustive search refused"):
+                sp.exhaustive_l0_packet(hm, d.W, np.zeros(4))
+        else:
+            assert sp.exhaustive_l0_packet(hm, d.W, np.zeros(4)).sparsity == 0
 
 
 def test_exhaustive_single_column_case(cessna_design, cessna_horizon):

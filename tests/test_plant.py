@@ -5,7 +5,7 @@ import pytest
 
 import sparseppc as sp
 from sparseppc.errors import ConfigError
-from sparseppc.plant import ContinuousPlant, PlantModel, PlantState, controllability_matrix
+from sparseppc.plant import ContinuousPlant, PlantModel, controllability_matrix
 
 from .fixtures import CESSNA_A, CESSNA_B, CESSNA_RANK
 from .oracles import zoh_taylor
@@ -71,41 +71,6 @@ def test_zoh_overflow_raises_numeric_error():
     cp = ContinuousPlant(Ac=[[1e4]], Bc=[1.0])
     with pytest.raises(NumericError):
         sp.zoh_discretize(cp, 1.0)
-
-
-def test_step_equilibrium_and_direct_substitution():
-    m = PlantModel(A=np.eye(2), B=[1.0, 0.0])
-    s0 = PlantState(x=np.zeros(2))
-    assert np.all(sp.step(m, s0, 0.0).x == 0.0)
-    s1 = sp.step(m, PlantState(x=[1.0, 1.0]), 2.0)
-    assert np.allclose(s1.x, [3.0, 1.0])
-    assert s1.k == 1
-
-
-def test_step_matches_scalar_loop_oracle(rng):
-    n = 4
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal(n)
-    x = rng.standard_normal(n)
-    u = float(rng.standard_normal())
-    v = rng.standard_normal(n)
-    m = PlantModel(A=A, B=B)
-    got = sp.step(m, PlantState(x=x), u, v).x
-    want = np.array([sum(A[i, j] * x[j] for j in range(n)) + B[i] * u + v[i]
-                     for i in range(n)])
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-
-
-def test_step_is_linear(rng):
-    m = PlantModel(A=rng.standard_normal((3, 3)), B=rng.standard_normal(3))
-    a, b = 1.7, -0.4
-    x1, x2 = rng.standard_normal(3), rng.standard_normal(3)
-    u1, u2 = 0.3, -1.1
-    v1, v2 = rng.standard_normal(3), rng.standard_normal(3)
-    lhs = sp.step(m, PlantState(x=a * x1 + b * x2), a * u1 + b * u2, a * v1 + b * v2).x
-    rhs = (a * sp.step(m, PlantState(x=x1), u1, v1).x
-           + b * sp.step(m, PlantState(x=x2), u2, v2).x)
-    assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
 
 def test_reachability_rank_examples(cessna):

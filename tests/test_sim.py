@@ -29,6 +29,9 @@ def test_config_validation():
                 {"Q": [[1.0, 0.0], [0.0, float("inf")]]}, {"Q": [[1.0], [2.0, 3.0]]},
                 {"noise": {"kind": "gaussian", "sigma": "0.1"}},
                 {"noise": {"kind": "gaussian", "sigma": True}},
+                {"noise": {"kind": "gaussian", "sigma": -0.1}},
+                {"noise": {"kind": "gaussian", "sigma": float("nan")}},
+                {"noise": "none"}, {"noise": {"sigma": 0.1}},
                 {"x0": [1, "a", 0, 0]}, {"x0": [[1.0], [2.0, 3.0]]}, {"x0": "bogus"}):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
@@ -45,10 +48,71 @@ def test_config_validation():
             build_setup(SimConfig(**bad))
     # a non-finite explicit x0 is well formed; its trial fails instead
     SimConfig(x0=[float("inf"), 0.0, 0.0, 0.0])
-    with pytest.raises(ConfigError):
-        config_from_dict({"not_a_key": 1})
+    for unknown in ({"not_a_key": 1}, {"oracle_cap": 12}):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_dict(unknown)
     cfg = config_from_dict({"trials": 7}, seed=99)
     assert cfg.trials == 7 and cfg.seed == 99
+
+
+# Config errors that no single field shows: each one names a shape, length
+# or cap that only the plant, the dropout script or the controller fixes.
+CROSS_FIELD_ERRORS = (
+    {"x0": [1.0, 2.0]},
+    {"dropout": {"kind": "scripted", "script": [0, 1, 0]}, "steps": 5},
+    {"N": 3, "dropout": {"kind": "scripted", "script": [0, 1, 1, 1] * 5}},
+    {"N": 13, "controller": "oracle"},
+)
+
+
+def test_trial_config_errors_stop_before_the_design(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    calls = []
+    monkeypatch.setattr(sim_mod, "build_design", lambda *a, **kw: calls.append(a))
+    for bad in CROSS_FIELD_ERRORS:
+        cfg = SimConfig(**{"trials": 2, "steps": 20, **bad})
+        with pytest.raises(ConfigError):
+            sim_mod.build_setup(cfg)
+        with pytest.raises(ConfigError):
+            sim_mod.monte_carlo(cfg)
+    assert calls == []
+
+
+def test_rebinding_a_setup_checks_the_run_config(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    script = {"kind": "scripted", "script": [0, 1, 0]}
+    cases = [(SimConfig(trials=2, steps=20), {"x0": [1.0, 2.0]}),
+             (SimConfig(trials=2, steps=3, dropout=script), {"steps": 5}),
+             (SimConfig(trials=2, steps=20, N=13), {"controller": "oracle"}),
+             (SimConfig(trials=2, steps=20), {"N": 8})]
+    setups = [build_setup(cfg) for cfg, _ in cases]
+    calls = []
+    monkeypatch.setattr(sim_mod, "run_trial", lambda *a, **kw: calls.append(a))
+    for (cfg, change), setup in zip(cases, setups):
+        with pytest.raises(ConfigError):
+            sim_mod.monte_carlo(replace(cfg, **change), setup=setup)
+    assert calls == []
+
+
+def test_loop_propagates_the_plant_exactly():
+    cfg = SimConfig(trials=1, steps=60, seed=29)
+    setup = build_setup(cfg)
+    r = monte_carlo(cfg, setup=setup).results[0]
+    A, B = setup.model.A, setup.model.B
+    assert np.count_nonzero(r.d) > 0   # some inputs come from the buffer
+    for k in range(cfg.steps - 1):
+        assert np.array_equal(r.states[k + 1], A @ r.states[k] + B * r.u_applied[k]), k
+
+
+def test_zero_sigma_is_noise_free_and_audited():
+    base = SimConfig(trials=2, steps=20, seed=37)
+    quiet = monte_carlo(replace(base, noise={"kind": "gaussian", "sigma": 0}))
+    plain = monte_carlo(base)
+    assert quiet.total_violations == plain.total_violations == 0
+    for a, b in zip(quiet.results, plain.results):
+        assert np.array_equal(a.states, b.states)
 
 
 def test_zero_initial_state_stays_zero():
@@ -74,7 +138,8 @@ def test_worst_case_burst_trace_contracts_between_deliveries(rng):
     N, T = 10, 100
     script = ([0] + [1] * (N - 1)) * (T // N)
     setup = _setup(trials=1, steps=T, dropout={"kind": "scripted", "script": script})
-    res = run_trial(setup, sp.generate_trace(setup.dropout, T), rng.standard_normal(4))
+    res = run_trial(setup, sp.generate_trace(setup.dropout, T, rng=None),
+                    rng.standard_normal(4))
     audit = lyapunov_audit(res, setup.design)
     assert audit.pair_violations == 0
     assert audit.burst_violations == 0
@@ -213,16 +278,14 @@ def test_monte_carlo_config_error_ends_the_run(monkeypatch):
     import sparseppc.sim as sim_mod
 
     calls = []
-    real = sim_mod.run_trial
 
-    def counted(*a, **kw):
+    def misconfigured(setup, trace, x0, **kw):
         calls.append(kw["trial"])
-        return real(*a, **kw)
+        raise ConfigError("synthetic config error")
 
-    monkeypatch.setattr(sim_mod, "run_trial", counted)
-    cfg = SimConfig(trials=3, steps=5, seed=5, controller="oracle", oracle_cap=9)
-    with pytest.raises(ConfigError, match="exhaustive search refused"):
-        sim_mod.monte_carlo(cfg)
+    monkeypatch.setattr(sim_mod, "run_trial", misconfigured)
+    with pytest.raises(ConfigError, match="synthetic config error"):
+        sim_mod.monte_carlo(SimConfig(trials=3, steps=5, seed=5))
     assert calls == [0]
 
 
@@ -303,8 +366,9 @@ def test_bitrate_experiment_smoke():
     assert rep.max_quant_error <= 0.5 * cfg.quantizer_delta
     assert rep.mean_bits_omp > 0 and rep.mean_bits_l2 > 0
     assert rep.codec_omp.scheme == "sparse" and rep.codec_l2.scheme == "dense"
-    with pytest.raises(ConfigError):
-        sp.bitrate_experiment(SimConfig(noise={"kind": "none"}))
+    for quiet in ({"kind": "none"}, {"kind": "gaussian", "sigma": 0.0}):
+        with pytest.raises(ConfigError, match="sigma > 0"):
+            sp.bitrate_experiment(SimConfig(noise=quiet))
 
 
 def test_bitrate_bits_code_the_recorded_test_packets():
