@@ -126,7 +126,8 @@ class PositionCoder:
 
     def encode_index(self, idx: int) -> str:
         idx = int(idx)
-        if not -_INDEX_LIMIT <= idx <= _INDEX_LIMIT:
+        # the raw field is 32-bit two's complement; reject what would wrap
+        if not -2 ** (ESCAPE_RAW_BITS - 1) <= idx < 2 ** (ESCAPE_RAW_BITS - 1):
             raise QuantizerRangeError(f"index {idx} exceeds the 32-bit index range")
         word = self.codebook.get(idx)
         if word is not None:

@@ -167,11 +167,12 @@ def test_escape_roundtrip():
 
 
 def test_escape_field_limits():
-    # the 32-bit escape field carries exactly the quantizer's index range
+    # the 32-bit two's-complement escape field carries [-2^31, 2^31 - 1]
     codec = _train([[0, 1] for _ in range(10)], "dense")
-    edge = np.array([2**31 - 1, -(2**31 - 1)], dtype=np.int64)
-    assert np.array_equal(sp.decode(codec, sp.encode(codec, edge)), edge)
-    for bad in ([2**40 + 5, -2**33], [0, 2**31], [-(2**31), 1]):
+    for edge in ([2**31 - 1, -(2**31 - 1)], [-(2**31), 2**31 - 1]):
+        edge = np.array(edge, dtype=np.int64)
+        assert np.array_equal(sp.decode(codec, sp.encode(codec, edge)), edge)
+    for bad in ([2**40 + 5, -2**33], [0, 2**31], [-(2**31) - 1, 1]):
         with pytest.raises(QuantizerRangeError):
             sp.encode(codec, bad)
 
