@@ -9,7 +9,6 @@ packet ends a finite lasso homotopy, so no solver has a tolerance.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import sqrt
 from time import perf_counter
 
 import numpy as np
@@ -73,76 +72,82 @@ def check_feasible(hm: HorizonMatrices, W: np.ndarray, u: np.ndarray,
     return FeasibilityCertificate(residual_sq=residual_sq, budget=budget, feasible=feasible)
 
 
-def _support_lsq(G: np.ndarray, support, Hx: np.ndarray):
-    """Least squares restricted to the given columns, via QR."""
+def _support_lsq(G: np.ndarray, support, b: np.ndarray):
+    """Least squares restricted to the given columns, via QR; b may have columns."""
     Gs = G[:, support]
     Qf, Rf = np.linalg.qr(Gs)
-    coef = np.linalg.solve(Rf, Qf.T @ Hx)
+    coef = np.linalg.solve(Rf, Qf.T @ b)
     return coef, Gs
+
+
+def _support_operators(hm: HorizonMatrices, mask: int, j: int = None) -> tuple:
+    """Read-only (C, M, K, cols) of the support with bitmask mask, built once.
+
+    cols lists the support in increasing order. K is N x n with zero rows
+    off cols and maps x to the least-squares packet on the support, from
+    one QR of G[:, cols]. With E = H - G K, the least-squares residual is
+    r = E x, so C = G'E gives the correlations G'r = C x and M = E'E the
+    residual ||r||^2 = x'M x. An entry depends on G, H and the support
+    only, whichever solve builds it; it is kept in hm._omp_support_ops,
+    and a failed build keeps nothing. j, the column just added, names the
+    failure.
+    """
+    ops = hm._omp_support_ops.get(mask)
+    if ops is not None:
+        return ops
+    cols = np.array([i for i in range(hm.N) if mask >> i & 1], dtype=np.intp)
+    cols.setflags(write=False)
+    K = np.zeros((hm.N, hm.n))
+    E = hm.H
+    if cols.size:
+        try:
+            coef, Gs = _support_lsq(hm.G, cols, hm.H)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"column {j}: support solve failed on "
+                                     f"{cols.tolist()}: {exc}") from exc
+        if not np.all(np.isfinite(coef)):
+            raise SolverFailureError(f"column {j} has no finite least-squares fit "
+                                     f"on the support {cols.tolist()}")
+        K[cols] = coef
+        E = hm.H - Gs @ coef
+    ops = (_frozen(hm.G.T @ E), _frozen(E.T @ E), _frozen(K), cols)
+    hm._omp_support_ops[mask] = ops
+    return ops
 
 
 def omp_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:
     """Orthogonal matching pursuit for the sparsity-minimizing packet.
 
-    Loop invariant: the columns of Qb[:, :k] are an orthonormal basis of
-    the k columns picked so far, G[:, support] = Qb[:, :k] R[:k, :k] with R
-    upper triangular, and r = Hx - Qb Qb'Hx is the explicit least-squares
-    residual on that support. While ||r||^2 exceeds the budget x'Wx, pick
-    the unselected column with the largest (g_j'r)^2 / ||g_j||^2 (smallest
-    index on ties); this is the column whose single-column fit to r leaves
-    the smallest error. Its component orthogonal to the basis, from
-    classical Gram-Schmidt with one re-orthogonalization pass, becomes the
-    next basis vector, and r loses its projection on it. One triangular
-    solve R u_S = Qb'Hx gives the packet. For budgets built by the design
-    procedure the full-support residual is strictly below the budget, so
-    the loop terminates for every x.
+    Loop invariant: (C, M, K) are the operators of the support S picked so
+    far (see _support_operators), so the least-squares residual r on S has
+    correlations G'r = C x and norm ||r||^2 = x'M x, and r is never formed.
+    While x'M x exceeds the budget x'Wx, pick the unselected column with
+    the largest (C x)_j^2 / ||g_j||^2 (smallest index on ties); this is the
+    column whose single-column fit to r leaves the smallest error. The
+    packet is K x. A pick costs one N x n product and one n x n quadratic
+    form; a support's operators are built by the first solve on hm that
+    reaches it and reused by every later one. For budgets built by the
+    design procedure the full-support residual is strictly below the
+    budget, so the loop terminates for every x.
     """
     t0 = perf_counter()
     x = np.asarray(x, dtype=float)
-    N = hm.N
-    G = hm.G
     budget = budget_for(W, x)
-    Hx = hm.H @ x
-    r = Hx.copy()
-    Qb = np.empty((Hx.size, N))
-    R = np.zeros((N, N))
-    support = []
-
-    while float(r @ r) > budget:
-        k = len(support)
-        if k == N:
+    mask = 0
+    C, M, K, cols = _support_operators(hm, mask)
+    # ndarray.dot and .argmax: on arrays this small, call overhead is the cost
+    while float(x.dot(M.dot(x))) > budget:
+        if cols.size == hm.N:
             raise FeasibilityError(
                 "all columns selected but the residual still exceeds the budget",
-                residual_sq=float(r @ r), budget=budget)
-        c = G.T @ r
+                residual_sq=float(x.dot(M.dot(x))), budget=budget)
+        c = C.dot(x)
         score = c * c / hm.col_norm_sq
-        score[support] = -np.inf
-        j = int(np.argmax(score))
-        basis, g = Qb[:, :k], G[:, j]
-        h = basis.T @ g
-        v = g - basis @ h
-        h2 = basis.T @ v
-        v -= basis @ h2
-        norm = sqrt(v @ v)
-        if not norm > 0.0:
-            raise SolverFailureError(
-                f"column {j} has no component orthogonal to the support {support}",
-                residual=float(r @ r))
-        np.add(h, h2, out=R[:k, k])
-        R[k, k] = norm
-        q = np.divide(v, norm, out=Qb[:, k])
-        r -= (q @ r) * q
-        support.append(j)
-
-    u = np.zeros(N)
-    k = len(support)
-    if k:
-        try:
-            u[support] = np.linalg.solve(R[:k, :k], Qb[:, :k].T @ Hx)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailureError(f"support solve failed: {exc}",
-                                     residual=float(r @ r)) from exc
-    return _finish(u, k, t0)
+        score[cols] = -np.inf
+        j = int(score.argmax())
+        mask |= 1 << j
+        C, M, K, cols = _support_operators(hm, mask, j)
+    return _finish(K.dot(x), cols.size, t0)
 
 
 def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:

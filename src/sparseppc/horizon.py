@@ -6,7 +6,7 @@ cost sum_{i=1}^{N-1} x'_i^T Q x'_i + x'_N^T P x'_N becomes ||G u - H x||^2
 with G = Qbar^(1/2) Phi and H = -Qbar^(1/2) Upsilon.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,11 @@ class HorizonMatrices:
     """Prediction operators for one (plant, Q, P, N) combination.
 
     GtG, GtH and col_norm_sq are cached products the packet solvers read
-    at every solve; they carry no information beyond G and H.
+    at every solve. _omp_support_ops is omp_packet's cache of per-support
+    operators (see controllers._support_operators): it starts empty, gains
+    at most one read-only entry per distinct support a solve visits (at
+    most 2^N), and dataclasses.replace starts a new, empty one. None of
+    these carries information beyond G and H.
     """
 
     N: int
@@ -32,6 +36,8 @@ class HorizonMatrices:
     GtG: np.ndarray
     GtH: np.ndarray
     col_norm_sq: np.ndarray
+    _omp_support_ops: dict = field(default_factory=dict, init=False,
+                                   compare=False, repr=False)
 
 
 def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> HorizonMatrices:

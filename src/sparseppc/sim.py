@@ -93,6 +93,10 @@ class SimConfig:
         if not (isinstance(self.noise, dict) and self.noise.get("kind") in ("none", "gaussian")):
             raise ConfigError(f"noise must be a mapping with kind 'none' or 'gaussian', "
                               f"got {self.noise!r}")
+        keys = {"kind", "sigma"} if self.noise["kind"] == "gaussian" else {"kind"}
+        if not set(self.noise) <= keys:
+            raise ConfigError(f"noise of kind {self.noise['kind']!r} takes only the keys "
+                              f"{sorted(keys)}, got {sorted(self.noise)}")
         sigma = self.sigma
         if isinstance(sigma, bool) or not isinstance(sigma, Real) or not sigma >= 0:
             raise ConfigError(f"noise sigma must be a number >= 0, got {sigma!r}")
@@ -135,8 +139,9 @@ class SimSetup:
 def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
     """Plant, dropout model, design and horizon; the inputs are checked first.
 
-    A given design must match cfg.N and solve the Riccati equation of the
-    config's plant and delta to solve_dare's own residual contract.
+    A given design must match cfg.N, carry the config's Q and eta, and
+    solve the Riccati equation of the config's plant and delta to
+    solve_dare's own residual contract.
     """
     model = resolve_plant(cfg.plant)
     drop = dict(cfg.dropout)
@@ -146,8 +151,8 @@ def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
         raise ConfigError(f"unknown dropout keys: {sorted(unknown)}")
     dropout = DropoutModel(kind=kind, N=cfg.N, **drop)
     _check_trials(cfg, model, dropout)
+    Q = np.eye(model.n) if cfg.Q == "identity" else np.asarray(cfg.Q, dtype=float)
     if design is None:
-        Q = None if cfg.Q == "identity" else np.asarray(cfg.Q, dtype=float)
         design = build_design(model, Q=Q, N=cfg.N, eta=cfg.eta, delta=cfg.delta)
     elif design.N != cfg.N:
         raise ConfigError(f"design horizon {design.N} does not match config N {cfg.N}")
@@ -156,6 +161,8 @@ def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
             <= RICCATI_RTOL * np.linalg.norm(design.P, "fro")):
         raise ConfigError("design does not solve the Riccati equation of the "
                           "config's plant and delta")
+    elif not (np.array_equal(design.Q, Q) and design.eta == cfg.eta):
+        raise ConfigError("design Q and eta do not match the config's Q and eta")
     hm = build_horizon(model, design.Q, design.P, design.N)
     return SimSetup(cfg=cfg, model=model, design=design, hm=hm, dropout=dropout)
 

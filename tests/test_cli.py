@@ -53,6 +53,22 @@ def test_simulate_rejects_a_design_of_another_plant(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_simulate_rejects_a_design_of_another_q_or_eta(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["design", "--out-dir", str(out)]) == 0
+    design = str(out / "design.json")
+    twice = (2.0 * np.eye(4)).tolist()
+    for doc in ({"Q": twice}, {"eta": 0.5}, {"Q": twice, "eta": 0.5}):
+        cfg = _write(tmp_path / "c.json", {"trials": 3, "steps": 10, **doc})
+        assert main(["simulate", "--config", cfg, "--design", design,
+                     "--out-dir", str(tmp_path / "o")]) == 2, doc
+        assert "Q and eta" in capsys.readouterr().err
+        # a design built from that same config is accepted
+        assert main(["design", "--config", cfg, "--out-dir", str(tmp_path / "own")]) == 0
+        assert main(["simulate", "--config", cfg, "--design", str(tmp_path / "own" / "design.json"),
+                     "--out-dir", str(tmp_path / "o")]) == 0, doc
+
+
 def test_simulate_with_saved_design_is_byte_identical(tmp_path):
     # reusing design.json must not perturb a single output byte
     out = tmp_path / "d"
@@ -132,6 +148,8 @@ def test_validation_exit_code(tmp_path):
         ({"dropout": 5}, []),
         ({"Q": "bogus"}, []),
         ({"noise": {"kind": "gaussian", "sigma": "a"}}, []),
+        ({"noise": {"kind": "none", "sigma": 0.1}}, []),
+        ({"noise": {"kind": "gaussian", "sigm": 0.1}}, []),
         ({"x0": [1, "a", 0, 0]}, []),
         ({"plant": {"A": "x", "B": [1]}}, []),
         ({"plant": {"preset": "cessna500", "Ts": "x"}}, []),

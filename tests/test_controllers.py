@@ -165,21 +165,51 @@ def _with_bad_column(hm, value):
 
 @pytest.mark.parametrize("value", [0.0, np.nan])
 def test_omp_degenerate_column_raises_solver_failure(cessna_design, cessna_horizon, rng, value):
-    # a zero or NaN column scores NaN, is picked first, and has no
-    # orthogonal component to normalize
+    # a zero or NaN column scores NaN and is picked first; its support
+    # solve is singular (zero) or has no finite fit (NaN)
     hm = _with_bad_column(cessna_horizon, value)
     with np.errstate(invalid="ignore"), pytest.raises(SolverFailureError, match="column 0"):
         sp.omp_packet(hm, cessna_design.W, rng.standard_normal(4))
+    assert set(hm._omp_support_ops) == {0}
 
 
 def test_omp_failed_support_solve_raises_solver_failure(cessna_design, cessna_horizon, rng,
                                                          monkeypatch):
+    # a cold horizon: the warm session one has built every support it needs
     def singular(*_a):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    d, hm = cessna_design, replace(cessna_horizon)
+    x = rng.standard_normal(4)
+    real = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SolverFailureError, match="support solve failed"):
-        sp.omp_packet(cessna_horizon, cessna_design.W, rng.standard_normal(4))
+        sp.omp_packet(hm, d.W, x)
+    # a failed build caches nothing: only the empty support, which needs no
+    # solve, is kept, and the horizon then solves as an untouched one does
+    assert set(hm._omp_support_ops) == {0}
+    monkeypatch.setattr(np.linalg, "solve", real)
+    got = sp.omp_packet(hm, d.W, x)
+    want = sp.omp_packet(replace(cessna_horizon), d.W, x)
+    assert np.array_equal(got.u, want.u) and got.solver_iters == want.solver_iters
+
+
+def test_omp_packet_does_not_depend_on_cache_history(cessna_design, cessna_horizon, rng):
+    # a cold horizon builds each support from the state in hand; a warm one
+    # reuses operators that earlier states built; the packets are the same
+    d, warm = cessna_design, replace(cessna_horizon)
+    assert warm._omp_support_ops == {}
+    for _ in range(300):
+        sp.omp_packet(warm, d.W, rng.standard_normal(4) * 10.0 ** rng.uniform(-2.0, 0.5))
+    for _ in range(50):
+        x = rng.standard_normal(4)
+        cold = sp.omp_packet(replace(cessna_horizon), d.W, x)
+        hot = sp.omp_packet(warm, d.W, x)
+        assert np.array_equal(cold.u, hot.u) and cold.solver_iters == hot.solver_iters
+    ops = warm._omp_support_ops
+    assert 1 < len(ops) <= 2**warm.N
+    assert not any(a.flags.writeable for entry in ops.values() for a in entry)
+    assert replace(warm)._omp_support_ops == {}
 
 
 def test_exhaustive_singular_support_raises_solver_failure(cessna_design, cessna_horizon, rng):

@@ -32,6 +32,8 @@ def test_config_validation():
                 {"noise": {"kind": "gaussian", "sigma": -0.1}},
                 {"noise": {"kind": "gaussian", "sigma": float("nan")}},
                 {"noise": "none"}, {"noise": {"sigma": 0.1}},
+                {"noise": {"kind": "none", "sigma": 0.1}},
+                {"noise": {"kind": "gaussian", "sigm": 0.1}},
                 {"x0": [1, "a", 0, 0]}, {"x0": [[1.0], [2.0, 3.0]]}, {"x0": "bogus"}):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
@@ -188,6 +190,23 @@ def test_monte_carlo_single_trial_equals_run_trial():
     assert np.array_equal(rep.results[0].norms, res.norms)
     assert np.array_equal(rep.results[0].u_applied, res.u_applied)
     assert np.array_equal(rep.results[0].d, res.d)
+
+
+def test_trial_alone_equals_its_row_in_a_monte_carlo():
+    # each trial on a fresh setup (cold OMP cache) matches the same trial
+    # run after others have warmed the cache, to the last bit
+    cfg = SimConfig(trials=30, steps=100, seed=8)
+    rep = monte_carlo(cfg)
+    assert not rep.failures
+    for i in (0, 11, 29):
+        setup = build_setup(cfg)
+        rng_x0, rng_trace, rng_noise = trial_streams(cfg.seed, NS_MAIN, i)
+        trace = sp.generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
+        res = run_trial(setup, trace, draw_x0(cfg, 4, rng_x0), noise_rng=rng_noise, trial=i)
+        row = rep.results[i]
+        assert np.array_equal(res.states, row.states)
+        assert np.array_equal(res.packets, row.packets)
+        assert np.array_equal(res.sparsity, row.sparsity)
 
 
 def test_monte_carlo_reproducible_and_paired(tmp_path):
