@@ -17,10 +17,10 @@ from . import __version__
 from .design import design_from_dict, design_to_dict
 from .errors import ConfigError, SparsePpcError
 from .sim import (CONTROLLERS, MonteCarloReport, bitrate_experiment,
-                  build_setup, config_from_dict, monte_carlo, packet_rows,
-                  rate_rows, resolved_config, summary_rows,
-                  sweep_regularization, sweep_rows, trace_rows,
-                  trajectory_rows, write_csv)
+                  build_setup, config_from_dict, monte_carlo, packet_columns,
+                  rate_columns, resolved_config, summary_columns,
+                  sweep_columns, sweep_regularization, trace_columns,
+                  trajectory_columns, write_csv)
 from .codec import codec_to_dict
 from .svgplot import write_line_svg
 
@@ -89,12 +89,9 @@ def _cmd_design(args) -> int:
 
 def _emit_simulation(out: Path, report: MonteCarloReport, meta_extra: dict,
                      plots: bool) -> None:
-    write_csv(out / "trace.csv", ("trial", "k", "d"), trace_rows(report))
-    write_csv(out / "trajectory.csv", ("trial", "k", "norm", "V", "u", "sparsity"),
-              trajectory_rows(report))
-    write_csv(out / "summary.csv",
-              ("k", "mean_norm", "median_norm", "max_norm", "mean_V", "mean_sparsity"),
-              summary_rows(report))
+    write_csv(out / "trace.csv", trace_columns(report))
+    write_csv(out / "trajectory.csv", trajectory_columns(report))
+    write_csv(out / "summary.csv", summary_columns(report))
     meta = {
         "tool": {"name": "sparseppc", "version": __version__},
         "config": resolved_config(report.cfg),
@@ -140,13 +137,16 @@ def _cmd_sweep(args) -> int:
     family = args.family or doc.pop("family", None)
     grid = doc.pop("grid", None)
     if args.grid:
-        grid = [float(g) for g in args.grid.split(",")]
+        try:
+            grid = [float(g) for g in args.grid.split(",")]
+        except ValueError:
+            raise ConfigError(f"--grid must list numbers, got {args.grid!r}") from None
     if family is None or not grid:
         raise ConfigError("sweep requires a controller family and a nu grid")
     cfg = config_from_dict(doc, **_config_overrides(args))
     report = sweep_regularization(cfg, family, grid, match_perf=args.match_perf)
     out = _out_dir(args)
-    write_csv(out / "sweep.csv", ("family", "nu", "mean_perf"), sweep_rows(report))
+    write_csv(out / "sweep.csv", sweep_columns(report))
     _write_meta(out / "meta.json", {
         "tool": {"name": "sparseppc", "version": __version__},
         "config": resolved_config(cfg),
@@ -171,10 +171,9 @@ def _cmd_bitrate(args) -> int:
     cfg = config_from_dict(doc, **overrides)
     report = bitrate_experiment(cfg)
     out = _out_dir(args)
-    write_csv(out / "rates.csv", ("trial", "k", "scheme", "bits"), rate_rows(report))
+    write_csv(out / "rates.csv", rate_columns(report))
     if args.dump_packets:
-        write_csv(out / "packets.csv", ("trial", "k", "scheme", "bit_count", "hex"),
-                  packet_rows(report))
+        write_csv(out / "packets.csv", packet_columns(report))
     _write_meta(out / "codec_omp.json", codec_to_dict(report.codec_omp))
     _write_meta(out / "codec_l2.json", codec_to_dict(report.codec_l2))
     _write_meta(out / "meta.json", {

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (ConfigError, DesignInfeasibleError, NumericError,
                      SolverFailureError)
 from .horizon import HorizonMatrices, build_horizon
-from .linalg import check_sym_pd, is_sym_pd, pencil_eigvals
+from .linalg import check_sym_pd, is_sym_pd, number_array, pencil_eigvals
 from .plant import PlantModel, _frozen, require_reachable
 
 # A Riccati solution's residual may be at most this fraction of ||P||_F.
@@ -178,20 +178,21 @@ def design_to_dict(d: CostDesign) -> dict:
     }
 
 
+# design_to_dict's fields and the number of dimensions of each
+_DESIGN_FIELDS = {"Q": 2, "P": 2, "K": 1, "Wstar": 2, "Eps": 2, "W": 2,
+                  "c1": 0, "rho": 0, "c": 0, "N": 0, "eta": 0}
+
+
 def design_from_dict(doc: dict) -> CostDesign:
-    try:
-        return CostDesign(
-            Q=np.asarray(doc["Q"], dtype=float),
-            P=np.asarray(doc["P"], dtype=float),
-            K=np.asarray(doc["K"], dtype=float),
-            Wstar=np.asarray(doc["Wstar"], dtype=float),
-            Eps=np.asarray(doc["Eps"], dtype=float),
-            W=np.asarray(doc["W"], dtype=float),
-            c1=float(doc["c1"]),
-            rho=float(doc["rho"]),
-            c=float(doc["c"]),
-            N=int(doc["N"]),
-            eta=float(doc["eta"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"design document is missing field {exc}") from exc
+    """The inverse of design_to_dict; a missing or malformed field is a ConfigError."""
+    values = {}
+    for name, ndim in _DESIGN_FIELDS.items():
+        if name not in doc:
+            raise ConfigError(f"design document is missing field {name!r}")
+        kind = int if name == "N" else float
+        arr = number_array(doc[name], f"design field {name}", "iu" if kind is int else "iuf")
+        if arr.ndim != ndim:
+            raise ConfigError(f"design field {name} must have {ndim} dimensions, "
+                              f"got {doc[name]!r}")
+        values[name] = arr.astype(kind) if ndim else kind(arr)
+    return CostDesign(**values)

@@ -67,8 +67,9 @@ class SimConfig:
         for f in fields(self):
             want = _NUMBER_TYPES.get(f.type)
             value = getattr(self, f.name)
-            if want and (isinstance(value, bool) or not isinstance(value, want)):
-                raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+            if want and (isinstance(value, bool) or not isinstance(value, want)
+                         or f.type is float and not -math.inf < value < math.inf):
+                raise ConfigError(f"{f.name} must be a finite {f.type.__name__}, got {value!r}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if not (self.nu1 > 0 and self.nu2 > 0):
@@ -98,8 +99,8 @@ class SimConfig:
             raise ConfigError(f"noise of kind {self.noise['kind']!r} takes only the keys "
                               f"{sorted(keys)}, got {sorted(self.noise)}")
         sigma = self.sigma
-        if isinstance(sigma, bool) or not isinstance(sigma, Real) or not sigma >= 0:
-            raise ConfigError(f"noise sigma must be a number >= 0, got {sigma!r}")
+        if isinstance(sigma, bool) or not isinstance(sigma, Real) or not 0 <= sigma < math.inf:
+            raise ConfigError(f"noise sigma must be a finite number >= 0, got {sigma!r}")
 
     @property
     def sigma(self):
@@ -305,21 +306,16 @@ def lyapunov_audit(result: TrialResult, design: CostDesign) -> AuditReport:
     inside the following dropout burst.
     """
     V = np.einsum("ki,ij,kj->k", result.states, design.P, result.states)
-    norms = np.linalg.norm(result.states, axis=1)
-    deliveries = np.flatnonzero(result.d == 0)
-    pair = burst = 0
-    for i, ki in enumerate(deliveries):
-        if norms[ki] <= 1e-9:
-            continue
-        kj = deliveries[i + 1] if i + 1 < len(deliveries) else None
-        end = kj if kj is not None else len(V)
-        for k in range(ki + 1, end):
-            if V[k] >= V[ki]:
-                burst += 1
-        if kj is not None and V[kj] >= V[ki]:
-            pair += 1
-    return AuditReport(deliveries=len(deliveries), pair_violations=pair,
-                       burst_violations=burst)
+    live = np.linalg.norm(result.states, axis=1) > 1e-9
+    delivered = result.d == 0
+    deliveries = np.flatnonzero(delivered)
+    # the last delivery at or before each k (d(0) = 0, so there always is one)
+    last = np.maximum.accumulate(np.where(delivered, np.arange(len(V)), 0))
+    burst = ~delivered & live[last] & (V >= V[last])
+    ki, kj = deliveries[:-1], deliveries[1:]
+    pair = live[ki] & (V[kj] >= V[ki])
+    return AuditReport(deliveries=len(deliveries), pair_violations=int(np.count_nonzero(pair)),
+                       burst_violations=int(np.count_nonzero(burst)))
 
 
 @dataclass
@@ -415,9 +411,10 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     holds its Monte Carlo mean for each grid value. All grid points share
     the same master seed, so they see identical traces and initial states.
     """
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ConfigError("sweep grid must be non-empty")
+    grid = number_array(grid, "sweep grid")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigError(f"sweep grid must be a non-empty list, got {grid.tolist()!r}")
+    grid = grid.astype(float).tolist()
     if family not in ("l1l2", "l2"):
         raise ConfigError(f"sweep family must be 'l1l2' or 'l2', got {family!r}")
     key = "nu1" if family == "l1l2" else "nu2"
@@ -535,60 +532,60 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
 # ---------------------------------------------------------------------------
 # Deterministic CSV / metadata emission
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def write_csv(path, columns: dict) -> None:
+    """Plain deterministic CSV from {column name: 1-D sequence}.
 
-
-def write_csv(path, header, rows) -> None:
-    """Plain deterministic CSV: repr() floats, no quoting, LF newlines."""
+    A cell is str() of the Python scalar tolist() gives, so a float is its
+    shortest round-trip repr(); no quoting, LF newlines. Every column must
+    have the same length.
+    """
+    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
-def trace_rows(report: MonteCarloReport):
-    for r in report.results:
-        for k, dk in enumerate(r.d):
-            yield (r.trial, k, int(dk))
+def _per_step(report: MonteCarloReport, **attrs) -> dict:
+    """trial and k columns, then each named TrialResult array, trial-major."""
+    trials = [r.trial for r in report.results]
+    T = len(report.mean_norm)
+    return {"trial": np.repeat(trials, T), "k": np.tile(np.arange(T), len(trials)),
+            **{name: np.concatenate([getattr(r, attr) for r in report.results])
+               for name, attr in attrs.items()}}
 
 
-def trajectory_rows(report: MonteCarloReport):
-    for r in report.results:
-        for k in range(len(r.norms)):
-            yield (r.trial, k, float(r.norms[k]), float(r.V[k]),
-                   float(r.u_applied[k]), int(r.sparsity[k]))
+def trace_columns(report: MonteCarloReport) -> dict:
+    return _per_step(report, d="d")
 
 
-def summary_rows(report: MonteCarloReport):
-    for k in range(len(report.mean_norm)):
-        yield (k, float(report.mean_norm[k]), float(report.median_norm[k]),
-               float(report.max_norm[k]), float(report.mean_V[k]),
-               float(report.mean_sparsity[k]))
+def trajectory_columns(report: MonteCarloReport) -> dict:
+    return _per_step(report, norm="norms", V="V", u="u_applied", sparsity="sparsity")
 
 
-def packet_rows(breport: BitrateReport):
-    """Hex-dumped bitstreams with their exact bit counts."""
-    for scheme, rep in (("sparse", breport.test_omp), ("dense", breport.test_l2)):
-        for r, bits, dumps in zip(rep.results, breport.bits[scheme], breport.hexes[scheme]):
-            for k, (b, h) in enumerate(zip(bits, dumps)):
-                yield (r.trial, k, scheme, int(b), h)
+def summary_columns(report: MonteCarloReport) -> dict:
+    return {"k": np.arange(len(report.mean_norm)), "mean_norm": report.mean_norm,
+            "median_norm": report.median_norm, "max_norm": report.max_norm,
+            "mean_V": report.mean_V, "mean_sparsity": report.mean_sparsity}
 
 
-def rate_rows(breport: BitrateReport):
-    for row in packet_rows(breport):
-        yield row[:4]
+def packet_columns(breport: BitrateReport) -> dict:
+    """Hex-dumped bitstreams with their exact bit counts, sparse scheme first."""
+    parts = [{**_per_step(rep), "scheme": np.repeat(scheme, breport.bits[scheme].size),
+              "bit_count": breport.bits[scheme].ravel(),
+              "hex": np.ravel(breport.hexes[scheme])}
+             for scheme, rep in (("sparse", breport.test_omp), ("dense", breport.test_l2))]
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
-def sweep_rows(sreport: SweepReport):
-    for nu, perf in zip(sreport.grid, sreport.mean_perf):
-        yield (sreport.family, float(nu), float(perf))
+def rate_columns(breport: BitrateReport) -> dict:
+    cols = packet_columns(breport)
+    return {"trial": cols["trial"], "k": cols["k"], "scheme": cols["scheme"],
+            "bits": cols["bit_count"]}
+
+
+def sweep_columns(sreport: SweepReport) -> dict:
+    return {"family": np.repeat(sreport.family, len(sreport.grid)), "nu": sreport.grid,
+            "mean_perf": sreport.mean_perf}
 
 
 def resolved_config(cfg: SimConfig) -> dict:

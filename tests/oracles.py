@@ -8,7 +8,9 @@ eigh, a stateless trace interpreter instead of the buffer walk, a
 per-pick QR refactorization instead of the incremental Gram-Schmidt OMP,
 the lasso optimality (KKT) conditions, checked column by column,
 instead of the homotopy path, and an explicit Huffman tree walked for
-its codewords instead of counting merges per symbol.
+its codewords instead of counting merges per symbol, a delivery-by-delivery
+walk instead of the masked Lyapunov counts, and CSV text rendered a row
+and a cell at a time instead of a column at a time.
 """
 
 import numpy as np
@@ -317,3 +319,93 @@ def expected_mean_bits(codec, samples) -> float:
         total += bits
         count += 1
     return total / count
+
+
+def lyapunov_audit_reference(result, design):
+    """(deliveries, pair violations, burst violations), one delivery at a time.
+
+    For each delivery k_i with ||x(k_i)|| > 1e-9, counts every k inside the
+    following burst with V(k) >= V(k_i), and the next delivery k_j if
+    V(k_j) >= V(k_i).
+    """
+    V = np.einsum("ki,ij,kj->k", result.states, design.P, result.states)
+    norms = np.linalg.norm(result.states, axis=1)
+    deliveries = np.flatnonzero(result.d == 0)
+    pair = burst = 0
+    for i, ki in enumerate(deliveries):
+        if norms[ki] <= 1e-9:
+            continue
+        kj = deliveries[i + 1] if i + 1 < len(deliveries) else None
+        end = kj if kj is not None else len(V)
+        for k in range(ki + 1, end):
+            if V[k] >= V[ki]:
+                burst += 1
+        if kj is not None and V[kj] >= V[ki]:
+            pair += 1
+    return len(deliveries), pair, burst
+
+
+def _fmt(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _trace_rows(report):
+    for r in report.results:
+        for k, dk in enumerate(r.d):
+            yield (r.trial, k, int(dk))
+
+
+def _trajectory_rows(report):
+    for r in report.results:
+        for k in range(len(r.norms)):
+            yield (r.trial, k, float(r.norms[k]), float(r.V[k]),
+                   float(r.u_applied[k]), int(r.sparsity[k]))
+
+
+def _summary_rows(report):
+    for k in range(len(report.mean_norm)):
+        yield (k, float(report.mean_norm[k]), float(report.median_norm[k]),
+               float(report.max_norm[k]), float(report.mean_V[k]),
+               float(report.mean_sparsity[k]))
+
+
+def _packet_rows(breport):
+    for scheme, rep in (("sparse", breport.test_omp), ("dense", breport.test_l2)):
+        for r, bits, dumps in zip(rep.results, breport.bits[scheme], breport.hexes[scheme]):
+            for k, (b, h) in enumerate(zip(bits, dumps)):
+                yield (r.trial, k, scheme, int(b), h)
+
+
+def _rate_rows(breport):
+    for row in _packet_rows(breport):
+        yield row[:4]
+
+
+def _sweep_rows(sreport):
+    for nu, perf in zip(sreport.grid, sreport.mean_perf):
+        yield (sreport.family, float(nu), float(perf))
+
+
+# file name -> (header, row generator over the report the file is written from)
+_CSV_REFERENCE = {
+    "trace": (("trial", "k", "d"), _trace_rows),
+    "trajectory": (("trial", "k", "norm", "V", "u", "sparsity"), _trajectory_rows),
+    "summary": (("k", "mean_norm", "median_norm", "max_norm", "mean_V", "mean_sparsity"),
+                _summary_rows),
+    "packets": (("trial", "k", "scheme", "bit_count", "hex"), _packet_rows),
+    "rates": (("trial", "k", "scheme", "bits"), _rate_rows),
+    "sweep": (("family", "nu", "mean_perf"), _sweep_rows),
+}
+
+
+def csv_reference(name: str, report) -> str:
+    """The text of <name>.csv for report, built a row and a cell at a time."""
+    header, rows = _CSV_REFERENCE[name]
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows(report)]
+    return "\n".join(lines) + "\n"

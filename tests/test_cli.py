@@ -162,9 +162,36 @@ def test_validation_exit_code(tmp_path):
         cfg = _write(tmp_path / f"bad{i}.json", {**run, **doc})
         argv = ["simulate", "--config", cfg, "--out-dir", str(tmp_path / f"o{i}")]
         assert main(argv + extra) == 2, doc
+    # JSON 1e400 reads as inf: a non-finite float setting exits 2 before
+    # any run, and so never reaches meta.json
+    for i, (entry, cmd) in enumerate((
+            ('"nu2": 1e400', ["simulate", "--controller", "l2"]),
+            ('"nu1": 1e400', ["simulate"]),
+            ('"delta": 1e400', ["simulate"]),
+            ('"eta": -1e400', ["simulate"]),
+            ('"noise": {"kind": "gaussian", "sigma": 1e400}', ["simulate"]),
+            ('"quantizer_delta": 1e400', ["bitrate"]))):
+        cfg = tmp_path / f"inf{i}.json"
+        cfg.write_text('{"trials": 2, "train_trials": 2, "steps": 5, ' + entry + "}")
+        out = tmp_path / f"inf_out{i}"
+        assert main(cmd + ["--config", str(cfg), "--out-dir", str(out)]) == 2, entry
+        assert not (out / "meta.json").exists()
     cfg = _write(tmp_path / "sweep.json", run)
-    assert main(["sweep", "--config", cfg, "--family", "l2", "--grid", "1e2,-1",
-                 "--out-dir", str(tmp_path / "s")]) == 2
+    for grid in ("1e2,-1", "1e2,abc", "inf", "1e2,,1e3"):
+        assert main(["sweep", "--config", cfg, "--family", "l2", "--grid", grid,
+                     "--out-dir", str(tmp_path / "s")]) == 2, grid
+    for grid in (["a"], 5, [1e2, None], [[1e2]]):
+        cfg = _write(tmp_path / "sweep.json", {**run, "family": "l2", "grid": grid})
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "s")]) == 2, grid
+    # a design file whose fields are not numbers of the right shape
+    assert main(["design", "--out-dir", str(tmp_path / "d")]) == 0
+    design = json.loads((tmp_path / "d" / "design.json").read_text())
+    cfg = _write(tmp_path / "run.json", run)
+    for i, field in enumerate(({"N": "x"}, {"P": "abc"}, {"eta": None}, {"N": 10.5},
+                               {"c1": [1.0, 2.0]}, {"K": design["P"]})):
+        path = _write(tmp_path / f"design{i}.json", {**design, **field})
+        assert main(["simulate", "--config", cfg, "--design", path,
+                     "--out-dir", str(tmp_path / f"do{i}")]) == 2, field
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -1,15 +1,21 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
 from sparseppc.sim import (CONTROLLERS, NS_MAIN, SimConfig, build_setup,
                            config_from_dict, draw_x0, lyapunov_audit, make_controller,
-                           monte_carlo, run_trial, sweep_regularization,
-                           trial_streams, write_csv)
+                           monte_carlo, packet_columns, rate_columns, run_trial,
+                           summary_columns, sweep_columns, sweep_regularization,
+                           trace_columns, trajectory_columns, trial_streams, write_csv)
+
+from .oracles import csv_reference, lyapunov_audit_reference
 
 
 def _setup(**kw):
@@ -23,7 +29,11 @@ def test_config_validation():
         SimConfig(controller="bogus")
     with pytest.raises(ConfigError):
         SimConfig(noise={"kind": "weird"})
+    inf = float("inf")
     for bad in ({"N": 0}, {"nu1": 0.0}, {"nu2": -1.0}, {"nu1": float("nan")},
+                {"nu1": inf}, {"nu2": inf}, {"delta": inf}, {"delta": float("nan")},
+                {"eta": -inf}, {"quantizer_delta": inf},
+                {"noise": {"kind": "gaussian", "sigma": inf}},
                 {"N": True}, {"trials": 3.0}, {"eta": "0.5"}, {"dropout": [0, 1]},
                 {"Q": "diag"}, {"Q": [1.0, 2.0]}, {"Q": [[1.0, 0.0]]},
                 {"Q": [[1.0, 0.0], [0.0, float("inf")]]}, {"Q": [[1.0], [2.0, 3.0]]},
@@ -163,14 +173,26 @@ def test_lyapunov_audit_detects_broken_slack(cessna, rng):
     trace = sp.generate_trace(setup.dropout, 60, rng=np.random.default_rng(3))
     res = run_trial(setup, trace, rng.standard_normal(4))
     audit = lyapunov_audit(res, broken)
-
-    # independent recount straight from the recorded trajectory
-    V = np.einsum("ki,ij,kj->k", res.states, broken.P, res.states)
-    deliveries = np.flatnonzero(res.d == 0)
-    pair = sum(1 for a, b in zip(deliveries, deliveries[1:])
-               if np.linalg.norm(res.states[a]) > 1e-9 and V[b] >= V[a])
-    assert audit.pair_violations == pair
+    counts = (audit.deliveries, audit.pair_violations, audit.burst_violations)
+    assert counts == lyapunov_audit_reference(res, broken)
     assert audit.total > 0  # this seed does destabilize the loop
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(1, 12), T=st.integers(1, 200), p_dd=st.floats(0.0, 1.0),
+       p_dg=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_lyapunov_audit_matches_the_delivery_walk(N, T, p_dd, p_dg, seed):
+    # small integer states under P = diag(1, 0): V ties everywhere, and a
+    # state can have V = 0 with or without a zero norm
+    rng = np.random.default_rng(seed)
+    model = sp.DropoutModel(kind="markov", N=N, p_dd=p_dd, p_dg=p_dg)
+    trace = sp.generate_trace(model, T, rng=rng)
+    result = SimpleNamespace(states=rng.integers(-2, 3, size=(T, 2)).astype(float),
+                             d=trace.d)
+    design = SimpleNamespace(P=np.diag([1.0, 0.0]))
+    audit = lyapunov_audit(result, design)
+    counts = (audit.deliveries, audit.pair_violations, audit.burst_violations)
+    assert counts == lyapunov_audit_reference(result, design)
 
 
 def test_lyapunov_audit_zero_trajectory_vacuous():
@@ -224,9 +246,8 @@ def test_monte_carlo_reproducible_and_paired(tmp_path):
         assert np.allclose(a.states[0], b.states[0])
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    from sparseppc.sim import trajectory_rows
-    write_csv(p1, ("trial", "k", "norm", "V", "u", "sparsity"), trajectory_rows(r1))
-    write_csv(p2, ("trial", "k", "norm", "V", "u", "sparsity"), trajectory_rows(r2))
+    write_csv(p1, trajectory_columns(r1))
+    write_csv(p2, trajectory_columns(r2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -346,6 +367,20 @@ def test_sweep_single_point_and_curve():
         sweep_regularization(cfg, "l2", [])
     with pytest.raises(ConfigError):
         sweep_regularization(cfg, "omp", [1.0])
+
+
+def test_sweep_rejects_a_grid_of_non_numbers_before_any_setup(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    calls = []
+    monkeypatch.setattr(sim_mod, "build_setup", lambda *a, **kw: calls.append(a))
+    cfg = SimConfig(trials=2, steps=10, seed=9)
+    for grid in (["a"], [1e2, "abc"], ["1e2"], 5, [[1e2, 1e3]], [True], None, [1e2, None]):
+        with pytest.raises(ConfigError, match="sweep grid"):
+            sim_mod.sweep_regularization(cfg, "l2", grid)
+    with pytest.raises(ConfigError, match="finite"):
+        sim_mod.sweep_regularization(cfg, "l2", [1e2, float("inf")])
+    assert calls == []
 
 
 def test_sweep_builds_one_design(monkeypatch):
@@ -476,13 +511,9 @@ def test_run_trial_raises_on_a_non_finite_state():
         run_trial(setup, trace, np.array([np.inf, 0.0, 0.0, 0.0]))
 
 
-def test_overflowing_trial_fails_and_leaves_no_nonfinite_rows(monkeypatch, tmp_path):
-    # trial 1 starts so large that V(0) = x'Px overflows: it must be listed
-    # as failed, and no inf or nan may reach the CSVs
-    import json
-
+def _overflow_trial_1(monkeypatch):
+    """Make the second x0 drawn so large that V(0) = x'Px overflows."""
     import sparseppc.sim as sim_mod
-    from sparseppc.cli import main
 
     real = sim_mod.draw_x0
     drawn = []
@@ -492,6 +523,15 @@ def test_overflowing_trial_fails_and_leaves_no_nonfinite_rows(monkeypatch, tmp_p
         return drawn[-1] * (1e200 if len(drawn) == 2 else 1.0)
 
     monkeypatch.setattr(sim_mod, "draw_x0", overflowing)
+
+
+def test_overflowing_trial_fails_and_leaves_no_nonfinite_rows(monkeypatch, tmp_path):
+    # trial 1 must be listed as failed, and no inf or nan may reach the CSVs
+    import json
+
+    from sparseppc.cli import main
+
+    _overflow_trial_1(monkeypatch)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"trials": 3, "steps": 10, "seed": 5}))
     out = tmp_path / "o"
@@ -514,5 +554,39 @@ def test_scripted_dropout_through_config():
 
 def test_write_csv_formats(tmp_path):
     path = tmp_path / "x.csv"
-    write_csv(path, ("a", "b"), [(1, 0.5), (2, 1e-17)])
-    assert path.read_text() == "a,b\n1,0.5\n2,1e-17\n"
+    write_csv(path, {"a": [1, 2], "b": np.array([0.5, 1e-17]), "c": ["x", "yz"],
+                     "d": np.array([3, -4], dtype=np.int8)})
+    assert path.read_text() == "a,b,c,d\n1,0.5,x,3\n2,1e-17,yz,-4\n"
+    with pytest.raises(ValueError):
+        write_csv(path, {"a": [1, 2], "b": [0.5]})
+
+
+def _assert_columns_match_reference(tmp_path, builders, report):
+    for name, columns in builders.items():
+        path = tmp_path / f"{name}.csv"
+        write_csv(path, columns(report))
+        assert path.read_bytes() == csv_reference(name, report).encode(), name
+
+
+def test_column_builders_match_the_row_reference(monkeypatch, tmp_path):
+    per_step = {"trace": trace_columns, "trajectory": trajectory_columns,
+                "summary": summary_columns}
+    noisy = monte_carlo(SimConfig(trials=3, steps=25, seed=4,
+                                  noise={"kind": "gaussian", "sigma": 0.01}))
+    _assert_columns_match_reference(tmp_path, per_step, noisy)
+
+    # trial 1 of the l2 run fails, so the trial column skips it
+    _overflow_trial_1(monkeypatch)
+    with np.errstate(over="ignore"):
+        l2 = monte_carlo(SimConfig(trials=4, steps=20, seed=5, controller="l2"))
+    monkeypatch.undo()
+    assert [r.trial for r in l2.results] == [0, 2, 3]
+    _assert_columns_match_reference(tmp_path, per_step, l2)
+
+    sweep = sweep_regularization(SimConfig(trials=2, steps=10, seed=9), "l1l2", [1e2, 1e3])
+    _assert_columns_match_reference(tmp_path, {"sweep": sweep_columns}, sweep)
+
+    bitrate = sp.bitrate_experiment(SimConfig(trials=2, train_trials=3, steps=15, seed=6,
+                                              noise={"kind": "gaussian", "sigma": 0.01}))
+    _assert_columns_match_reference(
+        tmp_path, {"rates": rate_columns, "packets": packet_columns}, bitrate)
