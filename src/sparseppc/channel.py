@@ -6,13 +6,12 @@ than N - 1, so the buffer below never runs past the end of a packet.
 """
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolViolationError, TraceValidationError
 from .controllers import ControlPacket
-from .linalg import number_array
+from .linalg import finite_real, number_array
 
 _KINDS = ("iid", "markov", "scripted")
 
@@ -21,9 +20,10 @@ _KINDS = ("iid", "markov", "scripted")
 class DropoutModel:
     """Dropout process description. N is the packet length bounding runs.
 
-    iid: each step drops with p_drop. markov: drop probability is p_dd
-    after a drop and p_dg after a delivery. scripted: replay an explicit
-    bit sequence, which must itself be a valid trace.
+    markov: drop probability is p_dd after a drop and p_dg after a
+    delivery. iid: each step drops with p_drop, which is the markov chain
+    with p_dd = p_dg = p_drop. scripted: replay an explicit bit sequence,
+    which must itself be a valid trace.
     """
 
     kind: str
@@ -40,7 +40,7 @@ class DropoutModel:
             raise ConfigError(f"packet length N must be >= 1, got {self.N}")
         for name in ("p_drop", "p_dd", "p_dg"):
             p = getattr(self, name)
-            if isinstance(p, bool) or not isinstance(p, Real) or not (0.0 <= p <= 1.0):
+            if not (finite_real(p) and 0.0 <= p <= 1.0):
                 raise ConfigError(f"{name} must be a number in [0, 1], got {p!r}")
         if self.kind == "scripted":
             if self.script is None:
@@ -117,17 +117,14 @@ def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:
                 f"script has {len(model.script)} bits but {T} are required")
         return ChannelTrace(d=np.array(model.script[:T], dtype=np.int8), N=model.N)
 
+    p_dd, p_dg = (model.p_drop,) * 2 if model.kind == "iid" else (model.p_dd, model.p_dg)
     uniforms = rng.random(T)
     d = np.zeros(T, dtype=np.int8)
     overrides = 0
     run = 0
     cap = model.N - 1
     for k in range(1, T):
-        if model.kind == "iid":
-            p = model.p_drop
-        else:
-            p = model.p_dd if d[k - 1] else model.p_dg
-        if uniforms[k] < p:
+        if uniforms[k] < (p_dd if d[k - 1] else p_dg):
             if run == cap:
                 overrides += 1
                 run = 0

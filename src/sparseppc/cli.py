@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="closed-loop Monte Carlo run")
     common(p)
-    p.add_argument("--design", help="reuse a design.json from the design command")
+    p.add_argument("--design", help="a design.json from the design command, which "
+                   "must equal the design this config builds")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="regularization-vs-performance curve")

@@ -8,7 +8,7 @@ built here guarantee that the greedy packet solver terminates and that the
 closed loop contracts across every delivery under bounded dropouts.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .horizon import HorizonMatrices, build_horizon
 from .linalg import check_sym_pd, is_sym_pd, number_array, pencil_eigvals
 from .plant import PlantModel, _frozen, require_reachable
 
-# A Riccati solution's residual may be at most this fraction of ||P||_F.
+# A Riccati solution's residual may be at most this fraction of ||P||_F, and
+# each field of a saved design at most this relative distance from the built one.
 RICCATI_RTOL = 1e-9
 
 
@@ -39,8 +40,9 @@ class CostDesign:
     eta: float
 
     def __post_init__(self):
-        for name in ("Q", "P", "K", "Wstar", "Eps", "W"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for f in fields(self):
+            if f.type is np.ndarray:
+                object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
 
 
 def dare_residual(m: PlantModel, P: np.ndarray, Q: np.ndarray, delta: float = 0.0) -> float:
@@ -162,37 +164,20 @@ def build_design(m: PlantModel, Q=None, N: int = 10, eta: float = 2.0 / 3.0,
 
 
 def design_to_dict(d: CostDesign) -> dict:
-    """JSON-ready mapping with matrices as row-major nested lists."""
-    return {
-        "Q": d.Q.tolist(),
-        "P": d.P.tolist(),
-        "K": d.K.tolist(),
-        "Wstar": d.Wstar.tolist(),
-        "Eps": d.Eps.tolist(),
-        "W": d.W.tolist(),
-        "c1": d.c1,
-        "rho": d.rho,
-        "c": d.c,
-        "N": d.N,
-        "eta": d.eta,
-    }
-
-
-# design_to_dict's fields and the number of dimensions of each
-_DESIGN_FIELDS = {"Q": 2, "P": 2, "K": 1, "Wstar": 2, "Eps": 2, "W": 2,
-                  "c1": 0, "rho": 0, "c": 0, "N": 0, "eta": 0}
+    """JSON-ready mapping of every field, matrices as row-major nested lists."""
+    return {f.name: np.asarray(getattr(d, f.name)).tolist() for f in fields(d)}
 
 
 def design_from_dict(doc: dict) -> CostDesign:
-    """The inverse of design_to_dict; a missing or malformed field is a ConfigError."""
+    """The inverse of design_to_dict; a missing or non-numeric field is a ConfigError.
+
+    A field keeps the shape the document gives it: build_setup compares shapes.
+    """
     values = {}
-    for name, ndim in _DESIGN_FIELDS.items():
-        if name not in doc:
-            raise ConfigError(f"design document is missing field {name!r}")
-        kind = int if name == "N" else float
-        arr = number_array(doc[name], f"design field {name}", "iu" if kind is int else "iuf")
-        if arr.ndim != ndim:
-            raise ConfigError(f"design field {name} must have {ndim} dimensions, "
-                              f"got {doc[name]!r}")
-        values[name] = arr.astype(kind) if ndim else kind(arr)
+    for f in fields(CostDesign):
+        if f.name not in doc:
+            raise ConfigError(f"design document is missing field {f.name!r}")
+        kind = int if f.type is int else float
+        arr = number_array(doc[f.name], f"design field {f.name}", "iu" if kind is int else "iuf")
+        values[f.name] = arr.astype(kind) if arr.ndim else kind(arr)
     return CostDesign(**values)

@@ -4,6 +4,9 @@ Everything here targets small matrices (state dimension <= 16, horizon
 <= 16), so plain dense numpy routines are used without sparsity tricks.
 """
 
+import math
+from numbers import Real
+
 import numpy as np
 
 from .errors import ConfigError, NumericError
@@ -73,6 +76,19 @@ def number_array(value, name: str, kinds: str = "iuf") -> np.ndarray:
     if arr is None or arr.dtype.kind not in kinds:
         raise ConfigError(f"{name} must hold only numbers, got {value!r}")
     return arr
+
+
+def finite_real(value) -> bool:
+    """Whether value is a number (not a bool) that converts to a finite float.
+
+    An int too large for a float is not: it would overflow once computed with.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def numerical_rank(M: np.ndarray, rel_tol: float = 1e-12) -> int:

@@ -7,12 +7,11 @@ across concurrent trial workers.
 
 from dataclasses import dataclass
 import json
-from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .linalg import expm, number_array, numerical_rank
+from .linalg import expm, finite_real, number_array, numerical_rank
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -87,8 +86,8 @@ def zoh_discretize(cp: ContinuousPlant, Ts: float) -> PlantModel:
     B = int_0^Ts exp(Ac s) ds Bc fall out of one matrix exponential of the
     augmented block matrix [[Ac, Bc], [0, 0]] * Ts.
     """
-    if isinstance(Ts, bool) or not isinstance(Ts, Real) or not (Ts > 0):
-        raise ConfigError(f"sample time must be a positive number, got {Ts!r}")
+    if not (finite_real(Ts) and Ts > 0):
+        raise ConfigError(f"sample time must be a finite positive number, got {Ts!r}")
     n = cp.n
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = cp.Ac

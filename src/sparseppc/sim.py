@@ -15,7 +15,7 @@ reproducible in isolation and training/test phases never share entropy.
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -24,11 +24,11 @@ from .codec import (PacketCodec, Quantizer, decode, dequantize, encode,
                     quantize_packet, train_codec)
 from .controllers import (ORACLE_CAP, exhaustive_l0_packet, l1l2_packet,
                           l2_packet, least_squares_packet, omp_packet)
-from .design import RICCATI_RTOL, CostDesign, build_design, dare_residual
+from .design import RICCATI_RTOL, CostDesign, build_design
 from .errors import (ConfigError, NumericError, SparsePpcError,
                      TraceValidationError)
 from .horizon import HorizonMatrices, build_horizon
-from .linalg import number_array
+from .linalg import finite_real, is_sym_pd, number_array
 from .plant import PlantModel, resolve_plant
 
 CONTROLLERS = ("omp", "l1l2", "l2", "least_squares", "oracle")
@@ -37,10 +37,6 @@ CONTROLLERS = ("omp", "l1l2", "l2", "least_squares", "oracle")
 NS_MAIN = 0
 NS_TRAIN = 1
 NS_TEST = 2
-
-# JSON numbers accepted for SimConfig's int and float fields (bool excluded).
-_NUMBER_TYPES = {int: Integral, float: Real}
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -65,21 +61,16 @@ class SimConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            want = _NUMBER_TYPES.get(f.type)
             value = getattr(self, f.name)
-            if want and (isinstance(value, bool) or not isinstance(value, want)
-                         or f.type is float and not -math.inf < value < math.inf):
+            if f.type is float and not finite_real(value) or f.type is int and (
+                    isinstance(value, bool) or not isinstance(value, Integral)):
                 raise ConfigError(f"{f.name} must be a finite {f.type.__name__}, got {value!r}")
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
+        for name, low in (("N", 1), ("steps", 1), ("trials", 1), ("train_trials", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (self.nu1 > 0 and self.nu2 > 0):
             raise ConfigError(f"nu1 and nu2 must be positive, got {self.nu1}, {self.nu2}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.train_trials < 1:
-            raise ConfigError(f"train_trials must be >= 1, got {self.train_trials}")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
         if not isinstance(self.dropout, dict):
@@ -88,9 +79,9 @@ class SimConfig:
             number_array(self.x0, "x0 ('standard_normal' or a vector)")
         if not (isinstance(self.Q, str) and self.Q == "identity"):
             Q = number_array(self.Q, "Q").astype(float)
-            if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not np.all(np.isfinite(Q)):
-                raise ConfigError(f"Q must be 'identity' or a square matrix of "
-                                  f"finite numbers, got {self.Q!r}")
+            if not (np.all(np.isfinite(Q)) and is_sym_pd(Q)):
+                raise ConfigError(f"Q must be 'identity' or a finite symmetric positive "
+                                  f"definite matrix, got {self.Q!r}")
         if not (isinstance(self.noise, dict) and self.noise.get("kind") in ("none", "gaussian")):
             raise ConfigError(f"noise must be a mapping with kind 'none' or 'gaussian', "
                               f"got {self.noise!r}")
@@ -99,7 +90,7 @@ class SimConfig:
             raise ConfigError(f"noise of kind {self.noise['kind']!r} takes only the keys "
                               f"{sorted(keys)}, got {sorted(self.noise)}")
         sigma = self.sigma
-        if isinstance(sigma, bool) or not isinstance(sigma, Real) or not 0 <= sigma < math.inf:
+        if not (finite_real(sigma) and sigma >= 0):
             raise ConfigError(f"noise sigma must be a finite number >= 0, got {sigma!r}")
 
     @property
@@ -140,9 +131,10 @@ class SimSetup:
 def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
     """Plant, dropout model, design and horizon; the inputs are checked first.
 
-    A given design must match cfg.N, carry the config's Q and eta, and
-    solve the Riccati equation of the config's plant and delta to
-    solve_dare's own residual contract.
+    The design is always built from cfg. A given design (a saved
+    design.json) is only checked against it: each field must have the
+    built field's shape and lie within RICCATI_RTOL of it relative to the
+    built field's Frobenius norm.
     """
     model = resolve_plant(cfg.plant)
     drop = dict(cfg.dropout)
@@ -153,19 +145,20 @@ def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
     dropout = DropoutModel(kind=kind, N=cfg.N, **drop)
     _check_trials(cfg, model, dropout)
     Q = np.eye(model.n) if cfg.Q == "identity" else np.asarray(cfg.Q, dtype=float)
-    if design is None:
-        design = build_design(model, Q=Q, N=cfg.N, eta=cfg.eta, delta=cfg.delta)
-    elif design.N != cfg.N:
-        raise ConfigError(f"design horizon {design.N} does not match config N {cfg.N}")
-    elif {design.P.shape, design.Q.shape} != {(model.n, model.n)} or not (
-            dare_residual(model, design.P, design.Q, cfg.delta)
-            <= RICCATI_RTOL * np.linalg.norm(design.P, "fro")):
-        raise ConfigError("design does not solve the Riccati equation of the "
-                          "config's plant and delta")
-    elif not (np.array_equal(design.Q, Q) and design.eta == cfg.eta):
-        raise ConfigError("design Q and eta do not match the config's Q and eta")
-    hm = build_horizon(model, design.Q, design.P, design.N)
-    return SimSetup(cfg=cfg, model=model, design=design, hm=hm, dropout=dropout)
+    built = build_design(model, Q=Q, N=cfg.N, eta=cfg.eta, delta=cfg.delta)
+    if design is not None:
+        differ = [f.name for f in fields(CostDesign)
+                  if not _same_field(getattr(design, f.name), getattr(built, f.name))]
+        if differ:
+            raise ConfigError(f"design differs from the config's own design in fields {differ}")
+    hm = build_horizon(model, built.Q, built.P, built.N)
+    return SimSetup(cfg=cfg, model=model, design=built, hm=hm, dropout=dropout)
+
+
+def _same_field(given, built) -> bool:
+    given, built = np.asarray(given), np.asarray(built)
+    return given.shape == built.shape and bool(
+        np.linalg.norm(given - built) <= RICCATI_RTOL * np.linalg.norm(built))
 
 
 def _check_trials(cfg: SimConfig, model: PlantModel, dropout: DropoutModel) -> None:

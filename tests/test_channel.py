@@ -125,6 +125,18 @@ def test_trace_bound_and_override_count(markov, N, T, p, q, seed):
     assert tr.overrides == forced
 
 
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(1, 12), p=st.floats(0.0, 1.0), T=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_iid_trace_is_the_markov_trace_with_equal_transitions(N, p, T, seed):
+    iid = sp.generate_trace(DropoutModel(kind="iid", N=N, p_drop=p), T,
+                            rng=np.random.default_rng(seed))
+    markov = sp.generate_trace(DropoutModel(kind="markov", N=N, p_dd=p, p_dg=p), T,
+                               rng=np.random.default_rng(seed))
+    assert np.array_equal(iid.d, markov.d)
+    assert iid.overrides == markov.overrides
+
+
 def test_buffer_consumes_packet_elements_in_order():
     pkt = _packet([10.0, 20.0, 30.0])
     u0, buf = sp.actuate(None, 0, incoming=pkt)

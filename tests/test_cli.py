@@ -42,12 +42,14 @@ def test_simulate_rejects_a_design_of_another_plant(tmp_path, capsys):
     out = tmp_path / "d"
     assert main(["design", "--out-dir", str(out)]) == 0
     design = str(out / "design.json")
+    # the design is built from the config first, so a plant of another
+    # size must itself be reachable to reach the comparison
     for plant in ({"preset": "cessna500", "Ts": 0.4},
-                  {"A": np.eye(2).tolist(), "B": [1.0, 1.0]}):
+                  {"A": [[1.0, 1.0], [0.0, 1.0]], "B": [0.5, 1.0]}):
         cfg = _write(tmp_path / "c.json", {"trials": 3, "steps": 10, "plant": plant})
         assert main(["simulate", "--config", cfg, "--design", design,
                      "--out-dir", str(tmp_path / "o")]) == 2
-        assert "Riccati equation" in capsys.readouterr().err
+        assert "differs from the config's own design" in capsys.readouterr().err
     cfg = _write(tmp_path / "c.json", {"trials": 3, "steps": 10, "delta": 1e-3})
     assert main(["simulate", "--config", cfg, "--design", design,
                  "--out-dir", str(tmp_path / "o")]) == 2
@@ -62,7 +64,7 @@ def test_simulate_rejects_a_design_of_another_q_or_eta(tmp_path, capsys):
         cfg = _write(tmp_path / "c.json", {"trials": 3, "steps": 10, **doc})
         assert main(["simulate", "--config", cfg, "--design", design,
                      "--out-dir", str(tmp_path / "o")]) == 2, doc
-        assert "Q and eta" in capsys.readouterr().err
+        assert "differs from the config's own design" in capsys.readouterr().err
         # a design built from that same config is accepted
         assert main(["design", "--config", cfg, "--out-dir", str(tmp_path / "own")]) == 0
         assert main(["simulate", "--config", cfg, "--design", str(tmp_path / "own" / "design.json"),
@@ -78,6 +80,40 @@ def test_simulate_with_saved_design_is_byte_identical(tmp_path):
     assert main(["simulate", "--config", cfg, "--out-dir", str(a)]) == 0
     assert main(["simulate", "--config", cfg, "--design", str(out / "design.json"),
                  "--out-dir", str(b)]) == 0
+    for name in ("trace.csv", "trajectory.csv", "summary.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_simulate_rejects_a_design_file_edited_away_from_the_config(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["design", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    design = json.loads((out / "design.json").read_text())
+    P = np.asarray(design["P"])
+    cfg = _write(tmp_path / "c.json", {"trials": 2, "steps": 20})
+    for i, (edit, differ) in enumerate((
+            ({"W": (1e3 * P).tolist()}, ["W"]),
+            ({"c": -5.0, "Eps": np.zeros((4, 4)).tolist()}, ["Eps", "c"]),
+            ({"W": np.eye(2).tolist()}, ["W"]),
+            ({"N": 8}, ["N"]))):
+        path = _write(tmp_path / f"design{i}.json", {**design, **edit})
+        run = tmp_path / f"o{i}"
+        assert main(["simulate", "--config", cfg, "--design", path,
+                     "--out-dir", str(run)]) == 2, edit
+        assert f"fields {differ}" in capsys.readouterr().err
+        assert not run.exists()
+
+
+def test_simulate_accepts_a_design_within_the_riccati_tolerance(tmp_path):
+    out = tmp_path / "d"
+    assert main(["design", "--out-dir", str(out)]) == 0
+    design = json.loads((out / "design.json").read_text())
+    design["P"] = (np.asarray(design["P"]) * (1 + 1e-12)).tolist()
+    path = _write(tmp_path / "scaled.json", design)
+    cfg = _write(tmp_path / "c.json", {"trials": 3, "steps": 20, "seed": 4})
+    a, b = tmp_path / "fresh", tmp_path / "scaled"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(a)]) == 0
+    assert main(["simulate", "--config", cfg, "--design", path, "--out-dir", str(b)]) == 0
     for name in ("trace.csv", "trajectory.csv", "summary.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -162,20 +198,37 @@ def test_validation_exit_code(tmp_path):
         cfg = _write(tmp_path / f"bad{i}.json", {**run, **doc})
         argv = ["simulate", "--config", cfg, "--out-dir", str(tmp_path / f"o{i}")]
         assert main(argv + extra) == 2, doc
-    # JSON 1e400 reads as inf: a non-finite float setting exits 2 before
-    # any run, and so never reaches meta.json
+    # JSON 1e400 reads as inf, and a 401-digit integer overflows a float:
+    # a setting that is no finite number, a negative seed and a Q that is
+    # not symmetric positive definite exit 2 before any run, and so never
+    # reach meta.json
+    huge = "1" + "0" * 400
+    negative = json.dumps(np.diag([1, 1, 1, -1]).tolist())
+    asym = np.eye(4).tolist()
+    asym[0][1] = 0.5
+    asym = json.dumps(asym)
     for i, (entry, cmd) in enumerate((
             ('"nu2": 1e400', ["simulate", "--controller", "l2"]),
             ('"nu1": 1e400', ["simulate"]),
             ('"delta": 1e400', ["simulate"]),
             ('"eta": -1e400', ["simulate"]),
             ('"noise": {"kind": "gaussian", "sigma": 1e400}', ["simulate"]),
-            ('"quantizer_delta": 1e400', ["bitrate"]))):
+            ('"quantizer_delta": 1e400', ["bitrate"]),
+            (f'"nu2": {huge}', ["simulate", "--controller", "l2"]),
+            (f'"noise": {{"kind": "gaussian", "sigma": {huge}}}', ["simulate"]),
+            ('"seed": -1', ["simulate"]),
+            ('"seed": 1', ["simulate", "--seed", "-1"]),
+            ('"plant": {"preset": "cessna500", "Ts": 1e400}', ["simulate"]),
+            (f'"plant": {{"preset": "cessna500", "Ts": {huge}}}', ["simulate"]),
+            (f'"Q": {negative}', ["simulate"]),
+            (f'"Q": {negative}', ["design"]),
+            (f'"Q": {asym}', ["simulate"]),
+            (f'"Q": {asym}', ["design"]))):
         cfg = tmp_path / f"inf{i}.json"
         cfg.write_text('{"trials": 2, "train_trials": 2, "steps": 5, ' + entry + "}")
         out = tmp_path / f"inf_out{i}"
         assert main(cmd + ["--config", str(cfg), "--out-dir", str(out)]) == 2, entry
-        assert not (out / "meta.json").exists()
+        assert not out.exists()
     cfg = _write(tmp_path / "sweep.json", run)
     for grid in ("1e2,-1", "1e2,abc", "inf", "1e2,,1e3"):
         assert main(["sweep", "--config", cfg, "--family", "l2", "--grid", grid,

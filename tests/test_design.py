@@ -1,8 +1,12 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import sparseppc as sp
-from sparseppc.design import build_design, dare_residual, design_constants, lq_gain, solve_dare
+from sparseppc.design import (CostDesign, build_design, dare_residual, design_constants,
+                              lq_gain, solve_dare)
 from sparseppc.errors import ConfigError, NumericError
 from sparseppc.plant import PlantModel
 
@@ -185,8 +189,9 @@ def test_design_json_roundtrip(cessna_design):
     from sparseppc.design import design_from_dict, design_to_dict
 
     doc = design_to_dict(cessna_design)
-    back = design_from_dict(doc)
-    assert np.allclose(back.W, cessna_design.W)
-    assert back.N == cessna_design.N
+    back = design_from_dict(json.loads(json.dumps(doc)))
+    for f in fields(CostDesign):
+        assert np.array_equal(getattr(back, f.name), getattr(cessna_design, f.name)), f.name
+        assert type(getattr(back, f.name)) is type(getattr(cessna_design, f.name)), f.name
     with pytest.raises(ConfigError):
         design_from_dict({"Q": [[1.0]]})

@@ -1,8 +1,10 @@
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from sparseppc import sim
+from sparseppc.design import CostDesign
 from sparseppc.sim import SimConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -25,3 +27,9 @@ def test_readme_lists_the_columns_of_every_csv():
              "summary": sim.summary_columns(mc), "sweep": sim.sweep_columns(sweep),
              "rates": sim.rate_columns(rates), "packets": sim.packet_columns(rates)}
     assert listed == {name: list(columns) for name, columns in built.items()}
+
+
+def test_readme_lists_the_fields_of_design_json():
+    listed = re.findall(r"^- `design\.json`: (.*)$", README.read_text(), flags=re.M)
+    assert len(listed) == 1
+    assert re.findall(r"`(\w+)`", listed[0]) == [f.name for f in fields(CostDesign)]

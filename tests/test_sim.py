@@ -44,7 +44,9 @@ def test_config_validation():
                 {"noise": "none"}, {"noise": {"sigma": 0.1}},
                 {"noise": {"kind": "none", "sigma": 0.1}},
                 {"noise": {"kind": "gaussian", "sigm": 0.1}},
-                {"x0": [1, "a", 0, 0]}, {"x0": [[1.0], [2.0, 3.0]]}, {"x0": "bogus"}):
+                {"x0": [1, "a", 0, 0]}, {"x0": [[1.0], [2.0, 3.0]]}, {"x0": "bogus"},
+                {"nu2": 10**400}, {"seed": -1}, {"Q": [[1.0, 0.0], [0.0, -1.0]]},
+                {"Q": [[1.0, 0.5], [0.0, 1.0]]}):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
     # plant and dropout entries are checked when the setup is built, before
@@ -52,6 +54,7 @@ def test_config_validation():
     for bad in ({"plant": {"A": "x", "B": [1]}},
                 {"plant": {"preset": "cessna500", "Ts": "x"}},
                 {"plant": {"Ac": [[0.0]], "Bc": [1.0], "Ts": True}},
+                {"plant": {"preset": "cessna500", "Ts": inf}},
                 {"dropout": {"kind": "markov", "p_dd": "x"}},
                 {"dropout": {"kind": "iid", "p_drop": None}},
                 {"dropout": {"kind": "scripted", "script": [0, "a"]}},
@@ -169,7 +172,7 @@ def test_lyapunov_audit_detects_broken_slack(cessna, rng):
                         Eps=1e3 * base.P, W=base.Wstar + 1e3 * base.P,
                         c1=base.c1, rho=base.rho, c=base.c, N=base.N, eta=base.eta)
     cfg = SimConfig(trials=1, steps=60, seed=3)
-    setup = build_setup(cfg, design=broken)
+    setup = replace(build_setup(cfg), design=broken)
     trace = sp.generate_trace(setup.dropout, 60, rng=np.random.default_rng(3))
     res = run_trial(setup, trace, rng.standard_normal(4))
     audit = lyapunov_audit(res, broken)
