@@ -13,8 +13,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import (ConfigError, DesignInfeasibleError, FeasibilityError,
-                     SolverFailureError)
+from .errors import ConfigError, FeasibilityError, SolverFailureError
 from .horizon import HorizonMatrices
 from .plant import _frozen
 
@@ -32,7 +31,8 @@ class ControlPacket:
 
     sparsity counts exact nonzeros: every solver produces structural zeros
     off its support. converged is always True, since every solver is exact
-    or raises.
+    or raises. u is made read-only in place, not copied: a solver hands
+    over a fresh float array that nothing else holds.
     """
 
     u: np.ndarray
@@ -42,7 +42,7 @@ class ControlPacket:
     converged: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _frozen(self.u))
+        self.u.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,15 @@ def _finish(u: np.ndarray, iters: int, t0: float) -> ControlPacket:
 
 
 def budget_for(W: np.ndarray, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
+    """x'Wx as (x @ W) @ x; x must already be a float array."""
     return float(x @ W @ x)
 
 
 def check_feasible(hm: HorizonMatrices, W: np.ndarray, u: np.ndarray,
                    x: np.ndarray) -> FeasibilityCertificate:
     """Certificate that u meets the quadratic budget for state x."""
-    r = hm.G @ np.asarray(u, dtype=float) - hm.H @ np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    r = hm.G @ np.asarray(u, dtype=float) - hm.H @ x
     residual_sq = float(r @ r)
     budget = budget_for(W, x)
     feasible = residual_sq <= budget + FEASIBILITY_SLACK * max(1.0, budget)
@@ -89,8 +90,8 @@ def _support_operators(hm: HorizonMatrices, mask: int, j: int = None) -> tuple:
     r = E x, so C = G'E gives the correlations G'r = C x and M = E'E the
     residual ||r||^2 = x'M x. An entry depends on G, H and the support
     only, whichever solve builds it; it is kept in hm._omp_support_ops,
-    and a failed build keeps nothing. j, the column just added, names the
-    failure.
+    and a failed build keeps nothing. j, the column an OMP pick just
+    added, names the failure.
     """
     ops = hm._omp_support_ops.get(mask)
     if ops is not None:
@@ -100,13 +101,14 @@ def _support_operators(hm: HorizonMatrices, mask: int, j: int = None) -> tuple:
     K = np.zeros((hm.N, hm.n))
     E = hm.H
     if cols.size:
+        where = "" if j is None else f"column {j}: "
         try:
             coef, Gs = _support_lsq(hm.G, cols, hm.H)
         except np.linalg.LinAlgError as exc:
-            raise SolverFailureError(f"column {j}: support solve failed on "
+            raise SolverFailureError(f"{where}support solve failed on "
                                      f"{cols.tolist()}: {exc}") from exc
         if not np.all(np.isfinite(coef)):
-            raise SolverFailureError(f"column {j} has no finite least-squares fit "
+            raise SolverFailureError(f"{where}no finite least-squares fit "
                                      f"on the support {cols.tolist()}")
         K[cols] = coef
         E = hm.H - Gs @ coef
@@ -189,27 +191,36 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> C
 
 
 def least_squares_packet(hm: HorizonMatrices, x: np.ndarray) -> ControlPacket:
-    """Unconstrained minimizer of ||G u - H x||^2 (generically dense)."""
+    """Unconstrained minimizer of ||G u - H x||^2 (generically dense).
+
+    It is the least-squares packet K x of the full support, whose operators
+    omp_packet would build (see _support_operators); build_horizon has
+    already refused a G without full column rank.
+    """
     t0 = perf_counter()
-    x = np.asarray(x, dtype=float)
-    try:
-        coef, _ = _support_lsq(hm.G, slice(None), hm.H @ x)
-    except np.linalg.LinAlgError as exc:
-        raise DesignInfeasibleError("G'G is singular") from exc
-    return _finish(coef, 1, t0)
+    K = _support_operators(hm, (1 << hm.N) - 1)[2]
+    return _finish(K.dot(np.asarray(x, dtype=float)), 1, t0)
 
 
 def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
-    """Tikhonov-regularized packet (nu2 I + G'G)^-1 G'H x."""
+    """Tikhonov-regularized packet (nu2 I + G'G)^-1 G'H x.
+
+    The packet is K x with the N x n gain K = (nu2 I + G'G)^-1 G'H, built
+    by the first solve for this nu2 and kept read-only in hm._l2_gains; a
+    failed build keeps nothing.
+    """
     if not (nu2 > 0.0):
         raise ConfigError(f"nu2 must be positive, got {nu2}")
     t0 = perf_counter()
-    x = np.asarray(x, dtype=float)
-    try:
-        u = np.linalg.solve(nu2 * np.eye(hm.N) + hm.GtG, hm.GtH @ x)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailureError(f"nu2 I + G'G solve failed: {exc}") from exc
-    return _finish(u, 1, t0)
+    K = hm._l2_gains.get(nu2)
+    if K is None:
+        try:
+            K = np.linalg.solve(nu2 * np.eye(hm.N) + hm.GtG, hm.GtH)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"nu2 I + G'G solve failed: {exc}") from exc
+        K.setflags(write=False)
+        hm._l2_gains[nu2] = K
+    return _finish(K.dot(np.asarray(x, dtype=float)), 1, t0)
 
 
 def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float) -> ControlPacket:

@@ -20,11 +20,13 @@ class HorizonMatrices:
     """Prediction operators for one (plant, Q, P, N) combination.
 
     GtG, GtH and col_norm_sq are cached products the packet solvers read
-    at every solve. _omp_support_ops is omp_packet's cache of per-support
-    operators (see controllers._support_operators): it starts empty, gains
-    at most one read-only entry per distinct support a solve visits (at
-    most 2^N), and dataclasses.replace starts a new, empty one. None of
-    these carries information beyond G and H.
+    at every solve. Two caches start empty and fill as solves need them,
+    each entry read-only: _omp_support_ops holds the per-support operators
+    of omp_packet and least_squares_packet (see
+    controllers._support_operators), at most one per support (2^N), and
+    _l2_gains the gain of l2_packet per nu2 (see controllers.l2_packet).
+    dataclasses.replace starts both anew, empty. None of these carries
+    information beyond G, H and nu2.
     """
 
     N: int
@@ -38,6 +40,7 @@ class HorizonMatrices:
     col_norm_sq: np.ndarray
     _omp_support_ops: dict = field(default_factory=dict, init=False,
                                    compare=False, repr=False)
+    _l2_gains: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> HorizonMatrices:

@@ -38,6 +38,10 @@ NS_MAIN = 0
 NS_TRAIN = 1
 NS_TEST = 2
 
+# Largest value of a signed 64-bit integer, the bound of every int setting.
+INT64_MAX = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Fully resolved experiment description (JSON-compatible fields)."""
@@ -65,10 +69,12 @@ class SimConfig:
             if f.type is float and not finite_real(value) or f.type is int and (
                     isinstance(value, bool) or not isinstance(value, Integral)):
                 raise ConfigError(f"{f.name} must be a finite {f.type.__name__}, got {value!r}")
+        # every int field, each bounded below and by INT64_MAX
         for name, low in (("N", 1), ("steps", 1), ("trials", 1), ("train_trials", 1),
                           ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            if not low <= getattr(self, name) <= INT64_MAX:
+                raise ConfigError(f"{name} must be in [{low}, {INT64_MAX}], "
+                                  f"got {getattr(self, name)}")
         if not (self.nu1 > 0 and self.nu2 > 0):
             raise ConfigError(f"nu1 and nu2 must be positive, got {self.nu1}, {self.nu2}")
         if self.controller not in CONTROLLERS:
@@ -264,7 +270,7 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
         pkt = controller(x)
         u, buf = actuate(buf, int(trace.d[k]), incoming=pkt)
         states[k] = x
-        norms[k] = np.linalg.norm(x)
+        norms[k] = math.sqrt(x.dot(x))
         u_applied[k] = u
         packets[k] = pkt.u
         sparsity[k] = pkt.sparsity

@@ -6,6 +6,7 @@ solve instead of fixed-point iteration for the Riccati equation, explicit
 matrix powers instead of incremental assembly, power iteration instead of
 eigh, a stateless trace interpreter instead of the buffer walk, a
 per-pick QR refactorization instead of the incremental Gram-Schmidt OMP,
+a per-state linear solve instead of the cached l2 and least-squares gains,
 the lasso optimality (KKT) conditions, checked column by column,
 instead of the homotopy path, and an explicit Huffman tree walked for
 its codewords instead of counting merges per symbol, a delivery-by-delivery
@@ -166,6 +167,18 @@ def omp_reference(hm, W, x):
         u[support] = coef
         r = Hx - Gs @ coef
     return u, support
+
+
+def l2_reference(hm, x, nu2) -> np.ndarray:
+    """Tikhonov packet by one solve of (nu2 I + G'G) u = G'H x for this x."""
+    x = np.asarray(x, dtype=float)
+    return np.linalg.solve(nu2 * np.eye(hm.N) + hm.G.T @ hm.G, hm.G.T @ hm.H @ x)
+
+
+def least_squares_reference(hm, x) -> np.ndarray:
+    """Least-squares packet from a QR of the whole G: solve R u = Q'(H x)."""
+    Qf, Rf = np.linalg.qr(hm.G)
+    return np.linalg.solve(Rf, Qf.T @ (hm.H @ np.asarray(x, dtype=float)))
 
 
 def lasso_kkt_violation(hm, x, u, nu1) -> float:

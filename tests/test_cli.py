@@ -229,6 +229,23 @@ def test_validation_exit_code(tmp_path):
         out = tmp_path / f"inf_out{i}"
         assert main(cmd + ["--config", str(cfg), "--out-dir", str(out)]) == 2, entry
         assert not out.exists()
+    # an int setting past the signed 64-bit range exits 2 before any array
+    # of that size is made, from the file or from a flag. trials has the
+    # same bound (test_config_validation); no case here would loop over
+    # 2^63 trials if that bound broke
+    for i, (doc, flags) in enumerate((({"steps": 10**30}, []), ({"N": 10**30}, []),
+                                      ({"seed": 2**63}, []), ({"train_trials": 10**30}, []),
+                                      ({}, ["--seed", str(2**63)]),
+                                      ({}, ["--steps", str(10**30)]))):
+        cfg = _write(tmp_path / f"int{i}.json", {**run, **doc})
+        out = tmp_path / f"int_out{i}"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out), *flags]) == 2, doc
+        assert not out.exists()
+    # past 4300 digits Python's json cannot read an integer at all
+    cfg = tmp_path / "long_int.json"
+    cfg.write_text('{"steps": 1' + "0" * 5000 + "}")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "lo")]) == 2
+    assert not (tmp_path / "lo").exists()
     cfg = _write(tmp_path / "sweep.json", run)
     for grid in ("1e2,-1", "1e2,abc", "inf", "1e2,,1e3"):
         assert main(["sweep", "--config", cfg, "--family", "l2", "--grid", grid,

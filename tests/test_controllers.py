@@ -10,7 +10,8 @@ from sparseppc.controllers import FEASIBILITY_SLACK, ORACLE_CAP, _support_lsq
 from sparseppc.errors import ConfigError, SolverFailureError
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
-from .oracles import lasso_kkt_violation, omp_reference
+from .oracles import (l2_reference, lasso_kkt_violation, least_squares_reference,
+                      omp_reference)
 
 W_SCALE_HUGE = 1e6
 
@@ -222,6 +223,80 @@ def test_l2_singular_system_raises_solver_failure(cessna_horizon, rng):
     hm = replace(cessna_horizon, GtG=-np.eye(10))
     with pytest.raises(SolverFailureError):
         sp.l2_packet(hm, rng.standard_normal(4), 1.0)
+    assert hm._l2_gains == {}   # a failed build keeps nothing
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.floats(-6.0, 3.0), t=st.floats(-6.0, 6.0))
+def test_l2_packet_matches_the_per_state_solve(cessna_horizon, seed, s, t):
+    # The gain's K x and a per-state solve both solve A u = G'H x, with
+    # A = nu2 I + G'G, stably: their difference d has ||A d|| within 1e-12
+    # of ||A|| ||u||. d itself can be cond(A) times larger (cond(A) is about
+    # 3e5 for nu2 <= 1), so ||d|| / ||u|| reaches 8.7e-11 at nu2 = 0.1.
+    hm, nu2 = cessna_horizon, 10.0**t
+    x = np.random.default_rng(seed).standard_normal(4) * 10.0**s
+    got, want = sp.l2_packet(hm, x, nu2).u, l2_reference(hm, x, nu2)
+    A = nu2 * np.eye(hm.N) + hm.GtG
+    assert (np.linalg.norm(A @ (got - want))
+            <= 1e-12 * np.linalg.norm(A, 2) * np.linalg.norm(want))
+
+
+def test_l2_gains_are_kept_per_nu2(cessna_horizon, rng):
+    hm = replace(cessna_horizon)
+    assert hm._l2_gains == {}
+    x = rng.standard_normal(4)
+    packets = {nu2: sp.l2_packet(hm, x, nu2).u for nu2 in (1.0, 3.1e2)}
+    assert set(hm._l2_gains) == {1.0, 3.1e2}
+    assert not np.allclose(packets[1.0], packets[3.1e2])
+    for nu2, u in packets.items():
+        # the same as on a horizon that has never seen the other nu2
+        assert np.array_equal(sp.l2_packet(replace(cessna_horizon), x, nu2).u, u)
+        assert np.array_equal(sp.l2_packet(hm, x, nu2).u, u)
+    assert not any(K.flags.writeable for K in hm._l2_gains.values())
+    assert replace(hm)._l2_gains == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.floats(-6.0, 3.0))
+def test_least_squares_packet_matches_the_full_qr(cessna_horizon, seed, s):
+    hm = cessna_horizon
+    x = np.random.default_rng(seed).standard_normal(4) * 10.0**s
+    got, want = sp.least_squares_packet(hm, x).u, least_squares_reference(hm, x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_least_squares_packet_is_the_full_support_operator(cessna_horizon, rng):
+    hm = replace(cessna_horizon)
+    x = rng.standard_normal(4)
+    u = sp.least_squares_packet(hm, x).u
+    assert set(hm._omp_support_ops) == {(1 << hm.N) - 1}
+    assert np.array_equal(u, hm._omp_support_ops[(1 << hm.N) - 1][2].dot(x))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda hm, W, x: sp.omp_packet(hm, W, x),
+    lambda hm, W, x: sp.l2_packet(hm, x, 3.1e2),
+    lambda hm, W, x: sp.least_squares_packet(hm, x),
+    lambda hm, W, x: sp.l1l2_packet(hm, x, 5.3),
+], ids=["omp", "l2", "least_squares", "l1l2"])
+def test_packets_are_read_only_and_share_no_memory(cessna_design, cessna_horizon, rng,
+                                                    solve):
+    # the packet is frozen in place, so it must be an array of its own: not
+    # a view of a cached operator or gain, nor of the packet before it
+    hm = replace(cessna_horizon)
+    x = rng.standard_normal(4)
+    before = None
+    for _ in range(5):
+        pkt = solve(hm, cessna_design.W, x)
+        assert not pkt.u.flags.writeable
+        cached = [a for entry in hm._omp_support_ops.values() for a in entry]
+        cached += list(hm._l2_gains.values())
+        cached += [hm.G, hm.H, hm.GtG, hm.GtH, hm.col_norm_sq]
+        if before is not None:
+            cached.append(before.u)
+        assert not any(np.shares_memory(pkt.u, a) for a in cached)
+        before = pkt
+        x = 0.5 * x + rng.standard_normal(4)
 
 
 def test_exhaustive_zero_state_and_cap(cessna, cessna_design, cessna_horizon):

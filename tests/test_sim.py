@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,9 +46,17 @@ def test_config_validation():
                 {"noise": {"kind": "gaussian", "sigm": 0.1}},
                 {"x0": [1, "a", 0, 0]}, {"x0": [[1.0], [2.0, 3.0]]}, {"x0": "bogus"},
                 {"nu2": 10**400}, {"seed": -1}, {"Q": [[1.0, 0.0], [0.0, -1.0]]},
-                {"Q": [[1.0, 0.5], [0.0, 1.0]]}):
+                {"Q": [[1.0, 0.5], [0.0, 1.0]]}, {"steps": 10**30}, {"N": 10**30}):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
+    # every int field holds exactly the signed 64-bit range above its floor;
+    # these configs are only built, never run
+    ints = [f.name for f in fields(SimConfig) if f.type is int]
+    assert ints == ["N", "steps", "trials", "train_trials", "seed"]
+    for name in ints:
+        assert getattr(SimConfig(**{name: 2**63 - 1}), name) == 2**63 - 1
+        with pytest.raises(ConfigError, match=f"{name} must be in"):
+            SimConfig(**{name: 2**63})
     # plant and dropout entries are checked when the setup is built, before
     # any design or trial work
     for bad in ({"plant": {"A": "x", "B": [1]}},
@@ -232,6 +240,26 @@ def test_trial_alone_equals_its_row_in_a_monte_carlo():
         assert np.array_equal(res.states, row.states)
         assert np.array_equal(res.packets, row.packets)
         assert np.array_equal(res.sparsity, row.sparsity)
+
+
+@pytest.mark.parametrize("controller", ["l2", "omp"])
+def test_trial_bits_do_not_depend_on_cache_warmth(controller):
+    # trial 13 alone on a fresh setup, whose horizon caches start empty,
+    # against the same trial inside a 20-trial run on a setup that other
+    # states have already filled
+    cfg = SimConfig(controller=controller, trials=20, steps=100, seed=5)
+    warm = build_setup(cfg)
+    monte_carlo(replace(cfg, seed=6, trials=5), setup=warm)
+    assert warm.hm._l2_gains or warm.hm._omp_support_ops
+    row = monte_carlo(cfg, setup=warm).results[13]
+    setup = build_setup(cfg)
+    rng_x0, rng_trace, rng_noise = trial_streams(cfg.seed, NS_MAIN, 13)
+    trace = sp.generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
+    alone = run_trial(setup, trace, draw_x0(cfg, 4, rng_x0), noise_rng=rng_noise, trial=13)
+    alone.violations = lyapunov_audit(alone, setup.design).total
+    for f in fields(alone):
+        if f.name != "solve_seconds":   # wall time, the one field allowed to differ
+            assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), f.name
 
 
 def test_monte_carlo_reproducible_and_paired(tmp_path):
