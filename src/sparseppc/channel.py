@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolViolationError, TraceValidationError
 from .controllers import ControlPacket
-from .linalg import finite_real, number_array
+from .linalg import finite_real, number_array, shown
 
 _KINDS = ("iid", "markov", "scripted")
 
@@ -35,19 +35,17 @@ class DropoutModel:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ConfigError(f"dropout kind must be one of {_KINDS}, got {self.kind!r}")
+            raise ConfigError(f"dropout kind must be one of {_KINDS}, got {shown(self.kind)}")
         if self.N < 1:
-            raise ConfigError(f"packet length N must be >= 1, got {self.N}")
+            raise ConfigError(f"packet length N must be >= 1, got {shown(self.N)}")
         for name in ("p_drop", "p_dd", "p_dg"):
             p = getattr(self, name)
             if not (finite_real(p) and 0.0 <= p <= 1.0):
-                raise ConfigError(f"{name} must be a number in [0, 1], got {p!r}")
+                raise ConfigError(f"{name} must be a number in [0, 1], got {shown(p)}")
         if self.kind == "scripted":
             if self.script is None:
                 raise ConfigError("scripted dropout model requires a script")
             bits = number_array(self.script, "dropout script", kinds="iu")
-            if bits.ndim != 1:
-                raise ConfigError(f"dropout script must be a list of bits, got {self.script!r}")
             ChannelTrace(d=bits, N=self.N)
             object.__setattr__(self, "script", tuple(int(b) for b in bits))
 
@@ -90,8 +88,7 @@ class ChannelTrace:
 
     def gaps(self) -> np.ndarray:
         """Dropout counts m_i = k_(i+1) - k_i - 1 between consecutive deliveries."""
-        k = self.delivery_instants()
-        return np.diff(k) - 1
+        return np.diff(self.delivery_instants()) - 1
 
 
 def _max_run(d: np.ndarray) -> int:
@@ -110,7 +107,7 @@ def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:
     rng; a scripted model replays its first T bits and ignores rng.
     """
     if T < 1:
-        raise ConfigError(f"trace length must be >= 1, got {T}")
+        raise ConfigError(f"trace length must be >= 1, got {shown(T)}")
     if model.kind == "scripted":
         if len(model.script) < T:
             raise TraceValidationError(
@@ -158,17 +155,14 @@ def actuate(buf, d_k: int, incoming: ControlPacket = None):
     Delivery (d_k = 0) overwrites the buffer with the incoming packet and
     applies its first element. A loss advances the read index and applies
     the next stored element; running past N - 1 consumed elements means the
-    trace violated its bound.
+    trace violated its bound, which BufferState refuses.
     """
     if d_k == 0:
         if incoming is None:
             raise ConfigError("delivery step requires the incoming packet")
         new = BufferState(packet=incoming.u, age=0)
-        return float(new.packet[0]), new
-    if buf is None:
+    elif buf is None:
         raise ProtocolViolationError("dropout before any packet was delivered")
-    age = buf.age + 1
-    if age >= buf.packet.size:
-        raise ProtocolViolationError(
-            f"buffer exhausted: {age} consecutive losses with packet length {buf.packet.size}")
-    return float(buf.packet[age]), BufferState(packet=buf.packet, age=age)
+    else:
+        new = BufferState(packet=buf.packet, age=buf.age + 1)
+    return float(new.packet[new.age]), new

@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .design import design_from_dict, design_to_dict
 from .errors import ConfigError, SparsePpcError
+from .linalg import shown
 from .sim import (CONTROLLERS, MonteCarloReport, bitrate_experiment,
                   build_setup, config_from_dict, monte_carlo, packet_columns,
                   rate_columns, resolved_config, summary_columns,
@@ -140,7 +141,7 @@ def _cmd_sweep(args) -> int:
         try:
             grid = [float(g) for g in args.grid.split(",")]
         except ValueError:
-            raise ConfigError(f"--grid must list numbers, got {args.grid!r}") from None
+            raise ConfigError(f"--grid must list numbers, got {shown(args.grid)}") from None
     if family is None or not grid:
         raise ConfigError("sweep requires a controller family and a nu grid")
     cfg = config_from_dict(doc, **_config_overrides(args))

@@ -1,12 +1,13 @@
 """Uniform scalar quantization plus per-position canonical Huffman coding.
 
-Two packet schemes are supported. dense: every one of the N positions is
-entropy-coded. sparse: the first N/2 positions are coded unconditionally,
-the second half is signaled by an N/2-bit presence bitmap followed by codes
-for the flagged (nonzero-index) positions only. Indices never seen in
-training are carried by an escape codeword followed by a 32-bit raw index,
-so every in-range packet round-trips exactly. A position's code is its
-table of code lengths; the codewords follow from it canonically.
+Both packet schemes share one layout: a head of leading positions is coded
+unconditionally, the rest by a presence bitmap followed by codes for the
+flagged (nonzero-index) positions only. A scheme fixes only the head: all
+N positions for dense (an empty bitmap), the first N/2 for sparse. Indices
+never seen in training are carried by an escape codeword followed by a
+32-bit raw index, so every in-range packet round-trips exactly. A
+position's code is its table of code lengths; the codewords follow from it
+canonically.
 """
 
 import heapq
@@ -24,6 +25,11 @@ ESCAPE_RAW_BITS = 32
 _INDEX_LIMIT = 2**31 - 1
 
 _SCHEMES = ("sparse", "dense")
+
+
+def _head(scheme: str, N: int) -> int:
+    """How many leading positions a scheme codes unconditionally."""
+    return N if scheme == "dense" else N // 2
 
 
 @dataclass(frozen=True)
@@ -173,18 +179,19 @@ def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
     """Fit per-position Huffman code lengths to quantized packets.
 
     samples is an iterable of integer index vectors of a common length N.
-    For the sparse scheme, positions >= N/2 are trained on their nonzero
-    indices only (zeros travel in the bitmap). Every position gets an
-    escape symbol with pseudo-count 1 so unseen indices stay encodable.
+    Positions past the scheme's head are trained on their nonzero indices
+    only (zeros travel in the bitmap). Every position gets an escape symbol
+    with pseudo-count 1 so unseen indices stay encodable.
     """
     mat = np.asarray(list(samples), dtype=np.int64)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise CodecTrainingError("training requires at least one packet")
     N = mat.shape[1]
+    head = _head(scheme, N)
     coders = []
     for p in range(N):
         col = mat[:, p]
-        if scheme == "sparse" and p >= N // 2:
+        if p >= head:
             col = col[col != 0]
         freqs = {int(s): int(c) for s, c in Counter(col.tolist()).items()}
         freqs[ESCAPE] = 1
@@ -197,15 +204,12 @@ def encode(codec: PacketCodec, indices: np.ndarray) -> EncodedPacket:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.shape != (codec.N,):
         raise ConfigError(f"packet must have shape ({codec.N},), got {idx.shape}")
-    if codec.scheme == "dense":
-        return EncodedPacket(bits="".join(codec.coders[p].encode_index(idx[p])
-                                          for p in range(codec.N)))
-    half = codec.N // 2
-    head = "".join(codec.coders[p].encode_index(idx[p]) for p in range(half))
-    bitmap = "".join("1" if idx[p] != 0 else "0" for p in range(half, codec.N))
-    tail = "".join(codec.coders[p].encode_index(idx[p])
-                   for p in range(half, codec.N) if idx[p] != 0)
-    return EncodedPacket(bits=head + bitmap + tail)
+    head = _head(codec.scheme, codec.N)
+    tail = range(head, codec.N)
+    coded = "".join(codec.coders[p].encode_index(idx[p]) for p in range(head))
+    bitmap = "".join("1" if idx[p] != 0 else "0" for p in tail)
+    flagged = "".join(codec.coders[p].encode_index(idx[p]) for p in tail if idx[p] != 0)
+    return EncodedPacket(bits=coded + bitmap + flagged)
 
 
 def _read_symbol(coder: PositionCoder, bits: str, pos: int):
@@ -237,20 +241,17 @@ def decode(codec: PacketCodec, enc: EncodedPacket) -> np.ndarray:
     bits = enc.bits
     idx = np.zeros(codec.N, dtype=np.int64)
     pos = 0
-    if codec.scheme == "dense":
-        for p in range(codec.N):
+    head = _head(codec.scheme, codec.N)
+    for p in range(head):
+        idx[p], pos = _read_symbol(codec.coders[p], bits, pos)
+    width = codec.N - head
+    if pos + width > len(bits):
+        raise DecodeError("bitmap runs past the end", bit_offset=pos)
+    bitmap = bits[pos:pos + width]
+    pos += width
+    for p, flag in zip(range(head, codec.N), bitmap):
+        if flag == "1":
             idx[p], pos = _read_symbol(codec.coders[p], bits, pos)
-    else:
-        half = codec.N // 2
-        for p in range(half):
-            idx[p], pos = _read_symbol(codec.coders[p], bits, pos)
-        if pos + half > len(bits):
-            raise DecodeError("bitmap runs past the end", bit_offset=pos)
-        bitmap = bits[pos:pos + half]
-        pos += half
-        for p, flag in zip(range(half, codec.N), bitmap):
-            if flag == "1":
-                idx[p], pos = _read_symbol(codec.coders[p], bits, pos)
     if pos != len(bits):
         raise DecodeError(f"{len(bits) - pos} unread bits after the last symbol",
                           bit_offset=pos)

@@ -9,12 +9,11 @@ packet ends a finite lasso homotopy, so no solver has a tolerance.
 
 from dataclasses import dataclass
 from itertools import combinations
-from time import perf_counter
 
 import numpy as np
 
 from .errors import ConfigError, FeasibilityError, SolverFailureError
-from .horizon import HorizonMatrices
+from .horizon import HorizonMatrices, cost_quadratic
 from .plant import _frozen
 
 # Feasibility comparisons inflate the budget by this relative slack so that
@@ -27,22 +26,24 @@ ORACLE_CAP = 12
 
 @dataclass(frozen=True)
 class ControlPacket:
-    """A tentative-input packet plus solve metadata.
+    """A tentative-input packet and the solver's iteration count.
 
-    sparsity counts exact nonzeros: every solver produces structural zeros
-    off its support. converged is always True, since every solver is exact
-    or raises. u is made read-only in place, not copied: a solver hands
-    over a fresh float array that nothing else holds.
+    u is made read-only in place, not copied: a solver hands over a fresh
+    float array that nothing else holds. converged is a constant, not a
+    field: every solver is exact or raises.
     """
 
     u: np.ndarray
-    sparsity: int
     solver_iters: int
-    solve_seconds: float
-    converged: bool = True
+    converged = True
 
     def __post_init__(self):
         self.u.setflags(write=False)
+
+    @property
+    def sparsity(self) -> int:
+        """Exact nonzeros of u; every solver leaves structural zeros off its support."""
+        return int(np.count_nonzero(self.u))
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,6 @@ class FeasibilityCertificate:
     residual_sq: float
     budget: float
     feasible: bool
-
-
-def _finish(u: np.ndarray, iters: int, t0: float) -> ControlPacket:
-    return ControlPacket(u=u, sparsity=int(np.count_nonzero(u)),
-                         solver_iters=iters, solve_seconds=perf_counter() - t0)
 
 
 def budget_for(W: np.ndarray, x: np.ndarray) -> float:
@@ -66,8 +62,7 @@ def check_feasible(hm: HorizonMatrices, W: np.ndarray, u: np.ndarray,
                    x: np.ndarray) -> FeasibilityCertificate:
     """Certificate that u meets the quadratic budget for state x."""
     x = np.asarray(x, dtype=float)
-    r = hm.G @ np.asarray(u, dtype=float) - hm.H @ x
-    residual_sq = float(r @ r)
+    residual_sq = cost_quadratic(hm, u, x)
     budget = budget_for(W, x)
     feasible = residual_sq <= budget + FEASIBILITY_SLACK * max(1.0, budget)
     return FeasibilityCertificate(residual_sq=residual_sq, budget=budget, feasible=feasible)
@@ -132,7 +127,6 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPack
     design procedure the full-support residual is strictly below the
     budget, so the loop terminates for every x.
     """
-    t0 = perf_counter()
     x = np.asarray(x, dtype=float)
     budget = budget_for(W, x)
     mask = 0
@@ -149,7 +143,7 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPack
         j = int(score.argmax())
         mask |= 1 << j
         C, M, K, cols = _support_operators(hm, mask, j)
-    return _finish(K.dot(x), cols.size, t0)
+    return ControlPacket(K.dot(x), cols.size)
 
 
 def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:
@@ -164,7 +158,6 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> C
     if hm.N > ORACLE_CAP:
         raise ConfigError(
             f"exhaustive search refused for N = {hm.N} > cap {ORACLE_CAP}")
-    t0 = perf_counter()
     x = np.asarray(x, dtype=float)
     budget = budget_for(W, x)
     slack = FEASIBILITY_SLACK * max(1.0, budget)
@@ -172,7 +165,7 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> C
     examined = 0
 
     if float(Hx @ Hx) <= budget + slack:
-        return _finish(np.zeros(hm.N), 0, t0)
+        return ControlPacket(np.zeros(hm.N), 0)
     for k in range(1, hm.N + 1):
         for support in combinations(range(hm.N), k):
             examined += 1
@@ -185,7 +178,7 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> C
             if float(r @ r) <= budget + slack:
                 u = np.zeros(hm.N)
                 u[list(support)] = coef
-                return _finish(u, examined, t0)
+                return ControlPacket(u, examined)
     raise FeasibilityError("no feasible support found up to full size",
                            residual_sq=None, budget=budget)
 
@@ -197,9 +190,8 @@ def least_squares_packet(hm: HorizonMatrices, x: np.ndarray) -> ControlPacket:
     omp_packet would build (see _support_operators); build_horizon has
     already refused a G without full column rank.
     """
-    t0 = perf_counter()
     K = _support_operators(hm, (1 << hm.N) - 1)[2]
-    return _finish(K.dot(np.asarray(x, dtype=float)), 1, t0)
+    return ControlPacket(K.dot(np.asarray(x, dtype=float)), 1)
 
 
 def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
@@ -211,7 +203,6 @@ def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
     """
     if not (nu2 > 0.0):
         raise ConfigError(f"nu2 must be positive, got {nu2}")
-    t0 = perf_counter()
     K = hm._l2_gains.get(nu2)
     if K is None:
         try:
@@ -220,7 +211,7 @@ def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
             raise SolverFailureError(f"nu2 I + G'G solve failed: {exc}") from exc
         K.setflags(write=False)
         hm._l2_gains[nu2] = K
-    return _finish(K.dot(np.asarray(x, dtype=float)), 1, t0)
+    return ControlPacket(K.dot(np.asarray(x, dtype=float)), 1)
 
 
 def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float) -> ControlPacket:
@@ -237,13 +228,12 @@ def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float) -> ControlPacket
     """
     if not (nu1 > 0.0):
         raise ConfigError(f"nu1 must be positive, got {nu1}")
-    t0 = perf_counter()
     x = np.asarray(x, dtype=float)
     N, G, K = hm.N, hm.G, hm.GtG
     b = hm.GtH @ x
     lam = lam0 = float(np.max(np.abs(b)))
     if not lam > nu1:
-        return _finish(np.zeros(N), 0, t0)
+        return ControlPacket(np.zeros(N), 0)
     Hx = hm.H @ x
     s = np.zeros(N)                 # signs on the active set, 0 off it
     j = int(np.argmax(np.abs(b)))
@@ -286,4 +276,4 @@ def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float) -> ControlPacket
     if not worst <= 1e-9 * lam0:   # also catches a NaN from an overflowed x
         raise SolverFailureError(f"lasso packet misses the KKT conditions by {worst:.3g}",
                                  residual=worst)
-    return _finish(u, iters, t0)
+    return ControlPacket(u, iters)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (ConfigError, DesignInfeasibleError, NumericError,
                      SolverFailureError)
 from .horizon import HorizonMatrices, build_horizon
-from .linalg import check_sym_pd, is_sym_pd, number_array, pencil_eigvals
+from .linalg import check_sym_pd, is_sym_pd, number_array, pencil_eigvals, shown
 from .plant import PlantModel, _frozen, require_reachable
 
 # A Riccati solution's residual may be at most this fraction of ||P||_F, and
@@ -141,7 +141,7 @@ def build_design(m: PlantModel, Q=None, N: int = 10, eta: float = 2.0 / 3.0,
     inside the stability cap; eta defaults to 2/3.
     """
     if not (0.0 < eta < 1.0):
-        raise ConfigError(f"eta must lie strictly inside (0, 1), got {eta}")
+        raise ConfigError(f"eta must lie strictly inside (0, 1), got {shown(eta)}")
     if Q is None:
         Q = np.eye(m.n)
     Q = check_sym_pd(np.asarray(Q, dtype=float), "Q")

@@ -74,8 +74,21 @@ def number_array(value, name: str, kinds: str = "iuf") -> np.ndarray:
     except ValueError:
         arr = None
     if arr is None or arr.dtype.kind not in kinds:
-        raise ConfigError(f"{name} must hold only numbers, got {value!r}")
+        raise ConfigError(f"{name} must hold only numbers, got {shown(value)}")
     return arr
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, cut after 60 characters.
+
+    An int past Python's 4300-digit str() limit, alone or nested, makes
+    repr raise; such a value is named by its type instead.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def finite_real(value) -> bool:

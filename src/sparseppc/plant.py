@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .linalg import expm, finite_real, number_array, numerical_rank
+from .linalg import expm, finite_real, number_array, numerical_rank, shown
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ def zoh_discretize(cp: ContinuousPlant, Ts: float) -> PlantModel:
     augmented block matrix [[Ac, Bc], [0, 0]] * Ts.
     """
     if not (finite_real(Ts) and Ts > 0):
-        raise ConfigError(f"sample time must be a finite positive number, got {Ts!r}")
+        raise ConfigError(f"sample time must be a finite positive number, got {shown(Ts)}")
     n = cp.n
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = cp.Ac
@@ -151,13 +151,13 @@ def resolve_plant(spec) -> PlantModel:
         try:
             spec = json.loads(spec)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"unknown plant preset or invalid JSON: {spec!r}") from exc
+            raise ConfigError(f"unknown plant preset or invalid JSON: {shown(spec)}") from exc
     if not isinstance(spec, dict):
         raise ConfigError(f"plant spec must be a preset name or mapping, got {type(spec).__name__}")
     if "preset" in spec:
         name = spec["preset"]
-        if name not in PRESETS:
-            raise ConfigError(f"unknown plant preset {name!r}")
+        if not isinstance(name, str) or name not in PRESETS:
+            raise ConfigError(f"unknown plant preset {shown(name)}")
         factory, default_ts = PRESETS[name]
         return zoh_discretize(factory(), spec.get("Ts", default_ts))
     if "A" in spec and "B" in spec:

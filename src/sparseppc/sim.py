@@ -16,6 +16,7 @@ reproducible in isolation and training/test phases never share entropy.
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral
+from time import perf_counter
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .design import RICCATI_RTOL, CostDesign, build_design
 from .errors import (ConfigError, NumericError, SparsePpcError,
                      TraceValidationError)
 from .horizon import HorizonMatrices, build_horizon
-from .linalg import finite_real, is_sym_pd, number_array
+from .linalg import finite_real, is_sym_pd, number_array, shown
 from .plant import PlantModel, resolve_plant
 
 CONTROLLERS = ("omp", "l1l2", "l2", "least_squares", "oracle")
@@ -68,36 +69,37 @@ class SimConfig:
             value = getattr(self, f.name)
             if f.type is float and not finite_real(value) or f.type is int and (
                     isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ConfigError(f"{f.name} must be a finite {f.type.__name__}, got {value!r}")
+                raise ConfigError(f"{f.name} must be a finite {f.type.__name__}, "
+                                  f"got {shown(value)}")
         # every int field, each bounded below and by INT64_MAX
         for name, low in (("N", 1), ("steps", 1), ("trials", 1), ("train_trials", 1),
                           ("seed", 0)):
             if not low <= getattr(self, name) <= INT64_MAX:
                 raise ConfigError(f"{name} must be in [{low}, {INT64_MAX}], "
-                                  f"got {getattr(self, name)}")
+                                  f"got {shown(getattr(self, name))}")
         if not (self.nu1 > 0 and self.nu2 > 0):
             raise ConfigError(f"nu1 and nu2 must be positive, got {self.nu1}, {self.nu2}")
         if self.controller not in CONTROLLERS:
-            raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
+            raise ConfigError(f"controller must be one of {CONTROLLERS}, got {shown(self.controller)}")
         if not isinstance(self.dropout, dict):
-            raise ConfigError(f"dropout must be a mapping, got {self.dropout!r}")
+            raise ConfigError(f"dropout must be a mapping, got {shown(self.dropout)}")
         if not (isinstance(self.x0, str) and self.x0 == "standard_normal"):
             number_array(self.x0, "x0 ('standard_normal' or a vector)")
         if not (isinstance(self.Q, str) and self.Q == "identity"):
             Q = number_array(self.Q, "Q").astype(float)
             if not (np.all(np.isfinite(Q)) and is_sym_pd(Q)):
                 raise ConfigError(f"Q must be 'identity' or a finite symmetric positive "
-                                  f"definite matrix, got {self.Q!r}")
+                                  f"definite matrix, got {shown(self.Q)}")
         if not (isinstance(self.noise, dict) and self.noise.get("kind") in ("none", "gaussian")):
             raise ConfigError(f"noise must be a mapping with kind 'none' or 'gaussian', "
-                              f"got {self.noise!r}")
+                              f"got {shown(self.noise)}")
         keys = {"kind", "sigma"} if self.noise["kind"] == "gaussian" else {"kind"}
         if not set(self.noise) <= keys:
             raise ConfigError(f"noise of kind {self.noise['kind']!r} takes only the keys "
-                              f"{sorted(keys)}, got {sorted(self.noise)}")
+                              f"{sorted(keys)}, got {shown(sorted(self.noise))}")
         sigma = self.sigma
         if not (finite_real(sigma) and sigma >= 0):
-            raise ConfigError(f"noise sigma must be a finite number >= 0, got {sigma!r}")
+            raise ConfigError(f"noise sigma must be a finite number >= 0, got {shown(sigma)}")
 
     @property
     def sigma(self):
@@ -114,7 +116,7 @@ def config_from_dict(doc: dict, **overrides) -> SimConfig:
     merged.update({k: v for k, v in overrides.items() if v is not None})
     unknown = set(merged) - _CONFIG_FIELDS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {shown(sorted(unknown))}")
     return SimConfig(**merged)
 
 
@@ -147,7 +149,7 @@ def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
     kind = drop.pop("kind", "markov")
     unknown = set(drop) - {"p_drop", "p_dd", "p_dg", "script"}
     if unknown:
-        raise ConfigError(f"unknown dropout keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown dropout keys: {shown(sorted(unknown))}")
     dropout = DropoutModel(kind=kind, N=cfg.N, **drop)
     _check_trials(cfg, model, dropout)
     Q = np.eye(model.n) if cfg.Q == "identity" else np.asarray(cfg.Q, dtype=float)
@@ -200,8 +202,7 @@ def make_controller(setup: SimSetup):
 def trial_streams(master_seed: int, namespace: int, trial: int):
     """Independent (x0, trace, noise) generators for one trial index."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(namespace, trial))
-    kids = ss.spawn(3)
-    return tuple(np.random.default_rng(k) for k in kids)
+    return tuple(np.random.default_rng(k) for k in ss.spawn(3))
 
 
 def draw_x0(cfg: SimConfig, n: int, rng) -> np.ndarray:
@@ -222,7 +223,7 @@ class TrialResult:
     u_applied: np.ndarray     # actuator output at k
     packets: np.ndarray       # (T, N) packet computed at k, delivered or not
     sparsity: np.ndarray      # nonzeros of the packet computed at k
-    solve_seconds: np.ndarray
+    solve_seconds: np.ndarray  # wall time of the solve at k
     overrides: int
     violations: int = None    # filled by the harness on noise-free runs
 
@@ -240,15 +241,15 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
     """Simulate one closed loop over the length of the trace.
 
     The packet is computed from x(k) at every k and recorded; only
-    delivered packets (d(k) = 0) reach the buffer. A state whose V(k) is
+    delivered packets (d(k) = 0) reach the buffer. Solves are timed here,
+    and nonzeros counted from the recorded packets. A state whose V(k) is
     not finite raises NumericError, which fails the trial.
     """
-    cfg = setup.cfg
     T = trace.T
     n = setup.model.n
     if controller is None:
         controller = make_controller(setup)
-    sigma = cfg.sigma
+    sigma = setup.cfg.sigma
     if sigma > 0 and noise_rng is None:
         raise ConfigError("gaussian noise requires a noise stream")
 
@@ -257,7 +258,6 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
     V = np.empty(T)
     u_applied = np.empty(T)
     packets = np.empty((T, setup.design.N))
-    sparsity = np.empty(T, dtype=np.int64)
     solve_seconds = np.empty(T)
 
     A, B, P = setup.model.A, setup.model.B, setup.design.P
@@ -267,20 +267,20 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
         V[k] = float(x @ P @ x)
         if not math.isfinite(V[k]):
             raise NumericError(f"state is not finite at step {k}: V = {V[k]}")
+        t0 = perf_counter()
         pkt = controller(x)
+        solve_seconds[k] = perf_counter() - t0
         u, buf = actuate(buf, int(trace.d[k]), incoming=pkt)
         states[k] = x
         norms[k] = math.sqrt(x.dot(x))
         u_applied[k] = u
         packets[k] = pkt.u
-        sparsity[k] = pkt.sparsity
-        solve_seconds[k] = pkt.solve_seconds
         v = noise_rng.normal(0.0, sigma, n) if sigma > 0 else 0.0
         x = A @ x + B * u + v
 
     return TrialResult(trial=trial, states=states, norms=norms, V=V,
                        d=np.array(trace.d, dtype=np.int8), u_applied=u_applied,
-                       packets=packets, sparsity=sparsity,
+                       packets=packets, sparsity=np.count_nonzero(packets, axis=1),
                        solve_seconds=solve_seconds, overrides=trace.overrides)
 
 
@@ -412,10 +412,10 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     """
     grid = number_array(grid, "sweep grid")
     if grid.ndim != 1 or grid.size == 0:
-        raise ConfigError(f"sweep grid must be a non-empty list, got {grid.tolist()!r}")
+        raise ConfigError(f"sweep grid must be a non-empty list, got {shown(grid.tolist())}")
     grid = grid.astype(float).tolist()
     if family not in ("l1l2", "l2"):
-        raise ConfigError(f"sweep family must be 'l1l2' or 'l2', got {family!r}")
+        raise ConfigError(f"sweep family must be 'l1l2' or 'l2', got {shown(family)}")
     key = "nu1" if family == "l1l2" else "nu2"
     subs = [replace(cfg, controller=family, **{key: nu}) for nu in grid]
     # nu does not enter the design, so every grid point shares one setup

@@ -228,8 +228,8 @@ def test_criterion_6_protocol_conformance(rng):
             trace_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
             T = int(rng.integers(1, 40))
         tr = sp.generate_trace(model, T, rng=trace_rng)
-        packets = [ControlPacket(u=rng.standard_normal(N), sparsity=N,
-                                 solver_iters=0, solve_seconds=0.0) for _ in range(T)]
+        packets = [ControlPacket(u=rng.standard_normal(N), solver_iters=0)
+                   for _ in range(T)]
         buf = None
         got = np.empty(T)
         for k in range(T):

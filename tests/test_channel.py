@@ -16,8 +16,7 @@ from .oracles import interpret_trace, markov_chain_stats
 
 def _packet(values):
     u = np.asarray(values, dtype=float)
-    return ControlPacket(u=u, sparsity=int(np.count_nonzero(u)),
-                         solver_iters=0, solve_seconds=0.0)
+    return ControlPacket(u=u, solver_iters=0)
 
 
 def test_no_drop_trace_is_all_deliveries():

@@ -193,6 +193,7 @@ def test_validation_exit_code(tmp_path):
         ({"dropout": {"kind": "iid", "p_drop": None}}, []),
         ({"dropout": {"kind": "scripted", "script": [0, "a"]}}, []),
         ({"dropout": {"kind": "scripted", "script": [0, 256, 0, 0, 0]}}, []),
+        ({"plant": {"preset": [1]}}, []),
     ]
     for i, (doc, extra) in enumerate(cases):
         cfg = _write(tmp_path / f"bad{i}.json", {**run, **doc})
@@ -262,6 +263,20 @@ def test_validation_exit_code(tmp_path):
         path = _write(tmp_path / f"design{i}.json", {**design, **field})
         assert main(["simulate", "--config", cfg, "--design", path,
                      "--out-dir", str(tmp_path / f"do{i}")]) == 2, field
+
+
+def test_config_errors_print_a_bounded_value(tmp_path, capsys):
+    # the offending value is echoed only in part: a 4000-digit steps and an
+    # x0 of 100 000 numbers and one string each take a short line on stderr
+    for i, text in enumerate(('{"steps": 1' + "0" * 3999 + "}",
+                              json.dumps({"x0": [0.5] * 100_000 + ["a"]}))):
+        cfg = tmp_path / f"c{i}.json"
+        cfg.write_text(text)
+        out = tmp_path / f"o{i}"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 300, err[:400]
+        assert not out.exists()
 
 
 def test_solver_failure_exit_code(tmp_path):

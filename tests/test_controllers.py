@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseppc as sp
-from sparseppc.controllers import FEASIBILITY_SLACK, ORACLE_CAP, _support_lsq
+from sparseppc.controllers import FEASIBILITY_SLACK, ORACLE_CAP, ControlPacket, _support_lsq
 from sparseppc.errors import ConfigError, SolverFailureError
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
@@ -472,3 +472,14 @@ def test_packet_sparsity_counts_exact_zeros(cessna_design, cessna_horizon, rng):
     x = rng.standard_normal(4)
     pkt = sp.omp_packet(hm, d.W, x)
     assert pkt.sparsity == int(np.count_nonzero(pkt.u))
+    # -0.0 is an exact zero; NaN is not
+    assert ControlPacket(np.array([0.0, -0.0, np.nan, 1e-300]), solver_iters=0).sparsity == 2
+
+
+def test_packet_holds_only_its_inputs_and_iteration_count():
+    assert [f.name for f in fields(ControlPacket)] == ["u", "solver_iters"]
+    pkt = ControlPacket(np.zeros(3), solver_iters=4)
+    assert pkt.converged is True and ControlPacket.converged is True
+    for extra in ({"converged": False}, {"sparsity": 0}, {"solve_seconds": 0.0}):
+        with pytest.raises(TypeError):
+            ControlPacket(np.zeros(3), solver_iters=4, **extra)

@@ -78,6 +78,39 @@ def test_config_validation():
     assert cfg.trials == 7 and cfg.seed == 99
 
 
+def test_config_errors_show_a_bounded_value():
+    # a message echoes at most a short prefix of the offending value, and an
+    # int past Python's 4300-digit str() limit still gives a ConfigError
+    from sparseppc.channel import DropoutModel
+    from sparseppc.linalg import shown
+    from sparseppc.plant import ContinuousPlant
+
+    huge = 10**5000
+    long = [0.5] * 10_000
+    cases = [lambda: SimConfig(steps=huge), lambda: SimConfig(steps=10**4000),
+             lambda: SimConfig(seed=-huge), lambda: SimConfig(nu1=huge),
+             lambda: SimConfig(x0=[huge, 0, 0, 0]), lambda: SimConfig(x0=long + ["a"]),
+             lambda: SimConfig(Q=[[huge]]), lambda: SimConfig(controller="x" * 10_000),
+             lambda: SimConfig(noise={"kind": "gaussian", "sigma": huge}),
+             lambda: SimConfig(dropout=long),
+             lambda: config_from_dict({"k" * 10_000: 1}),
+             lambda: DropoutModel(kind="markov", N=10, p_dd=huge),
+             lambda: DropoutModel(kind="scripted", N=3, script=[long]),
+             lambda: sp.zoh_discretize(ContinuousPlant(Ac=[[0.0]], Bc=[1.0]), huge),
+             lambda: sp.resolve_plant("x" * 10_000),
+             lambda: sp.resolve_plant({"preset": [1]}),
+             lambda: sweep_regularization(SimConfig(), "l2", [long]),
+             lambda: sweep_regularization(SimConfig(), "l2", [huge])]
+    for i, case in enumerate(cases):
+        with pytest.raises(ConfigError) as exc_info:
+            case()
+        assert len(str(exc_info.value)) < 200, (i, str(exc_info.value)[:300])
+    assert shown(huge) == "<int too long to print>"
+    assert shown([1, huge]) == "<list too long to print>"
+    assert shown("abc") == "'abc'" and shown(2.5) == "2.5"
+    assert shown(10**99) == "1" + "0" * 59 + "... (100 characters)"
+
+
 # Config errors that no single field shows: each one names a shape, length
 # or cap that only the plant, the dropout script or the controller fixes.
 CROSS_FIELD_ERRORS = (
@@ -361,11 +394,21 @@ def test_monte_carlo_config_error_ends_the_run(monkeypatch):
 
 
 def test_controller_dispatch():
-    setup = _setup(trials=1, steps=5)
+    # each controller maps the zero state to the zero packet; on a short run
+    # the loop times every solve and counts nonzeros from the packets it
+    # records, and a re-solve of each recorded state gives the same packet
+    setup = _setup(trials=1, steps=12, seed=23)
     for name in CONTROLLERS:
-        fn = make_controller(replace(setup, cfg=replace(setup.cfg, controller=name)))
-        pkt = fn(np.zeros(4))
-        assert pkt.sparsity == 0
+        cfg = replace(setup.cfg, controller=name)
+        fn = make_controller(replace(setup, cfg=cfg))
+        assert fn(np.zeros(4)).sparsity == 0
+        res = monte_carlo(cfg, setup=setup).results[0]
+        for k, x in enumerate(res.states):
+            pkt = fn(x)
+            assert res.sparsity[k] == pkt.sparsity, (name, k)
+            assert np.array_equal(res.packets[k], pkt.u), (name, k)
+        assert res.sparsity.dtype == np.int64
+        assert np.all(np.isfinite(res.solve_seconds)) and np.all(res.solve_seconds >= 0.0)
 
 
 def test_run_config_picks_controller_over_setup_config():
