@@ -13,7 +13,8 @@ from .errors import ConfigError, ProtocolViolationError, TraceValidationError
 from .controllers import ControlPacket
 from .linalg import finite_real, number_array, shown
 
-_KINDS = ("iid", "markov", "scripted")
+# Each dropout kind and the DropoutModel fields it reads.
+DROPOUT_KEYS = {"iid": {"p_drop"}, "markov": {"p_dd", "p_dg"}, "scripted": {"script"}}
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,9 @@ class DropoutModel:
     script: tuple = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"dropout kind must be one of {_KINDS}, got {shown(self.kind)}")
+        if not (isinstance(self.kind, str) and self.kind in DROPOUT_KEYS):
+            raise ConfigError(f"dropout kind must be one of {tuple(DROPOUT_KEYS)}, "
+                              f"got {shown(self.kind)}")
         if self.N < 1:
             raise ConfigError(f"packet length N must be >= 1, got {shown(self.N)}")
         for name in ("p_drop", "p_dd", "p_dg"):

@@ -135,11 +135,17 @@ def cessna500() -> ContinuousPlant:
 
 PRESETS = {"cessna500": (cessna500, 0.5)}
 
+# Each mapping form of a plant, by the key that marks it: (the keys it
+# requires, every key it takes).
+PLANT_FORMS = {"preset": ({"preset"}, {"preset", "Ts"}),
+               "A": ({"A", "B"}, {"A", "B"}),
+               "Ac": ({"Ac", "Bc", "Ts"}, {"Ac", "Bc", "Ts"})}
+
 
 def resolve_plant(spec) -> PlantModel:
     """Build a PlantModel from a preset name, JSON text, or a plain dict.
 
-    Accepted document forms:
+    Accepted document forms, each taking exactly its own keys:
       {"A": [[...]], "B": [...]}                 already discrete
       {"Ac": [[...]], "Bc": [...], "Ts": 0.5}    continuous + sample time
       {"preset": "cessna500", "Ts": 0.5}         preset, Ts optional
@@ -154,16 +160,24 @@ def resolve_plant(spec) -> PlantModel:
             raise ConfigError(f"unknown plant preset or invalid JSON: {shown(spec)}") from exc
     if not isinstance(spec, dict):
         raise ConfigError(f"plant spec must be a preset name or mapping, got {type(spec).__name__}")
-    if "preset" in spec:
+    form = next((key for key in PLANT_FORMS if key in spec), None)
+    if form is None:
+        raise ConfigError("plant spec must provide A/B, Ac/Bc/Ts, or a preset name")
+    required, accepted = PLANT_FORMS[form]
+    unknown = set(spec) - accepted
+    if unknown:
+        raise ConfigError(f"plant given by {form!r} takes only the keys {sorted(accepted)}, "
+                          f"got {shown(sorted(unknown, key=str))}")
+    missing = required - set(spec)
+    if missing:
+        raise ConfigError(f"plant given by {form!r} requires the keys {sorted(required)}, "
+                          f"missing {sorted(missing)}")
+    if form == "preset":
         name = spec["preset"]
         if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(f"unknown plant preset {shown(name)}")
         factory, default_ts = PRESETS[name]
         return zoh_discretize(factory(), spec.get("Ts", default_ts))
-    if "A" in spec and "B" in spec:
+    if form == "A":
         return PlantModel(A=spec["A"], B=spec["B"])
-    if "Ac" in spec and "Bc" in spec:
-        if "Ts" not in spec:
-            raise ConfigError("continuous plant spec requires a sample time Ts")
-        return zoh_discretize(ContinuousPlant(Ac=spec["Ac"], Bc=spec["Bc"]), spec["Ts"])
-    raise ConfigError("plant spec must provide A/B, Ac/Bc/Ts, or a preset name")
+    return zoh_discretize(ContinuousPlant(Ac=spec["Ac"], Bc=spec["Bc"]), spec["Ts"])

@@ -8,9 +8,10 @@ across controllers: trial i always sees the same initial state, dropout
 trace, and noise stream regardless of which solver is running, so
 comparisons between controller families are like-for-like.
 
-Seed discipline: per-trial streams derive from the master seed through
-SeedSequence spawn keys (namespace, trial, substream), so any trial is
-reproducible in isolation and training/test phases never share entropy.
+Seed discipline: trial_inputs draws a trial's (trace, x0, noise) from
+streams that derive from the master seed through SeedSequence spawn keys
+(namespace, trial, substream), so any trial is reproducible in isolation
+and training/test phases never share entropy.
 """
 
 import math
@@ -20,7 +21,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .channel import ChannelTrace, DropoutModel, actuate, generate_trace
+from .channel import DROPOUT_KEYS, ChannelTrace, DropoutModel, actuate, generate_trace
 from .codec import (PacketCodec, Quantizer, decode, dequantize, encode,
                     quantize_packet, train_codec)
 from .controllers import (ORACLE_CAP, exhaustive_l0_packet, l1l2_packet,
@@ -77,8 +78,9 @@ class SimConfig:
             if not low <= getattr(self, name) <= INT64_MAX:
                 raise ConfigError(f"{name} must be in [{low}, {INT64_MAX}], "
                                   f"got {shown(getattr(self, name))}")
-        if not (self.nu1 > 0 and self.nu2 > 0):
-            raise ConfigError(f"nu1 and nu2 must be positive, got {self.nu1}, {self.nu2}")
+        if not (self.nu1 > 0 and self.nu2 > 0 and self.quantizer_delta > 0):
+            raise ConfigError(f"nu1, nu2 and quantizer_delta must be positive, got "
+                              f"{self.nu1}, {self.nu2}, {self.quantizer_delta}")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {shown(self.controller)}")
         if not isinstance(self.dropout, dict):
@@ -122,14 +124,8 @@ def config_from_dict(doc: dict, **overrides) -> SimConfig:
 
 @dataclass(frozen=True)
 class SimSetup:
-    """Immutable per-experiment bundle shared by every trial.
+    """What the design fixes, built once and shared by every run and trial."""
 
-    Plant, design, horizon and dropout model are built once; the controller,
-    its nu and the noise come from cfg, which monte_carlo rebinds to the
-    run's own config.
-    """
-
-    cfg: SimConfig
     model: PlantModel
     design: CostDesign
     hm: HorizonMatrices
@@ -147,9 +143,12 @@ def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
     model = resolve_plant(cfg.plant)
     drop = dict(cfg.dropout)
     kind = drop.pop("kind", "markov")
-    unknown = set(drop) - {"p_drop", "p_dd", "p_dg", "script"}
-    if unknown:
-        raise ConfigError(f"unknown dropout keys: {shown(sorted(unknown))}")
+    keys = DROPOUT_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ConfigError(f"dropout kind must be one of {tuple(DROPOUT_KEYS)}, got {shown(kind)}")
+    if not set(drop) <= keys:
+        raise ConfigError(f"dropout of kind {kind!r} takes only the keys {sorted(keys)}, "
+                          f"got {shown(sorted(set(drop) - keys, key=str))}")
     dropout = DropoutModel(kind=kind, N=cfg.N, **drop)
     _check_trials(cfg, model, dropout)
     Q = np.eye(model.n) if cfg.Q == "identity" else np.asarray(cfg.Q, dtype=float)
@@ -160,7 +159,7 @@ def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
         if differ:
             raise ConfigError(f"design differs from the config's own design in fields {differ}")
     hm = build_horizon(model, built.Q, built.P, built.N)
-    return SimSetup(cfg=cfg, model=model, design=built, hm=hm, dropout=dropout)
+    return SimSetup(model=model, design=built, hm=hm, dropout=dropout)
 
 
 def _same_field(given, built) -> bool:
@@ -183,9 +182,9 @@ def _check_trials(cfg: SimConfig, model: PlantModel, dropout: DropoutModel) -> N
         raise ConfigError(f"exhaustive search refused for N = {cfg.N} > cap {ORACLE_CAP}")
 
 
-def make_controller(setup: SimSetup):
-    """The config's packet solver as a pure function of the state."""
-    cfg, hm, design = setup.cfg, setup.hm, setup.design
+def make_controller(cfg: SimConfig, setup: SimSetup):
+    """The config's packet solver on the setup, as a pure function of the state."""
+    hm, design = setup.hm, setup.design
     name = cfg.controller
     if name == "omp":
         return lambda x: omp_packet(hm, design.W, x)
@@ -199,16 +198,20 @@ def make_controller(setup: SimSetup):
         return lambda x: l1l2_packet(hm, x, cfg.nu1)
 
 
-def trial_streams(master_seed: int, namespace: int, trial: int):
-    """Independent (x0, trace, noise) generators for one trial index."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(namespace, trial))
-    return tuple(np.random.default_rng(k) for k in ss.spawn(3))
+def trial_inputs(cfg: SimConfig, setup: SimSetup, namespace: int, trial: int):
+    """One trial's (trace, x0, noise) from its x0, trace and noise streams.
 
-
-def draw_x0(cfg: SimConfig, n: int, rng) -> np.ndarray:
-    if isinstance(cfg.x0, str):
-        return rng.standard_normal(n)
-    return np.asarray(cfg.x0, dtype=float)
+    noise is (steps, n), row k being v(k); one draw gives the same bits as
+    steps successive draws of n values. It is all zeros when sigma = 0.
+    """
+    ss = np.random.SeedSequence(cfg.seed, spawn_key=(namespace, trial))
+    rng_x0, rng_trace, rng_noise = (np.random.default_rng(k) for k in ss.spawn(3))
+    n = setup.model.n
+    trace = generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
+    x0 = rng_x0.standard_normal(n) if isinstance(cfg.x0, str) else np.asarray(cfg.x0, dtype=float)
+    shape = (cfg.steps, n)
+    noise = rng_noise.normal(0.0, cfg.sigma, shape) if cfg.sigma > 0 else np.zeros(shape)
+    return trace, x0, noise
 
 
 @dataclass
@@ -236,22 +239,20 @@ class TrialResult:
         return float(np.sqrt(np.sum(self.norms**2)))
 
 
-def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
-              noise_rng=None, controller=None, trial: int = 0) -> TrialResult:
+def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
+              noise: np.ndarray, trial: int = 0) -> TrialResult:
     """Simulate one closed loop over the length of the trace.
 
     The packet is computed from x(k) at every k and recorded; only
-    delivered packets (d(k) = 0) reach the buffer. Solves are timed here,
-    and nonzeros counted from the recorded packets. A state whose V(k) is
-    not finite raises NumericError, which fails the trial.
+    delivered packets (d(k) = 0) reach the buffer, and noise[k] is added
+    to x(k+1). Solves are timed here, and nonzeros counted from the
+    recorded packets. A state whose V(k) is not finite raises
+    NumericError, which fails the trial.
     """
     T = trace.T
     n = setup.model.n
-    if controller is None:
-        controller = make_controller(setup)
-    sigma = setup.cfg.sigma
-    if sigma > 0 and noise_rng is None:
-        raise ConfigError("gaussian noise requires a noise stream")
+    if np.shape(noise) != (T, n):
+        raise ConfigError(f"noise must have shape ({T}, {n}), got {np.shape(noise)}")
 
     states = np.empty((T, n))
     norms = np.empty(T)
@@ -275,8 +276,7 @@ def run_trial(setup: SimSetup, trace: ChannelTrace, x0: np.ndarray,
         norms[k] = math.sqrt(x.dot(x))
         u_applied[k] = u
         packets[k] = pkt.u
-        v = noise_rng.normal(0.0, sigma, n) if sigma > 0 else 0.0
-        x = A @ x + B * u + v
+        x = A @ x + B * u + noise[k]
 
     return TrialResult(trial=trial, states=states, norms=norms, V=V,
                        d=np.array(trace.d, dtype=np.int8), u_applied=u_applied,
@@ -337,9 +337,8 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
                 namespace: int = NS_MAIN) -> MonteCarloReport:
     """Run cfg.trials independent paired trials and aggregate per-k stats.
 
-    A given setup is rebound to cfg, so the run's config alone picks the
-    controller, nu and noise; cfg is first checked against the setup's
-    plant and dropout model, as build_setup does. A noise-free run
+    The run's config alone picks the controller, nu and noise; a given
+    setup is first checked against cfg, as build_setup does. A noise-free run
     (sigma = 0) is audited for Lyapunov decrease. A config error ends the
     run; any other package error fails only its trial.
     """
@@ -347,18 +346,14 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
         setup = build_setup(cfg)
     else:
         _check_trials(cfg, setup.model, setup.dropout)
-        setup = replace(setup, cfg=cfg)
-    controller = make_controller(setup)
+    controller = make_controller(cfg, setup)
 
     results = []
     failures = []
     for trial in range(cfg.trials):
-        rng_x0, rng_trace, rng_noise = trial_streams(cfg.seed, namespace, trial)
         try:
-            trace = generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
-            x0 = draw_x0(cfg, setup.model.n, rng_x0)
-            res = run_trial(setup, trace, x0, noise_rng=rng_noise,
-                            controller=controller, trial=trial)
+            trace, x0, noise = trial_inputs(cfg, setup, namespace, trial)
+            res = run_trial(setup, controller, trace, x0, noise, trial=trial)
             if cfg.sigma == 0:
                 res.violations = lyapunov_audit(res, setup.design).total
             results.append(res)

@@ -105,3 +105,12 @@ def test_resolve_plant_forms(cessna):
         sp.resolve_plant("not_a_preset_or_json")
     with pytest.raises(ConfigError):
         sp.resolve_plant({"Ac": cp.Ac.tolist(), "Bc": cp.Bc.tolist()})
+    # each form takes exactly its own keys, and the error names the odd one
+    A, B = cessna.A.tolist(), cessna.B.tolist()
+    for doc, key in (({"preset": "cessna500", "Tss": 0.5}, "Tss"),
+                     ({"preset": "cessna500", "A": A}, "A"),
+                     ({"A": A, "B": B, "Ts": 0.5}, "Ts"),
+                     ({"Ac": cp.Ac.tolist(), "Bc": cp.Bc.tolist(), "Ts": 0.5, "B": B}, "B"),
+                     ({"A": A}, "B")):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            sp.resolve_plant(doc)

@@ -10,16 +10,23 @@ import sparseppc as sp
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
 from sparseppc.sim import (CONTROLLERS, NS_MAIN, SimConfig, build_setup,
-                           config_from_dict, draw_x0, lyapunov_audit, make_controller,
+                           config_from_dict, lyapunov_audit, make_controller,
                            monte_carlo, packet_columns, rate_columns, run_trial,
                            summary_columns, sweep_columns, sweep_regularization,
-                           trace_columns, trajectory_columns, trial_streams, write_csv)
+                           trace_columns, trajectory_columns, trial_inputs, write_csv)
 
 from .oracles import csv_reference, lyapunov_audit_reference
 
 
 def _setup(**kw):
-    return build_setup(SimConfig(**kw))
+    """A setup with the controller its config picks."""
+    cfg = SimConfig(**kw)
+    setup = build_setup(cfg)
+    return setup, make_controller(cfg, setup)
+
+
+def _quiet(T, n=4):
+    return np.zeros((T, n))
 
 
 def test_config_validation():
@@ -66,7 +73,11 @@ def test_config_validation():
                 {"dropout": {"kind": "markov", "p_dd": "x"}},
                 {"dropout": {"kind": "iid", "p_drop": None}},
                 {"dropout": {"kind": "scripted", "script": [0, "a"]}},
-                {"dropout": {"kind": "scripted", "script": 5}}):
+                {"dropout": {"kind": "scripted", "script": 5}},
+                {"plant": {"preset": "cessna500", "Tss": 0.01}},
+                {"plant": {"A": [[1.1]], "B": [1], "Ts": 3}, "N": 3},
+                {"dropout": {"kind": "iid", "p_dd": 0.9}},
+                {"dropout": {"kind": "scripted", "script": [0] * 100, "p_drop": 0.5}}):
         with pytest.raises(ConfigError):
             build_setup(SimConfig(**bad))
     # a non-finite explicit x0 is well formed; its trial fails instead
@@ -135,6 +146,44 @@ def test_trial_config_errors_stop_before_the_design(monkeypatch):
     assert calls == []
 
 
+# A key its plant form or dropout kind never reads, and a quantizer step
+# that is not positive, each with the name the error must give.
+UNREAD_OR_BAD_SETTINGS = (
+    ({"plant": {"preset": "cessna500", "Tss": 0.01}}, "Tss"),
+    ({"plant": {"A": [[1.1]], "B": [1], "Ts": 3}, "N": 4}, "Ts"),
+    ({"dropout": {"kind": "iid", "p_dd": 0.9}}, "p_dd"),
+    ({"dropout": {"kind": "scripted", "script": [0] * 20, "p_drop": 0.5}}, "p_drop"),
+    ({"quantizer_delta": -1.0}, "quantizer_delta"),
+    ({"quantizer_delta": 0.0}, "quantizer_delta"),
+)
+
+
+def test_setting_errors_exit_2_before_the_design(monkeypatch, tmp_path, capsys):
+    import json
+
+    import sparseppc.plant as plant_mod
+    import sparseppc.sim as sim_mod
+    from sparseppc.cli import main
+
+    designs, discretized = [], []
+    real_zoh = plant_mod.zoh_discretize
+    monkeypatch.setattr(sim_mod, "build_design", lambda *a, **kw: designs.append(a))
+    monkeypatch.setattr(plant_mod, "zoh_discretize",
+                        lambda *a: discretized.append(a) or real_zoh(*a))
+    path = tmp_path / "c.json"
+    for bad, name in UNREAD_OR_BAD_SETTINGS:
+        path.write_text(json.dumps({"trials": 2, "train_trials": 2, "steps": 20,
+                                    "noise": {"kind": "gaussian", "sigma": 0.01}, **bad}))
+        discretized.clear()
+        for command in ("simulate", "bitrate"):
+            assert main([command, "--config", str(path), "--out-dir",
+                         str(tmp_path / "o")]) == 2, (bad, command)
+            assert name in capsys.readouterr().err, (bad, command)
+        if "plant" in bad:
+            assert discretized == [], bad
+    assert designs == []
+
+
 def test_rebinding_a_setup_checks_the_run_config(monkeypatch):
     import sparseppc.sim as sim_mod
 
@@ -152,14 +201,22 @@ def test_rebinding_a_setup_checks_the_run_config(monkeypatch):
     assert calls == []
 
 
-def test_loop_propagates_the_plant_exactly():
-    cfg = SimConfig(trials=1, steps=60, seed=29)
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+def test_loop_propagates_the_plant_exactly(sigma):
+    # v(k) is the k-th of successive normal(0, sigma, n) draws from trial
+    # 0's third spawned stream, so one (T, n) draw per trial must keep
+    # matching per-step draws bit for bit
+    noise = {"kind": "gaussian", "sigma": sigma} if sigma else {"kind": "none"}
+    cfg = SimConfig(trials=1, steps=60, seed=29, noise=noise)
     setup = build_setup(cfg)
     r = monte_carlo(cfg, setup=setup).results[0]
     A, B = setup.model.A, setup.model.B
+    stream = np.random.SeedSequence(cfg.seed, spawn_key=(NS_MAIN, 0)).spawn(3)[2]
+    rng_noise = np.random.default_rng(stream)
     assert np.count_nonzero(r.d) > 0   # some inputs come from the buffer
     for k in range(cfg.steps - 1):
-        assert np.array_equal(r.states[k + 1], A @ r.states[k] + B * r.u_applied[k]), k
+        v = rng_noise.normal(0.0, sigma, 4) if sigma else 0.0
+        assert np.array_equal(r.states[k + 1], A @ r.states[k] + B * r.u_applied[k] + v), k
 
 
 def test_zero_sigma_is_noise_free_and_audited():
@@ -172,19 +229,19 @@ def test_zero_sigma_is_noise_free_and_audited():
 
 
 def test_zero_initial_state_stays_zero():
-    setup = _setup(trials=1, steps=30, x0=[0.0, 0.0, 0.0, 0.0])
+    setup, controller = _setup(trials=1, steps=30, x0=[0.0, 0.0, 0.0, 0.0])
     trace = sp.generate_trace(setup.dropout, 30, rng=np.random.default_rng(1))
-    res = run_trial(setup, trace, np.zeros(4))
+    res = run_trial(setup, controller, trace, np.zeros(4), _quiet(30))
     assert np.all(res.norms == 0.0)
     assert np.all(res.u_applied == 0.0)
     assert np.all(res.sparsity == 0)
 
 
 def test_no_dropout_least_squares_decreases_v(rng):
-    setup = _setup(trials=1, steps=40, controller="least_squares",
-                   dropout={"kind": "iid", "p_drop": 0.0})
+    setup, controller = _setup(trials=1, steps=40, controller="least_squares",
+                               dropout={"kind": "iid", "p_drop": 0.0})
     trace = sp.generate_trace(setup.dropout, 40, rng=np.random.default_rng(2))
-    res = run_trial(setup, trace, rng.standard_normal(4))
+    res = run_trial(setup, controller, trace, rng.standard_normal(4), _quiet(40))
     assert np.all(np.diff(res.V) < 0.0)
     assert lyapunov_audit(res, setup.design).total == 0
 
@@ -193,9 +250,10 @@ def test_worst_case_burst_trace_contracts_between_deliveries(rng):
     # bursts of N-1 = 9 losses after every delivery
     N, T = 10, 100
     script = ([0] + [1] * (N - 1)) * (T // N)
-    setup = _setup(trials=1, steps=T, dropout={"kind": "scripted", "script": script})
-    res = run_trial(setup, sp.generate_trace(setup.dropout, T, rng=None),
-                    rng.standard_normal(4))
+    setup, controller = _setup(trials=1, steps=T,
+                               dropout={"kind": "scripted", "script": script})
+    res = run_trial(setup, controller, sp.generate_trace(setup.dropout, T, rng=None),
+                    rng.standard_normal(4), _quiet(T))
     audit = lyapunov_audit(res, setup.design)
     assert audit.pair_violations == 0
     assert audit.burst_violations == 0
@@ -215,7 +273,8 @@ def test_lyapunov_audit_detects_broken_slack(cessna, rng):
     cfg = SimConfig(trials=1, steps=60, seed=3)
     setup = replace(build_setup(cfg), design=broken)
     trace = sp.generate_trace(setup.dropout, 60, rng=np.random.default_rng(3))
-    res = run_trial(setup, trace, rng.standard_normal(4))
+    res = run_trial(setup, make_controller(cfg, setup), trace, rng.standard_normal(4),
+                    _quiet(60))
     audit = lyapunov_audit(res, broken)
     counts = (audit.deliveries, audit.pair_violations, audit.burst_violations)
     assert counts == lyapunov_audit_reference(res, broken)
@@ -240,9 +299,9 @@ def test_lyapunov_audit_matches_the_delivery_walk(N, T, p_dd, p_dg, seed):
 
 
 def test_lyapunov_audit_zero_trajectory_vacuous():
-    setup = _setup(trials=1, steps=20)
+    setup, controller = _setup(trials=1, steps=20)
     trace = sp.generate_trace(setup.dropout, 20, rng=np.random.default_rng(4))
-    res = run_trial(setup, trace, np.zeros(4))
+    res = run_trial(setup, controller, trace, np.zeros(4), _quiet(20))
     assert lyapunov_audit(res, setup.design).total == 0
 
 
@@ -250,9 +309,8 @@ def test_monte_carlo_single_trial_equals_run_trial():
     cfg = SimConfig(trials=1, steps=25, seed=21)
     rep = monte_carlo(cfg)
     setup = build_setup(cfg)
-    rng_x0, rng_trace, rng_noise = trial_streams(cfg.seed, NS_MAIN, 0)
-    trace = sp.generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
-    res = run_trial(setup, trace, draw_x0(cfg, 4, rng_x0), noise_rng=rng_noise)
+    res = run_trial(setup, make_controller(cfg, setup),
+                    *trial_inputs(cfg, setup, NS_MAIN, 0))
     assert np.array_equal(rep.results[0].norms, res.norms)
     assert np.array_equal(rep.results[0].u_applied, res.u_applied)
     assert np.array_equal(rep.results[0].d, res.d)
@@ -266,9 +324,8 @@ def test_trial_alone_equals_its_row_in_a_monte_carlo():
     assert not rep.failures
     for i in (0, 11, 29):
         setup = build_setup(cfg)
-        rng_x0, rng_trace, rng_noise = trial_streams(cfg.seed, NS_MAIN, i)
-        trace = sp.generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
-        res = run_trial(setup, trace, draw_x0(cfg, 4, rng_x0), noise_rng=rng_noise, trial=i)
+        res = run_trial(setup, make_controller(cfg, setup),
+                        *trial_inputs(cfg, setup, NS_MAIN, i), trial=i)
         row = rep.results[i]
         assert np.array_equal(res.states, row.states)
         assert np.array_equal(res.packets, row.packets)
@@ -286,9 +343,8 @@ def test_trial_bits_do_not_depend_on_cache_warmth(controller):
     assert warm.hm._l2_gains or warm.hm._omp_support_ops
     row = monte_carlo(cfg, setup=warm).results[13]
     setup = build_setup(cfg)
-    rng_x0, rng_trace, rng_noise = trial_streams(cfg.seed, NS_MAIN, 13)
-    trace = sp.generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
-    alone = run_trial(setup, trace, draw_x0(cfg, 4, rng_x0), noise_rng=rng_noise, trial=13)
+    alone = run_trial(setup, make_controller(cfg, setup),
+                      *trial_inputs(cfg, setup, NS_MAIN, 13), trial=13)
     alone.violations = lyapunov_audit(alone, setup.design).total
     for f in fields(alone):
         if f.name != "solve_seconds":   # wall time, the one field allowed to differ
@@ -331,10 +387,10 @@ def test_monte_carlo_continues_after_trial_failure(monkeypatch):
 
     real = sim_mod.run_trial
 
-    def flaky(setup, trace, x0, **kw):
-        if kw.get("trial") == 1:
+    def flaky(setup, controller, trace, x0, noise, trial):
+        if trial == 1:
             raise sp.NumericError("synthetic failure")
-        return real(setup, trace, x0, **kw)
+        return real(setup, controller, trace, x0, noise, trial=trial)
 
     monkeypatch.setattr(sim_mod, "run_trial", flaky)
     rep = sim_mod.monte_carlo(SimConfig(trials=3, steps=10, seed=5))
@@ -349,18 +405,19 @@ def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
 
     real = sim_mod.run_trial
 
-    def broken_horizon(setup, trace, x0, **kw):
-        if kw["trial"] == 1:
+    def broken_horizon(setup, controller, trace, x0, noise, trial):
+        if trial == 1:
             G = setup.hm.G.copy()
             G[:, 0] = 0.0
             hm = replace(setup.hm, G=G, col_norm_sq=np.sum(G * G, axis=0))
             setup = replace(setup, hm=hm)
-            kw["controller"] = None
-        return real(setup, trace, x0, **kw)
+            controller = make_controller(cfg, setup)
+        return real(setup, controller, trace, x0, noise, trial=trial)
 
+    cfg = SimConfig(trials=3, steps=10, seed=5)
     monkeypatch.setattr(sim_mod, "run_trial", broken_horizon)
     with np.errstate(invalid="ignore"):
-        rep = sim_mod.monte_carlo(SimConfig(trials=3, steps=10, seed=5))
+        rep = sim_mod.monte_carlo(cfg)
     assert [r.trial for r in rep.results] == [0, 2]
     assert [t for t, _ in rep.failures] == [1]
     assert rep.failures[0][1].startswith("SolverFailureError: column 0")
@@ -369,8 +426,8 @@ def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
 def test_monte_carlo_raises_when_everything_fails(monkeypatch):
     import sparseppc.sim as sim_mod
 
-    def broken(setup, trace, x0, **kw):
-        raise sp.NumericError(f"synthetic failure {kw['trial']}")
+    def broken(setup, controller, trace, x0, noise, trial):
+        raise sp.NumericError(f"synthetic failure {trial}")
 
     monkeypatch.setattr(sim_mod, "run_trial", broken)
     with pytest.raises(sp.SparsePpcError,
@@ -383,8 +440,8 @@ def test_monte_carlo_config_error_ends_the_run(monkeypatch):
 
     calls = []
 
-    def misconfigured(setup, trace, x0, **kw):
-        calls.append(kw["trial"])
+    def misconfigured(setup, controller, trace, x0, noise, trial):
+        calls.append(trial)
         raise ConfigError("synthetic config error")
 
     monkeypatch.setattr(sim_mod, "run_trial", misconfigured)
@@ -397,10 +454,11 @@ def test_controller_dispatch():
     # each controller maps the zero state to the zero packet; on a short run
     # the loop times every solve and counts nonzeros from the packets it
     # records, and a re-solve of each recorded state gives the same packet
-    setup = _setup(trials=1, steps=12, seed=23)
+    base = SimConfig(trials=1, steps=12, seed=23)
+    setup = build_setup(base)
     for name in CONTROLLERS:
-        cfg = replace(setup.cfg, controller=name)
-        fn = make_controller(replace(setup, cfg=cfg))
+        cfg = replace(base, controller=name)
+        fn = make_controller(cfg, setup)
         assert fn(np.zeros(4)).sparsity == 0
         res = monte_carlo(cfg, setup=setup).results[0]
         for k, x in enumerate(res.states):
@@ -571,32 +629,32 @@ def test_five_controller_families_run_paired():
     assert reports["oracle"].mean_sparsity.mean() <= reports["omp"].mean_sparsity.mean()
 
 
-def test_run_trial_requires_noise_stream():
-    setup = _setup(trials=1, steps=5, noise={"kind": "gaussian", "sigma": 0.1})
+def test_run_trial_rejects_noise_of_the_wrong_shape():
+    setup, controller = _setup(trials=1, steps=5)
     trace = sp.generate_trace(setup.dropout, 5, rng=np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        run_trial(setup, trace, np.zeros(4))
+    for noise in (np.zeros((4, 4)), np.zeros((5, 3)), np.zeros(5), np.zeros((5, 4, 1)), 0.0):
+        with pytest.raises(ConfigError, match=r"noise must have shape \(5, 4\)"):
+            run_trial(setup, controller, trace, np.zeros(4), noise)
 
 
 def test_run_trial_raises_on_a_non_finite_state():
-    setup = _setup(trials=1, steps=5)
+    setup, controller = _setup(trials=1, steps=5)
     trace = sp.generate_trace(setup.dropout, 5, rng=np.random.default_rng(0))
     with np.errstate(invalid="ignore"), pytest.raises(sp.NumericError, match="step 0"):
-        run_trial(setup, trace, np.array([np.inf, 0.0, 0.0, 0.0]))
+        run_trial(setup, controller, trace, np.array([np.inf, 0.0, 0.0, 0.0]), _quiet(5))
 
 
 def _overflow_trial_1(monkeypatch):
-    """Make the second x0 drawn so large that V(0) = x'Px overflows."""
+    """Make trial 1's x0 so large that V(0) = x'Px overflows."""
     import sparseppc.sim as sim_mod
 
-    real = sim_mod.draw_x0
-    drawn = []
+    real = sim_mod.trial_inputs
 
-    def overflowing(cfg, n, rng):
-        drawn.append(real(cfg, n, rng))
-        return drawn[-1] * (1e200 if len(drawn) == 2 else 1.0)
+    def overflowing(cfg, setup, namespace, trial):
+        trace, x0, noise = real(cfg, setup, namespace, trial)
+        return trace, x0 * (1e200 if trial == 1 else 1.0), noise
 
-    monkeypatch.setattr(sim_mod, "draw_x0", overflowing)
+    monkeypatch.setattr(sim_mod, "trial_inputs", overflowing)
 
 
 def test_overflowing_trial_fails_and_leaves_no_nonfinite_rows(monkeypatch, tmp_path):
