@@ -8,7 +8,7 @@ bit-rates.
 
 __version__ = "0.1.0"
 
-from .channel import BufferState, ChannelTrace, DropoutModel, actuate, generate_trace
+from .channel import ChannelTrace, DropoutModel, actuate, generate_trace
 from .codec import (EncodedPacket, PacketCodec, PositionCoder, Quantizer,
                     decode, dequantize, encode, quantize_packet, train_codec)
 from .controllers import (ControlPacket, FeasibilityCertificate, check_feasible,

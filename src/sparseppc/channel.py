@@ -1,8 +1,8 @@
-"""Erasure-channel dropout generation and the actuator-side packet buffer.
+"""Erasure-channel dropout generation and the actuator's read schedule.
 
 Traces are binary sequences d(k), 1 = packet lost. Every trace honors the
 bounded-dropout contract: d(0) = 0 and no run of consecutive losses longer
-than N - 1, so the buffer below never runs past the end of a packet.
+than N - 1, so the actuator's read schedule never runs past a packet.
 """
 
 from dataclasses import dataclass
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolViolationError, TraceValidationError
-from .controllers import ControlPacket
 from .linalg import finite_real, number_array, shown
 
 # Each dropout kind and the DropoutModel fields it reads.
@@ -74,7 +73,7 @@ class ChannelTrace:
         d = d.astype(np.int8, copy=False)
         if d[0] != 0:
             raise TraceValidationError("first packet must be delivered: d(0) = 0")
-        if _max_run(d) > self.N - 1:
+        if delivery_age(d).max() > self.N - 1:
             raise TraceValidationError(
                 f"consecutive dropouts exceed the bound {self.N - 1}")
         d.setflags(write=False)
@@ -93,12 +92,13 @@ class ChannelTrace:
         return np.diff(self.delivery_instants()) - 1
 
 
-def _max_run(d: np.ndarray) -> int:
-    run = best = 0
-    for b in d:
-        run = run + 1 if b else 0
-        best = max(best, run)
-    return best
+def delivery_age(d: np.ndarray) -> np.ndarray:
+    """k - k_i at each step k, k_i being the latest delivery at or before k.
+
+    Steps before the first delivery count from k = 0; a trace has none.
+    """
+    k = np.arange(len(d))
+    return k - np.maximum.accumulate(np.where(np.asarray(d) == 0, k, 0))
 
 
 def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:
@@ -135,36 +135,15 @@ def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:
     return ChannelTrace(d=d, N=model.N, overrides=overrides)
 
 
-@dataclass(frozen=True)
-class BufferState:
-    """Last delivered packet plus how many of its elements were consumed."""
+def actuate(trace: ChannelTrace, N: int):
+    """The actuator's read schedule (src, age) over a trace of length-N packets.
 
-    packet: np.ndarray
-    age: int
-
-    def __post_init__(self):
-        packet = np.asarray(self.packet, dtype=float)
-        packet.setflags(write=False)
-        object.__setattr__(self, "packet", packet)
-        if not (0 <= self.age < packet.size):
-            raise ProtocolViolationError(
-                f"buffer age {self.age} outside [0, {packet.size - 1}]")
-
-
-def actuate(buf, d_k: int, incoming: ControlPacket = None):
-    """One actuator step: returns (applied input, next buffer state).
-
-    Delivery (d_k = 0) overwrites the buffer with the incoming packet and
-    applies its first element. A loss advances the read index and applies
-    the next stored element; running past N - 1 consumed elements means the
-    trace violated its bound, which BufferState refuses.
+    The trace is drawn before its loop runs, so the whole schedule is known:
+    at step k the actuator plays element age[k] of the packet computed at
+    src[k], the latest delivery at or before k. A burst reading past the
+    end of a packet raises ProtocolViolationError.
     """
-    if d_k == 0:
-        if incoming is None:
-            raise ConfigError("delivery step requires the incoming packet")
-        new = BufferState(packet=incoming.u, age=0)
-    elif buf is None:
-        raise ProtocolViolationError("dropout before any packet was delivered")
-    else:
-        new = BufferState(packet=buf.packet, age=buf.age + 1)
-    return float(new.packet[new.age]), new
+    age = delivery_age(trace.d)
+    if age.max() >= N:
+        raise ProtocolViolationError(f"buffer age {age.max()} outside [0, {N - 1}]")
+    return np.arange(trace.T) - age, age

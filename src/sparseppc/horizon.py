@@ -32,7 +32,6 @@ class HorizonMatrices:
     N: int
     n: int
     Phi: np.ndarray
-    Upsilon: np.ndarray
     G: np.ndarray
     H: np.ndarray
     GtG: np.ndarray
@@ -44,7 +43,7 @@ class HorizonMatrices:
 
 
 def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> HorizonMatrices:
-    """Assemble Phi, Upsilon and the weighted operators G, H."""
+    """Assemble Phi and the weighted operators G and H = -Qbar^(1/2) Upsilon."""
     if N < 1:
         raise DesignInfeasibleError(f"horizon length must be >= 1, got {N}")
     Q = check_sym_pd(np.asarray(Q, dtype=float), "Q")
@@ -88,7 +87,6 @@ def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> Horizo
         N=N,
         n=n,
         Phi=_frozen(Phi),
-        Upsilon=_frozen(Upsilon),
         G=_frozen(G),
         H=_frozen(H),
         GtG=_frozen(G.T @ G),

@@ -14,6 +14,7 @@ streams that derive from the master seed through SeedSequence spawn keys
 and training/test phases never share entropy.
 """
 
+import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral
@@ -21,7 +22,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .channel import DROPOUT_KEYS, ChannelTrace, DropoutModel, actuate, generate_trace
+from .channel import (DROPOUT_KEYS, ChannelTrace, DropoutModel, actuate,
+                      delivery_age, generate_trace)
 from .codec import (PacketCodec, Quantizer, decode, dequantize, encode,
                     quantize_packet, train_codec)
 from .controllers import (ORACLE_CAP, exhaustive_l0_packet, l1l2_packet,
@@ -122,6 +124,10 @@ def config_from_dict(doc: dict, **overrides) -> SimConfig:
     return SimConfig(**merged)
 
 
+# The config fields build_setup reads; every run on a setup must agree on them.
+SETUP_FIELDS = ("plant", "N", "Q", "eta", "delta", "dropout")
+
+
 @dataclass(frozen=True)
 class SimSetup:
     """What the design fixes, built once and shared by every run and trial."""
@@ -130,6 +136,7 @@ class SimSetup:
     design: CostDesign
     hm: HorizonMatrices
     dropout: DropoutModel
+    settings: dict    # SETUP_FIELDS of the config built from, as meta.json has them
 
 
 def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
@@ -151,7 +158,7 @@ def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
                           f"got {shown(sorted(set(drop) - keys, key=str))}")
     dropout = DropoutModel(kind=kind, N=cfg.N, **drop)
     _check_trials(cfg, model, dropout)
-    Q = np.eye(model.n) if cfg.Q == "identity" else np.asarray(cfg.Q, dtype=float)
+    Q = np.eye(model.n) if isinstance(cfg.Q, str) else np.asarray(cfg.Q, dtype=float)
     built = build_design(model, Q=Q, N=cfg.N, eta=cfg.eta, delta=cfg.delta)
     if design is not None:
         differ = [f.name for f in fields(CostDesign)
@@ -159,7 +166,15 @@ def build_setup(cfg: SimConfig, design: CostDesign = None) -> SimSetup:
         if differ:
             raise ConfigError(f"design differs from the config's own design in fields {differ}")
     hm = build_horizon(model, built.Q, built.P, built.N)
-    return SimSetup(model=model, design=built, hm=hm, dropout=dropout)
+    return SimSetup(model=model, design=built, hm=hm, dropout=dropout,
+                    settings=_setup_settings(cfg))
+
+
+def _setup_settings(cfg: SimConfig) -> dict:
+    """cfg's SETUP_FIELDS as JSON reads them back (arrays become lists)."""
+    doc = resolved_config(cfg)
+    return json.loads(json.dumps({name: doc[name] for name in SETUP_FIELDS},
+                                 default=lambda v: np.asarray(v).tolist()))
 
 
 def _same_field(given, built) -> bool:
@@ -173,8 +188,6 @@ def _check_trials(cfg: SimConfig, model: PlantModel, dropout: DropoutModel) -> N
     if not isinstance(cfg.x0, str) and np.shape(cfg.x0) != (model.n,):
         raise ConfigError(f"explicit x0 must have shape ({model.n},), "
                           f"got {np.shape(cfg.x0)}")
-    if dropout.N != cfg.N:
-        raise ConfigError(f"setup horizon {dropout.N} does not match config N {cfg.N}")
     if dropout.kind == "scripted" and len(dropout.script) < cfg.steps:
         raise TraceValidationError(f"script has {len(dropout.script)} bits but "
                                    f"steps is {cfg.steps}")
@@ -243,16 +256,17 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
               noise: np.ndarray, trial: int = 0) -> TrialResult:
     """Simulate one closed loop over the length of the trace.
 
-    The packet is computed from x(k) at every k and recorded; only
-    delivered packets (d(k) = 0) reach the buffer, and noise[k] is added
-    to x(k+1). Solves are timed here, and nonzeros counted from the
-    recorded packets. A state whose V(k) is not finite raises
-    NumericError, which fails the trial.
+    The packet is computed from x(k) at every k and recorded; the input
+    is the recorded element the trace's read schedule names, and noise[k]
+    is added to x(k+1). Solves are timed here, and nonzeros counted from
+    the recorded packets. A burst that outruns the packets (before any
+    solve) or a V(k) that is not finite fails the trial.
     """
     T = trace.T
     n = setup.model.n
     if np.shape(noise) != (T, n):
         raise ConfigError(f"noise must have shape ({T}, {n}), got {np.shape(noise)}")
+    src, age = actuate(trace, setup.design.N)
 
     states = np.empty((T, n))
     norms = np.empty(T)
@@ -263,7 +277,6 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
 
     A, B, P = setup.model.A, setup.model.B, setup.design.P
     x = np.asarray(x0, dtype=float)
-    buf = None
     for k in range(T):
         V[k] = float(x @ P @ x)
         if not math.isfinite(V[k]):
@@ -271,11 +284,11 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
         t0 = perf_counter()
         pkt = controller(x)
         solve_seconds[k] = perf_counter() - t0
-        u, buf = actuate(buf, int(trace.d[k]), incoming=pkt)
+        packets[k] = pkt.u
+        u = packets[src[k], age[k]]
         states[k] = x
         norms[k] = math.sqrt(x.dot(x))
         u_applied[k] = u
-        packets[k] = pkt.u
         x = A @ x + B * u + noise[k]
 
     return TrialResult(trial=trial, states=states, norms=norms, V=V,
@@ -308,8 +321,7 @@ def lyapunov_audit(result: TrialResult, design: CostDesign) -> AuditReport:
     live = np.linalg.norm(result.states, axis=1) > 1e-9
     delivered = result.d == 0
     deliveries = np.flatnonzero(delivered)
-    # the last delivery at or before each k (d(0) = 0, so there always is one)
-    last = np.maximum.accumulate(np.where(delivered, np.arange(len(V)), 0))
+    last = np.arange(len(V)) - delivery_age(result.d)
     burst = ~delivered & live[last] & (V >= V[last])
     ki, kj = deliveries[:-1], deliveries[1:]
     pair = live[ki] & (V[kj] >= V[ki])
@@ -338,13 +350,17 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
     """Run cfg.trials independent paired trials and aggregate per-k stats.
 
     The run's config alone picks the controller, nu and noise; a given
-    setup is first checked against cfg, as build_setup does. A noise-free run
-    (sigma = 0) is audited for Lyapunov decrease. A config error ends the
-    run; any other package error fails only its trial.
+    setup must share cfg's SETUP_FIELDS and is checked as build_setup
+    does. A noise-free run (sigma = 0) is audited for Lyapunov decrease.
+    A config error ends the run; any other package error fails only its trial.
     """
     if setup is None:
         setup = build_setup(cfg)
     else:
+        own = _setup_settings(cfg)
+        differ = [name for name in SETUP_FIELDS if setup.settings[name] != own[name]]
+        if differ:
+            raise ConfigError(f"setup was built from other settings than the config: {differ}")
         _check_trials(cfg, setup.model, setup.dropout)
     controller = make_controller(cfg, setup)
 

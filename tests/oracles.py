@@ -4,7 +4,8 @@ Each oracle takes a deliberately different route from the production code:
 Taylor series instead of Pade for the exponential, a QZ deflating-subspace
 solve instead of fixed-point iteration for the Riccati equation, explicit
 matrix powers instead of incremental assembly, power iteration instead of
-eigh, a stateless trace interpreter instead of the buffer walk, a
+eigh, a stepwise trace interpreter instead of the delivery-age schedule,
+a bit-by-bit run counter instead of the delivery ages, a
 per-pick QR refactorization instead of the incremental Gram-Schmidt OMP,
 a per-state linear solve instead of the cached l2 and least-squares gains,
 the lasso optimality (KKT) conditions, checked column by column,
@@ -217,6 +218,15 @@ def interpret_trace(d, packets) -> np.ndarray:
             last = k
         out[k] = packets[last][k - last]
     return out
+
+
+def longest_run(d) -> int:
+    """Longest run of consecutive 1s, counted bit by bit."""
+    run = best = 0
+    for b in d:
+        run = run + 1 if b else 0
+        best = max(best, run)
+    return best
 
 
 def markov_chain_stats(p_dd: float, p_dg: float, N: int):

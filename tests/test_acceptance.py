@@ -201,9 +201,8 @@ def test_criterion_5_bitrate_reduction():
 
 def test_criterion_6_protocol_conformance(rng):
     from sparseppc.channel import DropoutModel
-    from sparseppc.controllers import ControlPacket
 
-    # 10^4 random bounded traces: stateful buffer equals the stateless oracle
+    # 10^4 random bounded traces: the read schedule equals the stepwise oracle
     mismatches = 0
     for i in range(10_000):
         N = int(rng.integers(2, 12))
@@ -228,14 +227,10 @@ def test_criterion_6_protocol_conformance(rng):
             trace_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
             T = int(rng.integers(1, 40))
         tr = sp.generate_trace(model, T, rng=trace_rng)
-        packets = [ControlPacket(u=rng.standard_normal(N), solver_iters=0)
-                   for _ in range(T)]
-        buf = None
-        got = np.empty(T)
-        for k in range(T):
-            got[k], buf = sp.actuate(buf, int(tr.d[k]), incoming=packets[k])
-        want = interpret_trace(tr.d, [p.u for p in packets])
-        mismatches += not np.array_equal(got, want)
+        packets = np.array([rng.standard_normal(N) for _ in range(T)])
+        src, age = sp.actuate(tr, N)
+        want = interpret_trace(tr.d, packets)
+        mismatches += not np.array_equal(packets[src, age], want)
 
     # 10^6 generated steps: the burst bound never breaks
     total_steps = 0

@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseppc as sp
-from sparseppc.channel import BufferState, ChannelTrace, DropoutModel
+from sparseppc.channel import ChannelTrace, DropoutModel
 from sparseppc.controllers import ControlPacket
 from sparseppc.errors import (ConfigError, ProtocolViolationError,
                               TraceValidationError)
+from sparseppc.sim import SimConfig, build_setup, run_trial
 
-from .oracles import interpret_trace, markov_chain_stats
-
-
-def _packet(values):
-    u = np.asarray(values, dtype=float)
-    return ControlPacket(u=u, solver_iters=0)
+from .oracles import interpret_trace, longest_run, markov_chain_stats
 
 
 def test_no_drop_trace_is_all_deliveries():
@@ -137,29 +133,20 @@ def test_iid_trace_is_the_markov_trace_with_equal_transitions(N, p, T, seed):
 
 
 def test_buffer_consumes_packet_elements_in_order():
-    pkt = _packet([10.0, 20.0, 30.0])
-    u0, buf = sp.actuate(None, 0, incoming=pkt)
-    assert u0 == 10.0 and buf.age == 0
-    u1, buf = sp.actuate(buf, 1)
-    assert u1 == 20.0 and buf.age == 1
-    u2, buf = sp.actuate(buf, 1)
-    assert u2 == 30.0 and buf.age == 2
+    src, age = sp.actuate(ChannelTrace(d=np.array([0, 1, 1]), N=3), 3)
+    assert src.tolist() == [0, 0, 0] and age.tolist() == [0, 1, 2]
+    packets = np.array([[10.0, 20.0, 30.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert packets[src, age].tolist() == [10.0, 20.0, 30.0]
+    # a fourth loss in a row would read past the end of a 3-element packet
     with pytest.raises(ProtocolViolationError):
-        sp.actuate(buf, 1)
+        sp.actuate(ChannelTrace(d=np.array([0, 1, 1, 1]), N=4), 3)
 
 
 def test_buffer_overwrite_on_delivery():
-    _, buf = sp.actuate(None, 0, incoming=_packet([1.0, 2.0]))
-    u, buf = sp.actuate(buf, 0, incoming=_packet([5.0, 6.0]))
-    assert u == 5.0 and buf.age == 0
-    assert np.array_equal(buf.packet, [5.0, 6.0])
-
-
-def test_buffer_requires_packet_on_delivery_and_rejects_cold_drop():
-    with pytest.raises(ConfigError):
-        sp.actuate(None, 0, incoming=None)
-    with pytest.raises(ProtocolViolationError):
-        sp.actuate(None, 1)
+    src, age = sp.actuate(ChannelTrace(d=np.array([0, 0]), N=2), 2)
+    packets = np.array([[1.0, 2.0], [5.0, 6.0]])
+    assert packets[src[1], age[1]] == 5.0 and age[1] == 0
+    assert np.array_equal(packets[src[1]], [5.0, 6.0])
 
 
 def test_worst_case_burst_consumes_all_ten_elements():
@@ -167,13 +154,10 @@ def test_worst_case_burst_consumes_all_ten_elements():
     script = [0] + [1] * (N - 1)
     model = DropoutModel(kind="scripted", N=N, script=script)
     tr = sp.generate_trace(model, N, rng=None)
-    pkt = _packet(np.arange(1.0, N + 1.0))
-    buf = None
-    outputs = []
-    for k in range(N):
-        u, buf = sp.actuate(buf, int(tr.d[k]), incoming=pkt if tr.d[k] == 0 else None)
-        outputs.append(u)
-    assert outputs == [float(v) for v in range(1, N + 1)]
+    packets = np.zeros((N, N))
+    packets[0] = np.arange(1.0, N + 1.0)
+    src, age = sp.actuate(tr, N)
+    assert packets[src, age].tolist() == [float(v) for v in range(1, N + 1)]
 
 
 def test_buffer_matches_trace_interpreter_oracle(rng):
@@ -183,18 +167,44 @@ def test_buffer_matches_trace_interpreter_oracle(rng):
         trace_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
         model = DropoutModel(kind="markov", N=N, p_dd=0.8, p_dg=0.4)
         tr = sp.generate_trace(model, T, rng=trace_rng)
-        packets = [_packet(rng.standard_normal(N)) for _ in range(T)]
-        buf = None
-        got = np.empty(T)
-        for k in range(T):
-            got[k], buf = sp.actuate(buf, int(tr.d[k]), incoming=packets[k])
-        want = interpret_trace(tr.d, [p.u for p in packets])
-        assert np.array_equal(got, want)
+        packets = np.array([rng.standard_normal(N) for _ in range(T)])
+        src, age = sp.actuate(tr, N)
+        want = interpret_trace(tr.d, packets)
+        assert np.array_equal(packets[src, age], want)
 
 
-def test_buffer_state_validation():
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), max_size=60), N=st.integers(1, 12))
+def test_trace_accepted_iff_longest_loss_run_fits(bits, N):
+    d = np.array([0, *bits], dtype=np.int8)
+    fits = longest_run(d) <= N - 1
+    try:
+        ChannelTrace(d=d, N=N)
+    except TraceValidationError:
+        assert not fits
+    else:
+        assert fits
+
+
+def test_run_trial_refuses_a_burst_beyond_the_packet():
+    # the trace allows bursts of 11, but the setup's packets hold 10 inputs
+    cfg = SimConfig(N=10, steps=30, trials=1)
+    setup = build_setup(cfg)
+    solves = []
+
+    def controller(x):
+        solves.append(x)
+        return ControlPacket(u=np.zeros(10), solver_iters=0)
+
+    noise = np.zeros((30, setup.model.n))
+    x0 = np.ones(setup.model.n)
+    burst = ChannelTrace(d=np.array([0] + [1] * 10 + [0] * 19), N=12)
     with pytest.raises(ProtocolViolationError):
-        BufferState(packet=np.zeros(3), age=3)
+        run_trial(setup, controller, burst, x0, noise)
+    assert solves == []   # refused before any solve
+    fits = ChannelTrace(d=np.array([0] + [1] * 9 + [0] * 20), N=12)
+    res = run_trial(setup, controller, fits, x0, noise)
+    assert res.states.shape == (30, setup.model.n) and len(solves) == 30
 
 
 def test_dropout_model_validation():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import sparseppc as sp
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
-from sparseppc.sim import (CONTROLLERS, NS_MAIN, SimConfig, build_setup,
+from sparseppc.sim import (CONTROLLERS, NS_MAIN, SETUP_FIELDS, SimConfig, build_setup,
                            config_from_dict, lyapunov_audit, make_controller,
                            monte_carlo, packet_columns, rate_columns, run_trial,
                            summary_columns, sweep_columns, sweep_regularization,
@@ -199,6 +199,32 @@ def test_rebinding_a_setup_checks_the_run_config(monkeypatch):
         with pytest.raises(ConfigError):
             sim_mod.monte_carlo(replace(cfg, **change), setup=setup)
     assert calls == []
+
+
+def test_a_setup_runs_only_the_settings_it_was_built_from(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    base = SimConfig(trials=2, steps=20)
+    iid = {"kind": "iid", "p_drop": 0.0}
+    fast = {"preset": "cessna500", "Ts": 0.1}
+    cases = [(replace(base, dropout=iid), ["dropout"]),
+             (replace(base, plant=fast), ["plant"]),
+             (replace(base, plant=fast, eta=0.5, dropout=iid), ["plant", "eta", "dropout"])]
+    calls = []
+    monkeypatch.setattr(sim_mod, "run_trial", lambda *a, **kw: calls.append(a))
+    for built_from, differ in cases:
+        with pytest.raises(ConfigError) as err:
+            sim_mod.monte_carlo(base, setup=build_setup(built_from))
+        for name in SETUP_FIELDS:
+            assert (repr(name) in str(err.value)) == (name in differ), (name, err.value)
+    assert calls == []
+
+
+def test_setup_settings_compare_in_their_written_form():
+    # a numpy Q and its nested-list form are the same setting in meta.json
+    cfg = SimConfig(trials=1, steps=10, Q=np.diag([1.0, 2.0, 3.0, 4.0]))
+    listed = replace(cfg, Q=cfg.Q.tolist())
+    assert monte_carlo(listed, setup=build_setup(cfg)).results[0].norms.size == 10
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01])
