@@ -92,7 +92,8 @@ def _emit_simulation(out: Path, report: MonteCarloReport, meta_extra: dict,
                      plots: bool) -> None:
     write_csv(out / "trace.csv", trace_columns(report))
     write_csv(out / "trajectory.csv", trajectory_columns(report))
-    write_csv(out / "summary.csv", summary_columns(report))
+    summary = summary_columns(report)
+    write_csv(out / "summary.csv", summary)
     meta = {
         "tool": {"name": "sparseppc", "version": __version__},
         "config": resolved_config(report.cfg),
@@ -108,17 +109,17 @@ def _emit_simulation(out: Path, report: MonteCarloReport, meta_extra: dict,
     meta.update(meta_extra)
     _write_meta(out / "meta.json", meta)
     if plots:
-        ks = list(range(len(report.mean_norm)))
+        ks = summary["k"].tolist()
         write_line_svg(out / "norm_vs_k.svg",
-                       [("mean", ks, list(report.mean_norm)),
-                        ("median", ks, list(report.median_norm)),
-                        ("max", ks, list(report.max_norm))],
+                       [("mean", ks, list(summary["mean_norm"])),
+                        ("median", ks, list(summary["median_norm"])),
+                        ("max", ks, list(summary["max_norm"]))],
                        title="state norm vs k", y_label="||x(k)||", log_y=True)
         write_line_svg(out / "norm_vs_k_linear.svg",
-                       [("mean", ks, list(report.mean_norm))],
+                       [("mean", ks, list(summary["mean_norm"]))],
                        title="state norm vs k", y_label="||x(k)||")
         write_line_svg(out / "sparsity_vs_k.svg",
-                       [("mean nonzeros", ks, list(report.mean_sparsity))],
+                       [("mean nonzeros", ks, list(summary["mean_sparsity"]))],
                        title="packet sparsity vs k", y_label="nonzeros")
 
 
@@ -135,8 +136,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = _load_config(args.config)
-    family = args.family or doc.pop("family", None)
-    grid = doc.pop("grid", None)
+    family, grid = doc.pop("family", None), doc.pop("grid", None)
+    family = args.family or family
     if args.grid:
         try:
             grid = [float(g) for g in args.grid.split(",")]
@@ -175,8 +176,8 @@ def _cmd_bitrate(args) -> int:
     write_csv(out / "rates.csv", rate_columns(report))
     if args.dump_packets:
         write_csv(out / "packets.csv", packet_columns(report))
-    _write_meta(out / "codec_omp.json", codec_to_dict(report.codec_omp))
-    _write_meta(out / "codec_l2.json", codec_to_dict(report.codec_l2))
+    for run in report.schemes.values():
+        _write_meta(out / f"codec_{run.controller}.json", codec_to_dict(run.codec))
     _write_meta(out / "meta.json", {
         "tool": {"name": "sparseppc", "version": __version__},
         "config": resolved_config(cfg),
@@ -227,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="regularization-vs-performance curve")
     common(p, controller=False)
-    p.add_argument("--family", choices=["l1l2", "l2"], help="controller family")
-    p.add_argument("--grid", help="comma-separated nu values")
+    p.add_argument("--family", choices=["l1l2", "l2"],
+                   help="controller family (overrides the config's family)")
+    p.add_argument("--grid", help="comma-separated nu values (overrides the config's grid)")
     p.add_argument("--match-perf", type=float,
                    help="report the grid point closest to this performance level")
     p.set_defaults(func=_cmd_sweep)
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, controller=False)
     p.add_argument("--train-trials", type=int, help="training trial count")
     p.add_argument("--dump-packets", action="store_true",
-                   help="also write packets.csv with hex bitstreams")
+                   help="also write packets.csv; only then are the bitstreams hex-dumped")
     p.set_defaults(func=_cmd_bitrate)
     return parser
 

@@ -178,12 +178,13 @@ class EncodedPacket:
 def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
     """Fit per-position Huffman code lengths to quantized packets.
 
-    samples is an iterable of integer index vectors of a common length N.
+    samples is an (M, N) integer index array, or a list of M index vectors
+    of a common length N.
     Positions past the scheme's head are trained on their nonzero indices
     only (zeros travel in the bitmap). Every position gets an escape symbol
     with pseudo-count 1 so unseen indices stay encodable.
     """
-    mat = np.asarray(list(samples), dtype=np.int64)
+    mat = np.asarray(samples, dtype=np.int64)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise CodecTrainingError("training requires at least one packet")
     N = mat.shape[1]

@@ -22,6 +22,11 @@ from .plant import PlantModel, _frozen, require_reachable
 # each field of a saved design at most this relative distance from the built one.
 RICCATI_RTOL = 1e-9
 
+# solve_dare stops once an iteration changes P by at most DARE_TOL * ||P||_F,
+# and gives up after DARE_MAX_ITER iterations.
+DARE_TOL = 1e-13
+DARE_MAX_ITER = 100_000
+
 
 @dataclass(frozen=True)
 class CostDesign:
@@ -54,12 +59,11 @@ def dare_residual(m: PlantModel, P: np.ndarray, Q: np.ndarray, delta: float = 0.
     return float(np.linalg.norm(R, "fro"))
 
 
-def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0,
-               tol: float = 1e-13, max_iter: int = 100_000) -> np.ndarray:
+def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0) -> np.ndarray:
     """Riccati solution by fixed-point iteration from P0 = Q.
 
     Iterates P <- A'PA - A'PB (B'PB + delta)^-1 B'PA + Q until the relative
-    Frobenius change drops below tol. delta > 0 regularizes the scalar
+    Frobenius change drops below DARE_TOL. delta > 0 regularizes the scalar
     inverse for plants where the plain equation lacks a PD solution.
     """
     Q = check_sym_pd(np.asarray(Q, dtype=float), "Q")
@@ -69,7 +73,7 @@ def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0,
 
     A, B = m.A, m.B
     P = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         Pb = P @ B
         bPb = float(B @ Pb) + delta
         if bPb <= 0.0:
@@ -79,12 +83,12 @@ def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0,
         Pn = 0.5 * (Pn + Pn.T)
         change = np.linalg.norm(Pn - P, "fro")
         P = Pn
-        if change <= tol * np.linalg.norm(P, "fro"):
+        if change <= DARE_TOL * np.linalg.norm(P, "fro"):
             break
     else:
         res = dare_residual(m, P, Q, delta)
         raise SolverFailureError(
-            f"Riccati iteration did not converge in {max_iter} iterations "
+            f"Riccati iteration did not converge in {DARE_MAX_ITER} iterations "
             f"(residual {res:.3e})", residual=res)
 
     res = dare_residual(m, P, Q, delta)

@@ -104,13 +104,16 @@ def finite_real(value) -> bool:
         return False
 
 
-def numerical_rank(M: np.ndarray, rel_tol: float = 1e-12) -> int:
-    """Rank by singular values: sigma counts iff sigma > dim * sigma_max * rel_tol."""
+RANK_RTOL = 1e-12
+
+
+def numerical_rank(M: np.ndarray) -> int:
+    """Rank by singular values: sigma counts iff sigma > dim * sigma_max * RANK_RTOL."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    tol = max(M.shape) * sv[0] * rel_tol
+    tol = max(M.shape) * sv[0] * RANK_RTOL
     return int(np.count_nonzero(sv > tol))
 
 

@@ -334,11 +334,6 @@ class MonteCarloReport:
     cfg: SimConfig
     results: list
     failures: list            # (trial, error message)
-    mean_norm: np.ndarray     # per-k aggregates over successful trials
-    median_norm: np.ndarray
-    max_norm: np.ndarray
-    mean_V: np.ndarray
-    mean_sparsity: np.ndarray
     per_trial_perf: np.ndarray
     total_overrides: int
     total_violations: int = None
@@ -347,7 +342,7 @@ class MonteCarloReport:
 
 def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
                 namespace: int = NS_MAIN) -> MonteCarloReport:
-    """Run cfg.trials independent paired trials and aggregate per-k stats.
+    """Run cfg.trials independent paired trials and keep every result.
 
     The run's config alone picks the controller, nu and noise; a given
     setup must share cfg's SETUP_FIELDS and is checked as build_setup
@@ -381,18 +376,10 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
     if not results:
         raise SparsePpcError(f"all {cfg.trials} trials failed; first: {failures[0][1]}")
 
-    norm_mat = np.stack([r.norms for r in results])
-    v_mat = np.stack([r.V for r in results])
-    sp_mat = np.stack([r.sparsity for r in results])
     report = MonteCarloReport(
         cfg=cfg,
         results=results,
         failures=failures,
-        mean_norm=norm_mat.mean(axis=0),
-        median_norm=np.median(norm_mat, axis=0),
-        max_norm=norm_mat.max(axis=0),
-        mean_V=v_mat.mean(axis=0),
-        mean_sparsity=sp_mat.mean(axis=0),
         per_trial_perf=np.array([r.perf() for r in results]),
         total_overrides=sum(r.overrides for r in results),
         mean_solve_seconds=float(np.mean([r.solve_seconds.mean() for r in results])),
@@ -443,20 +430,31 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     return report
 
 
+# The paper's bit-rate comparison as (controller, scheme) pairs, in the
+# order every bit-rate output lists them.
+BITRATE_PLAN = (("omp", "sparse"), ("l2", "dense"))
+
+
+@dataclass
+class SchemeRun:
+    """One controller's test packets coded under one scheme."""
+
+    controller: str
+    codec: PacketCodec        # trained on the controller's training packets
+    test: MonteCarloReport
+    bits: np.ndarray          # (trials, T) encoded size of each test packet
+    encoded: list             # EncodedPacket of each test packet, trial-major
+
+
 @dataclass
 class BitrateReport:
     cfg: SimConfig
+    schemes: dict             # scheme -> SchemeRun, in BITRATE_PLAN order
     mean_bits_omp: float
     mean_bits_l2: float
     reduction_pct: float
     roundtrip_failures: int
     max_quant_error: float
-    codec_omp: PacketCodec
-    codec_l2: PacketCodec
-    test_omp: MonteCarloReport
-    test_l2: MonteCarloReport
-    bits: dict                # scheme -> (trials, T) encoded size of each test packet
-    hexes: dict               # scheme -> per test trial, hex dumps of its packets
 
 
 def _recorded_packets(rep: MonteCarloReport) -> np.ndarray:
@@ -464,34 +462,14 @@ def _recorded_packets(rep: MonteCarloReport) -> np.ndarray:
     return np.stack([r.packets for r in rep.results])
 
 
-def _code_packets(codec: PacketCodec, indices: np.ndarray):
-    """Encode, then decode, each quantized packet of a (trials, T, N) stack.
-
-    Returns the bit counts (trials, T), the hex dumps per trial, and how
-    many packets failed to decode back to the indices that were encoded.
-    """
-    bits = np.empty(indices.shape[:2], dtype=np.int64)
-    hexes = []
-    failures = 0
-    for i, trial_indices in enumerate(indices):
-        dumps = []
-        for k, idx in enumerate(trial_indices):
-            enc = encode(codec, idx)
-            failures += not np.array_equal(decode(codec, enc), idx)
-            bits[i, k] = enc.bit_count
-            dumps.append(enc.to_hex())
-        hexes.append(dumps)
-    return bits, hexes, failures
-
-
 def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
     """Train per-position coders, then measure rates on fresh seeds.
 
-    Phase 1 runs cfg.train_trials noisy trials per controller and fits the
-    sparse-scheme codec to the greedy packets and the dense-scheme codec to
-    the Tikhonov packets. Phase 2 reruns on disjoint seeds, then quantizes
-    and codes the recorded test packets and reports mean bits per packet
-    and the relative reduction.
+    For each (controller, scheme) of BITRATE_PLAN: cfg.train_trials noisy
+    training trials fit the scheme's codec to the controller's quantized
+    packets; the test trials then rerun on disjoint seeds, and each
+    quantized test packet is encoded and decoded back, one at a time.
+    Reports mean bits per packet and the relative reduction.
     """
     if not cfg.sigma > 0:
         raise ConfigError("bitrate experiment requires gaussian noise with sigma > 0")
@@ -499,43 +477,38 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
         raise ConfigError("sparse scheme requires an even packet length")
     setup = build_setup(cfg)
     quantizer = Quantizer(delta=cfg.quantizer_delta)
-    plan = (("omp", "sparse"), ("l2", "dense"))
 
-    codecs = {}
-    for name, scheme in plan:
-        rep = monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials),
-                          setup=setup, namespace=NS_TRAIN)
-        samples = quantize_packet(quantizer, _recorded_packets(rep)).reshape(-1, cfg.N)
-        codecs[name] = train_codec(samples, scheme, quantizer)
-
-    tests, bits, hexes = {}, {}, {}
+    schemes = {}
     roundtrip_failures = 0
     max_quant_error = 0.0
-    for name, scheme in plan:
-        tests[name] = monte_carlo(replace(cfg, controller=name), setup=setup,
-                                  namespace=NS_TEST)
-        packets = _recorded_packets(tests[name])
+    for name, scheme in BITRATE_PLAN:
+        train = monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials),
+                            setup=setup, namespace=NS_TRAIN)
+        samples = quantize_packet(quantizer, _recorded_packets(train)).reshape(-1, cfg.N)
+        codec = train_codec(samples, scheme, quantizer)
+        test = monte_carlo(replace(cfg, controller=name), setup=setup, namespace=NS_TEST)
+        packets = _recorded_packets(test)
         indices = quantize_packet(quantizer, packets)
         err = float(np.max(np.abs(packets - dequantize(quantizer, indices))))
         max_quant_error = max(max_quant_error, err)
-        bits[scheme], hexes[scheme], failures = _code_packets(codecs[name], indices)
-        roundtrip_failures += failures
+        encoded = []
+        for idx in indices.reshape(-1, cfg.N):
+            enc = encode(codec, idx)
+            roundtrip_failures += not np.array_equal(decode(codec, enc), idx)
+            encoded.append(enc)
+        bits = np.array([enc.bit_count for enc in encoded]).reshape(indices.shape[:2])
+        schemes[scheme] = SchemeRun(controller=name, codec=codec, test=test, bits=bits,
+                                    encoded=encoded)
 
-    mean_omp = float(np.mean(bits["sparse"]))
-    mean_l2 = float(np.mean(bits["dense"]))
+    mean = {run.controller: float(np.mean(run.bits)) for run in schemes.values()}
     return BitrateReport(
         cfg=cfg,
-        mean_bits_omp=mean_omp,
-        mean_bits_l2=mean_l2,
-        reduction_pct=100.0 * (1.0 - mean_omp / mean_l2),
+        schemes=schemes,
+        mean_bits_omp=mean["omp"],
+        mean_bits_l2=mean["l2"],
+        reduction_pct=100.0 * (1.0 - mean["omp"] / mean["l2"]),
         roundtrip_failures=roundtrip_failures,
         max_quant_error=max_quant_error,
-        codec_omp=codecs["omp"],
-        codec_l2=codecs["l2"],
-        test_omp=tests["omp"],
-        test_l2=tests["l2"],
-        bits=bits,
-        hexes=hexes,
     )
 
 
@@ -558,7 +531,7 @@ def write_csv(path, columns: dict) -> None:
 def _per_step(report: MonteCarloReport, **attrs) -> dict:
     """trial and k columns, then each named TrialResult array, trial-major."""
     trials = [r.trial for r in report.results]
-    T = len(report.mean_norm)
+    T = report.cfg.steps
     return {"trial": np.repeat(trials, T), "k": np.tile(np.arange(T), len(trials)),
             **{name: np.concatenate([getattr(r, attr) for r in report.results])
                for name, attr in attrs.items()}}
@@ -573,24 +546,28 @@ def trajectory_columns(report: MonteCarloReport) -> dict:
 
 
 def summary_columns(report: MonteCarloReport) -> dict:
-    return {"k": np.arange(len(report.mean_norm)), "mean_norm": report.mean_norm,
-            "median_norm": report.median_norm, "max_norm": report.max_norm,
-            "mean_V": report.mean_V, "mean_sparsity": report.mean_sparsity}
-
-
-def packet_columns(breport: BitrateReport) -> dict:
-    """Hex-dumped bitstreams with their exact bit counts, sparse scheme first."""
-    parts = [{**_per_step(rep), "scheme": np.repeat(scheme, breport.bits[scheme].size),
-              "bit_count": breport.bits[scheme].ravel(),
-              "hex": np.ravel(breport.hexes[scheme])}
-             for scheme, rep in (("sparse", breport.test_omp), ("dense", breport.test_l2))]
-    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+    """Per-k aggregates over the successful trials."""
+    norms = np.stack([r.norms for r in report.results])
+    return {"k": np.arange(report.cfg.steps), "mean_norm": norms.mean(axis=0),
+            "median_norm": np.median(norms, axis=0), "max_norm": norms.max(axis=0),
+            "mean_V": np.stack([r.V for r in report.results]).mean(axis=0),
+            "mean_sparsity": np.stack([r.sparsity for r in report.results]).mean(axis=0)}
 
 
 def rate_columns(breport: BitrateReport) -> dict:
-    cols = packet_columns(breport)
-    return {"trial": cols["trial"], "k": cols["k"], "scheme": cols["scheme"],
-            "bits": cols["bit_count"]}
+    """Exact bit count of each coded test packet, schemes in BITRATE_PLAN order."""
+    parts = [{**_per_step(run.test), "scheme": np.repeat(scheme, run.bits.size),
+              "bits": run.bits.ravel()}
+             for scheme, run in breport.schemes.items()]
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
+def packet_columns(breport: BitrateReport) -> dict:
+    """rate_columns with bits named bit_count, then each packet's hex dump."""
+    cols = rate_columns(breport)
+    cols["bit_count"] = cols.pop("bits")
+    cols["hex"] = [enc.to_hex() for run in breport.schemes.values() for enc in run.encoded]
+    return cols
 
 
 def sweep_columns(sreport: SweepReport) -> dict:

@@ -12,8 +12,11 @@ the lasso optimality (KKT) conditions, checked column by column,
 instead of the homotopy path, and an explicit Huffman tree walked for
 its codewords instead of counting merges per symbol, a delivery-by-delivery
 walk instead of the masked Lyapunov counts, and CSV text rendered a row
-and a cell at a time instead of a column at a time.
+and a cell at a time instead of a column at a time, its per-k summaries
+summed trial by trial in Python.
 """
+
+import statistics
 
 import numpy as np
 import scipy.linalg as sla
@@ -392,17 +395,23 @@ def _trajectory_rows(report):
 
 
 def _summary_rows(report):
-    for k in range(len(report.mean_norm)):
-        yield (k, float(report.mean_norm[k]), float(report.median_norm[k]),
-               float(report.max_norm[k]), float(report.mean_V[k]),
-               float(report.mean_sparsity[k]))
+    # sequential sums, as numpy reduces over trials, so means agree to the bit
+    for k in range(report.cfg.steps):
+        norms = [float(r.norms[k]) for r in report.results]
+        V = [float(r.V[k]) for r in report.results]
+        sparsity = [int(r.sparsity[k]) for r in report.results]
+        yield (k, sum(norms) / len(norms), statistics.median(norms), max(norms),
+               sum(V) / len(V), sum(sparsity) / len(sparsity))
 
 
 def _packet_rows(breport):
-    for scheme, rep in (("sparse", breport.test_omp), ("dense", breport.test_l2)):
-        for r, bits, dumps in zip(rep.results, breport.bits[scheme], breport.hexes[scheme]):
-            for k, (b, h) in enumerate(zip(bits, dumps)):
-                yield (r.trial, k, scheme, int(b), h)
+    for scheme, run in breport.schemes.items():
+        encoded = iter(run.encoded)
+        for r, bits in zip(run.test.results, run.bits):
+            for k, b in enumerate(bits):
+                enc = next(encoded)
+                assert enc.bit_count == b
+                yield (r.trial, k, scheme, int(b), enc.to_hex())
 
 
 def _rate_rows(breport):

@@ -307,6 +307,16 @@ def test_sweep_cli(tmp_path):
     assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "s2")]) == 2
 
 
+def test_sweep_flags_override_config_family_and_grid(tmp_path):
+    cfg = _write(tmp_path / "c.json", {"trials": 2, "steps": 15, "family": "l2",
+                                        "grid": [1e0, 1e2]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--family", "l1l2", "--grid", "1e3,1e4",
+                 "--out-dir", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(family, float(nu)) for family, nu, _ in rows] == [("l1l2", 1e3), ("l1l2", 1e4)]
+
+
 def _codec_from_json(path):
     """Rebuild a codec from the code-length tables of a codec_*.json file."""
     doc = json.loads(path.read_text())

@@ -176,11 +176,13 @@ def test_delta_regularized_riccati(cessna):
         solve_dare(cessna, np.eye(4), delta=-1e9)
 
 
-def test_dare_nonconvergence_carries_residual(cessna):
+def test_dare_nonconvergence_carries_residual(cessna, monkeypatch):
+    from sparseppc import design
     from sparseppc.errors import SolverFailureError
 
+    monkeypatch.setattr(design, "DARE_MAX_ITER", 2)
     with pytest.raises(SolverFailureError) as exc_info:
-        solve_dare(cessna, np.eye(4), max_iter=2)
+        solve_dare(cessna, np.eye(4))
     assert exc_info.value.residual is not None
     assert exc_info.value.residual > 0.0
 

@@ -400,9 +400,9 @@ def test_monte_carlo_reproducible_and_paired(tmp_path):
 def test_monte_carlo_aggregates_shapes():
     cfg = SimConfig(trials=3, steps=20, seed=5)
     rep = monte_carlo(cfg)
-    assert rep.mean_norm.shape == (20,)
-    assert rep.median_norm.shape == (20,)
-    assert rep.mean_sparsity.shape == (20,)
+    summary = summary_columns(rep)
+    for name in ("k", "mean_norm", "median_norm", "max_norm", "mean_V", "mean_sparsity"):
+        assert summary[name].shape == (20,), name
     assert rep.per_trial_perf.shape == (3,)
     assert rep.total_violations == 0
     assert rep.failures == []
@@ -504,7 +504,7 @@ def test_run_config_picks_controller_over_setup_config():
         assert np.array_equal(a.norms, b.norms)
         assert np.array_equal(a.d, b.d)
         assert np.array_equal(a.u_applied, b.u_applied)
-    assert np.all(shared.mean_sparsity == cfg.N)
+    assert np.all(summary_columns(shared)["mean_sparsity"] == cfg.N)
 
 
 def test_sweep_single_point_and_curve():
@@ -577,7 +577,8 @@ def test_bitrate_experiment_smoke():
     assert rep.roundtrip_failures == 0
     assert rep.max_quant_error <= 0.5 * cfg.quantizer_delta
     assert rep.mean_bits_omp > 0 and rep.mean_bits_l2 > 0
-    assert rep.codec_omp.scheme == "sparse" and rep.codec_l2.scheme == "dense"
+    assert [(s, run.controller, run.codec.scheme) for s, run in rep.schemes.items()] == [
+        ("sparse", "omp", "sparse"), ("dense", "l2", "dense")]
     for quiet in ({"kind": "none"}, {"kind": "gaussian", "sigma": 0.0}):
         with pytest.raises(ConfigError, match="sigma > 0"):
             sp.bitrate_experiment(SimConfig(noise=quiet))
@@ -588,17 +589,50 @@ def test_bitrate_bits_code_the_recorded_test_packets():
                     noise={"kind": "gaussian", "sigma": 0.01})
     rep = sp.bitrate_experiment(cfg)
     q = sp.Quantizer(delta=cfg.quantizer_delta)
-    for scheme, codec, test, mean in (
-            ("sparse", rep.codec_omp, rep.test_omp, rep.mean_bits_omp),
-            ("dense", rep.codec_l2, rep.test_l2, rep.mean_bits_l2)):
-        bits = rep.bits[scheme]
-        assert bits.shape == (3, 20)
-        assert mean == np.mean(bits)
-        for r, row, dumps in zip(test.results, bits, rep.hexes[scheme]):
-            assert len(dumps) == 20
-            for pkt, b, h in zip(r.packets, row, dumps):
-                enc = sp.encode(codec, sp.quantize_packet(q, pkt))
-                assert enc.bit_count == b and enc.to_hex() == h
+    for run, mean in ((rep.schemes["sparse"], rep.mean_bits_omp),
+                      (rep.schemes["dense"], rep.mean_bits_l2)):
+        assert run.bits.shape == (3, 20) and len(run.encoded) == 3 * 20
+        assert mean == np.mean(run.bits)
+        encoded = iter(run.encoded)
+        for r, row in zip(run.test.results, run.bits):
+            for pkt, b in zip(r.packets, row):
+                enc = sp.encode(run.codec, sp.quantize_packet(q, pkt))
+                assert enc.bit_count == b and enc == next(encoded)
+
+
+def test_bitrate_decodes_each_packet_right_after_encoding_it(monkeypatch):
+    # perfbench pairs each decode with the encode just before it
+    import sparseppc.sim as sim_mod
+
+    calls = []
+
+    def tap(kind, fn):
+        def tapped(codec, arg):
+            out = fn(codec, arg)
+            calls.append((kind, codec.scheme, arg, out))
+            return out
+        return tapped
+
+    monkeypatch.setattr(sim_mod, "encode", tap("encode", sim_mod.encode))
+    monkeypatch.setattr(sim_mod, "decode", tap("decode", sim_mod.decode))
+    sim_mod.bitrate_experiment(SimConfig(trials=2, train_trials=2, steps=10, seed=8,
+                                         noise={"kind": "gaussian", "sigma": 0.01}))
+    assert [c[0] for c in calls] == ["encode", "decode"] * (len(calls) // 2)
+    for (_, scheme, _, enc), (_, decoded_scheme, arg, _) in zip(calls[::2], calls[1::2]):
+        assert arg is enc and decoded_scheme == scheme
+    assert [c[1] for c in calls[::2]] == ["sparse"] * 2 * 10 + ["dense"] * 2 * 10
+
+
+def test_rates_make_no_hex_dumps(monkeypatch):
+    dumps = []
+    to_hex = sp.EncodedPacket.to_hex
+    monkeypatch.setattr(sp.EncodedPacket, "to_hex",
+                        lambda enc: dumps.append(enc) or to_hex(enc))
+    rep = sp.bitrate_experiment(SimConfig(trials=2, train_trials=2, steps=10, seed=8,
+                                          noise={"kind": "gaussian", "sigma": 0.01}))
+    rate_columns(rep)
+    assert dumps == []
+    assert len(packet_columns(rep)["hex"]) == len(dumps) == 2 * 2 * 10
 
 
 def test_bitrate_rejects_odd_horizon_before_any_trial(monkeypatch):
@@ -631,12 +665,13 @@ def test_vanishing_noise_rates_collapse_to_scheme_floor():
     cfg = SimConfig(trials=4, train_trials=4, steps=100, seed=31,
                     noise={"kind": "gaussian", "sigma": 1e-9})
     rep = sp.bitrate_experiment(cfg)
-    for bits in rep.bits.values():
-        late = bits[:, 70:]
+    sparse, dense = rep.schemes["sparse"], rep.schemes["dense"]
+    for run in (sparse, dense):
+        late = run.bits[:, 70:]
         assert np.all(late == late[0, 0])  # flat at the floor
-    head_zero = sum(rep.codec_omp.coders[p].lengths[0] for p in range(5))
-    assert rep.bits["sparse"][0, 70] == head_zero + 5
-    assert rep.bits["dense"][0, 70] == sum(rep.codec_l2.coders[p].lengths[0] for p in range(10))
+    head_zero = sum(sparse.codec.coders[p].lengths[0] for p in range(5))
+    assert sparse.bits[0, 70] == head_zero + 5
+    assert dense.bits[0, 70] == sum(dense.codec.coders[p].lengths[0] for p in range(10))
 
 
 def test_five_controller_families_run_paired():
@@ -650,9 +685,11 @@ def test_five_controller_families_run_paired():
             assert np.array_equal(a.d, b.d)
             assert np.allclose(a.states[0], b.states[0])
     # generically dense baselines vs sparsity-seeking solvers
-    assert reports["least_squares"].mean_sparsity.mean() == 10.0
-    assert reports["l2"].mean_sparsity.mean() == 10.0
-    assert reports["oracle"].mean_sparsity.mean() <= reports["omp"].mean_sparsity.mean()
+    sparsity = {name: summary_columns(rep)["mean_sparsity"].mean()
+                for name, rep in reports.items()}
+    assert sparsity["least_squares"] == 10.0
+    assert sparsity["l2"] == 10.0
+    assert sparsity["oracle"] <= sparsity["omp"]
 
 
 def test_run_trial_rejects_noise_of_the_wrong_shape():
