@@ -17,11 +17,11 @@ from . import __version__
 from .design import design_from_dict, design_to_dict
 from .errors import ConfigError, SparsePpcError
 from .linalg import shown
-from .sim import (CONTROLLERS, MonteCarloReport, bitrate_experiment,
-                  build_setup, config_from_dict, monte_carlo, packet_columns,
-                  rate_columns, resolved_config, summary_columns,
-                  sweep_columns, sweep_regularization, trace_columns,
-                  trajectory_columns, write_csv)
+from .sim import (CONTROLLERS, SWEEP_KEYS, bitrate_experiment, build_setup,
+                  config_from_dict, monte_carlo, packet_columns, rate_columns,
+                  resolved_config, summary_columns, sweep_columns,
+                  sweep_regularization, trace_columns, trajectory_columns,
+                  write_csv)
 from .codec import codec_to_dict
 from .svgplot import write_line_svg
 
@@ -59,6 +59,12 @@ def _write_meta(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_run_meta(out: Path, config: dict, **sections) -> None:
+    """A run's meta.json: the tool, the config its runs used, then its sections."""
+    _write_meta(out / "meta.json", {"tool": {"name": "sparseppc", "version": __version__},
+                                    "config": config, **sections})
+
+
 def _config_overrides(args) -> dict:
     return {
         "seed": args.seed,
@@ -73,13 +79,12 @@ def _cmd_design(args) -> int:
     payload = design_to_dict(setup.design)
     payload["plant"] = {"A": setup.model.A.tolist(), "B": setup.model.B.tolist()}
 
+    out = _out_dir(args) if args.out_dir else Path(".")
     if args.dump_horizon:
-        out = _out_dir(args) if args.out_dir else Path(".")
         np.savetxt(out / "G.csv", setup.hm.G, delimiter=",")
         np.savetxt(out / "H.csv", setup.hm.H, delimiter=",")
 
     if args.out_dir:
-        out = _out_dir(args)
         _write_meta(out / "design.json", payload)
         print(f"wrote {out / 'design.json'}")
     else:
@@ -88,27 +93,24 @@ def _cmd_design(args) -> int:
     return 0
 
 
-def _emit_simulation(out: Path, report: MonteCarloReport, meta_extra: dict,
-                     plots: bool) -> None:
+def _cmd_simulate(args) -> int:
+    cfg = config_from_dict(_load_config(args.config), **_config_overrides(args))
+    design = design_from_dict(_load_config(args.design)) if args.design else None
+    report = monte_carlo(cfg, setup=build_setup(cfg, design=design))
+    out = _out_dir(args)
     write_csv(out / "trace.csv", trace_columns(report))
     write_csv(out / "trajectory.csv", trajectory_columns(report))
     summary = summary_columns(report)
     write_csv(out / "summary.csv", summary)
-    meta = {
-        "tool": {"name": "sparseppc", "version": __version__},
-        "config": resolved_config(report.cfg),
-        "results": {
-            "trials_succeeded": len(report.results),
-            "failures": [{"trial": t, "error": msg} for t, msg in report.failures],
-            "total_overrides": report.total_overrides,
-            "total_violations": report.total_violations,
-            "mean_perf": float(np.mean(report.per_trial_perf)),
-        },
-        "timing": {"mean_solve_seconds": report.mean_solve_seconds},
-    }
-    meta.update(meta_extra)
-    _write_meta(out / "meta.json", meta)
-    if plots:
+    results = report.results
+    _write_run_meta(out, resolved_config(cfg), results={
+        "trials_succeeded": len(results),
+        "failures": [{"trial": t, "error": msg} for t, msg in report.failures],
+        "total_overrides": sum(r.overrides for r in results),
+        "total_violations": report.total_violations,
+        "mean_perf": float(np.mean(report.per_trial_perf)),
+    }, timing={"mean_solve_seconds": float(np.mean([r.solve_seconds.mean() for r in results]))})
+    if args.plots:
         ks = summary["k"].tolist()
         write_line_svg(out / "norm_vs_k.svg",
                        [("mean", ks, list(summary["mean_norm"])),
@@ -121,16 +123,7 @@ def _emit_simulation(out: Path, report: MonteCarloReport, meta_extra: dict,
         write_line_svg(out / "sparsity_vs_k.svg",
                        [("mean nonzeros", ks, list(summary["mean_sparsity"]))],
                        title="packet sparsity vs k", y_label="nonzeros")
-
-
-def _cmd_simulate(args) -> int:
-    cfg = config_from_dict(_load_config(args.config), **_config_overrides(args))
-    design = design_from_dict(_load_config(args.design)) if args.design else None
-    report = monte_carlo(cfg, setup=build_setup(cfg, design=design))
-    out = _out_dir(args)
-    _emit_simulation(out, report, {}, args.plots)
-    print(f"simulate: {len(report.results)}/{cfg.trials} trials ok, "
-          f"outputs in {out}")
+    print(f"simulate: {len(results)}/{cfg.trials} trials ok, outputs in {out}")
     return 0
 
 
@@ -149,11 +142,9 @@ def _cmd_sweep(args) -> int:
     report = sweep_regularization(cfg, family, grid, match_perf=args.match_perf)
     out = _out_dir(args)
     write_csv(out / "sweep.csv", sweep_columns(report))
-    _write_meta(out / "meta.json", {
-        "tool": {"name": "sparseppc", "version": __version__},
-        "config": resolved_config(cfg),
-        "sweep": {k: v for k, v in asdict(report).items() if k not in ("grid", "mean_perf")},
-    })
+    config = resolved_config(cfg, controller=family, **{SWEEP_KEYS[family]: report.grid})
+    _write_run_meta(out, config, sweep={k: v for k, v in asdict(report).items()
+                                        if k not in ("grid", "mean_perf")})
     if args.plots:
         write_line_svg(out / "sweep.svg",
                        [(report.family, report.grid, report.mean_perf)],
@@ -167,10 +158,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_bitrate(args) -> int:
     doc = _load_config(args.config)
     doc.setdefault("noise", {"kind": "gaussian", "sigma": 0.01})
-    overrides = _config_overrides(args)
-    overrides["train_trials"] = args.train_trials
-    overrides.pop("controller", None)
-    cfg = config_from_dict(doc, **overrides)
+    cfg = config_from_dict(doc, **_config_overrides(args), train_trials=args.train_trials)
     report = bitrate_experiment(cfg)
     out = _out_dir(args)
     write_csv(out / "rates.csv", rate_columns(report))
@@ -178,16 +166,13 @@ def _cmd_bitrate(args) -> int:
         write_csv(out / "packets.csv", packet_columns(report))
     for run in report.schemes.values():
         _write_meta(out / f"codec_{run.controller}.json", codec_to_dict(run.codec))
-    _write_meta(out / "meta.json", {
-        "tool": {"name": "sparseppc", "version": __version__},
-        "config": resolved_config(cfg),
-        "rates": {
-            "mean_bits_omp": report.mean_bits_omp,
-            "mean_bits_l2": report.mean_bits_l2,
-            "reduction_pct": report.reduction_pct,
-            "roundtrip_failures": report.roundtrip_failures,
-            "max_quant_error": report.max_quant_error,
-        },
+    config = resolved_config(cfg, controller=[run.controller for run in report.schemes.values()])
+    _write_run_meta(out, config, rates={
+        "mean_bits_omp": report.mean_bits_omp,
+        "mean_bits_l2": report.mean_bits_l2,
+        "reduction_pct": report.reduction_pct,
+        "roundtrip_failures": report.roundtrip_failures,
+        "max_quant_error": report.max_quant_error,
     })
     print(f"bitrate: OMP {report.mean_bits_omp:.2f} bits vs l2 "
           f"{report.mean_bits_l2:.2f} bits ({report.reduction_pct:.1f}% reduction), "
@@ -202,16 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, controller=True):
+    def common(p, plots=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out-dir", help="output directory")
         p.add_argument("--trials", type=int, help="trial count override")
         p.add_argument("--steps", type=int, help="steps per trial override")
-        p.add_argument("--plots", action="store_true", help="emit SVG plots")
-        if controller:
-            p.add_argument("--controller", choices=CONTROLLERS,
-                           help="controller override")
+        if plots:
+            p.add_argument("--plots", action="store_true", help="emit SVG plots")
 
     p = sub.add_parser("design", help="build the stabilizing cost design")
     p.add_argument("--config", help="JSON config (plant, N, Q, eta, delta; "
@@ -222,13 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="closed-loop Monte Carlo run")
     common(p)
+    p.add_argument("--controller", choices=CONTROLLERS, help="controller override")
     p.add_argument("--design", help="a design.json from the design command, which "
                    "must equal the design this config builds")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="regularization-vs-performance curve")
-    common(p, controller=False)
-    p.add_argument("--family", choices=["l1l2", "l2"],
+    common(p)
+    p.add_argument("--family", choices=list(SWEEP_KEYS),
                    help="controller family (overrides the config's family)")
     p.add_argument("--grid", help="comma-separated nu values (overrides the config's grid)")
     p.add_argument("--match-perf", type=float,
@@ -236,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bitrate", help="train/test entropy-coding experiment")
-    common(p, controller=False)
+    common(p, plots=False)
     p.add_argument("--train-trials", type=int, help="training trial count")
     p.add_argument("--dump-packets", action="store_true",
                    help="also write packets.csv; only then are the bitstreams hex-dumped")

@@ -151,9 +151,13 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> C
 
     Scans support sizes k = 0, 1, ... and within each size the supports in
     lexicographic order, returning the first feasible restricted
-    least-squares solution. Exponential in N; refused above ORACLE_CAP. Intended
-    as the correctness oracle for the greedy solver, not for control loops
-    at scale.
+    least-squares solution; solver_iters counts the supports examined.
+    Each size is one stacked QR of every G[:, S] and one stacked solve of
+    R coef = Q'Hx. A support whose R has an exact zero on its diagonal is
+    singular, and raises if it comes before the first feasible one.
+    Exponential in N; refused above ORACLE_CAP. Intended as the
+    correctness oracle for the greedy solver, not for control loops at
+    scale, so it shares no code with it.
     """
     if hm.N > ORACLE_CAP:
         raise ConfigError(
@@ -167,18 +171,25 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> C
     if float(Hx @ Hx) <= budget + slack:
         return ControlPacket(np.zeros(hm.N), 0)
     for k in range(1, hm.N + 1):
-        for support in combinations(range(hm.N), k):
-            examined += 1
-            try:
-                coef, Gs = _support_lsq(hm.G, list(support), Hx)
-            except np.linalg.LinAlgError as exc:
+        supports = np.array(list(combinations(range(hm.N), k)))
+        Gs = hm.G[:, supports].swapaxes(0, 1)           # (supports, rows, k)
+        Qs, Rs = np.linalg.qr(Gs)
+        singular = np.any(np.diagonal(Rs, axis1=-2, axis2=-1) == 0.0, axis=-1)
+        Rs[singular] = np.eye(k)    # solvable stand-ins; a singular support never returns
+        coef = np.linalg.solve(Rs, (Qs.swapaxes(-1, -2) @ Hx)[..., None])
+        # matmul, not einsum or sum: each row gets the bits of its own r @ r
+        r = Hx - (Gs @ coef)[..., 0]
+        residual_sq = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+        hits = np.flatnonzero(singular | (residual_sq <= budget + slack))
+        if hits.size:
+            i = int(hits[0])
+            if singular[i]:
                 raise SolverFailureError(
-                    f"support {support} solve failed: {exc}") from exc
-            r = Hx - Gs @ coef
-            if float(r @ r) <= budget + slack:
-                u = np.zeros(hm.N)
-                u[list(support)] = coef
-                return ControlPacket(u, examined)
+                    f"support {tuple(supports[i].tolist())} solve failed: singular matrix")
+            u = np.zeros(hm.N)
+            u[supports[i]] = coef[i, :, 0]
+            return ControlPacket(u, examined + i + 1)
+        examined += len(supports)
     raise FeasibilityError("no feasible support found up to full size",
                            residual_sq=None, budget=budget)
 

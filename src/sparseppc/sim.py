@@ -335,9 +335,7 @@ class MonteCarloReport:
     results: list
     failures: list            # (trial, error message)
     per_trial_perf: np.ndarray
-    total_overrides: int
     total_violations: int = None
-    mean_solve_seconds: float = 0.0
 
 
 def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
@@ -381,8 +379,6 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
         results=results,
         failures=failures,
         per_trial_perf=np.array([r.perf() for r in results]),
-        total_overrides=sum(r.overrides for r in results),
-        mean_solve_seconds=float(np.mean([r.solve_seconds.mean() for r in results])),
     )
     if cfg.sigma == 0:
         report.total_violations = int(sum(r.violations for r in results))
@@ -400,6 +396,10 @@ class SweepReport:
     matched_perf: float = None
 
 
+# Each sweep family and the config field its grid sets.
+SWEEP_KEYS = {"l1l2": "nu1", "l2": "nu2"}
+
+
 def sweep_regularization(cfg: SimConfig, family: str, grid,
                          match_perf: float = None) -> SweepReport:
     """Monte Carlo performance curve over a regularization grid.
@@ -408,14 +408,15 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     holds its Monte Carlo mean for each grid value. All grid points share
     the same master seed, so they see identical traces and initial states.
     """
+    if match_perf is not None and not finite_real(match_perf):
+        raise ConfigError(f"match_perf must be a finite number, got {shown(match_perf)}")
     grid = number_array(grid, "sweep grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ConfigError(f"sweep grid must be a non-empty list, got {shown(grid.tolist())}")
     grid = grid.astype(float).tolist()
-    if family not in ("l1l2", "l2"):
-        raise ConfigError(f"sweep family must be 'l1l2' or 'l2', got {shown(family)}")
-    key = "nu1" if family == "l1l2" else "nu2"
-    subs = [replace(cfg, controller=family, **{key: nu}) for nu in grid]
+    if family not in SWEEP_KEYS:
+        raise ConfigError(f"sweep family must be one of {tuple(SWEEP_KEYS)}, got {shown(family)}")
+    subs = [replace(cfg, controller=family, **{SWEEP_KEYS[family]: nu}) for nu in grid]
     # nu does not enter the design, so every grid point shares one setup
     setup = build_setup(subs[0])
     perfs = [float(np.mean(monte_carlo(sub, setup=setup).per_trial_perf))
@@ -575,9 +576,13 @@ def sweep_columns(sreport: SweepReport) -> dict:
             "mean_perf": sreport.mean_perf}
 
 
-def resolved_config(cfg: SimConfig) -> dict:
-    """Every parameter that shaped the run, defaults included."""
-    doc = asdict(cfg)
+def resolved_config(cfg: SimConfig, **ran) -> dict:
+    """Every parameter that shaped the run, defaults included.
+
+    ran overrides the fields the runs set themselves: the value they used,
+    or the list of values where it differed between runs.
+    """
+    doc = {**asdict(cfg), **ran}
     # trial i always sees the same trace/x0/noise regardless of controller
     doc["paired_trials"] = True
     return doc

@@ -7,6 +7,7 @@ matrix powers instead of incremental assembly, power iteration instead of
 eigh, a stepwise trace interpreter instead of the delivery-age schedule,
 a bit-by-bit run counter instead of the delivery ages, a
 per-pick QR refactorization instead of the incremental Gram-Schmidt OMP,
+one QR per support instead of the stacked exhaustive search,
 a per-state linear solve instead of the cached l2 and least-squares gains,
 the lasso optimality (KKT) conditions, checked column by column,
 instead of the homotopy path, and an explicit Huffman tree walked for
@@ -171,6 +172,40 @@ def omp_reference(hm, W, x):
         u[support] = coef
         r = Hx - Gs @ coef
     return u, support
+
+
+def exhaustive_reference(hm, W, x):
+    """Exhaustive l0 search solving one support at a time.
+
+    Sizes k = 0, 1, ... and within each size the supports in lexicographic
+    order; returns the packet of the first support whose least-squares
+    residual meets the budget and the number of supports examined.
+    """
+    from itertools import combinations
+
+    from sparseppc.controllers import FEASIBILITY_SLACK, _support_lsq
+    from sparseppc.errors import SolverFailureError
+
+    x = np.asarray(x, dtype=float)
+    budget = float(x @ W @ x)
+    slack = FEASIBILITY_SLACK * max(1.0, budget)
+    Hx = hm.H @ x
+    if float(Hx @ Hx) <= budget + slack:
+        return np.zeros(hm.N), 0
+    examined = 0
+    for k in range(1, hm.N + 1):
+        for support in combinations(range(hm.N), k):
+            examined += 1
+            try:
+                coef, Gs = _support_lsq(hm.G, list(support), Hx)
+            except np.linalg.LinAlgError as exc:
+                raise SolverFailureError(f"support {support} solve failed: {exc}") from exc
+            r = Hx - Gs @ coef
+            if float(r @ r) <= budget + slack:
+                u = np.zeros(hm.N)
+                u[list(support)] = coef
+                return u, examined
+    raise AssertionError("no feasible support found up to full size")
 
 
 def l2_reference(hm, x, nu2) -> np.ndarray:

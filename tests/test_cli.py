@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from sparseppc.cli import main
+from sparseppc.cli import build_parser, main
 from sparseppc.codec import (ESCAPE, EncodedPacket, PacketCodec, PositionCoder,
                              Quantizer, decode, encode)
 
@@ -315,6 +316,61 @@ def test_sweep_flags_override_config_family_and_grid(tmp_path):
                  "--out-dir", str(out)]) == 0
     rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [(family, float(nu)) for family, nu, _ in rows] == [("l1l2", 1e3), ("l1l2", 1e4)]
+
+
+def test_sweep_rejects_a_match_perf_that_is_not_finite(tmp_path, capsys):
+    # abs(p - nan) is nan for every p, so argmin used to report grid[0] as matched
+    cfg = _write(tmp_path / "c.json", {"trials": 2, "steps": 15})
+    for level in ("nan", "inf", "-inf"):
+        out = tmp_path / level
+        assert main(["sweep", "--config", cfg, "--family", "l2", "--grid", "1,2",
+                     f"--match-perf={level}", "--out-dir", str(out)]) == 2, level
+        assert "match_perf must be a finite number" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_family_choices_are_the_sweep_keys():
+    from sparseppc.sim import SWEEP_KEYS
+
+    sweep = build_parser()._subparsers._group_actions[0].choices["sweep"]
+    family = next(a for a in sweep._actions if a.dest == "family")
+    assert family.choices == list(SWEEP_KEYS)
+
+
+def test_bitrate_takes_no_plots(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bitrate", "--plots", "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--plots" in capsys.readouterr().err
+
+
+def test_meta_json_holds_tool_config_and_the_command_sections(tmp_path):
+    cfg = _write(tmp_path / "c.json", {"trials": 2, "train_trials": 2, "steps": 15})
+    for command, extra, sections in (
+            ("simulate", [], {"results", "timing"}),
+            ("sweep", ["--family", "l2", "--grid", "1,2"], {"sweep"}),
+            ("bitrate", [], {"rates"})):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out-dir", str(out), *extra]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta) == {"tool", "config"} | sections, command
+        assert meta["tool"]["name"] == "sparseppc"
+
+
+def test_meta_config_records_the_settings_the_runs_used(tmp_path):
+    # bitrate runs OMP against l2 whatever the config's controller; a sweep
+    # runs its family at each grid point's nu
+    cfg = _write(tmp_path / "b.json", {"trials": 2, "train_trials": 2, "steps": 15,
+                                        "controller": "l1l2", "nu2": 5.0})
+    assert main(["bitrate", "--config", cfg, "--out-dir", str(tmp_path / "b")]) == 0
+    config = json.loads((tmp_path / "b" / "meta.json").read_text())["config"]
+    assert config["controller"] == ["omp", "l2"] and config["nu2"] == 5.0
+    cfg = _write(tmp_path / "s.json", {"trials": 2, "steps": 15})
+    assert main(["sweep", "--config", cfg, "--family", "l2", "--grid", "1,2",
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    config = json.loads((tmp_path / "s" / "meta.json").read_text())["config"]
+    assert config["controller"] == "l2" and config["nu2"] == [1.0, 2.0]
+    assert config["nu1"] == 5.3e3
 
 
 def _codec_from_json(path):

@@ -10,8 +10,8 @@ from sparseppc.controllers import FEASIBILITY_SLACK, ORACLE_CAP, ControlPacket, 
 from sparseppc.errors import ConfigError, SolverFailureError
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
-from .oracles import (l2_reference, lasso_kkt_violation, least_squares_reference,
-                      omp_reference)
+from .oracles import (exhaustive_reference, l2_reference, lasso_kkt_violation,
+                      least_squares_reference, omp_reference)
 
 W_SCALE_HUGE = 1e6
 
@@ -130,6 +130,37 @@ def test_omp_dominated_by_exhaustive_oracle(cessna_design, cessna_horizon, rng):
         assert oracle.sparsity <= greedy.sparsity
         ties += oracle.sparsity == greedy.sparsity
     assert 0 <= ties <= trials
+
+
+def test_exhaustive_matches_the_per_support_reference(cessna_design, cessna_horizon, rng):
+    # the stacked solve per size gives the very bits and counts of one QR per support
+    d, hm = cessna_design, cessna_horizon
+    states = [np.zeros(4)] + [rng.standard_normal(4) * 10.0 ** rng.uniform(-3.0, 2.0)
+                              for _ in range(100)]
+    sizes = set()
+    for x in states:
+        pkt = sp.exhaustive_l0_packet(hm, d.W, x)
+        u, examined = exhaustive_reference(hm, d.W, x)
+        assert np.array_equal(pkt.u, u) and pkt.solver_iters == examined, x
+        sizes.add(pkt.sparsity)
+    assert 0 in sizes and len(sizes) >= 3
+
+
+def test_exhaustive_raises_only_on_a_singular_support_before_the_first_fit(
+        cessna_design, cessna_horizon, rng):
+    # column 9 is zero: (9,) is the last support of size 1, so a state that
+    # support (0,) fits never reaches it, and any other state does
+    d, hm = cessna_design, cessna_horizon
+    G = hm.G.copy()
+    G[:, 9] = 0.0
+    bad = replace(hm, G=G, col_norm_sq=np.sum(G * G, axis=0))
+    x, *_ = np.linalg.lstsq(hm.H, hm.G[:, 0], rcond=None)
+    pkt = sp.exhaustive_l0_packet(bad, d.W, x)
+    u, examined = exhaustive_reference(bad, d.W, x)
+    assert np.array_equal(pkt.u, u) and pkt.solver_iters == examined == 1
+    for solve in (sp.exhaustive_l0_packet, exhaustive_reference):
+        with pytest.raises(SolverFailureError, match="support \\(9,\\)"):
+            solve(bad, d.W, rng.standard_normal(4))
 
 
 def _assert_matches_reference(hm, W, x):

@@ -541,6 +541,18 @@ def test_sweep_rejects_a_grid_of_non_numbers_before_any_setup(monkeypatch):
     assert calls == []
 
 
+def test_sweep_rejects_a_match_perf_that_is_not_finite_before_any_setup(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    calls = []
+    monkeypatch.setattr(sim_mod, "build_setup", lambda *a, **kw: calls.append(a))
+    cfg = SimConfig(trials=2, steps=10, seed=9)
+    for level in (float("nan"), float("inf"), -float("inf"), "1.0", True):
+        with pytest.raises(ConfigError, match="match_perf must be a finite number"):
+            sim_mod.sweep_regularization(cfg, "l2", [1.0, 2.0], match_perf=level)
+    assert calls == []
+
+
 def test_sweep_builds_one_design(monkeypatch):
     import sparseppc.sim as sim_mod
 
