@@ -83,13 +83,9 @@ class ChannelTrace:
     def T(self) -> int:
         return int(self.d.size)
 
-    def delivery_instants(self) -> np.ndarray:
-        """Instants k_i with d(k_i) = 0, in increasing order."""
-        return np.flatnonzero(self.d == 0)
-
     def gaps(self) -> np.ndarray:
         """Dropout counts m_i = k_(i+1) - k_i - 1 between consecutive deliveries."""
-        return np.diff(self.delivery_instants()) - 1
+        return np.diff(np.flatnonzero(self.d == 0)) - 1
 
 
 def delivery_age(d: np.ndarray) -> np.ndarray:

@@ -49,7 +49,10 @@ def _load_config(path) -> dict:
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -96,8 +99,9 @@ def _cmd_design(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = config_from_dict(_load_config(args.config), **_config_overrides(args))
     design = design_from_dict(_load_config(args.design)) if args.design else None
-    report = monte_carlo(cfg, setup=build_setup(cfg, design=design))
-    out = _out_dir(args)
+    setup = build_setup(cfg, design=design)
+    out = _out_dir(args)    # a path that cannot be a directory costs no trial
+    report = monte_carlo(cfg, setup=setup)
     write_csv(out / "trace.csv", trace_columns(report))
     write_csv(out / "trajectory.csv", trajectory_columns(report))
     summary = summary_columns(report)
@@ -190,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, plots=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--out-dir", help="output directory")
+        p.add_argument("--out-dir", required=True, help="output directory")
         p.add_argument("--trials", type=int, help="trial count override")
         p.add_argument("--steps", type=int, help="steps per trial override")
         if plots:
@@ -231,9 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        required_out = args.command in ("simulate", "sweep", "bitrate")
-        if required_out and not args.out_dir:
-            raise ConfigError(f"{args.command} requires --out-dir")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

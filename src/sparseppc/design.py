@@ -64,8 +64,11 @@ def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0) -> np.ndarray:
 
     Iterates P <- A'PA - A'PB (B'PB + delta)^-1 B'PA + Q until the relative
     Frobenius change drops below DARE_TOL. delta > 0 regularizes the scalar
-    inverse for plants where the plain equation lacks a PD solution.
+    inverse for plants where the plain equation lacks a PD solution. The
+    OMP termination bound needs delta >= 0, so a negative delta is refused.
     """
+    if not delta >= 0:
+        raise ConfigError(f"delta must be >= 0, got {shown(delta)}")
     Q = check_sym_pd(np.asarray(Q, dtype=float), "Q")
     if Q.shape[0] != m.n:
         raise ConfigError(f"Q must be {m.n}x{m.n}, got {Q.shape}")

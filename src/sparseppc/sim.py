@@ -83,6 +83,8 @@ class SimConfig:
         if not (self.nu1 > 0 and self.nu2 > 0 and self.quantizer_delta > 0):
             raise ConfigError(f"nu1, nu2 and quantizer_delta must be positive, got "
                               f"{self.nu1}, {self.nu2}, {self.quantizer_delta}")
+        if not self.delta >= 0:
+            raise ConfigError(f"delta must be >= 0, got {shown(self.delta)}")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {shown(self.controller)}")
         if not isinstance(self.dropout, dict):
@@ -271,7 +273,6 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
     states = np.empty((T, n))
     norms = np.empty(T)
     V = np.empty(T)
-    u_applied = np.empty(T)
     packets = np.empty((T, setup.design.N))
     solve_seconds = np.empty(T)
 
@@ -285,15 +286,13 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
         pkt = controller(x)
         solve_seconds[k] = perf_counter() - t0
         packets[k] = pkt.u
-        u = packets[src[k], age[k]]
         states[k] = x
         norms[k] = math.sqrt(x.dot(x))
-        u_applied[k] = u
-        x = A @ x + B * u + noise[k]
+        x = A @ x + B * packets[src[k], age[k]] + noise[k]
 
-    return TrialResult(trial=trial, states=states, norms=norms, V=V,
-                       d=np.array(trace.d, dtype=np.int8), u_applied=u_applied,
-                       packets=packets, sparsity=np.count_nonzero(packets, axis=1),
+    return TrialResult(trial=trial, states=states, norms=norms, V=V, d=trace.d,
+                       u_applied=packets[src, age], packets=packets,
+                       sparsity=np.count_nonzero(packets, axis=1),
                        solve_seconds=solve_seconds, overrides=trace.overrides)
 
 
@@ -408,14 +407,14 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     holds its Monte Carlo mean for each grid value. All grid points share
     the same master seed, so they see identical traces and initial states.
     """
+    if not (isinstance(family, str) and family in SWEEP_KEYS):
+        raise ConfigError(f"sweep family must be one of {tuple(SWEEP_KEYS)}, got {shown(family)}")
     if match_perf is not None and not finite_real(match_perf):
         raise ConfigError(f"match_perf must be a finite number, got {shown(match_perf)}")
     grid = number_array(grid, "sweep grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ConfigError(f"sweep grid must be a non-empty list, got {shown(grid.tolist())}")
     grid = grid.astype(float).tolist()
-    if family not in SWEEP_KEYS:
-        raise ConfigError(f"sweep family must be one of {tuple(SWEEP_KEYS)}, got {shown(family)}")
     subs = [replace(cfg, controller=family, **{SWEEP_KEYS[family]: nu}) for nu in grid]
     # nu does not enter the design, so every grid point shares one setup
     setup = build_setup(subs[0])
@@ -449,18 +448,12 @@ class SchemeRun:
 
 @dataclass
 class BitrateReport:
-    cfg: SimConfig
     schemes: dict             # scheme -> SchemeRun, in BITRATE_PLAN order
     mean_bits_omp: float
     mean_bits_l2: float
     reduction_pct: float
     roundtrip_failures: int
     max_quant_error: float
-
-
-def _recorded_packets(rep: MonteCarloReport) -> np.ndarray:
-    """Every packet the successful trials computed, as (trials, T, N)."""
-    return np.stack([r.packets for r in rep.results])
 
 
 def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
@@ -485,10 +478,10 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
     for name, scheme in BITRATE_PLAN:
         train = monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials),
                             setup=setup, namespace=NS_TRAIN)
-        samples = quantize_packet(quantizer, _recorded_packets(train)).reshape(-1, cfg.N)
-        codec = train_codec(samples, scheme, quantizer)
+        samples = quantize_packet(quantizer, np.stack([r.packets for r in train.results]))
+        codec = train_codec(samples.reshape(-1, cfg.N), scheme, quantizer)
         test = monte_carlo(replace(cfg, controller=name), setup=setup, namespace=NS_TEST)
-        packets = _recorded_packets(test)
+        packets = np.stack([r.packets for r in test.results])
         indices = quantize_packet(quantizer, packets)
         err = float(np.max(np.abs(packets - dequantize(quantizer, indices))))
         max_quant_error = max(max_quant_error, err)
@@ -503,7 +496,6 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
 
     mean = {run.controller: float(np.mean(run.bits)) for run in schemes.values()}
     return BitrateReport(
-        cfg=cfg,
         schemes=schemes,
         mean_bits_omp=mean["omp"],
         mean_bits_l2=mean["l2"],

@@ -19,7 +19,6 @@ def test_no_drop_trace_is_all_deliveries():
     model = DropoutModel(kind="iid", N=5, p_drop=0.0)
     tr = sp.generate_trace(model, 50, rng=np.random.default_rng(0))
     assert np.all(tr.d == 0)
-    assert np.array_equal(tr.delivery_instants(), np.arange(50))
     assert np.all(tr.gaps() == 0)
     assert tr.overrides == 0
 

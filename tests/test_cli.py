@@ -149,7 +149,33 @@ def test_design_hidden_horizon_dump(tmp_path):
 
 
 def test_simulate_requires_out_dir():
-    assert main(["simulate"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate"])
+    assert exc.value.code == 2
+
+
+def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, monkeypatch, capsys):
+    # an existing file, and a path under one: each command exits 2 with one
+    # error line, and simulate finds out before its first trial
+    import sparseppc.sim as sim_mod
+
+    trials = []
+    real_run_trial = sim_mod.run_trial
+    monkeypatch.setattr(sim_mod, "run_trial",
+                        lambda *a, **kw: trials.append(a) or real_run_trial(*a, **kw))
+    cfg = _write(tmp_path / "c.json", {"trials": 2, "train_trials": 2, "steps": 10})
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for command, extra in (("simulate", []), ("sweep", ["--family", "l2", "--grid", "1"]),
+                           ("bitrate", []), ("design", [])):
+        for out in (taken, taken / "sub"):
+            assert main([command, "--config", cfg, "--out-dir", str(out), *extra]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot create output directory"), err
+            assert err.count("\n") == 1, err
+        if command == "simulate":
+            assert trials == []
+    assert taken.read_text() == ""
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
@@ -280,10 +306,26 @@ def test_config_errors_print_a_bounded_value(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_solver_failure_exit_code(tmp_path):
-    # a hugely negative Riccati regularizer drives B'PB + delta negative
-    cfg = _write(tmp_path / "c.json", {"trials": 1, "steps": 5, "delta": -1e9})
+def test_solver_failure_exit_code(tmp_path, monkeypatch):
+    # a Riccati iteration cut off after two steps fails to converge
+    from sparseppc import design
+
+    monkeypatch.setattr(design, "DARE_MAX_ITER", 2)
+    cfg = _write(tmp_path / "c.json", {"trials": 1, "steps": 5})
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+
+
+def test_negative_delta_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the OMP termination bound needs delta >= 0; a negative one used to
+    # fail every trial (or the Riccati iteration) only after the design
+    for delta in (-1e-3, -0.5, -1e9):
+        cfg = _write(tmp_path / "c.json", {"trials": 2, "steps": 5, "delta": delta})
+        for command in ("simulate", "design"):
+            out = tmp_path / f"{command}{delta}"
+            assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2, (command, delta)
+            err = capsys.readouterr().err
+            assert err.startswith("error: delta must be >= 0") and err.count("\n") == 1, err
+            assert not out.exists()
 
 
 def test_simulate_plots(tmp_path):
@@ -327,6 +369,19 @@ def test_sweep_rejects_a_match_perf_that_is_not_finite(tmp_path, capsys):
                      f"--match-perf={level}", "--out-dir", str(out)]) == 2, level
         assert "match_perf must be a finite number" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_family_that_is_no_string_exits_2(tmp_path, capsys):
+    # a list or a mapping used to raise TypeError (unhashable) from the
+    # family lookup and exit 1
+    for family in (["l2"], {"a": 1}):
+        cfg = _write(tmp_path / "c.json", {"trials": 2, "steps": 10, "family": family,
+                                            "grid": [1]})
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 2, family
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep family must be one of") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_sweep_family_choices_are_the_sweep_keys():

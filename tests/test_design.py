@@ -172,8 +172,13 @@ def test_delta_regularized_riccati(cessna):
     P0 = solve_dare(cessna, np.eye(4), delta=0.0)
     P1 = solve_dare(cessna, np.eye(4), delta=1e-8)
     assert np.allclose(P0, P1, rtol=1e-6)
-    with pytest.raises(NumericError):
-        solve_dare(cessna, np.eye(4), delta=-1e9)
+    # the OMP termination bound needs delta >= 0, so any negative delta is
+    # refused before the iteration
+    for delta in (-1e9, -0.5, -1e-3):
+        with pytest.raises(ConfigError, match="delta must be >= 0"):
+            solve_dare(cessna, np.eye(4), delta=delta)
+        with pytest.raises(ConfigError, match="delta must be >= 0"):
+            build_design(cessna, delta=delta)
 
 
 def test_dare_nonconvergence_carries_residual(cessna, monkeypatch):

@@ -39,6 +39,7 @@ def test_config_validation():
     inf = float("inf")
     for bad in ({"N": 0}, {"nu1": 0.0}, {"nu2": -1.0}, {"nu1": float("nan")},
                 {"nu1": inf}, {"nu2": inf}, {"delta": inf}, {"delta": float("nan")},
+                {"delta": -1e-3}, {"delta": -0.5}, {"delta": -1e6},
                 {"eta": -inf}, {"quantizer_delta": inf},
                 {"noise": {"kind": "gaussian", "sigma": inf}},
                 {"N": True}, {"trials": 3.0}, {"eta": "0.5"}, {"dropout": [0, 1]},
@@ -538,6 +539,18 @@ def test_sweep_rejects_a_grid_of_non_numbers_before_any_setup(monkeypatch):
             sim_mod.sweep_regularization(cfg, "l2", grid)
     with pytest.raises(ConfigError, match="finite"):
         sim_mod.sweep_regularization(cfg, "l2", [1e2, float("inf")])
+    assert calls == []
+
+
+def test_sweep_rejects_a_family_that_is_no_string_before_any_setup(monkeypatch):
+    import sparseppc.sim as sim_mod
+
+    calls = []
+    monkeypatch.setattr(sim_mod, "build_setup", lambda *a, **kw: calls.append(a))
+    cfg = SimConfig(trials=2, steps=10, seed=9)
+    for family in (["l2"], {"a": 1}):
+        with pytest.raises(ConfigError, match="sweep family"):
+            sim_mod.sweep_regularization(cfg, family, [1.0])
     assert calls == []
 
 
