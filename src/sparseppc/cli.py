@@ -47,6 +47,15 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _check_out_dir(args) -> None:
+    """Refuse, before any compute and creating nothing, an --out-dir that cannot be one."""
+    out = Path(args.out_dir).absolute()
+    near = next(p for p in (out, *out.parents) if p.exists())
+    if not near.is_dir():
+        raise ConfigError(f"cannot create output directory {args.out_dir}: "
+                          f"{near} is not a directory")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     try:
@@ -78,7 +87,10 @@ def _config_overrides(args) -> dict:
 
 
 def _cmd_design(args) -> int:
-    setup = build_setup(config_from_dict(_load_config(args.config)))
+    cfg = config_from_dict(_load_config(args.config))
+    if args.out_dir:
+        _check_out_dir(args)
+    setup = build_setup(cfg)
     payload = design_to_dict(setup.design)
     payload["plant"] = {"A": setup.model.A.tolist(), "B": setup.model.B.tolist()}
 
@@ -99,8 +111,9 @@ def _cmd_design(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = config_from_dict(_load_config(args.config), **_config_overrides(args))
     design = design_from_dict(_load_config(args.design)) if args.design else None
+    _check_out_dir(args)
     setup = build_setup(cfg, design=design)
-    out = _out_dir(args)    # a path that cannot be a directory costs no trial
+    out = _out_dir(args)
     report = monte_carlo(cfg, setup=setup)
     write_csv(out / "trace.csv", trace_columns(report))
     write_csv(out / "trajectory.csv", trajectory_columns(report))
@@ -143,6 +156,7 @@ def _cmd_sweep(args) -> int:
     if family is None or not grid:
         raise ConfigError("sweep requires a controller family and a nu grid")
     cfg = config_from_dict(doc, **_config_overrides(args))
+    _check_out_dir(args)
     report = sweep_regularization(cfg, family, grid, match_perf=args.match_perf)
     out = _out_dir(args)
     write_csv(out / "sweep.csv", sweep_columns(report))
@@ -163,6 +177,7 @@ def _cmd_bitrate(args) -> int:
     doc = _load_config(args.config)
     doc.setdefault("noise", {"kind": "gaussian", "sigma": 0.01})
     cfg = config_from_dict(doc, **_config_overrides(args), train_trials=args.train_trials)
+    _check_out_dir(args)
     report = bitrate_experiment(cfg)
     out = _out_dir(args)
     write_csv(out / "rates.csv", rate_columns(report))

@@ -225,27 +225,69 @@ def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
     return ControlPacket(K.dot(np.asarray(x, dtype=float)), 1)
 
 
-def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float) -> ControlPacket:
+def _active_set_point(hm: HorizonMatrices, Hx: np.ndarray, b: np.ndarray, s: np.ndarray,
+                      S: np.ndarray, lam: float):
+    """Direction d, point u_S and correlations c = G'(Hx - G_S u_S) at lam.
+
+    One solve of (G'G)_SS against [s_S, G'Hx_S - lam s_S], shared by the
+    walk and the warm start so that equal (S, s, lam) give equal bits.
+    """
+    s_S = s[S]
+    d, u_S = np.linalg.solve(hm.GtG[S[:, None], S],
+                             np.stack((s_S, b[S] - lam * s_S), axis=1)).T
+    return d, u_S, hm.G.T @ (Hx - hm.G[:, S] @ u_S)
+
+
+def _kkt_gap(u: np.ndarray, c: np.ndarray, nu1: float) -> float:
+    """Largest miss of c_j = nu1 sign(u_j) on u's support and |c_j| <= nu1 off it."""
+    return float(np.max(np.where(u != 0.0, np.abs(c - nu1 * np.sign(u)), np.abs(c) - nu1)))
+
+
+def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float,
+                guess: np.ndarray = None) -> ControlPacket:
     """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
 
-    Walks lam from ||G'Hx||_inf (u = 0) down to nu1 (Osborne, Presnell &
-    Turlach 2000). On the active set S with signs s, u_S(lam) =
+    A guess (the previous packet of the loop) with nonzeros is tried first:
+    its support and signs, solved at nu1 as the walk's last step would
+    solve them, give the packet when every coefficient keeps its guessed
+    sign (an exact zero does not) and the KKT conditions hold (Ferreau,
+    Bock & Diehl 2008). The minimizer is unique, so a certified guess
+    returns the packet the walk would. Otherwise the walk runs from
+    scratch: it takes lam from ||G'Hx||_inf (u = 0) down to nu1 (Osborne,
+    Presnell & Turlach 2000). On the active set S with signs s, u_S(lam) =
     (G'G)_SS^-1 (G'Hx_S - lam s). A breakpoint is where an inactive
     correlation g_j'(Hx - G u) reaches +-lam (j joins) or a coefficient
     moving toward zero reaches 0 (j leaves, barred from rejoining on the
     same side at once); u_S is re-solved at each one and at nu1. Over 50 N
     breakpoints, or a packet that misses the KKT conditions, raises
-    SolverFailureError; solver_iters counts breakpoints.
+    SolverFailureError. solver_iters is 0 for the zero packet, 1 for a
+    certified guess, and otherwise the walk's breakpoints, plus 1 if a
+    guess was tried.
     """
     if not (nu1 > 0.0):
         raise ConfigError(f"nu1 must be positive, got {nu1}")
     x = np.asarray(x, dtype=float)
-    N, G, K = hm.N, hm.G, hm.GtG
+    N = hm.N
     b = hm.GtH @ x
     lam = lam0 = float(np.max(np.abs(b)))
     if not lam > nu1:
         return ControlPacket(np.zeros(N), 0)
     Hx = hm.H @ x
+    tried = guess is not None and bool(np.any(guess))
+    if tried:
+        s = np.sign(guess)
+        S = np.flatnonzero(s)
+        try:
+            u_S, c = _active_set_point(hm, Hx, b, s, S, nu1)[1:]
+        except np.linalg.LinAlgError:
+            pass                    # the walk has the last word
+        else:
+            if np.array_equal(np.sign(u_S), s[S]):
+                u = np.zeros(N)
+                u[S] = u_S
+                if _kkt_gap(u, c, nu1) <= 1e-9 * lam0:
+                    return ControlPacket(u, 1)
+
     s = np.zeros(N)                 # signs on the active set, 0 off it
     j = int(np.argmax(np.abs(b)))
     s[j] = np.sign(b[j])
@@ -253,15 +295,13 @@ def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float) -> ControlPacket
     for iters in range(50 * N):
         S = np.flatnonzero(s)
         try:
-            d, u_S = np.linalg.solve(K[np.ix_(S, S)],
-                                     np.column_stack([s[S], b[S] - lam * s[S]])).T
+            d, u_S, c = _active_set_point(hm, Hx, b, s, S, lam)
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(f"active-set solve failed: {exc}") from exc
-        c = G.T @ (Hx - G[:, S] @ u_S)
         if lam == nu1:
             break
         # as lam drops by g, u_S moves by g d and c by -g a
-        a = K[:, S] @ d
+        a = hm.GtG[:, S] @ d
         leave = np.full(N, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             join = np.stack([(lam - c) / (1.0 - a), (lam + c) / (1.0 + a)])
@@ -283,8 +323,8 @@ def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float) -> ControlPacket
 
     u = np.zeros(N)
     u[S] = u_S
-    worst = float(np.max(np.where(u != 0.0, np.abs(c - nu1 * np.sign(u)), np.abs(c) - nu1)))
+    worst = _kkt_gap(u, c, nu1)
     if not worst <= 1e-9 * lam0:   # also catches a NaN from an overflowed x
         raise SolverFailureError(f"lasso packet misses the KKT conditions by {worst:.3g}",
                                  residual=worst)
-    return ControlPacket(u, iters)
+    return ControlPacket(u, iters + tried)

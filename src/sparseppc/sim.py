@@ -16,6 +16,7 @@ and training/test phases never share entropy.
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral
 from time import perf_counter
@@ -198,7 +199,12 @@ def _check_trials(cfg: SimConfig, model: PlantModel, dropout: DropoutModel) -> N
 
 
 def make_controller(cfg: SimConfig, setup: SimSetup):
-    """The config's packet solver on the setup, as a pure function of the state."""
+    """The config's packet solver on the setup, as a function of the state.
+
+    Every packet depends on x alone. The l1l2 solver keeps its last packet
+    as the next solve's warm start, so its cost depends on the states
+    before: make one controller per trial.
+    """
     hm, design = setup.hm, setup.design
     name = cfg.controller
     if name == "omp":
@@ -210,7 +216,16 @@ def make_controller(cfg: SimConfig, setup: SimSetup):
     if name == "l2":
         return lambda x: l2_packet(hm, x, cfg.nu2)
     if name == "l1l2":
-        return lambda x: l1l2_packet(hm, x, cfg.nu1)
+        last = None
+
+        def l1l2(x):
+            nonlocal last
+            # looked up in this module at each call, where the tracer wraps it
+            pkt = l1l2_packet(hm, x, cfg.nu1, guess=last)
+            last = pkt.u
+            return pkt
+
+        return l1l2
 
 
 def trial_inputs(cfg: SimConfig, setup: SimSetup, namespace: int, trial: int):
@@ -262,7 +277,7 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
     is the recorded element the trace's read schedule names, and noise[k]
     is added to x(k+1). Solves are timed here, and nonzeros counted from
     the recorded packets. A burst that outruns the packets (before any
-    solve) or a V(k) that is not finite fails the trial.
+    solve), a V(k) or a recorded packet that is not finite fails the trial.
     """
     T = trace.T
     n = setup.model.n
@@ -289,6 +304,9 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
         states[k] = x
         norms[k] = math.sqrt(x.dot(x))
         x = A @ x + B * packets[src[k], age[k]] + noise[k]
+    if not np.isfinite(packets).all():
+        k = int(np.argmin(np.isfinite(packets).all(axis=1)))
+        raise NumericError(f"packet is not finite at step {k}")
 
     return TrialResult(trial=trial, states=states, norms=norms, V=V, d=trace.d,
                        u_applied=packets[src, age], packets=packets,
@@ -345,6 +363,7 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
     setup must share cfg's SETUP_FIELDS and is checked as build_setup
     does. A noise-free run (sigma = 0) is audited for Lyapunov decrease.
     A config error ends the run; any other package error fails only its trial.
+    numpy's overflow warnings are dropped, since the trial they concern fails.
     """
     if setup is None:
         setup = build_setup(cfg)
@@ -354,21 +373,28 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
         if differ:
             raise ConfigError(f"setup was built from other settings than the config: {differ}")
         _check_trials(cfg, setup.model, setup.dropout)
-    controller = make_controller(cfg, setup)
 
     results = []
     failures = []
-    for trial in range(cfg.trials):
-        try:
-            trace, x0, noise = trial_inputs(cfg, setup, namespace, trial)
-            res = run_trial(setup, controller, trace, x0, noise, trial=trial)
-            if cfg.sigma == 0:
-                res.violations = lyapunov_audit(res, setup.design).total
-            results.append(res)
-        except ConfigError:
-            raise
-        except SparsePpcError as exc:
-            failures.append((trial, f"{type(exc).__name__}: {exc}"))
+    # an overflowing trial fails on run_trial's finiteness checks, so numpy's
+    # overflow warnings would only say it first; a warnings filter, unlike
+    # np.errstate, costs the numpy calls inside nothing
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
+                                RuntimeWarning)
+        for trial in range(cfg.trials):
+            try:
+                trace, x0, noise = trial_inputs(cfg, setup, namespace, trial)
+                # a controller per trial, so no warm start crosses trials
+                res = run_trial(setup, make_controller(cfg, setup), trace, x0, noise,
+                                trial=trial)
+                if cfg.sigma == 0:
+                    res.violations = lyapunov_audit(res, setup.design).total
+                results.append(res)
+            except ConfigError:
+                raise
+            except SparsePpcError as exc:
+                failures.append((trial, f"{type(exc).__name__}: {exc}"))
 
     if not results:
         raise SparsePpcError(f"all {cfg.trials} trials failed; first: {failures[0][1]}")

@@ -156,7 +156,7 @@ def test_simulate_requires_out_dir():
 
 def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, monkeypatch, capsys):
     # an existing file, and a path under one: each command exits 2 with one
-    # error line, and simulate finds out before its first trial
+    # error line, and finds out before its first trial
     import sparseppc.sim as sim_mod
 
     trials = []
@@ -173,8 +173,7 @@ def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, monkeypatch, capsy
             err = capsys.readouterr().err
             assert err.startswith("error: cannot create output directory"), err
             assert err.count("\n") == 1, err
-        if command == "simulate":
-            assert trials == []
+        assert trials == [], command
     assert taken.read_text() == ""
 
 
@@ -304,6 +303,21 @@ def test_config_errors_print_a_bounded_value(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err) < 300, err[:400]
         assert not out.exists()
+
+
+def test_overflowed_state_prints_one_error_line_and_no_warning(tmp_path, capsys):
+    # x'Px overflows at step 0 of every trial: the run exits 3 with its one
+    # error line, and numpy warns of nothing on the way
+    import warnings
+
+    cfg = _write(tmp_path / "c.json", {"trials": 2, "steps": 5, "x0": [1e308] * 4})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: SparsePpcError: all 2 trials failed; first: NumericError")
+    assert err.count("\n") == 1, err
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):

@@ -462,6 +462,89 @@ def test_l1l2_closed_loop_packets_meet_kkt():
                 assert lasso_kkt_violation(setup.hm, x, u, nu1) <= 1e-9
 
 
+def test_l1l2_warm_start_equals_the_cold_walk_bit_for_bit(monkeypatch):
+    # every packet a 100 x 100 closed loop recorded, each solved with the
+    # trial's previous packet as its guess, against a solve with no guess;
+    # solver_iters tells a certified guess (1) from a miss (1 + the walk)
+    import sparseppc.sim as sim_mod
+
+    real = sim_mod.l1l2_packet
+    guessed = []
+
+    def recording(hm, x, nu1, guess=None):
+        pkt = real(hm, x, nu1, guess=guess)
+        if guess is not None and np.any(guess) and pkt.sparsity:
+            guessed.append(pkt.solver_iters)
+        return pkt
+
+    monkeypatch.setattr(sim_mod, "l1l2_packet", recording)
+    cfg = SimConfig(trials=100, steps=100, seed=1, controller="l1l2")
+    setup = build_setup(cfg)
+    for nu1 in (1e2, 5.3e3):
+        guessed.clear()
+        rep = monte_carlo(replace(cfg, nu1=nu1), setup=setup)
+        assert rep.failures == []
+        for r in rep.results:
+            for x, u in zip(r.states, r.packets):
+                assert np.array_equal(u, sp.l1l2_packet(setup.hm, x, nu1).u), (nu1, r.trial)
+        # the warm start does the work: most guesses are certified
+        hits = np.mean(np.array(guessed) == 1)
+        assert min(guessed) >= 1 and hits > 0.5, (nu1, hits)
+
+
+def test_l1l2_guess_that_misses_falls_back_to_the_walk(cessna_horizon, rng):
+    hm = cessna_horizon
+    nu1 = 5.3
+    checked = 0
+    for _ in range(20):
+        x = rng.standard_normal(4)
+        cold = sp.l1l2_packet(hm, x, nu1)
+        off = np.flatnonzero(cold.u == 0.0)
+        if cold.sparsity == 0 or off.size == 0:
+            continue
+        superset = cold.u.copy()
+        superset[off[0]] = 1.0
+        wrong = {"flipped signs": -cold.u, "strict superset": superset}
+        for name, guess in wrong.items():
+            pkt = sp.l1l2_packet(hm, x, nu1, guess=guess)
+            assert np.array_equal(pkt.u, cold.u), name
+            assert pkt.solver_iters == 1 + cold.solver_iters, name
+        # the all-zeros guess is no guess
+        pkt = sp.l1l2_packet(hm, x, nu1, guess=np.zeros(10))
+        assert np.array_equal(pkt.u, cold.u) and pkt.solver_iters == cold.solver_iters
+        # the packet's own signs are certified at once, whatever the magnitudes
+        for guess in (cold.u, 3.0 * cold.u):
+            pkt = sp.l1l2_packet(hm, x, nu1, guess=guess)
+            assert np.array_equal(pkt.u, cold.u) and pkt.solver_iters == 1
+        # a state whose packet is zero ignores any guess
+        small = x * 0.999 * nu1 / float(np.max(np.abs(hm.GtH @ x)))
+        pkt = sp.l1l2_packet(hm, small, nu1, guess=cold.u)
+        assert pkt.sparsity == 0 and pkt.solver_iters == 0
+        checked += 1
+    assert checked >= 5
+
+
+def test_l1l2_guess_whose_solve_fails_falls_back_to_the_walk(cessna_horizon, rng,
+                                                              monkeypatch):
+    # the first solve (the guess's) raises; the walk then runs as if cold
+    hm = cessna_horizon
+    x = rng.standard_normal(4)
+    cold = sp.l1l2_packet(hm, x, 5.3)
+    real = np.linalg.solve
+    calls = []
+
+    def first_fails(A, B):
+        calls.append(len(A))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(A, B)
+
+    monkeypatch.setattr(np.linalg, "solve", first_fails)
+    pkt = sp.l1l2_packet(hm, x, 5.3, guess=cold.u)
+    assert np.array_equal(pkt.u, cold.u)
+    assert pkt.solver_iters == 1 + cold.solver_iters
+
+
 def test_l1l2_never_returns_a_packet_that_misses_kkt(cessna_horizon, rng, monkeypatch):
     # a solve that is off by 1e-6 relative leaves the correlations on the
     # support off by far more than the 1e-9 certificate allows

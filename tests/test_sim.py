@@ -378,6 +378,23 @@ def test_trial_bits_do_not_depend_on_cache_warmth(controller):
             assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), f.name
 
 
+def test_l1_trial_bits_do_not_depend_on_the_trials_before():
+    # the l1 solver warm-starts from the trial's previous packet; trial 13
+    # alone must equal row 13 of a 20-trial run on a setup another run used
+    cfg = SimConfig(controller="l1l2", trials=20, steps=100, seed=5)
+    used = build_setup(cfg)
+    monte_carlo(replace(cfg, seed=6, trials=5), setup=used)
+    row = monte_carlo(cfg, setup=used).results[13]
+    setup = build_setup(cfg)
+    alone = run_trial(setup, make_controller(cfg, setup),
+                      *trial_inputs(cfg, setup, NS_MAIN, 13), trial=13)
+    alone.violations = lyapunov_audit(alone, setup.design).total
+    assert np.count_nonzero(alone.sparsity) > 1   # some solve had a guess to try
+    for f in fields(alone):
+        if f.name != "solve_seconds":   # wall time, the one field allowed to differ
+            assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), f.name
+
+
 def test_monte_carlo_reproducible_and_paired(tmp_path):
     cfg = SimConfig(trials=4, steps=30, seed=77)
     r1 = monte_carlo(cfg)
@@ -730,6 +747,22 @@ def test_run_trial_raises_on_a_non_finite_state():
     trace = sp.generate_trace(setup.dropout, 5, rng=np.random.default_rng(0))
     with np.errstate(invalid="ignore"), pytest.raises(sp.NumericError, match="step 0"):
         run_trial(setup, controller, trace, np.array([np.inf, 0.0, 0.0, 0.0]), _quiet(5))
+
+
+def test_run_trial_raises_on_a_non_finite_packet():
+    # the last packet is never applied, so no state shows it; the trial
+    # still fails rather than record it
+    setup, controller = _setup(trials=1, steps=5, controller="l2")
+    trace = sp.generate_trace(setup.dropout, 5, rng=np.random.default_rng(0))
+    calls = []
+
+    def nan_last(x):
+        calls.append(x)
+        pkt = controller(x)
+        return sp.ControlPacket(np.full(10, np.nan), 1) if len(calls) == 5 else pkt
+
+    with pytest.raises(sp.NumericError, match="packet is not finite at step 4"):
+        run_trial(setup, nan_last, trace, np.ones(4), _quiet(5))
 
 
 def _overflow_trial_1(monkeypatch):
