@@ -7,6 +7,7 @@ configuration and seed; wall-clock timings live only in meta.json.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -50,7 +51,8 @@ def _load_config(path) -> dict:
 def _check_out_dir(args) -> None:
     """Refuse, before any compute and creating nothing, an --out-dir that cannot be one."""
     out = Path(args.out_dir).absolute()
-    near = next(p for p in (out, *out.parents) if p.exists())
+    # lexists, not exists: a dangling symlink is refused, not passed over
+    near = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not near.is_dir():
         raise ConfigError(f"cannot create output directory {args.out_dir}: "
                           f"{near} is not a directory")
@@ -119,14 +121,14 @@ def _cmd_simulate(args) -> int:
     write_csv(out / "trajectory.csv", trajectory_columns(report))
     summary = summary_columns(report)
     write_csv(out / "summary.csv", summary)
-    results = report.results
+    succeeded = len(report.results)
     _write_run_meta(out, resolved_config(cfg), results={
-        "trials_succeeded": len(results),
+        "trials_succeeded": succeeded,
         "failures": [{"trial": t, "error": msg} for t, msg in report.failures],
-        "total_overrides": sum(r.overrides for r in results),
+        "total_overrides": int(report.records.overrides.sum()),
         "total_violations": report.total_violations,
         "mean_perf": float(np.mean(report.per_trial_perf)),
-    }, timing={"mean_solve_seconds": float(np.mean([r.solve_seconds.mean() for r in results]))})
+    }, timing={"mean_solve_seconds": report.mean_solve_seconds})
     if args.plots:
         ks = summary["k"].tolist()
         write_line_svg(out / "norm_vs_k.svg",
@@ -140,7 +142,7 @@ def _cmd_simulate(args) -> int:
         write_line_svg(out / "sparsity_vs_k.svg",
                        [("mean nonzeros", ks, list(summary["mean_sparsity"]))],
                        title="packet sparsity vs k", y_label="nonzeros")
-    print(f"simulate: {len(results)}/{cfg.trials} trials ok, outputs in {out}")
+    print(f"simulate: {succeeded}/{cfg.trials} trials ok, outputs in {out}")
     return 0
 
 

@@ -194,15 +194,24 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> C
                            residual_sq=None, budget=budget)
 
 
+def _gain_packet(K: np.ndarray, x) -> ControlPacket:
+    """K x for one state (n,) or each row of a (b, n) batch of states.
+
+    A stacked matmul, K times each state as a column, gives every row the
+    bits K.dot would give it alone.
+    """
+    return ControlPacket((K @ np.asarray(x, dtype=float)[..., None])[..., 0], 1)
+
+
 def least_squares_packet(hm: HorizonMatrices, x: np.ndarray) -> ControlPacket:
     """Unconstrained minimizer of ||G u - H x||^2 (generically dense).
 
     It is the least-squares packet K x of the full support, whose operators
     omp_packet would build (see _support_operators); build_horizon has
-    already refused a G without full column rank.
+    already refused a G without full column rank. x may be a (b, n) batch
+    of states, and u is then their (b, N) packets.
     """
-    K = _support_operators(hm, (1 << hm.N) - 1)[2]
-    return ControlPacket(K.dot(np.asarray(x, dtype=float)), 1)
+    return _gain_packet(_support_operators(hm, (1 << hm.N) - 1)[2], x)
 
 
 def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
@@ -210,7 +219,8 @@ def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
 
     The packet is K x with the N x n gain K = (nu2 I + G'G)^-1 G'H, built
     by the first solve for this nu2 and kept read-only in hm._l2_gains; a
-    failed build keeps nothing.
+    failed build keeps nothing. x may be a (b, n) batch of states, and u is
+    then their (b, N) packets.
     """
     if not (nu2 > 0.0):
         raise ConfigError(f"nu2 must be positive, got {nu2}")
@@ -222,7 +232,7 @@ def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
             raise SolverFailureError(f"nu2 I + G'G solve failed: {exc}") from exc
         K.setflags(write=False)
         hm._l2_gains[nu2] = K
-    return ControlPacket(K.dot(np.asarray(x, dtype=float)), 1)
+    return _gain_packet(K, x)
 
 
 def _active_set_point(hm: HorizonMatrices, Hx: np.ndarray, b: np.ndarray, s: np.ndarray,

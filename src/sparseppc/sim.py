@@ -15,7 +15,6 @@ and training/test phases never share entropy.
 """
 
 import json
-import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral
@@ -198,12 +197,19 @@ def _check_trials(cfg: SimConfig, model: PlantModel, dropout: DropoutModel) -> N
         raise ConfigError(f"exhaustive search refused for N = {cfg.N} > cap {ORACLE_CAP}")
 
 
+# The controllers whose packet is a gain times the state, so that one call
+# solves a whole batch of states.
+GAIN_CONTROLLERS = ("l2", "least_squares")
+
+
 def make_controller(cfg: SimConfig, setup: SimSetup):
     """The config's packet solver on the setup, as a function of the state.
 
-    Every packet depends on x alone. The l1l2 solver keeps its last packet
-    as the next solve's warm start, so its cost depends on the states
-    before: make one controller per trial.
+    Every packet depends on x alone. A gain controller (GAIN_CONTROLLERS)
+    also takes a (b, n) batch of states and returns their (b, N) packets
+    from one product, so one of them serves every trial of a run. The l1l2
+    solver keeps its last packet as the next solve's warm start, so its
+    cost depends on the states before: make one controller per trial.
     """
     hm, design = setup.hm, setup.design
     name = cfg.controller
@@ -246,7 +252,11 @@ def trial_inputs(cfg: SimConfig, setup: SimSetup, namespace: int, trial: int):
 
 @dataclass
 class TrialResult:
-    """Per-step records of one closed-loop run (k = 0 .. steps-1)."""
+    """Per-step records of one closed-loop run (k = 0 .. steps-1).
+
+    The engine returns the records of its rows stacked: every field then
+    has a leading axis over the rows, and rows() splits it per trial.
+    """
 
     trial: int
     states: np.ndarray        # (T, n) state at each k
@@ -256,62 +266,135 @@ class TrialResult:
     u_applied: np.ndarray     # actuator output at k
     packets: np.ndarray       # (T, N) packet computed at k, delivered or not
     sparsity: np.ndarray      # nonzeros of the packet computed at k
-    solve_seconds: np.ndarray  # wall time of the solve at k
     overrides: int
-    violations: int = None    # filled by the harness on noise-free runs
+    violations: int = None    # set on each trial by the harness on noise-free runs
 
     @property
     def final_norm(self) -> float:
         return float(self.norms[-1])
 
-    def perf(self) -> float:
-        """l2 norm of the stacked state-norm sequence over the run."""
-        return float(np.sqrt(np.sum(self.norms**2)))
+    def rows(self) -> list:
+        """Each row of stacked records as one trial's TrialResult of views."""
+        cols = {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
+        return [TrialResult(**{name: col[i] if col.ndim > 1 else col[i].item()
+                               for name, col in cols.items()})
+                for i in range(len(self.trial))]
 
 
 def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
               noise: np.ndarray, trial: int = 0) -> TrialResult:
     """Simulate one closed loop over the length of the trace.
 
-    The packet is computed from x(k) at every k and recorded; the input
-    is the recorded element the trace's read schedule names, and noise[k]
-    is added to x(k+1). Solves are timed here, and nonzeros counted from
-    the recorded packets. A burst that outruns the packets (before any
-    solve), a V(k) or a recorded packet that is not finite fails the trial.
+    This is the engine's call with one row (see _lockstep), whose
+    controller solves the row's state at each step. Where the engine would
+    drop the row, the trial fails and its error is raised.
     """
-    T = trace.T
-    n = setup.model.n
+    T, n = trace.T, setup.model.n
     if np.shape(noise) != (T, n):
         raise ConfigError(f"noise must have shape ({T}, {n}), got {np.shape(noise)}")
-    src, age = actuate(trace, setup.design.N)
+    records, failures, _ = _lockstep(setup, [controller], [(trial, trace, x0, noise)])
+    if failures:
+        raise failures[0][1]
+    return records.rows()[0]
 
-    states = np.empty((T, n))
-    norms = np.empty(T)
-    V = np.empty(T)
-    packets = np.empty((T, setup.design.N))
-    solve_seconds = np.empty(T)
 
-    A, B, P = setup.model.A, setup.model.B, setup.design.P
-    x = np.asarray(x0, dtype=float)
+def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = False):
+    """The closed-loop engine: step the loops of all rows of inputs together.
+
+    inputs holds each row's (trial, trace, x0, noise), all of one length T.
+    At each step k, every live row has V(k) checked and its packet solved
+    and recorded; its input is the recorded element that its read schedule
+    (one actuate call per row) names, and noise[k] is added to x(k+1). With
+    gain, controllers[0] solves all live rows in one call; otherwise row i
+    calls controllers[i] on its own state. Products and quadratic forms are
+    stacked matmuls, one small product per row, so each row gets the bits
+    it would get alone. A row leaves the batch on a package error: a burst
+    that outruns the packets (before any solve), a V(k) that is not
+    finite, its solver raising, or, once the loop ends, a recorded packet
+    that is not finite. A ConfigError ends the run.
+
+    Returns the stacked records of the rows that finished, the failures as
+    (trial, error) in row order, and the solve time per live row and step.
+    """
+    A, B, P, N = setup.model.A, setup.model.B, setup.design.P, setup.design.N
+    trials, traces, x0, noise = zip(*inputs)
+    rows, T = len(inputs), traces[0].T
+    failed = {}               # row -> error
+    # plays[i, k]: the element row i plays at step k, as an index into packets.ravel()
+    plays = np.zeros((rows, T), dtype=np.intp)
+    for i, trace in enumerate(traces):
+        try:
+            src, age = actuate(trace, N)
+        except ConfigError:
+            raise
+        except SparsePpcError as exc:
+            failed[i] = exc
+        else:
+            plays[i] = (i * T + src) * N + age
+    live = np.array([i for i in range(rows) if i not in failed], dtype=np.intp)
+    X = np.array(x0, dtype=float)[live]
+    noise = np.array(noise, dtype=float)
+
+    states = np.empty((rows, T, setup.model.n))
+    V = np.empty((rows, T))
+    packets = np.empty((rows, T, N))
+    played = packets.reshape(-1)
+    solve_seconds, solves = 0.0, 0
     for k in range(T):
-        V[k] = float(x @ P @ x)
-        if not math.isfinite(V[k]):
-            raise NumericError(f"state is not finite at step {k}: V = {V[k]}")
+        Vk = ((X[:, None, :] @ P) @ X[:, :, None])[:, 0, 0]
+        ok = np.isfinite(Vk)
+        if not ok.all():
+            for j in np.flatnonzero(~ok):
+                failed[live[j]] = NumericError(f"state is not finite at step {k}: V = {Vk[j]}")
+            live, X, Vk = live[ok], X[ok], Vk[ok]
+            if not live.size:
+                break
+        at = live if live.size < rows else slice(None)   # basic indexing while all are live
+        lost = []
         t0 = perf_counter()
-        pkt = controller(x)
-        solve_seconds[k] = perf_counter() - t0
-        packets[k] = pkt.u
-        states[k] = x
-        norms[k] = math.sqrt(x.dot(x))
-        x = A @ x + B * packets[src[k], age[k]] + noise[k]
-    if not np.isfinite(packets).all():
-        k = int(np.argmin(np.isfinite(packets).all(axis=1)))
-        raise NumericError(f"packet is not finite at step {k}")
+        if gain:
+            try:
+                packets[at, k] = controllers[0](X).u
+            except ConfigError:
+                raise
+            except SparsePpcError as exc:
+                failed.update(dict.fromkeys(live.tolist(), exc))
+                live = live[:0]
+                break
+        else:
+            for i, x in zip(live.tolist(), X):
+                try:
+                    packets[i, k] = controllers[i](x).u
+                except ConfigError:
+                    raise
+                except SparsePpcError as exc:
+                    failed[i] = exc
+                    lost.append(i)
+        solve_seconds += perf_counter() - t0
+        solves += live.size
+        if lost:
+            ok = ~np.isin(live, lost)
+            live, X, Vk = live[ok], X[ok], Vk[ok]
+            at = live
+        states[at, k] = X
+        V[at, k] = Vk
+        X = (A @ X[:, :, None])[:, :, 0] + B * played[plays[at, k]][:, None] + noise[at, k]
+    bad = ~np.isfinite(packets[live]).all(axis=2)
+    for j in np.flatnonzero(bad.any(axis=1)):
+        failed[live[j]] = NumericError(f"packet is not finite at step {np.argmax(bad[j])}")
+    live = live[~bad.any(axis=1)]
 
-    return TrialResult(trial=trial, states=states, norms=norms, V=V, d=trace.d,
-                       u_applied=packets[src, age], packets=packets,
-                       sparsity=np.count_nonzero(packets, axis=1),
-                       solve_seconds=solve_seconds, overrides=trace.overrides)
+    at = live if live.size < rows else slice(None)
+    kept, states = packets[at], states[at]
+    records = TrialResult(
+        trial=np.array(trials)[at], states=states,
+        norms=np.sqrt((states[..., None, :] @ states[..., :, None])[..., 0, 0]), V=V[at],
+        d=np.array([trace.d for trace in traces])[at], u_applied=played[plays[at]],
+        packets=kept, sparsity=np.count_nonzero(kept, axis=2),
+        overrides=np.array([trace.overrides for trace in traces])[at])
+    failures = [(trials[i], failed[i]) for i in sorted(failed)]
+    return records, failures, solve_seconds / max(solves, 1)
 
 
 @dataclass
@@ -348,21 +431,28 @@ def lyapunov_audit(result: TrialResult, design: CostDesign) -> AuditReport:
 
 @dataclass
 class MonteCarloReport:
+    """A run's records over the trials that succeeded, in trial order."""
+
     cfg: SimConfig
-    results: list
-    failures: list            # (trial, error message)
-    per_trial_perf: np.ndarray
+    records: TrialResult        # stacked, one row per trial
+    results: list               # records.rows(): one TrialResult view per trial
+    failures: list              # (trial, error message)
+    per_trial_perf: np.ndarray  # sqrt(sum_k ||x(k)||^2) of each trial
+    mean_solve_seconds: float   # solve wall time per row and step
     total_violations: int = None
 
 
 def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
                 namespace: int = NS_MAIN) -> MonteCarloReport:
-    """Run cfg.trials independent paired trials and keep every result.
+    """Run cfg.trials independent paired trials in lockstep; keep every result.
 
-    The run's config alone picks the controller, nu and noise; a given
-    setup must share cfg's SETUP_FIELDS and is checked as build_setup
-    does. A noise-free run (sigma = 0) is audited for Lyapunov decrease.
-    A config error ends the run; any other package error fails only its trial.
+    Every trial is one row of the engine (_lockstep). A gain controller
+    solves all live rows of a step in one call; any other solver gets a
+    controller per trial, so no warm start crosses trials. The run's
+    config alone picks the controller, nu and noise; a given setup must
+    share cfg's SETUP_FIELDS and is checked as build_setup does. A
+    noise-free run (sigma = 0) is audited for Lyapunov decrease. A config
+    error ends the run; any other package error fails only its trial.
     numpy's overflow warnings are dropped, since the trial they concern fails.
     """
     if setup is None:
@@ -374,39 +464,29 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
             raise ConfigError(f"setup was built from other settings than the config: {differ}")
         _check_trials(cfg, setup.model, setup.dropout)
 
-    results = []
-    failures = []
-    # an overflowing trial fails on run_trial's finiteness checks, so numpy's
+    inputs = [(trial, *trial_inputs(cfg, setup, namespace, trial))
+              for trial in range(cfg.trials)]
+    gain = cfg.controller in GAIN_CONTROLLERS
+    controllers = [make_controller(cfg, setup) for _ in range(1 if gain else cfg.trials)]
+    # an overflowing trial fails on the engine's finiteness checks, so numpy's
     # overflow warnings would only say it first; a warnings filter, unlike
     # np.errstate, costs the numpy calls inside nothing
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
                                 RuntimeWarning)
-        for trial in range(cfg.trials):
-            try:
-                trace, x0, noise = trial_inputs(cfg, setup, namespace, trial)
-                # a controller per trial, so no warm start crosses trials
-                res = run_trial(setup, make_controller(cfg, setup), trace, x0, noise,
-                                trial=trial)
-                if cfg.sigma == 0:
-                    res.violations = lyapunov_audit(res, setup.design).total
-                results.append(res)
-            except ConfigError:
-                raise
-            except SparsePpcError as exc:
-                failures.append((trial, f"{type(exc).__name__}: {exc}"))
-
+        records, errors, solve_seconds = _lockstep(setup, controllers, inputs, gain=gain)
+    failures = [(trial, f"{type(exc).__name__}: {exc}") for trial, exc in errors]
+    results = records.rows()
     if not results:
         raise SparsePpcError(f"all {cfg.trials} trials failed; first: {failures[0][1]}")
 
-    report = MonteCarloReport(
-        cfg=cfg,
-        results=results,
-        failures=failures,
-        per_trial_perf=np.array([r.perf() for r in results]),
-    )
+    report = MonteCarloReport(cfg=cfg, records=records, results=results, failures=failures,
+                              per_trial_perf=np.sqrt(np.sum(records.norms**2, axis=1)),
+                              mean_solve_seconds=solve_seconds)
     if cfg.sigma == 0:
-        report.total_violations = int(sum(r.violations for r in results))
+        for r in results:
+            r.violations = lyapunov_audit(r, setup.design).total
+        report.total_violations = sum(r.violations for r in results)
     return report
 
 
@@ -504,10 +584,10 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
     for name, scheme in BITRATE_PLAN:
         train = monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials),
                             setup=setup, namespace=NS_TRAIN)
-        samples = quantize_packet(quantizer, np.stack([r.packets for r in train.results]))
+        samples = quantize_packet(quantizer, train.records.packets)
         codec = train_codec(samples.reshape(-1, cfg.N), scheme, quantizer)
         test = monte_carlo(replace(cfg, controller=name), setup=setup, namespace=NS_TEST)
-        packets = np.stack([r.packets for r in test.results])
+        packets = test.records.packets
         indices = quantize_packet(quantizer, packets)
         err = float(np.max(np.abs(packets - dequantize(quantizer, indices))))
         max_quant_error = max(max_quant_error, err)
@@ -548,12 +628,11 @@ def write_csv(path, columns: dict) -> None:
 
 
 def _per_step(report: MonteCarloReport, **attrs) -> dict:
-    """trial and k columns, then each named TrialResult array, trial-major."""
-    trials = [r.trial for r in report.results]
+    """trial and k columns, then each named record array, trial-major."""
+    records = report.records
     T = report.cfg.steps
-    return {"trial": np.repeat(trials, T), "k": np.tile(np.arange(T), len(trials)),
-            **{name: np.concatenate([getattr(r, attr) for r in report.results])
-               for name, attr in attrs.items()}}
+    return {"trial": np.repeat(records.trial, T), "k": np.tile(np.arange(T), len(records.trial)),
+            **{name: getattr(records, attr).ravel() for name, attr in attrs.items()}}
 
 
 def trace_columns(report: MonteCarloReport) -> dict:
@@ -566,11 +645,11 @@ def trajectory_columns(report: MonteCarloReport) -> dict:
 
 def summary_columns(report: MonteCarloReport) -> dict:
     """Per-k aggregates over the successful trials."""
-    norms = np.stack([r.norms for r in report.results])
+    records = report.records
+    norms = records.norms
     return {"k": np.arange(report.cfg.steps), "mean_norm": norms.mean(axis=0),
             "median_norm": np.median(norms, axis=0), "max_norm": norms.max(axis=0),
-            "mean_V": np.stack([r.V for r in report.results]).mean(axis=0),
-            "mean_sparsity": np.stack([r.sparsity for r in report.results]).mean(axis=0)}
+            "mean_V": records.V.mean(axis=0), "mean_sparsity": records.sparsity.mean(axis=0)}
 
 
 def rate_columns(breport: BitrateReport) -> dict:

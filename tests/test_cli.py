@@ -155,26 +155,29 @@ def test_simulate_requires_out_dir():
 
 
 def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, monkeypatch, capsys):
-    # an existing file, and a path under one: each command exits 2 with one
-    # error line, and finds out before its first trial
+    # an existing file, a dangling symlink, and a path under either: each
+    # command exits 2 with one error line, and finds out before its first trial
     import sparseppc.sim as sim_mod
 
     trials = []
-    real_run_trial = sim_mod.run_trial
-    monkeypatch.setattr(sim_mod, "run_trial",
-                        lambda *a, **kw: trials.append(a) or real_run_trial(*a, **kw))
+    real_engine = sim_mod._lockstep
+    monkeypatch.setattr(sim_mod, "_lockstep",
+                        lambda *a, **kw: trials.append(a) or real_engine(*a, **kw))
     cfg = _write(tmp_path / "c.json", {"trials": 2, "train_trials": 2, "steps": 10})
     taken = tmp_path / "taken"
     taken.write_text("")
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
     for command, extra in (("simulate", []), ("sweep", ["--family", "l2", "--grid", "1"]),
                            ("bitrate", []), ("design", [])):
-        for out in (taken, taken / "sub"):
+        for out in (taken, taken / "sub", dangling, dangling / "sub"):
             assert main([command, "--config", cfg, "--out-dir", str(out), *extra]) == 2, command
             err = capsys.readouterr().err
             assert err.startswith("error: cannot create output directory"), err
             assert err.count("\n") == 1, err
         assert trials == [], command
     assert taken.read_text() == ""
+    assert not (tmp_path / "nowhere").exists()
 
 
 def test_simulate_byte_identical_reruns(tmp_path):

@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from itertools import count
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 import sparseppc as sp
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
-from sparseppc.sim import (CONTROLLERS, NS_MAIN, SETUP_FIELDS, SimConfig, build_setup,
-                           config_from_dict, lyapunov_audit, make_controller,
+from sparseppc.sim import (CONTROLLERS, GAIN_CONTROLLERS, NS_MAIN, SETUP_FIELDS, SimConfig,
+                           build_setup, config_from_dict, lyapunov_audit, make_controller,
                            monte_carlo, packet_columns, rate_columns, run_trial,
                            summary_columns, sweep_columns, sweep_regularization,
                            trace_columns, trajectory_columns, trial_inputs, write_csv)
@@ -195,7 +196,7 @@ def test_rebinding_a_setup_checks_the_run_config(monkeypatch):
              (SimConfig(trials=2, steps=20), {"N": 8})]
     setups = [build_setup(cfg) for cfg, _ in cases]
     calls = []
-    monkeypatch.setattr(sim_mod, "run_trial", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(sim_mod, "_lockstep", lambda *a, **kw: calls.append(a))
     for (cfg, change), setup in zip(cases, setups):
         with pytest.raises(ConfigError):
             sim_mod.monte_carlo(replace(cfg, **change), setup=setup)
@@ -212,7 +213,7 @@ def test_a_setup_runs_only_the_settings_it_was_built_from(monkeypatch):
              (replace(base, plant=fast), ["plant"]),
              (replace(base, plant=fast, eta=0.5, dropout=iid), ["plant", "eta", "dropout"])]
     calls = []
-    monkeypatch.setattr(sim_mod, "run_trial", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(sim_mod, "_lockstep", lambda *a, **kw: calls.append(a))
     for built_from, differ in cases:
         with pytest.raises(ConfigError) as err:
             sim_mod.monte_carlo(base, setup=build_setup(built_from))
@@ -374,8 +375,7 @@ def test_trial_bits_do_not_depend_on_cache_warmth(controller):
                       *trial_inputs(cfg, setup, NS_MAIN, 13), trial=13)
     alone.violations = lyapunov_audit(alone, setup.design).total
     for f in fields(alone):
-        if f.name != "solve_seconds":   # wall time, the one field allowed to differ
-            assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), f.name
+        assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), f.name
 
 
 def test_l1_trial_bits_do_not_depend_on_the_trials_before():
@@ -391,8 +391,7 @@ def test_l1_trial_bits_do_not_depend_on_the_trials_before():
     alone.violations = lyapunov_audit(alone, setup.design).total
     assert np.count_nonzero(alone.sparsity) > 1   # some solve had a guess to try
     for f in fields(alone):
-        if f.name != "solve_seconds":   # wall time, the one field allowed to differ
-            assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), f.name
+        assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), f.name
 
 
 def test_monte_carlo_reproducible_and_paired(tmp_path):
@@ -426,17 +425,34 @@ def test_monte_carlo_aggregates_shapes():
     assert rep.failures == []
 
 
+def _per_trial_controllers(monkeypatch, wrap):
+    """Give trial t of the next run the controller wrap(t, cfg, setup, make).
+
+    A run of a per-state solver makes one controller per trial, in trial
+    order; make is the real make_controller.
+    """
+    import sparseppc.sim as sim_mod
+
+    real, made = sim_mod.make_controller, count()
+    monkeypatch.setattr(sim_mod, "make_controller",
+                        lambda cfg, setup: wrap(next(made), cfg, setup, real))
+
+
+def _raising(error):
+    def solve(x):
+        raise error
+    return solve
+
+
 def test_monte_carlo_continues_after_trial_failure(monkeypatch):
     import sparseppc.sim as sim_mod
 
-    real = sim_mod.run_trial
-
-    def flaky(setup, controller, trace, x0, noise, trial):
+    def flaky(trial, cfg, setup, make):
         if trial == 1:
-            raise sp.NumericError("synthetic failure")
-        return real(setup, controller, trace, x0, noise, trial=trial)
+            return _raising(sp.NumericError("synthetic failure"))
+        return make(cfg, setup)
 
-    monkeypatch.setattr(sim_mod, "run_trial", flaky)
+    _per_trial_controllers(monkeypatch, flaky)
     rep = sim_mod.monte_carlo(SimConfig(trials=3, steps=10, seed=5))
     assert len(rep.results) == 2
     assert rep.failures == [(1, "NumericError: synthetic failure")]
@@ -447,19 +463,16 @@ def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
     # SolverFailureError must fail that trial and leave the others alone
     import sparseppc.sim as sim_mod
 
-    real = sim_mod.run_trial
-
-    def broken_horizon(setup, controller, trace, x0, noise, trial):
+    def broken_horizon(trial, cfg, setup, make):
         if trial == 1:
             G = setup.hm.G.copy()
             G[:, 0] = 0.0
             hm = replace(setup.hm, G=G, col_norm_sq=np.sum(G * G, axis=0))
             setup = replace(setup, hm=hm)
-            controller = make_controller(cfg, setup)
-        return real(setup, controller, trace, x0, noise, trial=trial)
+        return make(cfg, setup)
 
     cfg = SimConfig(trials=3, steps=10, seed=5)
-    monkeypatch.setattr(sim_mod, "run_trial", broken_horizon)
+    _per_trial_controllers(monkeypatch, broken_horizon)
     with np.errstate(invalid="ignore"):
         rep = sim_mod.monte_carlo(cfg)
     assert [r.trial for r in rep.results] == [0, 2]
@@ -470,10 +483,10 @@ def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
 def test_monte_carlo_raises_when_everything_fails(monkeypatch):
     import sparseppc.sim as sim_mod
 
-    def broken(setup, controller, trace, x0, noise, trial):
-        raise sp.NumericError(f"synthetic failure {trial}")
+    def broken(trial, cfg, setup, make):
+        return _raising(sp.NumericError(f"synthetic failure {trial}"))
 
-    monkeypatch.setattr(sim_mod, "run_trial", broken)
+    _per_trial_controllers(monkeypatch, broken)
     with pytest.raises(sp.SparsePpcError,
                        match="all 2 trials failed; first: NumericError: synthetic failure 0"):
         sim_mod.monte_carlo(SimConfig(trials=2, steps=5, seed=5))
@@ -484,19 +497,104 @@ def test_monte_carlo_config_error_ends_the_run(monkeypatch):
 
     calls = []
 
-    def misconfigured(setup, controller, trace, x0, noise, trial):
-        calls.append(trial)
-        raise ConfigError("synthetic config error")
+    def misconfigured(trial, cfg, setup, make):
+        def solve(x):
+            calls.append(trial)
+            raise ConfigError("synthetic config error")
+        return solve
 
-    monkeypatch.setattr(sim_mod, "run_trial", misconfigured)
+    _per_trial_controllers(monkeypatch, misconfigured)
     with pytest.raises(ConfigError, match="synthetic config error"):
         sim_mod.monte_carlo(SimConfig(trials=3, steps=5, seed=5))
     assert calls == [0]
 
 
+@settings(max_examples=20, deadline=None)
+@given(controller=st.sampled_from(CONTROLLERS), sigma=st.sampled_from([0.0, 0.01]),
+       seed=st.integers(0, 2**32 - 1), i=st.integers(0, 49))
+def test_a_row_does_not_depend_on_its_batch(controller, sigma, seed, i):
+    # trial j run alone on a fresh setup equals row j of runs of 1, 5 and
+    # 50 trials, to the last bit
+    noise = {"kind": "gaussian", "sigma": sigma} if sigma else {"kind": "none"}
+    cfg = SimConfig(controller=controller, N=6 if controller == "oracle" else 10,
+                    steps=15, seed=seed, noise=noise)
+    setup = build_setup(cfg)
+    for batch in (1, 5, 50):
+        j = i % batch
+        rep = monte_carlo(replace(cfg, trials=batch), setup=setup)
+        assert not rep.failures
+        fresh = build_setup(cfg)
+        alone = run_trial(fresh, make_controller(cfg, fresh),
+                          *trial_inputs(cfg, fresh, NS_MAIN, j), trial=j)
+        if sigma == 0:
+            alone.violations = lyapunov_audit(alone, fresh.design).total
+        for f in fields(alone):
+            assert np.array_equal(getattr(alone, f.name), getattr(rep.results[j], f.name)), \
+                (batch, f.name)
+
+
+@pytest.mark.parametrize("controller", CONTROLLERS)
+def test_a_failing_row_leaves_the_batch_alone(controller, monkeypatch):
+    # trial 2's state turns NaN at step 8 and, where each trial has its own
+    # solver, trial 4's solver raises at step 5: each leaves the batch with
+    # its own error, and every other row keeps the bits of a run without them
+    import sparseppc.sim as sim_mod
+
+    cfg = SimConfig(controller=controller, N=6 if controller == "oracle" else 10,
+                    trials=6, steps=20, seed=3)
+    clean = monte_carlo(cfg)
+    real = sim_mod.trial_inputs
+
+    def nan_noise(cfg, setup, namespace, trial):
+        trace, x0, noise = real(cfg, setup, namespace, trial)
+        if trial == 2:
+            noise[7] = np.nan
+        return trace, x0, noise
+
+    def raising_at_step_5(trial, cfg, setup, make):
+        solve, solves = make(cfg, setup), count()
+
+        def flaky(x):
+            if trial == 4 and next(solves) == 5:
+                raise sp.SolverFailureError("synthetic failure")
+            return solve(x)
+        return flaky
+
+    monkeypatch.setattr(sim_mod, "trial_inputs", nan_noise)
+    failed = {2: "NumericError: state is not finite at step 8: V = nan"}
+    if controller not in GAIN_CONTROLLERS:
+        _per_trial_controllers(monkeypatch, raising_at_step_5)
+        failed[4] = "SolverFailureError: synthetic failure"
+    rep = sim_mod.monte_carlo(cfg)
+    assert rep.failures == sorted(failed.items())
+    assert [r.trial for r in rep.results] == [t for t in range(6) if t not in failed]
+    for r in rep.results:
+        for f in fields(r):
+            assert np.array_equal(getattr(r, f.name), getattr(clean.results[r.trial], f.name)), \
+                (r.trial, f.name)
+
+
+def test_a_gain_that_raises_fails_every_live_row(monkeypatch):
+    # one call solves every live row of a gain controller, so its error is
+    # each of theirs
+    import sparseppc.sim as sim_mod
+
+    real, solves = sim_mod.l2_packet, count()
+
+    def flaky(hm, x, nu2):
+        if next(solves) == 3:
+            raise sp.SolverFailureError("synthetic failure")
+        return real(hm, x, nu2)
+
+    monkeypatch.setattr(sim_mod, "l2_packet", flaky)
+    with pytest.raises(sp.SparsePpcError,
+                       match="all 4 trials failed; first: SolverFailureError: synthetic failure"):
+        sim_mod.monte_carlo(SimConfig(controller="l2", trials=4, steps=10, seed=5))
+
+
 def test_controller_dispatch():
     # each controller maps the zero state to the zero packet; on a short run
-    # the loop times every solve and counts nonzeros from the packets it
+    # the engine times the solves and counts nonzeros from the packets it
     # records, and a re-solve of each recorded state gives the same packet
     base = SimConfig(trials=1, steps=12, seed=23)
     setup = build_setup(base)
@@ -504,13 +602,14 @@ def test_controller_dispatch():
         cfg = replace(base, controller=name)
         fn = make_controller(cfg, setup)
         assert fn(np.zeros(4)).sparsity == 0
-        res = monte_carlo(cfg, setup=setup).results[0]
+        rep = monte_carlo(cfg, setup=setup)
+        res = rep.results[0]
         for k, x in enumerate(res.states):
             pkt = fn(x)
             assert res.sparsity[k] == pkt.sparsity, (name, k)
             assert np.array_equal(res.packets[k], pkt.u), (name, k)
         assert res.sparsity.dtype == np.int64
-        assert np.all(np.isfinite(res.solve_seconds)) and np.all(res.solve_seconds >= 0.0)
+        assert np.isfinite(rep.mean_solve_seconds) and rep.mean_solve_seconds >= 0.0
 
 
 def test_run_config_picks_controller_over_setup_config():
