@@ -7,12 +7,13 @@ budget for a penalty (none, Tikhonov, or l1). All are exact: the l1
 packet ends a finite lasso homotopy, so no solver has a tolerance.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError, FeasibilityError, SolverFailureError
+from .errors import ConfigError, FeasibilityError, NumericError, SolverFailureError
 from .horizon import HorizonMatrices, cost_quadratic
 from .plant import _frozen
 
@@ -54,8 +55,15 @@ class FeasibilityCertificate:
 
 
 def budget_for(W: np.ndarray, x: np.ndarray) -> float:
-    """x'Wx as (x @ W) @ x; x must already be a float array."""
-    return float(x @ W @ x)
+    """x'Wx as (x @ W) @ x; x must already be a float array.
+
+    A budget that is not finite (a NaN or overflowed state) raises
+    NumericError: no packet can be judged against it.
+    """
+    budget = float(x @ W @ x)
+    if not math.isfinite(budget):
+        raise NumericError(f"state is not finite: x'Wx = {budget}")
+    return budget
 
 
 def check_feasible(hm: HorizonMatrices, W: np.ndarray, u: np.ndarray,
@@ -235,17 +243,22 @@ def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
     return _gain_packet(K, x)
 
 
-def _active_set_point(hm: HorizonMatrices, Hx: np.ndarray, b: np.ndarray, s: np.ndarray,
-                      S: np.ndarray, lam: float):
-    """Direction d, point u_S and correlations c = G'(Hx - G_S u_S) at lam.
+SIDES = np.array([[1.0], [-1.0]])     # join ratio rows: c_j reaches +lam, then -lam
 
-    One solve of (G'G)_SS against [s_S, G'Hx_S - lam s_S], shared by the
-    walk and the warm start so that equal (S, s, lam) give equal bits.
+
+def _l1_gathers(hm: HorizonMatrices, mask: int) -> tuple:
+    """Read-only (S, (G'G)_SS, G_S, (G'G)_:S) of the support with bitmask mask.
+
+    S is ascending, and each gather is the array indexing gives, layout
+    included, so products keep their bits. Kept in hm._l1_gathers.
     """
-    s_S = s[S]
-    d, u_S = np.linalg.solve(hm.GtG[S[:, None], S],
-                             np.stack((s_S, b[S] - lam * s_S), axis=1)).T
-    return d, u_S, hm.G.T @ (Hx - hm.G[:, S] @ u_S)
+    ops = hm._l1_gathers.get(mask)
+    if ops is None:
+        S = np.array([i for i in range(hm.N) if mask >> i & 1], dtype=np.intp)
+        ops = hm._l1_gathers[mask] = (S, hm.GtG[S[:, None], S], hm.G[:, S], hm.GtG[:, S])
+        for a in ops:
+            a.setflags(write=False)
+    return ops
 
 
 def _kkt_gap(u: np.ndarray, c: np.ndarray, nu1: float) -> float:
@@ -257,84 +270,89 @@ def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float,
                 guess: np.ndarray = None) -> ControlPacket:
     """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
 
-    A guess (the previous packet of the loop) with nonzeros is tried first:
-    its support and signs, solved at nu1 as the walk's last step would
-    solve them, give the packet when every coefficient keeps its guessed
-    sign (an exact zero does not) and the KKT conditions hold (Ferreau,
-    Bock & Diehl 2008). The minimizer is unique, so a certified guess
-    returns the packet the walk would. Otherwise the walk runs from
-    scratch: it takes lam from ||G'Hx||_inf (u = 0) down to nu1 (Osborne,
-    Presnell & Turlach 2000). On the active set S with signs s, u_S(lam) =
-    (G'G)_SS^-1 (G'Hx_S - lam s). A breakpoint is where an inactive
-    correlation g_j'(Hx - G u) reaches +-lam (j joins) or a coefficient
-    moving toward zero reaches 0 (j leaves, barred from rejoining on the
-    same side at once); u_S is re-solved at each one and at nu1. Over 50 N
-    breakpoints, or a packet that misses the KKT conditions, raises
-    SolverFailureError. solver_iters is 0 for the zero packet, 1 for a
-    certified guess, and otherwise the walk's breakpoints, plus 1 if a
-    guess was tried.
+    One active-set loop (Osborne, Presnell & Turlach 2000): on the active
+    set S with signs s, u_S(lam) = (G'G)_SS^-1 (G'Hx_S - lam s). Its first
+    candidate is the guess (the loop's previous packet, if nonzero): that
+    support and signs at lam = nu1, kept if every coefficient keeps its sign
+    (an exact zero does not) and the KKT conditions hold (Ferreau, Bock &
+    Diehl 2008); the minimizer is unique, so it is the walk's packet to the
+    bit. Otherwise the loop walks from u = 0 at lam = ||G'Hx||_inf down to
+    nu1. At a breakpoint an inactive correlation g_j'(Hx - G u) reaches
+    +-lam (j joins) or a coefficient moving toward zero reaches 0 (j leaves,
+    barred from rejoining on that side at once); u_S is re-solved there and
+    at nu1. Over 50 N breakpoints or a walked packet that misses the KKT
+    conditions raise SolverFailureError, a non-finite G'Hx NumericError.
+    solver_iters is 0 for the zero packet, 1 for a certified guess, else the
+    walk's breakpoints, plus 1 if a guess was tried.
     """
     if not (nu1 > 0.0):
         raise ConfigError(f"nu1 must be positive, got {nu1}")
     x = np.asarray(x, dtype=float)
     N = hm.N
     b = hm.GtH @ x
-    lam = lam0 = float(np.max(np.abs(b)))
-    if not lam > nu1:
+    abs_b = np.abs(b)
+    lam0 = float(abs_b.max())
+    if not math.isfinite(lam0):
+        raise NumericError(f"state is not finite: ||G'Hx||_inf = {lam0}")
+    if not lam0 > nu1:
         return ControlPacket(np.zeros(N), 0)
-    Hx = hm.H @ x
-    tried = guess is not None and bool(np.any(guess))
-    if tried:
-        s = np.sign(guess)
-        S = np.flatnonzero(s)
-        try:
-            u_S, c = _active_set_point(hm, Hx, b, s, S, nu1)[1:]
-        except np.linalg.LinAlgError:
-            pass                    # the walk has the last word
-        else:
-            if np.array_equal(np.sign(u_S), s[S]):
-                u = np.zeros(N)
-                u[S] = u_S
-                if _kkt_gap(u, c, nu1) <= 1e-9 * lam0:
-                    return ControlPacket(u, 1)
-
-    s = np.zeros(N)                 # signs on the active set, 0 off it
-    j = int(np.argmax(np.abs(b)))
-    s[j] = np.sign(b[j])
-    left = (0, j)                   # (side, column) barred from rejoining
-    for iters in range(50 * N):
-        S = np.flatnonzero(s)
-        try:
-            d, u_S, c = _active_set_point(hm, Hx, b, s, S, lam)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailureError(f"active-set solve failed: {exc}") from exc
-        if lam == nu1:
-            break
-        # as lam drops by g, u_S moves by g d and c by -g a
-        a = hm.GtG[:, S] @ d
-        leave = np.full(N, np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            join = np.stack([(lam - c) / (1.0 - a), (lam + c) / (1.0 + a)])
-            leave[S] = np.where(d * s[S] < 0.0, -u_S / d, np.inf)
-        join[:, S] = join[left] = np.inf
-        join[~(join > 0.0)] = np.inf
-        side, j = np.unravel_index(np.argmin(join), join.shape)
-        i = int(np.argmin(leave))
-        if min(join[side, j], leave[i]) >= lam - nu1:
-            lam = nu1
-        elif leave[i] <= join[side, j]:
-            lam -= max(leave[i], 0.0)
-            left, s[i] = (int(s[i] < 0), i), 0.0
-        else:                       # j is active now, so left bars nothing
-            lam -= join[side, j]
-            left, s[j] = (side, j), 1.0 - 2.0 * side
-    else:
-        raise SolverFailureError(f"lasso path exceeded {50 * N} breakpoints")
-
-    u = np.zeros(N)
-    u[S] = u_S
-    worst = _kkt_gap(u, c, nu1)
-    if not worst <= 1e-9 * lam0:   # also catches a NaN from an overflowed x
-        raise SolverFailureError(f"lasso packet misses the KKT conditions by {worst:.3g}",
-                                 residual=worst)
-    return ControlPacket(u, iters + tried)
+    Hx, Gt, tol = hm.H @ x, hm.G.T, 1e-9 * lam0
+    tried = guess is not None and bool(guess.any())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for guessing in (True, False)[not tried:]:
+            if guessing:
+                s, lam = np.sign(guess), nu1        # signs on the active set, 0 off it
+                mask = sum(1 << j for j in np.flatnonzero(s).tolist())
+            else:
+                j = int(abs_b.argmax())
+                s, lam, mask, left = np.zeros(N), lam0, 1 << j, (0, j)
+                s[j] = np.sign(b[j])
+                # the active columns, and left: the (side, column) that left last
+                blocked = np.zeros((2, N), dtype=bool)
+                blocked[:, j] = True
+            for iters in range(50 * N):
+                S, GtG_SS, G_S, GtG_S = _l1_gathers(hm, mask)
+                s_S = s[S]
+                try:    # d and u_S from one solve against [s_S, b_S - lam s_S]
+                    d, u_S = np.linalg.solve(GtG_SS, np.array((s_S, b[S] - lam * s_S)).T).T
+                except np.linalg.LinAlgError as exc:
+                    if guessing:
+                        break
+                    raise SolverFailureError(f"active-set solve failed: {exc}") from exc
+                c = Gt @ (Hx - G_S @ u_S)
+                if lam == nu1:
+                    u = np.zeros(N)
+                    u[S] = u_S
+                    held = (u_S * s_S > 0.0).all()
+                    # with the signs held this is _kkt_gap: |c_j| - nu1 <= |c_j - nu1 s_j|
+                    worst = (max(abs(c).max() - nu1, abs(c[S] - nu1 * s_S).max()) if held
+                             else _kkt_gap(u, c, nu1))
+                    if worst <= tol and (held or not guessing):
+                        return ControlPacket(u, iters + tried)
+                    if guessing:
+                        break
+                    raise SolverFailureError(                # also a NaN from an overflow
+                        f"lasso packet misses the KKT conditions by {worst:.3g}", residual=worst)
+                # as lam drops by g, u_S moves by g d and c by -g a
+                join = (lam - SIDES * c) / (1.0 - SIDES * (GtG_S @ d))
+                join[blocked | ~(join > 0.0)] = np.inf
+                side, j = divmod(int(join.argmin()), N)
+                leave = np.where(d * s_S < 0.0, -u_S / d, np.inf)
+                i = int(leave.argmin())
+                if min(join[side, j], leave[i]) >= lam - nu1:
+                    lam = nu1
+                    continue
+                blocked[left] = s[left[1]] != 0.0   # its bar lifts, unless it is active
+                if leave[i] <= join[side, j]:
+                    lam -= max(leave[i], 0.0)
+                    side, j = int(s[S[i]] < 0), int(S[i])
+                    s[j] = 0.0
+                    blocked[1 - side, j] = False
+                else:
+                    lam -= join[side, j]
+                    s[j] = 1.0 - 2.0 * side
+                    blocked[:, j] = True
+                left = (side, j)
+                mask ^= 1 << j
+            else:
+                raise SolverFailureError(f"lasso path exceeded {50 * N} breakpoints")

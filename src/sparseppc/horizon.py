@@ -20,12 +20,14 @@ class HorizonMatrices:
     """Prediction operators for one (plant, Q, P, N) combination.
 
     GtG, GtH and col_norm_sq are cached products the packet solvers read
-    at every solve. Two caches start empty and fill as solves need them,
+    at every solve. Three caches start empty and fill as solves need them,
     each entry read-only: _omp_support_ops holds the per-support operators
     of omp_packet and least_squares_packet (see
-    controllers._support_operators), at most one per support (2^N), and
+    controllers._support_operators) and _l1_gathers the per-support
+    gathers of G'G and G that l1l2_packet solves with (see
+    controllers._l1_gathers), each at most one per support (2^N), and
     _l2_gains the gain of l2_packet per nu2 (see controllers.l2_packet).
-    dataclasses.replace starts both anew, empty. None of these carries
+    dataclasses.replace starts all three anew, empty. None of these carries
     information beyond G, H and nu2.
     """
 
@@ -39,6 +41,7 @@ class HorizonMatrices:
     col_norm_sq: np.ndarray
     _omp_support_ops: dict = field(default_factory=dict, init=False,
                                    compare=False, repr=False)
+    _l1_gathers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _l2_gains: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 

@@ -261,6 +261,7 @@ class TrialResult:
     trial: int
     states: np.ndarray        # (T, n) state at each k
     norms: np.ndarray         # ||x(k)||_2
+    perf: float               # sqrt(sum_k ||x(k)||^2)
     V: np.ndarray             # x(k)' P x(k)
     d: np.ndarray             # dropout bit at k
     u_applied: np.ndarray     # actuator output at k
@@ -312,7 +313,8 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = Fal
     it would get alone. A row leaves the batch on a package error: a burst
     that outruns the packets (before any solve), a V(k) that is not
     finite, its solver raising, or, once the loop ends, a recorded packet
-    that is not finite. A ConfigError ends the run.
+    or a performance sqrt(sum_k ||x(k)||^2) that is not finite. A
+    ConfigError ends the run.
 
     Returns the stacked records of the rows that finished, the failures as
     (trial, error) in row order, and the solve time per live row and step.
@@ -380,16 +382,22 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = Fal
         states[at, k] = X
         V[at, k] = Vk
         X = (A @ X[:, :, None])[:, :, 0] + B * played[plays[at, k]][:, None] + noise[at, k]
-    bad = ~np.isfinite(packets[live]).all(axis=2)
-    for j in np.flatnonzero(bad.any(axis=1)):
-        failed[live[j]] = NumericError(f"packet is not finite at step {np.argmax(bad[j])}")
-    live = live[~bad.any(axis=1)]
-
     at = live if live.size < rows else slice(None)
-    kept, states = packets[at], states[at]
+    states = states[at]
+    norms = np.sqrt((states[..., None, :] @ states[..., :, None])[..., 0, 0])
+    perf = np.sqrt(np.sum(norms**2, axis=1))
+    bad = ~np.isfinite(packets[at]).all(axis=2)
+    ok = ~bad.any(axis=1) & np.isfinite(perf)
+    if not ok.all():
+        for j in np.flatnonzero(~ok):
+            failed[live[j]] = NumericError(
+                f"packet is not finite at step {np.argmax(bad[j])}" if bad[j].any() else
+                f"performance sqrt(sum_k ||x(k)||^2) is not finite: {perf[j]}")
+        live, states, norms, perf = live[ok], states[ok], norms[ok], perf[ok]
+        at = live
+    kept = packets[at]
     records = TrialResult(
-        trial=np.array(trials)[at], states=states,
-        norms=np.sqrt((states[..., None, :] @ states[..., :, None])[..., 0, 0]), V=V[at],
+        trial=np.array(trials)[at], states=states, norms=norms, perf=perf, V=V[at],
         d=np.array([trace.d for trace in traces])[at], u_applied=played[plays[at]],
         packets=kept, sparsity=np.count_nonzero(kept, axis=2),
         overrides=np.array([trace.overrides for trace in traces])[at])
@@ -437,9 +445,13 @@ class MonteCarloReport:
     records: TrialResult        # stacked, one row per trial
     results: list               # records.rows(): one TrialResult view per trial
     failures: list              # (trial, error message)
-    per_trial_perf: np.ndarray  # sqrt(sum_k ||x(k)||^2) of each trial
     mean_solve_seconds: float   # solve wall time per row and step
     total_violations: int = None
+
+    @property
+    def per_trial_perf(self) -> np.ndarray:
+        """sqrt(sum_k ||x(k)||^2) of each trial."""
+        return self.records.perf
 
 
 def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
@@ -453,7 +465,8 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
     share cfg's SETUP_FIELDS and is checked as build_setup does. A
     noise-free run (sigma = 0) is audited for Lyapunov decrease. A config
     error ends the run; any other package error fails only its trial.
-    numpy's overflow warnings are dropped, since the trial they concern fails.
+    numpy's overflow warnings are dropped, since the trial they concern
+    fails, its performance included.
     """
     if setup is None:
         setup = build_setup(cfg)
@@ -481,7 +494,6 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
         raise SparsePpcError(f"all {cfg.trials} trials failed; first: {failures[0][1]}")
 
     report = MonteCarloReport(cfg=cfg, records=records, results=results, failures=failures,
-                              per_trial_perf=np.sqrt(np.sum(records.norms**2, axis=1)),
                               mean_solve_seconds=solve_seconds)
     if cfg.sigma == 0:
         for r in results:

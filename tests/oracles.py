@@ -10,7 +10,9 @@ per-pick QR refactorization instead of the incremental Gram-Schmidt OMP,
 one QR per support instead of the stacked exhaustive search,
 a per-state linear solve instead of the cached l2 and least-squares gains,
 the lasso optimality (KKT) conditions, checked column by column,
-instead of the homotopy path, and an explicit Huffman tree walked for
+instead of the homotopy path, a two-stage l1 solver (a guess certified
+on its own, else a walk that gathers G'G afresh at every breakpoint)
+instead of the one active-set loop, and an explicit Huffman tree walked for
 its codewords instead of counting merges per symbol, a delivery-by-delivery
 walk instead of the masked Lyapunov counts, and CSV text rendered a row
 and a cell at a time instead of a column at a time, its per-k summaries
@@ -240,6 +242,115 @@ def lasso_kkt_violation(hm, x, u, nu1) -> float:
         else:
             worst = max(worst, abs(g @ r - nu1 * np.sign(u[j])))
     return worst / max(nu1, float(np.max(np.abs(hm.G.T @ Hx))))
+
+
+# A two-stage l1 solver: the guess is certified on its own, and a miss
+# walks from scratch, gathering G'G afresh at every breakpoint.
+# l1l2_packet must give its packets and iteration counts exactly.
+def _active_set_point(hm, Hx, b, s, S, lam):
+    """Direction d, point u_S and correlations c = G'(Hx - G_S u_S) at lam.
+
+    One solve of (G'G)_SS against [s_S, G'Hx_S - lam s_S], shared by the
+    walk and the warm start so that equal (S, s, lam) give equal bits.
+    """
+    s_S = s[S]
+    d, u_S = np.linalg.solve(hm.GtG[S[:, None], S],
+                             np.stack((s_S, b[S] - lam * s_S), axis=1)).T
+    return d, u_S, hm.G.T @ (Hx - hm.G[:, S] @ u_S)
+
+
+def _kkt_gap(u, c, nu1) -> float:
+    """Largest miss of c_j = nu1 sign(u_j) on u's support and |c_j| <= nu1 off it."""
+    return float(np.max(np.where(u != 0.0, np.abs(c - nu1 * np.sign(u)), np.abs(c) - nu1)))
+
+
+def l1l2_reference(hm, x, nu1, guess=None):
+    """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
+
+    A guess (the previous packet of the loop) with nonzeros is tried first:
+    its support and signs, solved at nu1 as the walk's last step would
+    solve them, give the packet when every coefficient keeps its guessed
+    sign (an exact zero does not) and the KKT conditions hold (Ferreau,
+    Bock & Diehl 2008). The minimizer is unique, so a certified guess
+    returns the packet the walk would. Otherwise the walk runs from
+    scratch: it takes lam from ||G'Hx||_inf (u = 0) down to nu1 (Osborne,
+    Presnell & Turlach 2000). On the active set S with signs s, u_S(lam) =
+    (G'G)_SS^-1 (G'Hx_S - lam s). A breakpoint is where an inactive
+    correlation g_j'(Hx - G u) reaches +-lam (j joins) or a coefficient
+    moving toward zero reaches 0 (j leaves, barred from rejoining on the
+    same side at once); u_S is re-solved at each one and at nu1. Over 50 N
+    breakpoints, or a packet that misses the KKT conditions, raises
+    SolverFailureError. solver_iters is 0 for the zero packet, 1 for a
+    certified guess, and otherwise the walk's breakpoints, plus 1 if a
+    guess was tried.
+    """
+    from sparseppc.controllers import ControlPacket
+    from sparseppc.errors import ConfigError, SolverFailureError
+
+    if not (nu1 > 0.0):
+        raise ConfigError(f"nu1 must be positive, got {nu1}")
+    x = np.asarray(x, dtype=float)
+    N = hm.N
+    b = hm.GtH @ x
+    lam = lam0 = float(np.max(np.abs(b)))
+    if not lam > nu1:
+        return ControlPacket(np.zeros(N), 0)
+    Hx = hm.H @ x
+    tried = guess is not None and bool(np.any(guess))
+    if tried:
+        s = np.sign(guess)
+        S = np.flatnonzero(s)
+        try:
+            u_S, c = _active_set_point(hm, Hx, b, s, S, nu1)[1:]
+        except np.linalg.LinAlgError:
+            pass                    # the walk has the last word
+        else:
+            if np.array_equal(np.sign(u_S), s[S]):
+                u = np.zeros(N)
+                u[S] = u_S
+                if _kkt_gap(u, c, nu1) <= 1e-9 * lam0:
+                    return ControlPacket(u, 1)
+
+    s = np.zeros(N)                 # signs on the active set, 0 off it
+    j = int(np.argmax(np.abs(b)))
+    s[j] = np.sign(b[j])
+    left = (0, j)                   # (side, column) barred from rejoining
+    for iters in range(50 * N):
+        S = np.flatnonzero(s)
+        try:
+            d, u_S, c = _active_set_point(hm, Hx, b, s, S, lam)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"active-set solve failed: {exc}") from exc
+        if lam == nu1:
+            break
+        # as lam drops by g, u_S moves by g d and c by -g a
+        a = hm.GtG[:, S] @ d
+        leave = np.full(N, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            join = np.stack([(lam - c) / (1.0 - a), (lam + c) / (1.0 + a)])
+            leave[S] = np.where(d * s[S] < 0.0, -u_S / d, np.inf)
+        join[:, S] = join[left] = np.inf
+        join[~(join > 0.0)] = np.inf
+        side, j = np.unravel_index(np.argmin(join), join.shape)
+        i = int(np.argmin(leave))
+        if min(join[side, j], leave[i]) >= lam - nu1:
+            lam = nu1
+        elif leave[i] <= join[side, j]:
+            lam -= max(leave[i], 0.0)
+            left, s[i] = (int(s[i] < 0), i), 0.0
+        else:                       # j is active now, so left bars nothing
+            lam -= join[side, j]
+            left, s[j] = (side, j), 1.0 - 2.0 * side
+    else:
+        raise SolverFailureError(f"lasso path exceeded {50 * N} breakpoints")
+
+    u = np.zeros(N)
+    u[S] = u_S
+    worst = _kkt_gap(u, c, nu1)
+    if not worst <= 1e-9 * lam0:   # also catches a NaN from an overflowed x
+        raise SolverFailureError(f"lasso packet misses the KKT conditions by {worst:.3g}",
+                                 residual=worst)
+    return ControlPacket(u, iters + tried)
 
 
 def interpret_trace(d, packets) -> np.ndarray:

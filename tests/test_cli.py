@@ -323,6 +323,27 @@ def test_overflowed_state_prints_one_error_line_and_no_warning(tmp_path, capsys)
     assert err.count("\n") == 1, err
 
 
+def test_overflowed_performance_exits_3_and_writes_no_infinity(tmp_path, capsys):
+    # every state stays finite, but sum_k ||x(k)||^2 overflows: nu1 is so
+    # large that every l1 packet is zero, and the open loop grows from x0
+    import warnings
+
+    cfg = _write(tmp_path / "c.json", {"x0": [1e150, 1, 0, 0], "controller": "l1l2",
+                                       "nu1": 1e300, "trials": 2, "steps": 100})
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: SparsePpcError: all 2 trials failed; first: NumericError: "
+                          "performance"), err
+    assert err.count("\n") == 1, err
+    for path in out.rglob("*"):
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text, path
+
+
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
     # a Riccati iteration cut off after two steps fails to converge
     from sparseppc import design

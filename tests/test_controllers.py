@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.controllers import FEASIBILITY_SLACK, ORACLE_CAP, ControlPacket, _support_lsq
-from sparseppc.errors import ConfigError, SolverFailureError
+from sparseppc.errors import ConfigError, NumericError, SolverFailureError
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
-from .oracles import (exhaustive_reference, l2_reference, lasso_kkt_violation,
-                      least_squares_reference, omp_reference)
+from .oracles import (exhaustive_reference, l1l2_reference, l2_reference,
+                      lasso_kkt_violation, least_squares_reference, omp_reference)
 
 W_SCALE_HUGE = 1e6
 
@@ -321,6 +321,7 @@ def test_packets_are_read_only_and_share_no_memory(cessna_design, cessna_horizon
         pkt = solve(hm, cessna_design.W, x)
         assert not pkt.u.flags.writeable
         cached = [a for entry in hm._omp_support_ops.values() for a in entry]
+        cached += [a for entry in hm._l1_gathers.values() for a in entry]
         cached += list(hm._l2_gains.values())
         cached += [hm.G, hm.H, hm.GtG, hm.GtH, hm.col_norm_sq]
         if before is not None:
@@ -492,6 +493,45 @@ def test_l1l2_warm_start_equals_the_cold_walk_bit_for_bit(monkeypatch):
         assert min(guessed) >= 1 and hits > 0.5, (nu1, hits)
 
 
+def test_l1l2_closed_loop_packets_equal_the_reference_solver():
+    # every state of l1 runs over the sweep grid, each solved with its
+    # trial's previous packet as the guess, as the loop solved it
+    cfg = SimConfig(trials=20, steps=100, seed=3, controller="l1l2")
+    setup = build_setup(cfg)
+    for nu1 in (1e2, 1e3, 5.3e3, 1e4):
+        rep = monte_carlo(replace(cfg, nu1=nu1), setup=setup)
+        assert rep.failures == []
+        for r in rep.results:
+            guess = None
+            for x, u in zip(r.states, r.packets):
+                got = sp.l1l2_packet(setup.hm, x, nu1, guess=guess)
+                want = l1l2_reference(setup.hm, x, nu1, guess=guess)
+                assert np.array_equal(got.u, want.u) and np.array_equal(got.u, u)
+                assert got.solver_iters == want.solver_iters, (nu1, r.trial)
+                guess = u
+    # each support's gathers are kept read-only, and a replaced horizon starts without them
+    gathers = setup.hm._l1_gathers
+    assert gathers and not any(a.flags.writeable for entry in gathers.values() for a in entry)
+    assert replace(setup.hm)._l1_gathers == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.floats(-2.0, 0.5),
+       nu1=st.sampled_from([1e-3, 1.0, 5.3, 1e2, 1e3, 5.3e3, 1e4]))
+def test_l1l2_equals_the_reference_solver_for_any_guess(cessna_horizon, seed, s, nu1):
+    hm = cessna_horizon
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(4) * 10.0**s
+    cold = l1l2_reference(hm, x, nu1).u
+    superset, subset = cold.copy(), cold.copy()
+    superset[cold == 0.0] = 1.0
+    subset[np.flatnonzero(cold)[:1]] = 0.0
+    for guess in (None, cold, -cold, superset, subset):
+        got = sp.l1l2_packet(hm, x, nu1, guess=guess)
+        want = l1l2_reference(hm, x, nu1, guess=guess)
+        assert np.array_equal(got.u, want.u) and got.solver_iters == want.solver_iters
+
+
 def test_l1l2_guess_that_misses_falls_back_to_the_walk(cessna_horizon, rng):
     hm = cessna_horizon
     nu1 = 5.3
@@ -562,6 +602,20 @@ def test_l1l2_failed_active_set_solve_raises_solver_failure(cessna_horizon, rng,
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SolverFailureError, match="active-set solve failed"):
         sp.l1l2_packet(cessna_horizon, rng.standard_normal(4), 5.3)
+
+
+@pytest.mark.parametrize("solve,x", [
+    (lambda hm, W, x: sp.l1l2_packet(hm, x, 5.3), [np.nan, 0.0, 0.0, 0.0]),
+    (lambda hm, W, x: sp.omp_packet(hm, W, x), [np.nan, 0.0, 0.0, 0.0]),
+    (lambda hm, W, x: sp.omp_packet(hm, W, x), [1e200, 1e200, 0.0, 0.0]),
+    (lambda hm, W, x: sp.exhaustive_l0_packet(hm, W, x), [np.nan, 0.0, 0.0, 0.0]),
+], ids=["l1l2-nan", "omp-nan", "omp-overflow", "oracle-nan"])
+def test_solvers_refuse_a_non_finite_state(cessna_design, cessna_horizon, solve, x):
+    # NaN reads as "below nu1" or "within budget", and an overflowed x'Wx
+    # as a budget no residual exceeds: each would return a wrong packet
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="state is not finite"):
+        solve(cessna_horizon, cessna_design.W, np.array(x))
 
 
 def test_l1l2_rejects_bad_penalty(cessna_horizon):
