@@ -163,8 +163,9 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     write_csv(out / "sweep.csv", sweep_columns(report))
     config = resolved_config(cfg, controller=family, **{SWEEP_KEYS[family]: report.grid})
-    _write_run_meta(out, config, sweep={k: v for k, v in asdict(report).items()
-                                        if k not in ("grid", "mean_perf")})
+    sweep = {k: v for k, v in asdict(report).items() if k not in ("grid", "mean_perf")}
+    sweep["failures"] = [{"nu": nu, "trial": t, "error": msg} for nu, t, msg in report.failures]
+    _write_run_meta(out, config, sweep=sweep)
     if args.plots:
         write_line_svg(out / "sweep.svg",
                        [(report.family, report.grid, report.mean_perf)],
@@ -194,6 +195,8 @@ def _cmd_bitrate(args) -> int:
         "reduction_pct": report.reduction_pct,
         "roundtrip_failures": report.roundtrip_failures,
         "max_quant_error": report.max_quant_error,
+        "failures": [{"controller": c, "phase": phase, "trial": t, "error": msg}
+                     for c, phase, t, msg in report.failures],
     })
     print(f"bitrate: OMP {report.mean_bits_omp:.2f} bits vs l2 "
           f"{report.mean_bits_l2:.2f} bits ({report.reduction_pct:.1f}% reduction), "

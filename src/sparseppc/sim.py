@@ -306,9 +306,11 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = Fal
     inputs holds each row's (trial, trace, x0, noise), all of one length T.
     At each step k, every live row has V(k) checked and its packet solved
     and recorded; its input is the recorded element that its read schedule
-    (one actuate call per row) names, and noise[k] is added to x(k+1). With
-    gain, controllers[0] solves all live rows in one call; otherwise row i
-    calls controllers[i] on its own state. Products and quadratic forms are
+    (one actuate call per row) names, and noise[k] is added to x(k+1). The
+    controllers own equal blocks of consecutive rows, in order. With gain,
+    each one solves the live rows of its block in one call, and its error
+    fails just those rows; otherwise each block is one row, whose
+    controller solves its own state. Products and quadratic forms are
     stacked matmuls, one small product per row, so each row gets the bits
     it would get alone. A row leaves the batch on a package error: a burst
     that outruns the packets (before any solve), a V(k) that is not
@@ -317,7 +319,7 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = Fal
     ConfigError ends the run.
 
     Returns the stacked records of the rows that finished, the failures as
-    (trial, error) in row order, and the solve time per live row and step.
+    (row, error) in row order, and the solve time per live row and step.
     """
     A, B, P, N = setup.model.A, setup.model.B, setup.design.P, setup.design.N
     trials, traces, x0, noise = zip(*inputs)
@@ -335,6 +337,8 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = Fal
         else:
             plays[i] = (i * T + src) * N + age
     live = np.array([i for i in range(rows) if i not in failed], dtype=np.intp)
+    # controllers[g] owns rows edges[g] .. edges[g + 1] - 1
+    edges = list(range(0, rows + 1, rows // len(controllers)))
     X = np.array(x0, dtype=float)[live]
     noise = np.array(noise, dtype=float)
 
@@ -356,14 +360,19 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = Fal
         lost = []
         t0 = perf_counter()
         if gain:
-            try:
-                packets[at, k] = controllers[0](X).u
-            except ConfigError:
-                raise
-            except SparsePpcError as exc:
-                failed.update(dict.fromkeys(live.tolist(), exc))
-                live = live[:0]
-                break
+            # each controller's block is the span a:b of the live rows
+            whole = live.size == rows
+            cuts = edges if whole else np.searchsorted(live, edges).tolist()
+            for controller, a, b in zip(controllers, cuts, cuts[1:]):
+                if a == b:
+                    continue
+                try:
+                    packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b]).u
+                except ConfigError:
+                    raise
+                except SparsePpcError as exc:
+                    failed.update(dict.fromkeys(live[a:b].tolist(), exc))
+                    lost.extend(live[a:b].tolist())
         else:
             for i, x in zip(live.tolist(), X):
                 try:
@@ -378,6 +387,8 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = Fal
         if lost:
             ok = ~np.isin(live, lost)
             live, X, Vk = live[ok], X[ok], Vk[ok]
+            if not live.size:
+                break
             at = live
         states[at, k] = X
         V[at, k] = Vk
@@ -401,7 +412,7 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = Fal
         d=np.array([trace.d for trace in traces])[at], u_applied=played[plays[at]],
         packets=kept, sparsity=np.count_nonzero(kept, axis=2),
         overrides=np.array([trace.overrides for trace in traces])[at])
-    failures = [(trials[i], failed[i]) for i in sorted(failed)]
+    failures = [(int(i), failed[i]) for i in sorted(failed)]
     return records, failures, solve_seconds / max(solves, 1)
 
 
@@ -439,23 +450,32 @@ def lyapunov_audit(result: TrialResult, design: CostDesign) -> AuditReport:
 
 @dataclass
 class MonteCarloReport:
-    """A run's records over the trials that succeeded, in trial order."""
+    """A run's records over the rows that succeeded, in row order.
+
+    A run's rows are its trials, in trial order; a grid run repeats them
+    for each grid value, grid-major, and point gives each row's grid index.
+    """
 
     cfg: SimConfig
-    records: TrialResult        # stacked, one row per trial
-    results: list               # records.rows(): one TrialResult view per trial
-    failures: list              # (trial, error message)
+    records: TrialResult        # stacked, one row per row of the run
+    results: list               # records.rows(): one TrialResult view per row
+    failures: list              # (trial, error message); on a grid, (nu, trial, error message)
     mean_solve_seconds: float   # solve wall time per row and step
     total_violations: int = None
+    point: np.ndarray = None    # on a grid, the grid index of each row
 
     @property
     def per_trial_perf(self) -> np.ndarray:
-        """sqrt(sum_k ||x(k)||^2) of each trial."""
+        """sqrt(sum_k ||x(k)||^2) of each row."""
         return self.records.perf
 
 
-def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
-                namespace: int = NS_MAIN) -> MonteCarloReport:
+# Each sweep family and the config field its grid sets.
+SWEEP_KEYS = {"l1l2": "nu1", "l2": "nu2"}
+
+
+def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN,
+                grid: list = None) -> MonteCarloReport:
     """Run cfg.trials independent paired trials in lockstep; keep every result.
 
     Every trial is one row of the engine (_lockstep). A gain controller
@@ -464,10 +484,23 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
     config alone picks the controller, nu and noise; a given setup must
     share cfg's SETUP_FIELDS and is checked as build_setup does. A
     noise-free run (sigma = 0) is audited for Lyapunov decrease. A config
-    error ends the run; any other package error fails only its trial.
-    numpy's overflow warnings are dropped, since the trial they concern
-    fails, its performance included.
+    error ends the run; any other package error fails only its trial, and
+    the run fails when all its trials do. numpy's overflow warnings are
+    dropped, since the trial they concern fails, its performance included.
+
+    With a grid of nu values, cfg's controller must be a sweep family
+    (SWEEP_KEYS), and each value sets the family's nu field for a copy of
+    the trials: every trial's inputs are drawn once and each of its rows
+    steps them, all in one batch. Each value's rows get their own
+    controllers, one gain for all of them or one per row, so every row has
+    the bits of its own value's run; the run fails when all trials of any
+    one value do.
     """
+    if grid is not None and cfg.controller not in SWEEP_KEYS:
+        raise ConfigError(f"a grid run needs a controller of {tuple(SWEEP_KEYS)}, "
+                          f"got {shown(cfg.controller)}")
+    runs = [cfg] if grid is None else [replace(cfg, **{SWEEP_KEYS[cfg.controller]: nu})
+                                       for nu in grid]
     if setup is None:
         setup = build_setup(cfg)
     else:
@@ -480,21 +513,32 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None,
     inputs = [(trial, *trial_inputs(cfg, setup, namespace, trial))
               for trial in range(cfg.trials)]
     gain = cfg.controller in GAIN_CONTROLLERS
-    controllers = [make_controller(cfg, setup) for _ in range(1 if gain else cfg.trials)]
+    controllers = [make_controller(run, setup) for run in runs
+                   for _ in range(1 if gain else cfg.trials)]
     # an overflowing trial fails on the engine's finiteness checks, so numpy's
     # overflow warnings would only say it first; a warnings filter, unlike
     # np.errstate, costs the numpy calls inside nothing
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
                                 RuntimeWarning)
-        records, errors, solve_seconds = _lockstep(setup, controllers, inputs, gain=gain)
-    failures = [(trial, f"{type(exc).__name__}: {exc}") for trial, exc in errors]
-    results = records.rows()
-    if not results:
-        raise SparsePpcError(f"all {cfg.trials} trials failed; first: {failures[0][1]}")
+        records, errors, solve_seconds = _lockstep(setup, controllers, inputs * len(runs),
+                                                   gain=gain)
+    errors = {row: f"{type(exc).__name__}: {exc}" for row, exc in errors}
+    for g in range(len(runs)):
+        first = g * cfg.trials
+        if all(row in errors for row in range(first, first + cfg.trials)):
+            where = "" if grid is None else f" at {SWEEP_KEYS[cfg.controller]} = {grid[g]}"
+            raise SparsePpcError(f"all {cfg.trials} trials failed{where}; first: {errors[first]}")
 
-    report = MonteCarloReport(cfg=cfg, records=records, results=results, failures=failures,
-                              mean_solve_seconds=solve_seconds)
+    results = records.rows()
+    # a row of a run without a grid is its trial
+    report = MonteCarloReport(cfg=cfg, records=records, results=results,
+                              failures=list(errors.items()), mean_solve_seconds=solve_seconds)
+    if grid is not None:
+        report.failures = [(grid[row // cfg.trials], row % cfg.trials, msg)
+                           for row, msg in errors.items()]
+        report.point = np.array([row // cfg.trials for row in range(len(runs) * cfg.trials)
+                                 if row not in errors])
     if cfg.sigma == 0:
         for r in results:
             r.violations = lyapunov_audit(r, setup.design).total
@@ -511,10 +555,7 @@ class SweepReport:
     argmin_perf: float
     matched_nu: float = None    # grid point closest to a requested level
     matched_perf: float = None
-
-
-# Each sweep family and the config field its grid sets.
-SWEEP_KEYS = {"l1l2": "nu1", "l2": "nu2"}
+    failures: list = field(default_factory=list)    # (nu, trial, error message)
 
 
 def sweep_regularization(cfg: SimConfig, family: str, grid,
@@ -522,8 +563,10 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     """Monte Carlo performance curve over a regularization grid.
 
     Performance per trial is sqrt(sum_k ||x(k)||^2) over the run; the curve
-    holds its Monte Carlo mean for each grid value. All grid points share
-    the same master seed, so they see identical traces and initial states.
+    holds its Monte Carlo mean for each grid value, over the trials that
+    did not fail (failures lists the others). The sweep is one monte_carlo
+    grid run: every grid value steps the same trials, with identical
+    traces, initial states and noise, in one batch.
     """
     if not (isinstance(family, str) and family in SWEEP_KEYS):
         raise ConfigError(f"sweep family must be one of {tuple(SWEEP_KEYS)}, got {shown(family)}")
@@ -533,14 +576,15 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     if grid.ndim != 1 or grid.size == 0:
         raise ConfigError(f"sweep grid must be a non-empty list, got {shown(grid.tolist())}")
     grid = grid.astype(float).tolist()
-    subs = [replace(cfg, controller=family, **{SWEEP_KEYS[family]: nu}) for nu in grid]
+    # each value is checked as its own run's config before the setup is built
+    runs = [replace(cfg, controller=family, **{SWEEP_KEYS[family]: nu}) for nu in grid]
     # nu does not enter the design, so every grid point shares one setup
-    setup = build_setup(subs[0])
-    perfs = [float(np.mean(monte_carlo(sub, setup=setup).per_trial_perf))
-             for sub in subs]
+    setup = build_setup(runs[0])
+    mc = monte_carlo(runs[0], setup=setup, grid=grid)
+    perfs = [float(np.mean(mc.per_trial_perf[mc.point == g])) for g in range(len(grid))]
     best = int(np.argmin(perfs))
     report = SweepReport(family=family, grid=grid, mean_perf=perfs,
-                         argmin_nu=grid[best], argmin_perf=perfs[best])
+                         argmin_nu=grid[best], argmin_perf=perfs[best], failures=mc.failures)
     if match_perf is not None:
         near = int(np.argmin([abs(p - match_perf) for p in perfs]))
         report.matched_nu = grid[near]
@@ -572,6 +616,7 @@ class BitrateReport:
     reduction_pct: float
     roundtrip_failures: int
     max_quant_error: float
+    failures: list            # (controller, phase, trial, error message) of failed trials
 
 
 def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
@@ -581,7 +626,8 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
     training trials fit the scheme's codec to the controller's quantized
     packets; the test trials then rerun on disjoint seeds, and each
     quantized test packet is encoded and decoded back, one at a time.
-    Reports mean bits per packet and the relative reduction.
+    Reports mean bits per packet and the relative reduction, and lists the
+    trials that failed in either phase, which neither trains nor codes.
     """
     if not cfg.sigma > 0:
         raise ConfigError("bitrate experiment requires gaussian noise with sigma > 0")
@@ -591,6 +637,7 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
     quantizer = Quantizer(delta=cfg.quantizer_delta)
 
     schemes = {}
+    failures = []
     roundtrip_failures = 0
     max_quant_error = 0.0
     for name, scheme in BITRATE_PLAN:
@@ -611,6 +658,8 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
         bits = np.array([enc.bit_count for enc in encoded]).reshape(indices.shape[:2])
         schemes[scheme] = SchemeRun(controller=name, codec=codec, test=test, bits=bits,
                                     encoded=encoded)
+        failures += [(name, phase, trial, msg) for phase, run in (("train", train), ("test", test))
+                     for trial, msg in run.failures]
 
     mean = {run.controller: float(np.mean(run.bits)) for run in schemes.values()}
     return BitrateReport(
@@ -620,6 +669,7 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
         reduction_pct=100.0 * (1.0 - mean["omp"] / mean["l2"]),
         roundtrip_failures=roundtrip_failures,
         max_quant_error=max_quant_error,
+        failures=failures,
     )
 
 

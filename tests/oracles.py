@@ -14,9 +14,10 @@ instead of the homotopy path, a two-stage l1 solver (a guess certified
 on its own, else a walk that gathers G'G afresh at every breakpoint)
 instead of the one active-set loop, and an explicit Huffman tree walked for
 its codewords instead of counting merges per symbol, a delivery-by-delivery
-walk instead of the masked Lyapunov counts, and CSV text rendered a row
+walk instead of the masked Lyapunov counts, CSV text rendered a row
 and a cell at a time instead of a column at a time, its per-k summaries
-summed trial by trial in Python.
+summed trial by trial in Python, and a sweep that runs one Monte Carlo
+run per grid value instead of one batch for the whole grid.
 """
 
 import statistics
@@ -351,6 +352,43 @@ def l1l2_reference(hm, x, nu1, guess=None):
         raise SolverFailureError(f"lasso packet misses the KKT conditions by {worst:.3g}",
                                  residual=worst)
     return ControlPacket(u, iters + tried)
+
+
+def sweep_reference(cfg, family, grid, match_perf=None):
+    """sim.sweep_regularization as one monte_carlo run per grid value.
+
+    Each grid value gets its own run of cfg.trials trials on the shared
+    setup, whose inputs it draws afresh, and its mean performance over
+    that run's successful trials.
+    """
+    from dataclasses import replace
+
+    from sparseppc import sim
+    from sparseppc.errors import ConfigError
+    from sparseppc.linalg import finite_real, number_array, shown
+
+    if not (isinstance(family, str) and family in sim.SWEEP_KEYS):
+        raise ConfigError(f"sweep family must be one of {tuple(sim.SWEEP_KEYS)}, "
+                          f"got {shown(family)}")
+    if match_perf is not None and not finite_real(match_perf):
+        raise ConfigError(f"match_perf must be a finite number, got {shown(match_perf)}")
+    grid = number_array(grid, "sweep grid")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigError(f"sweep grid must be a non-empty list, got {shown(grid.tolist())}")
+    grid = grid.astype(float).tolist()
+    subs = [replace(cfg, controller=family, **{sim.SWEEP_KEYS[family]: nu}) for nu in grid]
+    # nu does not enter the design, so every grid point shares one setup
+    setup = sim.build_setup(subs[0])
+    perfs = [float(np.mean(sim.monte_carlo(sub, setup=setup).per_trial_perf))
+             for sub in subs]
+    best = int(np.argmin(perfs))
+    report = sim.SweepReport(family=family, grid=grid, mean_perf=perfs,
+                             argmin_nu=grid[best], argmin_perf=perfs[best])
+    if match_perf is not None:
+        near = int(np.argmin([abs(p - match_perf) for p in perfs]))
+        report.matched_nu = grid[near]
+        report.matched_perf = perfs[near]
+    return report
 
 
 def interpret_trace(d, packets) -> np.ndarray:

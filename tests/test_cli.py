@@ -398,6 +398,61 @@ def test_sweep_flags_override_config_family_and_grid(tmp_path):
     assert [(family, float(nu)) for family, nu, _ in rows] == [("l1l2", 1e3), ("l1l2", 1e4)]
 
 
+def _fail_trials(monkeypatch, failing):
+    """Give each controller that failing(cfg, i) names a solver that raises at once.
+
+    i counts the controllers made before it for the same controller, nu1,
+    nu2 and trial count; a per-state solver gets one per trial, in trial
+    order, so i is then its trial.
+    """
+    from collections import Counter
+
+    import sparseppc.sim as sim_mod
+    from sparseppc.errors import SolverFailureError
+
+    real, made = sim_mod.make_controller, Counter()
+
+    def raising(x):
+        raise SolverFailureError("synthetic failure")
+
+    def make(cfg, setup):
+        key = (cfg.controller, cfg.nu1, cfg.nu2, cfg.trials)
+        made[key] += 1
+        return raising if failing(cfg, made[key] - 1) else real(cfg, setup)
+
+    monkeypatch.setattr(sim_mod, "make_controller", make)
+
+
+def test_sweep_lists_a_failed_trial_and_averages_the_others(tmp_path, monkeypatch):
+    from sparseppc.sim import SimConfig, monte_carlo
+
+    cfg = _write(tmp_path / "c.json", {"steps": 10})
+    out = tmp_path / "s"
+    _fail_trials(monkeypatch, lambda cfg, i: cfg.nu1 == 1e2 and i == 1)
+    assert main(["sweep", "--config", cfg, "--family", "l1l2", "--grid", "1e2,1e3",
+                 "--trials", "3", "--seed", "4", "--out-dir", str(out)]) == 0
+    monkeypatch.undo()
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["sweep"]["failures"] == [
+        {"nu": 100.0, "trial": 1, "error": "SolverFailureError: synthetic failure"}]
+    perf = monte_carlo(SimConfig(controller="l1l2", nu1=1e2, trials=3, steps=10,
+                                 seed=4)).per_trial_perf
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[1] == f"l1l2,100.0,{float(np.mean(perf[[0, 2]]))}"
+
+
+def test_sweep_value_whose_trials_all_fail_exits_3(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path / "c.json", {"steps": 10})
+    out = tmp_path / "s"
+    _fail_trials(monkeypatch, lambda cfg, i: cfg.nu1 == 1e3)
+    assert main(["sweep", "--config", cfg, "--family", "l1l2", "--grid", "1e2,1e3",
+                 "--trials", "3", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: SparsePpcError: all 3 trials failed at "
+                                       "nu1 = 1000.0; first: SolverFailureError: "
+                                       "synthetic failure\n")
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_rejects_a_match_perf_that_is_not_finite(tmp_path, capsys):
     # abs(p - nan) is nan for every p, so argmin used to report grid[0] as matched
     cfg = _write(tmp_path / "c.json", {"trials": 2, "steps": 15})
@@ -507,6 +562,22 @@ def test_bitrate_cli(tmp_path):
         codec = codecs[scheme]
         enc = encode(codec, decode(codec, EncodedPacket(bits=bits)))
         assert enc.to_hex() == hexdump
+
+
+def test_bitrate_lists_failed_train_and_test_trials(tmp_path, monkeypatch):
+    # OMP training trial 1 and test trial 0 fail: neither trains the codec
+    # nor is coded, and meta.json lists both
+    cfg = _write(tmp_path / "c.json", {"trials": 2, "train_trials": 3, "steps": 15})
+    out = tmp_path / "o"
+    _fail_trials(monkeypatch, lambda cfg, i: cfg.controller == "omp" and
+                 (cfg.trials, i) in ((3, 1), (2, 0)))
+    assert main(["bitrate", "--config", cfg, "--out-dir", str(out)]) == 0
+    error = "SolverFailureError: synthetic failure"
+    assert json.loads((out / "meta.json").read_text())["rates"]["failures"] == [
+        {"controller": "omp", "phase": "train", "trial": 1, "error": error},
+        {"controller": "omp", "phase": "test", "trial": 0, "error": error}]
+    rows = [row.split(",") for row in (out / "rates.csv").read_text().splitlines()[1:]]
+    assert {trial for trial, _k, scheme, _bits in rows if scheme == "sparse"} == {"1"}
 
 
 def test_bitrate_quantizer_overflow_exit_code(tmp_path):

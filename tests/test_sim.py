@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import fields, replace
 from itertools import count
 from types import SimpleNamespace
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 import sparseppc as sp
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
-from sparseppc.sim import (CONTROLLERS, GAIN_CONTROLLERS, NS_MAIN, SETUP_FIELDS, SimConfig,
-                           build_setup, config_from_dict, lyapunov_audit, make_controller,
-                           monte_carlo, packet_columns, rate_columns, run_trial,
+from sparseppc.sim import (CONTROLLERS, GAIN_CONTROLLERS, NS_MAIN, SETUP_FIELDS, SWEEP_KEYS,
+                           SimConfig, build_setup, config_from_dict, lyapunov_audit,
+                           make_controller, monte_carlo, packet_columns, rate_columns, run_trial,
                            summary_columns, sweep_columns, sweep_regularization,
                            trace_columns, trajectory_columns, trial_inputs, write_csv)
 
-from .oracles import csv_reference, lyapunov_audit_reference
+from .oracles import csv_reference, lyapunov_audit_reference, sweep_reference
 
 
 def _setup(**kw):
@@ -592,6 +593,41 @@ def test_a_gain_that_raises_fails_every_live_row(monkeypatch):
         sim_mod.monte_carlo(SimConfig(controller="l2", trials=4, steps=10, seed=5))
 
 
+def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
+    # on a grid each value's gain solves its own block of rows: the rows of
+    # the value whose gain raises fail, and the others keep their own bits
+    import sparseppc.sim as sim_mod
+
+    cfg = SimConfig(controller="l2", trials=3, steps=10, seed=5,
+                    noise={"kind": "gaussian", "sigma": 0.01})
+    setup = build_setup(cfg)
+    clean = monte_carlo(replace(cfg, nu2=1e4), setup=setup)
+    real = sim_mod.l2_packet
+
+    def raise_at_step_3():
+        solves = count()
+
+        def flaky(hm, x, nu2):
+            if nu2 == 1e2 and next(solves) == 3:
+                raise sp.SolverFailureError("synthetic failure")
+            return real(hm, x, nu2)
+        monkeypatch.setattr(sim_mod, "l2_packet", flaky)
+
+    raise_at_step_3()
+    inputs = [(t, *trial_inputs(cfg, setup, NS_MAIN, t)) for t in range(cfg.trials)]
+    gains = [make_controller(replace(cfg, nu2=nu), setup) for nu in (1e2, 1e4)]
+    records, failures, _ = sim_mod._lockstep(setup, gains, inputs * 2, gain=True)
+    assert [(row, str(exc)) for row, exc in failures] == [(r, "synthetic failure")
+                                                          for r in range(3)]
+    for row, alone in zip(records.rows(), clean.results, strict=True):
+        for f in fields(alone):
+            assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), f.name
+    raise_at_step_3()
+    with pytest.raises(sp.SparsePpcError, match="all 3 trials failed at nu2 = 100.0; "
+                                                "first: SolverFailureError: synthetic failure"):
+        sim_mod.monte_carlo(cfg, setup=setup, grid=[1e4, 1e2])
+
+
 def test_controller_dispatch():
     # each controller maps the zero state to the zero packet; on a short run
     # the engine times the solves and counts nonzeros from the packets it
@@ -709,6 +745,54 @@ def test_sweep_rejects_nonpositive_nu_before_any_trial(monkeypatch):
         with pytest.raises(ConfigError, match="must be positive"):
             sim_mod.sweep_regularization(cfg, family, grid)
     assert calls == []
+
+
+SWEEP_VALUES = {"l1l2": [1e-3, 5.3, 1e2, 1e3, 5.3e3, 1e4], "l2": [1.0, 1e2, 310.0, 1e4]}
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(sorted(SWEEP_KEYS)), sigma=st.sampled_from([0.0, 0.01]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sweep_rows_equal_their_own_runs(family, sigma, seed, data):
+    # row (g, t) of a grid run equals trial t of the run at grid[g] alone, to
+    # the last bit, duplicates included; the sweep is one grid run, one batch,
+    # and gives the per-value loop's report
+    import sparseppc.sim as sim_mod
+
+    grid = data.draw(st.lists(st.sampled_from(SWEEP_VALUES[family]), min_size=1, max_size=4))
+    noise = {"kind": "gaussian", "sigma": sigma} if sigma else {"kind": "none"}
+    cfg = SimConfig(controller=family, trials=3, steps=15, seed=seed, noise=noise)
+    setup = build_setup(cfg)
+    batch = monte_carlo(cfg, setup=setup, grid=grid)
+    assert batch.failures == []
+    assert batch.point.tolist() == [g for g in range(len(grid)) for _ in range(cfg.trials)]
+    for g, nu in enumerate(grid):
+        own = monte_carlo(replace(cfg, **{SWEEP_KEYS[family]: nu}), setup=setup)
+        for t, alone in enumerate(own.results):
+            row = batch.results[g * cfg.trials + t]
+            for f in fields(alone):
+                assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), \
+                    (nu, t, f.name)
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_lockstep", "monte_carlo"):
+            mp.setattr(sim_mod, name, counted(name, getattr(sim_mod, name)))
+        swept = sim_mod.sweep_regularization(cfg, family, grid, match_perf=50.0)
+    assert calls == {"_lockstep": 1, "monte_carlo": 1}
+    assert swept == sweep_reference(cfg, family, grid, match_perf=50.0)
+
+
+def test_a_grid_run_needs_a_sweep_family():
+    with pytest.raises(ConfigError, match="a grid run needs a controller of"):
+        monte_carlo(SimConfig(trials=2, steps=10), grid=[1.0])
 
 
 def test_bitrate_experiment_smoke():
