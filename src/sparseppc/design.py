@@ -66,6 +66,8 @@ def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0) -> np.ndarray:
     Frobenius change drops below DARE_TOL. delta > 0 regularizes the scalar
     inverse for plants where the plain equation lacks a PD solution. The
     OMP termination bound needs delta >= 0, so a negative delta is refused.
+    An iteration whose change is not finite (an overflow) raises
+    NumericError at once, with numpy's overflow warnings kept silent.
     """
     if not delta >= 0:
         raise ConfigError(f"delta must be >= 0, got {shown(delta)}")
@@ -76,23 +78,27 @@ def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0) -> np.ndarray:
 
     A, B = m.A, m.B
     P = Q.copy()
-    for _ in range(DARE_MAX_ITER):
-        Pb = P @ B
-        bPb = float(B @ Pb) + delta
-        if bPb <= 0.0:
-            raise NumericError(f"B'PB + delta = {bPb} is not positive during iteration")
-        APb = A.T @ Pb
-        Pn = A.T @ (P @ A) - np.outer(APb, APb) / bPb + Q
-        Pn = 0.5 * (Pn + Pn.T)
-        change = np.linalg.norm(Pn - P, "fro")
-        P = Pn
-        if change <= DARE_TOL * np.linalg.norm(P, "fro"):
-            break
-    else:
-        res = dare_residual(m, P, Q, delta)
-        raise SolverFailureError(
-            f"Riccati iteration did not converge in {DARE_MAX_ITER} iterations "
-            f"(residual {res:.3e})", residual=res)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, DARE_MAX_ITER + 1):
+            Pb = P @ B
+            bPb = float(B @ Pb) + delta
+            if bPb <= 0.0:
+                raise NumericError(f"B'PB + delta = {bPb} is not positive during iteration")
+            APb = A.T @ Pb
+            Pn = A.T @ (P @ A) - np.outer(APb, APb) / bPb + Q
+            Pn = 0.5 * (Pn + Pn.T)
+            change = np.linalg.norm(Pn - P, "fro")
+            if not np.isfinite(change):
+                raise NumericError(f"Riccati iteration {it} is not finite: "
+                                   f"its change in P is {change}")
+            P = Pn
+            if change <= DARE_TOL * np.linalg.norm(P, "fro"):
+                break
+        else:
+            res = dare_residual(m, P, Q, delta)
+            raise SolverFailureError(
+                f"Riccati iteration did not converge in {DARE_MAX_ITER} iterations "
+                f"(residual {res:.3e})", residual=res)
 
     res = dare_residual(m, P, Q, delta)
     if res > RICCATI_RTOL * np.linalg.norm(P, "fro"):

@@ -198,36 +198,39 @@ def _check_trials(cfg: SimConfig, model: PlantModel, dropout: DropoutModel) -> N
 
 
 # The controllers whose packet is a gain times the state, so that one call
-# solves a whole batch of states.
+# solves a whole block of states.
 GAIN_CONTROLLERS = ("l2", "least_squares")
 
 
 def make_controller(cfg: SimConfig, setup: SimSetup):
-    """The config's packet solver on the setup, as a function of the state.
+    """The config's packet solver on the setup, as a function of a block of states.
 
-    Every packet depends on x alone. A gain controller (GAIN_CONTROLLERS)
-    also takes a (b, n) batch of states and returns their (b, N) packets
-    from one product, so one of them serves every trial of a run. The l1l2
-    solver keeps its last packet as the next solve's warm start, so its
-    cost depends on the states before: make one controller per trial.
+    A controller takes a (b, n) block of states X and returns a
+    ControlPacket of their (b, N) packets; every packet depends on its state
+    alone. The gain controllers (GAIN_CONTROLLERS) solve any block in one
+    product, so one of them serves every trial of a run. The per-state
+    solvers (omp, l1l2, oracle) take a block of one row and return the (N,)
+    packet of X[0], which the engine writes to that row. The l1l2 solver
+    keeps its last packet as the next solve's warm start, so its cost
+    depends on the states before: make one controller per trial.
     """
     hm, design = setup.hm, setup.design
     name = cfg.controller
     if name == "omp":
-        return lambda x: omp_packet(hm, design.W, x)
+        return lambda X: omp_packet(hm, design.W, X[0])
     if name == "oracle":
-        return lambda x: exhaustive_l0_packet(hm, design.W, x)
+        return lambda X: exhaustive_l0_packet(hm, design.W, X[0])
     if name == "least_squares":
-        return lambda x: least_squares_packet(hm, x)
+        return lambda X: least_squares_packet(hm, X)
     if name == "l2":
-        return lambda x: l2_packet(hm, x, cfg.nu2)
+        return lambda X: l2_packet(hm, X, cfg.nu2)
     if name == "l1l2":
         last = None
 
-        def l1l2(x):
+        def l1l2(X):
             nonlocal last
             # looked up in this module at each call, where the tracer wraps it
-            pkt = l1l2_packet(hm, x, cfg.nu1, guess=last)
+            pkt = l1l2_packet(hm, X[0], cfg.nu1, guess=last)
             last = pkt.u
             return pkt
 
@@ -287,9 +290,9 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
               noise: np.ndarray, trial: int = 0) -> TrialResult:
     """Simulate one closed loop over the length of the trace.
 
-    This is the engine's call with one row (see _lockstep), whose
-    controller solves the row's state at each step. Where the engine would
-    drop the row, the trial fails and its error is raised.
+    This is the engine's call with one row (see _lockstep): at each step
+    the controller solves a (1, n) block holding the row's state. Where the
+    engine would drop the row, the trial fails and its error is raised.
     """
     T, n = trace.T, setup.model.n
     if np.shape(noise) != (T, n):
@@ -300,19 +303,18 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
     return records.rows()[0]
 
 
-def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = False):
+def _lockstep(setup: SimSetup, controllers: list, inputs: list):
     """The closed-loop engine: step the loops of all rows of inputs together.
 
     inputs holds each row's (trial, trace, x0, noise), all of one length T.
     At each step k, every live row has V(k) checked and its packet solved
     and recorded; its input is the recorded element that its read schedule
     (one actuate call per row) names, and noise[k] is added to x(k+1). The
-    controllers own equal blocks of consecutive rows, in order. With gain,
-    each one solves the live rows of its block in one call, and its error
-    fails just those rows; otherwise each block is one row, whose
-    controller solves its own state. Products and quadratic forms are
-    stacked matmuls, one small product per row, so each row gets the bits
-    it would get alone. A row leaves the batch on a package error: a burst
+    controllers own equal blocks of consecutive rows, in order (see
+    make_controller): each one solves the live rows of its block in one
+    call, and its error fails just those rows. Products and quadratic
+    forms are stacked matmuls, one small product per row, so each row gets
+    the bits it would get alone. A row leaves the batch on a package error: a burst
     that outruns the packets (before any solve), a V(k) that is not
     finite, its solver raising, or, once the loop ends, a recorded packet
     or a performance sqrt(sum_k ||x(k)||^2) that is not finite. A
@@ -356,32 +358,22 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list, gain: bool = Fal
             live, X, Vk = live[ok], X[ok], Vk[ok]
             if not live.size:
                 break
-        at = live if live.size < rows else slice(None)   # basic indexing while all are live
+        whole = live.size == rows
+        at = slice(None) if whole else live     # basic indexing while all are live
         lost = []
         t0 = perf_counter()
-        if gain:
-            # each controller's block is the span a:b of the live rows
-            whole = live.size == rows
-            cuts = edges if whole else np.searchsorted(live, edges).tolist()
-            for controller, a, b in zip(controllers, cuts, cuts[1:]):
-                if a == b:
-                    continue
-                try:
-                    packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b]).u
-                except ConfigError:
-                    raise
-                except SparsePpcError as exc:
-                    failed.update(dict.fromkeys(live[a:b].tolist(), exc))
-                    lost.extend(live[a:b].tolist())
-        else:
-            for i, x in zip(live.tolist(), X):
-                try:
-                    packets[i, k] = controllers[i](x).u
-                except ConfigError:
-                    raise
-                except SparsePpcError as exc:
-                    failed[i] = exc
-                    lost.append(i)
+        # each controller's block is the span a:b of the live rows
+        cuts = edges if whole else np.searchsorted(live, edges).tolist()
+        for controller, a, b in zip(controllers, cuts, cuts[1:]):
+            if a == b:
+                continue
+            try:
+                packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b]).u
+            except ConfigError:
+                raise
+            except SparsePpcError as exc:
+                failed.update(dict.fromkeys(live[a:b].tolist(), exc))
+                lost.extend(live[a:b].tolist())
         solve_seconds += perf_counter() - t0
         solves += live.size
         if lost:
@@ -478,9 +470,9 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
                 grid: list = None) -> MonteCarloReport:
     """Run cfg.trials independent paired trials in lockstep; keep every result.
 
-    Every trial is one row of the engine (_lockstep). A gain controller
-    solves all live rows of a step in one call; any other solver gets a
-    controller per trial, so no warm start crosses trials. The run's
+    Every trial is one row of the engine (_lockstep). A gain controller's
+    block is every trial, solved in one call per step; any other solver
+    gets a controller per trial, so no warm start crosses trials. The run's
     config alone picks the controller, nu and noise; a given setup must
     share cfg's SETUP_FIELDS and is checked as build_setup does. A
     noise-free run (sigma = 0) is audited for Lyapunov decrease. A config
@@ -499,6 +491,7 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     if grid is not None and cfg.controller not in SWEEP_KEYS:
         raise ConfigError(f"a grid run needs a controller of {tuple(SWEEP_KEYS)}, "
                           f"got {shown(cfg.controller)}")
+    # each value is checked as its own run's config before the setup is built
     runs = [cfg] if grid is None else [replace(cfg, **{SWEEP_KEYS[cfg.controller]: nu})
                                        for nu in grid]
     if setup is None:
@@ -512,17 +505,15 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
 
     inputs = [(trial, *trial_inputs(cfg, setup, namespace, trial))
               for trial in range(cfg.trials)]
-    gain = cfg.controller in GAIN_CONTROLLERS
-    controllers = [make_controller(run, setup) for run in runs
-                   for _ in range(1 if gain else cfg.trials)]
+    blocks = 1 if cfg.controller in GAIN_CONTROLLERS else cfg.trials
+    controllers = [make_controller(run, setup) for run in runs for _ in range(blocks)]
     # an overflowing trial fails on the engine's finiteness checks, so numpy's
     # overflow warnings would only say it first; a warnings filter, unlike
     # np.errstate, costs the numpy calls inside nothing
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
                                 RuntimeWarning)
-        records, errors, solve_seconds = _lockstep(setup, controllers, inputs * len(runs),
-                                                   gain=gain)
+        records, errors, solve_seconds = _lockstep(setup, controllers, inputs * len(runs))
     errors = {row: f"{type(exc).__name__}: {exc}" for row, exc in errors}
     for g in range(len(runs)):
         first = g * cfg.trials
@@ -576,11 +567,7 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     if grid.ndim != 1 or grid.size == 0:
         raise ConfigError(f"sweep grid must be a non-empty list, got {shown(grid.tolist())}")
     grid = grid.astype(float).tolist()
-    # each value is checked as its own run's config before the setup is built
-    runs = [replace(cfg, controller=family, **{SWEEP_KEYS[family]: nu}) for nu in grid]
-    # nu does not enter the design, so every grid point shares one setup
-    setup = build_setup(runs[0])
-    mc = monte_carlo(runs[0], setup=setup, grid=grid)
+    mc = monte_carlo(replace(cfg, controller=family), grid=grid)
     perfs = [float(np.mean(mc.per_trial_perf[mc.point == g])) for g in range(len(grid))]
     best = int(np.argmin(perfs))
     report = SweepReport(family=family, grid=grid, mean_perf=perfs,

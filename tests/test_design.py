@@ -192,6 +192,27 @@ def test_dare_nonconvergence_carries_residual(cessna, monkeypatch):
     assert exc_info.value.residual > 0.0
 
 
+def test_overflowing_riccati_iteration_stops_at_once(tmp_path, capsys):
+    # A = 1e200 overflows the first iteration: it raises NumericError naming
+    # the iteration, numpy warns of nothing, and the design command prints
+    # one error line
+    import warnings
+
+    from sparseppc.cli import main
+
+    plant = {"A": [[1e200]], "B": [1.0]}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"plant": plant}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="Riccati iteration 1 is not finite"):
+            solve_dare(PlantModel(**plant), np.eye(1))
+        assert main(["design", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericError: Riccati iteration 1 is not finite"), err
+    assert err.count("\n") == 1, err
+
+
 def test_design_json_roundtrip(cessna_design):
     from sparseppc.design import design_from_dict, design_to_dict
 

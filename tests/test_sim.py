@@ -616,7 +616,7 @@ def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
     raise_at_step_3()
     inputs = [(t, *trial_inputs(cfg, setup, NS_MAIN, t)) for t in range(cfg.trials)]
     gains = [make_controller(replace(cfg, nu2=nu), setup) for nu in (1e2, 1e4)]
-    records, failures, _ = sim_mod._lockstep(setup, gains, inputs * 2, gain=True)
+    records, failures, _ = sim_mod._lockstep(setup, gains, inputs * 2)
     assert [(row, str(exc)) for row, exc in failures] == [(r, "synthetic failure")
                                                           for r in range(3)]
     for row, alone in zip(records.rows(), clean.results, strict=True):
@@ -629,21 +629,23 @@ def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
 
 
 def test_controller_dispatch():
-    # each controller maps the zero state to the zero packet; on a short run
-    # the engine times the solves and counts nonzeros from the packets it
-    # records, and a re-solve of each recorded state gives the same packet
+    # each controller, on a block of one state, maps the zero state to the
+    # zero packet; on a short run the engine times the solves and counts
+    # nonzeros from the packets it records, and a re-solve of each recorded
+    # state gives the same packet
     base = SimConfig(trials=1, steps=12, seed=23)
     setup = build_setup(base)
     for name in CONTROLLERS:
         cfg = replace(base, controller=name)
         fn = make_controller(cfg, setup)
-        assert fn(np.zeros(4)).sparsity == 0
+        assert fn(np.zeros((1, 4))).sparsity == 0
         rep = monte_carlo(cfg, setup=setup)
         res = rep.results[0]
         for k, x in enumerate(res.states):
-            pkt = fn(x)
+            pkt = fn(x[None])
             assert res.sparsity[k] == pkt.sparsity, (name, k)
-            assert np.array_equal(res.packets[k], pkt.u), (name, k)
+            # a gain solves the block to (1, N), a per-state solver X[0] to (N,)
+            assert np.array_equal(res.packets[k], pkt.u.reshape(-1)), (name, k)
         assert res.sparsity.dtype == np.int64
         assert np.isfinite(rep.mean_solve_seconds) and rep.mean_solve_seconds >= 0.0
 
@@ -739,7 +741,8 @@ def test_sweep_rejects_nonpositive_nu_before_any_trial(monkeypatch):
     import sparseppc.sim as sim_mod
 
     calls = []
-    monkeypatch.setattr(sim_mod, "monte_carlo", lambda *a, **kw: calls.append(a))
+    for name in ("build_setup", "_lockstep"):
+        monkeypatch.setattr(sim_mod, name, lambda *a, name=name, **kw: calls.append(name))
     cfg = SimConfig(trials=2, steps=10, seed=9)
     for family, grid in (("l2", [1e2, -1.0]), ("l1l2", [1e2, 0.0])):
         with pytest.raises(ConfigError, match="must be positive"):
