@@ -24,6 +24,10 @@ FEASIBILITY_SLACK = 1e-9
 # Largest packet length the exhaustive search accepts (2^12 supports).
 ORACLE_CAP = 12
 
+# omp_packet evaluates the first OMP_PREFIX nodes of the support-node table
+# in one product per solve, and any node past them on its own.
+OMP_PREFIX = 24
+
 
 @dataclass(frozen=True)
 class ControlPacket:
@@ -84,21 +88,19 @@ def _support_lsq(G: np.ndarray, support, b: np.ndarray):
     return coef, Gs
 
 
-def _support_operators(hm: HorizonMatrices, mask: int, j: int = None) -> tuple:
-    """Read-only (C, M, K, cols) of the support with bitmask mask, built once.
+def _support_node(hm: HorizonMatrices, mask: int, j: int = None) -> int:
+    """Index of the support with bitmask mask in hm._omp_nodes, built once.
 
-    cols lists the support in increasing order. K is N x n with zero rows
-    off cols and maps x to the least-squares packet on the support, from
-    one QR of G[:, cols]. With E = H - G K, the least-squares residual is
-    r = E x, so C = G'E gives the correlations G'r = C x and M = E'E the
-    residual ||r||^2 = x'M x. An entry depends on G, H and the support
-    only, whichever solve builds it; it is kept in hm._omp_support_ops,
-    and a failed build keeps nothing. j, the column an OMP pick just
-    added, names the failure.
+    The node's K maps x to the least-squares packet on the support, from
+    one QR of G[:, cols]; with E = H - G K it stores C = G'E and M = E'E
+    (see SupportNodes). A node depends on G, H and the support only,
+    whichever solve builds it, and a failed build adds nothing. j, the
+    column an OMP pick just added, names the failure.
     """
-    ops = hm._omp_support_ops.get(mask)
-    if ops is not None:
-        return ops
+    nodes = hm._omp_nodes
+    i = nodes.index.get(mask)
+    if i is not None:
+        return i
     cols = np.array([i for i in range(hm.N) if mask >> i & 1], dtype=np.intp)
     cols.setflags(write=False)
     K = np.zeros((hm.N, hm.n))
@@ -115,43 +117,72 @@ def _support_operators(hm: HorizonMatrices, mask: int, j: int = None) -> tuple:
                                      f"on the support {cols.tolist()}")
         K[cols] = coef
         E = hm.H - Gs @ coef
-    ops = (_frozen(hm.G.T @ E), _frozen(E.T @ E), _frozen(K), cols)
-    hm._omp_support_ops[mask] = ops
-    return ops
+    w = hm.col_norm_sq.copy()
+    w[cols] = np.inf
+    return nodes.add(mask, hm.G.T @ E, E.T @ E, w, _frozen(K), cols)
+
+
+def _node_products(nodes, P: int, x: np.ndarray):
+    """Correlations C x (P x N) and residual norms x'M x (P,) of nodes 0..P-1.
+
+    Row i has the bits of node i's own C[i].dot(x) and x.dot(M[i].dot(x)):
+    stacked matmul makes, node by node, the BLAS call of that node's own
+    product. A single product of the (P N, n) block with x does not: with
+    OpenBLAS on x86-64 its rows differ from the nodes' own for n >= 8, and
+    a product of M x with x differs even at n = 4.
+    """
+    Mx = nodes.M[:P] @ x
+    return nodes.C[:P] @ x, (Mx[:, None, :] @ x[:, None])[:, 0, 0]
 
 
 def omp_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:
     """Orthogonal matching pursuit for the sparsity-minimizing packet.
 
-    Loop invariant: (C, M, K) are the operators of the support S picked so
-    far (see _support_operators), so the least-squares residual r on S has
-    correlations G'r = C x and norm ||r||^2 = x'M x, and r is never formed.
-    While x'M x exceeds the budget x'Wx, pick the unselected column with
-    the largest (C x)_j^2 / ||g_j||^2 (smallest index on ties); this is the
-    column whose single-column fit to r leaves the smallest error. The
-    packet is K x. A pick costs one N x n product and one n x n quadratic
-    form; a support's operators are built by the first solve on hm that
-    reaches it and reused by every later one. For budgets built by the
-    design procedure the full-support residual is strictly below the
-    budget, so the loop terminates for every x.
+    The walk goes down hm._omp_nodes (see SupportNodes) from the empty
+    support: at node S, with least-squares residual r on S, G'r = C x and
+    ||r||^2 = x'M x, and r is never formed. While x'M x exceeds the budget
+    x'Wx, pick the unselected column with the largest (C x)_j^2 / ||g_j||^2
+    (smallest index on ties), the column whose single-column fit to r
+    leaves the smallest error, and step to the child node S + {j}, built
+    by the first solve on hm that reaches it. The packet is K x.
+
+    One product over the first OMP_PREFIX nodes of the table gives every
+    one of them its norm and its scores at once (see _node_products), bit
+    for bit as its own products would, so the walk through them is Python
+    only. A node past them, or one built during this solve, gets its own
+    products. The table's +inf weights score S zero; a pick that still
+    lands on S (every score is 0, or a NaN) is taken again with S at -inf,
+    so every pick is the one the masked scores give. For budgets built by
+    the design procedure the full-support residual is strictly below the
+    budget, so the walk ends for every x.
     """
     x = np.asarray(x, dtype=float)
     budget = budget_for(W, x)
-    mask = 0
-    C, M, K, cols = _support_operators(hm, mask)
+    nodes = hm._omp_nodes
+    i = _support_node(hm, 0)
+    P = min(nodes.count, OMP_PREFIX)
+    c, q = _node_products(nodes, P, x)
+    go = (q > budget).tolist()
+    picks = (c * c / nodes.w[:P]).argmax(axis=1).tolist()
     # ndarray.dot and .argmax: on arrays this small, call overhead is the cost
-    while float(x.dot(M.dot(x))) > budget:
+    while go[i] if i < P else float(x.dot(nodes.M[i].dot(x))) > budget:
+        cols = nodes.cols[i]
         if cols.size == hm.N:
             raise FeasibilityError(
                 "all columns selected but the residual still exceeds the budget",
-                residual_sq=float(x.dot(M.dot(x))), budget=budget)
-        c = C.dot(x)
-        score = c * c / hm.col_norm_sq
-        score[cols] = -np.inf
-        j = int(score.argmax())
-        mask |= 1 << j
-        C, M, K, cols = _support_operators(hm, mask, j)
-    return ControlPacket(K.dot(x), cols.size)
+                residual_sq=float(x.dot(nodes.M[i].dot(x))), budget=budget)
+        if i >= P or nodes.masks[i] >> picks[i] & 1:
+            ci = nodes.C[i].dot(x)
+            score = ci * ci / hm.col_norm_sq
+            score[cols] = -np.inf
+            j = int(score.argmax())
+        else:
+            j = picks[i]
+        k = nodes.child[i][j]
+        if k < 0:
+            k = nodes.child[i][j] = _support_node(hm, nodes.masks[i] | 1 << j, j)
+        i = k
+    return ControlPacket(nodes.K[i].dot(x), nodes.cols[i].size)
 
 
 def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:
@@ -214,12 +245,12 @@ def _gain_packet(K: np.ndarray, x) -> ControlPacket:
 def least_squares_packet(hm: HorizonMatrices, x: np.ndarray) -> ControlPacket:
     """Unconstrained minimizer of ||G u - H x||^2 (generically dense).
 
-    It is the least-squares packet K x of the full support, whose operators
-    omp_packet would build (see _support_operators); build_horizon has
-    already refused a G without full column rank. x may be a (b, n) batch
-    of states, and u is then their (b, N) packets.
+    It is the least-squares packet K x of the full-support node of the
+    OMP table (see _support_node); build_horizon has already refused a G
+    without full column rank. x may be a (b, n) batch of states, and u is
+    then their (b, N) packets.
     """
-    return _gain_packet(_support_operators(hm, (1 << hm.N) - 1)[2], x)
+    return _gain_packet(hm._omp_nodes.K[_support_node(hm, (1 << hm.N) - 1)], x)
 
 
 def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:

@@ -177,6 +177,58 @@ def omp_reference(hm, W, x):
     return u, support
 
 
+def omp_node_reference(hm, W, x, ops=None):
+    """OMP as a walk that takes each support's own products, node by node.
+
+    The per-node form the support-node table replaced: at the support S
+    picked so far, with operators (C, M, K, cols) from one QR of G[:, S],
+    stop once x.dot(M.dot(x)) meets the budget, else score C.dot(x) with
+    S at -inf and step to S + {argmax}. ops, a dict from support bitmask to
+    operators, lets a caller keep them across calls. Returns the packet
+    K.dot(x) and its solver_iters, len(S).
+    """
+    from sparseppc.controllers import _support_lsq, budget_for
+    from sparseppc.errors import FeasibilityError, SolverFailureError
+
+    ops = {} if ops is None else ops
+
+    def operators(mask, j=None):
+        if mask not in ops:
+            cols = np.array([i for i in range(hm.N) if mask >> i & 1], dtype=np.intp)
+            K = np.zeros((hm.N, hm.n))
+            E = hm.H
+            if cols.size:
+                try:
+                    coef, Gs = _support_lsq(hm.G, cols, hm.H)
+                except np.linalg.LinAlgError as exc:
+                    raise SolverFailureError(f"column {j}: support solve failed on "
+                                             f"{cols.tolist()}: {exc}") from exc
+                if not np.all(np.isfinite(coef)):
+                    raise SolverFailureError(f"column {j}: no finite least-squares fit "
+                                             f"on the support {cols.tolist()}")
+                K[cols] = coef
+                E = hm.H - Gs @ coef
+            ops[mask] = (hm.G.T @ E, E.T @ E, K, cols)
+        return ops[mask]
+
+    x = np.asarray(x, dtype=float)
+    budget = budget_for(W, x)
+    mask = 0
+    C, M, K, cols = operators(mask)
+    while float(x.dot(M.dot(x))) > budget:
+        if cols.size == hm.N:
+            raise FeasibilityError(
+                "all columns selected but the residual still exceeds the budget",
+                residual_sq=float(x.dot(M.dot(x))), budget=budget)
+        c = C.dot(x)
+        score = c * c / hm.col_norm_sq
+        score[cols] = -np.inf
+        j = int(score.argmax())
+        mask |= 1 << j
+        C, M, K, cols = operators(mask, j)
+    return K.dot(x), cols.size
+
+
 def exhaustive_reference(hm, W, x):
     """Exhaustive l0 search solving one support at a time.
 

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseppc as sp
-from sparseppc.controllers import FEASIBILITY_SLACK, ORACLE_CAP, ControlPacket, _support_lsq
-from sparseppc.errors import ConfigError, NumericError, SolverFailureError
+from sparseppc.controllers import (FEASIBILITY_SLACK, OMP_PREFIX, ORACLE_CAP, ControlPacket,
+                                   _node_products, _support_lsq, _support_node)
+from sparseppc.errors import ConfigError, FeasibilityError, NumericError, SolverFailureError
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
 from .oracles import (exhaustive_reference, l1l2_reference, l2_reference,
-                      lasso_kkt_violation, least_squares_reference, omp_reference)
+                      lasso_kkt_violation, least_squares_reference, omp_node_reference,
+                      omp_reference, random_reachable)
 
 W_SCALE_HUGE = 1e6
 
@@ -163,20 +165,32 @@ def test_exhaustive_raises_only_on_a_singular_support_before_the_first_fit(
             solve(bad, d.W, rng.standard_normal(4))
 
 
-def _assert_matches_reference(hm, W, x):
+def _assert_walk_bits(hm, W, x, ops=None):
+    """omp_packet's packet and solver_iters are the per-node walk's, bit for bit."""
     pkt = sp.omp_packet(hm, W, x)
+    u, iters = omp_node_reference(hm, W, x, ops)
+    assert pkt.u.tobytes() == u.tobytes() and pkt.solver_iters == iters, x
+    return pkt
+
+
+def _assert_matches_reference(hm, W, x):
+    pkt = _assert_walk_bits(hm, W, x)
     u, order = omp_reference(hm, W, x)
     assert np.array_equal(np.flatnonzero(pkt.u), np.sort(order)), x
     assert pkt.solver_iters == len(order)
     assert np.linalg.norm(pkt.u - u) <= 1e-9 * np.linalg.norm(u), x
 
 
+def _closed_loop_states(**cfg):
+    rep = monte_carlo(SimConfig(steps=100, seed=3, **cfg))
+    assert not rep.failures
+    return np.concatenate([r.states for r in rep.results])
+
+
 def test_omp_matches_qr_reference(cessna_design, cessna_horizon, rng):
     # every state a 30 x 100 closed loop visits, then 500 random states
     d, hm = cessna_design, cessna_horizon
-    rep = monte_carlo(SimConfig(trials=30, steps=100, seed=3))
-    assert not rep.failures
-    for x in np.concatenate([r.states for r in rep.results]):
+    for x in _closed_loop_states(trials=30):
         _assert_matches_reference(hm, d.W, x)
     for _ in range(500):
         _assert_matches_reference(hm, d.W, rng.standard_normal(4))
@@ -187,6 +201,79 @@ def test_omp_matches_qr_reference(cessna_design, cessna_horizon, rng):
 def test_omp_matches_qr_reference_across_scales(cessna_design, cessna_horizon, seed, s):
     z = np.random.default_rng(seed).standard_normal(4)
     _assert_matches_reference(cessna_horizon, cessna_design.W, z * 10.0**s)
+
+
+@pytest.mark.parametrize("noise", [{"kind": "none"}, {"kind": "gaussian", "sigma": 0.01}],
+                         ids=["noise_free", "sigma_0.01"])
+def test_omp_equals_the_per_node_walk(cessna_design, cessna_horizon, noise):
+    # criterion 3's closed loop and criterion 5's noisy one, on a table that
+    # starts empty, so that walks run both inside and past the prefix
+    hm, ops = replace(cessna_horizon), {}
+    for x in _closed_loop_states(trials=100, noise=noise):
+        _assert_walk_bits(hm, cessna_design.W, x, ops)
+    assert hm._omp_nodes.count > OMP_PREFIX
+
+
+def test_omp_equals_the_per_node_walk_past_the_prefix(cessna):
+    # at N = 30 the table outgrows the prefix many times over, and many
+    # walks end on a node past it
+    d = sp.build_design(cessna, N=30)
+    hm, ops = sp.build_horizon(cessna, d.Q, d.P, d.N), {}
+    past = 0
+    for x in _closed_loop_states(N=30, trials=10):
+        pkt = _assert_walk_bits(hm, d.W, x, ops)
+        mask = sum(1 << int(j) for j in np.flatnonzero(pkt.u))
+        past += hm._omp_nodes.index[mask] >= OMP_PREFIX
+    assert hm._omp_nodes.count > 4 * OMP_PREFIX and past > 100
+
+
+def test_omp_all_zero_scores_pick_the_smallest_unselected_column(cessna_horizon):
+    # G's columns are unit vectors and H x = 2 g_0 + e_N: after g_0 the
+    # residual e_N is orthogonal to every column, so every score is exactly
+    # 0, selected ones included, and the walk must go on in index order
+    # until the full support still misses the zero budget; the first solve
+    # builds the nodes, the second walks them all inside the prefix
+    N, rows = cessna_horizon.N, cessna_horizon.G.shape[0]
+    G, H = np.eye(rows, N), np.zeros((rows, 4))
+    H[0, 0], H[N, 0] = 2.0, 1.0
+    hm = replace(cessna_horizon, G=G, H=H, col_norm_sq=np.ones(N))
+    x, W = np.eye(4)[0], np.zeros((4, 4))
+    for solve in (sp.omp_packet, sp.omp_packet, omp_node_reference):
+        with pytest.raises(FeasibilityError) as err:
+            solve(hm, W, x)
+        assert err.value.residual_sq == 1.0
+    assert hm._omp_nodes.masks == [(1 << k) - 1 for k in range(N + 1)]
+
+
+def _node_table(hm, rng, count):
+    """hm's table with the empty support and count - 1 random ones."""
+    _support_node(hm, 0)
+    while hm._omp_nodes.count < count:
+        _support_node(hm, int(rng.integers(1, 2**hm.N)))
+    return hm._omp_nodes
+
+
+def test_node_products_equal_each_nodes_own_products(cessna_design, cessna_horizon, rng):
+    # whether a node is inside the prefix depends on the table's history, so
+    # its stacked products must have the bits of its own: on the cessna
+    # table a closed loop builds, and on random n = 9 and n = 12 plants,
+    # where a single product over all rows of the stacked C or M does not
+    hm = replace(cessna_horizon)
+    states = _closed_loop_states(trials=5)
+    for x in states:
+        sp.omp_packet(hm, cessna_design.W, x)
+    tables = [(hm._omp_nodes, states)]
+    for n in (9, 12):
+        m = random_reachable(rng, n, n)
+        tables.append((_node_table(sp.build_horizon(m, np.eye(n), np.eye(n), 10), rng, 60),
+                       rng.standard_normal((100, n)) * 10.0 ** rng.uniform(-3, 3, (100, 1))))
+    for nodes, X in tables:
+        assert nodes.count > OMP_PREFIX
+        for x in X:
+            c, q = _node_products(nodes, nodes.count, x)
+            for i in range(nodes.count):
+                assert c[i].tobytes() == nodes.C[i].dot(x).tobytes()
+                assert q[i].tobytes() == x.dot(nodes.M[i].dot(x)).tobytes()
 
 
 def _with_bad_column(hm, value):
@@ -202,7 +289,7 @@ def test_omp_degenerate_column_raises_solver_failure(cessna_design, cessna_horiz
     hm = _with_bad_column(cessna_horizon, value)
     with np.errstate(invalid="ignore"), pytest.raises(SolverFailureError, match="column 0"):
         sp.omp_packet(hm, cessna_design.W, rng.standard_normal(4))
-    assert set(hm._omp_support_ops) == {0}
+    assert hm._omp_nodes.masks == [0] and hm._omp_nodes.child == [[-1] * hm.N]
 
 
 def test_omp_failed_support_solve_raises_solver_failure(cessna_design, cessna_horizon, rng,
@@ -217,9 +304,10 @@ def test_omp_failed_support_solve_raises_solver_failure(cessna_design, cessna_ho
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SolverFailureError, match="support solve failed"):
         sp.omp_packet(hm, d.W, x)
-    # a failed build caches nothing: only the empty support, which needs no
-    # solve, is kept, and the horizon then solves as an untouched one does
-    assert set(hm._omp_support_ops) == {0}
+    # a failed build adds no node and no link: only the empty support,
+    # which needs no solve, is kept, and the horizon then solves as an
+    # untouched one does
+    assert hm._omp_nodes.masks == [0] and hm._omp_nodes.child == [[-1] * hm.N]
     monkeypatch.setattr(np.linalg, "solve", real)
     got = sp.omp_packet(hm, d.W, x)
     want = sp.omp_packet(replace(cessna_horizon), d.W, x)
@@ -230,7 +318,7 @@ def test_omp_packet_does_not_depend_on_cache_history(cessna_design, cessna_horiz
     # a cold horizon builds each support from the state in hand; a warm one
     # reuses operators that earlier states built; the packets are the same
     d, warm = cessna_design, replace(cessna_horizon)
-    assert warm._omp_support_ops == {}
+    assert warm._omp_nodes.count == 0
     for _ in range(300):
         sp.omp_packet(warm, d.W, rng.standard_normal(4) * 10.0 ** rng.uniform(-2.0, 0.5))
     for _ in range(50):
@@ -238,10 +326,12 @@ def test_omp_packet_does_not_depend_on_cache_history(cessna_design, cessna_horiz
         cold = sp.omp_packet(replace(cessna_horizon), d.W, x)
         hot = sp.omp_packet(warm, d.W, x)
         assert np.array_equal(cold.u, hot.u) and cold.solver_iters == hot.solver_iters
-    ops = warm._omp_support_ops
-    assert 1 < len(ops) <= 2**warm.N
-    assert not any(a.flags.writeable for entry in ops.values() for a in entry)
-    assert replace(warm)._omp_support_ops == {}
+    nodes = warm._omp_nodes
+    assert 1 < nodes.count <= 2**warm.N
+    assert sorted(nodes.index.values()) == list(range(nodes.count))
+    assert all(nodes.masks[i] == mask for mask, i in nodes.index.items())
+    assert not any(a.flags.writeable for a in nodes.K + nodes.cols)
+    assert replace(warm)._omp_nodes.count == 0
 
 
 def test_exhaustive_singular_support_raises_solver_failure(cessna_design, cessna_horizon, rng):
@@ -300,8 +390,8 @@ def test_least_squares_packet_is_the_full_support_operator(cessna_horizon, rng):
     hm = replace(cessna_horizon)
     x = rng.standard_normal(4)
     u = sp.least_squares_packet(hm, x).u
-    assert set(hm._omp_support_ops) == {(1 << hm.N) - 1}
-    assert np.array_equal(u, hm._omp_support_ops[(1 << hm.N) - 1][2].dot(x))
+    assert hm._omp_nodes.masks == [(1 << hm.N) - 1]
+    assert np.array_equal(u, hm._omp_nodes.K[0].dot(x))
 
 
 @pytest.mark.parametrize("solve", [
@@ -320,7 +410,8 @@ def test_packets_are_read_only_and_share_no_memory(cessna_design, cessna_horizon
     for _ in range(5):
         pkt = solve(hm, cessna_design.W, x)
         assert not pkt.u.flags.writeable
-        cached = [a for entry in hm._omp_support_ops.values() for a in entry]
+        nodes = hm._omp_nodes
+        cached = nodes.K + nodes.cols + [a for a in (nodes.C, nodes.M, nodes.w) if a is not None]
         cached += [a for entry in hm._l1_gathers.values() for a in entry]
         cached += list(hm._l2_gains.values())
         cached += [hm.G, hm.H, hm.GtG, hm.GtH, hm.col_norm_sq]

@@ -369,7 +369,7 @@ def test_trial_bits_do_not_depend_on_cache_warmth(controller):
     cfg = SimConfig(controller=controller, trials=20, steps=100, seed=5)
     warm = build_setup(cfg)
     monte_carlo(replace(cfg, seed=6, trials=5), setup=warm)
-    assert warm.hm._l2_gains or warm.hm._omp_support_ops
+    assert warm.hm._l2_gains or warm.hm._omp_nodes.count
     row = monte_carlo(cfg, setup=warm).results[13]
     setup = build_setup(cfg)
     alone = run_trial(setup, make_controller(cfg, setup),
