@@ -122,23 +122,32 @@ def _support_node(hm: HorizonMatrices, mask: int, j: int = None) -> int:
     return nodes.add(mask, hm.G.T @ E, E.T @ E, w, _frozen(K), cols)
 
 
-def _node_products(nodes, P: int, x: np.ndarray):
-    """Correlations C x (P x N) and residual norms x'M x (P,) of nodes 0..P-1.
+def _node_products(nodes, P: int, W: np.ndarray, X: np.ndarray):
+    """Budgets x'Wx (b,), correlations C x (b, P, N) and norms x'M x (b, P).
 
-    Row i has the bits of node i's own C[i].dot(x) and x.dot(M[i].dot(x)):
-    stacked matmul makes, node by node, the BLAS call of that node's own
-    product. A single product of the (P N, n) block with x does not: with
-    OpenBLAS on x86-64 its rows differ from the nodes' own for n >= 8, and
-    a product of M x with x differs even at n = 4.
+    For each row x of the (b, n) block X and each node i < P, every entry
+    has the bits of that row's own budget_for(W, x), C[i].dot(x) and
+    x.dot(M[i].dot(x)): stacked matmul makes, row by row and node by node,
+    the BLAS call of the one product alone. A single product of the
+    (P N, n) block with x does not: with OpenBLAS on x86-64 its rows differ
+    from the nodes' own for n >= 8, and a product of M x with x differs
+    even at n = 4.
     """
-    Mx = nodes.M[:P] @ x
-    return nodes.C[:P] @ x, (Mx[:, None, :] @ x[:, None])[:, 0, 0]
+    rows, cols = X[:, None, :], X[:, :, None]
+    Mx = (nodes.M[None, :P] @ cols[:, None])[..., 0]
+    return (((rows @ W) @ cols)[:, 0, 0], (nodes.C[None, :P] @ cols[:, None])[..., 0],
+            (Mx[:, :, None, :] @ cols[:, None])[..., 0, 0])
 
 
-def omp_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:
+def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPacket:
     """Orthogonal matching pursuit for the sparsity-minimizing packet.
 
-    The walk goes down hm._omp_nodes (see SupportNodes) from the empty
+    X is one state (n,) or a block of states (b, n), and u is then the
+    (N,) packet or the (b, N) packets, row r of u depending on row r of X
+    alone. solver_iters is the block's total of picks, the sum of each
+    packet's support size.
+
+    Each walk goes down hm._omp_nodes (see SupportNodes) from the empty
     support: at node S, with least-squares residual r on S, G'r = C x and
     ||r||^2 = x'M x, and r is never formed. While x'M x exceeds the budget
     x'Wx, pick the unselected column with the largest (C x)_j^2 / ||g_j||^2
@@ -146,43 +155,54 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPack
     leaves the smallest error, and step to the child node S + {j}, built
     by the first solve on hm that reaches it. The packet is K x.
 
-    One product over the first OMP_PREFIX nodes of the table gives every
-    one of them its norm and its scores at once (see _node_products), bit
-    for bit as its own products would, so the walk through them is Python
-    only. A node past them, or one built during this solve, gets its own
-    products. The table's +inf weights score S zero; a pick that still
-    lands on S (every score is 0, or a NaN) is taken again with S at -inf,
-    so every pick is the one the masked scores give. For budgets built by
-    the design procedure the full-support residual is strictly below the
-    budget, so the walk ends for every x.
+    One product over the first OMP_PREFIX nodes of the table, for every row
+    at once, gives each row its budget and each of those nodes its norm and
+    scores (see _node_products), bit for bit as their own products would,
+    so the walks through them are Python only (Batch-OMP: Rubinstein,
+    Zibulevsky & Elad, Technion CS-2008-08). A node past them, or one built
+    during this call, gets its own products. The table's +inf weights score
+    S zero; a pick that still lands on S (every score is 0, or a NaN) is
+    taken again with S at -inf, so every pick is the one the masked scores
+    give. For budgets built by the design procedure the full-support
+    residual is strictly below the budget, so the walk ends for every x. A
+    row whose budget is not finite raises NumericError, and a row that
+    raises ends the call with its error.
     """
-    x = np.asarray(x, dtype=float)
-    budget = budget_for(W, x)
+    X = np.asarray(X, dtype=float)
+    block = X.reshape(-1, hm.n)
     nodes = hm._omp_nodes
-    i = _support_node(hm, 0)
+    root = _support_node(hm, 0)
     P = min(nodes.count, OMP_PREFIX)
-    c, q = _node_products(nodes, P, x)
-    go = (q > budget).tolist()
-    picks = (c * c / nodes.w[:P]).argmax(axis=1).tolist()
+    budgets, c, q = _node_products(nodes, P, W, block)
+    go_rows = (q > budgets[:, None]).tolist()
+    pick_rows = (c * c / nodes.w[:P]).argmax(axis=2).tolist()
+    ends = []
     # ndarray.dot and .argmax: on arrays this small, call overhead is the cost
-    while go[i] if i < P else float(x.dot(nodes.M[i].dot(x))) > budget:
-        cols = nodes.cols[i]
-        if cols.size == hm.N:
-            raise FeasibilityError(
-                "all columns selected but the residual still exceeds the budget",
-                residual_sq=float(x.dot(nodes.M[i].dot(x))), budget=budget)
-        if i >= P or nodes.masks[i] >> picks[i] & 1:
-            ci = nodes.C[i].dot(x)
-            score = ci * ci / hm.col_norm_sq
-            score[cols] = -np.inf
-            j = int(score.argmax())
-        else:
-            j = picks[i]
-        k = nodes.child[i][j]
-        if k < 0:
-            k = nodes.child[i][j] = _support_node(hm, nodes.masks[i] | 1 << j, j)
-        i = k
-    return ControlPacket(nodes.K[i].dot(x), nodes.cols[i].size)
+    for x, budget, go, picks in zip(block, budgets.tolist(), go_rows, pick_rows):
+        if not math.isfinite(budget):
+            raise NumericError(f"state is not finite: x'Wx = {budget}")
+        i = root
+        while go[i] if i < P else float(x.dot(nodes.M[i].dot(x))) > budget:
+            cols = nodes.cols[i]
+            if cols.size == hm.N:
+                raise FeasibilityError(
+                    "all columns selected but the residual still exceeds the budget",
+                    residual_sq=float(x.dot(nodes.M[i].dot(x))), budget=budget)
+            if i >= P or nodes.masks[i] >> picks[i] & 1:
+                ci = nodes.C[i].dot(x)
+                score = ci * ci / hm.col_norm_sq
+                score[cols] = -np.inf
+                j = int(score.argmax())
+            else:
+                j = picks[i]
+            k = nodes.child[i][j]
+            if k < 0:
+                k = nodes.child[i][j] = _support_node(hm, nodes.masks[i] | 1 << j, j)
+            i = k
+        ends.append(i)
+    u = np.array([nodes.K[i].dot(x) for i, x in zip(ends, block)])
+    return ControlPacket(u.reshape(*X.shape[:-1], hm.N),
+                         sum(nodes.cols[i].size for i in ends))
 
 
 def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:

@@ -26,8 +26,8 @@ from .channel import (DROPOUT_KEYS, ChannelTrace, DropoutModel, actuate,
                       delivery_age, generate_trace)
 from .codec import (PacketCodec, Quantizer, decode, dequantize, encode,
                     quantize_packet, train_codec)
-from .controllers import (ORACLE_CAP, exhaustive_l0_packet, l1l2_packet,
-                          l2_packet, least_squares_packet, omp_packet)
+from .controllers import (ORACLE_CAP, ControlPacket, exhaustive_l0_packet,
+                          l1l2_packet, l2_packet, least_squares_packet, omp_packet)
 from .design import RICCATI_RTOL, CostDesign, build_design
 from .errors import (ConfigError, NumericError, SparsePpcError,
                      TraceValidationError)
@@ -197,29 +197,29 @@ def _check_trials(cfg: SimConfig, model: PlantModel, dropout: DropoutModel) -> N
         raise ConfigError(f"exhaustive search refused for N = {cfg.N} > cap {ORACLE_CAP}")
 
 
-# The controllers whose packet is a gain times the state, so that one call
-# solves a whole block of states.
-GAIN_CONTROLLERS = ("l2", "least_squares")
-
-
 def make_controller(cfg: SimConfig, setup: SimSetup):
     """The config's packet solver on the setup, as a function of a block of states.
 
     A controller takes a (b, n) block of states X and returns a
     ControlPacket of their (b, N) packets; every packet depends on its state
-    alone. The gain controllers (GAIN_CONTROLLERS) solve any block in one
-    product, so one of them serves every trial of a run. The per-state
-    solvers (omp, l1l2, oracle) take a block of one row and return the (N,)
-    packet of X[0], which the engine writes to that row. The l1l2 solver
-    keeps its last packet as the next solve's warm start, so its cost
-    depends on the states before: make one controller per trial.
+    alone, so one controller serves every trial of a run. The gains (l2,
+    least_squares) solve the block in one product, omp in one product over
+    the support-node table and a walk per row, and oracle one exhaustive
+    search per row. The l1l2 solver keeps its last packet as the next
+    solve's warm start, so its cost depends on the states before: make one
+    l1l2 controller per trial, and give it a block of one row.
     """
     hm, design = setup.hm, setup.design
     name = cfg.controller
     if name == "omp":
-        return lambda X: omp_packet(hm, design.W, X[0])
+        return lambda X: omp_packet(hm, design.W, X)
     if name == "oracle":
-        return lambda X: exhaustive_l0_packet(hm, design.W, X[0])
+        def oracle(X):
+            pkts = [exhaustive_l0_packet(hm, design.W, x) for x in X]
+            return ControlPacket(np.array([pkt.u for pkt in pkts]),
+                                 sum(pkt.solver_iters for pkt in pkts))
+
+        return oracle
     if name == "least_squares":
         return lambda X: least_squares_packet(hm, X)
     if name == "l2":
@@ -312,13 +312,14 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list):
     (one actuate call per row) names, and noise[k] is added to x(k+1). The
     controllers own equal blocks of consecutive rows, in order (see
     make_controller): each one solves the live rows of its block in one
-    call, and its error fails just those rows. Products and quadratic
-    forms are stacked matmuls, one small product per row, so each row gets
-    the bits it would get alone. A row leaves the batch on a package error: a burst
-    that outruns the packets (before any solve), a V(k) that is not
-    finite, its solver raising, or, once the loop ends, a recorded packet
-    or a performance sqrt(sum_k ||x(k)||^2) that is not finite. A
-    ConfigError ends the run.
+    call. If that call raises a package error, each of those rows is
+    solved again on its own, and only the rows that raise again fail, each
+    with its own error. Products and quadratic forms are stacked matmuls,
+    one small product per row, so each row gets the bits it would get
+    alone. A row leaves the batch on a package error: a burst that outruns
+    the packets (before any solve), a V(k) that is not finite, its solve
+    raising, or, once the loop ends, a recorded packet or a performance
+    sqrt(sum_k ||x(k)||^2) that is not finite. A ConfigError ends the run.
 
     Returns the stacked records of the rows that finished, the failures as
     (row, error) in row order, and the solve time per live row and step.
@@ -365,15 +366,19 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list):
         # each controller's block is the span a:b of the live rows
         cuts = edges if whole else np.searchsorted(live, edges).tolist()
         for controller, a, b in zip(controllers, cuts, cuts[1:]):
-            if a == b:
-                continue
-            try:
-                packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b]).u
-            except ConfigError:
-                raise
-            except SparsePpcError as exc:
-                failed.update(dict.fromkeys(live[a:b].tolist(), exc))
-                lost.extend(live[a:b].tolist())
+            spans = [(a, b)] if a < b else []
+            # a block that raises is solved again one row at a time (spans grows)
+            for a, b in spans:
+                try:
+                    packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b]).u
+                except ConfigError:
+                    raise
+                except SparsePpcError as exc:
+                    if b - a > 1:
+                        spans += [(r, r + 1) for r in range(a, b)]
+                    else:
+                        failed[live[a]] = exc
+                        lost.append(live[a])
         solve_seconds += perf_counter() - t0
         solves += live.size
         if lost:
@@ -470,8 +475,8 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
                 grid: list = None) -> MonteCarloReport:
     """Run cfg.trials independent paired trials in lockstep; keep every result.
 
-    Every trial is one row of the engine (_lockstep). A gain controller's
-    block is every trial, solved in one call per step; any other solver
+    Every trial is one row of the engine (_lockstep). One controller
+    solves every trial's state in one call per step, except l1l2, which
     gets a controller per trial, so no warm start crosses trials. The run's
     config alone picks the controller, nu and noise; a given setup must
     share cfg's SETUP_FIELDS and is checked as build_setup does. A
@@ -484,7 +489,7 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     (SWEEP_KEYS), and each value sets the family's nu field for a copy of
     the trials: every trial's inputs are drawn once and each of its rows
     steps them, all in one batch. Each value's rows get their own
-    controllers, one gain for all of them or one per row, so every row has
+    controllers, one for all of them or one per l1l2 row, so every row has
     the bits of its own value's run; the run fails when all trials of any
     one value do.
     """
@@ -505,7 +510,7 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
 
     inputs = [(trial, *trial_inputs(cfg, setup, namespace, trial))
               for trial in range(cfg.trials)]
-    blocks = 1 if cfg.controller in GAIN_CONTROLLERS else cfg.trials
+    blocks = cfg.trials if cfg.controller == "l1l2" else 1
     controllers = [make_controller(run, setup) for run in runs for _ in range(blocks)]
     # an overflowing trial fails on the engine's finiteness checks, so numpy's
     # overflow warnings would only say it first; a warnings filter, unlike

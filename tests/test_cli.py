@@ -399,27 +399,33 @@ def test_sweep_flags_override_config_family_and_grid(tmp_path):
 
 
 def _fail_trials(monkeypatch, failing):
-    """Give each controller that failing(cfg, i) names a solver that raises at once.
+    """Make each trial that failing(cfg, trial) names fail at its first solve.
 
-    i counts the controllers made before it for the same controller, nu1,
-    nu2 and trial count; a per-state solver gets one per trial, in trial
-    order, so i is then its trial.
+    A trial's first state is the x0 that trial_inputs draws for it. Every
+    controller made for cfg raises on a block that holds the x0 of a trial
+    failing(cfg, trial) names, so that trial fails alone, however many rows
+    its block holds: the engine solves a block that raises again row by row.
     """
-    from collections import Counter
-
     import sparseppc.sim as sim_mod
     from sparseppc.errors import SolverFailureError
 
-    real, made = sim_mod.make_controller, Counter()
+    real_inputs, real_make, starts = sim_mod.trial_inputs, sim_mod.make_controller, {}
 
-    def raising(x):
-        raise SolverFailureError("synthetic failure")
+    def inputs(cfg, setup, namespace, trial):
+        drawn = real_inputs(cfg, setup, namespace, trial)
+        starts[drawn[1].tobytes()] = trial
+        return drawn
 
     def make(cfg, setup):
-        key = (cfg.controller, cfg.nu1, cfg.nu2, cfg.trials)
-        made[key] += 1
-        return raising if failing(cfg, made[key] - 1) else real(cfg, setup)
+        solve = real_make(cfg, setup)
 
+        def controller(X):
+            if any(failing(cfg, starts.get(x.tobytes())) for x in X):
+                raise SolverFailureError("synthetic failure")
+            return solve(X)
+        return controller
+
+    monkeypatch.setattr(sim_mod, "trial_inputs", inputs)
     monkeypatch.setattr(sim_mod, "make_controller", make)
 
 

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.controllers import (FEASIBILITY_SLACK, OMP_PREFIX, ORACLE_CAP, ControlPacket,
-                                   _node_products, _support_lsq, _support_node)
+                                   _node_products, _support_lsq, _support_node, budget_for)
 from sparseppc.errors import ConfigError, FeasibilityError, NumericError, SolverFailureError
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
 from .oracles import (exhaustive_reference, l1l2_reference, l2_reference,
                       lasso_kkt_violation, least_squares_reference, omp_node_reference,
-                      omp_reference, random_reachable)
+                      omp_reference, random_reachable, random_spd)
 
 W_SCALE_HUGE = 1e6
 
@@ -254,26 +254,74 @@ def _node_table(hm, rng, count):
 
 
 def test_node_products_equal_each_nodes_own_products(cessna_design, cessna_horizon, rng):
-    # whether a node is inside the prefix depends on the table's history, so
-    # its stacked products must have the bits of its own: on the cessna
-    # table a closed loop builds, and on random n = 9 and n = 12 plants,
-    # where a single product over all rows of the stacked C or M does not
+    # whether a node is inside the prefix depends on the table's history, and
+    # how many rows a block holds on the run, so the block products must have
+    # the bits of each row's and node's own: on the cessna table a closed
+    # loop builds, and on random n = 9 and n = 12 plants, where a single
+    # product over all rows of the stacked C or M does not
     hm = replace(cessna_horizon)
     states = _closed_loop_states(trials=5)
-    for x in states:
-        sp.omp_packet(hm, cessna_design.W, x)
-    tables = [(hm._omp_nodes, states)]
+    sp.omp_packet(hm, cessna_design.W, states)
+    tables = [(hm._omp_nodes, cessna_design.W, states)]
     for n in (9, 12):
         m = random_reachable(rng, n, n)
         tables.append((_node_table(sp.build_horizon(m, np.eye(n), np.eye(n), 10), rng, 60),
+                       random_spd(rng, n),
                        rng.standard_normal((100, n)) * 10.0 ** rng.uniform(-3, 3, (100, 1))))
-    for nodes, X in tables:
+    for nodes, W, X in tables:
         assert nodes.count > OMP_PREFIX
-        for x in X:
-            c, q = _node_products(nodes, nodes.count, x)
-            for i in range(nodes.count):
-                assert c[i].tobytes() == nodes.C[i].dot(x).tobytes()
-                assert q[i].tobytes() == x.dot(nodes.M[i].dot(x)).tobytes()
+        for B in (1, 5, 50):
+            for block in np.array_split(X[:100], 100 // B):
+                budgets, c, q = _node_products(nodes, nodes.count, W, block)
+                assert c.shape == (len(block), nodes.count, nodes.C.shape[1])
+                assert budgets.shape == (len(block),) and q.shape == c.shape[:2]
+                for r, x in enumerate(block):
+                    assert budgets[r].tobytes() == np.float64(budget_for(W, x)).tobytes()
+                    for i in range(nodes.count):
+                        assert c[r, i].tobytes() == nodes.C[i].dot(x).tobytes()
+                        assert q[r, i].tobytes() == x.dot(nodes.M[i].dot(x)).tobytes()
+
+
+def _assert_block_bits(hm, W, X, B, ops):
+    """omp_packet on blocks of B rows of X: each row is the per-node walk's,
+    bit for bit, and each block's solver_iters is its rows' total. Returns
+    the packets."""
+    packets = []
+    for block in np.array_split(X, -(-len(X) // B)):
+        pkt = sp.omp_packet(hm, W, block)
+        packets.extend(pkt.u)
+        assert pkt.u.shape == (len(block), hm.N)
+        total = 0
+        for u, x in zip(pkt.u, block):
+            want, iters = omp_node_reference(hm, W, x, ops)
+            assert u.tobytes() == want.tobytes(), x
+            total += iters
+        assert pkt.solver_iters == total
+    return packets
+
+
+@pytest.mark.parametrize("B", [1, 5, 50])
+def test_omp_block_equals_the_per_node_walk(cessna, cessna_design, cessna_horizon, rng, B):
+    # the cessna closed loop, random n = 9 and n = 12 plants, and N = 30
+    # walks that end past the prefix; every table starts empty, so that a
+    # block's walks build nodes that its later rows then step past
+    _assert_block_bits(replace(cessna_horizon), cessna_design.W,
+                       _closed_loop_states(trials=10), B, {})
+    for n in (9, 12):
+        m = random_reachable(rng, n, n)
+        hm = sp.build_horizon(m, np.eye(n), np.eye(n), 10)
+        # a budget just above the full support's cost, so that every walk
+        # ends and takes about six picks
+        E = hm.H - hm.G @ np.linalg.lstsq(hm.G, hm.H, rcond=None)[0]
+        W = E.T @ E + 1e-3 * (hm.H.T @ hm.H - E.T @ E)
+        X = rng.standard_normal((100, n)) * 10.0 ** rng.uniform(-3, 3, (100, 1))
+        _assert_block_bits(hm, W, X, B, {})
+        assert hm._omp_nodes.count > OMP_PREFIX
+    d = sp.build_design(cessna, N=30)
+    hm = sp.build_horizon(cessna, d.Q, d.P, d.N)
+    packets = _assert_block_bits(hm, d.W, _closed_loop_states(N=30, trials=3), B, {})
+    ends = [hm._omp_nodes.index[sum(1 << int(j) for j in np.flatnonzero(u))] for u in packets]
+    assert hm._omp_nodes.count > 4 * OMP_PREFIX and sum(i >= OMP_PREFIX for i in ends) > 30
 
 
 def _with_bad_column(hm, value):

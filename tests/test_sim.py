@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import sparseppc as sp
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
-from sparseppc.sim import (CONTROLLERS, GAIN_CONTROLLERS, NS_MAIN, SETUP_FIELDS, SWEEP_KEYS,
+from sparseppc.sim import (CONTROLLERS, NS_MAIN, SETUP_FIELDS, SWEEP_KEYS,
                            SimConfig, build_setup, config_from_dict, lyapunov_audit,
                            make_controller, monte_carlo, packet_columns, rate_columns, run_trial,
                            summary_columns, sweep_columns, sweep_regularization,
@@ -426,54 +426,59 @@ def test_monte_carlo_aggregates_shapes():
     assert rep.failures == []
 
 
-def _per_trial_controllers(monkeypatch, wrap):
-    """Give trial t of the next run the controller wrap(t, cfg, setup, make).
+def _raise_on_states(monkeypatch, states, error):
+    """Make every controller of the next runs raise error(i) on a block holding states[i].
 
-    A run of a per-state solver makes one controller per trial, in trial
-    order; make is the real make_controller.
+    Each of states is one a clean run records for one trial and step, so a
+    failure keyed on it fails exactly that row, however many rows its block
+    holds: the engine solves a block that raises again row by row.
     """
     import sparseppc.sim as sim_mod
 
-    real, made = sim_mod.make_controller, count()
-    monkeypatch.setattr(sim_mod, "make_controller",
-                        lambda cfg, setup: wrap(next(made), cfg, setup, real))
+    real, keys = sim_mod.make_controller, [x.tobytes() for x in states]
 
+    def make(cfg, setup):
+        solve = real(cfg, setup)
 
-def _raising(error):
-    def solve(x):
-        raise error
-    return solve
+        def controller(X):
+            for x in X:
+                if x.tobytes() in keys:
+                    raise error(keys.index(x.tobytes()))
+            return solve(X)
+        return controller
+
+    monkeypatch.setattr(sim_mod, "make_controller", make)
 
 
 def test_monte_carlo_continues_after_trial_failure(monkeypatch):
     import sparseppc.sim as sim_mod
 
-    def flaky(trial, cfg, setup, make):
-        if trial == 1:
-            return _raising(sp.NumericError("synthetic failure"))
-        return make(cfg, setup)
-
-    _per_trial_controllers(monkeypatch, flaky)
-    rep = sim_mod.monte_carlo(SimConfig(trials=3, steps=10, seed=5))
+    cfg = SimConfig(trials=3, steps=10, seed=5)
+    _raise_on_states(monkeypatch, [monte_carlo(cfg).results[1].states[0]],
+                     lambda i: sp.NumericError("synthetic failure"))
+    rep = sim_mod.monte_carlo(cfg)
     assert len(rep.results) == 2
     assert rep.failures == [(1, "NumericError: synthetic failure")]
 
 
 def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
-    # trial 1 runs OMP on a horizon with a zero column: the kernel's
-    # SolverFailureError must fail that trial and leave the others alone
+    # a block holding a state of trial 1 runs OMP on a horizon with a zero
+    # column: the kernel's SolverFailureError must fail that trial and leave
+    # the others alone
     import sparseppc.sim as sim_mod
 
-    def broken_horizon(trial, cfg, setup, make):
-        if trial == 1:
-            G = setup.hm.G.copy()
-            G[:, 0] = 0.0
-            hm = replace(setup.hm, G=G, col_norm_sq=np.sum(G * G, axis=0))
-            setup = replace(setup, hm=hm)
-        return make(cfg, setup)
-
     cfg = SimConfig(trials=3, steps=10, seed=5)
-    _per_trial_controllers(monkeypatch, broken_horizon)
+    trial_1 = {x.tobytes() for x in monte_carlo(cfg).results[1].states}
+    real = sim_mod.make_controller
+
+    def make(cfg, setup):
+        G = setup.hm.G.copy()
+        G[:, 0] = 0.0
+        hm = replace(setup.hm, G=G, col_norm_sq=np.sum(G * G, axis=0))
+        broken, solve = real(cfg, replace(setup, hm=hm)), real(cfg, setup)
+        return lambda X: (broken if any(x.tobytes() in trial_1 for x in X) else solve)(X)
+
+    monkeypatch.setattr(sim_mod, "make_controller", make)
     with np.errstate(invalid="ignore"):
         rep = sim_mod.monte_carlo(cfg)
     assert [r.trial for r in rep.results] == [0, 2]
@@ -484,29 +489,29 @@ def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
 def test_monte_carlo_raises_when_everything_fails(monkeypatch):
     import sparseppc.sim as sim_mod
 
-    def broken(trial, cfg, setup, make):
-        return _raising(sp.NumericError(f"synthetic failure {trial}"))
-
-    _per_trial_controllers(monkeypatch, broken)
+    cfg = SimConfig(trials=2, steps=5, seed=5)
+    _raise_on_states(monkeypatch, [r.states[0] for r in monte_carlo(cfg).results],
+                     lambda trial: sp.NumericError(f"synthetic failure {trial}"))
     with pytest.raises(sp.SparsePpcError,
                        match="all 2 trials failed; first: NumericError: synthetic failure 0"):
-        sim_mod.monte_carlo(SimConfig(trials=2, steps=5, seed=5))
+        sim_mod.monte_carlo(cfg)
 
 
 def test_monte_carlo_config_error_ends_the_run(monkeypatch):
+    # the first solve raises it, and no row is solved again on its own
     import sparseppc.sim as sim_mod
 
     calls = []
 
-    def misconfigured(trial, cfg, setup, make):
-        def solve(x):
-            calls.append(trial)
-            raise ConfigError("synthetic config error")
-        return solve
+    def misconfigured(trial):
+        calls.append(trial)
+        return ConfigError("synthetic config error")
 
-    _per_trial_controllers(monkeypatch, misconfigured)
+    cfg = SimConfig(trials=3, steps=5, seed=5)
+    _raise_on_states(monkeypatch, [r.states[0] for r in monte_carlo(cfg).results],
+                     misconfigured)
     with pytest.raises(ConfigError, match="synthetic config error"):
-        sim_mod.monte_carlo(SimConfig(trials=3, steps=5, seed=5))
+        sim_mod.monte_carlo(cfg)
     assert calls == [0]
 
 
@@ -536,9 +541,10 @@ def test_a_row_does_not_depend_on_its_batch(controller, sigma, seed, i):
 
 @pytest.mark.parametrize("controller", CONTROLLERS)
 def test_a_failing_row_leaves_the_batch_alone(controller, monkeypatch):
-    # trial 2's state turns NaN at step 8 and, where each trial has its own
-    # solver, trial 4's solver raises at step 5: each leaves the batch with
-    # its own error, and every other row keeps the bits of a run without them
+    # trial 2's state turns NaN at step 8, and trial 4's solve raises at
+    # step 5 (keyed on the state a clean run records there): each leaves the
+    # batch with its own error, and every other row keeps the bits of a run
+    # without them
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(controller=controller, N=6 if controller == "oracle" else 10,
@@ -552,20 +558,11 @@ def test_a_failing_row_leaves_the_batch_alone(controller, monkeypatch):
             noise[7] = np.nan
         return trace, x0, noise
 
-    def raising_at_step_5(trial, cfg, setup, make):
-        solve, solves = make(cfg, setup), count()
-
-        def flaky(x):
-            if trial == 4 and next(solves) == 5:
-                raise sp.SolverFailureError("synthetic failure")
-            return solve(x)
-        return flaky
-
     monkeypatch.setattr(sim_mod, "trial_inputs", nan_noise)
-    failed = {2: "NumericError: state is not finite at step 8: V = nan"}
-    if controller not in GAIN_CONTROLLERS:
-        _per_trial_controllers(monkeypatch, raising_at_step_5)
-        failed[4] = "SolverFailureError: synthetic failure"
+    _raise_on_states(monkeypatch, [clean.results[4].states[5]],
+                     lambda i: sp.SolverFailureError("synthetic failure"))
+    failed = {2: "NumericError: state is not finite at step 8: V = nan",
+              4: "SolverFailureError: synthetic failure"}
     rep = sim_mod.monte_carlo(cfg)
     assert rep.failures == sorted(failed.items())
     assert [r.trial for r in rep.results] == [t for t in range(6) if t not in failed]
@@ -575,15 +572,71 @@ def test_a_failing_row_leaves_the_batch_alone(controller, monkeypatch):
                 (r.trial, f.name)
 
 
+def test_a_row_whose_walk_raises_fails_alone(monkeypatch):
+    # exactly one walk of a clean run, trial t's at step k, reaches the
+    # support mask; when that node's build fails, the walk raises inside
+    # the OMP block of all 5 rows. The block is solved again row by row:
+    # trial t fails alone with its own error, and the other four rows keep
+    # every field of the clean run, bit for bit
+    import re
+
+    import sparseppc.controllers as ctl_mod
+    import sparseppc.sim as sim_mod
+
+    from .oracles import omp_node_reference
+
+    cfg = SimConfig(trials=5, steps=20, seed=3)
+    clean = monte_carlo(cfg)
+    setup = build_setup(cfg)
+    reached = {}
+    for r in clean.results:
+        for k, x in enumerate(r.states):
+            path = {}
+            omp_node_reference(setup.hm, setup.design.W, x, path)
+            for mask in path:
+                reached.setdefault(mask, []).append((r.trial, k))
+    mask = max(m for m, at in reached.items() if len(at) == 1)
+    [(t, k)] = reached[mask]
+    cols = [j for j in range(cfg.N) if mask >> j & 1]
+    real_lsq, real_omp, raised = ctl_mod._support_lsq, sim_mod.omp_packet, []
+
+    def lsq(G, support, b):
+        if support.tolist() == cols:
+            raise np.linalg.LinAlgError("synthetic")
+        return real_lsq(G, support, b)
+
+    def omp(hm, W, X):
+        try:
+            return real_omp(hm, W, X)
+        except sp.SolverFailureError:
+            raised.append(len(X))
+            raise
+
+    monkeypatch.setattr(ctl_mod, "_support_lsq", lsq)
+    monkeypatch.setattr(sim_mod, "omp_packet", omp)
+    rep = sim_mod.monte_carlo(cfg)
+    assert raised == [5, 1], (t, k)
+    [(trial, msg)] = rep.failures
+    assert trial == t and re.fullmatch(
+        rf"SolverFailureError: column \d+: support solve failed on {re.escape(str(cols))}: "
+        "synthetic", msg), msg
+    assert [r.trial for r in rep.results] == [i for i in range(5) if i != t]
+    for r in rep.results:
+        for f in fields(r):
+            assert np.array_equal(getattr(r, f.name), getattr(clean.results[r.trial], f.name)), \
+                (r.trial, f.name)
+
+
 def test_a_gain_that_raises_fails_every_live_row(monkeypatch):
-    # one call solves every live row of a gain controller, so its error is
-    # each of theirs
+    # one call solves every live row of a gain controller; a gain that fails
+    # to build raises on every call from then on, so solved again row by
+    # row, every live row fails with that error
     import sparseppc.sim as sim_mod
 
     real, solves = sim_mod.l2_packet, count()
 
     def flaky(hm, x, nu2):
-        if next(solves) == 3:
+        if next(solves) >= 3:
             raise sp.SolverFailureError("synthetic failure")
         return real(hm, x, nu2)
 
@@ -595,7 +648,8 @@ def test_a_gain_that_raises_fails_every_live_row(monkeypatch):
 
 def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
     # on a grid each value's gain solves its own block of rows: the rows of
-    # the value whose gain raises fail, and the others keep their own bits
+    # the value whose gain raises (on every call from step 3 on) fail, and
+    # the others keep their own bits
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(controller="l2", trials=3, steps=10, seed=5,
@@ -608,7 +662,7 @@ def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
         solves = count()
 
         def flaky(hm, x, nu2):
-            if nu2 == 1e2 and next(solves) == 3:
+            if nu2 == 1e2 and next(solves) >= 3:
                 raise sp.SolverFailureError("synthetic failure")
             return real(hm, x, nu2)
         monkeypatch.setattr(sim_mod, "l2_packet", flaky)
@@ -644,7 +698,7 @@ def test_controller_dispatch():
         for k, x in enumerate(res.states):
             pkt = fn(x[None])
             assert res.sparsity[k] == pkt.sparsity, (name, k)
-            # a gain solves the block to (1, N), a per-state solver X[0] to (N,)
+            # l1l2 solves X[0] to (N,), every other controller the block to (1, N)
             assert np.array_equal(res.packets[k], pkt.u.reshape(-1)), (name, k)
         assert res.sparsity.dtype == np.int64
         assert np.isfinite(rep.mean_solve_seconds) and rep.mean_solve_seconds >= 0.0
