@@ -58,15 +58,23 @@ class FeasibilityCertificate:
     feasible: bool
 
 
-def budget_for(W: np.ndarray, x: np.ndarray) -> float:
+def budget_for(W: np.ndarray, x: np.ndarray):
     """x'Wx as (x @ W) @ x; x must already be a float array.
 
-    A budget that is not finite (a NaN or overflowed state) raises
-    NumericError: no packet can be judged against it.
+    x is one state (n,), and the budget a float, or a block of states
+    (b, n), and the budgets a (b,) array: stacked matmul gives each row the
+    bits of its own (x @ W) @ x. A budget that is not finite (a NaN or
+    overflowed state) raises NumericError, the block's first such one
+    named: no packet can be judged against it.
     """
-    budget = float(x @ W @ x)
-    if not math.isfinite(budget):
-        raise NumericError(f"state is not finite: x'Wx = {budget}")
+    if x.ndim == 1:
+        budget = float(x @ W @ x)
+        bad = [] if math.isfinite(budget) else [budget]
+    else:
+        budget = ((x[:, None, :] @ W) @ x[:, :, None])[:, 0, 0]
+        bad = budget[~np.isfinite(budget)].tolist()
+    if bad:
+        raise NumericError(f"state is not finite: x'Wx = {bad[0]}")
     return budget
 
 
@@ -122,21 +130,19 @@ def _support_node(hm: HorizonMatrices, mask: int, j: int = None) -> int:
     return nodes.add(mask, hm.G.T @ E, E.T @ E, w, _frozen(K), cols)
 
 
-def _node_products(nodes, P: int, W: np.ndarray, X: np.ndarray):
-    """Budgets x'Wx (b,), correlations C x (b, P, N) and norms x'M x (b, P).
+def _node_products(nodes, P: int, X: np.ndarray):
+    """Correlations C x (b, P, N) and norms x'M x (b, P).
 
     For each row x of the (b, n) block X and each node i < P, every entry
-    has the bits of that row's own budget_for(W, x), C[i].dot(x) and
-    x.dot(M[i].dot(x)): stacked matmul makes, row by row and node by node,
-    the BLAS call of the one product alone. A single product of the
-    (P N, n) block with x does not: with OpenBLAS on x86-64 its rows differ
-    from the nodes' own for n >= 8, and a product of M x with x differs
-    even at n = 4.
+    has the bits of that node's own C[i].dot(x) and x.dot(M[i].dot(x)):
+    stacked matmul makes, row by row and node by node, the BLAS call of the
+    one product alone. A single product of the (P N, n) block with x does
+    not: with OpenBLAS on x86-64 its rows differ from the nodes' own for
+    n >= 8, and a product of M x with x differs even at n = 4.
     """
-    rows, cols = X[:, None, :], X[:, :, None]
-    Mx = (nodes.M[None, :P] @ cols[:, None])[..., 0]
-    return (((rows @ W) @ cols)[:, 0, 0], (nodes.C[None, :P] @ cols[:, None])[..., 0],
-            (Mx[:, :, None, :] @ cols[:, None])[..., 0, 0])
+    cols = X[:, None, :, None]
+    Mx = (nodes.M[None, :P] @ cols)[..., 0]
+    return (nodes.C[None, :P] @ cols)[..., 0], (Mx[..., None, :] @ cols)[..., 0, 0]
 
 
 def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPacket:
@@ -155,32 +161,37 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
     leaves the smallest error, and step to the child node S + {j}, built
     by the first solve on hm that reaches it. The packet is K x.
 
-    One product over the first OMP_PREFIX nodes of the table, for every row
-    at once, gives each row its budget and each of those nodes its norm and
-    scores (see _node_products), bit for bit as their own products would,
-    so the walks through them are Python only (Batch-OMP: Rubinstein,
-    Zibulevsky & Elad, Technion CS-2008-08). A node past them, or one built
-    during this call, gets its own products. The table's +inf weights score
-    S zero; a pick that still lands on S (every score is 0, or a NaN) is
-    taken again with S at -inf, so every pick is the one the masked scores
-    give. For budgets built by the design procedure the full-support
-    residual is strictly below the budget, so the walk ends for every x. A
-    row whose budget is not finite raises NumericError, and a row that
+    One budget_for call and one product over the first OMP_PREFIX nodes of
+    the table, for every row at once, give each row its budget and each of
+    those nodes its norm and scores (see _node_products), bit for bit as
+    their own products would, so the walks through them are Python only
+    (Batch-OMP: Rubinstein, Zibulevsky & Elad, Technion CS-2008-08). A node
+    past them, or one built during this call, gets its own products. The
+    table's +inf weights score S zero; a pick that still lands on S (every
+    score is 0, or a NaN) is taken again with S at -inf, so every pick is
+    the one the masked scores give. For budgets built by the design
+    procedure the full-support residual is strictly below the budget, so
+    the walk ends for every x. A block with a budget that is not finite
+    raises NumericError before any walk; otherwise the first row whose walk
     raises ends the call with its error.
+
+    The block is the fast path: the stacked products cost about as much
+    for a few rows as for one, so a single state (n,) pays for the
+    broadcast and takes longer than a per-state solve would, while every
+    row of a block of five or more costs less.
     """
     X = np.asarray(X, dtype=float)
     block = X.reshape(-1, hm.n)
     nodes = hm._omp_nodes
+    budgets = budget_for(W, block)
     root = _support_node(hm, 0)
     P = min(nodes.count, OMP_PREFIX)
-    budgets, c, q = _node_products(nodes, P, W, block)
+    c, q = _node_products(nodes, P, block)
     go_rows = (q > budgets[:, None]).tolist()
     pick_rows = (c * c / nodes.w[:P]).argmax(axis=2).tolist()
     ends = []
     # ndarray.dot and .argmax: on arrays this small, call overhead is the cost
     for x, budget, go, picks in zip(block, budgets.tolist(), go_rows, pick_rows):
-        if not math.isfinite(budget):
-            raise NumericError(f"state is not finite: x'Wx = {budget}")
         i = root
         while go[i] if i < P else float(x.dot(nodes.M[i].dot(x))) > budget:
             cols = nodes.cols[i]

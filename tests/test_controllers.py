@@ -271,8 +271,9 @@ def test_node_products_equal_each_nodes_own_products(cessna_design, cessna_horiz
     for nodes, W, X in tables:
         assert nodes.count > OMP_PREFIX
         for B in (1, 5, 50):
-            for block in np.array_split(X[:100], 100 // B):
-                budgets, c, q = _node_products(nodes, nodes.count, W, block)
+            for block in np.array_split(X, -(-len(X) // B)):
+                budgets = budget_for(W, block)
+                c, q = _node_products(nodes, nodes.count, block)
                 assert c.shape == (len(block), nodes.count, nodes.C.shape[1])
                 assert budgets.shape == (len(block),) and q.shape == c.shape[:2]
                 for r, x in enumerate(block):
@@ -747,8 +748,9 @@ def test_l1l2_failed_active_set_solve_raises_solver_failure(cessna_horizon, rng,
     (lambda hm, W, x: sp.l1l2_packet(hm, x, 5.3), [np.nan, 0.0, 0.0, 0.0]),
     (lambda hm, W, x: sp.omp_packet(hm, W, x), [np.nan, 0.0, 0.0, 0.0]),
     (lambda hm, W, x: sp.omp_packet(hm, W, x), [1e200, 1e200, 0.0, 0.0]),
+    (lambda hm, W, x: sp.omp_packet(hm, W, x), [[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]]),
     (lambda hm, W, x: sp.exhaustive_l0_packet(hm, W, x), [np.nan, 0.0, 0.0, 0.0]),
-], ids=["l1l2-nan", "omp-nan", "omp-overflow", "oracle-nan"])
+], ids=["l1l2-nan", "omp-nan", "omp-overflow", "omp-block-nan", "oracle-nan"])
 def test_solvers_refuse_a_non_finite_state(cessna_design, cessna_horizon, solve, x):
     # NaN reads as "below nu1" or "within budget", and an overflowed x'Wx
     # as a budget no residual exceeds: each would return a wrong packet
