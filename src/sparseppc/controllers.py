@@ -264,13 +264,19 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> C
                            residual_sq=None, budget=budget)
 
 
-def _gain_packet(K: np.ndarray, x) -> ControlPacket:
-    """K x for one state (n,) or each row of a (b, n) batch of states.
+def _row_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A x for one vector x (n,) or each row x of a block X (..., n).
 
-    A stacked matmul, K times each state as a column, gives every row the
-    bits K.dot would give it alone.
+    A stacked matmul, A times each row as a column, makes row by row the
+    BLAS call of A @ x alone, so every row gets the bits of its own
+    product. A single product X @ A.T, or an einsum, need not.
     """
-    return ControlPacket((K @ np.asarray(x, dtype=float)[..., None])[..., 0], 1)
+    return (A @ X[..., None])[..., 0]
+
+
+def _gain_packet(K: np.ndarray, x) -> ControlPacket:
+    """K x for one state (n,) or each row of a (b, n) batch of states."""
+    return ControlPacket(_row_products(K, np.asarray(x, dtype=float)), 1)
 
 
 def least_squares_packet(hm: HorizonMatrices, x: np.ndarray) -> ControlPacket:
@@ -323,98 +329,165 @@ def _l1_gathers(hm: HorizonMatrices, mask: int) -> tuple:
     return ops
 
 
-def _kkt_gap(u: np.ndarray, c: np.ndarray, nu1: float) -> float:
-    """Largest miss of c_j = nu1 sign(u_j) on u's support and |c_j| <= nu1 off it."""
-    return float(np.max(np.where(u != 0.0, np.abs(c - nu1 * np.sign(u)), np.abs(c) - nu1)))
+def _kkt_gap(u: np.ndarray, c: np.ndarray, nu1) -> np.ndarray:
+    """Largest miss of c_j = nu1 sign(u_j) on u's support and |c_j| <= nu1 off it.
+
+    u and c are one row (N,) or rows (g, N), and nu1 a value or one per row.
+    """
+    nu1 = np.asarray(nu1)[..., None]
+    return np.max(np.where(u != 0.0, np.abs(c - nu1 * np.sign(u)), np.abs(c) - nu1), axis=-1)
 
 
-def l1l2_packet(hm: HorizonMatrices, x: np.ndarray, nu1: float,
-                guess: np.ndarray = None) -> ControlPacket:
+def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = None) -> ControlPacket:
     """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
 
-    One active-set loop (Osborne, Presnell & Turlach 2000): on the active
-    set S with signs s, u_S(lam) = (G'G)_SS^-1 (G'Hx_S - lam s). Its first
-    candidate is the guess (the loop's previous packet, if nonzero): that
-    support and signs at lam = nu1, kept if every coefficient keeps its sign
-    (an exact zero does not) and the KKT conditions hold (Ferreau, Bock &
-    Diehl 2008); the minimizer is unique, so it is the walk's packet to the
-    bit. Otherwise the loop walks from u = 0 at lam = ||G'Hx||_inf down to
-    nu1. At a breakpoint an inactive correlation g_j'(Hx - G u) reaches
-    +-lam (j joins) or a coefficient moving toward zero reaches 0 (j leaves,
-    barred from rejoining on that side at once); u_S is re-solved there and
-    at nu1. Over 50 N breakpoints or a walked packet that misses the KKT
-    conditions raise SolverFailureError, a non-finite G'Hx NumericError.
-    solver_iters is 0 for the zero packet, 1 for a certified guess, else the
-    walk's breakpoints, plus 1 if a guess was tried.
+    X is one state (n,) or a block of states (b, n), and u is then the (N,)
+    packet or the (b, N) packets, row r of u depending on row r of X and
+    nu1 alone. nu1 is one float or a (b,) array, a value per row. guess,
+    the loop's previous packets, is None or shaped like u; a row of zeros
+    is no guess.
+
+    On the active set S with signs s, u_S(lam) = (G'G)_SS^-1 (G'Hx_S -
+    lam s) (Osborne, Presnell & Turlach 2000). A row with ||G'Hx||_inf <=
+    nu1 gets the zero packet. A row's guess is tried first: that support
+    and signs at lam = nu1, kept if every coefficient keeps its sign (an
+    exact zero does not) and the KKT conditions hold (Ferreau, Bock & Diehl
+    2008); the minimizer is unique, so it is the walk's packet to the bit.
+    Any other row walks from u = 0 at lam = ||G'Hx||_inf down to nu1 (see
+    _l1_walk). solver_iters is the block's total: per row 0 for the zero
+    packet, 1 for a certified guess, else the walk's breakpoints, plus 1 if
+    a guess was tried.
+
+    One stacked G'H x gives every row its zero test, and the guessed rows
+    are solved per sign pattern: one broadcast solve of (G'G)_SS against
+    each row's own [s_S, b_S - nu1 s_S], then stacked correlations (the
+    Batch-OMP saving of Rubinstein, Zibulevsky & Elad applied to the
+    homotopy). Stacked matmul and a broadcast solve make, row by row, the
+    call of that row alone, so each row gets the bits of its own solve.
+    Only rows that miss walk, one at a time. A nu1 that is not positive
+    raises ConfigError and a non-finite G'Hx NumericError, before any row
+    is solved; otherwise the first walk that raises ends the call.
     """
-    if not (nu1 > 0.0):
-        raise ConfigError(f"nu1 must be positive, got {nu1}")
-    x = np.asarray(x, dtype=float)
+    X = np.asarray(X, dtype=float)
     N = hm.N
-    b = hm.GtH @ x
-    abs_b = np.abs(b)
-    lam0 = float(abs_b.max())
-    if not math.isfinite(lam0):
-        raise NumericError(f"state is not finite: ||G'Hx||_inf = {lam0}")
-    if not lam0 > nu1:
-        return ControlPacket(np.zeros(N), 0)
-    Hx, Gt, tol = hm.H @ x, hm.G.T, 1e-9 * lam0
-    tried = guess is not None and bool(guess.any())
+    block = X.reshape(-1, hm.n)
+    nu = np.asarray(nu1, dtype=float)
+    if not nu.min() > 0.0:
+        raise ConfigError(f"nu1 must be positive, got {nu[~(nu > 0.0)].flat[0]}")
+    B = _row_products(hm.GtH, block)
+    lam0 = np.abs(B).max(axis=1)
+    if not math.isfinite(lam0.max()):
+        raise NumericError(f"state is not finite: ||G'Hx||_inf = {lam0[~np.isfinite(lam0)][0]}")
+    u = np.zeros((len(block), N))
+    rows = (lam0 > nu).nonzero()[0]
+    iters = 0
+    if rows.size:
+        nu = np.full(lam0.shape, nu)
+        HX = _row_products(hm.H, block)
+        tried = np.zeros(len(block), dtype=bool)
+        if guess is not None:
+            signs = np.sign(np.asarray(guess, dtype=float).reshape(-1, N))
+            tried = signs.any(axis=1)
+        on = tried[rows]
+        walk, guessed = rows[~on].tolist(), rows[on]
+        if guessed.size:
+            missed = _l1_guesses(hm, u, guessed, signs, B, HX, nu, 1e-9 * lam0)
+            iters += guessed.size - len(missed)
+            walk += missed
+        for r in sorted(walk):
+            u[r], breaks = _l1_walk(hm, B[r], HX[r], float(lam0[r]), float(nu[r]))
+            iters += breaks + int(tried[r])
+    return ControlPacket(u.reshape(X.shape[:-1] + (N,)), iters)
+
+
+def _l1_guesses(hm: HorizonMatrices, u: np.ndarray, rows: np.ndarray, signs: np.ndarray,
+                B: np.ndarray, HX: np.ndarray, nu1: np.ndarray, tol: np.ndarray) -> list:
+    """Solve each of the rows on its guess's support and signs; return those that miss.
+
+    Row r has guess signs[r], G'Hx = B[r], Hx = HX[r], its nu1[r] and its
+    KKT tolerance tol[r]. Rows of one sign pattern share one broadcast
+    solve of (G'G)_SS against each row's [s_S, b_S - nu1 s_S], then
+    stacked correlations c = G'(Hx - G_S u_S). A row holds when every
+    coefficient keeps its sign and the KKT gap is within tol; its packet
+    goes into u[r]. A row that misses, the rows of a pattern whose solve
+    fails included, leaves its u[r] to the walk.
+    """
+    c = np.zeros(u.shape)
+    groups = {}
+    for r in rows.tolist():
+        groups.setdefault(signs[r].tobytes(), []).append(r)
+    for g in groups.values():
+        s, g = signs[g[0]], np.array(g)
+        S, GtG_SS, G_S, _ = _l1_gathers(hm, sum(1 << j for j in s.nonzero()[0].tolist()))
+        s_S = s[S]
+        rhs = np.empty((g.size, S.size, 2))
+        rhs[..., 0] = s_S
+        rhs[..., 1] = B[g[:, None], S] - nu1[g, None] * s_S
+        try:
+            U = np.linalg.solve(GtG_SS, rhs)[..., 1]
+        except np.linalg.LinAlgError:
+            continue                    # u stays 0, which holds for no guess
+        u[g[:, None], S] = U
+        c[g] = _row_products(hm.G.T, HX[g] - _row_products(G_S, U))
+    # every row of the block is checked; only the guessed rows are read
+    held = (np.sign(u) == signs).all(axis=1) & (_kkt_gap(u, c, nu1) <= tol)
+    return rows[~held[rows]].tolist()
+
+
+def _l1_walk(hm: HorizonMatrices, b: np.ndarray, Hx: np.ndarray, lam0: float,
+             nu1: float) -> tuple:
+    """The lasso homotopy of one state, with b = G'Hx: its packet and breakpoints.
+
+    The walk starts from u = 0 at lam = lam0 = ||b||_inf > nu1 and ends at
+    nu1. At a breakpoint an inactive correlation g_j'(Hx - G u) reaches
+    +-lam (j joins) or a coefficient moving toward zero reaches 0 (j
+    leaves, barred from rejoining on that side at once); u_S is re-solved
+    there and at nu1. Over 50 N breakpoints or a packet that misses the KKT
+    conditions raise SolverFailureError.
+    """
+    N, Gt = hm.N, hm.G.T
+    j = int(np.abs(b).argmax())
+    s, lam, mask, left = np.zeros(N), lam0, 1 << j, (0, j)
+    s[j] = np.sign(b[j])
+    # the active columns, and left: the (side, column) that left last
+    blocked = np.zeros((2, N), dtype=bool)
+    blocked[:, j] = True
     with np.errstate(divide="ignore", invalid="ignore"):
-        for guessing in (True, False)[not tried:]:
-            if guessing:
-                s, lam = np.sign(guess), nu1        # signs on the active set, 0 off it
-                mask = sum(1 << j for j in np.flatnonzero(s).tolist())
+        for iters in range(50 * N):
+            S, GtG_SS, G_S, GtG_S = _l1_gathers(hm, mask)
+            s_S = s[S]
+            try:    # d and u_S from one solve against [s_S, b_S - lam s_S]
+                d, u_S = np.linalg.solve(GtG_SS, np.array((s_S, b[S] - lam * s_S)).T).T
+            except np.linalg.LinAlgError as exc:
+                raise SolverFailureError(f"active-set solve failed: {exc}") from exc
+            c = Gt @ (Hx - G_S @ u_S)
+            if lam == nu1:
+                u = np.zeros(N)
+                u[S] = u_S
+                worst = float(_kkt_gap(u, c, nu1))
+                if worst <= 1e-9 * lam0:
+                    return u, iters
+                raise SolverFailureError(                # also a NaN from an overflow
+                    f"lasso packet misses the KKT conditions by {worst:.3g}", residual=worst)
+            # as lam drops by g, u_S moves by g d and c by -g a
+            join = (lam - SIDES * c) / (1.0 - SIDES * (GtG_S @ d))
+            join[blocked | ~(join > 0.0)] = np.inf
+            side, j = divmod(int(join.argmin()), N)
+            leave = np.where(d * s_S < 0.0, -u_S / d, np.inf)
+            i = int(leave.argmin())
+            if min(join[side, j], leave[i]) >= lam - nu1:
+                lam = nu1
+                continue
+            blocked[left] = s[left[1]] != 0.0   # its bar lifts, unless it is active
+            if leave[i] <= join[side, j]:
+                lam -= max(leave[i], 0.0)
+                side, j = int(s[S[i]] < 0), int(S[i])
+                s[j] = 0.0
+                blocked[1 - side, j] = False
             else:
-                j = int(abs_b.argmax())
-                s, lam, mask, left = np.zeros(N), lam0, 1 << j, (0, j)
-                s[j] = np.sign(b[j])
-                # the active columns, and left: the (side, column) that left last
-                blocked = np.zeros((2, N), dtype=bool)
+                lam -= join[side, j]
+                s[j] = 1.0 - 2.0 * side
                 blocked[:, j] = True
-            for iters in range(50 * N):
-                S, GtG_SS, G_S, GtG_S = _l1_gathers(hm, mask)
-                s_S = s[S]
-                try:    # d and u_S from one solve against [s_S, b_S - lam s_S]
-                    d, u_S = np.linalg.solve(GtG_SS, np.array((s_S, b[S] - lam * s_S)).T).T
-                except np.linalg.LinAlgError as exc:
-                    if guessing:
-                        break
-                    raise SolverFailureError(f"active-set solve failed: {exc}") from exc
-                c = Gt @ (Hx - G_S @ u_S)
-                if lam == nu1:
-                    u = np.zeros(N)
-                    u[S] = u_S
-                    held = (u_S * s_S > 0.0).all()
-                    # with the signs held this is _kkt_gap: |c_j| - nu1 <= |c_j - nu1 s_j|
-                    worst = (max(abs(c).max() - nu1, abs(c[S] - nu1 * s_S).max()) if held
-                             else _kkt_gap(u, c, nu1))
-                    if worst <= tol and (held or not guessing):
-                        return ControlPacket(u, iters + tried)
-                    if guessing:
-                        break
-                    raise SolverFailureError(                # also a NaN from an overflow
-                        f"lasso packet misses the KKT conditions by {worst:.3g}", residual=worst)
-                # as lam drops by g, u_S moves by g d and c by -g a
-                join = (lam - SIDES * c) / (1.0 - SIDES * (GtG_S @ d))
-                join[blocked | ~(join > 0.0)] = np.inf
-                side, j = divmod(int(join.argmin()), N)
-                leave = np.where(d * s_S < 0.0, -u_S / d, np.inf)
-                i = int(leave.argmin())
-                if min(join[side, j], leave[i]) >= lam - nu1:
-                    lam = nu1
-                    continue
-                blocked[left] = s[left[1]] != 0.0   # its bar lifts, unless it is active
-                if leave[i] <= join[side, j]:
-                    lam -= max(leave[i], 0.0)
-                    side, j = int(s[S[i]] < 0), int(S[i])
-                    s[j] = 0.0
-                    blocked[1 - side, j] = False
-                else:
-                    lam -= join[side, j]
-                    s[j] = 1.0 - 2.0 * side
-                    blocked[:, j] = True
-                left = (side, j)
-                mask ^= 1 << j
-            else:
-                raise SolverFailureError(f"lasso path exceeded {50 * N} breakpoints")
+            left = (side, j)
+            mask ^= 1 << j
+    raise SolverFailureError(f"lasso path exceeded {50 * N} breakpoints")

@@ -197,44 +197,56 @@ def _check_trials(cfg: SimConfig, model: PlantModel, dropout: DropoutModel) -> N
         raise ConfigError(f"exhaustive search refused for N = {cfg.N} > cap {ORACLE_CAP}")
 
 
-def make_controller(cfg: SimConfig, setup: SimSetup):
-    """The config's packet solver on the setup, as a function of a block of states.
+def make_controller(cfg: SimConfig, setup: SimSetup, grid: list = None):
+    """The config's packet solver on the setup, as a function of a block of rows.
 
-    A controller takes a (b, n) block of states X and returns a
-    ControlPacket of their (b, N) packets; every packet depends on its state
-    alone, so one controller serves every trial of a run. The gains (l2,
-    least_squares) solve the block in one product, omp in one product over
-    the support-node table and a walk per row, and oracle one exhaustive
-    search per row. The l1l2 solver keeps its last packet as the next
-    solve's warm start, so its cost depends on the states before: make one
-    l1l2 controller per trial, and give it a block of one row.
+    A controller takes a (b, n) block of states X and rows, the indices of
+    the run's rows they are (see _lockstep), and returns a ControlPacket of
+    their (b, N) packets. A run's rows are its trials; with a grid of nu
+    values they are its trials once per value, grid-major, and row r runs
+    at grid[r // cfg.trials] (see monte_carlo). One controller serves every
+    row of a run, and each packet depends on its state and its value alone.
+    The gains (l2, least_squares) solve the block in one product (l2 one
+    per value), omp in one product over the support-node table and a walk
+    per row, oracle in one exhaustive search per row, and l1l2 in one block
+    solve at each row's nu1. l1l2 keeps each row's last packet, in a
+    (rows, N) array, as that row's next warm start; a call that raises
+    keeps none.
     """
     hm, design = setup.hm, setup.design
     name = cfg.controller
     if name == "omp":
-        return lambda X: omp_packet(hm, design.W, X)
+        return lambda X, rows: omp_packet(hm, design.W, X)
     if name == "oracle":
-        def oracle(X):
+        def oracle(X, rows):
             pkts = [exhaustive_l0_packet(hm, design.W, x) for x in X]
             return ControlPacket(np.array([pkt.u for pkt in pkts]),
                                  sum(pkt.solver_iters for pkt in pkts))
 
         return oracle
     if name == "least_squares":
-        return lambda X: least_squares_packet(hm, X)
+        return lambda X, rows: least_squares_packet(hm, X)
     if name == "l2":
-        return lambda X: l2_packet(hm, X, cfg.nu2)
-    if name == "l1l2":
-        last = None
+        nu2 = [cfg.nu2] if grid is None else grid
 
-        def l1l2(X):
-            nonlocal last
-            # looked up in this module at each call, where the tracer wraps it
-            pkt = l1l2_packet(hm, X[0], cfg.nu1, guess=last)
-            last = pkt.u
-            return pkt
+        def l2(X, rows):
+            point = rows // cfg.trials
+            # rows are grid-major, so each value's rows are one span of the block
+            cuts = [0, *(np.flatnonzero(np.diff(point)) + 1).tolist(), len(rows)]
+            pkts = [l2_packet(hm, X[a:b], nu2[point[a]]) for a, b in zip(cuts, cuts[1:])]
+            return ControlPacket(np.concatenate([pkt.u for pkt in pkts]), len(pkts))
 
-        return l1l2
+        return l2
+    nu1 = np.repeat([cfg.nu1] if grid is None else grid, cfg.trials).astype(float)   # per row
+    last = np.zeros((nu1.size, hm.N))
+
+    def l1l2(X, rows):
+        # looked up in this module at each call, where the tracer wraps it
+        pkt = l1l2_packet(hm, X, nu1[rows], guess=last[rows])
+        last[rows] = pkt.u
+        return pkt
+
+    return l1l2
 
 
 def trial_inputs(cfg: SimConfig, setup: SimSetup, namespace: int, trial: int):
@@ -291,66 +303,67 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
     """Simulate one closed loop over the length of the trace.
 
     This is the engine's call with one row (see _lockstep): at each step
-    the controller solves a (1, n) block holding the row's state. Where the
-    engine would drop the row, the trial fails and its error is raised.
+    the controller solves a (1, n) block holding the row's state, as row 0.
+    Where the engine would drop the row, the trial fails and its error is
+    raised.
     """
     T, n = trace.T, setup.model.n
     if np.shape(noise) != (T, n):
         raise ConfigError(f"noise must have shape ({T}, {n}), got {np.shape(noise)}")
-    records, failures, _ = _lockstep(setup, [controller], [(trial, trace, x0, noise)])
+    records, failures, _ = _lockstep(setup, controller, [(trial, trace, x0, noise)])
     if failures:
         raise failures[0][1]
     return records.rows()[0]
 
 
-def _lockstep(setup: SimSetup, controllers: list, inputs: list):
-    """The closed-loop engine: step the loops of all rows of inputs together.
+def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
+    """The closed-loop engine: step the loops of all rows together.
 
-    inputs holds each row's (trial, trace, x0, noise), all of one length T.
-    At each step k, every live row has V(k) checked and its packet solved
-    and recorded; its input is the recorded element that its read schedule
-    (one actuate call per row) names, and noise[k] is added to x(k+1). The
-    controllers own equal blocks of consecutive rows, in order (see
-    make_controller): each one solves the live rows of its block in one
-    call. If that call raises a package error, each of those rows is
-    solved again on its own, and only the rows that raise again fail, each
-    with its own error. Products and quadratic forms are stacked matmuls,
-    one small product per row, so each row gets the bits it would get
-    alone. A row leaves the batch on a package error: a burst that outruns
-    the packets (before any solve), a V(k) that is not finite, its solve
-    raising, or, once the loop ends, a recorded packet or a performance
-    sqrt(sum_k ||x(k)||^2) that is not finite. A ConfigError ends the run.
+    inputs holds each trial's (trial, trace, x0, noise), all of one length
+    T, and the rows are copies of them, copy-major: row r steps inputs[r %
+    len(inputs)]. Each trial's read schedule is computed once (one actuate
+    call) and shared by its rows. At each step k, every live row has V(k)
+    checked and its packet solved and recorded; its input is the recorded
+    element that its schedule names, and noise[k] is added to x(k+1). The
+    controller solves the live rows in one call, told which rows they are
+    (see make_controller). If that call raises a package error, each of
+    those rows is solved again on its own, and only the rows that raise
+    again fail, each with its own error. Products and quadratic forms are
+    stacked matmuls, one small product per row, so each row gets the bits
+    it would get alone. A row leaves the batch on a package error: a burst
+    that outruns the packets (before any solve), a V(k) that is not finite,
+    its solve raising, or, once the loop ends, a recorded packet or a
+    performance sqrt(sum_k ||x(k)||^2) that is not finite. A ConfigError
+    ends the run.
 
     Returns the stacked records of the rows that finished, the failures as
     (row, error) in row order, and the solve time per live row and step.
     """
     A, B, P, N = setup.model.A, setup.model.B, setup.design.P, setup.design.N
     trials, traces, x0, noise = zip(*inputs)
-    rows, T = len(inputs), traces[0].T
+    m, T = len(inputs), traces[0].T
+    rows = m * copies
     failed = {}               # row -> error
-    # plays[i, k]: the element row i plays at step k, as an index into packets.ravel()
-    plays = np.zeros((rows, T), dtype=np.intp)
-    for i, trace in enumerate(traces):
+    src, age = np.zeros((2, m, T), dtype=np.intp)
+    for t, trace in enumerate(traces):
         try:
-            src, age = actuate(trace, N)
+            src[t], age[t] = actuate(trace, N)
         except ConfigError:
             raise
         except SparsePpcError as exc:
-            failed[i] = exc
-        else:
-            plays[i] = (i * T + src) * N + age
+            failed.update(dict.fromkeys(range(t, rows, m), exc))
+    # plays[i, k]: the element row i plays at step k, as an index into packets.ravel()
+    plays = (np.arange(rows)[:, None] * T + np.tile(src, (copies, 1))) * N + np.tile(age, (copies, 1))
     live = np.array([i for i in range(rows) if i not in failed], dtype=np.intp)
-    # controllers[g] owns rows edges[g] .. edges[g + 1] - 1
-    edges = list(range(0, rows + 1, rows // len(controllers)))
-    X = np.array(x0, dtype=float)[live]
-    noise = np.array(noise, dtype=float)
+    X = np.array(x0 * copies, dtype=float)[live]
+    noise = np.array(noise * copies, dtype=float)
 
     states = np.empty((rows, T, setup.model.n))
     V = np.empty((rows, T))
     packets = np.empty((rows, T, N))
     played = packets.reshape(-1)
     solve_seconds, solves = 0.0, 0
-    for k in range(T):
+    for k in range(T if live.size else 0):     # no loop when every schedule was refused
         Vk = ((X[:, None, :] @ P) @ X[:, :, None])[:, 0, 0]
         ok = np.isfinite(Vk)
         if not ok.all():
@@ -363,22 +376,20 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list):
         at = slice(None) if whole else live     # basic indexing while all are live
         lost = []
         t0 = perf_counter()
-        # each controller's block is the span a:b of the live rows
-        cuts = edges if whole else np.searchsorted(live, edges).tolist()
-        for controller, a, b in zip(controllers, cuts, cuts[1:]):
-            spans = [(a, b)] if a < b else []
-            # a block that raises is solved again one row at a time (spans grows)
-            for a, b in spans:
-                try:
-                    packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b]).u
-                except ConfigError:
-                    raise
-                except SparsePpcError as exc:
-                    if b - a > 1:
-                        spans += [(r, r + 1) for r in range(a, b)]
-                    else:
-                        failed[live[a]] = exc
-                        lost.append(live[a])
+        # a block that raises is solved again one row at a time (spans grows)
+        spans = [(0, live.size)]
+        for a, b in spans:
+            try:
+                packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b],
+                                                                             live[a:b]).u
+            except ConfigError:
+                raise
+            except SparsePpcError as exc:
+                if b - a > 1:
+                    spans += [(r, r + 1) for r in range(a, b)]
+                else:
+                    failed[live[a]] = exc
+                    lost.append(live[a])
         solve_seconds += perf_counter() - t0
         solves += live.size
         if lost:
@@ -405,10 +416,10 @@ def _lockstep(setup: SimSetup, controllers: list, inputs: list):
         at = live
     kept = packets[at]
     records = TrialResult(
-        trial=np.array(trials)[at], states=states, norms=norms, perf=perf, V=V[at],
-        d=np.array([trace.d for trace in traces])[at], u_applied=played[plays[at]],
+        trial=np.array(trials * copies)[at], states=states, norms=norms, perf=perf, V=V[at],
+        d=np.array([trace.d for trace in traces] * copies)[at], u_applied=played[plays[at]],
         packets=kept, sparsity=np.count_nonzero(kept, axis=2),
-        overrides=np.array([trace.overrides for trace in traces])[at])
+        overrides=np.array([trace.overrides for trace in traces] * copies)[at])
     failures = [(int(i), failed[i]) for i in sorted(failed)]
     return records, failures, solve_seconds / max(solves, 1)
 
@@ -475,9 +486,9 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
                 grid: list = None) -> MonteCarloReport:
     """Run cfg.trials independent paired trials in lockstep; keep every result.
 
-    Every trial is one row of the engine (_lockstep). One controller
-    solves every trial's state in one call per step, except l1l2, which
-    gets a controller per trial, so no warm start crosses trials. The run's
+    Every trial is one row of the engine (_lockstep), and one controller
+    (make_controller) solves every live row's state in one call per step;
+    the l1l2 warm start is kept per row, so none crosses trials. The run's
     config alone picks the controller, nu and noise; a given setup must
     share cfg's SETUP_FIELDS and is checked as build_setup does. A
     noise-free run (sigma = 0) is audited for Lyapunov decrease. A config
@@ -487,11 +498,11 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
 
     With a grid of nu values, cfg's controller must be a sweep family
     (SWEEP_KEYS), and each value sets the family's nu field for a copy of
-    the trials: every trial's inputs are drawn once and each of its rows
-    steps them, all in one batch. Each value's rows get their own
-    controllers, one for all of them or one per l1l2 row, so every row has
-    the bits of its own value's run; the run fails when all trials of any
-    one value do.
+    the trials, grid-major: every trial's inputs are drawn once, its read
+    schedule is computed once, and each of its rows steps them, all in one
+    batch. The run's one controller reads each row's value off the grid,
+    so every row has the bits of its own value's run; the run fails when
+    all trials of any one value do.
     """
     if grid is not None and cfg.controller not in SWEEP_KEYS:
         raise ConfigError(f"a grid run needs a controller of {tuple(SWEEP_KEYS)}, "
@@ -510,15 +521,14 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
 
     inputs = [(trial, *trial_inputs(cfg, setup, namespace, trial))
               for trial in range(cfg.trials)]
-    blocks = cfg.trials if cfg.controller == "l1l2" else 1
-    controllers = [make_controller(run, setup) for run in runs for _ in range(blocks)]
+    controller = make_controller(cfg, setup, grid)
     # an overflowing trial fails on the engine's finiteness checks, so numpy's
     # overflow warnings would only say it first; a warnings filter, unlike
     # np.errstate, costs the numpy calls inside nothing
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
                                 RuntimeWarning)
-        records, errors, solve_seconds = _lockstep(setup, controllers, inputs * len(runs))
+        records, errors, solve_seconds = _lockstep(setup, controller, inputs, copies=len(runs))
     errors = {row: f"{type(exc).__name__}: {exc}" for row, exc in errors}
     for g in range(len(runs)):
         first = g * cfg.trials

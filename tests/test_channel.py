@@ -191,8 +191,8 @@ def test_run_trial_refuses_a_burst_beyond_the_packet():
     setup = build_setup(cfg)
     solves = []
 
-    def controller(x):
-        solves.append(x)
+    def controller(X, rows):
+        solves.append(X)
         return ControlPacket(u=np.zeros(10), solver_iters=0)
 
     noise = np.zeros((30, setup.model.n))

@@ -402,12 +402,17 @@ def _fail_trials(monkeypatch, failing):
     """Make each trial that failing(cfg, trial) names fail at its first solve.
 
     A trial's first state is the x0 that trial_inputs draws for it. Every
-    controller made for cfg raises on a block that holds the x0 of a trial
-    failing(cfg, trial) names, so that trial fails alone, however many rows
-    its block holds: the engine solves a block that raises again row by row.
+    controller raises on a block that holds, at some row, the x0 of a trial
+    that failing(cfg, trial) names for that row's own run config (on a
+    grid, the base config at the row's value), so that row fails alone,
+    however many rows its block holds: the engine solves a block that
+    raises again row by row.
     """
+    from dataclasses import replace
+
     import sparseppc.sim as sim_mod
     from sparseppc.errors import SolverFailureError
+    from sparseppc.sim import SWEEP_KEYS
 
     real_inputs, real_make, starts = sim_mod.trial_inputs, sim_mod.make_controller, {}
 
@@ -416,13 +421,16 @@ def _fail_trials(monkeypatch, failing):
         starts[drawn[1].tobytes()] = trial
         return drawn
 
-    def make(cfg, setup):
-        solve = real_make(cfg, setup)
+    def make(cfg, setup, grid=None):
+        solve = real_make(cfg, setup, grid)
+        runs = [cfg] if grid is None else [
+            replace(cfg, **{SWEEP_KEYS[cfg.controller]: nu}) for nu in grid]
 
-        def controller(X):
-            if any(failing(cfg, starts.get(x.tobytes())) for x in X):
+        def controller(X, rows):
+            if any(failing(runs[r // cfg.trials], starts.get(x.tobytes()))
+                   for x, r in zip(X, rows.tolist())):
                 raise SolverFailureError("synthetic failure")
-            return solve(X)
+            return solve(X, rows)
         return controller
 
     monkeypatch.setattr(sim_mod, "trial_inputs", inputs)

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.controllers import (FEASIBILITY_SLACK, OMP_PREFIX, ORACLE_CAP, ControlPacket,
-                                   _node_products, _support_lsq, _support_node, budget_for)
+                                   _l1_gathers, _node_products, _row_products, _support_lsq,
+                                   _support_node, budget_for)
 from sparseppc.errors import ConfigError, FeasibilityError, NumericError, SolverFailureError
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
@@ -606,16 +608,23 @@ def test_l1l2_closed_loop_packets_meet_kkt():
 def test_l1l2_warm_start_equals_the_cold_walk_bit_for_bit(monkeypatch):
     # every packet a 100 x 100 closed loop recorded, each solved with the
     # trial's previous packet as its guess, against a solve with no guess;
-    # solver_iters tells a certified guess (1) from a miss (1 + the walk)
+    # solver_iters tells a certified guess (1) from a miss (1 + the walk).
+    # The loop solves a block of rows at a time, so each row's own count is
+    # that of the row solved alone, and the block's is their total
     import sparseppc.sim as sim_mod
 
     real = sim_mod.l1l2_packet
     guessed = []
 
-    def recording(hm, x, nu1, guess=None):
-        pkt = real(hm, x, nu1, guess=guess)
-        if guess is not None and np.any(guess) and pkt.sparsity:
-            guessed.append(pkt.solver_iters)
+    def recording(hm, X, nu1, guess=None):
+        pkt = real(hm, X, nu1, guess=guess)
+        total = 0
+        for x, nu, g, u in zip(X, np.broadcast_to(nu1, len(X)), guess, pkt.u):
+            iters = real(hm, x, nu, guess=g).solver_iters
+            total += iters
+            if np.any(g) and np.any(u):
+                guessed.append(iters)
+        assert pkt.solver_iters == total
         return pkt
 
     monkeypatch.setattr(sim_mod, "l1l2_packet", recording)
@@ -670,6 +679,91 @@ def test_l1l2_equals_the_reference_solver_for_any_guess(cessna_horizon, seed, s,
         got = sp.l1l2_packet(hm, x, nu1, guess=guess)
         want = l1l2_reference(hm, x, nu1, guess=guess)
         assert np.array_equal(got.u, want.u) and got.solver_iters == want.solver_iters
+
+
+def _l1_cases(cessna_horizon, rng):
+    """(horizon, states, nu1 grid) on the cessna closed loop and on random
+    n = 9 and n = 12 plants; each grid holds a duplicate value."""
+    cases = [(cessna_horizon, _closed_loop_states(controller="l1l2", nu1=1e2, trials=3),
+              [1e-3, 5.3, 1e2, 1e3, 5.3e3, 5.3e3, 1e4])]
+    for n in (9, 12):
+        hm = sp.build_horizon(random_reachable(rng, n, n), np.eye(n), np.eye(n), 10)
+        X = rng.standard_normal((100, n)) * 10.0 ** rng.uniform(-3, 3, (100, 1))
+        # values among the rows' own thresholds ||G'Hx||_inf, so that some
+        # rows get the zero packet and others walk far down the path
+        lam0 = np.abs(_row_products(hm.GtH, X)).max(axis=1)
+        cases.append((hm, X, np.quantile(lam0, [0.01, 0.1, 0.3, 0.3, 0.6, 0.9]).tolist()))
+    return cases
+
+
+@pytest.mark.parametrize("B", [1, 8, 50])
+def test_l1l2_block_equals_the_reference(cessna_horizon, rng, B):
+    # each row gets a nu1 drawn from its grid and one guess: none, its own
+    # packet (certified), another row's packet (stale: wrong support or
+    # signs) or its own packet negated; blocks of B rows must give every
+    # row the reference's packet bit for bit, and their rows' total of
+    # solver_iters. B = 1 is the single-state call. shared counts the rows
+    # whose guess shares its sign pattern with a row of another nu1 in the
+    # block, so that one solve serves rows of different values
+    kinds, shared = Counter(), 0
+    for hm, X, grid in _l1_cases(cessna_horizon, rng):
+        nu1 = rng.choice(grid, len(X))
+        cold = np.array([l1l2_reference(hm, x, nu).u for x, nu in zip(X, nu1)])
+        kind = rng.integers(0, 4, len(X))
+        guesses = np.where((kind == 0)[:, None], 0.0, cold)
+        guesses[kind == 2] = cold[rng.permutation(len(X))][kind == 2]
+        guesses[kind == 3] *= -1.0
+        for at in np.array_split(np.arange(len(X)), -(-len(X) // B)):
+            if B == 1:
+                [r] = at
+                pkt = sp.l1l2_packet(hm, X[r], nu1[r], guess=guesses[r])
+                assert pkt.u.shape == (hm.N,)
+            else:
+                pkt = sp.l1l2_packet(hm, X[at], nu1[at], guess=guesses[at])
+                assert pkt.u.shape == (len(at), hm.N)
+            total = 0
+            for u, r in zip(pkt.u.reshape(-1, hm.N), at):
+                want = l1l2_reference(hm, X[r], nu1[r], guess=guesses[r])
+                assert u.tobytes() == want.u.tobytes(), (r, nu1[r], guesses[r])
+                total += want.solver_iters
+                tried = guesses[r].any() and want.solver_iters > 0
+                kinds["zero" if want.solver_iters == 0 else "certified"
+                      if tried and want.solver_iters == 1 else "missed" if tried else "cold"] += 1
+            assert pkt.solver_iters == total
+            patterns = {}
+            for r in at:
+                if guesses[r].any() and np.abs(hm.GtH @ X[r]).max() > nu1[r]:
+                    patterns.setdefault(np.sign(guesses[r]).tobytes(), set()).add(nu1[r])
+            shared += sum(len(values) for values in patterns.values() if len(values) > 1)
+    assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
+    assert (shared > 0) == (B > 1), shared
+
+
+def test_l1_block_products_equal_each_rows_own(cessna_horizon, rng):
+    # the stacked products of the l1 block solve, and its broadcast solve
+    # with (g, k, 2) right-hand sides, give each row the bits of that row's
+    # own call, as the walk makes it, at n = 4, 9 and 12
+    for hm, X, grid in _l1_cases(cessna_horizon, rng):
+        X = X[:60]
+        B, HX = _row_products(hm.GtH, X), _row_products(hm.H, X)
+        for r, x in enumerate(X):
+            assert B[r].tobytes() == (hm.GtH @ x).tobytes()
+            assert HX[r].tobytes() == (hm.H @ x).tobytes()
+        for mask in {int(m) for m in rng.integers(1, 2**hm.N, 12)} | {1, 2**hm.N - 1}:
+            S, GtG_SS, G_S, _ = _l1_gathers(hm, mask)
+            s_S = rng.choice([-1.0, 1.0], S.size)
+            lam = rng.choice(grid, len(X))
+            rhs = np.empty((len(X), S.size, 2))
+            rhs[..., 0] = s_S
+            rhs[..., 1] = B[:, S] - lam[:, None] * s_S
+            sol = np.linalg.solve(GtG_SS, rhs)
+            U = sol[..., 1]
+            C = _row_products(hm.G.T, HX - _row_products(G_S, U))
+            for r in range(len(X)):
+                d, u_S = np.linalg.solve(GtG_SS, np.array((s_S, B[r, S] - lam[r] * s_S)).T).T
+                assert sol[r].tobytes() == np.linalg.solve(GtG_SS, rhs[r]).tobytes()
+                assert sol[r, :, 0].tobytes() == d.tobytes() and U[r].tobytes() == u_S.tobytes()
+                assert C[r].tobytes() == (hm.G.T @ (HX[r] - G_S @ u_S)).tobytes(), (mask, r)
 
 
 def test_l1l2_guess_that_misses_falls_back_to_the_walk(cessna_horizon, rng):

@@ -437,14 +437,14 @@ def _raise_on_states(monkeypatch, states, error):
 
     real, keys = sim_mod.make_controller, [x.tobytes() for x in states]
 
-    def make(cfg, setup):
-        solve = real(cfg, setup)
+    def make(cfg, setup, grid=None):
+        solve = real(cfg, setup, grid)
 
-        def controller(X):
+        def controller(X, rows):
             for x in X:
                 if x.tobytes() in keys:
                     raise error(keys.index(x.tobytes()))
-            return solve(X)
+            return solve(X, rows)
         return controller
 
     monkeypatch.setattr(sim_mod, "make_controller", make)
@@ -471,12 +471,13 @@ def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
     trial_1 = {x.tobytes() for x in monte_carlo(cfg).results[1].states}
     real = sim_mod.make_controller
 
-    def make(cfg, setup):
+    def make(cfg, setup, grid=None):
         G = setup.hm.G.copy()
         G[:, 0] = 0.0
         hm = replace(setup.hm, G=G, col_norm_sq=np.sum(G * G, axis=0))
-        broken, solve = real(cfg, replace(setup, hm=hm)), real(cfg, setup)
-        return lambda X: (broken if any(x.tobytes() in trial_1 for x in X) else solve)(X)
+        broken, solve = real(cfg, replace(setup, hm=hm), grid), real(cfg, setup, grid)
+        return lambda X, rows: (broken if any(x.tobytes() in trial_1 for x in X)
+                                else solve)(X, rows)
 
     monkeypatch.setattr(sim_mod, "make_controller", make)
     with np.errstate(invalid="ignore"):
@@ -647,9 +648,9 @@ def test_a_gain_that_raises_fails_every_live_row(monkeypatch):
 
 
 def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
-    # on a grid each value's gain solves its own block of rows: the rows of
-    # the value whose gain raises (on every call from step 3 on) fail, and
-    # the others keep their own bits
+    # on a grid the controller solves each value's rows with that value's
+    # gain: the rows of the value whose gain raises (on every call from step
+    # 3 on) fail, and the others keep their own bits
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(controller="l2", trials=3, steps=10, seed=5,
@@ -669,8 +670,8 @@ def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
 
     raise_at_step_3()
     inputs = [(t, *trial_inputs(cfg, setup, NS_MAIN, t)) for t in range(cfg.trials)]
-    gains = [make_controller(replace(cfg, nu2=nu), setup) for nu in (1e2, 1e4)]
-    records, failures, _ = sim_mod._lockstep(setup, gains, inputs * 2)
+    controller = make_controller(cfg, setup, [1e2, 1e4])
+    records, failures, _ = sim_mod._lockstep(setup, controller, inputs, copies=2)
     assert [(row, str(exc)) for row, exc in failures] == [(r, "synthetic failure")
                                                           for r in range(3)]
     for row, alone in zip(records.rows(), clean.results, strict=True):
@@ -680,6 +681,129 @@ def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
     with pytest.raises(sp.SparsePpcError, match="all 3 trials failed at nu2 = 100.0; "
                                                 "first: SolverFailureError: synthetic failure"):
         sim_mod.monte_carlo(cfg, setup=setup, grid=[1e4, 1e2])
+
+
+L1_GRID = [1e2, 1e3, 5.3e3]
+
+
+def _l1_grid_key(clean):
+    """(row, step) of the first state, from step 3 on, that only one row of
+    the clean grid run records, with a nonzero packet: a failure keyed on it
+    fails that row alone."""
+    states = clean.records.states
+    seen = Counter(x.tobytes() for x in states.reshape(-1, states.shape[-1]))
+    for k in range(3, states.shape[1]):
+        for row in range(len(states)):
+            if seen[states[row, k].tobytes()] == 1 and clean.records.sparsity[row, k]:
+                return row, k
+
+
+def test_a_failing_l1_row_on_a_grid_fails_alone(monkeypatch):
+    # an l1 grid run of 3 trials at 3 values is one block of 9 rows, and one
+    # controller solves it. The block solve that holds the key state raises
+    # once it has run: the engine solves each row again on its own, that row
+    # fails alone with its own error, and the other eight keep every field
+    # of the clean run. The failed call changed no warm start: each retry
+    # gets its row's guess from the failed call, and the next block gets
+    # each surviving row's own last packet
+    import sparseppc.sim as sim_mod
+
+    cfg = SimConfig(controller="l1l2", trials=3, steps=20, seed=3)
+    clean = monte_carlo(cfg, grid=L1_GRID)
+    row, k = _l1_grid_key(clean)
+    key = clean.records.states[row, k].tobytes()
+    real, calls = sim_mod.l1l2_packet, []
+
+    def l1(hm, X, nu1, guess=None):
+        calls.append((X.copy(), np.array(nu1), guess.copy()))
+        pkt = real(hm, X, nu1, guess=guess)
+        if any(x.tobytes() == key for x in X):
+            raise sp.SolverFailureError(f"synthetic failure {len(X)}")
+        return pkt
+
+    monkeypatch.setattr(sim_mod, "l1l2_packet", l1)
+    rep = sim_mod.monte_carlo(cfg, grid=L1_GRID)
+    assert rep.failures == [(L1_GRID[row // 3], row % 3, "SolverFailureError: synthetic failure 1")]
+    kept = [r for r in range(9) if r != row]
+    assert rep.point.tolist() == [r // 3 for r in kept]
+    for r, res in zip(kept, rep.results, strict=True):
+        for f in fields(res):
+            assert np.array_equal(getattr(res, f.name), getattr(clean.results[r], f.name)), \
+                (r, f.name)
+    assert [len(X) for X, _, _ in calls] == [9] * (k + 1) + [1] * 9 + [8] * (cfg.steps - k - 1)
+    X, nu1, guess = calls[k]
+    assert nu1.tolist() == [L1_GRID[r // 3] for r in range(9)]
+    for r in range(9):
+        assert [a.tobytes() for a in calls[k + 1 + r]] == [
+            X[r:r + 1].tobytes(), nu1[r:r + 1].tobytes(), guess[r:r + 1].tobytes()]
+    assert np.array_equal(calls[k + 10][2], clean.records.packets[kept, k])
+
+
+def test_a_config_error_ends_an_l1_grid_run(monkeypatch):
+    # the block solve that holds the key state raises a ConfigError: the
+    # run ends there, and no row is solved again on its own
+    import sparseppc.sim as sim_mod
+
+    cfg = SimConfig(controller="l1l2", trials=3, steps=20, seed=3)
+    clean = monte_carlo(cfg, grid=L1_GRID)
+    row, k = _l1_grid_key(clean)
+    _raise_on_states(monkeypatch, [clean.records.states[row, k]],
+                     lambda i: ConfigError("synthetic config error"))
+    calls = []
+    real = sim_mod.l1l2_packet
+    monkeypatch.setattr(sim_mod, "l1l2_packet",
+                        lambda hm, X, nu1, guess=None: calls.append(len(X)) or real(
+                            hm, X, nu1, guess=guess))
+    with pytest.raises(ConfigError, match="synthetic config error"):
+        sim_mod.monte_carlo(cfg, grid=L1_GRID)
+    assert calls == [9] * k
+
+
+def test_l1_grid_rows_warm_start_from_their_own_packets(monkeypatch):
+    # each row of an l1 grid run is solved at its own value, with its own
+    # last packet as its guess (none at step 0)
+    import sparseppc.sim as sim_mod
+
+    cfg = SimConfig(controller="l1l2", trials=3, steps=20, seed=3)
+    real, calls = sim_mod.l1l2_packet, []
+    monkeypatch.setattr(sim_mod, "l1l2_packet", lambda hm, X, nu1, guess=None: calls.append(
+        (np.array(nu1), guess.copy())) or real(hm, X, nu1, guess=guess))
+    rep = sim_mod.monte_carlo(cfg, grid=L1_GRID)
+    assert not rep.failures and len(calls) == cfg.steps
+    packets = rep.records.packets
+    for k, (nu1, guess) in enumerate(calls):
+        assert nu1.tolist() == [L1_GRID[r // 3] for r in range(9)]
+        assert np.array_equal(guess, packets[:, k - 1] if k else np.zeros_like(packets[:, 0]))
+
+
+@pytest.mark.parametrize("family", sorted(SWEEP_KEYS))
+def test_a_grid_run_actuates_each_trial_once(family, monkeypatch):
+    # the rows of one trial share its read schedule: a grid run of 3 trials
+    # at 4 values makes one actuate call per trial, not one per row. When
+    # the schedule of trial 1 is refused, every row of trial 1 fails with
+    # that error and the other rows keep every field of the clean run
+    import sparseppc.sim as sim_mod
+
+    cfg = SimConfig(controller=family, trials=3, steps=15, seed=2)
+    grid = SWEEP_VALUES[family][:3] + SWEEP_VALUES[family][2:3]
+    clean = monte_carlo(cfg, grid=grid)
+    real, traces = sim_mod.actuate, []
+
+    def actuate(trace, N):
+        traces.append(trace)
+        if len(traces) == 2:
+            raise sp.ProtocolViolationError("synthetic burst")
+        return real(trace, N)
+
+    monkeypatch.setattr(sim_mod, "actuate", actuate)
+    rep = sim_mod.monte_carlo(cfg, grid=grid)
+    assert [trace.d.tolist() for trace in traces] == [r.d.tolist() for r in clean.results[:3]]
+    assert rep.failures == [(nu, 1, "ProtocolViolationError: synthetic burst") for nu in grid]
+    kept = [r for r in range(12) if r % 3 != 1]
+    for r, res in zip(kept, rep.results, strict=True):
+        for f in fields(res):
+            assert np.array_equal(getattr(res, f.name), getattr(clean.results[r], f.name)), \
+                (r, f.name)
 
 
 def test_controller_dispatch():
@@ -692,14 +816,15 @@ def test_controller_dispatch():
     for name in CONTROLLERS:
         cfg = replace(base, controller=name)
         fn = make_controller(cfg, setup)
-        assert fn(np.zeros((1, 4))).sparsity == 0
+        assert fn(np.zeros((1, 4)), np.arange(1)).sparsity == 0
         rep = monte_carlo(cfg, setup=setup)
         res = rep.results[0]
         for k, x in enumerate(res.states):
-            pkt = fn(x[None])
+            pkt = fn(x[None], np.arange(1))
             assert res.sparsity[k] == pkt.sparsity, (name, k)
-            # l1l2 solves X[0] to (N,), every other controller the block to (1, N)
-            assert np.array_equal(res.packets[k], pkt.u.reshape(-1)), (name, k)
+            # every controller solves the block, as row 0, to (1, N)
+            assert pkt.u.shape == (1, cfg.N) and np.array_equal(res.packets[k], pkt.u[0]), \
+                (name, k)
         assert res.sparsity.dtype == np.int64
         assert np.isfinite(rep.mean_solve_seconds) and rep.mean_solve_seconds >= 0.0
 
@@ -996,9 +1121,9 @@ def test_run_trial_raises_on_a_non_finite_packet():
     trace = sp.generate_trace(setup.dropout, 5, rng=np.random.default_rng(0))
     calls = []
 
-    def nan_last(x):
-        calls.append(x)
-        pkt = controller(x)
+    def nan_last(X, rows):
+        calls.append(X)
+        pkt = controller(X, rows)
         return sp.ControlPacket(np.full(10, np.nan), 1) if len(calls) == 5 else pkt
 
     with pytest.raises(sp.NumericError, match="packet is not finite at step 4"):
