@@ -228,13 +228,17 @@ def make_controller(cfg: SimConfig, setup: SimSetup, grid: list = None):
         return lambda X, rows: least_squares_packet(hm, X)
     if name == "l2":
         nu2 = [cfg.nu2] if grid is None else grid
+        starts = np.arange(1, len(nu2)) * cfg.trials    # the first row of each later value
 
         def l2(X, rows):
-            point = rows // cfg.trials
             # rows are grid-major, so each value's rows are one span of the block
-            cuts = [0, *(np.flatnonzero(np.diff(point)) + 1).tolist(), len(rows)]
-            pkts = [l2_packet(hm, X[a:b], nu2[point[a]]) for a, b in zip(cuts, cuts[1:])]
-            return ControlPacket(np.concatenate([pkt.u for pkt in pkts]), len(pkts))
+            cuts = [0, *np.searchsorted(rows, starts).tolist(), len(rows)]
+            u, spans = np.empty((len(rows), hm.N)), 0
+            for nu, a, b in zip(nu2, cuts, cuts[1:]):
+                if a < b:
+                    u[a:b] = l2_packet(hm, X[a:b], nu).u
+                    spans += 1
+            return ControlPacket(u, spans)
 
         return l2
     nu1 = np.repeat([cfg.nu1] if grid is None else grid, cfg.trials).astype(float)   # per row
