@@ -91,10 +91,11 @@ class ChannelTrace:
 def delivery_age(d: np.ndarray) -> np.ndarray:
     """k - k_i at each step k, k_i being the latest delivery at or before k.
 
-    Steps before the first delivery count from k = 0; a trace has none.
+    d is one trace or a stack of them, time on the last axis. Steps before
+    the first delivery count from k = 0; a trace has none.
     """
-    k = np.arange(len(d))
-    return k - np.maximum.accumulate(np.where(np.asarray(d) == 0, k, 0))
+    k = np.arange(np.shape(d)[-1])
+    return k - np.maximum.accumulate(np.where(np.asarray(d) == 0, k, 0), axis=-1)
 
 
 def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:

@@ -121,7 +121,7 @@ def _cmd_simulate(args) -> int:
     write_csv(out / "trajectory.csv", trajectory_columns(report))
     summary = summary_columns(report)
     write_csv(out / "summary.csv", summary)
-    succeeded = len(report.results)
+    succeeded = len(report.records.trial)
     _write_run_meta(out, resolved_config(cfg), results={
         "trials_succeeded": succeeded,
         "failures": [{"trial": t, "error": msg} for t, msg in report.failures],

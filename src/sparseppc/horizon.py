@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DesignInfeasibleError
 from .linalg import check_sym_pd, numerical_rank, sym_sqrt
-from .plant import PlantModel, _frozen
+from .plant import PlantModel, _frozen, impulse_response
 
 
 class SupportNodes:
@@ -103,13 +103,7 @@ def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> Horizo
     P = check_sym_pd(np.asarray(P, dtype=float), "P")
     n = m.n
 
-    # Impulse-response blocks A^i B, built by repeated multiplication.
-    blocks = np.empty((N, n))
-    col = m.B
-    for i in range(N):
-        blocks[i] = col
-        col = m.A @ col
-
+    blocks = impulse_response(m, N)    # A^i B
     Phi = np.zeros((N * n, N))
     for j in range(N):
         for i in range(j, N):

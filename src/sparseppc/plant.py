@@ -100,14 +100,19 @@ def zoh_discretize(cp: ContinuousPlant, Ts: float) -> PlantModel:
     return PlantModel(A=A, B=B)
 
 
+def impulse_response(m: PlantModel, count: int) -> np.ndarray:
+    """Rows B, AB, ..., A^(count-1) B, built by repeated multiplication."""
+    rows = np.empty((count, m.n))
+    row = m.B
+    for i in range(count):
+        rows[i] = row
+        row = m.A @ row
+    return rows
+
+
 def controllability_matrix(m: PlantModel) -> np.ndarray:
     """[B, AB, ..., A^(n-1) B], shape (n, n) for a single-input plant."""
-    cols = np.empty((m.n, m.n))
-    col = m.B
-    for j in range(m.n):
-        cols[:, j] = col
-        col = m.A @ col
-    return cols
+    return impulse_response(m, m.n).T
 
 
 def reachability_rank(m: PlantModel) -> int:
@@ -151,11 +156,8 @@ def resolve_plant(spec) -> PlantModel:
       {"preset": "cessna500", "Ts": 0.5}         preset, Ts optional
     """
     if isinstance(spec, str):
-        if spec in PRESETS:
-            factory, default_ts = PRESETS[spec]
-            return zoh_discretize(factory(), default_ts)
         try:
-            spec = json.loads(spec)
+            spec = {"preset": spec} if spec in PRESETS else json.loads(spec)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"unknown plant preset or invalid JSON: {shown(spec)}") from exc
     if not isinstance(spec, dict):

@@ -287,7 +287,7 @@ class TrialResult:
     packets: np.ndarray       # (T, N) packet computed at k, delivered or not
     sparsity: np.ndarray      # nonzeros of the packet computed at k
     overrides: int
-    violations: int = None    # set on each trial by the harness on noise-free runs
+    violations: int = None    # Lyapunov violations, set by the harness's audit on noise-free runs
 
     @property
     def final_norm(self) -> float:
@@ -312,6 +312,8 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
     raised.
     """
     T, n = trace.T, setup.model.n
+    if np.shape(x0) != (n,):
+        raise ConfigError(f"x0 must have shape ({n},), got {np.shape(x0)}")
     if np.shape(noise) != (T, n):
         raise ConfigError(f"noise must have shape ({T}, {n}), got {np.shape(noise)}")
     records, failures, _ = _lockstep(setup, controller, [(trial, trace, x0, noise)])
@@ -358,7 +360,7 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
             failed.update(dict.fromkeys(range(t, rows, m), exc))
     # plays[i, k]: the element row i plays at step k, as an index into packets.ravel()
     plays = (np.arange(rows)[:, None] * T + np.tile(src, (copies, 1))) * N + np.tile(age, (copies, 1))
-    live = np.array([i for i in range(rows) if i not in failed], dtype=np.intp)
+    live = np.delete(np.arange(rows), list(failed))
     X = np.array(x0 * copies, dtype=float)[live]
     noise = np.array(noise * copies, dtype=float)
 
@@ -430,14 +432,14 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
 
 @dataclass
 class AuditReport:
-    """Lyapunov decrease bookkeeping over one noise-free trial."""
+    """Lyapunov decrease bookkeeping over noise-free trials, one count per trial."""
 
-    deliveries: int
-    pair_violations: int    # V not strictly decreasing across delivery pairs
-    burst_violations: int   # V not below the last delivery value inside a burst
+    deliveries: np.ndarray
+    pair_violations: np.ndarray    # V not strictly decreasing across delivery pairs
+    burst_violations: np.ndarray   # V not below the last delivery value inside a burst
 
     @property
-    def total(self) -> int:
+    def total(self) -> np.ndarray:
         return self.pair_violations + self.burst_violations
 
 
@@ -446,18 +448,19 @@ def lyapunov_audit(result: TrialResult, design: CostDesign) -> AuditReport:
 
     Checks V(x(k_{i+1})) < V(x(k_i)) for consecutive delivery instants with
     nonzero state (||x(k_i)|| > 1e-9), and V(x(k)) < V(x(k_i)) for every k
-    inside the following dropout burst.
+    inside the following dropout burst. result holds one trial's records
+    or a stack of them, and each count is one per trial.
     """
-    V = np.einsum("ki,ij,kj->k", result.states, design.P, result.states)
-    live = np.linalg.norm(result.states, axis=1) > 1e-9
+    V = np.einsum("...ki,ij,...kj->...k", result.states, design.P, result.states)
+    live = np.linalg.norm(result.states, axis=-1) > 1e-9
     delivered = result.d == 0
-    deliveries = np.flatnonzero(delivered)
-    last = np.arange(len(V)) - delivery_age(result.d)
-    burst = ~delivered & live[last] & (V >= V[last])
-    ki, kj = deliveries[:-1], deliveries[1:]
-    pair = live[ki] & (V[kj] >= V[ki])
-    return AuditReport(deliveries=len(deliveries), pair_violations=int(np.count_nonzero(pair)),
-                       burst_violations=int(np.count_nonzero(burst)))
+    # at each k, V and live at the latest delivery k_i <= k
+    last = np.arange(V.shape[-1]) - delivery_age(result.d)
+    V_last, live_last = (np.take_along_axis(a, last, axis=-1) for a in (V, live))
+    burst = ~delivered & live_last & (V >= V_last)
+    # each later delivery against the one before it, the latest at k - 1
+    pair = delivered[..., 1:] & live_last[..., :-1] & (V[..., 1:] >= V_last[..., :-1])
+    return AuditReport(*(np.count_nonzero(c, axis=-1) for c in (delivered, pair, burst)))
 
 
 @dataclass
@@ -534,26 +537,24 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
                                 RuntimeWarning)
         records, errors, solve_seconds = _lockstep(setup, controller, inputs, copies=len(runs))
     errors = {row: f"{type(exc).__name__}: {exc}" for row, exc in errors}
-    for g in range(len(runs)):
-        first = g * cfg.trials
-        if all(row in errors for row in range(first, first + cfg.trials)):
-            where = "" if grid is None else f" at {SWEEP_KEYS[cfg.controller]} = {grid[g]}"
-            raise SparsePpcError(f"all {cfg.trials} trials failed{where}; first: {errors[first]}")
+    point = np.delete(np.arange(len(runs) * cfg.trials), list(errors)) // cfg.trials
+    kept = np.bincount(point, minlength=len(runs))     # rows kept per value
+    if not kept.all():
+        g = int(np.argmin(kept))
+        where = "" if grid is None else f" at {SWEEP_KEYS[cfg.controller]} = {grid[g]}"
+        raise SparsePpcError(f"all {cfg.trials} trials failed{where}; "
+                             f"first: {errors[g * cfg.trials]}")
 
-    results = records.rows()
-    # a row of a run without a grid is its trial
-    report = MonteCarloReport(cfg=cfg, records=records, results=results,
-                              failures=list(errors.items()), mean_solve_seconds=solve_seconds)
-    if grid is not None:
-        report.failures = [(grid[row // cfg.trials], row % cfg.trials, msg)
-                           for row, msg in errors.items()]
-        report.point = np.array([row // cfg.trials for row in range(len(runs) * cfg.trials)
-                                 if row not in errors])
+    total_violations = None
     if cfg.sigma == 0:
-        for r in results:
-            r.violations = lyapunov_audit(r, setup.design).total
-        report.total_violations = sum(r.violations for r in results)
-    return report
+        records.violations = lyapunov_audit(records, setup.design).total
+        total_violations = int(records.violations.sum())
+    # a row of a run without a grid is its trial
+    failures = (list(errors.items()) if grid is None else
+                [(grid[row // cfg.trials], row % cfg.trials, msg) for row, msg in errors.items()])
+    return MonteCarloReport(cfg=cfg, records=records, results=records.rows(), failures=failures,
+                            mean_solve_seconds=solve_seconds, total_violations=total_violations,
+                            point=None if grid is None else point)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 from dataclasses import fields
@@ -33,3 +35,14 @@ def test_readme_lists_the_fields_of_design_json():
     listed = re.findall(r"^- `design\.json`: (.*)$", README.read_text(), flags=re.M)
     assert len(listed) == 1
     assert re.findall(r"`(\w+)`", listed[0]) == [f.name for f in fields(CostDesign)]
+
+
+def test_readme_library_quick_start_runs():
+    blocks = re.findall(r"^## Library quick start\n\n```python\n(.*?)```",
+                        README.read_text(), flags=re.S | re.M)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    sparsity, feasible = out.getvalue().split()
+    assert 1 <= int(sparsity) <= 10 and feasible == "True"

@@ -5,7 +5,8 @@ import pytest
 
 import sparseppc as sp
 from sparseppc.errors import ConfigError
-from sparseppc.plant import ContinuousPlant, PlantModel, controllability_matrix
+from sparseppc.plant import (ContinuousPlant, PlantModel, controllability_matrix,
+                             impulse_response)
 
 from .fixtures import CESSNA_A, CESSNA_B, CESSNA_RANK
 from .oracles import zoh_taylor
@@ -81,6 +82,17 @@ def test_reachability_rank_examples(cessna):
     assert np.linalg.matrix_rank(C) == CESSNA_RANK
 
 
+def test_one_impulse_response_builds_c_and_phi(cessna):
+    # the controllability matrix and Phi's first column are the same
+    # B, AB, A^2 B, ... rows, to the bit
+    rows = impulse_response(cessna, 12)
+    assert np.array_equal(rows[1], cessna.A @ cessna.B)
+    assert np.array_equal(controllability_matrix(cessna), rows[:cessna.n].T)
+    design = sp.build_design(cessna, N=12)
+    hm = sp.build_horizon(cessna, design.Q, design.P, 12)
+    assert np.array_equal(hm.Phi[:, 0], rows.ravel())
+
+
 def test_plant_validation():
     with pytest.raises(ConfigError):
         PlantModel(A=[[1.0, 0.0]], B=[1.0])
@@ -101,6 +113,10 @@ def test_resolve_plant_forms(cessna):
     assert np.allclose(m3.B, cessna.B)
     m4 = sp.resolve_plant({"preset": "cessna500"})
     assert np.allclose(m4.A, cessna.A)
+    # a bare preset name is its mapping form, default Ts included
+    for spec in ("cessna500", {"preset": "cessna500", "Ts": 0.5}):
+        same = sp.resolve_plant(spec)
+        assert np.array_equal(same.A, m4.A) and np.array_equal(same.B, m4.B)
     with pytest.raises(ConfigError):
         sp.resolve_plant("not_a_preset_or_json")
     with pytest.raises(ConfigError):

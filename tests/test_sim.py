@@ -311,20 +311,50 @@ def test_lyapunov_audit_detects_broken_slack(cessna, rng):
 
 
 @settings(max_examples=150, deadline=None)
-@given(N=st.integers(1, 12), T=st.integers(1, 200), p_dd=st.floats(0.0, 1.0),
-       p_dg=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_lyapunov_audit_matches_the_delivery_walk(N, T, p_dd, p_dg, seed):
+@given(N=st.integers(1, 12), T=st.integers(1, 200), rows=st.integers(1, 4),
+       p_dd=st.floats(0.0, 1.0), p_dg=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_lyapunov_audit_matches_the_delivery_walk(N, T, rows, p_dd, p_dg, seed):
     # small integer states under P = diag(1, 0): V ties everywhere, and a
-    # state can have V = 0 with or without a zero norm
+    # state can have V = 0 with or without a zero norm; the audit of a
+    # stack of trials gives each row the counts of that row's own walk
     rng = np.random.default_rng(seed)
     model = sp.DropoutModel(kind="markov", N=N, p_dd=p_dd, p_dg=p_dg)
-    trace = sp.generate_trace(model, T, rng=rng)
-    result = SimpleNamespace(states=rng.integers(-2, 3, size=(T, 2)).astype(float),
-                             d=trace.d)
+    stack = SimpleNamespace(states=rng.integers(-2, 3, size=(rows, T, 2)).astype(float),
+                            d=np.array([sp.generate_trace(model, T, rng=rng).d
+                                        for _ in range(rows)]))
     design = SimpleNamespace(P=np.diag([1.0, 0.0]))
-    audit = lyapunov_audit(result, design)
-    counts = (audit.deliveries, audit.pair_violations, audit.burst_violations)
-    assert counts == lyapunov_audit_reference(result, design)
+    audit = lyapunov_audit(stack, design)
+    for i in range(rows):
+        result = SimpleNamespace(states=stack.states[i], d=stack.d[i])
+        expected = lyapunov_audit_reference(result, design)
+        alone = lyapunov_audit(result, design)
+        assert (alone.deliveries, alone.pair_violations, alone.burst_violations) == expected
+        assert (audit.deliveries[i], audit.pair_violations[i],
+                audit.burst_violations[i]) == expected
+
+
+def test_each_rows_violations_are_its_own_audit():
+    # a large nu2 lets V rise between deliveries; the run's one stacked
+    # audit gives every row the count of auditing that row alone
+    import sparseppc.sim as sim_mod
+
+    cfg = SimConfig(controller="l2", nu2=3.1e4, trials=6, steps=60, seed=4)
+    setup = build_setup(cfg)
+    calls = Counter()
+
+    def counted(result, design):
+        calls[np.shape(result.d)] += 1
+        return lyapunov_audit(result, design)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_mod, "lyapunov_audit", counted)
+        rep = monte_carlo(cfg, setup=setup)
+    assert calls == {(6, 60): 1}
+    assert rep.total_violations > 0
+    assert rep.records.violations.tolist() == [r.violations for r in rep.results]
+    for r in rep.results:
+        assert r.violations == lyapunov_audit(r, setup.design).total
+    assert rep.total_violations == sum(r.violations for r in rep.results)
 
 
 def test_lyapunov_audit_zero_trajectory_vacuous():
@@ -965,10 +995,11 @@ def test_sweep_rows_equal_their_own_runs(family, sigma, seed, data):
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_lockstep", "monte_carlo"):
+        for name in ("_lockstep", "monte_carlo", "lyapunov_audit"):
             mp.setattr(sim_mod, name, counted(name, getattr(sim_mod, name)))
         swept = sim_mod.sweep_regularization(cfg, family, grid, match_perf=50.0)
-    assert calls == {"_lockstep": 1, "monte_carlo": 1}
+    # a noise-free grid run is audited in one stacked call
+    assert calls == Counter(_lockstep=1, monte_carlo=1, lyapunov_audit=int(sigma == 0))
     assert swept == sweep_reference(cfg, family, grid, match_perf=50.0)
 
 
@@ -1105,6 +1136,9 @@ def test_run_trial_rejects_noise_of_the_wrong_shape():
     for noise in (np.zeros((4, 4)), np.zeros((5, 3)), np.zeros(5), np.zeros((5, 4, 1)), 0.0):
         with pytest.raises(ConfigError, match=r"noise must have shape \(5, 4\)"):
             run_trial(setup, controller, trace, np.zeros(4), noise)
+    for x0 in (np.zeros(3), np.zeros((2, 4)), np.zeros((4, 1)), np.zeros(5), 0.0):
+        with pytest.raises(ConfigError, match=r"x0 must have shape \(4,\)"):
+            run_trial(setup, controller, trace, x0, _quiet(5))
 
 
 def test_run_trial_raises_on_a_non_finite_state():
