@@ -128,7 +128,7 @@ def _cmd_simulate(args) -> int:
         "total_overrides": int(report.records.overrides.sum()),
         "total_violations": report.total_violations,
         "mean_perf": float(np.mean(report.per_trial_perf)),
-    }, timing={"mean_solve_seconds": report.mean_solve_seconds})
+    }, timing={"mean_step_seconds": report.mean_step_seconds})
     if args.plots:
         ks = summary["k"].tolist()
         write_line_svg(out / "norm_vs_k.svg",

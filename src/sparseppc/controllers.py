@@ -1,10 +1,11 @@
 """Packet solvers: greedy sparse (OMP), exhaustive sparse, and baselines.
 
 Every solver maps a measured state x to a length-N packet of tentative
-inputs. The sparse solvers minimize the nonzero count subject to the
-quadratic budget ||G u - H x||^2 <= x' W x; the baselines trade that
-budget for a penalty (none, Tikhonov, or l1). All are exact: the l1
-packet ends a finite lasso homotopy, so no solver has a tolerance.
+inputs, and a (b, n) block of states to (b, N) packets, each row's bits
+those of its own solve. The sparse solvers minimize the nonzero count
+subject to the quadratic budget ||G u - H x||^2 <= x' W x; the baselines
+trade that budget for a penalty (none, Tikhonov, or l1). All are exact:
+the l1 packet ends a finite lasso homotopy, so no solver has a tolerance.
 """
 
 import math
@@ -58,21 +59,16 @@ class FeasibilityCertificate:
     feasible: bool
 
 
-def budget_for(W: np.ndarray, x: np.ndarray):
-    """x'Wx as (x @ W) @ x; x must already be a float array.
+def budget_for(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x'Wx of each row x of a (b, n) block of states, as a (b,) array.
 
-    x is one state (n,), and the budget a float, or a block of states
-    (b, n), and the budgets a (b,) array: stacked matmul gives each row the
-    bits of its own (x @ W) @ x. A budget that is not finite (a NaN or
+    X must already be a float array. Stacked matmul gives each row the bits
+    of its own (x @ W) @ x. A budget that is not finite (a NaN or
     overflowed state) raises NumericError, the block's first such one
     named: no packet can be judged against it.
     """
-    if x.ndim == 1:
-        budget = float(x @ W @ x)
-        bad = [] if math.isfinite(budget) else [budget]
-    else:
-        budget = ((x[:, None, :] @ W) @ x[:, :, None])[:, 0, 0]
-        bad = budget[~np.isfinite(budget)].tolist()
+    budget = ((X[:, None, :] @ W) @ X[:, :, None])[:, 0, 0]
+    bad = budget[~np.isfinite(budget)].tolist()
     if bad:
         raise NumericError(f"state is not finite: x'Wx = {bad[0]}")
     return budget
@@ -83,7 +79,7 @@ def check_feasible(hm: HorizonMatrices, W: np.ndarray, u: np.ndarray,
     """Certificate that u meets the quadratic budget for state x."""
     x = np.asarray(x, dtype=float)
     residual_sq = cost_quadratic(hm, u, x)
-    budget = budget_for(W, x)
+    budget = budget_for(W, x[None]).item()
     feasible = residual_sq <= budget + FEASIBILITY_SLACK * max(1.0, budget)
     return FeasibilityCertificate(residual_sq=residual_sq, budget=budget, feasible=feasible)
 
@@ -216,30 +212,40 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
                          sum(nodes.cols[i].size for i in ends))
 
 
-def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> ControlPacket:
+def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPacket:
     """Globally sparsity-minimal packet by support enumeration.
 
-    Scans support sizes k = 0, 1, ... and within each size the supports in
-    lexicographic order, returning the first feasible restricted
-    least-squares solution; solver_iters counts the supports examined.
-    Each size is one stacked QR of every G[:, S] and one stacked solve of
-    R coef = Q'Hx. A support whose R has an exact zero on its diagonal is
-    singular, and raises if it comes before the first feasible one.
-    Exponential in N; refused above ORACLE_CAP. Intended as the
-    correctness oracle for the greedy solver, not for control loops at
-    scale, so it shares no code with it.
+    X is one state (n,) or a block of states (b, n), and u is then the
+    (N,) packet or the (b, N) packets. One budget_for call gives every row
+    its budget, and each row has its own search: it scans support sizes
+    k = 0, 1, ... and within each size the supports in lexicographic
+    order, taking the first feasible restricted least-squares solution.
+    solver_iters is the block's total of supports examined. Each size is
+    one stacked QR of every G[:, S] and one stacked solve of R coef = Q'Hx.
+    A support whose R has an exact zero on its diagonal is singular, and
+    raises if it comes before the first feasible one; the first row whose
+    search raises ends the call. Exponential in N; refused above
+    ORACLE_CAP. Intended as the correctness oracle for the greedy solver,
+    not for control loops at scale, so it shares no code with it.
     """
     if hm.N > ORACLE_CAP:
         raise ConfigError(
             f"exhaustive search refused for N = {hm.N} > cap {ORACLE_CAP}")
-    x = np.asarray(x, dtype=float)
-    budget = budget_for(W, x)
+    X = np.asarray(X, dtype=float)
+    block = X.reshape(-1, hm.n)
+    found = [_l0_search(hm, x, budget) for x, budget in zip(block, budget_for(W, block).tolist())]
+    return ControlPacket(np.array([u for u, _ in found]).reshape(X.shape[:-1] + (hm.N,)),
+                         sum(examined for _, examined in found))
+
+
+def _l0_search(hm: HorizonMatrices, x: np.ndarray, budget: float) -> tuple:
+    """exhaustive_l0_packet's search for one state x: its packet and supports examined."""
     slack = FEASIBILITY_SLACK * max(1.0, budget)
     Hx = hm.H @ x
     examined = 0
 
     if float(Hx @ Hx) <= budget + slack:
-        return ControlPacket(np.zeros(hm.N), 0)
+        return np.zeros(hm.N), 0
     for k in range(1, hm.N + 1):
         supports = np.array(list(combinations(range(hm.N), k)))
         Gs = hm.G[:, supports].swapaxes(0, 1)           # (supports, rows, k)
@@ -258,7 +264,7 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, x: np.ndarray) -> C
                     f"support {tuple(supports[i].tolist())} solve failed: singular matrix")
             u = np.zeros(hm.N)
             u[supports[i]] = coef[i, :, 0]
-            return ControlPacket(u, examined + i + 1)
+            return u, examined + i + 1
         examined += len(supports)
     raise FeasibilityError("no feasible support found up to full size",
                            residual_sq=None, budget=budget)
@@ -274,30 +280,20 @@ def _row_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (A @ X[..., None])[..., 0]
 
 
-def _gain_packet(K: np.ndarray, x) -> ControlPacket:
-    """K x for one state (n,) or each row of a (b, n) batch of states."""
-    return ControlPacket(_row_products(K, np.asarray(x, dtype=float)), 1)
-
-
-def least_squares_packet(hm: HorizonMatrices, x: np.ndarray) -> ControlPacket:
+def least_squares_packet(hm: HorizonMatrices, X: np.ndarray) -> ControlPacket:
     """Unconstrained minimizer of ||G u - H x||^2 (generically dense).
 
     It is the least-squares packet K x of the full-support node of the
     OMP table (see _support_node); build_horizon has already refused a G
-    without full column rank. x may be a (b, n) batch of states, and u is
-    then their (b, N) packets.
+    without full column rank. X is one state (n,) or a (b, n) block of
+    states, and u is then their (b, N) packets.
     """
-    return _gain_packet(hm._omp_nodes.K[_support_node(hm, (1 << hm.N) - 1)], x)
+    K = hm._omp_nodes.K[_support_node(hm, (1 << hm.N) - 1)]
+    return ControlPacket(_row_products(K, np.asarray(X, dtype=float)), 1)
 
 
-def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
-    """Tikhonov-regularized packet (nu2 I + G'G)^-1 G'H x.
-
-    The packet is K x with the N x n gain K = (nu2 I + G'G)^-1 G'H, built
-    by the first solve for this nu2 and kept read-only in hm._l2_gains; a
-    failed build keeps nothing. x may be a (b, n) batch of states, and u is
-    then their (b, N) packets.
-    """
+def _l2_gain(hm: HorizonMatrices, nu2: float) -> np.ndarray:
+    """K = (nu2 I + G'G)^-1 G'H, kept read-only in hm._l2_gains; a failed build keeps none."""
     if not (nu2 > 0.0):
         raise ConfigError(f"nu2 must be positive, got {nu2}")
     K = hm._l2_gains.get(nu2)
@@ -308,7 +304,24 @@ def l2_packet(hm: HorizonMatrices, x: np.ndarray, nu2: float) -> ControlPacket:
             raise SolverFailureError(f"nu2 I + G'G solve failed: {exc}") from exc
         K.setflags(write=False)
         hm._l2_gains[nu2] = K
-    return _gain_packet(K, x)
+    return K
+
+
+def l2_packet(hm: HorizonMatrices, X: np.ndarray, nu2) -> ControlPacket:
+    """Tikhonov-regularized packet (nu2 I + G'G)^-1 G'H x, as K x (see _l2_gain).
+
+    X is one state (n,) or a (b, n) block of states, and u is then their
+    (b, N) packets. nu2 is one float, or a (b,) array, a value per row, and
+    row r is then K_r x_r with its own value's gain, taken once per distinct
+    value. One stacked product makes, row by row, the call of K x alone, so
+    each row has the bits of its own float-nu2 solve.
+    """
+    if np.ndim(nu2):
+        values, at = np.unique(np.asarray(nu2, dtype=float), return_inverse=True)
+        K = np.array([_l2_gain(hm, nu) for nu in values.tolist()])[at]
+    else:
+        K = _l2_gain(hm, nu2)
+    return ControlPacket(_row_products(K, np.asarray(X, dtype=float)), 1)
 
 
 SIDES = np.array([[1.0], [-1.0]])     # join ratio rows: c_j reaches +lam, then -lam

@@ -26,7 +26,7 @@ from .channel import (DROPOUT_KEYS, ChannelTrace, DropoutModel, actuate,
                       delivery_age, generate_trace)
 from .codec import (PacketCodec, Quantizer, decode, dequantize, encode,
                     quantize_packet, train_codec)
-from .controllers import (ORACLE_CAP, ControlPacket, exhaustive_l0_packet,
+from .controllers import (ORACLE_CAP, exhaustive_l0_packet,
                           l1l2_packet, l2_packet, least_squares_packet, omp_packet)
 from .design import RICCATI_RTOL, CostDesign, build_design
 from .errors import (ConfigError, NumericError, SparsePpcError,
@@ -201,54 +201,34 @@ def make_controller(cfg: SimConfig, setup: SimSetup, grid: list = None):
     """The config's packet solver on the setup, as a function of a block of rows.
 
     A controller takes a (b, n) block of states X and rows, the indices of
-    the run's rows they are (see _lockstep), and returns a ControlPacket of
-    their (b, N) packets. A run's rows are its trials; with a grid of nu
-    values they are its trials once per value, grid-major, and row r runs
-    at grid[r // cfg.trials] (see monte_carlo). One controller serves every
-    row of a run, and each packet depends on its state and its value alone.
-    The gains (l2, least_squares) solve the block in one product (l2 one
-    per value), omp in one product over the support-node table and a walk
-    per row, oracle in one exhaustive search per row, and l1l2 in one block
-    solve at each row's nu1. l1l2 keeps each row's last packet, in a
-    (rows, N) array, as that row's next warm start; a call that raises
-    keeps none.
+    the run's rows they are (see _lockstep), and returns their (b, N)
+    packets. A run's rows are its trials, once per value on a grid of nu
+    values, grid-major (see monte_carlo). One controller serves every row
+    of a run: it is its solver's call on the block, the solver looked up in
+    this module at each call, where a tracer may wrap it. l2 and l1l2 get
+    the run's one nu as a float, or each row's off the grid, so a packet
+    depends on its state and its value alone. l1l2 keeps each row's last
+    packet, in a (rows, N) array, as that row's next warm start; a call
+    that raises keeps none.
     """
-    hm, design = setup.hm, setup.design
+    hm, W = setup.hm, setup.design.W
     name = cfg.controller
-    if name == "omp":
-        return lambda X, rows: omp_packet(hm, design.W, X)
-    if name == "oracle":
-        def oracle(X, rows):
-            pkts = [exhaustive_l0_packet(hm, design.W, x) for x in X]
-            return ControlPacket(np.array([pkt.u for pkt in pkts]),
-                                 sum(pkt.solver_iters for pkt in pkts))
+    values = None if grid is None else np.repeat(np.asarray(grid, dtype=float), cfg.trials)
 
-        return oracle
-    if name == "least_squares":
-        return lambda X, rows: least_squares_packet(hm, X)
-    if name == "l2":
-        nu2 = [cfg.nu2] if grid is None else grid
-        starts = np.arange(1, len(nu2)) * cfg.trials    # the first row of each later value
+    def nu(rows):
+        """The block's nu: the run's one value, a float, or each row's off the grid."""
+        return getattr(cfg, SWEEP_KEYS[name]) if values is None else values[rows]
 
-        def l2(X, rows):
-            # rows are grid-major, so each value's rows are one span of the block
-            cuts = [0, *np.searchsorted(rows, starts).tolist(), len(rows)]
-            u, spans = np.empty((len(rows), hm.N)), 0
-            for nu, a, b in zip(nu2, cuts, cuts[1:]):
-                if a < b:
-                    u[a:b] = l2_packet(hm, X[a:b], nu).u
-                    spans += 1
-            return ControlPacket(u, spans)
-
-        return l2
-    nu1 = np.repeat([cfg.nu1] if grid is None else grid, cfg.trials).astype(float)   # per row
-    last = np.zeros((nu1.size, hm.N))
+    if name != "l1l2":
+        return {"omp": lambda X, rows: omp_packet(hm, W, X).u,
+                "oracle": lambda X, rows: exhaustive_l0_packet(hm, W, X).u,
+                "least_squares": lambda X, rows: least_squares_packet(hm, X).u,
+                "l2": lambda X, rows: l2_packet(hm, X, nu(rows)).u}[name]
+    last = np.zeros((cfg.trials if values is None else values.size, hm.N))
 
     def l1l2(X, rows):
-        # looked up in this module at each call, where the tracer wraps it
-        pkt = l1l2_packet(hm, X, nu1[rows], guess=last[rows])
-        last[rows] = pkt.u
-        return pkt
+        last[rows] = u = l1l2_packet(hm, X, nu(rows), guess=last[rows]).u
+        return u
 
     return l1l2
 
@@ -309,14 +289,16 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
     This is the engine's call with one row (see _lockstep): at each step
     the controller solves a (1, n) block holding the row's state, as row 0.
     Where the engine would drop the row, the trial fails and its error is
-    raised.
+    raised. An x0 or noise that is not a real array of shape (n,) or (T, n)
+    raises ConfigError.
     """
     T, n = trace.T, setup.model.n
-    if np.shape(x0) != (n,):
-        raise ConfigError(f"x0 must have shape ({n},), got {np.shape(x0)}")
-    if np.shape(noise) != (T, n):
-        raise ConfigError(f"noise must have shape ({T}, {n}), got {np.shape(noise)}")
-    records, failures, _ = _lockstep(setup, controller, [(trial, trace, x0, noise)])
+    x0, noise = number_array(x0, "x0"), number_array(noise, "noise")
+    if x0.shape != (n,):
+        raise ConfigError(f"x0 must have shape ({n},), got {x0.shape}")
+    if noise.shape != (T, n):
+        raise ConfigError(f"noise must have shape ({T}, {n}), got {noise.shape}")
+    records, failures = _lockstep(setup, controller, [(trial, trace, x0, noise)])
     if failures:
         raise failures[0][1]
     return records.rows()[0]
@@ -331,8 +313,8 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
     call) and shared by its rows. At each step k, every live row has V(k)
     checked and its packet solved and recorded; its input is the recorded
     element that its schedule names, and noise[k] is added to x(k+1). The
-    controller solves the live rows in one call, told which rows they are
-    (see make_controller). If that call raises a package error, each of
+    controller solves the live rows in one call, told which rows they are,
+    and returns their packets (see make_controller). If that call raises a package error, each of
     those rows is solved again on its own, and only the rows that raise
     again fail, each with its own error. Products and quadratic forms are
     stacked matmuls, one small product per row, so each row gets the bits
@@ -342,8 +324,8 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
     performance sqrt(sum_k ||x(k)||^2) that is not finite. A ConfigError
     ends the run.
 
-    Returns the stacked records of the rows that finished, the failures as
-    (row, error) in row order, and the solve time per live row and step.
+    Returns the stacked records of the rows that finished and the failures
+    as (row, error) in row order.
     """
     A, B, P, N = setup.model.A, setup.model.B, setup.design.P, setup.design.N
     trials, traces, x0, noise = zip(*inputs)
@@ -368,7 +350,6 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
     V = np.empty((rows, T))
     packets = np.empty((rows, T, N))
     played = packets.reshape(-1)
-    solve_seconds, solves = 0.0, 0
     for k in range(T if live.size else 0):     # no loop when every schedule was refused
         Vk = ((X[:, None, :] @ P) @ X[:, :, None])[:, 0, 0]
         ok = np.isfinite(Vk)
@@ -381,13 +362,11 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
         whole = live.size == rows
         at = slice(None) if whole else live     # basic indexing while all are live
         lost = []
-        t0 = perf_counter()
         # a block that raises is solved again one row at a time (spans grows)
         spans = [(0, live.size)]
         for a, b in spans:
             try:
-                packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b],
-                                                                             live[a:b]).u
+                packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b], live[a:b])
             except ConfigError:
                 raise
             except SparsePpcError as exc:
@@ -396,8 +375,6 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
                 else:
                     failed[live[a]] = exc
                     lost.append(live[a])
-        solve_seconds += perf_counter() - t0
-        solves += live.size
         if lost:
             ok = ~np.isin(live, lost)
             live, X, Vk = live[ok], X[ok], Vk[ok]
@@ -426,8 +403,7 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
         d=np.array([trace.d for trace in traces] * copies)[at], u_applied=played[plays[at]],
         packets=kept, sparsity=np.count_nonzero(kept, axis=2),
         overrides=np.array([trace.overrides for trace in traces] * copies)[at])
-    failures = [(int(i), failed[i]) for i in sorted(failed)]
-    return records, failures, solve_seconds / max(solves, 1)
+    return records, [(int(i), failed[i]) for i in sorted(failed)]
 
 
 @dataclass
@@ -475,7 +451,7 @@ class MonteCarloReport:
     records: TrialResult        # stacked, one row per row of the run
     results: list               # records.rows(): one TrialResult view per row
     failures: list              # (trial, error message); on a grid, (nu, trial, error message)
-    mean_solve_seconds: float   # solve wall time per row and step
+    mean_step_seconds: float    # engine wall time per row and step
     total_violations: int = None
     point: np.ndarray = None    # on a grid, the grid index of each row
 
@@ -509,7 +485,8 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     schedule is computed once, and each of its rows steps them, all in one
     batch. The run's one controller reads each row's value off the grid,
     so every row has the bits of its own value's run; the run fails when
-    all trials of any one value do.
+    all trials of any one value do. The engine call is timed once, and
+    mean_step_seconds is its wall time per row and step.
     """
     if grid is not None and cfg.controller not in SWEEP_KEYS:
         raise ConfigError(f"a grid run needs a controller of {tuple(SWEEP_KEYS)}, "
@@ -535,7 +512,9 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
                                 RuntimeWarning)
-        records, errors, solve_seconds = _lockstep(setup, controller, inputs, copies=len(runs))
+        t0 = perf_counter()
+        records, errors = _lockstep(setup, controller, inputs, copies=len(runs))
+        seconds = perf_counter() - t0
     errors = {row: f"{type(exc).__name__}: {exc}" for row, exc in errors}
     point = np.delete(np.arange(len(runs) * cfg.trials), list(errors)) // cfg.trials
     kept = np.bincount(point, minlength=len(runs))     # rows kept per value
@@ -553,7 +532,8 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     failures = (list(errors.items()) if grid is None else
                 [(grid[row // cfg.trials], row % cfg.trials, msg) for row, msg in errors.items()])
     return MonteCarloReport(cfg=cfg, records=records, results=records.rows(), failures=failures,
-                            mean_solve_seconds=solve_seconds, total_violations=total_violations,
+                            mean_step_seconds=seconds / (len(runs) * cfg.trials * cfg.steps),
+                            total_violations=total_violations,
                             point=None if grid is None else point)
 
 
@@ -567,6 +547,7 @@ class SweepReport:
     matched_nu: float = None    # grid point closest to a requested level
     matched_perf: float = None
     failures: list = field(default_factory=list)    # (nu, trial, error message)
+    violations: list = None     # Lyapunov violations per grid value, on noise-free sweeps
 
 
 def sweep_regularization(cfg: SimConfig, family: str, grid,
@@ -575,9 +556,10 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
 
     Performance per trial is sqrt(sum_k ||x(k)||^2) over the run; the curve
     holds its Monte Carlo mean for each grid value, over the trials that
-    did not fail (failures lists the others). The sweep is one monte_carlo
-    grid run: every grid value steps the same trials, with identical
-    traces, initial states and noise, in one batch.
+    did not fail (failures lists the others). A noise-free sweep also
+    counts each value's Lyapunov violations, the sum of its rows' audit.
+    The sweep is one monte_carlo grid run: every grid value steps the same
+    trials, with identical traces, initial states and noise, in one batch.
     """
     if not (isinstance(family, str) and family in SWEEP_KEYS):
         raise ConfigError(f"sweep family must be one of {tuple(SWEEP_KEYS)}, got {shown(family)}")
@@ -588,10 +570,13 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
         raise ConfigError(f"sweep grid must be a non-empty list, got {shown(grid.tolist())}")
     grid = grid.astype(float).tolist()
     mc = monte_carlo(replace(cfg, controller=family), grid=grid)
-    perfs = [float(np.mean(mc.per_trial_perf[mc.point == g])) for g in range(len(grid))]
+    at = [mc.point == g for g in range(len(grid))]
+    perfs = [float(np.mean(mc.per_trial_perf[rows])) for rows in at]
     best = int(np.argmin(perfs))
     report = SweepReport(family=family, grid=grid, mean_perf=perfs,
                          argmin_nu=grid[best], argmin_perf=perfs[best], failures=mc.failures)
+    if mc.records.violations is not None:
+        report.violations = [int(mc.records.violations[rows].sum()) for rows in at]
     if match_perf is not None:
         near = int(np.argmin([abs(p - match_perf) for p in perfs]))
         report.matched_nu = grid[near]

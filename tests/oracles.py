@@ -187,7 +187,7 @@ def omp_node_reference(hm, W, x, ops=None):
     operators, lets a caller keep them across calls. Returns the packet
     K.dot(x) and its solver_iters, len(S).
     """
-    from sparseppc.controllers import _support_lsq, budget_for
+    from sparseppc.controllers import _support_lsq
     from sparseppc.errors import FeasibilityError, SolverFailureError
 
     ops = {} if ops is None else ops
@@ -212,7 +212,7 @@ def omp_node_reference(hm, W, x, ops=None):
         return ops[mask]
 
     x = np.asarray(x, dtype=float)
-    budget = budget_for(W, x)
+    budget = float(x @ W @ x)
     mask = 0
     C, M, K, cols = operators(mask)
     while float(x.dot(M.dot(x))) > budget:
@@ -410,8 +410,8 @@ def sweep_reference(cfg, family, grid, match_perf=None):
     """sim.sweep_regularization as one monte_carlo run per grid value.
 
     Each grid value gets its own run of cfg.trials trials on the shared
-    setup, whose inputs it draws afresh, and its mean performance over
-    that run's successful trials.
+    setup, whose inputs it draws afresh, its mean performance over that
+    run's successful trials and, noise-free, that run's total_violations.
     """
     from dataclasses import replace
 
@@ -431,11 +431,13 @@ def sweep_reference(cfg, family, grid, match_perf=None):
     subs = [replace(cfg, controller=family, **{sim.SWEEP_KEYS[family]: nu}) for nu in grid]
     # nu does not enter the design, so every grid point shares one setup
     setup = sim.build_setup(subs[0])
-    perfs = [float(np.mean(sim.monte_carlo(sub, setup=setup).per_trial_perf))
-             for sub in subs]
+    runs = [sim.monte_carlo(sub, setup=setup) for sub in subs]
+    perfs = [float(np.mean(run.per_trial_perf)) for run in runs]
     best = int(np.argmin(perfs))
     report = sim.SweepReport(family=family, grid=grid, mean_perf=perfs,
                              argmin_nu=grid[best], argmin_perf=perfs[best])
+    if cfg.sigma == 0:
+        report.violations = [run.total_violations for run in runs]
     if match_perf is not None:
         near = int(np.argmin([abs(p - match_perf) for p in perfs]))
         report.matched_nu = grid[near]

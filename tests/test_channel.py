@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.channel import ChannelTrace, DropoutModel
-from sparseppc.controllers import ControlPacket
 from sparseppc.errors import (ConfigError, ProtocolViolationError,
                               TraceValidationError)
 from sparseppc.sim import SimConfig, build_setup, run_trial
@@ -193,7 +192,7 @@ def test_run_trial_refuses_a_burst_beyond_the_packet():
 
     def controller(X, rows):
         solves.append(X)
-        return ControlPacket(u=np.zeros(10), solver_iters=0)
+        return np.zeros((len(X), 10))
 
     noise = np.zeros((30, setup.model.n))
     x0 = np.ones(setup.model.n)

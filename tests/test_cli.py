@@ -385,6 +385,9 @@ def test_sweep_cli(tmp_path):
     assert len(rows) == 4
     meta = json.loads((out / "meta.json").read_text())
     assert meta["sweep"]["argmin_nu"] in (1.0, 100.0, 10000.0)
+    # a noise-free sweep writes each value's Lyapunov violation count
+    violations = meta["sweep"]["violations"]
+    assert len(violations) == 3 and all(isinstance(v, int) and v >= 0 for v in violations)
     assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "s2")]) == 2
 
 

@@ -167,6 +167,29 @@ def test_exhaustive_raises_only_on_a_singular_support_before_the_first_fit(
             solve(bad, d.W, rng.standard_normal(4))
 
 
+def test_exhaustive_block_equals_its_rows_own_searches(cessna_design, cessna_horizon, rng):
+    # a block is one budget_for call and a search per row: each row has the
+    # bits of its own call, solver_iters is the rows' total, and the first
+    # row whose search raises ends the call
+    d, hm = cessna_design, cessna_horizon
+    X = np.vstack([np.zeros(4), rng.standard_normal((11, 4)) * 10.0 ** rng.uniform(-3, 2, (11, 1))])
+    for B in (1, 5, 12):
+        for block in np.array_split(X, -(-len(X) // B)):
+            pkt = sp.exhaustive_l0_packet(hm, d.W, block)
+            alone = [sp.exhaustive_l0_packet(hm, d.W, x) for x in block]
+            assert pkt.u.shape == (len(block), hm.N)
+            assert pkt.u.tobytes() == np.array([a.u for a in alone]).tobytes()
+            assert pkt.solver_iters == sum(a.solver_iters for a in alone)
+    G = hm.G.copy()
+    G[:, 9] = 0.0
+    bad = replace(hm, G=G, col_norm_sq=np.sum(G * G, axis=0))
+    fits, *_ = np.linalg.lstsq(hm.H, hm.G[:, 0], rcond=None)
+    with pytest.raises(SolverFailureError, match="support \\(9,\\)"):
+        sp.exhaustive_l0_packet(bad, d.W, np.array([fits, X[1]]))
+    with pytest.raises(NumericError, match="state is not finite"):
+        sp.exhaustive_l0_packet(hm, d.W, np.array([X[1], [np.nan, 0.0, 0.0, 0.0]]))
+
+
 def _assert_walk_bits(hm, W, x, ops=None):
     """omp_packet's packet and solver_iters are the per-node walk's, bit for bit."""
     pkt = sp.omp_packet(hm, W, x)
@@ -279,7 +302,7 @@ def test_node_products_equal_each_nodes_own_products(cessna_design, cessna_horiz
                 assert c.shape == (len(block), nodes.count, nodes.C.shape[1])
                 assert budgets.shape == (len(block),) and q.shape == c.shape[:2]
                 for r, x in enumerate(block):
-                    assert budgets[r].tobytes() == np.float64(budget_for(W, x)).tobytes()
+                    assert budgets[r].tobytes() == (x @ W @ x).tobytes()
                     for i in range(nodes.count):
                         assert c[r, i].tobytes() == nodes.C[i].dot(x).tobytes()
                         assert q[r, i].tobytes() == x.dot(nodes.M[i].dot(x)).tobytes()
@@ -426,6 +449,30 @@ def test_l2_gains_are_kept_per_nu2(cessna_horizon, rng):
         assert np.array_equal(sp.l2_packet(hm, x, nu2).u, u)
     assert not any(K.flags.writeable for K in hm._l2_gains.values())
     assert replace(hm)._l2_gains == {}
+
+
+@pytest.mark.parametrize("n", [4, 9, 12])
+def test_l2_per_row_nu2_equals_each_rows_own_solve(cessna_horizon, rng, n):
+    # nu2 as one value per row gives each row the bits of its own float-nu2
+    # call, alone and in a block of its value's rows, at any block size,
+    # with a grid value repeated and the rows in any order
+    hm = (replace(cessna_horizon) if n == 4 else
+          sp.build_horizon(random_reachable(rng, n, n), np.eye(n), np.eye(n), 10))
+    grid = np.array([1.0, 3.1e2, 1e4, 3.1e2])
+    for b in (1, 8, 50):
+        X = rng.standard_normal((b, n)) * 10.0 ** rng.uniform(-3, 3, (b, 1))
+        nu2 = np.repeat(grid, -(-b // grid.size))[:b]     # grid-major, as a sweep's rows
+        for order in (np.arange(b), rng.permutation(b)):
+            got = sp.l2_packet(hm, X[order], nu2[order])
+            assert got.u.shape == (b, hm.N) and got.solver_iters == 1
+            for r, (x, nu) in enumerate(zip(X[order], nu2[order].tolist())):
+                assert got.u[r].tobytes() == sp.l2_packet(hm, x, nu).u.tobytes(), (b, r)
+            for nu in set(nu2.tolist()):
+                rows = nu2[order] == nu
+                assert got.u[rows].tobytes() == sp.l2_packet(hm, X[order][rows], nu).u.tobytes()
+    assert set(hm._l2_gains) == set(grid.tolist())
+    with pytest.raises(ConfigError, match="nu2 must be positive, got -1.0"):
+        sp.l2_packet(hm, X[:2], np.array([1.0, -1.0]))
 
 
 @settings(max_examples=200, deadline=None)

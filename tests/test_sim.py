@@ -678,9 +678,10 @@ def test_a_gain_that_raises_fails_every_live_row(monkeypatch):
 
 
 def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
-    # on a grid the controller solves each value's rows with that value's
-    # gain: the rows of the value whose gain raises (on every call from step
-    # 3 on) fail, and the others keep their own bits
+    # on a grid the controller solves the block with each row's own gain; a
+    # block holding a row of the value whose gain raises (on every call from
+    # step 3 on) is solved again row by row: the rows of that value fail,
+    # and the others keep their own bits
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(controller="l2", trials=3, steps=10, seed=5,
@@ -692,16 +693,16 @@ def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
     def raise_at_step_3():
         solves = count()
 
-        def flaky(hm, x, nu2):
-            if nu2 == 1e2 and next(solves) >= 3:
+        def flaky(hm, X, nu2):
+            if np.any(np.asarray(nu2) == 1e2) and next(solves) >= 3:
                 raise sp.SolverFailureError("synthetic failure")
-            return real(hm, x, nu2)
+            return real(hm, X, nu2)
         monkeypatch.setattr(sim_mod, "l2_packet", flaky)
 
     raise_at_step_3()
     inputs = [(t, *trial_inputs(cfg, setup, NS_MAIN, t)) for t in range(cfg.trials)]
     controller = make_controller(cfg, setup, [1e2, 1e4])
-    records, failures, _ = sim_mod._lockstep(setup, controller, inputs, copies=2)
+    records, failures = sim_mod._lockstep(setup, controller, inputs, copies=2)
     assert [(row, str(exc)) for row, exc in failures] == [(r, "synthetic failure")
                                                           for r in range(3)]
     for row, alone in zip(records.rows(), clean.results, strict=True):
@@ -838,7 +839,7 @@ def test_a_grid_run_actuates_each_trial_once(family, monkeypatch):
 
 def test_controller_dispatch():
     # each controller, on a block of one state, maps the zero state to the
-    # zero packet; on a short run the engine times the solves and counts
+    # zero packet; on a short run the run times its engine and counts
     # nonzeros from the packets it records, and a re-solve of each recorded
     # state gives the same packet
     base = SimConfig(trials=1, steps=12, seed=23)
@@ -846,17 +847,57 @@ def test_controller_dispatch():
     for name in CONTROLLERS:
         cfg = replace(base, controller=name)
         fn = make_controller(cfg, setup)
-        assert fn(np.zeros((1, 4)), np.arange(1)).sparsity == 0
+        assert np.count_nonzero(fn(np.zeros((1, 4)), np.arange(1))) == 0
         rep = monte_carlo(cfg, setup=setup)
         res = rep.results[0]
         for k, x in enumerate(res.states):
-            pkt = fn(x[None], np.arange(1))
-            assert res.sparsity[k] == pkt.sparsity, (name, k)
+            u = fn(x[None], np.arange(1))
+            assert res.sparsity[k] == np.count_nonzero(u), (name, k)
             # every controller solves the block, as row 0, to (1, N)
-            assert pkt.u.shape == (1, cfg.N) and np.array_equal(res.packets[k], pkt.u[0]), \
-                (name, k)
+            assert u.shape == (1, cfg.N) and np.array_equal(res.packets[k], u[0]), (name, k)
         assert res.sparsity.dtype == np.int64
-        assert np.isfinite(rep.mean_solve_seconds) and rep.mean_solve_seconds >= 0.0
+        assert np.isfinite(rep.mean_step_seconds) and rep.mean_step_seconds >= 0.0
+
+
+# each controller's solver, by the name sim looks it up under
+SOLVERS = {"omp": "omp_packet", "oracle": "exhaustive_l0_packet",
+           "least_squares": "least_squares_packet", "l2": "l2_packet", "l1l2": "l1l2_packet"}
+
+
+def test_every_controller_calls_its_solver_where_sim_looks_it_up(monkeypatch):
+    # a span tracer wraps the solvers on sim and reads each call's
+    # solver_iters and converged: every controller, with a grid or without
+    # and made before the wrappers went in, calls its own solver's wrapper
+    # once per block, and that call returns a ControlPacket
+    import sparseppc.sim as sim_mod
+
+    assert set(SOLVERS) == set(CONTROLLERS)
+    base = SimConfig(trials=2, steps=6, seed=13)
+    setup = build_setup(base)
+    runs = [(replace(base, controller=name), grid) for name in CONTROLLERS
+            for grid in [None] + ([[1e2, 1e3, 1e2]] if name in SWEEP_KEYS else [])]
+    made = [make_controller(cfg, setup, grid) for cfg, grid in runs]
+    calls = Counter()
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            pkt = fn(*args, **kwargs)
+            assert isinstance(pkt, sp.ControlPacket) and pkt.converged and pkt.solver_iters >= 0
+            calls[name] += 1
+            return pkt
+        return spy
+
+    for name in SOLVERS.values():
+        monkeypatch.setattr(sim_mod, name, counted(name, getattr(sim_mod, name)))
+    X = np.random.default_rng(13).standard_normal((2, 4))
+    for (cfg, grid), controller in zip(runs, made):
+        calls.clear()
+        assert controller(X, np.arange(2)).shape == (2, cfg.N)
+        assert calls == Counter({SOLVERS[cfg.controller]: 1}), (cfg.controller, grid)
+        calls.clear()
+        rep = sim_mod.monte_carlo(cfg, setup=setup, grid=grid)
+        assert rep.failures == []
+        assert calls == Counter({SOLVERS[cfg.controller]: cfg.steps}), (cfg.controller, grid)
 
 
 def test_run_config_picks_controller_over_setup_config():
@@ -978,8 +1019,10 @@ def test_sweep_rows_equal_their_own_runs(family, sigma, seed, data):
     batch = monte_carlo(cfg, setup=setup, grid=grid)
     assert batch.failures == []
     assert batch.point.tolist() == [g for g in range(len(grid)) for _ in range(cfg.trials)]
+    totals = []
     for g, nu in enumerate(grid):
         own = monte_carlo(replace(cfg, **{SWEEP_KEYS[family]: nu}), setup=setup)
+        totals.append(own.total_violations)
         for t, alone in enumerate(own.results):
             row = batch.results[g * cfg.trials + t]
             for f in fields(alone):
@@ -998,8 +1041,10 @@ def test_sweep_rows_equal_their_own_runs(family, sigma, seed, data):
         for name in ("_lockstep", "monte_carlo", "lyapunov_audit"):
             mp.setattr(sim_mod, name, counted(name, getattr(sim_mod, name)))
         swept = sim_mod.sweep_regularization(cfg, family, grid, match_perf=50.0)
-    # a noise-free grid run is audited in one stacked call
+    # a noise-free grid run is audited in one stacked call, and each value's
+    # count is its own run's total
     assert calls == Counter(_lockstep=1, monte_carlo=1, lyapunov_audit=int(sigma == 0))
+    assert swept.violations == (None if sigma else totals)
     assert swept == sweep_reference(cfg, family, grid, match_perf=50.0)
 
 
@@ -1139,6 +1184,13 @@ def test_run_trial_rejects_noise_of_the_wrong_shape():
     for x0 in (np.zeros(3), np.zeros((2, 4)), np.zeros((4, 1)), np.zeros(5), 0.0):
         with pytest.raises(ConfigError, match=r"x0 must have shape \(4,\)"):
             run_trial(setup, controller, trace, x0, _quiet(5))
+    # strings, complex numbers and ragged nesting are no real array at all
+    for x0 in (["a", "b", "c", "d"], [1, 2, 3, 4j], [[1.0, 2.0], [3.0, 4.0, 5.0]]):
+        with pytest.raises(ConfigError, match="x0 must hold only numbers"):
+            run_trial(setup, controller, trace, x0, _quiet(5))
+    for noise in ([["a"] * 4] * 5, _quiet(5) + 1j, [[0.0] * 4] * 4 + [[0.0] * 3]):
+        with pytest.raises(ConfigError, match="noise must hold only numbers"):
+            run_trial(setup, controller, trace, np.zeros(4), noise)
 
 
 def test_run_trial_raises_on_a_non_finite_state():
@@ -1157,8 +1209,8 @@ def test_run_trial_raises_on_a_non_finite_packet():
 
     def nan_last(X, rows):
         calls.append(X)
-        pkt = controller(X, rows)
-        return sp.ControlPacket(np.full(10, np.nan), 1) if len(calls) == 5 else pkt
+        u = controller(X, rows)
+        return np.full((len(X), 10), np.nan) if len(calls) == 5 else u
 
     with pytest.raises(sp.NumericError, match="packet is not finite at step 4"):
         run_trial(setup, nan_last, trace, np.ones(4), _quiet(5))
