@@ -2,10 +2,11 @@
 
 Every solver maps a measured state x to a length-N packet of tentative
 inputs, and a (b, n) block of states to (b, N) packets, each row's bits
-those of its own solve. The sparse solvers minimize the nonzero count
-subject to the quadratic budget ||G u - H x||^2 <= x' W x; the baselines
-trade that budget for a penalty (none, Tikhonov, or l1). All are exact:
-the l1 packet ends a finite lasso homotopy, so no solver has a tolerance.
+those of its own solve; _solver_input refuses any other input. The sparse
+solvers minimize the nonzero count subject to the quadratic budget
+||G u - H x||^2 <= x' W x; the baselines trade that budget for a penalty
+(none, Tikhonov, or l1). All are exact: the l1 packet ends a finite
+lasso homotopy, so no solver has a tolerance.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, FeasibilityError, NumericError, SolverFailureError
 from .horizon import HorizonMatrices, cost_quadratic
+from .linalg import number_array
 from .plant import _frozen
 
 # Feasibility comparisons inflate the budget by this relative slack so that
@@ -74,12 +76,48 @@ def budget_for(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     return budget
 
 
+def _solver_input(hm: HorizonMatrices, X, nu=None, name: str = None, guess=None) -> tuple:
+    """Every solver's input check: (block, shape, nu, guess), or ConfigError.
+
+    X, numbers of shape (n,) or (b, n) with b >= 1, becomes the float (b, n)
+    block; shape is the packets', X.shape[:-1] + (N,). nu (the argument
+    called name) is a positive number, returned as a float, or a (b,) array
+    of them; guess is None or numbers of the packets' shape, returned as
+    (b, N). Anything else raises ConfigError naming the argument.
+    """
+    X = number_array(X, "x")
+    if X.ndim not in (1, 2) or X.shape[-1] != hm.n or not X.size:
+        raise ConfigError(f"x must have shape ({hm.n},) or (b, {hm.n}) with b >= 1, "
+                          f"got {X.shape}")
+    shape = X.shape[:-1] + (hm.N,)
+    block = X.astype(float, copy=False).reshape(-1, hm.n)
+    if nu is not None:
+        nu = number_array(nu, name).astype(float, copy=False)
+        if nu.shape not in ((), (len(block),)):
+            raise ConfigError(f"{name} must be one number or have shape ({len(block)},), "
+                              f"got {nu.shape}")
+        bad = nu[~(nu > 0.0)]
+        if bad.size:
+            raise ConfigError(f"{name} must be positive, got {bad[0]}")
+        nu = float(nu) if nu.ndim == 0 else nu
+    if guess is not None:
+        guess = number_array(guess, "guess")
+        if guess.shape != shape:
+            raise ConfigError(f"guess must have the packets' shape {shape}, got {guess.shape}")
+        guess = guess.astype(float, copy=False).reshape(-1, hm.N)
+    return block, shape, nu, guess
+
+
 def check_feasible(hm: HorizonMatrices, W: np.ndarray, u: np.ndarray,
                    x: np.ndarray) -> FeasibilityCertificate:
-    """Certificate that u meets the quadratic budget for state x."""
-    x = np.asarray(x, dtype=float)
-    residual_sq = cost_quadratic(hm, u, x)
-    budget = budget_for(W, x[None]).item()
+    """Certificate that the packet u (N,) meets the quadratic budget for one state x (n,)."""
+    X, shape, _, _ = _solver_input(hm, x)
+    u = number_array(u, "u")
+    if shape != (hm.N,) or u.shape != shape:
+        raise ConfigError(f"check_feasible takes one state x ({hm.n},) and its packet u "
+                          f"({hm.N},), got shapes {np.shape(x)} and {u.shape}")
+    residual_sq = cost_quadratic(hm, u, X[0])
+    budget = budget_for(W, X).item()
     feasible = residual_sq <= budget + FEASIBILITY_SLACK * max(1.0, budget)
     return FeasibilityCertificate(residual_sq=residual_sq, budget=budget, feasible=feasible)
 
@@ -144,9 +182,8 @@ def _node_products(nodes, P: int, X: np.ndarray):
 def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPacket:
     """Orthogonal matching pursuit for the sparsity-minimizing packet.
 
-    X is one state (n,) or a block of states (b, n), and u is then the
-    (N,) packet or the (b, N) packets, row r of u depending on row r of X
-    alone. solver_iters is the block's total of picks, the sum of each
+    Row r of u depends on row r of X alone (see _solver_input for the
+    shapes). solver_iters is the block's total of picks, the sum of each
     packet's support size.
 
     Each walk goes down hm._omp_nodes (see SupportNodes) from the empty
@@ -176,18 +213,17 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
     broadcast and takes longer than a per-state solve would, while every
     row of a block of five or more costs less.
     """
-    X = np.asarray(X, dtype=float)
-    block = X.reshape(-1, hm.n)
+    X, shape, _, _ = _solver_input(hm, X)
     nodes = hm._omp_nodes
-    budgets = budget_for(W, block)
+    budgets = budget_for(W, X)
     root = _support_node(hm, 0)
     P = min(nodes.count, OMP_PREFIX)
-    c, q = _node_products(nodes, P, block)
+    c, q = _node_products(nodes, P, X)
     go_rows = (q > budgets[:, None]).tolist()
     pick_rows = (c * c / nodes.w[:P]).argmax(axis=2).tolist()
     ends = []
     # ndarray.dot and .argmax: on arrays this small, call overhead is the cost
-    for x, budget, go, picks in zip(block, budgets.tolist(), go_rows, pick_rows):
+    for x, budget, go, picks in zip(X, budgets.tolist(), go_rows, pick_rows):
         i = root
         while go[i] if i < P else float(x.dot(nodes.M[i].dot(x))) > budget:
             cols = nodes.cols[i]
@@ -207,19 +243,17 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
                 k = nodes.child[i][j] = _support_node(hm, nodes.masks[i] | 1 << j, j)
             i = k
         ends.append(i)
-    u = np.array([nodes.K[i].dot(x) for i, x in zip(ends, block)])
-    return ControlPacket(u.reshape(*X.shape[:-1], hm.N),
-                         sum(nodes.cols[i].size for i in ends))
+    u = np.array([nodes.K[i].dot(x) for i, x in zip(ends, X)])
+    return ControlPacket(u.reshape(shape), sum(nodes.cols[i].size for i in ends))
 
 
 def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPacket:
     """Globally sparsity-minimal packet by support enumeration.
 
-    X is one state (n,) or a block of states (b, n), and u is then the
-    (N,) packet or the (b, N) packets. One budget_for call gives every row
-    its budget, and each row has its own search: it scans support sizes
-    k = 0, 1, ... and within each size the supports in lexicographic
-    order, taking the first feasible restricted least-squares solution.
+    One budget_for call gives every row of X its budget, and each row has
+    its own search: it scans support sizes k = 0, 1, ... and within each
+    size the supports in lexicographic order, taking the first feasible
+    restricted least-squares solution.
     solver_iters is the block's total of supports examined. Each size is
     one stacked QR of every G[:, S] and one stacked solve of R coef = Q'Hx.
     A support whose R has an exact zero on its diagonal is singular, and
@@ -231,10 +265,9 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> C
     if hm.N > ORACLE_CAP:
         raise ConfigError(
             f"exhaustive search refused for N = {hm.N} > cap {ORACLE_CAP}")
-    X = np.asarray(X, dtype=float)
-    block = X.reshape(-1, hm.n)
-    found = [_l0_search(hm, x, budget) for x, budget in zip(block, budget_for(W, block).tolist())]
-    return ControlPacket(np.array([u for u, _ in found]).reshape(X.shape[:-1] + (hm.N,)),
+    X, shape, _, _ = _solver_input(hm, X)
+    found = [_l0_search(hm, x, budget) for x, budget in zip(X, budget_for(W, X).tolist())]
+    return ControlPacket(np.array([u for u, _ in found]).reshape(shape),
                          sum(examined for _, examined in found))
 
 
@@ -285,17 +318,15 @@ def least_squares_packet(hm: HorizonMatrices, X: np.ndarray) -> ControlPacket:
 
     It is the least-squares packet K x of the full-support node of the
     OMP table (see _support_node); build_horizon has already refused a G
-    without full column rank. X is one state (n,) or a (b, n) block of
-    states, and u is then their (b, N) packets.
+    without full column rank.
     """
+    X, shape, _, _ = _solver_input(hm, X)
     K = hm._omp_nodes.K[_support_node(hm, (1 << hm.N) - 1)]
-    return ControlPacket(_row_products(K, np.asarray(X, dtype=float)), 1)
+    return ControlPacket(_row_products(K, X).reshape(shape), 1)
 
 
 def _l2_gain(hm: HorizonMatrices, nu2: float) -> np.ndarray:
     """K = (nu2 I + G'G)^-1 G'H, kept read-only in hm._l2_gains; a failed build keeps none."""
-    if not (nu2 > 0.0):
-        raise ConfigError(f"nu2 must be positive, got {nu2}")
     K = hm._l2_gains.get(nu2)
     if K is None:
         try:
@@ -310,18 +341,18 @@ def _l2_gain(hm: HorizonMatrices, nu2: float) -> np.ndarray:
 def l2_packet(hm: HorizonMatrices, X: np.ndarray, nu2) -> ControlPacket:
     """Tikhonov-regularized packet (nu2 I + G'G)^-1 G'H x, as K x (see _l2_gain).
 
-    X is one state (n,) or a (b, n) block of states, and u is then their
-    (b, N) packets. nu2 is one float, or a (b,) array, a value per row, and
-    row r is then K_r x_r with its own value's gain, taken once per distinct
+    With one number nu2 every row is K x; with a (b,) array, a value per
+    row, row r is K_r x_r with its own value's gain, taken once per distinct
     value. One stacked product makes, row by row, the call of K x alone, so
-    each row has the bits of its own float-nu2 solve.
+    each row has the bits of its own one-value solve.
     """
-    if np.ndim(nu2):
-        values, at = np.unique(np.asarray(nu2, dtype=float), return_inverse=True)
-        K = np.array([_l2_gain(hm, nu) for nu in values.tolist()])[at]
+    X, shape, nu, _ = _solver_input(hm, X, nu2, "nu2")
+    if np.ndim(nu):
+        values, at = np.unique(nu, return_inverse=True)
+        K = np.array([_l2_gain(hm, v) for v in values.tolist()])[at]
     else:
-        K = _l2_gain(hm, nu2)
-    return ControlPacket(_row_products(K, np.asarray(X, dtype=float)), 1)
+        K = _l2_gain(hm, nu)
+    return ControlPacket(_row_products(K, X).reshape(shape), 1)
 
 
 SIDES = np.array([[1.0], [-1.0]])     # join ratio rows: c_j reaches +lam, then -lam
@@ -354,11 +385,9 @@ def _kkt_gap(u: np.ndarray, c: np.ndarray, nu1) -> np.ndarray:
 def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = None) -> ControlPacket:
     """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
 
-    X is one state (n,) or a block of states (b, n), and u is then the (N,)
-    packet or the (b, N) packets, row r of u depending on row r of X and
-    nu1 alone. nu1 is one float or a (b,) array, a value per row. guess,
-    the loop's previous packets, is None or shaped like u; a row of zeros
-    is no guess.
+    Row r of u depends on row r of X and nu1 alone; nu1 is one number or
+    a (b,) array, a value per row. guess, the loop's previous packets, is
+    None or shaped like u; a row of zeros is no guess.
 
     On the active set S with signs s, u_S(lam) = (G'G)_SS^-1 (G'Hx_S -
     lam s) (Osborne, Presnell & Turlach 2000). A row with ||G'Hx||_inf <=
@@ -377,30 +406,23 @@ def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = Non
     Batch-OMP saving of Rubinstein, Zibulevsky & Elad applied to the
     homotopy). Stacked matmul and a broadcast solve make, row by row, the
     call of that row alone, so each row gets the bits of its own solve.
-    Only rows that miss walk, one at a time. A nu1 that is not positive
-    raises ConfigError and a non-finite G'Hx NumericError, before any row
-    is solved; otherwise the first walk that raises ends the call.
+    Only rows that miss walk, one at a time. A non-finite G'Hx raises
+    NumericError before any row is solved; otherwise the first walk that
+    raises ends the call.
     """
-    X = np.asarray(X, dtype=float)
-    N = hm.N
-    block = X.reshape(-1, hm.n)
-    nu = np.asarray(nu1, dtype=float)
-    if not nu.min() > 0.0:
-        raise ConfigError(f"nu1 must be positive, got {nu[~(nu > 0.0)].flat[0]}")
-    B = _row_products(hm.GtH, block)
+    X, shape, nu, guess = _solver_input(hm, X, nu1, "nu1", guess)
+    B = _row_products(hm.GtH, X)
     lam0 = np.abs(B).max(axis=1)
     if not math.isfinite(lam0.max()):
         raise NumericError(f"state is not finite: ||G'Hx||_inf = {lam0[~np.isfinite(lam0)][0]}")
-    u = np.zeros((len(block), N))
+    u = np.zeros((len(X), hm.N))
     rows = (lam0 > nu).nonzero()[0]
     iters = 0
     if rows.size:
-        nu = np.full(lam0.shape, nu)
-        HX = _row_products(hm.H, block)
-        tried = np.zeros(len(block), dtype=bool)
-        if guess is not None:
-            signs = np.sign(np.asarray(guess, dtype=float).reshape(-1, N))
-            tried = signs.any(axis=1)
+        nu = np.full(lam0.shape, nu)    # a value per row
+        HX = _row_products(hm.H, X)
+        signs = np.zeros((len(X), hm.N)) if guess is None else np.sign(guess)
+        tried = signs.any(axis=1)
         on = tried[rows]
         walk, guessed = rows[~on].tolist(), rows[on]
         if guessed.size:
@@ -410,7 +432,7 @@ def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = Non
         for r in sorted(walk):
             u[r], breaks = _l1_walk(hm, B[r], HX[r], float(lam0[r]), float(nu[r]))
             iters += breaks + int(tried[r])
-    return ControlPacket(u.reshape(X.shape[:-1] + (N,)), iters)
+    return ControlPacket(u.reshape(shape), iters)
 
 
 def _l1_guesses(hm: HorizonMatrices, u: np.ndarray, rows: np.ndarray, signs: np.ndarray,

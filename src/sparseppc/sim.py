@@ -488,9 +488,9 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     all trials of any one value do. The engine call is timed once, and
     mean_step_seconds is its wall time per row and step.
     """
-    if grid is not None and cfg.controller not in SWEEP_KEYS:
-        raise ConfigError(f"a grid run needs a controller of {tuple(SWEEP_KEYS)}, "
-                          f"got {shown(cfg.controller)}")
+    if grid is not None and (cfg.controller not in SWEEP_KEYS or not len(grid)):
+        raise ConfigError(f"a grid run needs a controller of {tuple(SWEEP_KEYS)} and a "
+                          f"non-empty grid, got {shown(cfg.controller)} and {shown(grid)}")
     # each value is checked as its own run's config before the setup is built
     runs = [cfg] if grid is None else [replace(cfg, **{SWEEP_KEYS[cfg.controller]: nu})
                                        for nu in grid]

@@ -900,6 +900,81 @@ def test_solvers_refuse_a_non_finite_state(cessna_design, cessna_horizon, solve,
         solve(cessna_horizon, cessna_design.W, np.array(x))
 
 
+# each solver as solve(hm, W, X, nu, guess); nu and guess reach the solvers that take them
+CONTRACT = {
+    "omp": lambda hm, W, X, nu, guess: sp.omp_packet(hm, W, X),
+    "oracle": lambda hm, W, X, nu, guess: sp.exhaustive_l0_packet(hm, W, X),
+    "least_squares": lambda hm, W, X, nu, guess: sp.least_squares_packet(hm, X),
+    "l2": lambda hm, W, X, nu, guess: sp.l2_packet(hm, X, nu),
+    "l1l2": lambda hm, W, X, nu, guess: sp.l1l2_packet(hm, X, nu, guess=guess),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT))
+def test_solvers_take_one_input_form_and_refuse_any_other(cessna_design, cessna_horizon, rng,
+                                                          monkeypatch, name):
+    # a state (n,) or a block (b, n) of numbers, nu one positive number or
+    # one per row, a guess shaped like the packets; anything else raises
+    # ConfigError before a support node is built or a budget computed
+    import sparseppc.controllers as ctl
+
+    solve, hm, W = CONTRACT[name], replace(cessna_horizon), cessna_design.W
+    calls = Counter()
+
+    def counted(fn, real):
+        def call(*args):
+            calls[fn] += 1
+            return real(*args)
+        return call
+
+    for fn in ("_support_node", "budget_for"):
+        monkeypatch.setattr(ctl, fn, counted(fn, getattr(ctl, fn)))
+    X = rng.standard_normal((5, 4))
+    for bad in (np.ones(8), np.ones(3), np.ones((2, 8)), np.ones((2, 2, 4)), np.ones((0, 4)),
+                1.0, ["a"] * 4, [1, 2, 3, 4j], [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]],
+                [True] * 4):
+        with pytest.raises(ConfigError, match="^x must"):
+            solve(hm, W, bad, 310.0, None)
+    if name in ("l2", "l1l2"):
+        arg = {"l2": "nu2", "l1l2": "nu1"}[name]
+        for bad in (np.full(4, 310.0), np.full(1, 310.0), np.full(6, 310.0),
+                    np.full((5, 1), 310.0), "a", True, 0.0, -1.0, np.nan,
+                    [310.0] * 4 + [0.0], [310.0] * 4 + [np.nan]):
+            with pytest.raises(ConfigError, match=f"^{arg} must"):
+                solve(hm, W, X, bad, None)
+        with pytest.raises(ConfigError, match=f"{arg} must be positive, got -1.0"):
+            solve(hm, W, X, np.array([310.0, -1.0, 310.0, 310.0, 310.0]), None)
+    if name == "l1l2":
+        for bad in (np.zeros(10), np.zeros((5, 9)), np.zeros((4, 10)), np.zeros((5, 10, 1)),
+                    [["a"] * 10] * 5):
+            with pytest.raises(ConfigError, match="^guess must"):
+                solve(hm, W, X, 310.0, bad)
+        with pytest.raises(ConfigError, match="^guess must"):
+            solve(hm, W, X[0], 310.0, np.zeros((1, 10)))
+    assert calls == Counter()
+    assert hm._omp_nodes.count == 0 and hm._l2_gains == {} and hm._l1_gathers == {}
+    # one state gives the (N,) packet and a block the (b, N) packets, each
+    # row with the bits of its own solve; one state with its (1,) nu is
+    # the one-value call
+    one, block = solve(hm, W, X[0], 310.0, None), solve(hm, W, X, 310.0, None)
+    assert one.u.shape == (hm.N,) and block.u.shape == (5, hm.N)
+    assert one.u.tobytes() == block.u[0].tobytes()
+    assert solve(hm, W, X[0].tolist(), 310.0, None).u.tobytes() == one.u.tobytes()
+    if name in ("l2", "l1l2"):
+        row = solve(hm, W, X[0], np.array([310.0]), None)
+        assert row.u.shape == (hm.N,) and row.u.tobytes() == one.u.tobytes()
+
+
+def test_check_feasible_takes_one_state_and_its_packet(cessna_design, cessna_horizon):
+    hm, W = cessna_horizon, cessna_design.W
+    for u, x in ((np.zeros(9), np.zeros(4)), (np.zeros((1, 10)), np.zeros(4)),
+                 (np.zeros(10), np.zeros(8)), (np.zeros(10), np.zeros((1, 4))),
+                 (np.zeros(10), np.zeros((2, 4))), (["a"] * 10, np.zeros(4)),
+                 (np.zeros(10), ["a"] * 4)):
+        with pytest.raises(ConfigError):
+            sp.check_feasible(hm, W, u, x)
+
+
 def test_l1l2_rejects_bad_penalty(cessna_horizon):
     with pytest.raises(ConfigError):
         sp.l1l2_packet(cessna_horizon, np.zeros(4), 0.0)

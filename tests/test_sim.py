@@ -1053,6 +1053,17 @@ def test_a_grid_run_needs_a_sweep_family():
         monte_carlo(SimConfig(trials=2, steps=10), grid=[1.0])
 
 
+@pytest.mark.parametrize("grid", [[], np.array([])])
+def test_an_empty_grid_is_refused_before_any_setup(monkeypatch, grid):
+    import sparseppc.sim as sim_mod
+
+    built = []
+    monkeypatch.setattr(sim_mod, "build_setup", lambda *a, **kw: built.append(a))
+    with pytest.raises(ConfigError, match="a grid run needs .* a non-empty grid"):
+        monte_carlo(SimConfig(trials=2, steps=10, controller="l2"), grid=grid)
+    assert built == []
+
+
 def test_bitrate_experiment_smoke():
     cfg = SimConfig(trials=6, train_trials=6, steps=40, seed=13,
                     noise={"kind": "gaussian", "sigma": 0.01})
