@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolViolationError, TraceValidationError
-from .linalg import finite_real, number_array, shown
+from .linalg import finite_real, int_setting, number_array, shown
 
 # Each dropout kind and the DropoutModel fields it reads.
 DROPOUT_KEYS = {"iid": {"p_drop"}, "markov": {"p_dd", "p_dg"}, "scripted": {"script"}}
@@ -37,8 +37,7 @@ class DropoutModel:
         if not (isinstance(self.kind, str) and self.kind in DROPOUT_KEYS):
             raise ConfigError(f"dropout kind must be one of {tuple(DROPOUT_KEYS)}, "
                               f"got {shown(self.kind)}")
-        if self.N < 1:
-            raise ConfigError(f"packet length N must be >= 1, got {shown(self.N)}")
+        int_setting(self.N, "packet length N", 1)
         for name in ("p_drop", "p_dd", "p_dg"):
             p = getattr(self, name)
             if not (finite_real(p) and 0.0 <= p <= 1.0):
@@ -105,8 +104,7 @@ def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:
     delivery and counted in overrides. Random models draw T uniforms from
     rng; a scripted model replays its first T bits and ignores rng.
     """
-    if T < 1:
-        raise ConfigError(f"trace length must be >= 1, got {shown(T)}")
+    T = int_setting(T, "trace length T", 1)
     if model.kind == "scripted":
         if len(model.script) < T:
             raise TraceValidationError(
@@ -140,6 +138,7 @@ def actuate(trace: ChannelTrace, N: int):
     src[k], the latest delivery at or before k. A burst reading past the
     end of a packet raises ProtocolViolationError.
     """
+    N = int_setting(N, "packet length N", 1)
     age = delivery_age(trace.d)
     if age.max() >= N:
         raise ProtocolViolationError(f"buffer age {age.max()} outside [0, {N - 1}]")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (CodecTrainingError, ConfigError, DecodeError,
                      QuantizerRangeError)
+from .linalg import finite_real, number_array, shown
 
 # Escape symbol key; distinct from every integer quantizer index.
 ESCAPE = "esc"
@@ -39,8 +40,8 @@ class Quantizer:
     delta: float
 
     def __post_init__(self):
-        if not (self.delta > 0.0):
-            raise ConfigError(f"quantizer step must be positive, got {self.delta}")
+        if not (finite_real(self.delta) and self.delta > 0.0):
+            raise ConfigError(f"quantizer step must be finite and > 0, got {shown(self.delta)}")
 
 
 def quantize_packet(q: Quantizer, u: np.ndarray) -> np.ndarray:
@@ -48,7 +49,7 @@ def quantize_packet(q: Quantizer, u: np.ndarray) -> np.ndarray:
 
     u may have any shape: one packet, or a stack of recorded packets.
     """
-    u = np.asarray(u, dtype=float)
+    u = number_array(u, "packet").astype(float, copy=False)
     if not np.all(np.isfinite(u)):
         raise QuantizerRangeError("cannot quantize non-finite packet")
     idx = np.rint(u / q.delta)
@@ -179,14 +180,15 @@ def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
     """Fit per-position Huffman code lengths to quantized packets.
 
     samples is an (M, N) integer index array, or a list of M index vectors
-    of a common length N.
+    of a common length N >= 1 (else CodecTrainingError), integers only.
     Positions past the scheme's head are trained on their nonzero indices
     only (zeros travel in the bitmap). Every position gets an escape symbol
     with pseudo-count 1 so unseen indices stay encodable.
     """
-    mat = np.asarray(samples, dtype=np.int64)
-    if mat.ndim != 2 or mat.shape[0] == 0:
+    mat = number_array(samples, "training samples")
+    if mat.ndim != 2 or 0 in mat.shape:
         raise CodecTrainingError("training requires at least one packet")
+    mat = number_array(mat, "training samples", "iu")
     N = mat.shape[1]
     head = _head(scheme, N)
     coders = []
@@ -202,7 +204,7 @@ def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
 
 def encode(codec: PacketCodec, indices: np.ndarray) -> EncodedPacket:
     """Encode one quantized packet (vector of integer indices)."""
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = number_array(indices, "packet indices", "iu")
     if idx.shape != (codec.N,):
         raise ConfigError(f"packet must have shape ({codec.N},), got {idx.shape}")
     head = _head(codec.scheme, codec.N)

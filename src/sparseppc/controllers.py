@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, FeasibilityError, NumericError, SolverFailureError
 from .horizon import HorizonMatrices, cost_quadratic
-from .linalg import number_array
+from .linalg import number_array, shown, square_matrix
 from .plant import _frozen
 
 # Feasibility comparisons inflate the budget by this relative slack so that
@@ -61,14 +61,15 @@ class FeasibilityCertificate:
     feasible: bool
 
 
-def budget_for(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+def budget_for(W, X: np.ndarray) -> np.ndarray:
     """x'Wx of each row x of a (b, n) block of states, as a (b,) array.
 
-    X must already be a float array. Stacked matmul gives each row the bits
-    of its own (x @ W) @ x. A budget that is not finite (a NaN or
-    overflowed state) raises NumericError, the block's first such one
-    named: no packet can be judged against it.
+    X must already be a finite float array, and W a square_matrix (n, n).
+    Stacked matmul gives each row the bits of its own (x @ W) @ x. A
+    budget that is not finite (an overflow) raises NumericError, the
+    block's first such one named: no packet can be judged against it.
     """
+    W = square_matrix(W, "W", X.shape[1])
     budget = ((X[:, None, :] @ W) @ X[:, :, None])[:, 0, 0]
     bad = budget[~np.isfinite(budget)].tolist()
     if bad:
@@ -77,13 +78,14 @@ def budget_for(W: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _solver_input(hm: HorizonMatrices, X, nu=None, name: str = None, guess=None) -> tuple:
-    """Every solver's input check: (block, shape, nu, guess), or ConfigError.
+    """Every solver's input check: (block, shape, nu, guess), or a package error.
 
     X, numbers of shape (n,) or (b, n) with b >= 1, becomes the float (b, n)
     block; shape is the packets', X.shape[:-1] + (N,). nu (the argument
-    called name) is a positive number, returned as a float, or a (b,) array
-    of them; guess is None or numbers of the packets' shape, returned as
-    (b, N). Anything else raises ConfigError naming the argument.
+    called name) is a finite positive number, returned as a float, or a
+    (b,) array of them; guess is None or numbers of the packets' shape,
+    returned as (b, N). Anything else raises ConfigError naming the
+    argument, except a state that is not finite: NumericError.
     """
     X = number_array(X, "x")
     if X.ndim not in (1, 2) or X.shape[-1] != hm.n or not X.size:
@@ -91,14 +93,16 @@ def _solver_input(hm: HorizonMatrices, X, nu=None, name: str = None, guess=None)
                           f"got {X.shape}")
     shape = X.shape[:-1] + (hm.N,)
     block = X.astype(float, copy=False).reshape(-1, hm.n)
-    if nu is not None:
+    if not np.isfinite(block).all():
+        raise NumericError(f"state is not finite: x = {shown(X.tolist())}")
+    if name is not None:
         nu = number_array(nu, name).astype(float, copy=False)
         if nu.shape not in ((), (len(block),)):
             raise ConfigError(f"{name} must be one number or have shape ({len(block)},), "
                               f"got {nu.shape}")
-        bad = nu[~(nu > 0.0)]
+        bad = nu[~((nu > 0.0) & (nu < np.inf))]
         if bad.size:
-            raise ConfigError(f"{name} must be positive, got {bad[0]}")
+            raise ConfigError(f"{name} must be positive, got {bad[0]}; it must be finite too")
         nu = float(nu) if nu.ndim == 0 else nu
     if guess is not None:
         guess = number_array(guess, "guess")
@@ -111,13 +115,8 @@ def _solver_input(hm: HorizonMatrices, X, nu=None, name: str = None, guess=None)
 def check_feasible(hm: HorizonMatrices, W: np.ndarray, u: np.ndarray,
                    x: np.ndarray) -> FeasibilityCertificate:
     """Certificate that the packet u (N,) meets the quadratic budget for one state x (n,)."""
-    X, shape, _, _ = _solver_input(hm, x)
-    u = number_array(u, "u")
-    if shape != (hm.N,) or u.shape != shape:
-        raise ConfigError(f"check_feasible takes one state x ({hm.n},) and its packet u "
-                          f"({hm.N},), got shapes {np.shape(x)} and {u.shape}")
-    residual_sq = cost_quadratic(hm, u, X[0])
-    budget = budget_for(W, X).item()
+    residual_sq = cost_quadratic(hm, u, x)
+    budget = budget_for(W, np.asarray(x, dtype=float)[None]).item()
     feasible = residual_sq <= budget + FEASIBILITY_SLACK * max(1.0, budget)
     return FeasibilityCertificate(residual_sq=residual_sq, budget=budget, feasible=feasible)
 

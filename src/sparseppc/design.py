@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (ConfigError, DesignInfeasibleError, NumericError,
                      SolverFailureError)
 from .horizon import HorizonMatrices, build_horizon
-from .linalg import check_sym_pd, is_sym_pd, number_array, pencil_eigvals, shown
+from .linalg import check_sym_pd, finite_real, is_sym_pd, number_array, pencil_eigvals, shown
 from .plant import PlantModel, _frozen, require_reachable
 
 # A Riccati solution's residual may be at most this fraction of ||P||_F, and
@@ -65,15 +65,14 @@ def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0) -> np.ndarray:
     Iterates P <- A'PA - A'PB (B'PB + delta)^-1 B'PA + Q until the relative
     Frobenius change drops below DARE_TOL. delta > 0 regularizes the scalar
     inverse for plants where the plain equation lacks a PD solution. The
-    OMP termination bound needs delta >= 0, so a negative delta is refused.
-    An iteration whose change is not finite (an overflow) raises
-    NumericError at once, with numpy's overflow warnings kept silent.
+    OMP termination bound needs delta >= 0, so a negative delta is refused,
+    as is one that is not finite. An iteration whose change is not finite
+    (an overflow) raises NumericError at once, with numpy's overflow
+    warnings kept silent.
     """
-    if not delta >= 0:
-        raise ConfigError(f"delta must be >= 0, got {shown(delta)}")
-    Q = check_sym_pd(np.asarray(Q, dtype=float), "Q")
-    if Q.shape[0] != m.n:
-        raise ConfigError(f"Q must be {m.n}x{m.n}, got {Q.shape}")
+    if not (finite_real(delta) and delta >= 0):
+        raise ConfigError(f"delta must be >= 0 and finite, got {shown(delta)}")
+    Q = check_sym_pd(Q, "Q", m.n)
     require_reachable(m)
 
     A, B = m.A, m.B
@@ -111,6 +110,7 @@ def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0) -> np.ndarray:
 
 def lq_gain(m: PlantModel, P: np.ndarray) -> np.ndarray:
     """Optimal feedback gain K = -(B'PB)^-1 B'PA, returned as a row (n,)."""
+    P = check_sym_pd(P, "P", m.n)
     Pb = P @ m.B
     bPb = float(m.B @ Pb)
     if bPb <= 0.0:
@@ -153,11 +153,9 @@ def build_design(m: PlantModel, Q=None, N: int = 10, eta: float = 2.0 / 3.0,
     eta in (0, 1) places the slack at Eps = eta (1 - rho) P / c, strictly
     inside the stability cap; eta defaults to 2/3.
     """
-    if not (0.0 < eta < 1.0):
+    if not (finite_real(eta) and 0.0 < eta < 1.0):
         raise ConfigError(f"eta must lie strictly inside (0, 1), got {shown(eta)}")
-    if Q is None:
-        Q = np.eye(m.n)
-    Q = check_sym_pd(np.asarray(Q, dtype=float), "Q")
+    Q = check_sym_pd(np.eye(m.n) if Q is None else Q, "Q", m.n)
 
     P = solve_dare(m, Q, delta=delta)
     K = lq_gain(m, P)

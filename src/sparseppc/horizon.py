@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DesignInfeasibleError
-from .linalg import check_sym_pd, numerical_rank, sym_sqrt
+from .errors import ConfigError, DesignInfeasibleError
+from .linalg import check_sym_pd, int_setting, number_array, numerical_rank, sym_sqrt
 from .plant import PlantModel, _frozen, impulse_response
 
 
@@ -97,11 +97,12 @@ class HorizonMatrices:
 
 def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> HorizonMatrices:
     """Assemble Phi and the weighted operators G and H = -Qbar^(1/2) Upsilon."""
+    N = int_setting(N, "N", 0)
     if N < 1:
         raise DesignInfeasibleError(f"horizon length must be >= 1, got {N}")
-    Q = check_sym_pd(np.asarray(Q, dtype=float), "Q")
-    P = check_sym_pd(np.asarray(P, dtype=float), "P")
     n = m.n
+    Q = check_sym_pd(Q, "Q", n)
+    P = check_sym_pd(P, "P", n)
 
     blocks = impulse_response(m, N)    # A^i B
     Phi = np.zeros((N * n, N))
@@ -142,7 +143,10 @@ def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> Horizo
     )
 
 
-def cost_quadratic(hm: HorizonMatrices, u: np.ndarray, x: np.ndarray) -> float:
-    """Horizon cost ||G u - H x||_2^2 for a packet u and current state x."""
-    r = hm.G @ np.asarray(u, dtype=float) - hm.H @ np.asarray(x, dtype=float)
+def cost_quadratic(hm: HorizonMatrices, u, x) -> float:
+    """Horizon cost ||G u - H x||^2 of a finite packet u (N,) and state x (n,), else ConfigError."""
+    u, x = number_array(u, "u").astype(float), number_array(x, "x").astype(float)
+    if u.shape != (hm.N,) or x.shape != (hm.n,) or not np.isfinite(np.append(u, x)).all():
+        raise ConfigError(f"need finite u ({hm.N},) and x ({hm.n},), got {u.shape} and {x.shape}")
+    r = hm.G @ u - hm.H @ x
     return float(r @ r)

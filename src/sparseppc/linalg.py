@@ -5,7 +5,7 @@ Everything here targets small matrices (state dimension <= 16, horizon
 """
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -104,6 +104,18 @@ def finite_real(value) -> bool:
         return False
 
 
+# Largest value of a signed 64-bit integer, the bound of every int setting.
+INT64_MAX = 2**63 - 1
+
+
+def int_setting(value, name: str, low: int) -> int:
+    """value as an int in [low, INT64_MAX], else ConfigError; a bool is no int."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= INT64_MAX:
+        raise ConfigError(f"{name} must be in [{low}, {INT64_MAX}] and integral, "
+                          f"got {shown(value)}")
+    return int(value)
+
+
 RANK_RTOL = 1e-12
 
 
@@ -119,17 +131,22 @@ def numerical_rank(M: np.ndarray) -> int:
 
 def sym_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition (negative dust clipped)."""
-    M = np.asarray(M, dtype=float)
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)) @ V.T
 
 
-def check_sym_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry and positive definiteness (via Cholesky); return M."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NumericError(f"{name} must be square, got shape {M.shape}")
+def square_matrix(M, name: str, n: int = None) -> np.ndarray:
+    """M as a finite float (n, n) array, any square one when n is None, else ConfigError."""
+    M = number_array(M, name).astype(float, copy=False)
+    if M.ndim != 2 or M.shape != (n or len(M),) * 2 or not np.isfinite(M).all():
+        raise ConfigError(f"{name} must be a finite {n or 'n'} x {n or 'n'} matrix, got {M.shape}")
+    return M
+
+
+def check_sym_pd(M, name: str = "matrix", n: int = None) -> np.ndarray:
+    """M as a square_matrix, checked symmetric positive definite (via Cholesky)."""
+    M = square_matrix(M, name, n)
     if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
         raise NumericError(f"{name} must be symmetric")
     try:
@@ -139,10 +156,10 @@ def check_sym_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def is_sym_pd(M: np.ndarray) -> bool:
+def is_sym_pd(M) -> bool:
     try:
         check_sym_pd(M)
-    except NumericError:
+    except (ConfigError, NumericError):
         return False
     return True
 
@@ -154,8 +171,6 @@ def pencil_eigvals(M: np.ndarray, S: np.ndarray) -> np.ndarray:
     S: the eigenvalues equal those of L^-1 M L^-T, which are real. This is
     how spectra of nonsymmetric products like M S^-1 are evaluated here.
     """
-    M = np.asarray(M, dtype=float)
-    S = np.asarray(S, dtype=float)
     L = np.linalg.cholesky(0.5 * (S + S.T))
     Y = np.linalg.solve(L, 0.5 * (M + M.T))
     C = np.linalg.solve(L, Y.T).T

@@ -11,22 +11,13 @@ import json
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .linalg import expm, finite_real, number_array, numerical_rank, shown
+from .linalg import expm, finite_real, number_array, numerical_rank, shown, square_matrix
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
-
-
-def _as_square(M, name: str) -> np.ndarray:
-    M = number_array(M, name).astype(float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ConfigError(f"{name} must be a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ConfigError(f"{name} contains non-finite entries")
-    return M
 
 
 def _as_column(v, n: int, name: str) -> np.ndarray:
@@ -51,7 +42,7 @@ class ContinuousPlant:
     Bc: np.ndarray
 
     def __post_init__(self):
-        Ac = _as_square(self.Ac, "Ac")
+        Ac = square_matrix(self.Ac, "Ac")
         Bc = _as_column(self.Bc, Ac.shape[0], "Bc")
         object.__setattr__(self, "Ac", _frozen(Ac))
         object.__setattr__(self, "Bc", _frozen(Bc))
@@ -69,7 +60,7 @@ class PlantModel:
     B: np.ndarray
 
     def __post_init__(self):
-        A = _as_square(self.A, "A")
+        A = square_matrix(self.A, "A")
         B = _as_column(self.B, A.shape[0], "B")
         object.__setattr__(self, "A", _frozen(A))
         object.__setattr__(self, "B", _frozen(B))

@@ -17,7 +17,6 @@ and training/test phases never share entropy.
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from numbers import Integral
 from time import perf_counter
 
 import numpy as np
@@ -32,7 +31,7 @@ from .design import RICCATI_RTOL, CostDesign, build_design
 from .errors import (ConfigError, NumericError, SparsePpcError,
                      TraceValidationError)
 from .horizon import HorizonMatrices, build_horizon
-from .linalg import finite_real, is_sym_pd, number_array, shown
+from .linalg import finite_real, int_setting, is_sym_pd, number_array, shown
 from .plant import PlantModel, resolve_plant
 
 CONTROLLERS = ("omp", "l1l2", "l2", "least_squares", "oracle")
@@ -41,9 +40,6 @@ CONTROLLERS = ("omp", "l1l2", "l2", "least_squares", "oracle")
 NS_MAIN = 0
 NS_TRAIN = 1
 NS_TEST = 2
-
-# Largest value of a signed 64-bit integer, the bound of every int setting.
-INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -70,16 +66,10 @@ class SimConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is float and not finite_real(value) or f.type is int and (
-                    isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ConfigError(f"{f.name} must be a finite {f.type.__name__}, "
-                                  f"got {shown(value)}")
-        # every int field, each bounded below and by INT64_MAX
-        for name, low in (("N", 1), ("steps", 1), ("trials", 1), ("train_trials", 1),
-                          ("seed", 0)):
-            if not low <= getattr(self, name) <= INT64_MAX:
-                raise ConfigError(f"{name} must be in [{low}, {INT64_MAX}], "
-                                  f"got {shown(getattr(self, name))}")
+            if f.type is int:     # each in [1, INT64_MAX], the seed in [0, INT64_MAX]
+                int_setting(value, f.name, 0 if f.name == "seed" else 1)
+            elif f.type is float and not finite_real(value):
+                raise ConfigError(f"{f.name} must be a finite float, got {shown(value)}")
         if not (self.nu1 > 0 and self.nu2 > 0 and self.quantizer_delta > 0):
             raise ConfigError(f"nu1, nu2 and quantizer_delta must be positive, got "
                               f"{self.nu1}, {self.nu2}, {self.quantizer_delta}")
@@ -91,11 +81,9 @@ class SimConfig:
             raise ConfigError(f"dropout must be a mapping, got {shown(self.dropout)}")
         if not (isinstance(self.x0, str) and self.x0 == "standard_normal"):
             number_array(self.x0, "x0 ('standard_normal' or a vector)")
-        if not (isinstance(self.Q, str) and self.Q == "identity"):
-            Q = number_array(self.Q, "Q").astype(float)
-            if not (np.all(np.isfinite(Q)) and is_sym_pd(Q)):
-                raise ConfigError(f"Q must be 'identity' or a finite symmetric positive "
-                                  f"definite matrix, got {shown(self.Q)}")
+        if not (isinstance(self.Q, str) and self.Q == "identity" or is_sym_pd(self.Q)):
+            raise ConfigError(f"Q must be 'identity' or a finite symmetric positive "
+                              f"definite matrix, got {shown(self.Q)}")
         if not (isinstance(self.noise, dict) and self.noise.get("kind") in ("none", "gaussian")):
             raise ConfigError(f"noise must be a mapping with kind 'none' or 'gaussian', "
                               f"got {shown(self.noise)}")
@@ -289,10 +277,11 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
     This is the engine's call with one row (see _lockstep): at each step
     the controller solves a (1, n) block holding the row's state, as row 0.
     Where the engine would drop the row, the trial fails and its error is
-    raised. An x0 or noise that is not a real array of shape (n,) or (T, n)
-    raises ConfigError.
+    raised. An x0 or noise that is not a real array of shape (n,) or (T, n),
+    or a trial that is not an int >= 0, raises ConfigError.
     """
     T, n = trace.T, setup.model.n
+    trial = int_setting(trial, "trial", 0)
     x0, noise = number_array(x0, "x0"), number_array(noise, "noise")
     if x0.shape != (n,):
         raise ConfigError(f"x0 must have shape ({n},), got {x0.shape}")
@@ -327,83 +316,92 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
     Returns the stacked records of the rows that finished and the failures
     as (row, error) in row order.
     """
-    A, B, P, N = setup.model.A, setup.model.B, setup.design.P, setup.design.N
-    trials, traces, x0, noise = zip(*inputs)
-    m, T = len(inputs), traces[0].T
-    rows = m * copies
-    failed = {}               # row -> error
-    src, age = np.zeros((2, m, T), dtype=np.intp)
-    for t, trace in enumerate(traces):
-        try:
-            src[t], age[t] = actuate(trace, N)
-        except ConfigError:
-            raise
-        except SparsePpcError as exc:
-            failed.update(dict.fromkeys(range(t, rows, m), exc))
-    # plays[i, k]: the element row i plays at step k, as an index into packets.ravel()
-    plays = (np.arange(rows)[:, None] * T + np.tile(src, (copies, 1))) * N + np.tile(age, (copies, 1))
-    live = np.delete(np.arange(rows), list(failed))
-    X = np.array(x0 * copies, dtype=float)[live]
-    noise = np.array(noise * copies, dtype=float)
-
-    states = np.empty((rows, T, setup.model.n))
-    V = np.empty((rows, T))
-    packets = np.empty((rows, T, N))
-    played = packets.reshape(-1)
-    for k in range(T if live.size else 0):     # no loop when every schedule was refused
-        Vk = ((X[:, None, :] @ P) @ X[:, :, None])[:, 0, 0]
-        ok = np.isfinite(Vk)
-        if not ok.all():
-            for j in np.flatnonzero(~ok):
-                failed[live[j]] = NumericError(f"state is not finite at step {k}: V = {Vk[j]}")
-            live, X, Vk = live[ok], X[ok], Vk[ok]
-            if not live.size:
-                break
-        whole = live.size == rows
-        at = slice(None) if whole else live     # basic indexing while all are live
-        lost = []
-        # a block that raises is solved again one row at a time (spans grows)
-        spans = [(0, live.size)]
-        for a, b in spans:
+    # an overflowing row fails on the engine's finiteness checks, so numpy's
+    # overflow warnings would only say it first; a warnings filter, unlike
+    # np.errstate, costs the numpy calls inside nothing
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
+                                RuntimeWarning)
+        A, B, P, N = setup.model.A, setup.model.B, setup.design.P, setup.design.N
+        trials, traces, x0, noise = zip(*inputs)
+        m, T = len(inputs), traces[0].T
+        rows = m * copies
+        failed = {}               # row -> error
+        src, age = np.zeros((2, m, T), dtype=np.intp)
+        for t, trace in enumerate(traces):
             try:
-                packets[slice(a, b) if whole else live[a:b], k] = controller(X[a:b], live[a:b])
+                src[t], age[t] = actuate(trace, N)
             except ConfigError:
                 raise
             except SparsePpcError as exc:
-                if b - a > 1:
-                    spans += [(r, r + 1) for r in range(a, b)]
-                else:
-                    failed[live[a]] = exc
-                    lost.append(live[a])
-        if lost:
-            ok = ~np.isin(live, lost)
-            live, X, Vk = live[ok], X[ok], Vk[ok]
-            if not live.size:
-                break
+                failed.update(dict.fromkeys(range(t, rows, m), exc))
+        # plays[i, k]: the element row i plays at step k, as an index into packets.ravel()
+        plays = np.tile(src * N + age, (copies, 1)) + np.arange(rows)[:, None] * T * N
+        live = np.delete(np.arange(rows), list(failed))
+        X = np.array(x0 * copies, dtype=float)[live]
+        noise = np.array(noise * copies, dtype=float)
+
+        states = np.empty((rows, T, setup.model.n))
+        V = np.empty((rows, T))
+        packets = np.empty((rows, T, N))
+        played = packets.reshape(-1)
+        for k in range(T if live.size else 0):     # no loop when every schedule was refused
+            Vk = ((X[:, None, :] @ P) @ X[:, :, None])[:, 0, 0]
+            ok = np.isfinite(Vk)
+            if not ok.all():
+                for j in np.flatnonzero(~ok):
+                    failed[live[j]] = NumericError(f"state is not finite at step {k}: V = {Vk[j]}")
+                live, X, Vk = live[ok], X[ok], Vk[ok]
+                if not live.size:
+                    break
+            whole = live.size == rows
+            at = slice(None) if whole else live     # basic indexing while all are live
+            lost = []
+            # a block that raises is solved again one row at a time (spans grows)
+            spans = [(0, live.size)]
+            for a, b in spans:
+                try:
+                    u = number_array(controller(X[a:b], live[a:b]), "packets")
+                    if u.shape != (b - a, N):
+                        raise ConfigError(f"controller gave shape {u.shape}, not ({b - a}, {N})")
+                    packets[slice(a, b) if whole else live[a:b], k] = u
+                except ConfigError:
+                    raise
+                except SparsePpcError as exc:
+                    if b - a > 1:
+                        spans += [(r, r + 1) for r in range(a, b)]
+                    else:
+                        failed[live[a]] = exc
+                        lost.append(live[a])
+            if lost:
+                ok = ~np.isin(live, lost)
+                live, X, Vk = live[ok], X[ok], Vk[ok]
+                if not live.size:
+                    break
+                at = live
+            states[at, k] = X
+            V[at, k] = Vk
+            X = (A @ X[:, :, None])[:, :, 0] + B * played[plays[at, k]][:, None] + noise[at, k]
+        at = live if live.size < rows else slice(None)
+        states = states[at]
+        norms = np.sqrt((states[..., None, :] @ states[..., :, None])[..., 0, 0])
+        perf = np.sqrt(np.sum(norms**2, axis=1))
+        bad = ~np.isfinite(packets[at]).all(axis=2)
+        ok = ~bad.any(axis=1) & np.isfinite(perf)
+        if not ok.all():
+            for j in np.flatnonzero(~ok):
+                failed[live[j]] = NumericError(
+                    f"packet is not finite at step {np.argmax(bad[j])}" if bad[j].any() else
+                    f"performance sqrt(sum_k ||x(k)||^2) is not finite: {perf[j]}")
+            live, states, norms, perf = live[ok], states[ok], norms[ok], perf[ok]
             at = live
-        states[at, k] = X
-        V[at, k] = Vk
-        X = (A @ X[:, :, None])[:, :, 0] + B * played[plays[at, k]][:, None] + noise[at, k]
-    at = live if live.size < rows else slice(None)
-    states = states[at]
-    norms = np.sqrt((states[..., None, :] @ states[..., :, None])[..., 0, 0])
-    perf = np.sqrt(np.sum(norms**2, axis=1))
-    bad = ~np.isfinite(packets[at]).all(axis=2)
-    ok = ~bad.any(axis=1) & np.isfinite(perf)
-    if not ok.all():
-        for j in np.flatnonzero(~ok):
-            failed[live[j]] = NumericError(
-                f"packet is not finite at step {np.argmax(bad[j])}" if bad[j].any() else
-                f"performance sqrt(sum_k ||x(k)||^2) is not finite: {perf[j]}")
-        live, states, norms, perf = live[ok], states[ok], norms[ok], perf[ok]
-        at = live
-    kept = packets[at]
-    records = TrialResult(
-        trial=np.array(trials * copies)[at], states=states, norms=norms, perf=perf, V=V[at],
-        d=np.array([trace.d for trace in traces] * copies)[at], u_applied=played[plays[at]],
-        packets=kept, sparsity=np.count_nonzero(kept, axis=2),
-        overrides=np.array([trace.overrides for trace in traces] * copies)[at])
-    return records, [(int(i), failed[i]) for i in sorted(failed)]
+        kept = packets[at]
+        records = TrialResult(
+            trial=np.array(trials * copies)[at], states=states, norms=norms, perf=perf, V=V[at],
+            d=np.array([trace.d for trace in traces] * copies)[at], u_applied=played[plays[at]],
+            packets=kept, sparsity=np.count_nonzero(kept, axis=2),
+            overrides=np.array([trace.overrides for trace in traces] * copies)[at])
+        return records, [(int(i), failed[i]) for i in sorted(failed)]
 
 
 @dataclass
@@ -488,12 +486,14 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     all trials of any one value do. The engine call is timed once, and
     mean_step_seconds is its wall time per row and step.
     """
-    if grid is not None and (cfg.controller not in SWEEP_KEYS or not len(grid)):
+    if grid is not None and (cfg.controller not in SWEEP_KEYS or
+                             number_array(grid, "grid").ndim != 1 or not len(grid)):
         raise ConfigError(f"a grid run needs a controller of {tuple(SWEEP_KEYS)} and a "
                           f"non-empty grid, got {shown(cfg.controller)} and {shown(grid)}")
     # each value is checked as its own run's config before the setup is built
     runs = [cfg] if grid is None else [replace(cfg, **{SWEEP_KEYS[cfg.controller]: nu})
                                        for nu in grid]
+    namespace = int_setting(namespace, "namespace", 0)
     if setup is None:
         setup = build_setup(cfg)
     else:
@@ -506,15 +506,9 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     inputs = [(trial, *trial_inputs(cfg, setup, namespace, trial))
               for trial in range(cfg.trials)]
     controller = make_controller(cfg, setup, grid)
-    # an overflowing trial fails on the engine's finiteness checks, so numpy's
-    # overflow warnings would only say it first; a warnings filter, unlike
-    # np.errstate, costs the numpy calls inside nothing
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
-                                RuntimeWarning)
-        t0 = perf_counter()
-        records, errors = _lockstep(setup, controller, inputs, copies=len(runs))
-        seconds = perf_counter() - t0
+    t0 = perf_counter()
+    records, errors = _lockstep(setup, controller, inputs, copies=len(runs))
+    seconds = perf_counter() - t0
     errors = {row: f"{type(exc).__name__}: {exc}" for row, exc in errors}
     point = np.delete(np.arange(len(runs) * cfg.trials), list(errors)) // cfg.trials
     kept = np.bincount(point, minlength=len(runs))     # rows kept per value

@@ -501,8 +501,7 @@ def markov_chain_stats(p_dd: float, p_dg: float, N: int):
 
 def random_reachable(rng, n_lo: int = 1, n_hi: int = 6):
     """Random reachable single-input pair with spectral radius in [0.2, 1.3]."""
-    from sparseppc.plant import PlantModel
-    from sparseppc import reachability_rank
+    from sparseppc.plant import PlantModel, reachability_rank
 
     while True:
         n = int(rng.integers(n_lo, n_hi + 1))

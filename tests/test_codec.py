@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseppc as sp
-from sparseppc.codec import (ESCAPE, ESCAPE_RAW_BITS, PositionCoder, Quantizer,
-                             _code_lengths)
+from sparseppc.codec import (ESCAPE, ESCAPE_RAW_BITS, EncodedPacket, PacketCodec,
+                             PositionCoder, Quantizer, _code_lengths, dequantize)
 from sparseppc.errors import (CodecTrainingError, ConfigError, DecodeError,
                               QuantizerRangeError)
 
@@ -18,14 +18,14 @@ def test_quantize_examples():
     idx = sp.quantize_packet(q, [0.0, 0.0004, 0.0015, -0.0015])
     assert idx.dtype == np.int64
     assert idx.tolist() == [0, 0, 2, -2]
-    assert sp.dequantize(q, idx).tolist() == [0.0, 0.0, 0.002, -0.002]
+    assert dequantize(q, idx).tolist() == [0.0, 0.0, 0.002, -0.002]
 
 
 def test_quantize_error_bound_random(rng):
     q = Quantizer(delta=0.001)
     vals = rng.uniform(-50.0, 50.0, 5000)
     idx = sp.quantize_packet(q, vals)
-    back = sp.dequantize(q, idx)
+    back = dequantize(q, idx)
     assert np.max(np.abs(vals - back)) <= 0.5 * q.delta
 
 
@@ -214,7 +214,7 @@ _INDEX = st.integers(-2**31, 2**31 - 1)
 def test_roundtrip_over_random_length_tables(data, scheme, N):
     coders = tuple(PositionCoder(position=p, lengths=data.draw(_length_table()))
                    for p in range(N))
-    codec = sp.PacketCodec(N=N, quantizer=Quantizer(delta=0.001), coders=coders,
+    codec = PacketCodec(N=N, quantizer=Quantizer(delta=0.001), coders=coders,
                            scheme=scheme)
     # trained symbols, zeros, and indices outside the alphabet (escape path)
     pkt = np.array([data.draw(st.one_of(st.sampled_from(sorted(set(c.lengths) - {ESCAPE})
@@ -224,14 +224,14 @@ def test_roundtrip_over_random_length_tables(data, scheme, N):
     assert np.array_equal(sp.decode(codec, enc), pkt)
     cut = data.draw(st.integers(0, enc.bit_count - 1))
     with pytest.raises(DecodeError) as exc_info:
-        sp.decode(codec, sp.EncodedPacket(bits=enc.bits[:cut]))
+        sp.decode(codec, EncodedPacket(bits=enc.bits[:cut]))
     assert exc_info.value.bit_offset is not None
 
 
 def test_decode_malformed_raises_with_offset(rng):
     codec = _train([rng.integers(-3, 4, 6) for _ in range(50)], "dense")
     enc = sp.encode(codec, np.array([1, 2, 3, -1, 0, 2], dtype=np.int64))
-    truncated = sp.EncodedPacket(bits=enc.bits[: len(enc.bits) // 2])
+    truncated = EncodedPacket(bits=enc.bits[: len(enc.bits) // 2])
     with pytest.raises(DecodeError) as exc_info:
         sp.decode(codec, truncated)
     assert exc_info.value.bit_offset is not None

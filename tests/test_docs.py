@@ -1,10 +1,12 @@
 import contextlib
+import inspect
 import io
 import json
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import sparseppc
 from sparseppc import sim
 from sparseppc.design import CostDesign
 from sparseppc.sim import SimConfig
@@ -46,3 +48,13 @@ def test_readme_library_quick_start_runs():
         exec(compile(blocks[0], "README.md", "exec"), {})
     sparsity, feasible = out.getvalue().split()
     assert 1 <= int(sparsity) <= 10 and feasible == "True"
+
+
+def test_readme_lists_the_public_names():
+    listed = re.findall(r"^\*\*Public names\.\*\*.*?\n\n(.*?)\n\n", README.read_text(),
+                        flags=re.S | re.M)
+    assert len(listed) == 1
+    names = re.findall(r"`(\w+)`", listed[0])
+    public = [name for name in dir(sparseppc) if not name.startswith("_")
+              and not inspect.ismodule(getattr(sparseppc, name))]
+    assert sorted(names) == public

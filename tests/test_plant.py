@@ -5,8 +5,8 @@ import pytest
 
 import sparseppc as sp
 from sparseppc.errors import ConfigError
-from sparseppc.plant import (ContinuousPlant, PlantModel, controllability_matrix,
-                             impulse_response)
+from sparseppc.plant import (ContinuousPlant, PlantModel, cessna500, controllability_matrix,
+                             impulse_response, reachability_rank, zoh_discretize)
 
 from .fixtures import CESSNA_A, CESSNA_B, CESSNA_RANK
 from .oracles import zoh_taylor
@@ -14,7 +14,7 @@ from .oracles import zoh_taylor
 
 def test_zoh_zero_dynamics_is_identity_and_scaled_input():
     cp = ContinuousPlant(Ac=np.zeros((3, 3)), Bc=[1.0, -2.0, 0.5])
-    m = sp.zoh_discretize(cp, 0.5)
+    m = zoh_discretize(cp, 0.5)
     assert np.allclose(m.A, np.eye(3), atol=1e-14)
     assert np.allclose(m.B, 0.5 * np.array([1.0, -2.0, 0.5]), atol=1e-14)
 
@@ -22,13 +22,13 @@ def test_zoh_zero_dynamics_is_identity_and_scaled_input():
 @pytest.mark.parametrize("h", [0.1, 0.5, 2.0])
 def test_zoh_double_integrator_closed_form(h):
     cp = ContinuousPlant(Ac=[[0.0, 1.0], [0.0, 0.0]], Bc=[0.0, 1.0])
-    m = sp.zoh_discretize(cp, h)
+    m = zoh_discretize(cp, h)
     assert np.allclose(m.A, [[1.0, h], [0.0, 1.0]], atol=1e-14)
     assert np.allclose(m.B, [h * h / 2.0, h], atol=1e-14)
 
 
 def test_zoh_cessna_matches_taylor_oracle(cessna):
-    cp = sp.cessna500()
+    cp = cessna500()
     A_ref, B_ref = zoh_taylor(cp.Ac, cp.Bc, 0.5)
     assert np.allclose(cessna.A, A_ref, rtol=1e-10, atol=1e-13)
     assert np.allclose(cessna.B, B_ref, rtol=1e-10, atol=1e-13)
@@ -43,7 +43,7 @@ def test_zoh_exact_on_nilpotent_dynamics(rng):
         Ac = np.triu(rng.standard_normal((n, n)), 1)
         Bc = rng.standard_normal(n)
         Ts = 0.7
-        m = sp.zoh_discretize(ContinuousPlant(Ac=Ac, Bc=Bc), Ts)
+        m = zoh_discretize(ContinuousPlant(Ac=Ac, Bc=Bc), Ts)
         A_series = np.zeros((n, n))
         term = np.eye(n)
         fact = 1.0
@@ -63,7 +63,7 @@ def test_zoh_exact_on_nilpotent_dynamics(rng):
 def test_zoh_rejects_bad_sample_time():
     cp = ContinuousPlant(Ac=np.zeros((2, 2)), Bc=[1.0, 0.0])
     with pytest.raises(ConfigError):
-        sp.zoh_discretize(cp, 0.0)
+        zoh_discretize(cp, 0.0)
 
 
 def test_zoh_overflow_raises_numeric_error():
@@ -71,13 +71,13 @@ def test_zoh_overflow_raises_numeric_error():
 
     cp = ContinuousPlant(Ac=[[1e4]], Bc=[1.0])
     with pytest.raises(NumericError):
-        sp.zoh_discretize(cp, 1.0)
+        zoh_discretize(cp, 1.0)
 
 
 def test_reachability_rank_examples(cessna):
-    assert sp.reachability_rank(PlantModel(A=np.eye(2), B=[1.0, 0.0])) == 1
-    assert sp.reachability_rank(PlantModel(A=[[0.0, 1.0], [0.0, 0.0]], B=[0.0, 1.0])) == 2
-    assert sp.reachability_rank(cessna) == CESSNA_RANK
+    assert reachability_rank(PlantModel(A=np.eye(2), B=[1.0, 0.0])) == 1
+    assert reachability_rank(PlantModel(A=[[0.0, 1.0], [0.0, 0.0]], B=[0.0, 1.0])) == 2
+    assert reachability_rank(cessna) == CESSNA_RANK
     C = controllability_matrix(cessna)
     assert np.linalg.matrix_rank(C) == CESSNA_RANK
 
@@ -106,7 +106,7 @@ def test_resolve_plant_forms(cessna):
     doc = {"A": cessna.A.tolist(), "B": cessna.B.tolist()}
     m = sp.resolve_plant(doc)
     assert np.allclose(m.A, cessna.A)
-    cp = sp.cessna500()
+    cp = cessna500()
     m2 = sp.resolve_plant({"Ac": cp.Ac.tolist(), "Bc": cp.Bc.tolist(), "Ts": 0.5})
     assert np.allclose(m2.A, cessna.A)
     m3 = sp.resolve_plant(json.dumps(doc))

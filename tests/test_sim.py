@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseppc as sp
+from sparseppc.codec import EncodedPacket
+from sparseppc.controllers import ControlPacket
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
 from sparseppc.sim import (CONTROLLERS, NS_MAIN, SETUP_FIELDS, SWEEP_KEYS,
@@ -97,7 +99,7 @@ def test_config_errors_show_a_bounded_value():
     # int past Python's 4300-digit str() limit still gives a ConfigError
     from sparseppc.channel import DropoutModel
     from sparseppc.linalg import shown
-    from sparseppc.plant import ContinuousPlant
+    from sparseppc.plant import ContinuousPlant, zoh_discretize
 
     huge = 10**5000
     long = [0.5] * 10_000
@@ -110,7 +112,7 @@ def test_config_errors_show_a_bounded_value():
              lambda: config_from_dict({"k" * 10_000: 1}),
              lambda: DropoutModel(kind="markov", N=10, p_dd=huge),
              lambda: DropoutModel(kind="scripted", N=3, script=[long]),
-             lambda: sp.zoh_discretize(ContinuousPlant(Ac=[[0.0]], Bc=[1.0]), huge),
+             lambda: zoh_discretize(ContinuousPlant(Ac=[[0.0]], Bc=[1.0]), huge),
              lambda: sp.resolve_plant("x" * 10_000),
              lambda: sp.resolve_plant({"preset": [1]}),
              lambda: sweep_regularization(SimConfig(), "l2", [long]),
@@ -882,7 +884,7 @@ def test_every_controller_calls_its_solver_where_sim_looks_it_up(monkeypatch):
     def counted(name, fn):
         def spy(*args, **kwargs):
             pkt = fn(*args, **kwargs)
-            assert isinstance(pkt, sp.ControlPacket) and pkt.converged and pkt.solver_iters >= 0
+            assert isinstance(pkt, ControlPacket) and pkt.converged and pkt.solver_iters >= 0
             calls[name] += 1
             return pkt
         return spy
@@ -1119,8 +1121,8 @@ def test_bitrate_decodes_each_packet_right_after_encoding_it(monkeypatch):
 
 def test_rates_make_no_hex_dumps(monkeypatch):
     dumps = []
-    to_hex = sp.EncodedPacket.to_hex
-    monkeypatch.setattr(sp.EncodedPacket, "to_hex",
+    to_hex = EncodedPacket.to_hex
+    monkeypatch.setattr(EncodedPacket, "to_hex",
                         lambda enc: dumps.append(enc) or to_hex(enc))
     rep = sp.bitrate_experiment(SimConfig(trials=2, train_trials=2, steps=10, seed=8,
                                           noise={"kind": "gaussian", "sigma": 0.01}))
