@@ -5,14 +5,18 @@ unconditionally, the rest by a presence bitmap followed by codes for the
 flagged (nonzero-index) positions only. A scheme fixes only the head: all
 N positions for dense (an empty bitmap), the first N/2 for sparse. Indices
 never seen in training are carried by an escape codeword followed by a
-32-bit raw index, so every in-range packet round-trips exactly. A
-position's code is its table of code lengths; the codewords follow from it
-canonically.
+32-bit raw index, so every in-range packet round-trips exactly.
+
+A position's code is its table of code lengths (np.unique counts, then
+two-queue Huffman merges); its codewords and the decoder's canonical start
+table follow from it as integers. An encoded packet is bytes plus a bit
+count. encode and decode take one packet each, so a tracer can pair every
+decode with the encode just before it.
 """
 
-import heapq
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,7 +27,8 @@ from .linalg import finite_real, number_array, shown
 # Escape symbol key; distinct from every integer quantizer index.
 ESCAPE = "esc"
 ESCAPE_RAW_BITS = 32
-_INDEX_LIMIT = 2**31 - 1
+_RAW_HALF = 1 << ESCAPE_RAW_BITS - 1
+_RAW_MASK = (1 << ESCAPE_RAW_BITS) - 1
 
 _SCHEMES = ("sparse", "dense")
 
@@ -52,8 +57,9 @@ def quantize_packet(q: Quantizer, u: np.ndarray) -> np.ndarray:
     u = number_array(u, "packet").astype(float, copy=False)
     if not np.all(np.isfinite(u)):
         raise QuantizerRangeError("cannot quantize non-finite packet")
-    idx = np.rint(u / q.delta)
-    if np.any(np.abs(idx) > _INDEX_LIMIT):
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        idx = np.rint(u / q.delta)
+    if np.any(np.abs(idx) >= _RAW_HALF):
         raise QuantizerRangeError("packet value exceeds the 32-bit index range")
     return idx.astype(np.int64)
 
@@ -71,9 +77,11 @@ def _symbol_order(symbols) -> list:
 def _code_lengths(freqs: dict) -> dict:
     """Deterministic Huffman code lengths for symbol -> frequency.
 
-    Leaves enter the heap in symbol order and merges pop the two smallest
-    (frequency, order) entries, so the lengths are reproducible. A symbol's
-    length is the number of merges above its leaf. A single-symbol alphabet
+    Each merge takes the two smallest (frequency, node id) nodes, so the
+    lengths are reproducible. Merged weights never decrease, so two FIFO
+    queues do a heap's work (van Leeuwen, 1976): leaves sorted by
+    (frequency, id), then merges as made; on a tie the leaf goes first. A
+    symbol's length is the number of merges above its leaf; a lone symbol
     gets length 1 to keep the stream self-delimiting.
     """
     if not freqs:
@@ -83,14 +91,18 @@ def _code_lengths(freqs: dict) -> dict:
     if n == 1:
         return {symbols[0]: 1}
     # Node ids double as the merge order: leaves 0..n-1, merges n..2n-2.
-    heap = [(freqs[sym], node) for node, sym in enumerate(symbols)]
-    heapq.heapify(heap)
+    weight = [freqs[sym] for sym in symbols] + [0] * (n - 1)
+    leaves = sorted(range(n), key=weight.__getitem__)  # stable: ties by id
     parent = [0] * (2 * n - 1)
+    leaf, merge = 0, n  # heads of the two queues
     for node in range(n, 2 * n - 1):
-        fa, a = heapq.heappop(heap)
-        fb, b = heapq.heappop(heap)
-        parent[a] = parent[b] = node
-        heapq.heappush(heap, (fa + fb, node))
+        for _ in range(2):
+            if leaf < n and (merge == node or weight[leaves[leaf]] <= weight[merge]):
+                child, leaf = leaves[leaf], leaf + 1
+            else:
+                child, merge = merge, merge + 1
+            parent[child] = node
+            weight[node] += weight[child]
     # A parent's id exceeds its children's, so one downward pass suffices.
     depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, -1, -1):
@@ -102,10 +114,12 @@ def _code_lengths(freqs: dict) -> dict:
 class PositionCoder:
     """Canonical prefix code for one packet position, with an escape fallback.
 
-    lengths maps every symbol to its code length, and is the whole code:
-    symbols sorted by (length, symbol order) take consecutive integer
-    codewords, shifted left whenever the length grows (Moffat & Turpin,
-    1997). codebook holds the resulting symbol -> bitstring map.
+    lengths maps every symbol to its code length and is the whole code:
+    sorted by (length, symbol order), in canonical's (symbol, length) pairs,
+    symbols take consecutive codewords, shifted left as the length grows
+    (Moffat & Turpin, 1997). Left-justified to the longest length, they are
+    the Kraft partial sums in starts (Python ints, exact at any length),
+    which ends with their total; codes maps symbol -> (codeword, length).
     """
 
     position: int
@@ -117,30 +131,14 @@ class PositionCoder:
         if min(self.lengths.values()) < 1:
             raise CodecTrainingError(f"position {self.position}: code lengths must be >= 1")
         longest = max(self.lengths.values())
-        if sum(2 ** (longest - n) for n in self.lengths.values()) > 2 ** longest:
-            raise CodecTrainingError(f"position {self.position}: Kraft inequality violated")
-        codebook = {}
-        code = width = 0
         # a stable sort by length keeps symbol order within each length
-        for sym in sorted(_symbol_order(self.lengths), key=self.lengths.__getitem__):
-            code <<= self.lengths[sym] - width
-            width = self.lengths[sym]
-            codebook[sym] = format(code, "b").zfill(width)
-            code += 1
-        object.__setattr__(self, "codebook", codebook)
-        object.__setattr__(self, "_decode", {w: s for s, w in codebook.items()})
-        object.__setattr__(self, "_max_len", longest)
-
-    def encode_index(self, idx: int) -> str:
-        idx = int(idx)
-        # the raw field is 32-bit two's complement; reject what would wrap
-        if not -2 ** (ESCAPE_RAW_BITS - 1) <= idx < 2 ** (ESCAPE_RAW_BITS - 1):
-            raise QuantizerRangeError(f"index {idx} exceeds the 32-bit index range")
-        word = self.codebook.get(idx)
-        if word is not None:
-            return word
-        # Two's-complement raw index after the escape marker.
-        return self.codebook[ESCAPE] + format(idx & 0xFFFFFFFF, f"0{ESCAPE_RAW_BITS}b")
+        canonical = [(sym, self.lengths[sym]) for sym in
+                     sorted(_symbol_order(self.lengths), key=self.lengths.__getitem__)]
+        starts = list(accumulate((1 << longest - n for _, n in canonical), initial=0))
+        if starts[-1] > 1 << longest:
+            raise CodecTrainingError(f"position {self.position}: Kraft inequality violated")
+        codes = {sym: (start >> longest - n, n) for (sym, n), start in zip(canonical, starts)}
+        vars(self).update(codes=codes, starts=starts, canonical=canonical, longest=longest)
 
 
 @dataclass(frozen=True)
@@ -162,18 +160,14 @@ class PacketCodec:
 
 @dataclass(frozen=True)
 class EncodedPacket:
-    """One encoded packet as a '0'/'1' string."""
+    """bit_count bits, big-endian in data and zero-padded to whole bytes."""
 
-    bits: str
-
-    @property
-    def bit_count(self) -> int:
-        return len(self.bits)
+    data: bytes
+    bit_count: int
 
     def to_hex(self) -> str:
-        """Hex dump, zero-padded to whole bytes (bit_count disambiguates)."""
-        padded = self.bits + "0" * (-len(self.bits) % 8)
-        return bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8)).hex()
+        """Hex dump of data (bit_count disambiguates the padding)."""
+        return self.data.hex()
 
 
 def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
@@ -196,10 +190,17 @@ def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
         col = mat[:, p]
         if p >= head:
             col = col[col != 0]
-        freqs = {int(s): int(c) for s, c in Counter(col.tolist()).items()}
+        symbols, counts = np.unique(col, return_counts=True)
+        freqs = dict(zip(symbols.tolist(), counts.tolist()))
         freqs[ESCAPE] = 1
         coders.append(PositionCoder(position=p, lengths=_code_lengths(freqs)))
     return PacketCodec(N=N, quantizer=quantizer, coders=tuple(coders), scheme=scheme)
+
+
+def _escape_word(coder: PositionCoder, idx: int) -> tuple:
+    """The escape codeword followed by idx as a 32-bit two's-complement field."""
+    code, n = coder.codes[ESCAPE]
+    return code << ESCAPE_RAW_BITS | idx & _RAW_MASK, n + ESCAPE_RAW_BITS
 
 
 def encode(codec: PacketCodec, indices: np.ndarray) -> EncodedPacket:
@@ -207,71 +208,70 @@ def encode(codec: PacketCodec, indices: np.ndarray) -> EncodedPacket:
     idx = number_array(indices, "packet indices", "iu")
     if idx.shape != (codec.N,):
         raise ConfigError(f"packet must have shape ({codec.N},), got {idx.shape}")
+    vals = idx.tolist()
+    # the raw field is 32-bit two's complement; reject what would wrap
+    for v in (min(vals, default=0), max(vals, default=0)):
+        if not -_RAW_HALF <= v < _RAW_HALF:
+            raise QuantizerRangeError(f"index {v} exceeds the 32-bit index range")
     head = _head(codec.scheme, codec.N)
-    tail = range(head, codec.N)
-    coded = "".join(codec.coders[p].encode_index(idx[p]) for p in range(head))
-    bitmap = "".join("1" if idx[p] != 0 else "0" for p in tail)
-    flagged = "".join(codec.coders[p].encode_index(idx[p]) for p in tail if idx[p] != 0)
-    return EncodedPacket(bits=coded + bitmap + flagged)
+    tail = vals[head:]
+    words = [c.codes.get(v) or _escape_word(c, v) for c, v in zip(codec.coders, vals)]
+    # head codewords, one bitmap bit per tail position, flagged codewords
+    words = (words[:head] + [(v != 0, 1) for v in tail]
+             + [w for w, v in zip(words[head:], tail) if v])
+    acc = bit_count = 0
+    for code, n in words:
+        acc = acc << n | code
+        bit_count += n
+    pad = -bit_count % 8
+    return EncodedPacket((acc << pad).to_bytes((bit_count + pad) // 8, "big"), bit_count)
 
 
-def _read_symbol(coder: PositionCoder, bits: str, pos: int):
-    """Decode one symbol starting at bit offset pos; returns (index, next pos)."""
-    decode = coder._decode
-    end = min(len(bits), pos + coder._max_len)
-    j = pos
-    sym = None
-    while j < end:
-        j += 1
-        sym = decode.get(bits[pos:j])
-        if sym is not None:
-            break
-    if sym is None:
+def _read_symbol(coder: PositionCoder, acc: int, bit_count: int, pos: int):
+    """(index, next pos) of the symbol at bit offset pos of the bit_count-bit stream acc."""
+    # its codeword is the start below the next longest bits, zero-padded past the end
+    rest = bit_count - pos
+    window = (acc << coder.longest) >> rest & (1 << coder.longest) - 1
+    i = bisect_right(coder.starts, window) - 1
+    if i == len(coder.canonical) or coder.canonical[i][1] > rest:
         raise DecodeError("no codeword matches the stream", bit_offset=pos)
-    if sym == ESCAPE:
-        raw_end = j + ESCAPE_RAW_BITS
-        if raw_end > len(bits):
-            raise DecodeError("escape raw field runs past the end", bit_offset=j)
-        raw = int(bits[j:raw_end], 2)
-        if raw >= 2 ** (ESCAPE_RAW_BITS - 1):
-            raw -= 2 ** ESCAPE_RAW_BITS
-        return raw, raw_end
-    return int(sym), j
+    sym, n = coder.canonical[i]
+    pos += n
+    if sym != ESCAPE:
+        return sym, pos
+    if pos + ESCAPE_RAW_BITS > bit_count:
+        raise DecodeError("escape raw field runs past the end", bit_offset=pos)
+    raw = acc >> bit_count - pos - ESCAPE_RAW_BITS & _RAW_MASK
+    return raw - ((raw & _RAW_HALF) << 1), pos + ESCAPE_RAW_BITS
 
 
 def decode(codec: PacketCodec, enc: EncodedPacket) -> np.ndarray:
     """Exact inverse of encode(); returns the integer index vector."""
-    bits = enc.bits
-    idx = np.zeros(codec.N, dtype=np.int64)
-    pos = 0
+    data, bit_count = enc.data, enc.bit_count
+    if not (isinstance(data, bytes) and isinstance(bit_count, int)
+            and 0 <= bit_count <= 8 * len(data) < bit_count + 8):
+        raise DecodeError(f"{shown(bit_count)} bits in {shown(data)} is not a padded packet",
+                          bit_offset=0)
+    acc = int.from_bytes(data, "big") >> 8 * len(data) - bit_count
+    idx, pos = [0] * codec.N, 0
     head = _head(codec.scheme, codec.N)
     for p in range(head):
-        idx[p], pos = _read_symbol(codec.coders[p], bits, pos)
+        idx[p], pos = _read_symbol(codec.coders[p], acc, bit_count, pos)
     width = codec.N - head
-    if pos + width > len(bits):
+    if pos + width > bit_count:
         raise DecodeError("bitmap runs past the end", bit_offset=pos)
-    bitmap = bits[pos:pos + width]
     pos += width
-    for p, flag in zip(range(head, codec.N), bitmap):
-        if flag == "1":
-            idx[p], pos = _read_symbol(codec.coders[p], bits, pos)
-    if pos != len(bits):
-        raise DecodeError(f"{len(bits) - pos} unread bits after the last symbol",
-                          bit_offset=pos)
-    return idx
+    bitmap = acc >> bit_count - pos
+    for p in range(head, codec.N):
+        if bitmap >> codec.N - 1 - p & 1:
+            idx[p], pos = _read_symbol(codec.coders[p], acc, bit_count, pos)
+    if pos != bit_count:
+        raise DecodeError(f"{bit_count - pos} unread bits after the last symbol", bit_offset=pos)
+    return np.array(idx, dtype=np.int64)
 
 
 def codec_to_dict(codec: PacketCodec) -> dict:
     """JSON-ready form: per position, the code length of every symbol."""
-    return {
-        "N": codec.N,
-        "scheme": codec.scheme,
-        "delta": codec.quantizer.delta,
-        "coders": [
-            {
-                "position": c.position,
-                "lengths": {str(s): n for s, n in c.lengths.items()},
-            }
-            for c in codec.coders
-        ],
-    }
+    coders = [{"position": c.position, "lengths": {str(s): n for s, n in c.lengths.items()}}
+              for c in codec.coders]
+    return {"N": codec.N, "scheme": codec.scheme, "delta": codec.quantizer.delta, "coders": coders}

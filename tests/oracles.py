@@ -12,8 +12,10 @@ a per-state linear solve instead of the cached l2 and least-squares gains,
 the lasso optimality (KKT) conditions, checked column by column,
 instead of the homotopy path, a two-stage l1 solver (a guess certified
 on its own, else a walk that gathers G'G afresh at every breakpoint)
-instead of the one active-set loop, and an explicit Huffman tree walked for
-its codewords instead of counting merges per symbol, a delivery-by-delivery
+instead of the one active-set loop, an explicit Huffman tree walked for
+its codewords instead of two queues of merges, per-column Counters instead
+of np.unique, the '0'/'1' string codec (dictionary prefix matching and
+byte-by-byte hex packing) instead of integer code tables, a delivery-by-delivery
 walk instead of the masked Lyapunov counts, CSV text rendered a row
 and a cell at a time instead of a column at a time, its per-k summaries
 summed trial by trial in Python, and a sweep that runs one Monte Carlo
@@ -553,6 +555,146 @@ def huffman_reference(freqs: dict) -> dict:
 
     walk(heap[0][2], "")
     return codebook
+
+
+def train_codec_reference(samples, scheme: str) -> list:
+    """Per-position length tables from a Counter of each column and a heap.
+
+    The head positions (all N for dense, the first N/2 for sparse) count
+    every index, the rest only nonzero ones; each alphabet gets the escape
+    symbol at count 1, and a length is the depth of its leaf in
+    huffman_reference's tree.
+    """
+    from collections import Counter
+
+    mat = np.asarray(samples)
+    head = mat.shape[1] if scheme == "dense" else mat.shape[1] // 2
+    tables = []
+    for p in range(mat.shape[1]):
+        col = [int(v) for v in mat[:, p] if p < head or v != 0]
+        freqs = {**Counter(col), "esc": 1}
+        tables.append({s: len(w) for s, w in huffman_reference(freqs).items()})
+    return tables
+
+
+def codewords(coder) -> dict:
+    """symbol -> '0'/'1' codeword of a PositionCoder, from its integer codes."""
+    return {s: format(code, "b").zfill(n) for s, (code, n) in coder.codes.items()}
+
+
+def packet_bits(enc) -> str:
+    """An EncodedPacket's bits as a '0'/'1' string, the padding dropped."""
+    return format(int.from_bytes(enc.data, "big"), f"0{8 * len(enc.data)}b")[:enc.bit_count]
+
+
+def packet_of_bits(bits: str):
+    """The EncodedPacket whose bits are the '0'/'1' string bits."""
+    from sparseppc.codec import EncodedPacket
+
+    padded = bits + "0" * (-len(bits) % 8)
+    return EncodedPacket(int(padded or "0", 2).to_bytes(len(padded) // 8, "big"), len(bits))
+
+
+def _reference_codebook(lengths: dict) -> dict:
+    """symbol -> bitstring: consecutive codewords in (length, symbol order)."""
+    symbols = sorted(s for s in lengths if s != "esc") + (["esc"] if "esc" in lengths else [])
+    codebook = {}
+    code = width = 0
+    # a stable sort by length keeps symbol order within each length
+    for sym in sorted(symbols, key=lengths.__getitem__):
+        code <<= lengths[sym] - width
+        width = lengths[sym]
+        codebook[sym] = format(code, "b").zfill(width)
+        code += 1
+    return codebook
+
+
+def _reference_encode_index(codebook: dict, idx: int) -> str:
+    from sparseppc.errors import QuantizerRangeError
+
+    idx = int(idx)
+    if not -2 ** 31 <= idx < 2 ** 31:
+        raise QuantizerRangeError(f"index {idx} exceeds the 32-bit index range")
+    word = codebook.get(idx)
+    if word is not None:
+        return word
+    # Two's-complement raw index after the escape marker.
+    return codebook["esc"] + format(idx & 0xFFFFFFFF, "032b")
+
+
+def _reference_read_symbol(codebook: dict, bits: str, pos: int):
+    """Decode one symbol starting at bit offset pos; returns (index, next pos)."""
+    from sparseppc.errors import DecodeError
+
+    decode = {w: s for s, w in codebook.items()}
+    end = min(len(bits), pos + max(map(len, codebook.values())))
+    j = pos
+    sym = None
+    while j < end:
+        j += 1
+        sym = decode.get(bits[pos:j])
+        if sym is not None:
+            break
+    if sym is None:
+        raise DecodeError("no codeword matches the stream", bit_offset=pos)
+    if sym == "esc":
+        raw_end = j + 32
+        if raw_end > len(bits):
+            raise DecodeError("escape raw field runs past the end", bit_offset=j)
+        raw = int(bits[j:raw_end], 2)
+        if raw >= 2 ** 31:
+            raw -= 2 ** 32
+        return raw, raw_end
+    return int(sym), j
+
+
+def codec_reference(codec):
+    """The string codec: the codec's length tables as '0'/'1' codebooks.
+
+    Returns a namespace of codebooks (one symbol -> bitstring dict per
+    position), encode(indices) -> bits, decode(bits) -> indices, which
+    matches bitstring prefixes in a dictionary and raises DecodeError at
+    the same offsets as the package, and to_hex(bits), which packs the
+    zero-padded string eight characters at a time.
+    """
+    from types import SimpleNamespace
+
+    from sparseppc.errors import DecodeError
+
+    books = [_reference_codebook(c.lengths) for c in codec.coders]
+    head = codec.N if codec.scheme == "dense" else codec.N // 2
+
+    def encode(indices) -> str:
+        idx = [int(v) for v in indices]
+        tail = range(head, codec.N)
+        coded = "".join(_reference_encode_index(books[p], idx[p]) for p in range(head))
+        bitmap = "".join("1" if idx[p] != 0 else "0" for p in tail)
+        flagged = "".join(_reference_encode_index(books[p], idx[p]) for p in tail if idx[p] != 0)
+        return coded + bitmap + flagged
+
+    def decode(bits: str) -> np.ndarray:
+        idx = np.zeros(codec.N, dtype=np.int64)
+        pos = 0
+        for p in range(head):
+            idx[p], pos = _reference_read_symbol(books[p], bits, pos)
+        width = codec.N - head
+        if pos + width > len(bits):
+            raise DecodeError("bitmap runs past the end", bit_offset=pos)
+        bitmap = bits[pos:pos + width]
+        pos += width
+        for p, flag in zip(range(head, codec.N), bitmap):
+            if flag == "1":
+                idx[p], pos = _reference_read_symbol(books[p], bits, pos)
+        if pos != len(bits):
+            raise DecodeError(f"{len(bits) - pos} unread bits after the last symbol",
+                              bit_offset=pos)
+        return idx
+
+    def to_hex(bits: str) -> str:
+        padded = bits + "0" * (-len(bits) % 8)
+        return bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8)).hex()
+
+    return SimpleNamespace(codebooks=books, encode=encode, decode=decode, to_hex=to_hex)
 
 
 def expected_mean_bits(codec, samples) -> float:

@@ -575,9 +575,8 @@ def test_bitrate_cli(tmp_path):
     assert [p.split(",")[:4] for p in packets[1:]] == [r.split(",") for r in rows[1:]]
     for row in packets[1:]:
         _trial, _k, scheme, bit_count, hexdump = row.split(",")
-        bits = format(int(hexdump, 16), f"0{4 * len(hexdump)}b")[:int(bit_count)]
         codec = codecs[scheme]
-        enc = encode(codec, decode(codec, EncodedPacket(bits=bits)))
+        enc = encode(codec, decode(codec, EncodedPacket(bytes.fromhex(hexdump), int(bit_count))))
         assert enc.to_hex() == hexdump
 
 

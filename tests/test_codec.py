@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sparseppc as sp
-from sparseppc.codec import (ESCAPE, ESCAPE_RAW_BITS, EncodedPacket, PacketCodec,
-                             PositionCoder, Quantizer, _code_lengths, dequantize)
+from sparseppc.codec import (ESCAPE, ESCAPE_RAW_BITS, PacketCodec, PositionCoder, Quantizer,
+                             _code_lengths, dequantize)
 from sparseppc.errors import (CodecTrainingError, ConfigError, DecodeError,
                               QuantizerRangeError)
 
-from .oracles import huffman_reference
+from .oracles import (codec_reference, codewords, huffman_reference, packet_bits,
+                      packet_of_bits, train_codec_reference)
 
 
 def test_quantize_examples():
@@ -41,7 +43,9 @@ def test_quantize_range_and_validation():
 
 def test_huffman_degenerate_single_symbol():
     assert _code_lengths({0: 100}) == {0: 1}
-    assert PositionCoder(position=0, lengths=_code_lengths({ESCAPE: 1})).codebook == {ESCAPE: "0"}
+    coder = PositionCoder(position=0, lengths=_code_lengths({ESCAPE: 1}))
+    assert codewords(coder) == {ESCAPE: "0"}
+    assert coder.codes == {ESCAPE: (0, 1)}
 
 
 def test_huffman_uniform_four_symbols():
@@ -54,7 +58,7 @@ def test_huffman_deterministic_codebooks():
     lengths = _code_lengths(dict(freqs))
     assert lengths == _code_lengths(dict(reversed(list(freqs.items()))))
     shuffled = dict(reversed(list(lengths.items())))
-    assert PositionCoder(0, lengths).codebook == PositionCoder(0, shuffled).codebook
+    assert PositionCoder(0, lengths).codes == PositionCoder(0, shuffled).codes
 
 
 def _kraft_sum(lengths) -> float:
@@ -86,23 +90,23 @@ def test_position_coder_prefix_free_and_kraft(rng):
     for scheme in ("dense", "sparse"):
         codec = _train(packets, scheme)
         for coder in codec.coders:
-            words = list(coder.codebook.values())
+            words = list(codewords(coder).values())
             for w in words:
                 others = [o for o in words if o is not w]
                 assert not any(o.startswith(w) for o in others)
             assert _kraft_sum(coder.lengths) <= 1.0 + 1e-12
             assert ESCAPE in coder.lengths
-            assert {s: len(w) for s, w in coder.codebook.items()} == coder.lengths
+            assert {s: len(w) for s, w in codewords(coder).items()} == coder.lengths
 
 
 def test_codewords_are_canonical():
     # sorted by (length, symbol order), codewords count up by one and are
     # shifted left whenever the length grows
     coder = PositionCoder(position=0, lengths={ESCAPE: 4, 9: 4, -3: 3, 5: 2, 0: 1})
-    assert coder.codebook == {0: "0", 5: "10", -3: "110", 9: "1110", ESCAPE: "1111"}
+    assert codewords(coder) == {0: "0", 5: "10", -3: "110", 9: "1110", ESCAPE: "1111"}
     # within one length: integers ascending, the escape symbol last
     coder = PositionCoder(position=0, lengths={3: 2, ESCAPE: 2, 0: 2, -1: 2})
-    assert coder.codebook == {-1: "00", 0: "01", 3: "10", ESCAPE: "11"}
+    assert codewords(coder) == {-1: "00", 0: "01", 3: "10", ESCAPE: "11"}
 
 
 def test_sparse_tail_trained_on_nonzero_only():
@@ -125,7 +129,7 @@ def test_encode_all_zero_packet_sparse_scheme():
     codec = _train(packets, "sparse")
     enc = sp.encode(codec, np.zeros(10, dtype=np.int64))
     head_bits = sum(codec.coders[p].lengths[0] for p in range(5))
-    assert enc.bits[head_bits:] == "00000"  # the bitmap, then no tail codewords
+    assert packet_bits(enc)[head_bits:] == "00000"  # the bitmap, then no tail codewords
     assert enc.bit_count == head_bits + 5
     assert np.array_equal(sp.decode(codec, enc), np.zeros(10))
 
@@ -136,7 +140,7 @@ def test_dense_bit_count_is_sum_of_codeword_lengths(rng):
     pkt = packets[0]
     enc = sp.encode(codec, pkt)
     want = sum(codec.coders[p].lengths[int(v)] for p, v in enumerate(pkt))
-    assert enc.bit_count == want == len(enc.bits)
+    assert enc.bit_count == want == len(packet_bits(enc))
 
 
 def test_sparse_accounting_recount(rng):
@@ -153,7 +157,7 @@ def test_sparse_accounting_recount(rng):
                    for i in range(5, 10) if pkt[i] != 0)
         assert enc.bit_count == head + 5 + tail
         bitmap = "".join("1" if pkt[i] != 0 else "0" for i in range(5, 10))
-        assert enc.bits[head:head + 5] == bitmap
+        assert packet_bits(enc)[head:head + 5] == bitmap
 
 
 def test_escape_roundtrip():
@@ -208,30 +212,86 @@ def _length_table(draw):
 _INDEX = st.integers(-2**31, 2**31 - 1)
 
 
+def _error(call):
+    """(message, bit_offset) of the DecodeError call raises, None if it returns."""
+    try:
+        call()
+    except DecodeError as exc:
+        return str(exc), exc.bit_offset
+    return None
+
+
+_EDGES = st.sampled_from([-2**31, 2**31 - 1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), scheme=st.sampled_from(["dense", "sparse"]),
        N=st.sampled_from([2, 4, 6]))
 def test_roundtrip_over_random_length_tables(data, scheme, N):
-    coders = tuple(PositionCoder(position=p, lengths=data.draw(_length_table()))
-                   for p in range(N))
-    codec = PacketCodec(N=N, quantizer=Quantizer(delta=0.001), coders=coders,
-                           scheme=scheme)
-    # trained symbols, zeros, and indices outside the alphabet (escape path)
-    pkt = np.array([data.draw(st.one_of(st.sampled_from(sorted(set(c.lengths) - {ESCAPE})
-                                                        or [0]), st.just(0), _INDEX))
-                    for c in coders], dtype=np.int64)
+    # the integer codec must equal the '0'/'1' string codec bit for bit;
+    # single-symbol alphabets (the escape alone) are drawn on purpose as well
+    tables = st.one_of(_length_table(), st.integers(1, 3).map(lambda n: {ESCAPE: n}))
+    coders = tuple(PositionCoder(position=p, lengths=data.draw(tables)) for p in range(N))
+    codec = PacketCodec(N=N, quantizer=Quantizer(delta=0.001), coders=coders, scheme=scheme)
+    ref = codec_reference(codec)
+    # trained symbols, zeros, escapes at the raw field's edges and anywhere
+    pkt = [data.draw(st.one_of(st.sampled_from(sorted(set(c.lengths) - {ESCAPE}) or [0]),
+                               st.just(0), _EDGES, _INDEX)) for c in coders]
+    if data.draw(st.booleans()):
+        pkt[N // 2:] = [0] * (N - N // 2)  # an all-zero tail
+    pkt = np.array(pkt, dtype=np.int64)
     enc = sp.encode(codec, pkt)
-    assert np.array_equal(sp.decode(codec, enc), pkt)
-    cut = data.draw(st.integers(0, enc.bit_count - 1))
-    with pytest.raises(DecodeError) as exc_info:
-        sp.decode(codec, EncodedPacket(bits=enc.bits[:cut]))
-    assert exc_info.value.bit_offset is not None
+    bits = ref.encode(pkt)
+    assert packet_bits(enc) == bits and enc.bit_count == len(bits)
+    assert enc.to_hex() == ref.to_hex(bits)
+    assert np.array_equal(sp.decode(codec, enc), ref.decode(bits))
+    assert np.array_equal(ref.decode(bits), pkt)
+    # a cut or lengthened stream fails with the reference's message and offset
+    for cut in (data.draw(st.integers(0, len(bits) - 1)), len(bits) + 1):
+        cut_bits = (bits + "0")[:cut]
+        want = _error(lambda: ref.decode(cut_bits))
+        assert want is not None
+        assert _error(lambda: sp.decode(codec, packet_of_bits(cut_bits))) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from(["dense", "sparse"]),
+       N=st.sampled_from([2, 4, 6]), M=st.integers(1, 40), spread=st.integers(0, 4))
+def test_train_codec_matches_counter_heap_reference(data, scheme, N, M, spread):
+    # few distinct indices over few packets: frequencies tie heavily
+    samples = data.draw(hnp.arrays(np.int64, (M, N), elements=st.integers(-spread, spread)))
+    if data.draw(st.booleans()):
+        samples = np.repeat(samples[: max(1, M // 4)], 4, axis=0)  # every count a multiple of 4
+    codec = sp.train_codec(samples, scheme, Quantizer(delta=0.001))
+    assert [c.lengths for c in codec.coders] == train_codec_reference(samples, scheme)
+
+
+def test_codes_longer_than_64_bits_roundtrip():
+    # a staircase code: lengths 1, 2, ..., 70 and the escape at 70
+    lengths = {**{s: s + 1 for s in range(70)}, ESCAPE: 70}
+    coder = PositionCoder(position=0, lengths=lengths)
+    assert coder.longest == 70 and coder.starts[-1] == 2**70
+    assert codewords(coder)[69] == "1" * 69 + "0" and codewords(coder)[ESCAPE] == "1" * 70
+    codec = PacketCodec(N=2, quantizer=Quantizer(delta=0.001), coders=(coder, coder),
+                        scheme="dense")
+    for pkt in ([69, 68], [-5, 2**31 - 1], [0, 69]):
+        pkt = np.array(pkt, dtype=np.int64)
+        enc = sp.encode(codec, pkt)
+        assert packet_bits(enc) == codec_reference(codec).encode(pkt)
+        assert np.array_equal(sp.decode(codec, enc), pkt)
+
+
+def test_packet_of_no_positions_roundtrips():
+    codec = PacketCodec(N=0, quantizer=Quantizer(delta=0.001), coders=(), scheme="dense")
+    enc = sp.encode(codec, np.zeros(0, dtype=np.int64))
+    assert enc.bit_count == 0 and enc.to_hex() == ""
+    assert sp.decode(codec, enc).shape == (0,)
 
 
 def test_decode_malformed_raises_with_offset(rng):
     codec = _train([rng.integers(-3, 4, 6) for _ in range(50)], "dense")
     enc = sp.encode(codec, np.array([1, 2, 3, -1, 0, 2], dtype=np.int64))
-    truncated = EncodedPacket(bits=enc.bits[: len(enc.bits) // 2])
+    truncated = packet_of_bits(packet_bits(enc)[: enc.bit_count // 2])
     with pytest.raises(DecodeError) as exc_info:
         sp.decode(codec, truncated)
     assert exc_info.value.bit_offset is not None

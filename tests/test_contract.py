@@ -21,7 +21,8 @@ from hypothesis.extra import numpy as hnp
 import sparseppc as sp
 from sparseppc.codec import EncodedPacket
 from sparseppc.errors import (CodecTrainingError, ConfigError, DecodeError,
-                              DesignInfeasibleError, NumericError, SparsePpcError)
+                              DesignInfeasibleError, NumericError, QuantizerRangeError,
+                              SparsePpcError)
 
 INF, NAN = float("inf"), float("nan")
 
@@ -108,6 +109,9 @@ CASES = [
     ("quantize_packet-strings", lambda w: sp.quantize_packet(w.q, ["a"] * 10), ConfigError),
     ("quantize_packet-complex", lambda w: sp.quantize_packet(w.q, np.ones(10) + 1j),
      ConfigError),
+    # finite, but the division by the step overflows
+    ("quantize_packet-overflow", lambda w: sp.quantize_packet(w.q, np.full(10, 1e308)),
+     QuantizerRangeError),
     ("encode-halves", lambda w: sp.encode(w.codec, np.full(10, 0.5)), ConfigError),
     ("encode-strings", lambda w: sp.encode(w.codec, ["a"] * 10), ConfigError),
     ("encode-int-past-int64", lambda w: sp.encode(w.codec, [2**70] * 10), ConfigError),
@@ -144,7 +148,18 @@ CASES = [
     ("sweep_regularization-grid-scalar",
      lambda w: sp.sweep_regularization(w.cfg, "l2", 5), ConfigError),
     ("bitrate_experiment-noise-free", lambda w: sp.bitrate_experiment(w.cfg), ConfigError),
-    ("decode-bits-unknown", lambda w: sp.decode(w.codec, EncodedPacket(bits="2")), DecodeError),
+    # an encoded packet is bytes plus the bit count they hold, under 8 bits short
+    ("decode-bits-unknown", lambda w: sp.decode(w.codec, EncodedPacket("2", 1)), DecodeError),
+    ("decode-data-bytearray", lambda w: sp.decode(w.codec, EncodedPacket(bytearray(2), 10)),
+     DecodeError),
+    ("decode-bit-count-negative", lambda w: sp.decode(w.codec, EncodedPacket(b"", -1)),
+     DecodeError),
+    ("decode-bit-count-past-data", lambda w: sp.decode(w.codec, EncodedPacket(b"\0", 9)),
+     DecodeError),
+    ("decode-bit-count-8-pad-bits", lambda w: sp.decode(w.codec, EncodedPacket(b"\0\0", 8)),
+     DecodeError),
+    ("decode-bit-count-string", lambda w: sp.decode(w.codec, EncodedPacket(b"\0\0", "10")),
+     DecodeError),
 ]
 
 # Exported callables that take only objects of the package's own types
@@ -162,8 +177,10 @@ def _refused(call, error):
     """call raises error, or a subclass of it, and nothing warns."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error):
+        with pytest.raises(error) as exc_info:
             call()
+    # a refused packet says where in its bits decoding stopped
+    assert not isinstance(exc_info.value, DecodeError) or exc_info.value.bit_offset is not None
 
 
 def test_every_exported_callable_has_a_row():
