@@ -252,15 +252,15 @@ def decode(codec: PacketCodec, enc: EncodedPacket) -> np.ndarray:
             and 0 <= bit_count <= 8 * len(data) < bit_count + 8):
         raise DecodeError(f"{shown(bit_count)} bits in {shown(data)} is not a padded packet",
                           bit_offset=0)
-    acc = int.from_bytes(data, "big") >> 8 * len(data) - bit_count
-    idx, pos = [0] * codec.N, 0
-    head = _head(codec.scheme, codec.N)
+    acc, pad = divmod(int.from_bytes(data, "big"), 1 << 8 * len(data) - bit_count)
+    if pad:
+        raise DecodeError("pad bits after the packet are not zero", bit_offset=bit_count)
+    idx, pos, head = [0] * codec.N, 0, _head(codec.scheme, codec.N)
     for p in range(head):
         idx[p], pos = _read_symbol(codec.coders[p], acc, bit_count, pos)
-    width = codec.N - head
-    if pos + width > bit_count:
+    if pos + codec.N - head > bit_count:
         raise DecodeError("bitmap runs past the end", bit_offset=pos)
-    pos += width
+    pos += codec.N - head
     bitmap = acc >> bit_count - pos
     for p in range(head, codec.N):
         if bitmap >> codec.N - 1 - p & 1:

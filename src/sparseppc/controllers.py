@@ -70,7 +70,8 @@ def budget_for(W, X: np.ndarray) -> np.ndarray:
     block's first such one named: no packet can be judged against it.
     """
     W = square_matrix(W, "W", X.shape[1])
-    budget = ((X[:, None, :] @ W) @ X[:, :, None])[:, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        budget = ((X[:, None, :] @ W) @ X[:, :, None])[:, 0, 0]
     bad = budget[~np.isfinite(budget)].tolist()
     if bad:
         raise NumericError(f"state is not finite: x'Wx = {bad[0]}")

@@ -280,17 +280,23 @@ def run_trial(setup: SimSetup, controller, trace: ChannelTrace, x0: np.ndarray,
     raised. An x0 or noise that is not a real array of shape (n,) or (T, n),
     or a trial that is not an int >= 0, raises ConfigError.
     """
-    T, n = trace.T, setup.model.n
-    trial = int_setting(trial, "trial", 0)
-    x0, noise = number_array(x0, "x0"), number_array(noise, "noise")
-    if x0.shape != (n,):
-        raise ConfigError(f"x0 must have shape ({n},), got {x0.shape}")
-    if noise.shape != (T, n):
-        raise ConfigError(f"noise must have shape ({T}, {n}), got {noise.shape}")
-    records, failures = _lockstep(setup, controller, [(trial, trace, x0, noise)])
+    records, failures = _lockstep(setup, controller, [_trial_input(setup, trace.T, trial, trace,
+                                                                   x0, noise)])
     if failures:
         raise failures[0][1]
     return records.rows()[0]
+
+
+def _trial_input(setup: SimSetup, T: int, trial, trace, x0, noise) -> tuple:
+    """(trial, trace, x0, noise) checked as one of a run of T steps (see run_trial)."""
+    trial, shape = int_setting(trial, "trial", 0), (T, setup.model.n)
+    if not (isinstance(trace, ChannelTrace) and trace.T == T):
+        raise ConfigError(f"trace must be a ChannelTrace of {T} steps, got {shown(trace)}")
+    x0, noise = number_array(x0, "x0"), number_array(noise, "noise")
+    if x0.shape != shape[1:] or noise.shape != shape:
+        raise ConfigError(f"x0 must have shape {shape[1:]} and noise must have shape {shape}, "
+                          f"got {x0.shape} and {noise.shape}")
+    return trial, trace, x0, noise
 
 
 def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
@@ -441,17 +447,17 @@ def lyapunov_audit(result: TrialResult, design: CostDesign) -> AuditReport:
 class MonteCarloReport:
     """A run's records over the rows that succeeded, in row order.
 
-    A run's rows are its trials, in trial order; a grid run repeats them
-    for each grid value, grid-major, and point gives each row's grid index.
+    A run's rows are its trials, in trial order or its phases' order; a
+    grid run repeats them for each grid value, grid-major.
     """
 
     cfg: SimConfig
     records: TrialResult        # stacked, one row per row of the run
     results: list               # records.rows(): one TrialResult view per row
-    failures: list              # (trial, error message); on a grid, (nu, trial, error message)
+    failures: list              # (trial, error message), after nu on a grid or the phase
     mean_step_seconds: float    # engine wall time per row and step
     total_violations: int = None
-    point: np.ndarray = None    # on a grid, the grid index of each row
+    point: np.ndarray = None    # on a grid or over phases, the value or phase of each row
 
     @property
     def per_trial_perf(self) -> np.ndarray:
@@ -464,7 +470,7 @@ SWEEP_KEYS = {"l1l2": "nu1", "l2": "nu2"}
 
 
 def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN,
-                grid: list = None) -> MonteCarloReport:
+                grid: list = None, inputs: list = None) -> MonteCarloReport:
     """Run cfg.trials independent paired trials in lockstep; keep every result.
 
     Every trial is one row of the engine (_lockstep), and one controller
@@ -482,14 +488,25 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     the trials, grid-major: every trial's inputs are drawn once, its read
     schedule is computed once, and each of its rows steps them, all in one
     batch. The run's one controller reads each row's value off the grid,
-    so every row has the bits of its own value's run; the run fails when
-    all trials of any one value do. The engine call is timed once, and
-    mean_step_seconds is its wall time per row and step.
+    so every row has the bits of its own value's run.
+
+    With inputs, the trials are given as a list of phases, each a non-empty
+    list of (trial, trace, x0, noise) tuples, cfg.trials in all, with no
+    grid; they step in one batch, phase-major (see bitrate_experiment).
+    On a grid or over phases, the run fails when all trials of any one
+    value or phase do, point is each row's index among them, and a
+    failure leads with its value or phase. The engine call is timed once,
+    and mean_step_seconds is its wall time per row and step.
     """
     if grid is not None and (cfg.controller not in SWEEP_KEYS or
                              number_array(grid, "grid").ndim != 1 or not len(grid)):
         raise ConfigError(f"a grid run needs a controller of {tuple(SWEEP_KEYS)} and a "
                           f"non-empty grid, got {shown(cfg.controller)} and {shown(grid)}")
+    if inputs is not None and not (grid is None and isinstance(inputs, list) and all(
+            isinstance(p, list) and p and all(isinstance(r, tuple) and len(r) == 4 for r in p)
+            for p in inputs) and sum(map(len, inputs)) == cfg.trials):
+        raise ConfigError(f"inputs must be non-empty lists of (trial, trace, x0, noise), "
+                          f"{cfg.trials} in all, without a grid; got {shown(inputs)}")
     # each value is checked as its own run's config before the setup is built
     runs = [cfg] if grid is None else [replace(cfg, **{SWEEP_KEYS[cfg.controller]: nu})
                                        for nu in grid]
@@ -503,32 +520,36 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
             raise ConfigError(f"setup was built from other settings than the config: {differ}")
         _check_trials(cfg, setup.model, setup.dropout)
 
-    inputs = [(trial, *trial_inputs(cfg, setup, namespace, trial))
-              for trial in range(cfg.trials)]
+    phases = ([[(trial, *trial_inputs(cfg, setup, namespace, trial))
+                for trial in range(cfg.trials)]] if inputs is None else
+              [[_trial_input(setup, cfg.steps, *row) for row in phase] for phase in inputs])
+    rows = sum(phases, [])
     controller = make_controller(cfg, setup, grid)
     t0 = perf_counter()
-    records, errors = _lockstep(setup, controller, inputs, copies=len(runs))
+    records, errors = _lockstep(setup, controller, rows, copies=len(runs))
     seconds = perf_counter() - t0
     errors = {row: f"{type(exc).__name__}: {exc}" for row, exc in errors}
-    point = np.delete(np.arange(len(runs) * cfg.trials), list(errors)) // cfg.trials
-    kept = np.bincount(point, minlength=len(runs))     # rows kept per value
+    sizes = [len(phase) for phase in phases] * len(runs)    # rows of each phase or grid value
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    point = np.delete(group, list(errors))
+    kept = np.bincount(point, minlength=len(sizes))
     if not kept.all():
         g = int(np.argmin(kept))
         where = "" if grid is None else f" at {SWEEP_KEYS[cfg.controller]} = {grid[g]}"
-        raise SparsePpcError(f"all {cfg.trials} trials failed{where}; "
-                             f"first: {errors[g * cfg.trials]}")
+        raise SparsePpcError(f"all {sizes[g]} trials failed{where}; "
+                             f"first: {errors[sum(sizes[:g])]}")
 
     total_violations = None
     if cfg.sigma == 0:
         records.violations = lyapunov_audit(records, setup.design).total
         total_violations = int(records.violations.sum())
-    # a row of a run without a grid is its trial
-    failures = (list(errors.items()) if grid is None else
-                [(grid[row // cfg.trials], row % cfg.trials, msg) for row, msg in errors.items()])
+    # a failure names its row's trial, after its grid value or phase if the run has them
+    tags = grid if grid is not None else None if inputs is None else range(len(sizes))
+    failures = [(rows[row % len(rows)][0], msg) if tags is None else
+                (tags[group[row]], rows[row % len(rows)][0], msg) for row, msg in errors.items()]
     return MonteCarloReport(cfg=cfg, records=records, results=records.rows(), failures=failures,
                             mean_step_seconds=seconds / (len(runs) * cfg.trials * cfg.steps),
-                            total_violations=total_violations,
-                            point=None if grid is None else point)
+                            total_violations=total_violations, point=None if tags is None else point)
 
 
 @dataclass
@@ -610,10 +631,16 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
 
     For each (controller, scheme) of BITRATE_PLAN: cfg.train_trials noisy
     training trials fit the scheme's codec to the controller's quantized
-    packets; the test trials then rerun on disjoint seeds, and each
-    quantized test packet is encoded and decoded back, one at a time.
-    Reports mean bits per packet and the relative reduction, and lists the
-    trials that failed in either phase, which neither trains nor codes.
+    packets; the test trials, on disjoint seeds, are quantized too, and
+    each packet is encoded and decoded back, one at a time. Reports mean
+    bits per packet and the relative reduction, and lists the trials that
+    failed in either phase, which neither trains nor codes.
+
+    Each phase's inputs are drawn once; a controller's train and test trials
+    step as the phases of one monte_carlo run, paying the cost per step once.
+    The controllers do not share a run: the benchmark's report tap counts a
+    run's nonzeros as its config's controller's. At criterion 5's 200 + 200
+    trials that cost is already amortized, so there the merge gains nothing.
     """
     if not cfg.sigma > 0:
         raise ConfigError("bitrate experiment requires gaussian noise with sigma > 0")
@@ -621,20 +648,20 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
         raise ConfigError("sparse scheme requires an even packet length")
     setup = build_setup(cfg)
     quantizer = Quantizer(delta=cfg.quantizer_delta)
+    phases = [[(trial, *trial_inputs(cfg, setup, namespace, trial)) for trial in range(count)]
+              for namespace, count in ((NS_TRAIN, cfg.train_trials), (NS_TEST, cfg.trials))]
 
-    schemes = {}
-    failures = []
-    roundtrip_failures = 0
-    max_quant_error = 0.0
+    schemes, failures, roundtrip_failures, max_quant_error = {}, [], 0, 0.0
     for name, scheme in BITRATE_PLAN:
-        train = monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials),
-                            setup=setup, namespace=NS_TRAIN)
-        samples = quantize_packet(quantizer, train.records.packets)
+        run = monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials + cfg.trials),
+                          setup=setup, inputs=phases)
+        train_rows, test_rows = (run.point == phase for phase in (0, 1))
+        samples = quantize_packet(quantizer, run.records.packets[train_rows])
         codec = train_codec(samples.reshape(-1, cfg.N), scheme, quantizer)
-        test = monte_carlo(replace(cfg, controller=name), setup=setup, namespace=NS_TEST)
-        packets = test.records.packets
-        indices = quantize_packet(quantizer, packets)
-        err = float(np.max(np.abs(packets - dequantize(quantizer, indices))))
+        records = TrialResult(**{f.name: getattr(run.records, f.name)[test_rows]
+                                 for f in fields(TrialResult) if f.name != "violations"})
+        indices = quantize_packet(quantizer, records.packets)
+        err = float(np.max(np.abs(records.packets - dequantize(quantizer, indices))))
         max_quant_error = max(max_quant_error, err)
         encoded = []
         for idx in indices.reshape(-1, cfg.N):
@@ -642,21 +669,18 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
             roundtrip_failures += not np.array_equal(decode(codec, enc), idx)
             encoded.append(enc)
         bits = np.array([enc.bit_count for enc in encoded]).reshape(indices.shape[:2])
+        test = MonteCarloReport(replace(cfg, controller=name), records, records.rows(),
+                                [(t, msg) for p, t, msg in run.failures if p],
+                                run.mean_step_seconds)
         schemes[scheme] = SchemeRun(controller=name, codec=codec, test=test, bits=bits,
                                     encoded=encoded)
-        failures += [(name, phase, trial, msg) for phase, run in (("train", train), ("test", test))
-                     for trial, msg in run.failures]
+        failures += [(name, ("train", "test")[p], t, msg) for p, t, msg in run.failures]
 
     mean = {run.controller: float(np.mean(run.bits)) for run in schemes.values()}
-    return BitrateReport(
-        schemes=schemes,
-        mean_bits_omp=mean["omp"],
-        mean_bits_l2=mean["l2"],
-        reduction_pct=100.0 * (1.0 - mean["omp"] / mean["l2"]),
-        roundtrip_failures=roundtrip_failures,
-        max_quant_error=max_quant_error,
-        failures=failures,
-    )
+    return BitrateReport(schemes=schemes, mean_bits_omp=mean["omp"], mean_bits_l2=mean["l2"],
+                         reduction_pct=100.0 * (1.0 - mean["omp"] / mean["l2"]),
+                         roundtrip_failures=roundtrip_failures, max_quant_error=max_quant_error,
+                         failures=failures)
 
 
 # ---------------------------------------------------------------------------

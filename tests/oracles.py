@@ -18,8 +18,11 @@ of np.unique, the '0'/'1' string codec (dictionary prefix matching and
 byte-by-byte hex packing) instead of integer code tables, a delivery-by-delivery
 walk instead of the masked Lyapunov counts, CSV text rendered a row
 and a cell at a time instead of a column at a time, its per-k summaries
-summed trial by trial in Python, and a sweep that runs one Monte Carlo
-run per grid value instead of one batch for the whole grid.
+summed trial by trial in Python, a sweep that runs one Monte Carlo
+run per grid value instead of one batch for the whole grid, and a bit-rate
+experiment that runs each controller's training and test trials as two
+Monte Carlo runs, each drawing its inputs afresh, instead of one run of
+both phases on inputs drawn once.
 """
 
 import statistics
@@ -445,6 +448,62 @@ def sweep_reference(cfg, family, grid, match_perf=None):
         report.matched_nu = grid[near]
         report.matched_perf = perfs[near]
     return report
+
+
+def bitrate_reference(cfg):
+    """sim.bitrate_experiment as four monte_carlo runs, one per controller and phase.
+
+    Each (controller, scheme) of BITRATE_PLAN runs its training trials,
+    trains its codec, then runs its test trials in a second run; each run
+    draws its trials' inputs afresh.
+    """
+    from dataclasses import replace
+
+    from sparseppc import sim
+    from sparseppc.errors import ConfigError
+
+    if not cfg.sigma > 0:
+        raise ConfigError("bitrate experiment requires gaussian noise with sigma > 0")
+    if cfg.N % 2 != 0:
+        raise ConfigError("sparse scheme requires an even packet length")
+    setup = sim.build_setup(cfg)
+    quantizer = sim.Quantizer(delta=cfg.quantizer_delta)
+
+    schemes = {}
+    failures = []
+    roundtrip_failures = 0
+    max_quant_error = 0.0
+    for name, scheme in sim.BITRATE_PLAN:
+        train = sim.monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials),
+                                setup=setup, namespace=sim.NS_TRAIN)
+        samples = sim.quantize_packet(quantizer, train.records.packets)
+        codec = sim.train_codec(samples.reshape(-1, cfg.N), scheme, quantizer)
+        test = sim.monte_carlo(replace(cfg, controller=name), setup=setup, namespace=sim.NS_TEST)
+        packets = test.records.packets
+        indices = sim.quantize_packet(quantizer, packets)
+        err = float(np.max(np.abs(packets - sim.dequantize(quantizer, indices))))
+        max_quant_error = max(max_quant_error, err)
+        encoded = []
+        for idx in indices.reshape(-1, cfg.N):
+            enc = sim.encode(codec, idx)
+            roundtrip_failures += not np.array_equal(sim.decode(codec, enc), idx)
+            encoded.append(enc)
+        bits = np.array([enc.bit_count for enc in encoded]).reshape(indices.shape[:2])
+        schemes[scheme] = sim.SchemeRun(controller=name, codec=codec, test=test, bits=bits,
+                                        encoded=encoded)
+        failures += [(name, phase, trial, msg) for phase, run in (("train", train), ("test", test))
+                     for trial, msg in run.failures]
+
+    mean = {run.controller: float(np.mean(run.bits)) for run in schemes.values()}
+    return sim.BitrateReport(
+        schemes=schemes,
+        mean_bits_omp=mean["omp"],
+        mean_bits_l2=mean["l2"],
+        reduction_pct=100.0 * (1.0 - mean["omp"] / mean["l2"]),
+        roundtrip_failures=roundtrip_failures,
+        max_quant_error=max_quant_error,
+        failures=failures,
+    )
 
 
 def interpret_trace(d, packets) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from sparseppc.cli import build_parser, main
 from sparseppc.codec import (ESCAPE, EncodedPacket, PacketCodec, PositionCoder,
                              Quantizer, decode, encode)
+from sparseppc.sim import NS_MAIN, NS_TEST, NS_TRAIN
 
 
 def _write(path, doc):
@@ -401,51 +402,12 @@ def test_sweep_flags_override_config_family_and_grid(tmp_path):
     assert [(family, float(nu)) for family, nu, _ in rows] == [("l1l2", 1e3), ("l1l2", 1e4)]
 
 
-def _fail_trials(monkeypatch, failing):
-    """Make each trial that failing(cfg, trial) names fail at its first solve.
-
-    A trial's first state is the x0 that trial_inputs draws for it. Every
-    controller raises on a block that holds, at some row, the x0 of a trial
-    that failing(cfg, trial) names for that row's own run config (on a
-    grid, the base config at the row's value), so that row fails alone,
-    however many rows its block holds: the engine solves a block that
-    raises again row by row.
-    """
-    from dataclasses import replace
-
-    import sparseppc.sim as sim_mod
-    from sparseppc.errors import SolverFailureError
-    from sparseppc.sim import SWEEP_KEYS
-
-    real_inputs, real_make, starts = sim_mod.trial_inputs, sim_mod.make_controller, {}
-
-    def inputs(cfg, setup, namespace, trial):
-        drawn = real_inputs(cfg, setup, namespace, trial)
-        starts[drawn[1].tobytes()] = trial
-        return drawn
-
-    def make(cfg, setup, grid=None):
-        solve = real_make(cfg, setup, grid)
-        runs = [cfg] if grid is None else [
-            replace(cfg, **{SWEEP_KEYS[cfg.controller]: nu}) for nu in grid]
-
-        def controller(X, rows):
-            if any(failing(runs[r // cfg.trials], starts.get(x.tobytes()))
-                   for x, r in zip(X, rows.tolist())):
-                raise SolverFailureError("synthetic failure")
-            return solve(X, rows)
-        return controller
-
-    monkeypatch.setattr(sim_mod, "trial_inputs", inputs)
-    monkeypatch.setattr(sim_mod, "make_controller", make)
-
-
-def test_sweep_lists_a_failed_trial_and_averages_the_others(tmp_path, monkeypatch):
+def test_sweep_lists_a_failed_trial_and_averages_the_others(tmp_path, monkeypatch, fail_trials):
     from sparseppc.sim import SimConfig, monte_carlo
 
     cfg = _write(tmp_path / "c.json", {"steps": 10})
     out = tmp_path / "s"
-    _fail_trials(monkeypatch, lambda cfg, i: cfg.nu1 == 1e2 and i == 1)
+    fail_trials(lambda cfg, key: cfg.nu1 == 1e2 and key == (NS_MAIN, 1))
     assert main(["sweep", "--config", cfg, "--family", "l1l2", "--grid", "1e2,1e3",
                  "--trials", "3", "--seed", "4", "--out-dir", str(out)]) == 0
     monkeypatch.undo()
@@ -458,10 +420,10 @@ def test_sweep_lists_a_failed_trial_and_averages_the_others(tmp_path, monkeypatc
     assert rows[1] == f"l1l2,100.0,{float(np.mean(perf[[0, 2]]))}"
 
 
-def test_sweep_value_whose_trials_all_fail_exits_3(tmp_path, monkeypatch, capsys):
+def test_sweep_value_whose_trials_all_fail_exits_3(tmp_path, capsys, fail_trials):
     cfg = _write(tmp_path / "c.json", {"steps": 10})
     out = tmp_path / "s"
-    _fail_trials(monkeypatch, lambda cfg, i: cfg.nu1 == 1e3)
+    fail_trials(lambda cfg, key: cfg.nu1 == 1e3)
     assert main(["sweep", "--config", cfg, "--family", "l1l2", "--grid", "1e2,1e3",
                  "--trials", "3", "--out-dir", str(out)]) == 3
     assert capsys.readouterr().err == ("error: SparsePpcError: all 3 trials failed at "
@@ -580,13 +542,13 @@ def test_bitrate_cli(tmp_path):
         assert enc.to_hex() == hexdump
 
 
-def test_bitrate_lists_failed_train_and_test_trials(tmp_path, monkeypatch):
+def test_bitrate_lists_failed_train_and_test_trials(tmp_path, fail_trials):
     # OMP training trial 1 and test trial 0 fail: neither trains the codec
     # nor is coded, and meta.json lists both
     cfg = _write(tmp_path / "c.json", {"trials": 2, "train_trials": 3, "steps": 15})
     out = tmp_path / "o"
-    _fail_trials(monkeypatch, lambda cfg, i: cfg.controller == "omp" and
-                 (cfg.trials, i) in ((3, 1), (2, 0)))
+    fail_trials(lambda cfg, key: cfg.controller == "omp" and
+                key in ((NS_TRAIN, 1), (NS_TEST, 0)))
     assert main(["bitrate", "--config", cfg, "--out-dir", str(out)]) == 0
     error = "SolverFailureError: synthetic failure"
     assert json.loads((out / "meta.json").read_text())["rates"]["failures"] == [

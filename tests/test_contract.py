@@ -80,6 +80,9 @@ CASES = [
     ("least_squares_packet-x-inf", lambda w: sp.least_squares_packet(w.hm, [0.0, INF, 0.0, 0.0]),
      NumericError),
     ("omp_packet-x-inf", lambda w: sp.omp_packet(w.hm, w.W, [INF, 0.0, 0.0, 0.0]), NumericError),
+    # finite, but x'Wx overflows: refused without numpy's overflow warning
+    ("omp_packet-x-overflow", lambda w: sp.omp_packet(w.hm, w.W, [1e200, 1e200, 0.0, 0.0]),
+     NumericError),
     # design inputs of the wrong shape or kind
     ("build_design-N-string", lambda w: sp.build_design(w.m, N="a"), ConfigError),
     ("build_design-N-float", lambda w: sp.build_design(w.m, N=2.5), ConfigError),
@@ -138,6 +141,17 @@ CASES = [
      ConfigError),
     ("monte_carlo-namespace-negative", lambda w: sp.monte_carlo(w.cfg, namespace=-1),
      ConfigError),
+    # given inputs are phases of (trial, trace, x0, noise) tuples, cfg.trials rows in all
+    ("monte_carlo-inputs-flat",
+     lambda w: sp.monte_carlo(w.cfg, w.setup, inputs=[(0, w.trace, w.x, w.noise)]), ConfigError),
+    ("monte_carlo-inputs-too-many",
+     lambda w: sp.monte_carlo(w.cfg, w.setup, inputs=[[(0, w.trace, w.x, w.noise)]] * 2),
+     ConfigError),
+    ("monte_carlo-inputs-x0-short",
+     lambda w: sp.monte_carlo(w.cfg, w.setup, inputs=[[(0, w.trace, w.x[:3], w.noise)]]),
+     ConfigError),
+    ("monte_carlo-inputs-trace-string",
+     lambda w: sp.monte_carlo(w.cfg, w.setup, inputs=[[(0, "d", w.x, w.noise)]]), ConfigError),
     # input that already raised a package error; a W that is not finite
     # was once refused as a state that is not finite
     ("omp_packet-W-inf", lambda w: sp.omp_packet(w.hm, w.W_inf, w.x), ConfigError),
@@ -159,6 +173,9 @@ CASES = [
     ("decode-bit-count-8-pad-bits", lambda w: sp.decode(w.codec, EncodedPacket(b"\0\0", 8)),
      DecodeError),
     ("decode-bit-count-string", lambda w: sp.decode(w.codec, EncodedPacket(b"\0\0", "10")),
+     DecodeError),
+    # the encoder's 10 bits, b"\0\0", but with the 6 pad bits set
+    ("decode-nonzero-padding", lambda w: sp.decode(w.codec, EncodedPacket(b"\0\x3f", 10)),
      DecodeError),
 ]
 

@@ -9,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseppc as sp
-from sparseppc.codec import EncodedPacket
+from sparseppc.codec import EncodedPacket, codec_to_dict
 from sparseppc.controllers import ControlPacket
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
-from sparseppc.sim import (CONTROLLERS, NS_MAIN, SETUP_FIELDS, SWEEP_KEYS,
-                           SimConfig, build_setup, config_from_dict, lyapunov_audit,
-                           make_controller, monte_carlo, packet_columns, rate_columns, run_trial,
-                           summary_columns, sweep_columns, sweep_regularization,
-                           trace_columns, trajectory_columns, trial_inputs, write_csv)
+from sparseppc.sim import (BITRATE_PLAN, CONTROLLERS, NS_MAIN, NS_TEST, NS_TRAIN, SETUP_FIELDS,
+                           SWEEP_KEYS, SimConfig, TrialResult, build_setup, config_from_dict,
+                           lyapunov_audit, make_controller, monte_carlo, packet_columns,
+                           rate_columns, run_trial, summary_columns, sweep_columns,
+                           sweep_regularization, trace_columns, trajectory_columns, trial_inputs,
+                           write_csv)
 
-from .oracles import csv_reference, lyapunov_audit_reference, sweep_reference
+from .oracles import (bitrate_reference, csv_reference, lyapunov_audit_reference,
+                      sweep_reference)
 
 
 def _setup(**kw):
@@ -1129,6 +1131,136 @@ def test_rates_make_no_hex_dumps(monkeypatch):
     rate_columns(rep)
     assert dumps == []
     assert len(packet_columns(rep)["hex"]) == len(dumps) == 2 * 2 * 10
+
+
+def _noisy(**kw):
+    return SimConfig(noise={"kind": "gaussian", "sigma": 0.01}, **kw)
+
+
+def _assert_same_bitrate(got, want):
+    """Two BitrateReports agree bit for bit, timings aside."""
+    assert list(got.schemes) == list(want.schemes)
+    for run, ref in zip(got.schemes.values(), want.schemes.values()):
+        assert run.controller == ref.controller and run.codec == ref.codec
+        assert codec_to_dict(run.codec) == codec_to_dict(ref.codec)
+        assert run.test.cfg == ref.test.cfg and run.test.failures == ref.test.failures
+        assert run.test.total_violations is ref.test.total_violations is None
+        assert run.test.point is ref.test.point is None
+        for f in fields(TrialResult):
+            a, b = getattr(run.test.records, f.name), getattr(ref.test.records, f.name)
+            assert (a is None and b is None) or (
+                a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), f.name
+        assert [r.trial for r in run.test.results] == [r.trial for r in ref.test.results]
+        assert all(r.packets.tobytes() == q.packets.tobytes()
+                   for r, q in zip(run.test.results, ref.test.results, strict=True))
+        assert run.bits.dtype == ref.bits.dtype and np.array_equal(run.bits, ref.bits)
+        assert run.encoded == ref.encoded
+    for name in ("mean_bits_omp", "mean_bits_l2", "reduction_pct", "roundtrip_failures",
+                 "max_quant_error", "failures"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("seed,failing", [
+    (1, None),
+    (7, None),
+    # an OMP training row and an l2 test row fail, each alone in its block
+    (12345, lambda cfg, key: (cfg.controller, key) in (("omp", (NS_TRAIN, 2)),
+                                                       ("l2", (NS_TEST, 1)))),
+])
+def test_bitrate_equals_one_run_per_controller_and_phase(fail_trials, seed, failing):
+    cfg = _noisy(trials=3, train_trials=5, steps=30, seed=seed)
+    if failing:
+        fail_trials(failing)
+    got = sp.bitrate_experiment(cfg)
+    _assert_same_bitrate(got, bitrate_reference(cfg))
+    if failing:
+        error = "SolverFailureError: synthetic failure"
+        assert got.failures == [("omp", "train", 2, error), ("l2", "test", 1, error)]
+        assert [r.trial for r in got.schemes["dense"].test.results] == [0, 2]
+
+
+@pytest.mark.parametrize("failing", [
+    lambda cfg, key: cfg.controller == "omp" and key in {(NS_TRAIN, t) for t in range(4)},
+    lambda cfg, key: cfg.controller == "omp",
+    lambda cfg, key: cfg.controller == "l2" and key in {(NS_TEST, t) for t in range(2)},
+], ids=["omp-train", "omp-both-phases", "l2-test"])
+def test_bitrate_phase_whose_every_trial_fails_raises_as_its_own_run(fail_trials, failing):
+    cfg = _noisy(trials=2, train_trials=4, steps=10, seed=5)
+    fail_trials(failing)
+    with pytest.raises(sp.SparsePpcError) as want:
+        bitrate_reference(cfg)
+    with pytest.raises(sp.SparsePpcError) as got:
+        sp.bitrate_experiment(cfg)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert str(got.value).startswith("all ")
+
+
+def test_bitrate_runs_each_controller_once_on_inputs_drawn_once(monkeypatch, fail_trials):
+    # the benchmark's report tap counts each monte_carlo call by its config:
+    # attempted rows by cfg.trials, OMP nonzeros by cfg.controller
+    import sparseppc.sim as sim_mod
+
+    for failing, kept in ((lambda cfg, key: False, 5), (lambda cfg, key: key == (NS_TEST, 0), 4)):
+        fail_trials(failing)
+        runs, drawn = [], Counter()
+        real_mc, real_inputs = sim_mod.monte_carlo, sim_mod.trial_inputs
+
+        def mc(cfg, *args, **kwargs):
+            report = real_mc(cfg, *args, **kwargs)
+            runs.append((cfg.controller, cfg.trials, len(report.results)))
+            return report
+
+        def inputs(cfg, setup, namespace, trial):
+            drawn[namespace, trial] += 1
+            return real_inputs(cfg, setup, namespace, trial)
+
+        monkeypatch.setattr(sim_mod, "monte_carlo", mc)
+        monkeypatch.setattr(sim_mod, "trial_inputs", inputs)
+        sim_mod.bitrate_experiment(_noisy(trials=2, train_trials=3, steps=10, seed=8))
+        monkeypatch.undo()
+        assert runs == [(name, 5, kept) for name, _ in BITRATE_PLAN]
+        assert drawn == Counter([(NS_TRAIN, t) for t in range(3)] +
+                                [(NS_TEST, t) for t in range(2)])
+
+
+def test_monte_carlo_phases_equal_their_own_runs():
+    # each phase's rows have the bits of the phase's own run, whatever the
+    # solver and whichever rows step beside them
+    base = _noisy(trials=3, steps=25, seed=11)
+    setup = build_setup(base)
+    phases = [[(t, *trial_inputs(base, setup, ns, t)) for t in range(count)]
+              for ns, count in ((NS_TRAIN, 4), (NS_TEST, 3))]
+    for name in ("omp", "l2", "l1l2", "least_squares"):
+        merged = monte_carlo(replace(base, controller=name, trials=7), setup=setup,
+                             inputs=phases)
+        assert merged.point.tolist() == [0] * 4 + [1] * 3 and merged.failures == []
+        for p, (ns, count) in enumerate(((NS_TRAIN, 4), (NS_TEST, 3))):
+            own = monte_carlo(replace(base, controller=name, trials=count), setup=setup,
+                              namespace=ns)
+            for f in ("trial", "states", "V", "d", "u_applied", "packets", "sparsity", "perf",
+                      "overrides"):
+                a, b = getattr(merged.records, f)[merged.point == p], getattr(own.records, f)
+                assert a.tobytes() == b.tobytes(), (name, p, f)
+
+
+def test_monte_carlo_inputs_refuses_malformed_phases():
+    cfg = _noisy(trials=2, steps=10, seed=3)
+    setup = build_setup(cfg)
+    rows = [(t, *trial_inputs(cfg, setup, NS_MAIN, t)) for t in range(2)]
+    trace, x0, noise = rows[0][1:]
+    short = trial_inputs(replace(cfg, steps=9), setup, NS_MAIN, 0)[0]
+    for bad in (rows, [rows[:1]], [rows, []], [[list(rows[0])], rows[1:]], (rows,),
+                [[rows[0][:3]], rows[1:]], [[(0.5, trace, x0, noise)], rows[1:]],
+                [[(0, short, x0, noise)], rows[1:]], [[(0, "trace", x0, noise)], rows[1:]],
+                [[(0, trace, x0[:3], noise)], rows[1:]], [[(0, trace, x0, noise[:9])], rows[1:]],
+                [[(0, trace, ["a"] * 4, noise)], rows[1:]], "rows"):
+        with pytest.raises(ConfigError):
+            monte_carlo(cfg, setup=setup, inputs=bad)
+    with pytest.raises(ConfigError):
+        monte_carlo(replace(cfg, controller="l2"), setup=setup, inputs=[rows], grid=[1.0])
+    # a well-formed phase list runs, and a row's trial is the one it is given
+    report = monte_carlo(cfg, setup=setup, inputs=[rows[1:], [(7, trace, x0, noise)]])
+    assert report.records.trial.tolist() == [1, 7] and report.point.tolist() == [0, 1]
 
 
 def test_bitrate_rejects_odd_horizon_before_any_trial(monkeypatch):
