@@ -102,7 +102,7 @@ def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:
 
     A sampled loss that would make an N-th consecutive drop is emitted as a
     delivery and counted in overrides. Random models draw T uniforms from
-    rng; a scripted model replays its first T bits and ignores rng.
+    rng as one list; a scripted model replays its first T bits, ignoring rng.
     """
     T = int_setting(T, "trace length T", 1)
     if model.kind == "scripted":
@@ -112,8 +112,8 @@ def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:
         return ChannelTrace(d=np.array(model.script[:T], dtype=np.int8), N=model.N)
 
     p_dd, p_dg = (model.p_drop,) * 2 if model.kind == "iid" else (model.p_dd, model.p_dg)
-    uniforms = rng.random(T)
-    d = np.zeros(T, dtype=np.int8)
+    uniforms = rng.random(T).tolist()
+    d = [0] * T
     overrides = 0
     run = 0
     cap = model.N - 1
@@ -127,7 +127,7 @@ def generate_trace(model: DropoutModel, T: int, rng) -> ChannelTrace:
                 run += 1
         else:
             run = 0
-    return ChannelTrace(d=d, N=model.N, overrides=overrides)
+    return ChannelTrace(d=np.array(d, dtype=np.int8), N=model.N, overrides=overrides)
 
 
 def actuate(trace: ChannelTrace, N: int):

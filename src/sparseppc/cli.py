@@ -69,8 +69,7 @@ def _out_dir(args) -> Path:
 
 def _write_meta(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_run_meta(out: Path, config: dict, **sections) -> None:

@@ -9,7 +9,6 @@ solvers minimize the nonzero count subject to the quadratic budget
 lasso homotopy, so no solver has a tolerance.
 """
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -313,16 +312,25 @@ def _row_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (A @ X[..., None])[..., 0]
 
 
+def _finite_products(A: np.ndarray, X: np.ndarray, name: str) -> np.ndarray:
+    """_row_products(A, X), or NumericError naming its first entry that overflowed float64."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        AX = _row_products(A, X)
+    if not np.isfinite(AX).all():
+        raise NumericError(f"state is not finite: {name} = {AX[~np.isfinite(AX)][0]}")
+    return AX
+
+
 def least_squares_packet(hm: HorizonMatrices, X: np.ndarray) -> ControlPacket:
     """Unconstrained minimizer of ||G u - H x||^2 (generically dense).
 
     It is the least-squares packet K x of the full-support node of the
     OMP table (see _support_node); build_horizon has already refused a G
-    without full column rank.
+    without full column rank. A K x that overflows raises NumericError.
     """
     X, shape, _, _ = _solver_input(hm, X)
     K = hm._omp_nodes.K[_support_node(hm, (1 << hm.N) - 1)]
-    return ControlPacket(_row_products(K, X).reshape(shape), 1)
+    return ControlPacket(_finite_products(K, X, "K x").reshape(shape), 1)
 
 
 def _l2_gain(hm: HorizonMatrices, nu2: float) -> np.ndarray:
@@ -344,7 +352,8 @@ def l2_packet(hm: HorizonMatrices, X: np.ndarray, nu2) -> ControlPacket:
     With one number nu2 every row is K x; with a (b,) array, a value per
     row, row r is K_r x_r with its own value's gain, taken once per distinct
     value. One stacked product makes, row by row, the call of K x alone, so
-    each row has the bits of its own one-value solve.
+    each row has the bits of its own one-value solve. A K x that overflows
+    raises NumericError.
     """
     X, shape, nu, _ = _solver_input(hm, X, nu2, "nu2")
     if np.ndim(nu):
@@ -352,7 +361,7 @@ def l2_packet(hm: HorizonMatrices, X: np.ndarray, nu2) -> ControlPacket:
         K = np.array([_l2_gain(hm, v) for v in values.tolist()])[at]
     else:
         K = _l2_gain(hm, nu)
-    return ControlPacket(_row_products(K, X).reshape(shape), 1)
+    return ControlPacket(_finite_products(K, X, "K x").reshape(shape), 1)
 
 
 SIDES = np.array([[1.0], [-1.0]])     # join ratio rows: c_j reaches +lam, then -lam
@@ -411,10 +420,8 @@ def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = Non
     raises ends the call.
     """
     X, shape, nu, guess = _solver_input(hm, X, nu1, "nu1", guess)
-    B = _row_products(hm.GtH, X)
+    B = _finite_products(hm.GtH, X, "G'Hx")
     lam0 = np.abs(B).max(axis=1)
-    if not math.isfinite(lam0.max()):
-        raise NumericError(f"state is not finite: ||G'Hx||_inf = {lam0[~np.isfinite(lam0)][0]}")
     u = np.zeros((len(X), hm.N))
     rows = (lam0 > nu).nonzero()[0]
     iters = 0

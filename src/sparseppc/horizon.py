@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DesignInfeasibleError
+from .errors import ConfigError, DesignInfeasibleError, NumericError
 from .linalg import check_sym_pd, int_setting, number_array, numerical_rank, sym_sqrt
 from .plant import PlantModel, _frozen, impulse_response
 
@@ -144,9 +144,13 @@ def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> Horizo
 
 
 def cost_quadratic(hm: HorizonMatrices, u, x) -> float:
-    """Horizon cost ||G u - H x||^2 of a finite packet u (N,) and state x (n,), else ConfigError."""
+    """||G u - H x||^2 of finite u (N,) and x (n,), else ConfigError; NumericError on overflow."""
     u, x = number_array(u, "u").astype(float), number_array(x, "x").astype(float)
     if u.shape != (hm.N,) or x.shape != (hm.n,) or not np.isfinite(np.append(u, x)).all():
         raise ConfigError(f"need finite u ({hm.N},) and x ({hm.n},), got {u.shape} and {x.shape}")
-    r = hm.G @ u - hm.H @ x
-    return float(r @ r)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        r = hm.G @ u - hm.H @ x
+        cost = float(r @ r)
+    if not np.isfinite(cost):
+        raise NumericError(f"cost is not finite: ||G u - H x||^2 = {cost}")
+    return cost

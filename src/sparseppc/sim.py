@@ -17,6 +17,7 @@ and training/test phases never share entropy.
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 from time import perf_counter
 
 import numpy as np
@@ -40,6 +41,8 @@ CONTROLLERS = ("omp", "l1l2", "l2", "least_squares", "oracle")
 NS_MAIN = 0
 NS_TRAIN = 1
 NS_TEST = 2
+
+CSV_CHUNK_ROWS = 512     # rows per write: larger chunks write no faster and hold more text
 
 
 @dataclass(frozen=True)
@@ -224,16 +227,19 @@ def make_controller(cfg: SimConfig, setup: SimSetup, grid: list = None):
 def trial_inputs(cfg: SimConfig, setup: SimSetup, namespace: int, trial: int):
     """One trial's (trace, x0, noise) from its x0, trace and noise streams.
 
-    noise is (steps, n), row k being v(k); one draw gives the same bits as
-    steps successive draws of n values. It is all zeros when sigma = 0.
+    Stream s (0: x0, 1: trace, 2: noise) is seeded by the key (namespace,
+    trial, s), as child s of spawn(3) is, and only if drawn from: x0's for a
+    random x0, noise's when sigma > 0, else noise is zeros. noise is (steps,
+    n), row k being v(k), with the bits of steps successive draws of n values.
     """
-    ss = np.random.SeedSequence(cfg.seed, spawn_key=(namespace, trial))
-    rng_x0, rng_trace, rng_noise = (np.random.default_rng(k) for k in ss.spawn(3))
+    def rng(s):
+        key = (namespace, trial, s)
+        return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
     n = setup.model.n
-    trace = generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
-    x0 = rng_x0.standard_normal(n) if isinstance(cfg.x0, str) else np.asarray(cfg.x0, dtype=float)
+    trace = generate_trace(setup.dropout, cfg.steps, rng=rng(1))
+    x0 = rng(0).standard_normal(n) if isinstance(cfg.x0, str) else np.asarray(cfg.x0, dtype=float)
     shape = (cfg.steps, n)
-    noise = rng_noise.normal(0.0, cfg.sigma, shape) if cfg.sigma > 0 else np.zeros(shape)
+    noise = rng(2).normal(0.0, cfg.sigma, shape) if cfg.sigma > 0 else np.zeros(shape)
     return trace, x0, noise
 
 
@@ -689,14 +695,18 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
 def write_csv(path, columns: dict) -> None:
     """Plain deterministic CSV from {column name: 1-D sequence}.
 
-    A cell is str() of the Python scalar tolist() gives, so a float is its
-    shortest round-trip repr(); no quoting, LF newlines. Every column must
-    have the same length.
+    A cell is str() of the Python scalar tolist() gives (a %s field), so a
+    float is its shortest round-trip repr(); no quoting, LF newlines. Rows
+    are written CSV_CHUNK_ROWS at a time, one write each. Every column must
+    have the same length, else ValueError.
     """
-    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
+    cells = [np.asarray(col).tolist() for col in columns.values()]
+    line = ",".join(["%s"] * len(cells)) + "\n"
+    rows = zip(*cells, strict=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            fh.write("".join([line % row for row in chunk]))
 
 
 def _per_step(report: MonteCarloReport, **attrs) -> dict:

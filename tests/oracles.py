@@ -22,13 +22,18 @@ summed trial by trial in Python, a sweep that runs one Monte Carlo
 run per grid value instead of one batch for the whole grid, and a bit-rate
 experiment that runs each controller's training and test trials as two
 Monte Carlo runs, each drawing its inputs afresh, instead of one run of
-both phases on inputs drawn once.
+both phases on inputs drawn once, a dropout chain stepped on numpy scalars
+in an int8 array instead of Python floats in a list, and a CSV writer that
+maps str over every cell and joins each row instead of filling one line
+template per chunk of rows.
 """
 
 import statistics
 
 import numpy as np
 import scipy.linalg as sla
+
+from sparseppc.channel import ChannelTrace
 
 
 def expm_taylor(M: np.ndarray) -> np.ndarray:
@@ -504,6 +509,35 @@ def bitrate_reference(cfg):
         max_quant_error=max_quant_error,
         failures=failures,
     )
+
+
+def generate_trace_reference(model, T: int, rng):
+    """generate_trace's random models, the chain stepped on numpy scalars in an int8 array."""
+    p_dd, p_dg = (model.p_drop,) * 2 if model.kind == "iid" else (model.p_dd, model.p_dg)
+    uniforms = rng.random(T)
+    d = np.zeros(T, dtype=np.int8)
+    overrides = 0
+    run = 0
+    cap = model.N - 1
+    for k in range(1, T):
+        if uniforms[k] < (p_dd if d[k - 1] else p_dg):
+            if run == cap:
+                overrides += 1
+                run = 0
+            else:
+                d[k] = 1
+                run += 1
+        else:
+            run = 0
+    return ChannelTrace(d=d, N=model.N, overrides=overrides)
+
+
+def write_csv_reference(path, columns: dict) -> None:
+    """write_csv with str mapped over every cell, each row joined, all rows in one writelines."""
+    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def interpret_trace(d, packets) -> np.ndarray:

@@ -11,7 +11,7 @@ from sparseppc.errors import (ConfigError, ProtocolViolationError,
                               TraceValidationError)
 from sparseppc.sim import SimConfig, build_setup, run_trial
 
-from .oracles import interpret_trace, longest_run, markov_chain_stats
+from .oracles import generate_trace_reference, interpret_trace, longest_run, markov_chain_stats
 
 
 def test_no_drop_trace_is_all_deliveries():
@@ -128,6 +128,18 @@ def test_iid_trace_is_the_markov_trace_with_equal_transitions(N, p, T, seed):
                                rng=np.random.default_rng(seed))
     assert np.array_equal(iid.d, markov.d)
     assert iid.overrides == markov.overrides
+
+
+@settings(max_examples=300, deadline=None)
+@given(markov=st.booleans(), N=st.integers(1, 12), T=st.integers(1, 300),
+       p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_trace_is_the_numpy_scalar_chains(markov, N, T, p, q, seed):
+    model = (DropoutModel(kind="markov", N=N, p_dd=p, p_dg=q) if markov
+             else DropoutModel(kind="iid", N=N, p_drop=p))
+    got = sp.generate_trace(model, T, rng=np.random.default_rng(seed))
+    ref = generate_trace_reference(model, T, np.random.default_rng(seed))
+    assert got.d.dtype == np.int8 and np.array_equal(got.d, ref.d)
+    assert got.overrides == ref.overrides
 
 
 def test_buffer_consumes_packet_elements_in_order():

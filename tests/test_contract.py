@@ -3,9 +3,11 @@ input with a package error (a SparsePpcError subclass) and warns about
 nothing.
 
 Malformed means numbers or arrays of the wrong shape or kind, values that
-are not finite, and a non-integer where an int is meant. Objects of the
-package's own types (a horizon, a design, a setup, a trace, a codec) are
-trusted, and so is a finite input whose products overflow float64.
+are not finite, and a non-integer where an int is meant. A finite input
+whose products overflow float64 is refused too, where the rows below
+name it: a solver's budget, packet or G'Hx, a horizon cost, a quantizer
+index. Objects of the package's own types (a horizon, a design, a setup,
+a trace, a codec) are trusted.
 """
 
 import inspect
@@ -80,9 +82,17 @@ CASES = [
     ("least_squares_packet-x-inf", lambda w: sp.least_squares_packet(w.hm, [0.0, INF, 0.0, 0.0]),
      NumericError),
     ("omp_packet-x-inf", lambda w: sp.omp_packet(w.hm, w.W, [INF, 0.0, 0.0, 0.0]), NumericError),
-    # finite, but x'Wx overflows: refused without numpy's overflow warning
+    # finite, but x'Wx, K x, G'Hx or the cost overflows: refused without numpy's warning
     ("omp_packet-x-overflow", lambda w: sp.omp_packet(w.hm, w.W, [1e200, 1e200, 0.0, 0.0]),
      NumericError),
+    ("l2_packet-x-overflow", lambda w: sp.l2_packet(w.hm, [1e308, -1e308, 1e308, 0.0], 310.0),
+     NumericError),
+    ("least_squares_packet-x-overflow",
+     lambda w: sp.least_squares_packet(w.hm, [1e308, -1e308, 1e308, 0.0]), NumericError),
+    ("l1l2_packet-x-overflow", lambda w: sp.l1l2_packet(w.hm, [1e306, 1e306, 0.0, 0.0], 5300.0),
+     NumericError),
+    ("cost_quadratic-x-overflow",
+     lambda w: sp.cost_quadratic(w.hm, np.zeros(10), [1e200, 0.0, 0.0, 0.0]), NumericError),
     # design inputs of the wrong shape or kind
     ("build_design-N-string", lambda w: sp.build_design(w.m, N="a"), ConfigError),
     ("build_design-N-float", lambda w: sp.build_design(w.m, N=2.5), ConfigError),

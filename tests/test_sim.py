@@ -13,15 +13,15 @@ from sparseppc.codec import EncodedPacket, codec_to_dict
 from sparseppc.controllers import ControlPacket
 from sparseppc.design import CostDesign
 from sparseppc.errors import ConfigError
-from sparseppc.sim import (BITRATE_PLAN, CONTROLLERS, NS_MAIN, NS_TEST, NS_TRAIN, SETUP_FIELDS,
-                           SWEEP_KEYS, SimConfig, TrialResult, build_setup, config_from_dict,
-                           lyapunov_audit, make_controller, monte_carlo, packet_columns,
-                           rate_columns, run_trial, summary_columns, sweep_columns,
-                           sweep_regularization, trace_columns, trajectory_columns, trial_inputs,
-                           write_csv)
+from sparseppc.sim import (BITRATE_PLAN, CONTROLLERS, CSV_CHUNK_ROWS, NS_MAIN, NS_TEST, NS_TRAIN,
+                           SETUP_FIELDS, SWEEP_KEYS, SimConfig, TrialResult, build_setup,
+                           config_from_dict, lyapunov_audit, make_controller, monte_carlo,
+                           packet_columns, rate_columns, run_trial, summary_columns,
+                           sweep_columns, sweep_regularization, trace_columns, trajectory_columns,
+                           trial_inputs, write_csv)
 
 from .oracles import (bitrate_reference, csv_reference, lyapunov_audit_reference,
-                      sweep_reference)
+                      sweep_reference, write_csv_reference)
 
 
 def _setup(**kw):
@@ -1408,6 +1408,74 @@ def test_write_csv_formats(tmp_path):
     assert path.read_text() == "a,b,c,d\n1,0.5,x,3\n2,1e-17,yz,-4\n"
     with pytest.raises(ValueError):
         write_csv(path, {"a": [1, 2], "b": [0.5]})
+
+
+FLOAT_CELLS = st.floats() | st.sampled_from([-0.0, 1e-17, 1e16, 5e-324, 2.2e-308, np.inf, -np.inf,
+                                              np.nan])
+CELLS = {
+    "int": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "int8": (st.integers(-128, 127), np.int8),
+    "float": (FLOAT_CELLS, float),
+    "str": (st.text(st.characters(blacklist_categories=("Cs",)), max_size=4), str),
+}
+
+
+@st.composite
+def csv_columns(draw):
+    """Up to four columns of one length, from 0 rows to past two chunks of rows."""
+    rows = draw(st.integers(0, 40) | st.sampled_from(
+        [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]))
+    columns = {}
+    for name in "abcd"[:draw(st.integers(1, 4))]:
+        values, dtype = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+        pool = draw(st.lists(values, min_size=1, max_size=12))
+        # a long column repeats a short drawn pool, so every size draws little data
+        columns[name] = np.array([pool[i % len(pool)] for i in range(rows)], dtype=dtype)
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=csv_columns())
+def test_write_csv_is_the_row_by_row_writer(tmp_path_factory, columns):
+    d = tmp_path_factory.mktemp("csv")
+    write_csv(d / "got.csv", columns)
+    write_csv_reference(d / "ref.csv", columns)
+    got = (d / "got.csv").read_bytes()
+    assert got == (d / "ref.csv").read_bytes()
+    if not len(next(iter(columns.values()))):
+        assert got == (",".join(columns) + "\n").encode()
+
+
+def test_sim_l2_shaped_trajectory_matches_the_row_reference(tmp_path):
+    report = monte_carlo(SimConfig(trials=50, steps=100, seed=11, controller="l2",
+                                   dropout={"kind": "markov", "p_dd": 0.8, "p_dg": 0.2}))
+    _assert_columns_match_reference(tmp_path, {"trajectory": trajectory_columns}, report)
+
+
+def _spawned_inputs(cfg, setup, namespace, trial):
+    """trial_inputs' streams as the children of spawn(3) of the trial's key."""
+    ss = np.random.SeedSequence(cfg.seed, spawn_key=(namespace, trial))
+    rng_x0, rng_trace, rng_noise = (np.random.default_rng(k) for k in ss.spawn(3))
+    trace = sp.generate_trace(setup.dropout, cfg.steps, rng=rng_trace)
+    n = setup.model.n
+    x0 = rng_x0.standard_normal(n) if isinstance(cfg.x0, str) else np.asarray(cfg.x0, dtype=float)
+    shape = (cfg.steps, n)
+    noise = rng_noise.normal(0.0, cfg.sigma, shape) if cfg.sigma > 0 else np.zeros(shape)
+    return trace, x0, noise
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+@pytest.mark.parametrize("x0", ["standard_normal", [0.3, -0.2, 0.1, 0.5]])
+@pytest.mark.parametrize("namespace", [NS_MAIN, NS_TRAIN, NS_TEST])
+def test_trial_inputs_are_the_spawned_streams(sigma, x0, namespace):
+    cfg = SimConfig(steps=30, seed=2024, x0=x0, noise={"kind": "gaussian", "sigma": sigma}
+                    if sigma else {"kind": "none"})
+    setup = build_setup(cfg)
+    for trial in (0, 1, 17):
+        (trace, x, noise), (ref_trace, ref_x, ref_noise) = (
+            f(cfg, setup, namespace, trial) for f in (trial_inputs, _spawned_inputs))
+        assert np.array_equal(trace.d, ref_trace.d) and trace.overrides == ref_trace.overrides
+        assert x.tobytes() == ref_x.tobytes() and noise.tobytes() == ref_noise.tobytes()
 
 
 def _assert_columns_match_reference(tmp_path, builders, report):
