@@ -22,7 +22,7 @@ from .sim import (CONTROLLERS, SWEEP_KEYS, bitrate_experiment, build_setup,
                   config_from_dict, monte_carlo, packet_columns, rate_columns,
                   resolved_config, summary_columns, sweep_columns,
                   sweep_regularization, trace_columns, trajectory_columns,
-                  write_csv)
+                  write_csv, write_file)
 from .codec import codec_to_dict
 from .svgplot import write_line_svg
 
@@ -68,8 +68,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_meta(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_file(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_run_meta(out: Path, config: dict, **sections) -> None:
@@ -95,14 +94,9 @@ def _cmd_design(args) -> int:
     payload = design_to_dict(setup.design)
     payload["plant"] = {"A": setup.model.A.tolist(), "B": setup.model.B.tolist()}
 
-    out = _out_dir(args) if args.out_dir else Path(".")
-    if args.dump_horizon:
-        np.savetxt(out / "G.csv", setup.hm.G, delimiter=",")
-        np.savetxt(out / "H.csv", setup.hm.H, delimiter=",")
-
     if args.out_dir:
-        _write_meta(out / "design.json", payload)
-        print(f"wrote {out / 'design.json'}")
+        _write_meta(path := _out_dir(args) / "design.json", payload)
+        print(f"wrote {path}")
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -223,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config (plant, N, Q, eta, delta; "
                    "a simulate config also works)")
     p.add_argument("--out-dir", help="write design.json here (default: stdout)")
-    p.add_argument("--dump-horizon", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("simulate", help="closed-loop Monte Carlo run")

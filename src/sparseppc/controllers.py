@@ -9,6 +9,7 @@ solvers minimize the nonzero count subject to the quadratic budget
 lasso homotopy, so no solver has a tolerance.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,6 +30,14 @@ ORACLE_CAP = 12
 # omp_packet evaluates the first OMP_PREFIX nodes of the support-node table
 # in one product per solve, and any node past them on its own.
 OMP_PREFIX = 24
+
+# A solver that reads a product of the state refuses one that overflowed
+# (see _finite), so it runs under _QUIET, which drops numpy's warning.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+# OMP refuses a score (C x)_j^2 that overflowed: a pick would take the first
+# +inf. A NaN score is a degenerate column, whose support solve raises.
+SCORE_OVERFLOW = "state is not finite: a score (C x)_j^2 / ||g_j||^2 overflowed"
 
 
 @dataclass(frozen=True)
@@ -67,14 +76,10 @@ def budget_for(W, X: np.ndarray) -> np.ndarray:
     Stacked matmul gives each row the bits of its own (x @ W) @ x. A
     budget that is not finite (an overflow) raises NumericError, the
     block's first such one named: no packet can be judged against it.
+    Every caller runs it under _QUIET, so the overflow is not warned of.
     """
     W = square_matrix(W, "W", X.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
-        budget = ((X[:, None, :] @ W) @ X[:, :, None])[:, 0, 0]
-    bad = budget[~np.isfinite(budget)].tolist()
-    if bad:
-        raise NumericError(f"state is not finite: x'Wx = {bad[0]}")
-    return budget
+    return _finite(((X[:, None, :] @ W) @ X[:, :, None])[:, 0, 0], "x'Wx")
 
 
 def _solver_input(hm: HorizonMatrices, X, nu=None, name: str = None, guess=None) -> tuple:
@@ -112,6 +117,7 @@ def _solver_input(hm: HorizonMatrices, X, nu=None, name: str = None, guess=None)
     return block, shape, nu, guess
 
 
+@_QUIET
 def check_feasible(hm: HorizonMatrices, W: np.ndarray, u: np.ndarray,
                    x: np.ndarray) -> FeasibilityCertificate:
     """Certificate that the packet u (N,) meets the quadratic budget for one state x (n,)."""
@@ -178,6 +184,16 @@ def _node_products(nodes, P: int, X: np.ndarray):
     return (nodes.C[None, :P] @ cols)[..., 0], (Mx[..., None, :] @ cols)[..., 0, 0]
 
 
+def _finite(a, name: str):
+    """a, or NumericError naming its first entry that is not finite (an overflow)."""
+    # count_nonzero, not .all(): on arrays this small, call overhead is the cost
+    if math.isfinite(a) if isinstance(a, float) else np.count_nonzero(np.isfinite(a)) == a.size:
+        return a
+    a = np.ravel(a)
+    raise NumericError(f"state is not finite: {name} = {a[~np.isfinite(a)][0]}")
+
+
+@_QUIET
 def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPacket:
     """Orthogonal matching pursuit for the sparsity-minimizing packet.
 
@@ -203,9 +219,11 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
     score is 0, or a NaN) is taken again with S at -inf, so every pick is
     the one the masked scores give. For budgets built by the design
     procedure the full-support residual is strictly below the budget, so
-    the walk ends for every x. A block with a budget that is not finite
-    raises NumericError before any walk; otherwise the first row whose walk
-    raises ends the call with its error.
+    the walk ends for every x. A block with a budget, or a prefix node's
+    norm or score, that is not finite (an overflow of a finite state)
+    raises NumericError before any walk, and so does a norm or a picked
+    score past the prefix before the walk reads it; otherwise the first
+    row whose walk raises ends the call with its error.
 
     The block is the fast path: the stacked products cost about as much
     for a few rows as for one, so a single state (n,) pays for the
@@ -218,13 +236,17 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
     root = _support_node(hm, 0)
     P = min(nodes.count, OMP_PREFIX)
     c, q = _node_products(nodes, P, X)
+    scores = c * c / nodes.w[:P]
+    _finite(q, "x'Mx")
+    if np.count_nonzero(scores == np.inf):
+        raise NumericError(SCORE_OVERFLOW)
     go_rows = (q > budgets[:, None]).tolist()
-    pick_rows = (c * c / nodes.w[:P]).argmax(axis=2).tolist()
+    pick_rows = scores.argmax(axis=2).tolist()
     ends = []
     # ndarray.dot and .argmax: on arrays this small, call overhead is the cost
     for x, budget, go, picks in zip(X, budgets.tolist(), go_rows, pick_rows):
         i = root
-        while go[i] if i < P else float(x.dot(nodes.M[i].dot(x))) > budget:
+        while go[i] if i < P else _finite(float(x.dot(nodes.M[i].dot(x))), "x'Mx") > budget:
             cols = nodes.cols[i]
             if cols.size == hm.N:
                 raise FeasibilityError(
@@ -235,6 +257,8 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
                 score = ci * ci / hm.col_norm_sq
                 score[cols] = -np.inf
                 j = int(score.argmax())
+                if score[j] == np.inf:    # the largest, or the first NaN
+                    raise NumericError(SCORE_OVERFLOW)
             else:
                 j = picks[i]
             k = nodes.child[i][j]
@@ -246,6 +270,7 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
     return ControlPacket(u.reshape(shape), sum(nodes.cols[i].size for i in ends))
 
 
+@_QUIET
 def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPacket:
     """Globally sparsity-minimal packet by support enumeration.
 
@@ -257,7 +282,9 @@ def exhaustive_l0_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> C
     one stacked QR of every G[:, S] and one stacked solve of R coef = Q'Hx.
     A support whose R has an exact zero on its diagonal is singular, and
     raises if it comes before the first feasible one; the first row whose
-    search raises ends the call. Exponential in N; refused above
+    search raises ends the call. A residual ||Hx||^2 or ||G u - Hx||^2
+    that overflows raises NumericError before a comparison reads it.
+    Exponential in N; refused above
     ORACLE_CAP. Intended as the correctness oracle for the greedy solver,
     not for control loops at scale, so it shares no code with it.
     """
@@ -276,7 +303,7 @@ def _l0_search(hm: HorizonMatrices, x: np.ndarray, budget: float) -> tuple:
     Hx = hm.H @ x
     examined = 0
 
-    if float(Hx @ Hx) <= budget + slack:
+    if float(_finite(Hx @ Hx, "||Hx||^2")) <= budget + slack:
         return np.zeros(hm.N), 0
     for k in range(1, hm.N + 1):
         supports = np.array(list(combinations(range(hm.N), k)))
@@ -287,7 +314,7 @@ def _l0_search(hm: HorizonMatrices, x: np.ndarray, budget: float) -> tuple:
         coef = np.linalg.solve(Rs, (Qs.swapaxes(-1, -2) @ Hx)[..., None])
         # matmul, not einsum or sum: each row gets the bits of its own r @ r
         r = Hx - (Gs @ coef)[..., 0]
-        residual_sq = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+        residual_sq = _finite((r[:, None, :] @ r[:, :, None])[:, 0, 0], "residual")
         hits = np.flatnonzero(singular | (residual_sq <= budget + slack))
         if hits.size:
             i = int(hits[0])
@@ -316,9 +343,7 @@ def _finite_products(A: np.ndarray, X: np.ndarray, name: str) -> np.ndarray:
     """_row_products(A, X), or NumericError naming its first entry that overflowed float64."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
         AX = _row_products(A, X)
-    if not np.isfinite(AX).all():
-        raise NumericError(f"state is not finite: {name} = {AX[~np.isfinite(AX)][0]}")
-    return AX
+    return _finite(AX, name)
 
 
 def least_squares_packet(hm: HorizonMatrices, X: np.ndarray) -> ControlPacket:

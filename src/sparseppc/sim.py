@@ -17,7 +17,8 @@ and training/test phases never share entropy.
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import islice
+from itertools import chain, islice
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -475,8 +476,8 @@ class MonteCarloReport:
 SWEEP_KEYS = {"l1l2": "nu1", "l2": "nu2"}
 
 
-def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN,
-                grid: list = None, inputs: list = None) -> MonteCarloReport:
+def monte_carlo(cfg: SimConfig, setup: SimSetup = None, grid: list = None,
+                inputs: list = None) -> MonteCarloReport:
     """Run cfg.trials independent paired trials in lockstep; keep every result.
 
     Every trial is one row of the engine (_lockstep), and one controller
@@ -496,9 +497,11 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     batch. The run's one controller reads each row's value off the grid,
     so every row has the bits of its own value's run.
 
-    With inputs, the trials are given as a list of phases, each a non-empty
-    list of (trial, trace, x0, noise) tuples, cfg.trials in all, with no
-    grid; they step in one batch, phase-major (see bitrate_experiment).
+    Without inputs, trial t's inputs are trial_inputs(cfg, setup, NS_MAIN,
+    t). With inputs, the trials are given as a list of phases, each a
+    non-empty list of (trial, trace, x0, noise) tuples, cfg.trials in all,
+    with no grid; they step in one batch, phase-major (see
+    bitrate_experiment).
     On a grid or over phases, the run fails when all trials of any one
     value or phase do, point is each row's index among them, and a
     failure leads with its value or phase. The engine call is timed once,
@@ -516,7 +519,6 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
     # each value is checked as its own run's config before the setup is built
     runs = [cfg] if grid is None else [replace(cfg, **{SWEEP_KEYS[cfg.controller]: nu})
                                        for nu in grid]
-    namespace = int_setting(namespace, "namespace", 0)
     if setup is None:
         setup = build_setup(cfg)
     else:
@@ -526,7 +528,7 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, namespace: int = NS_MAIN
             raise ConfigError(f"setup was built from other settings than the config: {differ}")
         _check_trials(cfg, setup.model, setup.dropout)
 
-    phases = ([[(trial, *trial_inputs(cfg, setup, namespace, trial))
+    phases = ([[(trial, *trial_inputs(cfg, setup, NS_MAIN, trial))
                 for trial in range(cfg.trials)]] if inputs is None else
               [[_trial_input(setup, cfg.steps, *row) for row in phase] for phase in inputs])
     rows = sum(phases, [])
@@ -692,21 +694,37 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
 # ---------------------------------------------------------------------------
 # Deterministic CSV / metadata emission
 
+def write_file(path, chunks) -> None:
+    """Write the strings of chunks, in order, as a new file at path.
+
+    Whatever is at path is unlinked first, so the file is created, never
+    truncated (a rewrite by truncation can wait for the old blocks'
+    writeback), and a symlink there is replaced, its target untouched.
+    Newlines are LF. An OSError raises ConfigError naming path. Every
+    output file of the package is written here.
+    """
+    try:
+        Path(path).unlink(missing_ok=True)
+        with open(path, "x", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path, columns: dict) -> None:
     """Plain deterministic CSV from {column name: 1-D sequence}.
 
     A cell is str() of the Python scalar tolist() gives (a %s field), so a
     float is its shortest round-trip repr(); no quoting, LF newlines. Rows
-    are written CSV_CHUNK_ROWS at a time, one write each. Every column must
-    have the same length, else ValueError.
+    are written CSV_CHUNK_ROWS at a time, one write each, by write_file.
+    Every column must have the same length, else ValueError.
     """
     cells = [np.asarray(col).tolist() for col in columns.values()]
     line = ",".join(["%s"] * len(cells)) + "\n"
     rows = zip(*cells, strict=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            fh.write("".join([line % row for row in chunk]))
+    chunks = iter(lambda: list(islice(rows, CSV_CHUNK_ROWS)), [])
+    write_file(path, chain([",".join(columns) + "\n"],
+                           ("".join([line % row for row in chunk]) for chunk in chunks)))
 
 
 def _per_step(report: MonteCarloReport, **attrs) -> dict:

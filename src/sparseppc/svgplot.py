@@ -6,6 +6,8 @@ curves; anything publication-grade should go through the CSV outputs.
 
 import math
 
+from .sim import write_file
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 16, 28, 42
@@ -86,5 +88,4 @@ def write_line_svg(path, series, title="", x_label="k", y_label="",
         parts.append(f'<text x="{_ML + pw - 6}" y="{_MT + 14 + 14 * i}" '
                      f'text-anchor="end" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_file(path, ["\n".join(parts) + "\n"])

@@ -478,12 +478,19 @@ def bitrate_reference(cfg):
     failures = []
     roundtrip_failures = 0
     max_quant_error = 0.0
+
+    def run(name, namespace, trials):
+        # one phase of trials, each drawing its inputs afresh, as a run of its own
+        rows = [(t, *sim.trial_inputs(cfg, setup, namespace, t)) for t in range(trials)]
+        mc = sim.monte_carlo(replace(cfg, controller=name, trials=trials), setup=setup,
+                             inputs=[rows])
+        return replace(mc, failures=[(t, msg) for _, t, msg in mc.failures], point=None)
+
     for name, scheme in sim.BITRATE_PLAN:
-        train = sim.monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials),
-                                setup=setup, namespace=sim.NS_TRAIN)
+        train = run(name, sim.NS_TRAIN, cfg.train_trials)
         samples = sim.quantize_packet(quantizer, train.records.packets)
         codec = sim.train_codec(samples.reshape(-1, cfg.N), scheme, quantizer)
-        test = sim.monte_carlo(replace(cfg, controller=name), setup=setup, namespace=sim.NS_TEST)
+        test = run(name, sim.NS_TEST, cfg.trials)
         packets = test.records.packets
         indices = sim.quantize_packet(quantizer, packets)
         err = float(np.max(np.abs(packets - sim.dequantize(quantizer, indices))))

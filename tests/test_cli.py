@@ -142,11 +142,13 @@ def test_design_reads_a_simulate_config(tmp_path, capsys):
     assert main(["design", "--config", bad]) == 2
 
 
-def test_design_hidden_horizon_dump(tmp_path):
-    out = tmp_path / "d"
-    assert main(["design", "--out-dir", str(out), "--dump-horizon"]) == 0
-    G = np.loadtxt(out / "G.csv", delimiter=",")
-    assert G.shape == (40, 10)
+def test_design_has_no_horizon_dump(tmp_path, capsys):
+    # G and H are one build_horizon call away; the CLI writes neither
+    with pytest.raises(SystemExit) as exc:
+        main(["design", "--out-dir", str(tmp_path / "d"), "--dump-horizon"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dump-horizon" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_simulate_requires_out_dir():
@@ -188,6 +190,73 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert main(["simulate", "--config", cfg, "--out-dir", str(b)]) == 0
     for name in ("trace.csv", "trajectory.csv", "summary.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# each command's options that write every file it can, and those files
+WRITES = {
+    "simulate": (["--plots"], ("meta.json", "norm_vs_k.svg", "norm_vs_k_linear.svg",
+                               "sparsity_vs_k.svg", "summary.csv", "trace.csv",
+                               "trajectory.csv")),
+    "sweep": (["--family", "l2", "--grid", "1,100", "--plots"],
+              ("meta.json", "sweep.csv", "sweep.svg")),
+    "bitrate": (["--dump-packets"], ("codec_l2.json", "codec_omp.json", "meta.json",
+                                     "packets.csv", "rates.csv")),
+    "design": ([], ("design.json",)),
+}
+
+
+def _write_all(tmp_path, command, out):
+    """Run command into out with every output it has; return its exit code."""
+    cfg = _write(tmp_path / "c.json", {"trials": 2, "train_trials": 2, "steps": 10, "seed": 4})
+    return main([command, "--config", cfg, "--out-dir", str(out), *WRITES[command][0]])
+
+
+def _outputs(out) -> dict:
+    """Each file's bytes by name; meta.json without its wall-clock timing."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    if "meta.json" in files:
+        meta = json.loads(files["meta.json"])
+        meta.pop("timing", None)
+        files["meta.json"] = meta
+    return files
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+def test_a_rerun_replaces_every_output_with_the_same_bytes(tmp_path, command):
+    out = tmp_path / "o"
+    assert _write_all(tmp_path, command, out) == 0
+    first = _outputs(out)
+    assert sorted(first) == list(WRITES[command][1])
+    assert _write_all(tmp_path, command, out) == 0
+    assert _outputs(out) == first
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+def test_an_output_path_that_is_a_directory_exits_2(tmp_path, command, capsys):
+    for name in WRITES[command][1]:
+        out = tmp_path / f"{command}-{name}"
+        (out / name).mkdir(parents=True)
+        assert _write_all(tmp_path, command, out) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert (out / name).is_dir()
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+def test_a_symlink_at_an_output_path_is_replaced_and_its_target_kept(tmp_path, command):
+    fresh, out, targets = tmp_path / "fresh", tmp_path / "o", tmp_path / "targets"
+    assert _write_all(tmp_path, command, fresh) == 0
+    out.mkdir()
+    targets.mkdir()
+    for name in WRITES[command][1]:
+        (targets / name).write_text("kept")
+        (out / name).symlink_to(targets / name)
+    assert _write_all(tmp_path, command, out) == 0
+    assert _outputs(out) == _outputs(fresh)
+    for name in WRITES[command][1]:
+        assert not (out / name).is_symlink() and (out / name).is_file(), name
+        assert (targets / name).read_text() == "kept", name
 
 
 def test_validation_exit_code(tmp_path):

@@ -85,6 +85,13 @@ CASES = [
     # finite, but x'Wx, K x, G'Hx or the cost overflows: refused without numpy's warning
     ("omp_packet-x-overflow", lambda w: sp.omp_packet(w.hm, w.W, [1e200, 1e200, 0.0, 0.0]),
      NumericError),
+    # x'Wx is finite, but OMP's scores (C x)_j^2 and the oracle's ||Hx||^2 overflow
+    ("omp_packet-x-score-overflow",
+     lambda w: sp.omp_packet(w.hm, w.W, 2.0**500 * np.array([1.0, -1.0, 1.0, 0.0])),
+     NumericError),
+    ("exhaustive_l0_packet-x-overflow",
+     lambda w: sp.exhaustive_l0_packet(w.hm, w.W, 2.0**505 * np.array([1.0, -1.0, 1.0, 0.0])),
+     NumericError),
     ("l2_packet-x-overflow", lambda w: sp.l2_packet(w.hm, [1e308, -1e308, 1e308, 0.0], 310.0),
      NumericError),
     ("least_squares_packet-x-overflow",
@@ -146,10 +153,6 @@ CASES = [
                                                      trial=2.5), ConfigError),
     ("monte_carlo-grid-scalar",
      lambda w: sp.monte_carlo(sp.SimConfig(trials=1, steps=5, controller="l2"), grid=5),
-     ConfigError),
-    ("monte_carlo-namespace-string", lambda w: sp.monte_carlo(w.cfg, namespace="a"),
-     ConfigError),
-    ("monte_carlo-namespace-negative", lambda w: sp.monte_carlo(w.cfg, namespace=-1),
      ConfigError),
     # given inputs are phases of (trial, trace, x0, noise) tuples, cfg.trials rows in all
     ("monte_carlo-inputs-flat",

@@ -1,9 +1,11 @@
+import math
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sparseppc as sp
@@ -120,6 +122,65 @@ def test_omp_scale_covariance(cessna_design, cessna_horizon, rng):
             p2 = sp.omp_packet(hm, d.W, alpha * x)
             assert np.array_equal(np.flatnonzero(p1.u), np.flatnonzero(p2.u))
             assert np.allclose(p2.u, alpha * p1.u, rtol=1e-9, atol=1e-12)
+
+
+def _scaled_or_refused(solve, x, k):
+    """solve(2^k x), or None if it raises NumericError; any warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return solve(2.0**k * x)
+        except NumericError:
+            return None
+
+
+def _is_scaled(got, base, k):
+    """got is base scaled by 2^k bit for bit, with the same count."""
+    return (got.u.tobytes() == (2.0**k * base.u).tobytes()
+            and got.solver_iters == base.solver_iters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-100, 600))
+def test_omp_scales_by_powers_of_two_or_refuses(cessna_design, cessna_horizon, seed, k):
+    # scaling by 2^k is exact, so OMP makes the same picks at 2^k x; where
+    # a norm or score overflows it refuses the state instead of picking
+    d, hm = cessna_design, cessna_horizon
+    x = np.random.default_rng(seed).standard_normal(4)
+    got = _scaled_or_refused(lambda y: sp.omp_packet(hm, d.W, y), x, k)
+    assert got is None or _is_scaled(got, sp.omp_packet(hm, d.W, x), k)
+
+
+@pytest.fixture(scope="module")
+def cessna_n8(cessna):
+    d = sp.build_design(cessna, N=8)
+    return d, sp.build_horizon(cessna, d.Q, d.P, d.N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-100, 600))
+def test_exhaustive_scales_by_powers_of_two_or_refuses(cessna_n8, seed, k):
+    # as for OMP; the feasibility slack is absolute below a budget of 1, so
+    # there the search need not scale, and such draws are left out
+    d, hm = cessna_n8
+    x = np.random.default_rng(seed).standard_normal(4)
+    budget = budget_for(d.W, x[None]).item()    # 2^k x has 4^k times this budget
+    assume(budget >= 1.0 and math.ldexp(budget, min(2 * k, 0)) >= 1.0)
+    got = _scaled_or_refused(lambda y: sp.exhaustive_l0_packet(hm, d.W, y), x, k)
+    assert got is None or _is_scaled(got, sp.exhaustive_l0_packet(hm, d.W, x), k)
+
+
+@pytest.mark.parametrize("k", [495, 500, 505])
+def test_omp_and_exhaustive_refuse_an_overflowing_state_without_a_warning(
+        cessna_design, cessna_horizon, k):
+    # (C x)_j^2 overflows for k >= 495, x'Mx and ||Hx||^2 at 505, x'Wx only at 507
+    d, hm = cessna_design, cessna_horizon
+    x = np.array([1.0, -1.0, 1.0, 0.0])
+    omp = _scaled_or_refused(lambda y: sp.omp_packet(hm, d.W, y), x, k)
+    assert omp is None
+    oracle = _scaled_or_refused(lambda y: sp.exhaustive_l0_packet(hm, d.W, y), x, k)
+    assert (oracle is None) == (k == 505)
+    assert oracle is None or _is_scaled(oracle, sp.exhaustive_l0_packet(hm, d.W, x), k)
 
 
 def test_omp_dominated_by_exhaustive_oracle(cessna_design, cessna_horizon, rng):

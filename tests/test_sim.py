@@ -1,6 +1,8 @@
+import ast
 from collections import Counter
 from dataclasses import fields, replace
 from itertools import count
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1236,7 +1238,8 @@ def test_monte_carlo_phases_equal_their_own_runs():
         assert merged.point.tolist() == [0] * 4 + [1] * 3 and merged.failures == []
         for p, (ns, count) in enumerate(((NS_TRAIN, 4), (NS_TEST, 3))):
             own = monte_carlo(replace(base, controller=name, trials=count), setup=setup,
-                              namespace=ns)
+                              inputs=[[(t, *trial_inputs(base, setup, ns, t))
+                                       for t in range(count)]])
             for f in ("trial", "states", "V", "d", "u_applied", "packets", "sparsity", "perf",
                       "overrides"):
                 a, b = getattr(merged.records, f)[merged.point == p], getattr(own.records, f)
@@ -1406,8 +1409,42 @@ def test_write_csv_formats(tmp_path):
     write_csv(path, {"a": [1, 2], "b": np.array([0.5, 1e-17]), "c": ["x", "yz"],
                      "d": np.array([3, -4], dtype=np.int8)})
     assert path.read_text() == "a,b,c,d\n1,0.5,x,3\n2,1e-17,yz,-4\n"
-    with pytest.raises(ValueError):
-        write_csv(path, {"a": [1, 2], "b": [0.5]})
+    for writer in (write_csv, write_csv_reference):
+        with pytest.raises(ValueError):
+            writer(path, {"a": [1, 2], "b": [0.5]})
+
+
+class _FileWrites(ast.NodeVisitor):
+    """(enclosing function, line) of each call that opens a file for writing or writes one."""
+
+    def __init__(self):
+        self.where, self.found = None, []
+
+    def visit_FunctionDef(self, node):
+        outer, self.where = self.where, node.name
+        self.generic_visit(node)
+        self.where = outer
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        mode = (node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                or [ast.Constant("r")])[0]
+        # a mode that is not a literal counts as a write
+        writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                      and not set(mode.value) & set("wax+"))
+        if (name == "open" and writes or
+                name in ("savetxt", "tofile", "write_text", "write_bytes")):
+            self.found.append((self.where, node.lineno))
+        self.generic_visit(node)
+
+
+def test_write_file_is_the_only_code_that_writes_a_file():
+    found = {}
+    for path in sorted(Path(sp.__file__).parent.glob("*.py")):
+        scan = _FileWrites()
+        scan.visit(ast.parse(path.read_text()))
+        found.update({(path.name, where): line for where, line in scan.found})
+    assert list(found) == [("sim.py", "write_file")]
 
 
 FLOAT_CELLS = st.floats() | st.sampled_from([-0.0, 1e-17, 1e16, 5e-324, 2.2e-308, np.inf, -np.inf,
