@@ -120,7 +120,7 @@ def _cmd_simulate(args) -> int:
         "failures": [{"trial": t, "error": msg} for t, msg in report.failures],
         "total_overrides": int(report.records.overrides.sum()),
         "total_violations": report.total_violations,
-        "mean_perf": float(np.mean(report.per_trial_perf)),
+        "mean_perf": float(np.mean(report.records.perf)),
     }, timing={"mean_step_seconds": report.mean_step_seconds})
     if args.plots:
         ks = summary["k"].tolist()

@@ -17,6 +17,7 @@ and training/test phases never share entropy.
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 from time import perf_counter
@@ -249,24 +250,21 @@ class TrialResult:
     """Per-step records of one closed-loop run (k = 0 .. steps-1).
 
     The engine returns the records of its rows stacked: every field then
-    has a leading axis over the rows, and rows() splits it per trial.
+    has a leading axis over the rows, and rows() splits it per trial. Each
+    comment gives a field's stacked shape, then one trial's.
     """
 
-    trial: int
-    states: np.ndarray        # (T, n) state at each k
-    norms: np.ndarray         # ||x(k)||_2
-    perf: float               # sqrt(sum_k ||x(k)||^2)
-    V: np.ndarray             # x(k)' P x(k)
-    d: np.ndarray             # dropout bit at k
-    u_applied: np.ndarray     # actuator output at k
-    packets: np.ndarray       # (T, N) packet computed at k, delivered or not
-    sparsity: np.ndarray      # nonzeros of the packet computed at k
-    overrides: int
-    violations: int = None    # Lyapunov violations, set by the harness's audit on noise-free runs
-
-    @property
-    def final_norm(self) -> float:
-        return float(self.norms[-1])
+    trial: int                # (rows,); one trial's index
+    states: np.ndarray        # (rows, T, n); (T, n) state at each k
+    norms: np.ndarray         # (rows, T); ||x(k)||_2
+    perf: float               # (rows,); sqrt(sum_k ||x(k)||^2)
+    V: np.ndarray             # (rows, T); x(k)' P x(k)
+    d: np.ndarray             # (rows, T); dropout bit at k
+    u_applied: np.ndarray     # (rows, T); actuator output at k
+    packets: np.ndarray       # (rows, T, N); (T, N) packet computed at k, delivered or not
+    sparsity: np.ndarray      # (rows, T); nonzeros of the packet computed at k
+    overrides: int            # (rows,); the trace's forced deliveries
+    violations: int = None    # (rows,); Lyapunov violations, set by the audit on noise-free runs
 
     def rows(self) -> list:
         """Each row of stacked records as one trial's TrialResult of views."""
@@ -455,20 +453,25 @@ class MonteCarloReport:
     """A run's records over the rows that succeeded, in row order.
 
     A run's rows are its trials, in trial order or its phases' order; a
-    grid run repeats them for each grid value, grid-major.
+    grid run repeats them for each grid value, grid-major. records holds
+    them all, and every reader takes its rows from it.
     """
 
     cfg: SimConfig
     records: TrialResult        # stacked, one row per row of the run
-    results: list               # records.rows(): one TrialResult view per row
     failures: list              # (trial, error message), after nu on a grid or the phase
     mean_step_seconds: float    # engine wall time per row and step
     total_violations: int = None
     point: np.ndarray = None    # on a grid or over phases, the value or phase of each row
 
+    @cached_property
+    def results(self) -> list:
+        """records.rows(), built once; read only by the benchmark's report tap."""
+        return self.records.rows()
+
     @property
     def per_trial_perf(self) -> np.ndarray:
-        """sqrt(sum_k ||x(k)||^2) of each row."""
+        """records.perf; read only by the benchmark's report tap."""
         return self.records.perf
 
 
@@ -555,7 +558,7 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, grid: list = None,
     tags = grid if grid is not None else None if inputs is None else range(len(sizes))
     failures = [(rows[row % len(rows)][0], msg) if tags is None else
                 (tags[group[row]], rows[row % len(rows)][0], msg) for row, msg in errors.items()]
-    return MonteCarloReport(cfg=cfg, records=records, results=records.rows(), failures=failures,
+    return MonteCarloReport(cfg=cfg, records=records, failures=failures,
                             mean_step_seconds=seconds / (len(runs) * cfg.trials * cfg.steps),
                             total_violations=total_violations, point=None if tags is None else point)
 
@@ -594,7 +597,7 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     grid = grid.astype(float).tolist()
     mc = monte_carlo(replace(cfg, controller=family), grid=grid)
     at = [mc.point == g for g in range(len(grid))]
-    perfs = [float(np.mean(mc.per_trial_perf[rows])) for rows in at]
+    perfs = [float(np.mean(mc.records.perf[rows])) for rows in at]
     best = int(np.argmin(perfs))
     report = SweepReport(family=family, grid=grid, mean_perf=perfs,
                          argmin_nu=grid[best], argmin_perf=perfs[best], failures=mc.failures)
@@ -618,8 +621,8 @@ class SchemeRun:
 
     controller: str
     codec: PacketCodec        # trained on the controller's training packets
-    test: MonteCarloReport
-    bits: np.ndarray          # (trials, T) encoded size of each test packet
+    report: MonteCarloReport  # the controller's one run; its test rows are those at point 1
+    bits: np.ndarray          # (test rows, T) encoded size of each test packet
     encoded: list             # EncodedPacket of each test packet, trial-major
 
 
@@ -666,10 +669,9 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
         train_rows, test_rows = (run.point == phase for phase in (0, 1))
         samples = quantize_packet(quantizer, run.records.packets[train_rows])
         codec = train_codec(samples.reshape(-1, cfg.N), scheme, quantizer)
-        records = TrialResult(**{f.name: getattr(run.records, f.name)[test_rows]
-                                 for f in fields(TrialResult) if f.name != "violations"})
-        indices = quantize_packet(quantizer, records.packets)
-        err = float(np.max(np.abs(records.packets - dequantize(quantizer, indices))))
+        packets = run.records.packets[test_rows]
+        indices = quantize_packet(quantizer, packets)
+        err = float(np.max(np.abs(packets - dequantize(quantizer, indices))))
         max_quant_error = max(max_quant_error, err)
         encoded = []
         for idx in indices.reshape(-1, cfg.N):
@@ -677,10 +679,7 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
             roundtrip_failures += not np.array_equal(decode(codec, enc), idx)
             encoded.append(enc)
         bits = np.array([enc.bit_count for enc in encoded]).reshape(indices.shape[:2])
-        test = MonteCarloReport(replace(cfg, controller=name), records, records.rows(),
-                                [(t, msg) for p, t, msg in run.failures if p],
-                                run.mean_step_seconds)
-        schemes[scheme] = SchemeRun(controller=name, codec=codec, test=test, bits=bits,
+        schemes[scheme] = SchemeRun(controller=name, codec=codec, report=run, bits=bits,
                                     encoded=encoded)
         failures += [(name, ("train", "test")[p], t, msg) for p, t, msg in run.failures]
 
@@ -727,12 +726,13 @@ def write_csv(path, columns: dict) -> None:
                            ("".join([line % row for row in chunk]) for chunk in chunks)))
 
 
-def _per_step(report: MonteCarloReport, **attrs) -> dict:
-    """trial and k columns, then each named record array, trial-major."""
+def _per_step(report: MonteCarloReport, rows=slice(None), **attrs) -> dict:
+    """trial and k columns, then each named record array, trial-major, of the selected rows."""
     records = report.records
     T = report.cfg.steps
-    return {"trial": np.repeat(records.trial, T), "k": np.tile(np.arange(T), len(records.trial)),
-            **{name: getattr(records, attr).ravel() for name, attr in attrs.items()}}
+    trial = records.trial[rows]
+    return {"trial": np.repeat(trial, T), "k": np.tile(np.arange(T), len(trial)),
+            **{name: getattr(records, attr)[rows].ravel() for name, attr in attrs.items()}}
 
 
 def trace_columns(report: MonteCarloReport) -> dict:
@@ -754,8 +754,8 @@ def summary_columns(report: MonteCarloReport) -> dict:
 
 def rate_columns(breport: BitrateReport) -> dict:
     """Exact bit count of each coded test packet, schemes in BITRATE_PLAN order."""
-    parts = [{**_per_step(run.test), "scheme": np.repeat(scheme, run.bits.size),
-              "bits": run.bits.ravel()}
+    parts = [{**_per_step(run.report, run.report.point == 1),
+              "scheme": np.repeat(scheme, run.bits.size), "bits": run.bits.ravel()}
              for scheme, run in breport.schemes.items()]
     return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 

@@ -442,7 +442,7 @@ def sweep_reference(cfg, family, grid, match_perf=None):
     # nu does not enter the design, so every grid point shares one setup
     setup = sim.build_setup(subs[0])
     runs = [sim.monte_carlo(sub, setup=setup) for sub in subs]
-    perfs = [float(np.mean(run.per_trial_perf)) for run in runs]
+    perfs = [float(np.mean(run.records.perf)) for run in runs]
     best = int(np.argmin(perfs))
     report = sim.SweepReport(family=family, grid=grid, mean_perf=perfs,
                              argmin_nu=grid[best], argmin_perf=perfs[best])
@@ -460,9 +460,11 @@ def bitrate_reference(cfg):
 
     Each (controller, scheme) of BITRATE_PLAN runs its training trials,
     trains its codec, then runs its test trials in a second run; each run
-    draws its trials' inputs afresh.
+    draws its trials' inputs afresh. Each scheme's entry holds its two
+    runs, train and test, where sim.SchemeRun holds the controller's one.
     """
     from dataclasses import replace
+    from types import SimpleNamespace
 
     from sparseppc import sim
     from sparseppc.errors import ConfigError
@@ -501,8 +503,8 @@ def bitrate_reference(cfg):
             roundtrip_failures += not np.array_equal(sim.decode(codec, enc), idx)
             encoded.append(enc)
         bits = np.array([enc.bit_count for enc in encoded]).reshape(indices.shape[:2])
-        schemes[scheme] = sim.SchemeRun(controller=name, codec=codec, test=test, bits=bits,
-                                        encoded=encoded)
+        schemes[scheme] = SimpleNamespace(controller=name, codec=codec, train=train, test=test,
+                                          bits=bits, encoded=encoded)
         failures += [(name, phase, trial, msg) for phase, run in (("train", train), ("test", test))
                      for trial, msg in run.failures]
 
@@ -861,13 +863,13 @@ def _fmt(v) -> str:
 
 
 def _trace_rows(report):
-    for r in report.results:
+    for r in report.records.rows():
         for k, dk in enumerate(r.d):
             yield (r.trial, k, int(dk))
 
 
 def _trajectory_rows(report):
-    for r in report.results:
+    for r in report.records.rows():
         for k in range(len(r.norms)):
             yield (r.trial, k, float(r.norms[k]), float(r.V[k]),
                    float(r.u_applied[k]), int(r.sparsity[k]))
@@ -875,10 +877,11 @@ def _trajectory_rows(report):
 
 def _summary_rows(report):
     # sequential sums, as numpy reduces over trials, so means agree to the bit
+    rows = report.records.rows()
     for k in range(report.cfg.steps):
-        norms = [float(r.norms[k]) for r in report.results]
-        V = [float(r.V[k]) for r in report.results]
-        sparsity = [int(r.sparsity[k]) for r in report.results]
+        norms = [float(r.norms[k]) for r in rows]
+        V = [float(r.V[k]) for r in rows]
+        sparsity = [int(r.sparsity[k]) for r in rows]
         yield (k, sum(norms) / len(norms), statistics.median(norms), max(norms),
                sum(V) / len(V), sum(sparsity) / len(sparsity))
 
@@ -886,7 +889,9 @@ def _summary_rows(report):
 def _packet_rows(breport):
     for scheme, run in breport.schemes.items():
         encoded = iter(run.encoded)
-        for r, bits in zip(run.test.results, run.bits):
+        # the test rows are those of the run's second phase
+        test = [r for r, phase in zip(run.report.records.rows(), run.report.point) if phase == 1]
+        for r, bits in zip(test, run.bits, strict=True):
             for k, b in enumerate(bits):
                 enc = next(encoded)
                 assert enc.bit_count == b

@@ -134,12 +134,13 @@ def test_criterion_2_omp_vs_oracle(cessna_design, cessna_horizon, rng):
 
 def test_criterion_3_bounded_dropout_stability(omp_500):
     rep, elapsed = omp_500
-    assert len(rep.results) == 500 and not rep.failures
-    violations = int(sum(r.violations for r in rep.results))
-    ratios = np.array([r.final_norm / r.norms[0] for r in rep.results])
-    contracted = int(np.sum([r.final_norm < r.norms[0] for r in rep.results]))
+    rows = rep.records.rows()
+    assert len(rows) == 500 and not rep.failures
+    violations = int(sum(r.violations for r in rows))
+    ratios = np.array([r.norms[-1] / r.norms[0] for r in rows])
+    contracted = int(np.sum([r.norms[-1] < r.norms[0] for r in rows]))
     med = float(np.median(ratios))
-    gaps_ok = all(np.all(np.diff(np.flatnonzero(r.d == 0)) - 1 <= 9) for r in rep.results)
+    gaps_ok = all(np.all(np.diff(np.flatnonzero(r.d == 0)) - 1 <= 9) for r in rows)
     ok = (violations == 0 and contracted == 500 and med <= 1e-2
           and gaps_ok and elapsed < 120.0)
     line = _report(3, ok, f"500 noise-free trials: {violations} Lyapunov violations "
@@ -170,11 +171,12 @@ def test_criterion_4_baseline_behavior(cessna_design, cessna_horizon, rng, omp_5
     omp_rep, _ = omp_500
     cfg = SimConfig(trials=500, steps=100, seed=SEED, controller="l1l2", nu1=5.3e3)
     l1_rep = monte_carlo(cfg)
-    for a, b in zip(omp_rep.results, l1_rep.results):
+    omp_rows, l1_rows = omp_rep.records.rows(), l1_rep.records.rows()
+    for a, b in zip(omp_rows, l1_rows):
         assert np.array_equal(a.d, b.d)  # paired traces
-    fails = np.array([r.final_norm > 1e-3 * r.norms[0] for r in l1_rep.results])
+    fails = np.array([r.norms[-1] > 1e-3 * r.norms[0] for r in l1_rows])
     frac_fail = float(np.mean(fails))
-    omp_ok = int(sum(r.violations for r in omp_rep.results)) == 0
+    omp_ok = int(sum(r.violations for r in omp_rows)) == 0
 
     ok = worst_l2 <= 1e-6 and zeros_ok and frac_fail > 0.5 and omp_ok
     line = _report(4, ok, f"l2(nu->0) vs LS {worst_l2:.1e} (<=1e-6), big-nu1 zero "

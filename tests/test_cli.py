@@ -484,7 +484,7 @@ def test_sweep_lists_a_failed_trial_and_averages_the_others(tmp_path, monkeypatc
     assert meta["sweep"]["failures"] == [
         {"nu": 100.0, "trial": 1, "error": "SolverFailureError: synthetic failure"}]
     perf = monte_carlo(SimConfig(controller="l1l2", nu1=1e2, trials=3, steps=10,
-                                 seed=4)).per_trial_perf
+                                 seed=4)).records.perf
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[1] == f"l1l2,100.0,{float(np.mean(perf[[0, 2]]))}"
 

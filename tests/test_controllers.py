@@ -270,7 +270,7 @@ def _assert_matches_reference(hm, W, x):
 def _closed_loop_states(**cfg):
     rep = monte_carlo(SimConfig(steps=100, seed=3, **cfg))
     assert not rep.failures
-    return np.concatenate([r.states for r in rep.results])
+    return np.concatenate(rep.records.states)
 
 
 def test_omp_matches_qr_reference(cessna_design, cessna_horizon, rng):
@@ -708,7 +708,7 @@ def test_l1l2_closed_loop_packets_meet_kkt():
     for nu1 in (1e2, 1e3, 5.3e3, 1e4):
         rep = monte_carlo(replace(cfg, nu1=nu1), setup=setup)
         assert rep.failures == []
-        for r in rep.results:
+        for r in rep.records.rows():
             for x, u in zip(r.states, r.packets):
                 assert lasso_kkt_violation(setup.hm, x, u, nu1) <= 1e-9
 
@@ -742,7 +742,7 @@ def test_l1l2_warm_start_equals_the_cold_walk_bit_for_bit(monkeypatch):
         guessed.clear()
         rep = monte_carlo(replace(cfg, nu1=nu1), setup=setup)
         assert rep.failures == []
-        for r in rep.results:
+        for r in rep.records.rows():
             for x, u in zip(r.states, r.packets):
                 assert np.array_equal(u, sp.l1l2_packet(setup.hm, x, nu1).u), (nu1, r.trial)
         # the warm start does the work: most guesses are certified
@@ -758,7 +758,7 @@ def test_l1l2_closed_loop_packets_equal_the_reference_solver():
     for nu1 in (1e2, 1e3, 5.3e3, 1e4):
         rep = monte_carlo(replace(cfg, nu1=nu1), setup=setup)
         assert rep.failures == []
-        for r in rep.results:
+        for r in rep.records.rows():
             guess = None
             for x, u in zip(r.states, r.packets):
                 got = sp.l1l2_packet(setup.hm, x, nu1, guess=guess)

@@ -233,7 +233,7 @@ def test_setup_settings_compare_in_their_written_form():
     # a numpy Q and its nested-list form are the same setting in meta.json
     cfg = SimConfig(trials=1, steps=10, Q=np.diag([1.0, 2.0, 3.0, 4.0]))
     listed = replace(cfg, Q=cfg.Q.tolist())
-    assert monte_carlo(listed, setup=build_setup(cfg)).results[0].norms.size == 10
+    assert monte_carlo(listed, setup=build_setup(cfg)).records.norms[0].size == 10
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01])
@@ -244,7 +244,7 @@ def test_loop_propagates_the_plant_exactly(sigma):
     noise = {"kind": "gaussian", "sigma": sigma} if sigma else {"kind": "none"}
     cfg = SimConfig(trials=1, steps=60, seed=29, noise=noise)
     setup = build_setup(cfg)
-    r = monte_carlo(cfg, setup=setup).results[0]
+    r = monte_carlo(cfg, setup=setup).records.rows()[0]
     A, B = setup.model.A, setup.model.B
     stream = np.random.SeedSequence(cfg.seed, spawn_key=(NS_MAIN, 0)).spawn(3)[2]
     rng_noise = np.random.default_rng(stream)
@@ -259,7 +259,7 @@ def test_zero_sigma_is_noise_free_and_audited():
     quiet = monte_carlo(replace(base, noise={"kind": "gaussian", "sigma": 0}))
     plain = monte_carlo(base)
     assert quiet.total_violations == plain.total_violations == 0
-    for a, b in zip(quiet.results, plain.results):
+    for a, b in zip(quiet.records.rows(), plain.records.rows()):
         assert np.array_equal(a.states, b.states)
 
 
@@ -357,10 +357,11 @@ def test_each_rows_violations_are_its_own_audit():
         rep = monte_carlo(cfg, setup=setup)
     assert calls == {(6, 60): 1}
     assert rep.total_violations > 0
-    assert rep.records.violations.tolist() == [r.violations for r in rep.results]
-    for r in rep.results:
+    rows = rep.records.rows()
+    assert rep.records.violations.tolist() == [r.violations for r in rows]
+    for r in rows:
         assert r.violations == lyapunov_audit(r, setup.design).total
-    assert rep.total_violations == sum(r.violations for r in rep.results)
+    assert rep.total_violations == sum(r.violations for r in rows)
 
 
 def test_lyapunov_audit_zero_trajectory_vacuous():
@@ -376,9 +377,9 @@ def test_monte_carlo_single_trial_equals_run_trial():
     setup = build_setup(cfg)
     res = run_trial(setup, make_controller(cfg, setup),
                     *trial_inputs(cfg, setup, NS_MAIN, 0))
-    assert np.array_equal(rep.results[0].norms, res.norms)
-    assert np.array_equal(rep.results[0].u_applied, res.u_applied)
-    assert np.array_equal(rep.results[0].d, res.d)
+    assert np.array_equal(rep.records.norms[0], res.norms)
+    assert np.array_equal(rep.records.u_applied[0], res.u_applied)
+    assert np.array_equal(rep.records.d[0], res.d)
 
 
 def test_trial_alone_equals_its_row_in_a_monte_carlo():
@@ -387,11 +388,12 @@ def test_trial_alone_equals_its_row_in_a_monte_carlo():
     cfg = SimConfig(trials=30, steps=100, seed=8)
     rep = monte_carlo(cfg)
     assert not rep.failures
+    rows = rep.records.rows()
     for i in (0, 11, 29):
         setup = build_setup(cfg)
         res = run_trial(setup, make_controller(cfg, setup),
                         *trial_inputs(cfg, setup, NS_MAIN, i), trial=i)
-        row = rep.results[i]
+        row = rows[i]
         assert np.array_equal(res.states, row.states)
         assert np.array_equal(res.packets, row.packets)
         assert np.array_equal(res.sparsity, row.sparsity)
@@ -406,7 +408,7 @@ def test_trial_bits_do_not_depend_on_cache_warmth(controller):
     warm = build_setup(cfg)
     monte_carlo(replace(cfg, seed=6, trials=5), setup=warm)
     assert warm.hm._l2_gains or warm.hm._omp_nodes.count
-    row = monte_carlo(cfg, setup=warm).results[13]
+    row = monte_carlo(cfg, setup=warm).records.rows()[13]
     setup = build_setup(cfg)
     alone = run_trial(setup, make_controller(cfg, setup),
                       *trial_inputs(cfg, setup, NS_MAIN, 13), trial=13)
@@ -421,7 +423,7 @@ def test_l1_trial_bits_do_not_depend_on_the_trials_before():
     cfg = SimConfig(controller="l1l2", trials=20, steps=100, seed=5)
     used = build_setup(cfg)
     monte_carlo(replace(cfg, seed=6, trials=5), setup=used)
-    row = monte_carlo(cfg, setup=used).results[13]
+    row = monte_carlo(cfg, setup=used).records.rows()[13]
     setup = build_setup(cfg)
     alone = run_trial(setup, make_controller(cfg, setup),
                       *trial_inputs(cfg, setup, NS_MAIN, 13), trial=13)
@@ -435,13 +437,13 @@ def test_monte_carlo_reproducible_and_paired(tmp_path):
     cfg = SimConfig(trials=4, steps=30, seed=77)
     r1 = monte_carlo(cfg)
     r2 = monte_carlo(cfg)
-    for a, b in zip(r1.results, r2.results):
+    for a, b in zip(r1.records.rows(), r2.records.rows()):
         assert np.array_equal(a.norms, b.norms)
         assert np.array_equal(a.d, b.d)
 
     # identical traces and initial states across controller families
     r3 = monte_carlo(SimConfig(trials=4, steps=30, seed=77, controller="l2"))
-    for a, b in zip(r1.results, r3.results):
+    for a, b in zip(r1.records.rows(), r3.records.rows()):
         assert np.array_equal(a.d, b.d)
         assert np.allclose(a.states[0], b.states[0])
 
@@ -451,13 +453,28 @@ def test_monte_carlo_reproducible_and_paired(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_the_report_views_the_benchmark_tap_reads():
+    # perfbench/run.py's report tap reads results (up to three times a run)
+    # and per_trial_perf; nothing in the package reads either
+    rep = monte_carlo(SimConfig(trials=3, steps=20, seed=5))
+    assert rep.records.violations is not None
+    rows = rep.records.rows()
+    assert len(rep.results) == len(rows) == 3
+    for got, want in zip(rep.results, rows, strict=True):
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b) and np.array_equal(a, b), f.name
+    assert rep.results is rep.results
+    assert rep.per_trial_perf is rep.records.perf
+
+
 def test_monte_carlo_aggregates_shapes():
     cfg = SimConfig(trials=3, steps=20, seed=5)
     rep = monte_carlo(cfg)
     summary = summary_columns(rep)
     for name in ("k", "mean_norm", "median_norm", "max_norm", "mean_V", "mean_sparsity"):
         assert summary[name].shape == (20,), name
-    assert rep.per_trial_perf.shape == (3,)
+    assert rep.records.perf.shape == (3,)
     assert rep.total_violations == 0
     assert rep.failures == []
 
@@ -490,10 +507,10 @@ def test_monte_carlo_continues_after_trial_failure(monkeypatch):
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(trials=3, steps=10, seed=5)
-    _raise_on_states(monkeypatch, [monte_carlo(cfg).results[1].states[0]],
+    _raise_on_states(monkeypatch, [monte_carlo(cfg).records.states[1, 0]],
                      lambda i: sp.NumericError("synthetic failure"))
     rep = sim_mod.monte_carlo(cfg)
-    assert len(rep.results) == 2
+    assert len(rep.records.trial) == 2
     assert rep.failures == [(1, "NumericError: synthetic failure")]
 
 
@@ -504,7 +521,7 @@ def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(trials=3, steps=10, seed=5)
-    trial_1 = {x.tobytes() for x in monte_carlo(cfg).results[1].states}
+    trial_1 = {x.tobytes() for x in monte_carlo(cfg).records.states[1]}
     real = sim_mod.make_controller
 
     def make(cfg, setup, grid=None):
@@ -518,7 +535,7 @@ def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
     monkeypatch.setattr(sim_mod, "make_controller", make)
     with np.errstate(invalid="ignore"):
         rep = sim_mod.monte_carlo(cfg)
-    assert [r.trial for r in rep.results] == [0, 2]
+    assert rep.records.trial.tolist() == [0, 2]
     assert [t for t, _ in rep.failures] == [1]
     assert rep.failures[0][1].startswith("SolverFailureError: column 0")
 
@@ -527,7 +544,7 @@ def test_monte_carlo_raises_when_everything_fails(monkeypatch):
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(trials=2, steps=5, seed=5)
-    _raise_on_states(monkeypatch, [r.states[0] for r in monte_carlo(cfg).results],
+    _raise_on_states(monkeypatch, list(monte_carlo(cfg).records.states[:, 0]),
                      lambda trial: sp.NumericError(f"synthetic failure {trial}"))
     with pytest.raises(sp.SparsePpcError,
                        match="all 2 trials failed; first: NumericError: synthetic failure 0"):
@@ -545,7 +562,7 @@ def test_monte_carlo_config_error_ends_the_run(monkeypatch):
         return ConfigError("synthetic config error")
 
     cfg = SimConfig(trials=3, steps=5, seed=5)
-    _raise_on_states(monkeypatch, [r.states[0] for r in monte_carlo(cfg).results],
+    _raise_on_states(monkeypatch, list(monte_carlo(cfg).records.states[:, 0]),
                      misconfigured)
     with pytest.raises(ConfigError, match="synthetic config error"):
         sim_mod.monte_carlo(cfg)
@@ -571,9 +588,9 @@ def test_a_row_does_not_depend_on_its_batch(controller, sigma, seed, i):
                           *trial_inputs(cfg, fresh, NS_MAIN, j), trial=j)
         if sigma == 0:
             alone.violations = lyapunov_audit(alone, fresh.design).total
+        row = rep.records.rows()[j]
         for f in fields(alone):
-            assert np.array_equal(getattr(alone, f.name), getattr(rep.results[j], f.name)), \
-                (batch, f.name)
+            assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), (batch, f.name)
 
 
 @pytest.mark.parametrize("controller", CONTROLLERS)
@@ -596,16 +613,17 @@ def test_a_failing_row_leaves_the_batch_alone(controller, monkeypatch):
         return trace, x0, noise
 
     monkeypatch.setattr(sim_mod, "trial_inputs", nan_noise)
-    _raise_on_states(monkeypatch, [clean.results[4].states[5]],
+    _raise_on_states(monkeypatch, [clean.records.states[4, 5]],
                      lambda i: sp.SolverFailureError("synthetic failure"))
     failed = {2: "NumericError: state is not finite at step 8: V = nan",
               4: "SolverFailureError: synthetic failure"}
     rep = sim_mod.monte_carlo(cfg)
     assert rep.failures == sorted(failed.items())
-    assert [r.trial for r in rep.results] == [t for t in range(6) if t not in failed]
-    for r in rep.results:
+    assert rep.records.trial.tolist() == [t for t in range(6) if t not in failed]
+    clean_rows = clean.records.rows()
+    for r in rep.records.rows():
         for f in fields(r):
-            assert np.array_equal(getattr(r, f.name), getattr(clean.results[r.trial], f.name)), \
+            assert np.array_equal(getattr(r, f.name), getattr(clean_rows[r.trial], f.name)), \
                 (r.trial, f.name)
 
 
@@ -626,7 +644,7 @@ def test_a_row_whose_walk_raises_fails_alone(monkeypatch):
     clean = monte_carlo(cfg)
     setup = build_setup(cfg)
     reached = {}
-    for r in clean.results:
+    for r in clean.records.rows():
         for k, x in enumerate(r.states):
             path = {}
             omp_node_reference(setup.hm, setup.design.W, x, path)
@@ -657,10 +675,11 @@ def test_a_row_whose_walk_raises_fails_alone(monkeypatch):
     assert trial == t and re.fullmatch(
         rf"SolverFailureError: column \d+: support solve failed on {re.escape(str(cols))}: "
         "synthetic", msg), msg
-    assert [r.trial for r in rep.results] == [i for i in range(5) if i != t]
-    for r in rep.results:
+    assert rep.records.trial.tolist() == [i for i in range(5) if i != t]
+    clean_rows = clean.records.rows()
+    for r in rep.records.rows():
         for f in fields(r):
-            assert np.array_equal(getattr(r, f.name), getattr(clean.results[r.trial], f.name)), \
+            assert np.array_equal(getattr(r, f.name), getattr(clean_rows[r.trial], f.name)), \
                 (r.trial, f.name)
 
 
@@ -711,7 +730,7 @@ def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
     records, failures = sim_mod._lockstep(setup, controller, inputs, copies=2)
     assert [(row, str(exc)) for row, exc in failures] == [(r, "synthetic failure")
                                                           for r in range(3)]
-    for row, alone in zip(records.rows(), clean.results, strict=True):
+    for row, alone in zip(records.rows(), clean.records.rows(), strict=True):
         for f in fields(alone):
             assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), f.name
     raise_at_step_3()
@@ -763,9 +782,10 @@ def test_a_failing_l1_row_on_a_grid_fails_alone(monkeypatch):
     assert rep.failures == [(L1_GRID[row // 3], row % 3, "SolverFailureError: synthetic failure 1")]
     kept = [r for r in range(9) if r != row]
     assert rep.point.tolist() == [r // 3 for r in kept]
-    for r, res in zip(kept, rep.results, strict=True):
+    clean_rows = clean.records.rows()
+    for r, res in zip(kept, rep.records.rows(), strict=True):
         for f in fields(res):
-            assert np.array_equal(getattr(res, f.name), getattr(clean.results[r], f.name)), \
+            assert np.array_equal(getattr(res, f.name), getattr(clean_rows[r], f.name)), \
                 (r, f.name)
     assert [len(X) for X, _, _ in calls] == [9] * (k + 1) + [1] * 9 + [8] * (cfg.steps - k - 1)
     X, nu1, guess = calls[k]
@@ -834,12 +854,13 @@ def test_a_grid_run_actuates_each_trial_once(family, monkeypatch):
 
     monkeypatch.setattr(sim_mod, "actuate", actuate)
     rep = sim_mod.monte_carlo(cfg, grid=grid)
-    assert [trace.d.tolist() for trace in traces] == [r.d.tolist() for r in clean.results[:3]]
+    assert [trace.d.tolist() for trace in traces] == clean.records.d[:3].tolist()
     assert rep.failures == [(nu, 1, "ProtocolViolationError: synthetic burst") for nu in grid]
     kept = [r for r in range(12) if r % 3 != 1]
-    for r, res in zip(kept, rep.results, strict=True):
+    clean_rows = clean.records.rows()
+    for r, res in zip(kept, rep.records.rows(), strict=True):
         for f in fields(res):
-            assert np.array_equal(getattr(res, f.name), getattr(clean.results[r], f.name)), \
+            assert np.array_equal(getattr(res, f.name), getattr(clean_rows[r], f.name)), \
                 (r, f.name)
 
 
@@ -855,7 +876,7 @@ def test_controller_dispatch():
         fn = make_controller(cfg, setup)
         assert np.count_nonzero(fn(np.zeros((1, 4)), np.arange(1))) == 0
         rep = monte_carlo(cfg, setup=setup)
-        res = rep.results[0]
+        res = rep.records.rows()[0]
         for k, x in enumerate(res.states):
             u = fn(x[None], np.arange(1))
             assert res.sparsity[k] == np.count_nonzero(u), (name, k)
@@ -911,7 +932,7 @@ def test_run_config_picks_controller_over_setup_config():
     l2 = replace(cfg, controller="l2")
     shared = monte_carlo(l2, setup=build_setup(cfg))
     own = monte_carlo(l2)
-    for a, b in zip(shared.results, own.results):
+    for a, b in zip(shared.records.rows(), own.records.rows()):
         assert np.array_equal(a.norms, b.norms)
         assert np.array_equal(a.d, b.d)
         assert np.array_equal(a.u_applied, b.u_applied)
@@ -1025,12 +1046,12 @@ def test_sweep_rows_equal_their_own_runs(family, sigma, seed, data):
     batch = monte_carlo(cfg, setup=setup, grid=grid)
     assert batch.failures == []
     assert batch.point.tolist() == [g for g in range(len(grid)) for _ in range(cfg.trials)]
-    totals = []
+    totals, rows = [], batch.records.rows()
     for g, nu in enumerate(grid):
         own = monte_carlo(replace(cfg, **{SWEEP_KEYS[family]: nu}), setup=setup)
         totals.append(own.total_violations)
-        for t, alone in enumerate(own.results):
-            row = batch.results[g * cfg.trials + t]
+        for t, alone in enumerate(own.records.rows()):
+            row = rows[g * cfg.trials + t]
             for f in fields(alone):
                 assert np.array_equal(getattr(alone, f.name), getattr(row, f.name)), \
                     (nu, t, f.name)
@@ -1094,7 +1115,7 @@ def test_bitrate_bits_code_the_recorded_test_packets():
         assert run.bits.shape == (3, 20) and len(run.encoded) == 3 * 20
         assert mean == np.mean(run.bits)
         encoded = iter(run.encoded)
-        for r, row in zip(run.test.results, run.bits):
+        for r, row in zip(_test_rows(run), run.bits, strict=True):
             for pkt, b in zip(r.packets, row):
                 enc = sp.encode(run.codec, sp.quantize_packet(q, pkt))
                 assert enc.bit_count == b and enc == next(encoded)
@@ -1135,6 +1156,11 @@ def test_rates_make_no_hex_dumps(monkeypatch):
     assert len(packet_columns(rep)["hex"]) == len(dumps) == 2 * 2 * 10
 
 
+def _test_rows(run) -> list:
+    """A SchemeRun's test rows, those of its run's second phase, one view per trial."""
+    return [r for r, phase in zip(run.report.records.rows(), run.report.point) if phase == 1]
+
+
 def _noisy(**kw):
     return SimConfig(noise={"kind": "gaussian", "sigma": 0.01}, **kw)
 
@@ -1145,16 +1171,28 @@ def _assert_same_bitrate(got, want):
     for run, ref in zip(got.schemes.values(), want.schemes.values()):
         assert run.controller == ref.controller and run.codec == ref.codec
         assert codec_to_dict(run.codec) == codec_to_dict(ref.codec)
-        assert run.test.cfg == ref.test.cfg and run.test.failures == ref.test.failures
-        assert run.test.total_violations is ref.test.total_violations is None
-        assert run.test.point is ref.test.point is None
-        for f in fields(TrialResult):
-            a, b = getattr(run.test.records, f.name), getattr(ref.test.records, f.name)
-            assert (a is None and b is None) or (
-                a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), f.name
-        assert [r.trial for r in run.test.results] == [r.trial for r in ref.test.results]
+        # the run steps the reference's train and test runs as its two phases
+        phases = (ref.train, ref.test)
+        trials = sum(phase.cfg.trials for phase in phases)
+        assert run.report.cfg == replace(ref.test.cfg, trials=trials)
+        assert run.report.failures == [(p, t, msg) for p, phase in enumerate(phases)
+                                       for t, msg in phase.failures]
+        assert run.report.total_violations is ref.test.total_violations is None
+        assert ref.test.point is None
+        assert run.report.point.tolist() == [p for p, phase in enumerate(phases)
+                                             for _ in phase.records.trial]
+        for p, phase in enumerate(phases):
+            rows = run.report.point == p
+            for f in fields(TrialResult):
+                a, b = getattr(run.report.records, f.name), getattr(phase.records, f.name)
+                a = a if a is None else a[rows]
+                assert (a is None and b is None) or (
+                    a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), \
+                    (p, f.name)
+        test = _test_rows(run)
+        assert [r.trial for r in test] == [r.trial for r in ref.test.records.rows()]
         assert all(r.packets.tobytes() == q.packets.tobytes()
-                   for r, q in zip(run.test.results, ref.test.results, strict=True))
+                   for r, q in zip(test, ref.test.records.rows(), strict=True))
         assert run.bits.dtype == ref.bits.dtype and np.array_equal(run.bits, ref.bits)
         assert run.encoded == ref.encoded
     for name in ("mean_bits_omp", "mean_bits_l2", "reduction_pct", "roundtrip_failures",
@@ -1178,7 +1216,7 @@ def test_bitrate_equals_one_run_per_controller_and_phase(fail_trials, seed, fail
     if failing:
         error = "SolverFailureError: synthetic failure"
         assert got.failures == [("omp", "train", 2, error), ("l2", "test", 1, error)]
-        assert [r.trial for r in got.schemes["dense"].test.results] == [0, 2]
+        assert [r.trial for r in _test_rows(got.schemes["dense"])] == [0, 2]
 
 
 @pytest.mark.parametrize("failing", [
@@ -1209,7 +1247,7 @@ def test_bitrate_runs_each_controller_once_on_inputs_drawn_once(monkeypatch, fai
 
         def mc(cfg, *args, **kwargs):
             report = real_mc(cfg, *args, **kwargs)
-            runs.append((cfg.controller, cfg.trials, len(report.results)))
+            runs.append((cfg.controller, cfg.trials, len(report.records.trial)))
             return report
 
         def inputs(cfg, setup, namespace, trial):
@@ -1283,7 +1321,7 @@ def test_recorded_packets_replay_to_the_applied_inputs():
 
     cfg = SimConfig(trials=1, steps=60, seed=23,
                     noise={"kind": "gaussian", "sigma": 0.01})
-    r = monte_carlo(cfg).results[0]
+    r = monte_carlo(cfg).records.rows()[0]
     assert r.packets.shape == (60, cfg.N)
     assert np.count_nonzero(r.d) > 0
     assert np.array_equal(interpret_trace(r.d, r.packets), r.u_applied)
@@ -1312,7 +1350,7 @@ def test_five_controller_families_run_paired():
                                               controller=name))
     base = reports["omp"]
     for name, rep in reports.items():
-        for a, b in zip(base.results, rep.results):
+        for a, b in zip(base.records.rows(), rep.records.rows()):
             assert np.array_equal(a.d, b.d)
             assert np.allclose(a.states[0], b.states[0])
     # generically dense baselines vs sparsity-seeking solvers
@@ -1401,7 +1439,7 @@ def test_scripted_dropout_through_config():
     script = [0, 1, 0, 1, 1] * 4
     cfg = SimConfig(trials=1, steps=20, dropout={"kind": "scripted", "script": script})
     rep = monte_carlo(cfg)
-    assert np.array_equal(rep.results[0].d, script)
+    assert np.array_equal(rep.records.d[0], script)
 
 
 def test_write_csv_formats(tmp_path):
@@ -1522,7 +1560,7 @@ def _assert_columns_match_reference(tmp_path, builders, report):
         assert path.read_bytes() == csv_reference(name, report).encode(), name
 
 
-def test_column_builders_match_the_row_reference(monkeypatch, tmp_path):
+def test_column_builders_match_the_row_reference(monkeypatch, tmp_path, fail_trials):
     per_step = {"trace": trace_columns, "trajectory": trajectory_columns,
                 "summary": summary_columns}
     noisy = monte_carlo(SimConfig(trials=3, steps=25, seed=4,
@@ -1534,13 +1572,19 @@ def test_column_builders_match_the_row_reference(monkeypatch, tmp_path):
     with np.errstate(over="ignore"):
         l2 = monte_carlo(SimConfig(trials=4, steps=20, seed=5, controller="l2"))
     monkeypatch.undo()
-    assert [r.trial for r in l2.results] == [0, 2, 3]
+    assert l2.records.trial.tolist() == [0, 2, 3]
     _assert_columns_match_reference(tmp_path, per_step, l2)
 
     sweep = sweep_regularization(SimConfig(trials=2, steps=10, seed=9), "l1l2", [1e2, 1e3])
     _assert_columns_match_reference(tmp_path, {"sweep": sweep_columns}, sweep)
 
+    # an OMP training row and an l2 test row fail: the test rows skip both
+    fail_trials(lambda cfg, key: (cfg.controller, key) in (("omp", (NS_TRAIN, 1)),
+                                                           ("l2", (NS_TEST, 0))))
     bitrate = sp.bitrate_experiment(SimConfig(trials=2, train_trials=3, steps=15, seed=6,
                                               noise={"kind": "gaussian", "sigma": 0.01}))
+    assert [(c, phase, t) for c, phase, t, _ in bitrate.failures] == [("omp", "train", 1),
+                                                                      ("l2", "test", 0)]
+    assert [_test_rows(run)[0].trial for run in bitrate.schemes.values()] == [0, 1]
     _assert_columns_match_reference(
         tmp_path, {"rates": rate_columns, "packets": packet_columns}, bitrate)
