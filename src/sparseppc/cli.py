@@ -20,7 +20,7 @@ from .errors import ConfigError, SparsePpcError
 from .linalg import shown
 from .sim import (CONTROLLERS, SWEEP_KEYS, bitrate_experiment, build_setup,
                   config_from_dict, monte_carlo, packet_columns, rate_columns,
-                  resolved_config, summary_columns, sweep_columns,
+                  remove_files, resolved_config, summary_columns, sweep_columns,
                   sweep_regularization, trace_columns, trajectory_columns,
                   write_csv, write_file)
 from .codec import codec_to_dict
@@ -122,6 +122,8 @@ def _cmd_simulate(args) -> int:
         "total_violations": report.total_violations,
         "mean_perf": float(np.mean(report.records.perf)),
     }, timing={"mean_step_seconds": report.mean_step_seconds})
+    remove_files([] if args.plots else [out / f"{name}.svg" for name in
+                                        ("norm_vs_k", "norm_vs_k_linear", "sparsity_vs_k")])
     if args.plots:
         ks = summary["k"].tolist()
         write_line_svg(out / "norm_vs_k.svg",
@@ -159,6 +161,7 @@ def _cmd_sweep(args) -> int:
     sweep = {k: v for k, v in asdict(report).items() if k not in ("grid", "mean_perf")}
     sweep["failures"] = [{"nu": nu, "trial": t, "error": msg} for nu, t, msg in report.failures]
     _write_run_meta(out, config, sweep=sweep)
+    remove_files([] if args.plots else [out / "sweep.svg"])
     if args.plots:
         write_line_svg(out / "sweep.svg",
                        [(report.family, report.grid, report.mean_perf)],
@@ -177,6 +180,7 @@ def _cmd_bitrate(args) -> int:
     report = bitrate_experiment(cfg)
     out = _out_dir(args)
     write_csv(out / "rates.csv", rate_columns(report))
+    remove_files([] if args.dump_packets else [out / "packets.csv"])
     if args.dump_packets:
         write_csv(out / "packets.csv", packet_columns(report))
     for run in report.schemes.values():

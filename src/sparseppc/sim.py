@@ -710,6 +710,18 @@ def write_file(path, chunks) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def remove_files(paths) -> None:
+    """Unlink whatever is at each of paths: the optional outputs a rerun does not write.
+
+    An OSError raises ConfigError naming the path.
+    """
+    for path in paths:
+        try:
+            Path(path).unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot remove {path}: {exc}") from exc
+
+
 def write_csv(path, columns: dict) -> None:
     """Plain deterministic CSV from {column name: 1-D sequence}.
 

@@ -205,10 +205,19 @@ WRITES = {
 }
 
 
-def _write_all(tmp_path, command, out):
-    """Run command into out with every output it has; return its exit code."""
+# the flag of each command that adds optional outputs, and those outputs
+OPTIONAL = {
+    "simulate": ("--plots", {"norm_vs_k.svg", "norm_vs_k_linear.svg", "sparsity_vs_k.svg"}),
+    "sweep": ("--plots", {"sweep.svg"}),
+    "bitrate": ("--dump-packets", {"packets.csv"}),
+}
+
+
+def _write_all(tmp_path, command, out, without=()):
+    """Run command into out with every output it has, but the flags in without; its exit code."""
     cfg = _write(tmp_path / "c.json", {"trials": 2, "train_trials": 2, "steps": 10, "seed": 4})
-    return main([command, "--config", cfg, "--out-dir", str(out), *WRITES[command][0]])
+    flags = [flag for flag in WRITES[command][0] if flag not in without]
+    return main([command, "--config", cfg, "--out-dir", str(out), *flags])
 
 
 def _outputs(out) -> dict:
@@ -229,6 +238,31 @@ def test_a_rerun_replaces_every_output_with_the_same_bytes(tmp_path, command):
     assert sorted(first) == list(WRITES[command][1])
     assert _write_all(tmp_path, command, out) == 0
     assert _outputs(out) == first
+
+
+@pytest.mark.parametrize("command", list(OPTIONAL))
+def test_a_rerun_removes_the_optional_outputs_it_does_not_write(tmp_path, command):
+    flag, names = OPTIONAL[command]
+    out, fresh = tmp_path / "o", tmp_path / "fresh"
+    assert _write_all(tmp_path, command, out) == 0
+    assert names <= set(_outputs(out))
+    assert _write_all(tmp_path, command, out, without=[flag]) == 0
+    assert _write_all(tmp_path, command, fresh, without=[flag]) == 0
+    assert not names & set(_outputs(out))
+    assert _outputs(out) == _outputs(fresh)
+
+
+@pytest.mark.parametrize("command", list(OPTIONAL))
+def test_an_optional_output_that_cannot_be_removed_exits_2(tmp_path, command, capsys):
+    flag, names = OPTIONAL[command]
+    for name in sorted(names):
+        out = tmp_path / f"{command}-{name}"
+        (out / name / "kept").mkdir(parents=True)
+        assert _write_all(tmp_path, command, out, without=[flag]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot remove {out / name}: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert (out / name / "kept").is_dir()
 
 
 @pytest.mark.parametrize("command", list(WRITES))
