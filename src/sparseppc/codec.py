@@ -204,7 +204,11 @@ def _escape_word(coder: PositionCoder, idx: int) -> tuple:
 
 
 def encode(codec: PacketCodec, indices: np.ndarray) -> EncodedPacket:
-    """Encode one quantized packet (vector of integer indices)."""
+    """Encode one quantized packet (vector of integer indices).
+
+    An index outside the escape's 32-bit two's-complement field raises
+    QuantizerRangeError instead of wrapping; quantize_packet yields none.
+    """
     idx = number_array(indices, "packet indices", "iu")
     if idx.shape != (codec.N,):
         raise ConfigError(f"packet must have shape ({codec.N},), got {idx.shape}")
@@ -246,7 +250,12 @@ def _read_symbol(coder: PositionCoder, acc: int, bit_count: int, pos: int):
 
 
 def decode(codec: PacketCodec, enc: EncodedPacket) -> np.ndarray:
-    """Exact inverse of encode(); returns the integer index vector."""
+    """Exact inverse of encode(); returns the integer index vector.
+
+    data that is not bytes, or a bit_count that is not an int filling data
+    to within 7 pad bits, raises DecodeError at bit_offset 0; pad bits that
+    are not zero raise it at bit_offset = bit_count.
+    """
     data, bit_count = enc.data, enc.bit_count
     if not (isinstance(data, bytes) and isinstance(bit_count, int)
             and 0 <= bit_count <= 8 * len(data) < bit_count + 8):

@@ -58,7 +58,7 @@ class ControlPacket:
 
     @property
     def sparsity(self) -> int:
-        """Exact nonzeros of u; every solver leaves structural zeros off its support."""
+        """Exact nonzeros of u (-0.0 is zero, NaN nonzero); solvers leave zeros off the support."""
         return int(np.count_nonzero(self.u))
 
 

@@ -508,7 +508,8 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, grid: list = None,
     On a grid or over phases, the run fails when all trials of any one
     value or phase do, point is each row's index among them, and a
     failure leads with its value or phase. The engine call is timed once,
-    and mean_step_seconds is its wall time per row and step.
+    and mean_step_seconds is its wall time per row and step, failed rows
+    included; it is the run's only wall time.
     """
     if grid is not None and (cfg.controller not in SWEEP_KEYS or
                              number_array(grid, "grid").ndim != 1 or not len(grid)):
@@ -773,7 +774,7 @@ def rate_columns(breport: BitrateReport) -> dict:
 
 
 def packet_columns(breport: BitrateReport) -> dict:
-    """rate_columns with bits named bit_count, then each packet's hex dump."""
+    """rate_columns with bits named bit_count, then each packet's hex dump (made only here)."""
     cols = rate_columns(breport)
     cols["bit_count"] = cols.pop("bits")
     cols["hex"] = [enc.to_hex() for run in breport.schemes.values() for enc in run.encoded]

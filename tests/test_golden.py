@@ -38,7 +38,8 @@ def test_outputs_match_the_golden_digests(tmp_path, golden, case):
             problems.append(f"{run}: exit code {got['exit']}, golden {want['exit']}")
         for name in sorted(set(got["files"]) | set(want["files"])):
             if name not in got["files"] or name not in want["files"]:
-                problems.append(f"{run}/{name}: {'not written' if name in want['files'] else 'new'}")
+                state = "not written" if name in want["files"] else "not in golden.json"
+                problems.append(f"{run}/{name}: {state}")
             elif got["files"][name]["sha256"] != want["files"][name]["sha256"]:
                 problems.append(f"{run}/{name} differs first at "
                                 f"{_first_moved_line(out / name, want['files'][name])}")
