@@ -31,6 +31,8 @@ def rng():
 
 @pytest.fixture()
 def fail_trials(monkeypatch):
-    """fail_trials(failing) makes each trial that failing(cfg, key) names fail
-    at its first solve, until the test ends (see tests/failures.py)."""
+    """fail_trials(failing) makes each trial that failing(cfg, key) names fail at its first solve.
+
+    The patch lasts until the test ends; see tests/failures.py.
+    """
     return partial(failures.fail_trials, monkeypatch)

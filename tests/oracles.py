@@ -886,12 +886,15 @@ def _summary_rows(report):
                sum(V) / len(V), sum(sparsity) / len(sparsity))
 
 
+def coded_rows(run) -> list:
+    """A SchemeRun's test rows, those of its run's second phase, one view per trial."""
+    return [r for r, phase in zip(run.report.records.rows(), run.report.point) if phase == 1]
+
+
 def _packet_rows(breport):
     for scheme, run in breport.schemes.items():
         encoded = iter(run.encoded)
-        # the test rows are those of the run's second phase
-        test = [r for r, phase in zip(run.report.records.rows(), run.report.point) if phase == 1]
-        for r, bits in zip(test, run.bits, strict=True):
+        for r, bits in zip(coded_rows(run), run.bits, strict=True):
             for k, b in enumerate(bits):
                 enc = next(encoded)
                 assert enc.bit_count == b

@@ -22,8 +22,8 @@ from sparseppc.sim import (BITRATE_PLAN, CONTROLLERS, CSV_CHUNK_ROWS, NS_MAIN, N
                            sweep_columns, sweep_regularization, trace_columns, trajectory_columns,
                            trial_inputs, write_csv)
 
-from .oracles import (bitrate_reference, csv_reference, lyapunov_audit_reference,
-                      sweep_reference, write_csv_reference)
+from .oracles import (bitrate_reference, coded_rows, csv_reference,
+                      lyapunov_audit_reference, sweep_reference, write_csv_reference)
 
 
 def _setup(**kw):
@@ -1115,7 +1115,7 @@ def test_bitrate_bits_code_the_recorded_test_packets():
         assert run.bits.shape == (3, 20) and len(run.encoded) == 3 * 20
         assert mean == np.mean(run.bits)
         encoded = iter(run.encoded)
-        for r, row in zip(_test_rows(run), run.bits, strict=True):
+        for r, row in zip(coded_rows(run), run.bits, strict=True):
             for pkt, b in zip(r.packets, row):
                 enc = sp.encode(run.codec, sp.quantize_packet(q, pkt))
                 assert enc.bit_count == b and enc == next(encoded)
@@ -1156,11 +1156,6 @@ def test_rates_make_no_hex_dumps(monkeypatch):
     assert len(packet_columns(rep)["hex"]) == len(dumps) == 2 * 2 * 10
 
 
-def _test_rows(run) -> list:
-    """A SchemeRun's test rows, those of its run's second phase, one view per trial."""
-    return [r for r, phase in zip(run.report.records.rows(), run.report.point) if phase == 1]
-
-
 def _noisy(**kw):
     return SimConfig(noise={"kind": "gaussian", "sigma": 0.01}, **kw)
 
@@ -1189,7 +1184,7 @@ def _assert_same_bitrate(got, want):
                 assert (a is None and b is None) or (
                     a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), \
                     (p, f.name)
-        test = _test_rows(run)
+        test = coded_rows(run)
         assert [r.trial for r in test] == [r.trial for r in ref.test.records.rows()]
         assert all(r.packets.tobytes() == q.packets.tobytes()
                    for r, q in zip(test, ref.test.records.rows(), strict=True))
@@ -1216,7 +1211,7 @@ def test_bitrate_equals_one_run_per_controller_and_phase(fail_trials, seed, fail
     if failing:
         error = "SolverFailureError: synthetic failure"
         assert got.failures == [("omp", "train", 2, error), ("l2", "test", 1, error)]
-        assert [r.trial for r in _test_rows(got.schemes["dense"])] == [0, 2]
+        assert [r.trial for r in coded_rows(got.schemes["dense"])] == [0, 2]
 
 
 @pytest.mark.parametrize("failing", [
@@ -1585,6 +1580,6 @@ def test_column_builders_match_the_row_reference(monkeypatch, tmp_path, fail_tri
                                               noise={"kind": "gaussian", "sigma": 0.01}))
     assert [(c, phase, t) for c, phase, t, _ in bitrate.failures] == [("omp", "train", 1),
                                                                       ("l2", "test", 0)]
-    assert [_test_rows(run)[0].trial for run in bitrate.schemes.values()] == [0, 1]
+    assert [coded_rows(run)[0].trial for run in bitrate.schemes.values()] == [0, 1]
     _assert_columns_match_reference(
         tmp_path, {"rates": rate_columns, "packets": packet_columns}, bitrate)
