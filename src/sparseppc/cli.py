@@ -117,7 +117,7 @@ def _cmd_simulate(args) -> int:
     succeeded = len(report.records.trial)
     _write_run_meta(out, resolved_config(cfg), results={
         "trials_succeeded": succeeded,
-        "failures": [{"trial": t, "error": msg} for t, msg in report.failures],
+        "failures": [{"trial": t, "error": msg} for _, t, msg in report.failures],
         "total_overrides": int(report.records.overrides.sum()),
         "total_violations": report.total_violations,
         "mean_perf": float(np.mean(report.records.perf)),

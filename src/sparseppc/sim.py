@@ -310,19 +310,28 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
     inputs holds each trial's (trial, trace, x0, noise), all of one length
     T, and the rows are copies of them, copy-major: row r steps inputs[r %
     len(inputs)]. Each trial's read schedule is computed once (one actuate
-    call) and shared by its rows. At each step k, every live row has V(k)
+    call) and shared by its rows. At each step k, every row has V(k)
     checked and its packet solved and recorded; its input is the recorded
     element that its schedule names, and noise[k] is added to x(k+1). The
-    controller solves the live rows in one call, told which rows they are,
-    and returns their packets (see make_controller). If that call raises a package error, each of
+    controller solves all rows in one call, on the basic slice X[a:b] of
+    the rows a..b-1, told which rows they are, and returns their packets
+    (see make_controller). If that call raises a package error, each of
     those rows is solved again on its own, and only the rows that raise
     again fail, each with its own error. Products and quadratic forms are
     stacked matmuls, one small product per row, so each row gets the bits
-    it would get alone. A row leaves the batch on a package error: a burst
-    that outruns the packets (before any solve), a V(k) that is not finite,
-    its solve raising, or, once the loop ends, a recorded packet or a
+    it would get alone. A row fails on a package error: a burst that
+    outruns the packets (before any solve), a V(k) that is not finite, its
+    solve raising, or, once the loop ends, a recorded packet or a
     performance sqrt(sum_k ||x(k)||^2) that is not finite. A ConfigError
     ends the run.
+
+    Rows never move: a failed row keeps its index and rests at x = 0 from
+    its next solve on, and the records of failed rows are dropped once,
+    after the loop. Resting is safe because every package solver maps the
+    zero state to the zero packet without a pick, a walk, a cache entry or
+    an error, and a row's packet depends on its own state alone. Once every
+    row has failed, the run stops stepping, so a controller is never
+    called on a block of resting rows alone (run_trial's one row included).
 
     Returns the stacked records of the rows that finished and the failures
     as (row, error) in row order.
@@ -337,6 +346,7 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
         trials, traces, x0, noise = zip(*inputs)
         m, T = len(inputs), traces[0].T
         rows = m * copies
+        index = np.arange(rows)
         failed = {}               # row -> error
         src, age = np.zeros((2, m, T), dtype=np.intp)
         for t, trace in enumerate(traces):
@@ -347,72 +357,58 @@ def _lockstep(setup: SimSetup, controller, inputs: list, copies: int = 1):
             except SparsePpcError as exc:
                 failed.update(dict.fromkeys(range(t, rows, m), exc))
         # plays[i, k]: the element row i plays at step k, as an index into packets.ravel()
-        plays = np.tile(src * N + age, (copies, 1)) + np.arange(rows)[:, None] * T * N
-        live = np.delete(np.arange(rows), list(failed))
-        X = np.array(x0 * copies, dtype=float)[live]
+        plays = np.tile(src * N + age, (copies, 1)) + index[:, None] * T * N
+        X = np.array(x0 * copies, dtype=float)
         noise = np.array(noise * copies, dtype=float)
 
         states = np.empty((rows, T, setup.model.n))
         V = np.empty((rows, T))
         packets = np.empty((rows, T, N))
         played = packets.reshape(-1)
-        for k in range(T if live.size else 0):     # no loop when every schedule was refused
+        for k in range(T):
             Vk = ((X[:, None, :] @ P) @ X[:, :, None])[:, 0, 0]
             ok = np.isfinite(Vk)
             if not ok.all():
-                for j in np.flatnonzero(~ok):
-                    failed[live[j]] = NumericError(f"state is not finite at step {k}: V = {Vk[j]}")
-                live, X, Vk = live[ok], X[ok], Vk[ok]
-                if not live.size:
+                for j in np.flatnonzero(~ok).tolist():
+                    failed.setdefault(j, NumericError(
+                        f"state is not finite at step {k}: V = {Vk[j]}"))
+            if failed:
+                if len(failed) == rows:     # also when every schedule was refused
                     break
-            whole = live.size == rows
-            at = slice(None) if whole else live     # basic indexing while all are live
-            lost = []
+                X[list(failed)] = 0.0       # failed rows rest at the zero state
             # a block that raises is solved again one row at a time (spans grows)
-            spans = [(0, live.size)]
+            spans = [(0, rows)]
             for a, b in spans:
                 try:
-                    u = number_array(controller(X[a:b], live[a:b]), "packets")
+                    u = number_array(controller(X[a:b], index[a:b]), "packets")
                     if u.shape != (b - a, N):
                         raise ConfigError(f"controller gave shape {u.shape}, not ({b - a}, {N})")
-                    packets[slice(a, b) if whole else live[a:b], k] = u
+                    packets[a:b, k] = u
                 except ConfigError:
                     raise
                 except SparsePpcError as exc:
                     if b - a > 1:
-                        spans += [(r, r + 1) for r in range(a, b)]
+                        spans += [(r, r + 1) for r in range(a, b) if r not in failed]
                     else:
-                        failed[live[a]] = exc
-                        lost.append(live[a])
-            if lost:
-                ok = ~np.isin(live, lost)
-                live, X, Vk = live[ok], X[ok], Vk[ok]
-                if not live.size:
-                    break
-                at = live
-            states[at, k] = X
-            V[at, k] = Vk
-            X = (A @ X[:, :, None])[:, :, 0] + B * played[plays[at, k]][:, None] + noise[at, k]
-        at = live if live.size < rows else slice(None)
-        states = states[at]
+                        failed[a] = exc
+            states[:, k] = X
+            V[:, k] = Vk
+            X = (A @ X[:, :, None])[:, :, 0] + B * played[plays[:, k]][:, None] + noise[:, k]
         norms = np.sqrt((states[..., None, :] @ states[..., :, None])[..., 0, 0])
         perf = np.sqrt(np.sum(norms**2, axis=1))
-        bad = ~np.isfinite(packets[at]).all(axis=2)
-        ok = ~bad.any(axis=1) & np.isfinite(perf)
-        if not ok.all():
-            for j in np.flatnonzero(~ok):
-                failed[live[j]] = NumericError(
-                    f"packet is not finite at step {np.argmax(bad[j])}" if bad[j].any() else
-                    f"performance sqrt(sum_k ||x(k)||^2) is not finite: {perf[j]}")
-            live, states, norms, perf = live[ok], states[ok], norms[ok], perf[ok]
-            at = live
+        bad = ~np.isfinite(packets).all(axis=2)
+        for j in np.flatnonzero(bad.any(axis=1) | ~np.isfinite(perf)).tolist():
+            failed.setdefault(j, NumericError(
+                f"packet is not finite at step {np.argmax(bad[j])}" if bad[j].any() else
+                f"performance sqrt(sum_k ||x(k)||^2) is not finite: {perf[j]}"))
+        at = np.delete(index, list(failed)) if failed else slice(None)
         kept = packets[at]
         records = TrialResult(
-            trial=np.array(trials * copies)[at], states=states, norms=norms, perf=perf, V=V[at],
-            d=np.array([trace.d for trace in traces] * copies)[at], u_applied=played[plays[at]],
-            packets=kept, sparsity=np.count_nonzero(kept, axis=2),
+            trial=np.array(trials * copies)[at], states=states[at], norms=norms[at],
+            perf=perf[at], V=V[at], d=np.array([trace.d for trace in traces] * copies)[at],
+            u_applied=played[plays[at]], packets=kept, sparsity=np.count_nonzero(kept, axis=2),
             overrides=np.array([trace.overrides for trace in traces] * copies)[at])
-        return records, [(int(i), failed[i]) for i in sorted(failed)]
+        return records, [(i, failed[i]) for i in sorted(failed)]
 
 
 @dataclass
@@ -459,10 +455,15 @@ class MonteCarloReport:
 
     cfg: SimConfig
     records: TrialResult        # stacked, one row per row of the run
-    failures: list              # (trial, error message), after nu on a grid or the phase
+    failures: list              # (point, trial, error message) of each failed row
     mean_step_seconds: float    # engine wall time per row and step
-    total_violations: int = None
-    point: np.ndarray = None    # on a grid or over phases, the value or phase of each row
+    point: np.ndarray           # (rows,) int; each row's grid value or phase index, else 0
+
+    @property
+    def total_violations(self) -> int:
+        """The sum of records.violations; None on a run that was not audited."""
+        violations = self.records.violations
+        return None if violations is None else int(violations.sum())
 
     @cached_property
     def results(self) -> list:
@@ -484,7 +485,7 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, grid: list = None,
     """Run cfg.trials independent paired trials in lockstep; keep every result.
 
     Every trial is one row of the engine (_lockstep), and one controller
-    (make_controller) solves every live row's state in one call per step;
+    (make_controller) solves every row's state in one call per step;
     the l1l2 warm start is kept per row, so none crosses trials. The run's
     config alone picks the controller, nu and noise; a given setup must
     share cfg's SETUP_FIELDS and is checked as build_setup does. A
@@ -505,9 +506,9 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, grid: list = None,
     non-empty list of (trial, trace, x0, noise) tuples, cfg.trials in all,
     with no grid; they step in one batch, phase-major (see
     bitrate_experiment).
-    On a grid or over phases, the run fails when all trials of any one
-    value or phase do, point is each row's index among them, and a
-    failure leads with its value or phase. The engine call is timed once,
+    The run fails when all trials of any one grid value or phase do;
+    point is each row's index among them, and a failure is (point, trial,
+    message), point 0 on a plain run. The engine call is timed once,
     and mean_step_seconds is its wall time per row and step, failed rows
     included; it is the run's only wall time.
     """
@@ -551,17 +552,12 @@ def monte_carlo(cfg: SimConfig, setup: SimSetup = None, grid: list = None,
         raise SparsePpcError(f"all {sizes[g]} trials failed{where}; "
                              f"first: {errors[sum(sizes[:g])]}")
 
-    total_violations = None
     if cfg.sigma == 0:
         records.violations = lyapunov_audit(records, setup.design).total
-        total_violations = int(records.violations.sum())
-    # a failure names its row's trial, after its grid value or phase if the run has them
-    tags = grid if grid is not None else None if inputs is None else range(len(sizes))
-    failures = [(rows[row % len(rows)][0], msg) if tags is None else
-                (tags[group[row]], rows[row % len(rows)][0], msg) for row, msg in errors.items()]
+    failures = [(int(group[row]), rows[row % len(rows)][0], msg) for row, msg in errors.items()]
     return MonteCarloReport(cfg=cfg, records=records, failures=failures,
                             mean_step_seconds=seconds / (len(runs) * cfg.trials * cfg.steps),
-                            total_violations=total_violations, point=None if tags is None else point)
+                            point=point)
 
 
 @dataclass
@@ -601,7 +597,8 @@ def sweep_regularization(cfg: SimConfig, family: str, grid,
     perfs = [float(np.mean(mc.records.perf[rows])) for rows in at]
     best = int(np.argmin(perfs))
     report = SweepReport(family=family, grid=grid, mean_perf=perfs,
-                         argmin_nu=grid[best], argmin_perf=perfs[best], failures=mc.failures)
+                         argmin_nu=grid[best], argmin_perf=perfs[best],
+                         failures=[(grid[p], t, msg) for p, t, msg in mc.failures])
     if mc.records.violations is not None:
         report.violations = [int(mc.records.violations[rows].sum()) for rows in at]
     if match_perf is not None:

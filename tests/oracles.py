@@ -484,9 +484,8 @@ def bitrate_reference(cfg):
     def run(name, namespace, trials):
         # one phase of trials, each drawing its inputs afresh, as a run of its own
         rows = [(t, *sim.trial_inputs(cfg, setup, namespace, t)) for t in range(trials)]
-        mc = sim.monte_carlo(replace(cfg, controller=name, trials=trials), setup=setup,
-                             inputs=[rows])
-        return replace(mc, failures=[(t, msg) for _, t, msg in mc.failures], point=None)
+        return sim.monte_carlo(replace(cfg, controller=name, trials=trials), setup=setup,
+                               inputs=[rows])
 
     for name, scheme in sim.BITRATE_PLAN:
         train = run(name, sim.NS_TRAIN, cfg.train_trials)
@@ -506,7 +505,7 @@ def bitrate_reference(cfg):
         schemes[scheme] = SimpleNamespace(controller=name, codec=codec, train=train, test=test,
                                           bits=bits, encoded=encoded)
         failures += [(name, phase, trial, msg) for phase, run in (("train", train), ("test", test))
-                     for trial, msg in run.failures]
+                     for _, trial, msg in run.failures]
 
     mean = {run.controller: float(np.mean(run.bits)) for run in schemes.values()}
     return sim.BitrateReport(

@@ -581,6 +581,46 @@ def test_packets_are_read_only_and_share_no_memory(cessna_design, cessna_horizon
         x = 0.5 * x + rng.standard_normal(4)
 
 
+ZERO_ROWS = [1, 3, 4]    # zero states between nonzero ones, in a block of 7 rows
+
+
+@pytest.mark.parametrize("name", ["omp", "oracle", "least_squares", "l2", "l2_per_row",
+                                  "l1l2", "l1l2_guess"])
+def test_zero_rows_change_no_other_row_and_no_cache(cessna_design, cessna_horizon, rng, name):
+    # the engine rests a failed row at x = 0 in every later block: each
+    # solver gives a zero row the zero packet with no pick, walk or cache
+    # entry, and every other row the bits and solver_iters of the block
+    # without the zero rows. A row's l2 gain depends on its nu2 alone, and
+    # a resting row keeps its value, so here every zero row shares its
+    # value with a nonzero row
+    W = cessna_design.W
+    X = 2.0 * rng.standard_normal((7, 4))
+    X[ZERO_ROWS] = 0.0
+    nu = np.array([31.0, 310.0, 3100.0, 31.0, 310.0, 310.0, 3100.0])
+    # l1l2 guesses: a zero row's is another row's packet, a nonzero row's its own or another's
+    guess = sp.l1l2_packet(cessna_horizon, X, 5.3).u[[0, 0, 5, 6, 2, 5, 0]]
+    solve = {
+        "omp": lambda hm, rows: sp.omp_packet(hm, W, X[rows]),
+        "oracle": lambda hm, rows: sp.exhaustive_l0_packet(hm, W, X[rows]),
+        "least_squares": lambda hm, rows: sp.least_squares_packet(hm, X[rows]),
+        "l2": lambda hm, rows: sp.l2_packet(hm, X[rows], 310.0),
+        "l2_per_row": lambda hm, rows: sp.l2_packet(hm, X[rows], nu[rows]),
+        "l1l2": lambda hm, rows: sp.l1l2_packet(hm, X[rows], 5.3),
+        "l1l2_guess": lambda hm, rows: sp.l1l2_packet(hm, X[rows], 5.3, guess=guess[rows]),
+    }[name]
+    assert guess[ZERO_ROWS].any(axis=1).all()
+    rows = [r for r in range(7) if r not in ZERO_ROWS]
+    full_hm, part_hm = replace(cessna_horizon), replace(cessna_horizon)
+    full, part = solve(full_hm, np.arange(7)), solve(part_hm, rows)
+    assert np.count_nonzero(full.u[ZERO_ROWS]) == 0
+    assert part.u.any(axis=1).all()
+    assert full.u[rows].tobytes() == part.u.tobytes()
+    assert full.solver_iters == part.solver_iters
+    assert full_hm._omp_nodes.count == part_hm._omp_nodes.count
+    assert full_hm._l1_gathers.keys() == part_hm._l1_gathers.keys()
+    assert full_hm._l2_gains.keys() == part_hm._l2_gains.keys()
+
+
 def test_exhaustive_zero_state_and_cap(cessna, cessna_design, cessna_horizon):
     pkt = sp.exhaustive_l0_packet(cessna_horizon, cessna_design.W, np.zeros(4))
     assert pkt.sparsity == 0

@@ -511,7 +511,7 @@ def test_monte_carlo_continues_after_trial_failure(monkeypatch):
                      lambda i: sp.NumericError("synthetic failure"))
     rep = sim_mod.monte_carlo(cfg)
     assert len(rep.records.trial) == 2
-    assert rep.failures == [(1, "NumericError: synthetic failure")]
+    assert rep.failures == [(0, 1, "NumericError: synthetic failure")]
 
 
 def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
@@ -536,8 +536,8 @@ def test_monte_carlo_solver_failure_fails_only_its_trial(monkeypatch):
     with np.errstate(invalid="ignore"):
         rep = sim_mod.monte_carlo(cfg)
     assert rep.records.trial.tolist() == [0, 2]
-    assert [t for t, _ in rep.failures] == [1]
-    assert rep.failures[0][1].startswith("SolverFailureError: column 0")
+    assert [(p, t) for p, t, _ in rep.failures] == [(0, 1)]
+    assert rep.failures[0][2].startswith("SolverFailureError: column 0")
 
 
 def test_monte_carlo_raises_when_everything_fails(monkeypatch):
@@ -618,7 +618,7 @@ def test_a_failing_row_leaves_the_batch_alone(controller, monkeypatch):
     failed = {2: "NumericError: state is not finite at step 8: V = nan",
               4: "SolverFailureError: synthetic failure"}
     rep = sim_mod.monte_carlo(cfg)
-    assert rep.failures == sorted(failed.items())
+    assert rep.failures == [(0, t, msg) for t, msg in sorted(failed.items())]
     assert rep.records.trial.tolist() == [t for t in range(6) if t not in failed]
     clean_rows = clean.records.rows()
     for r in rep.records.rows():
@@ -671,8 +671,8 @@ def test_a_row_whose_walk_raises_fails_alone(monkeypatch):
     monkeypatch.setattr(sim_mod, "omp_packet", omp)
     rep = sim_mod.monte_carlo(cfg)
     assert raised == [5, 1], (t, k)
-    [(trial, msg)] = rep.failures
-    assert trial == t and re.fullmatch(
+    [(point, trial, msg)] = rep.failures
+    assert point == 0 and trial == t and re.fullmatch(
         rf"SolverFailureError: column \d+: support solve failed on {re.escape(str(cols))}: "
         "synthetic", msg), msg
     assert rep.records.trial.tolist() == [i for i in range(5) if i != t]
@@ -761,7 +761,7 @@ def test_a_failing_l1_row_on_a_grid_fails_alone(monkeypatch):
     # fails alone with its own error, and the other eight keep every field
     # of the clean run. The failed call changed no warm start: each retry
     # gets its row's guess from the failed call, and the next block gets
-    # each surviving row's own last packet
+    # each row's own last packet, the failed row's from before its failure
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(controller="l1l2", trials=3, steps=20, seed=3)
@@ -779,7 +779,7 @@ def test_a_failing_l1_row_on_a_grid_fails_alone(monkeypatch):
 
     monkeypatch.setattr(sim_mod, "l1l2_packet", l1)
     rep = sim_mod.monte_carlo(cfg, grid=L1_GRID)
-    assert rep.failures == [(L1_GRID[row // 3], row % 3, "SolverFailureError: synthetic failure 1")]
+    assert rep.failures == [(row // 3, row % 3, "SolverFailureError: synthetic failure 1")]
     kept = [r for r in range(9) if r != row]
     assert rep.point.tolist() == [r // 3 for r in kept]
     clean_rows = clean.records.rows()
@@ -787,13 +787,16 @@ def test_a_failing_l1_row_on_a_grid_fails_alone(monkeypatch):
         for f in fields(res):
             assert np.array_equal(getattr(res, f.name), getattr(clean_rows[r], f.name)), \
                 (r, f.name)
-    assert [len(X) for X, _, _ in calls] == [9] * (k + 1) + [1] * 9 + [8] * (cfg.steps - k - 1)
+    # rows never move: every later block holds all 9 rows, the failed one at the zero state
+    assert [len(X) for X, _, _ in calls] == [9] * (k + 1) + [1] * 9 + [9] * (cfg.steps - k - 1)
+    assert all(not X[row].any() for X, _, _ in calls[k + 10:])
     X, nu1, guess = calls[k]
     assert nu1.tolist() == [L1_GRID[r // 3] for r in range(9)]
     for r in range(9):
         assert [a.tobytes() for a in calls[k + 1 + r]] == [
             X[r:r + 1].tobytes(), nu1[r:r + 1].tobytes(), guess[r:r + 1].tobytes()]
-    assert np.array_equal(calls[k + 10][2], clean.records.packets[kept, k])
+    assert np.array_equal(calls[k + 10][2][kept], clean.records.packets[kept, k])
+    assert np.array_equal(calls[k + 10][2][row], clean.records.packets[row, k - 1])
 
 
 def test_a_config_error_ends_an_l1_grid_run(monkeypatch):
@@ -855,7 +858,8 @@ def test_a_grid_run_actuates_each_trial_once(family, monkeypatch):
     monkeypatch.setattr(sim_mod, "actuate", actuate)
     rep = sim_mod.monte_carlo(cfg, grid=grid)
     assert [trace.d.tolist() for trace in traces] == clean.records.d[:3].tolist()
-    assert rep.failures == [(nu, 1, "ProtocolViolationError: synthetic burst") for nu in grid]
+    assert rep.failures == [(g, 1, "ProtocolViolationError: synthetic burst")
+                            for g in range(len(grid))]
     kept = [r for r in range(12) if r % 3 != 1]
     clean_rows = clean.records.rows()
     for r, res in zip(kept, rep.records.rows(), strict=True):
@@ -1171,9 +1175,9 @@ def _assert_same_bitrate(got, want):
         trials = sum(phase.cfg.trials for phase in phases)
         assert run.report.cfg == replace(ref.test.cfg, trials=trials)
         assert run.report.failures == [(p, t, msg) for p, phase in enumerate(phases)
-                                       for t, msg in phase.failures]
+                                       for _, t, msg in phase.failures]
         assert run.report.total_violations is ref.test.total_violations is None
-        assert ref.test.point is None
+        assert ref.test.point.tolist() == [0] * len(ref.test.records.trial)
         assert run.report.point.tolist() == [p for p, phase in enumerate(phases)
                                              for _ in phase.records.trial]
         for p, phase in enumerate(phases):
