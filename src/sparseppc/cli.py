@@ -67,8 +67,42 @@ def _out_dir(args) -> Path:
     return out
 
 
+# What json writes as a value without nesting: a container of only these
+# goes to its C encoder, which it uses only when indent is None.
+_JSON_SCALARS = (str, int, float, type(None))
+
+
+def _json_text(doc, indent: str = "") -> str:
+    """The text of json.dumps(doc, indent=2, sort_keys=True), indent its nesting.
+
+    Python's json runs its pure-Python encoder whenever indent is set; here
+    each dict or list of scalars goes to the C encoder, with the item
+    separator and indent that indent=2 gives it there, and only the nesting
+    above those stays in Python. Keys are sorted and converted as json does.
+    """
+    if isinstance(doc, dict):
+        items, brackets = sorted(doc.items()), "{}"
+    elif isinstance(doc, (list, tuple)):
+        items, brackets = doc, "[]"
+    else:
+        return json.dumps(doc)
+    if not items:
+        return brackets
+    inner = indent + "  "
+    values = (v for _, v in items) if brackets == "{}" else items
+    if all(isinstance(v, _JSON_SCALARS) for v in values):
+        body = json.dumps(doc, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
+    elif brackets == "{}":
+        # json.dumps({key: 0}) is '{' + the key as json writes it + ': 0}'
+        body = (",\n" + inner).join(f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"
+                                    for k, v in items)
+    else:
+        body = (",\n" + inner).join(_json_text(v, inner) for v in items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _write_meta(path: Path, payload: dict) -> None:
-    write_file(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    write_file(path, [_json_text(payload) + "\n"])
 
 
 def _write_run_meta(out: Path, config: dict, **sections) -> None:
@@ -98,8 +132,7 @@ def _cmd_design(args) -> int:
         _write_meta(path := _out_dir(args) / "design.json", payload)
         print(f"wrote {path}")
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+        print(_json_text(payload))
     return 0
 
 

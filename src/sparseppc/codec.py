@@ -74,25 +74,25 @@ def _symbol_order(symbols) -> list:
     return ints + [ESCAPE] if ESCAPE in symbols else ints
 
 
-def _code_lengths(freqs: dict) -> dict:
-    """Deterministic Huffman code lengths for symbol -> frequency.
+def _code_lengths(weights) -> list:
+    """Deterministic Huffman code lengths for leaf weights given in symbol order.
 
-    Each merge takes the two smallest (frequency, node id) nodes, so the
+    Each merge takes the two smallest (weight, node id) nodes, so the
     lengths are reproducible. Merged weights never decrease, so two FIFO
     queues do a heap's work (van Leeuwen, 1976): leaves sorted by
-    (frequency, id), then merges as made; on a tie the leaf goes first. A
+    (weight, id), then merges as made; on a tie the leaf goes first. A
     symbol's length is the number of merges above its leaf; a lone symbol
-    gets length 1 to keep the stream self-delimiting.
+    gets length 1 to keep the stream self-delimiting. Returns one length per
+    weight, in the weights' order.
     """
-    if not freqs:
+    n = len(weights)
+    if not n:
         raise CodecTrainingError("cannot build a code over an empty alphabet")
-    symbols = _symbol_order(freqs)
-    n = len(symbols)
     if n == 1:
-        return {symbols[0]: 1}
+        return [1]
     # Node ids double as the merge order: leaves 0..n-1, merges n..2n-2.
-    weight = [freqs[sym] for sym in symbols] + [0] * (n - 1)
-    leaves = sorted(range(n), key=weight.__getitem__)  # stable: ties by id
+    leaves = np.argsort(weights, kind="stable").tolist()  # ties by id
+    weight = np.asarray(weights).tolist() + [0] * (n - 1)
     parent = [0] * (2 * n - 1)
     leaf, merge = 0, n  # heads of the two queues
     for node in range(n, 2 * n - 1):
@@ -107,7 +107,7 @@ def _code_lengths(freqs: dict) -> dict:
     depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, -1, -1):
         depth[node] = depth[parent[node]] + 1
-    return {sym: depth[node] for node, sym in enumerate(symbols)}
+    return depth[:n]
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,10 @@ def train_codec(samples, scheme: str, quantizer: Quantizer) -> PacketCodec:
         if p >= head:
             col = col[col != 0]
         symbols, counts = np.unique(col, return_counts=True)
-        freqs = dict(zip(symbols.tolist(), counts.tolist()))
-        freqs[ESCAPE] = 1
-        coders.append(PositionCoder(position=p, lengths=_code_lengths(freqs)))
+        # np.unique sorts the symbols, so the escape's weight goes last
+        lengths = _code_lengths(np.append(counts, 1))
+        coders.append(PositionCoder(position=p, lengths=dict(zip(symbols.tolist() + [ESCAPE],
+                                                                     lengths))))
     return PacketCodec(N=N, quantizer=quantizer, coders=tuple(coders), scheme=scheme)
 
 

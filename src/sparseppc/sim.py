@@ -671,10 +671,10 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
         indices = quantize_packet(quantizer, packets)
         err = float(np.max(np.abs(packets - dequantize(quantizer, indices))))
         max_quant_error = max(max_quant_error, err)
-        encoded = []
-        for idx in indices.reshape(-1, cfg.N):
+        encoded, rows = [], indices.reshape(-1, cfg.N)
+        for idx, row in zip(rows, rows.tolist()):
             enc = encode(codec, idx)
-            roundtrip_failures += not np.array_equal(decode(codec, enc), idx)
+            roundtrip_failures += decode(codec, enc).tolist() != row
             encoded.append(enc)
         bits = np.array([enc.bit_count for enc in encoded]).reshape(indices.shape[:2])
         schemes[scheme] = SchemeRun(controller=name, codec=codec, report=run, bits=bits,

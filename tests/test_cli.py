@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparseppc.cli import build_parser, main
+from sparseppc.cli import _json_text, build_parser, main
 from sparseppc.codec import (ESCAPE, EncodedPacket, PacketCodec, PositionCoder,
                              Quantizer, decode, encode)
 from sparseppc.sim import NS_MAIN, NS_TEST, NS_TRAIN
@@ -14,9 +16,26 @@ def _write(path, doc):
     return str(path)
 
 
+_JSON_SCALARS = st.one_of(
+    st.integers(), st.booleans(), st.none(), st.text(),
+    st.floats(), st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324]))
+_JSON_DOCS = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.dictionaries(st.text(), inner, max_size=5)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON_DOCS)
+def test_the_json_writer_writes_what_json_writes(doc):
+    # str keys with escapes and non-ASCII; dicts and lists of every scalar json
+    # writes (floats signed zero, NaN, infinite and subnormal), empty ones too
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
 def test_design_to_stdout(capsys):
     assert main(["design"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert set(doc) >= {"Q", "P", "K", "Wstar", "Eps", "W", "c1", "rho", "c", "N", "eta", "plant"}
     assert np.asarray(doc["P"]).shape == (4, 4)
 

@@ -42,21 +42,21 @@ def test_quantize_range_and_validation():
 
 
 def test_huffman_degenerate_single_symbol():
-    assert _code_lengths({0: 100}) == {0: 1}
-    coder = PositionCoder(position=0, lengths=_code_lengths({ESCAPE: 1}))
+    assert _code_lengths([100]) == [1]
+    coder = PositionCoder(position=0, lengths=dict(zip([ESCAPE], _code_lengths([1]))))
     assert codewords(coder) == {ESCAPE: "0"}
     assert coder.codes == {ESCAPE: (0, 1)}
 
 
 def test_huffman_uniform_four_symbols():
-    lengths = _code_lengths({0: 10, 1: 10, 2: 10, 3: 10})
-    assert sorted(lengths.values()) == [2, 2, 2, 2]
+    lengths = _code_lengths([10, 10, 10, 10])
+    assert sorted(lengths) == [2, 2, 2, 2]
 
 
 def test_huffman_deterministic_codebooks():
-    freqs = {0: 5, 1: 5, 2: 7, ESCAPE: 1}
-    lengths = _code_lengths(dict(freqs))
-    assert lengths == _code_lengths(dict(reversed(list(freqs.items()))))
+    symbols, weights = [0, 1, 2, ESCAPE], [5, 5, 7, 1]
+    lengths = dict(zip(symbols, _code_lengths(weights)))
+    assert lengths == dict(zip(symbols, _code_lengths(np.array(weights, dtype=np.int64))))
     shuffled = dict(reversed(list(lengths.items())))
     assert PositionCoder(0, lengths).codes == PositionCoder(0, shuffled).codes
 
@@ -69,15 +69,17 @@ def _kraft_sum(lengths) -> float:
 @given(freqs=st.dictionaries(st.integers(-1000, 1000), st.integers(1, 40), max_size=60),
        escape=st.one_of(st.none(), st.integers(1, 40)))
 def test_code_lengths_match_tree_reference(freqs, escape):
-    # small frequency ranges force ties; the escape-only alphabet is included
+    # small frequency ranges force ties; the escape-only alphabet is included;
+    # the weights go in symbol order, integers ascending and the escape last
     if escape is not None:
         freqs[ESCAPE] = escape
+    symbols = sorted(s for s in freqs if s != ESCAPE) + [ESCAPE] * (escape is not None)
     if not freqs:
         with pytest.raises(CodecTrainingError):
-            _code_lengths(freqs)
+            _code_lengths([])
         return
     want = {s: len(w) for s, w in huffman_reference(freqs).items()}
-    assert _code_lengths(freqs) == want
+    assert dict(zip(symbols, _code_lengths([freqs[s] for s in symbols]))) == want
 
 
 def _train(samples, scheme, delta=0.001):
