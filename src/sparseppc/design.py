@@ -127,10 +127,8 @@ def design_constants(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int,
     through the geometric sum over at most N open-loop steps. Spectra of
     the nonsymmetric products are taken via equivalent symmetric pencils.
     """
-    c1 = -np.inf
-    for Phi_i in hm.Phi.reshape(N, m.n, N):  # the n x N row blocks of Phi
-        Mi = Phi_i.T @ P @ Phi_i
-        c1 = max(c1, float(pencil_eigvals(Mi, hm.GtG)[-1]))
+    Phis = hm.Phi.reshape(N, m.n, N)    # the n x N row blocks of Phi
+    c1 = float(pencil_eigvals(Phis.swapaxes(1, 2) @ P @ Phis, hm.GtG)[:, -1].max())
     if not (c1 > 0.0):
         raise DesignInfeasibleError(f"c1 = {c1} must be positive")
 

@@ -147,7 +147,8 @@ def square_matrix(M, name: str, n: int = None) -> np.ndarray:
 def check_sym_pd(M, name: str = "matrix", n: int = None) -> np.ndarray:
     """M as a square_matrix, checked symmetric positive definite (via Cholesky)."""
     M = square_matrix(M, name, n)
-    if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
+    # np.allclose(M, M.T, rtol=1e-10, atol=1e-12) on the finite M, without its overhead
+    if not (np.abs(M - M.T) <= 1e-12 + 1e-10 * np.abs(M.T)).all():
         raise NumericError(f"{name} must be symmetric")
     try:
         np.linalg.cholesky(M)
@@ -170,9 +171,11 @@ def pencil_eigvals(M: np.ndarray, S: np.ndarray) -> np.ndarray:
     Reduces to an ordinary symmetric problem through the Cholesky factor of
     S: the eigenvalues equal those of L^-1 M L^-T, which are real. This is
     how spectra of nonsymmetric products like M S^-1 are evaluated here.
+    M may be a stack (..., k, k) of such matrices, each pencil's eigenvalues
+    in its row of the result, bit for bit those of its own call: S is
+    factored once, and the solves and eigvalsh loop over the stack.
     """
     L = np.linalg.cholesky(0.5 * (S + S.T))
-    Y = np.linalg.solve(L, 0.5 * (M + M.T))
-    C = np.linalg.solve(L, Y.T).T
-    return np.linalg.eigvalsh(0.5 * (C + C.T))
-
+    Y = np.linalg.solve(L, 0.5 * (M + M.swapaxes(-1, -2)))
+    C = np.linalg.solve(L, Y.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.linalg.eigvalsh(0.5 * (C + C.swapaxes(-1, -2)))

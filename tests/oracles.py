@@ -4,7 +4,7 @@ Each oracle takes a deliberately different route from the production code:
 Taylor series instead of Pade for the exponential, a QZ deflating-subspace
 solve instead of fixed-point iteration for the Riccati equation, explicit
 matrix powers instead of incremental assembly, power iteration instead of
-eigh, a stepwise trace interpreter instead of the delivery-age schedule,
+eigh, one pencil per row block instead of the stacked design constants, a stepwise trace interpreter instead of the delivery-age schedule,
 a bit-by-bit run counter instead of the delivery ages, a
 per-pick QR refactorization instead of the incremental Gram-Schmidt OMP,
 one QR per support instead of the stacked exhaustive search,
@@ -152,6 +152,17 @@ def pencil_lmax_power(M: np.ndarray, S: np.ndarray, iters: int = 20_000) -> floa
 
 def pencil_lmin_power(M: np.ndarray, S: np.ndarray, iters: int = 20_000) -> float:
     return 1.0 / pencil_lmax_power(S, M, iters)
+
+
+def design_constants_reference(m, Q, P, N: int, hm) -> tuple:
+    """(c1, rho, c) with one pencil_eigvals call per n x N row block of Phi."""
+    from sparseppc.linalg import pencil_eigvals
+
+    c1 = max(float(pencil_eigvals(Phi_i.T @ P @ Phi_i, hm.GtG)[-1])
+             for Phi_i in hm.Phi.reshape(N, m.n, N))
+    rho = 1.0 - float(pencil_eigvals(Q, P)[0])
+    rho = 0.0 if -1e-10 < rho < 0.0 else rho
+    return c1, rho, (1.0 - rho**N) / (1.0 - rho) * c1
 
 
 def omp_reference(hm, W, x):

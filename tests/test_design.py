@@ -11,8 +11,9 @@ from sparseppc.errors import ConfigError, NumericError
 from sparseppc.plant import PlantModel
 
 from .fixtures import CESSNA_C, CESSNA_C1, CESSNA_K, CESSNA_P, CESSNA_RHO
-from .oracles import (dare_qz, pencil_lmax_power, pencil_lmin_power,
-                      random_reachable, random_spd, scalar_dare_value_iteration)
+from .oracles import (dare_qz, design_constants_reference, pencil_lmax_power,
+                      pencil_lmin_power, random_reachable, random_spd,
+                      scalar_dare_value_iteration)
 
 
 def test_dare_zero_dynamics_reduces_to_q():
@@ -89,6 +90,31 @@ def test_design_constants_cessna_fixture_and_power_iteration(cessna, cessna_desi
     assert np.isclose(d.c1, lmax, rtol=1e-6)
     lmin = pencil_lmin_power(d.Q, d.P)
     assert np.isclose(d.rho, 1.0 - lmin, rtol=1e-6, atol=1e-9)
+
+
+def _design_plants():
+    """(plant, Q, N) of every design the tests build: the aircraft at each N
+    they use, with Q = I and with the forced Q = P, the scalar plant, and
+    random reachable plants with random PD weights."""
+    cessna = sp.resolve_plant("cessna500")
+    cases = []
+    for N in (1, 2, 8, 10, 12, 30):
+        P = build_design(cessna, N=N).P
+        cases += [(cessna, np.eye(4), P, N), (cessna, P, P, N)]
+    cases.append((PlantModel(A=[[2.0]], B=[1.0]), np.eye(1), np.eye(1), 2))
+    rng = np.random.default_rng(7)
+    for N in (3, 6, 9, 12):
+        m = random_reachable(rng)
+        Q = random_spd(rng, m.n)
+        cases.append((m, Q, solve_dare(m, Q), N))
+    return cases
+
+
+def test_design_constants_equal_a_pencil_per_row_block_bit_for_bit():
+    # one Cholesky of G'G and one stacked solve and eigvalsh for every row block
+    for m, Q, P, N in _design_plants():
+        hm = sp.build_horizon(m, Q, P, N)
+        assert design_constants(m, Q, P, N, hm) == design_constants_reference(m, Q, P, N, hm)
 
 
 def test_scalar_design_hand_checked():
