@@ -35,8 +35,9 @@ OMP_PREFIX = 24
 # (see _finite), so it runs under _QUIET, which drops numpy's warning.
 _QUIET = np.errstate(over="ignore", invalid="ignore")
 
-# OMP refuses a score (C x)_j^2 that overflowed: a pick would take the first
-# +inf. A NaN score is a degenerate column, whose support solve raises.
+# OMP's walk stops at a score (C x)_j^2 that overflowed, where a pick would
+# take the first +inf; omp_packet then walks the row at a smaller scale. A
+# NaN score is a degenerate column, whose support solve raises.
 SCORE_OVERFLOW = "state is not finite: a score (C x)_j^2 / ||g_j||^2 overflowed"
 
 
@@ -219,11 +220,11 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
     score is 0, or a NaN) is taken again with S at -inf, so every pick is
     the one the masked scores give. For budgets built by the design
     procedure the full-support residual is strictly below the budget, so
-    the walk ends for every x. A block with a budget, or a prefix node's
-    norm or score, that is not finite (an overflow of a finite state)
-    raises NumericError before any walk, and so does a norm or a picked
-    score past the prefix before the walk reads it; otherwise the first
-    row whose walk raises ends the call with its error.
+    the walk ends for every x. A budget, norm or score that is not finite
+    (an overflow of a finite state) is never compared: the block is walked
+    again row by row, and a row whose own walk overflows is solved at a
+    power-of-two scale (see _omp_scaled_rows). Otherwise the first row
+    whose walk raises ends the call with its error.
 
     The block is the fast path: the stacked products cost about as much
     for a few rows as for one, so a single state (n,) pays for the
@@ -231,6 +232,45 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
     row of a block of five or more costs less.
     """
     X, shape, _, _ = _solver_input(hm, X)
+    try:
+        u, picks = _omp_walks(hm, W, X)
+    except NumericError:
+        u, picks = _omp_scaled_rows(hm, W, X)
+    return ControlPacket(u.reshape(shape), picks)
+
+
+def _omp_scaled_rows(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> tuple:
+    """omp_packet's (packets, picks) for a block in which a product overflowed.
+
+    Each row is walked on its own. A row whose walk overflows is walked at
+    y = 2^-e x, with 2^(e-1) <= max |x| < 2^e, and returned as 2^e times
+    y's packet. Scaling by a power of two is exact, so y's budget, norms and
+    scores are x's times 4^-e, its picks are those exact arithmetic makes
+    at x, and 2^e K y is x's packet. The row is refused with its own
+    NumericError where that fails: an entry of y below the normal range,
+    whose bits are not x's, or an entry of 2^e K y that overflows.
+    """
+    rows, picks = [], 0
+    for x in X:
+        try:
+            u, n = _omp_walks(hm, W, x[None])
+        except NumericError:
+            e = math.frexp(float(np.abs(x).max()))[1]
+            y = np.ldexp(x, -e)
+            if e <= 0 or np.count_nonzero((y != 0) & (np.abs(y) < np.finfo(float).tiny)):
+                raise
+            u, n = _omp_walks(hm, W, y[None])
+            u = _finite(np.ldexp(u, e), "the packet K x")
+        rows.append(u[0])
+        picks += n
+    return np.array(rows), picks
+
+
+def _omp_walks(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> tuple:
+    """omp_packet's walks for the (b, n) block X: its (b, N) packets and total picks.
+
+    Raises NumericError on the first budget, norm or score that is not finite.
+    """
     nodes = hm._omp_nodes
     budgets = budget_for(W, X)
     root = _support_node(hm, 0)
@@ -267,7 +307,7 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
             i = k
         ends.append(i)
     u = np.array([nodes.K[i].dot(x) for i, x in zip(ends, X)])
-    return ControlPacket(u.reshape(shape), sum(nodes.cols[i].size for i in ends))
+    return u, sum(nodes.cols[i].size for i in ends)
 
 
 @_QUIET

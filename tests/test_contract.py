@@ -82,12 +82,13 @@ CASES = [
     ("least_squares_packet-x-inf", lambda w: sp.least_squares_packet(w.hm, [0.0, INF, 0.0, 0.0]),
      NumericError),
     ("omp_packet-x-inf", lambda w: sp.omp_packet(w.hm, w.W, [INF, 0.0, 0.0, 0.0]), NumericError),
-    # finite, but x'Wx, K x, G'Hx or the cost overflows: refused without numpy's warning
-    ("omp_packet-x-overflow", lambda w: sp.omp_packet(w.hm, w.W, [1e200, 1e200, 0.0, 0.0]),
+    # finite, but x'Wx, K x, G'Hx or the cost overflows: refused without numpy's warning;
+    # OMP walks 2^-e x where x'Wx overflows, and refuses where 2^e times its packet does
+    ("omp_packet-x-overflow", lambda w: sp.omp_packet(w.hm, w.W, [1.7e308, -1.7e308, 1.7e308, 0.0]),
      NumericError),
-    # x'Wx is finite, but OMP's scores (C x)_j^2 and the oracle's ||Hx||^2 overflow
+    # OMP's scores (C x)_j^2 overflow, and 2^-e x would take an entry below the normal range
     ("omp_packet-x-score-overflow",
-     lambda w: sp.omp_packet(w.hm, w.W, 2.0**500 * np.array([1.0, -1.0, 1.0, 0.0])),
+     lambda w: sp.omp_packet(w.hm, w.W, 2.0**500 * np.array([1.0, -1.0, 1.0, 2.0**-1030])),
      NumericError),
     ("exhaustive_l0_packet-x-overflow",
      lambda w: sp.exhaustive_l0_packet(w.hm, w.W, 2.0**505 * np.array([1.0, -1.0, 1.0, 0.0])),

@@ -170,16 +170,19 @@ def test_exhaustive_scales_by_powers_of_two_or_refuses(cessna_n8, seed, k):
     assert got is None or _is_scaled(got, sp.exhaustive_l0_packet(hm, d.W, x), k)
 
 
-@pytest.mark.parametrize("k", [495, 500, 505])
+@pytest.mark.parametrize("k", [495, 500, 505, 1022])
 def test_omp_and_exhaustive_refuse_an_overflowing_state_without_a_warning(
         cessna_design, cessna_horizon, k):
-    # (C x)_j^2 overflows for k >= 495, x'Mx and ||Hx||^2 at 505, x'Wx only at 507
+    # (C x)_j^2 overflows for k >= 495, x'Mx and ||Hx||^2 at 505, x'Wx only at 507:
+    # the oracle refuses from 505 on; OMP solves 2^-e x and returns 2^e times
+    # its packet, refused only where that packet overflows (its 5.93 at 2^1022)
     d, hm = cessna_design, cessna_horizon
     x = np.array([1.0, -1.0, 1.0, 0.0])
     omp = _scaled_or_refused(lambda y: sp.omp_packet(hm, d.W, y), x, k)
-    assert omp is None
+    assert (omp is None) == (k == 1022)
+    assert omp is None or _is_scaled(omp, sp.omp_packet(hm, d.W, x), k)
     oracle = _scaled_or_refused(lambda y: sp.exhaustive_l0_packet(hm, d.W, y), x, k)
-    assert (oracle is None) == (k == 505)
+    assert (oracle is None) == (k >= 505)
     assert oracle is None or _is_scaled(oracle, sp.exhaustive_l0_packet(hm, d.W, x), k)
 
 
@@ -989,13 +992,15 @@ def test_l1l2_failed_active_set_solve_raises_solver_failure(cessna_horizon, rng,
 @pytest.mark.parametrize("solve,x", [
     (lambda hm, W, x: sp.l1l2_packet(hm, x, 5.3), [np.nan, 0.0, 0.0, 0.0]),
     (lambda hm, W, x: sp.omp_packet(hm, W, x), [np.nan, 0.0, 0.0, 0.0]),
-    (lambda hm, W, x: sp.omp_packet(hm, W, x), [1e200, 1e200, 0.0, 0.0]),
+    (lambda hm, W, x: sp.omp_packet(hm, W, x), [1.7e308, -1.7e308, 1.7e308, 0.0]),
     (lambda hm, W, x: sp.omp_packet(hm, W, x), [[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]]),
     (lambda hm, W, x: sp.exhaustive_l0_packet(hm, W, x), [np.nan, 0.0, 0.0, 0.0]),
 ], ids=["l1l2-nan", "omp-nan", "omp-overflow", "omp-block-nan", "oracle-nan"])
 def test_solvers_refuse_a_non_finite_state(cessna_design, cessna_horizon, solve, x):
     # NaN reads as "below nu1" or "within budget", and an overflowed x'Wx
-    # as a budget no residual exceeds: each would return a wrong packet
+    # as a budget no residual exceeds: each would return a wrong packet;
+    # OMP walks an overflowing state scaled down, and refuses where the
+    # packet of this one overflows
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="state is not finite"):
         solve(cessna_horizon, cessna_design.W, np.array(x))
