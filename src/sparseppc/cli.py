@@ -225,6 +225,7 @@ def _cmd_bitrate(args) -> int:
         "reduction_pct": report.reduction_pct,
         "roundtrip_failures": report.roundtrip_failures,
         "max_quant_error": report.max_quant_error,
+        **{f"bit_account_{run.controller}": run.account for run in report.schemes.values()},
         "failures": [{"controller": c, "phase": phase, "trial": t, "error": msg}
                      for c, phase, t, msg in report.failures],
     })

@@ -280,6 +280,69 @@ def decode(codec: PacketCodec, enc: EncodedPacket) -> np.ndarray:
     return np.array(idx, dtype=np.int64)
 
 
+def _length_table(codec: PacketCodec) -> tuple:
+    """Every position's (symbols, code lengths) as one sorted lookup, and its escapes' bits.
+
+    Symbol s of position p is keyed p * 2^33 + s: the 32-bit range keeps
+    the positions apart, so the keys sort by position, then symbol. A last
+    key, N * 2^33, matches no index. Returns the sorted keys, their
+    lengths, and each position's escape length plus its 32 raw bits.
+    """
+    keys, lengths, escape = [], [], []
+    for p, coder in enumerate(codec.coders):
+        table = dict(coder.lengths)
+        escape.append(table.pop(ESCAPE) + ESCAPE_RAW_BITS)
+        keys.append(np.fromiter(table, np.int64, len(table)) + (p << _KEY_SHIFT))
+        lengths.append(np.fromiter(table.values(), np.int64, len(table)))
+    keys = np.concatenate(keys + [[codec.N << _KEY_SHIFT]])
+    order = np.argsort(keys)
+    return keys[order], np.concatenate(lengths + [[0]])[order], np.array(escape)
+
+
+# A position's lookup keys are p << _KEY_SHIFT plus its 32-bit indices.
+_KEY_SHIFT = ESCAPE_RAW_BITS + 1
+
+
+def bit_account(codec: PacketCodec, indices: np.ndarray) -> dict:
+    """Mean bits per packet that encode spends on a stack of index packets, by field.
+
+    indices is (..., N) integer packets, at least one (else ConfigError),
+    each index in the escape's 32-bit range (else QuantizerRangeError). bitmap counts the flag bits, codewords the
+    value codewords of the indices the code knows, and escapes the escape
+    codeword plus 32 raw bits of each index it does not; the three add up
+    to the mean of encode's bit counts. entropy lists each position's
+    empirical entropy, in bits per packet, of the indices it codes (past
+    the head only the nonzero ones, so weighted by their share), and bound
+    is their sum plus bitmap: what an ideal per-position code of these
+    packets would spend. Each distinct coded index is looked up once, by
+    one searchsorted in every position's (sorted symbols, lengths).
+    """
+    idx = number_array(indices, "packet indices", "iu")
+    if idx.ndim == 0 or idx.shape[-1] != codec.N or not idx.size:
+        raise ConfigError(f"packets must have shape (..., {codec.N}), at least one, "
+                          f"got {idx.shape}")
+    if not (-_RAW_HALF <= idx.min() and idx.max() < _RAW_HALF):
+        raise QuantizerRangeError("an index exceeds the 32-bit index range")
+    idx = idx.astype(np.int64).reshape(-1, codec.N)
+    head = _head(codec.scheme, codec.N)
+    coded = np.ones(idx.shape, dtype=bool)
+    coded[:, head:] = idx[:, head:] != 0
+    distinct, freq = np.unique((idx + (np.arange(codec.N) << _KEY_SHIFT))[coded],
+                               return_counts=True)
+    where = (distinct + 2 * _RAW_HALF) >> _KEY_SHIFT    # each key's position
+    table, lengths, escape = _length_table(codec)
+    at = np.searchsorted(table, distinct)
+    known = table[at] == distinct
+    info = -freq * np.log2(freq / np.count_nonzero(coded, axis=0)[where])
+    count = len(idx)
+    entropy = (np.bincount(where, weights=info, minlength=codec.N) / count).tolist()
+    bitmap = codec.N - head
+    return {"bitmap": float(bitmap),
+            "codewords": int(freq[known] @ lengths[at[known]]) / count,
+            "escapes": int(freq[~known] @ escape[where[~known]]) / count,
+            "entropy": entropy, "bound": sum(entropy) + bitmap}
+
+
 def codec_to_dict(codec: PacketCodec) -> dict:
     """JSON-ready form: per position, the code length of every symbol."""
     coders = [{"position": c.position, "lengths": {str(s): n for s, n in c.lengths.items()}}

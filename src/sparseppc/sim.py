@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import (DROPOUT_KEYS, ChannelTrace, DropoutModel, actuate,
                       delivery_age, generate_trace)
-from .codec import (PacketCodec, Quantizer, decode, dequantize, encode,
+from .codec import (PacketCodec, Quantizer, bit_account, decode, dequantize, encode,
                     quantize_packet, train_codec)
 from .controllers import (ORACLE_CAP, exhaustive_l0_packet,
                           l1l2_packet, l2_packet, least_squares_packet, omp_packet)
@@ -622,6 +622,7 @@ class SchemeRun:
     report: MonteCarloReport  # the controller's one run; its test rows are those at point 1
     bits: np.ndarray          # (test rows, T) encoded size of each test packet
     encoded: list             # EncodedPacket of each test packet, trial-major
+    account: dict             # codec.bit_account of the test packets
 
 
 @dataclass
@@ -678,7 +679,7 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
             encoded.append(enc)
         bits = np.array([enc.bit_count for enc in encoded]).reshape(indices.shape[:2])
         schemes[scheme] = SchemeRun(controller=name, codec=codec, report=run, bits=bits,
-                                    encoded=encoded)
+                                    encoded=encoded, account=bit_account(codec, indices))
         failures += [(name, ("train", "test")[p], t, msg) for p, t, msg in run.failures]
 
     mean = {run.controller: float(np.mean(run.bits)) for run in schemes.values()}

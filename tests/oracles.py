@@ -13,7 +13,8 @@ the lasso optimality (KKT) conditions, checked column by column,
 instead of the homotopy path, a two-stage l1 solver (a guess certified
 on its own, else a walk that gathers G'G afresh at every breakpoint)
 instead of the one active-set loop, an explicit Huffman tree walked for
-its codewords instead of two queues of merges, per-column Counters instead
+its codewords instead of two queues of merges, Counters of each position's
+coded indices instead of the sorted lookup of the bit account, per-column Counters instead
 of np.unique, the '0'/'1' string codec (dictionary prefix matching and
 byte-by-byte hex packing) instead of integer code tables, a delivery-by-delivery
 walk instead of the masked Lyapunov counts, CSV text rendered a row
@@ -807,6 +808,33 @@ def codec_reference(codec):
         return bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8)).hex()
 
     return SimpleNamespace(codebooks=books, encode=encode, decode=decode, to_hex=to_hex)
+
+
+def bit_account_reference(codec, samples) -> dict:
+    """bit_account by a Counter of each position's coded indices and math.log2.
+
+    Totals are ints (bits over all packets), so the split is exact; entropy
+    is each position's sum of -c log2(c / n) over its coded indices' counts c,
+    per packet.
+    """
+    import math
+    from collections import Counter
+
+    head = codec.N if codec.scheme == "dense" else codec.N // 2
+    rows = np.asarray(samples).reshape(-1, codec.N).tolist()
+    codewords = escapes = 0
+    entropy = []
+    for p, coder in enumerate(codec.coders):
+        coded = Counter(r[p] for r in rows if p < head or r[p] != 0)
+        n = sum(coded.values())
+        for v, c in coded.items():
+            if v in coder.lengths:
+                codewords += c * coder.lengths[v]
+            else:
+                escapes += c * (coder.lengths["esc"] + 32)
+        entropy.append(-sum(c * math.log2(c / n) for c in coded.values()) / len(rows))
+    return {"packets": len(rows), "bitmap": codec.N - head, "codewords": codewords,
+            "escapes": escapes, "entropy": entropy}
 
 
 def expected_mean_bits(codec, samples) -> float:

@@ -10,6 +10,8 @@ from sparseppc.codec import (ESCAPE, EncodedPacket, PacketCodec, PositionCoder,
                              Quantizer, decode, encode)
 from sparseppc.sim import NS_MAIN, NS_TEST, NS_TRAIN
 
+from .oracles import bit_account_reference
+
 
 def _write(path, doc):
     path.write_text(json.dumps(doc))
@@ -678,6 +680,36 @@ def test_bitrate_lists_failed_train_and_test_trials(tmp_path, fail_trials):
         {"controller": "omp", "phase": "test", "trial": 0, "error": error}]
     rows = [row.split(",") for row in (out / "rates.csv").read_text().splitlines()[1:]]
     assert {trial for trial, _k, scheme, _bits in rows if scheme == "sparse"} == {"1"}
+
+
+def test_bitrate_bit_account_adds_up_to_the_mean_bits(tmp_path, fail_trials):
+    # OMP training trial 1 and l2 test trial 0 fail; each scheme's account in
+    # meta.json is that of its coded test packets, read back from packets.csv
+    # and the codec files, and its parts add up to mean_bits_*
+    cfg = _write(tmp_path / "c.json", {"trials": 3, "train_trials": 3, "steps": 15})
+    out = tmp_path / "o"
+    fail_trials(lambda cfg, key: (cfg.controller, key) in (("omp", (NS_TRAIN, 1)),
+                                                            ("l2", (NS_TEST, 0))))
+    assert main(["bitrate", "--config", cfg, "--out-dir", str(out), "--dump-packets"]) == 0
+    rates = json.loads((out / "meta.json").read_text())["rates"]
+    assert len(rates["failures"]) == 2
+    rows = [row.split(",") for row in (out / "packets.csv").read_text().splitlines()[1:]]
+    for controller, scheme in (("omp", "sparse"), ("l2", "dense")):
+        codec = _codec_from_json(out / f"codec_{controller}.json")
+        packets = [decode(codec, EncodedPacket(bytes.fromhex(hexdump), int(bits)))
+                   for _t, _k, s, bits, hexdump in rows if s == scheme]
+        assert len(packets) == (3 if scheme == "sparse" else 2) * 15
+        got, want = rates[f"bit_account_{controller}"], bit_account_reference(codec, packets)
+        count = want["packets"]
+        assert got["bitmap"] == want["bitmap"] == (5 if scheme == "sparse" else 0)
+        assert got["codewords"] == want["codewords"] / count
+        assert got["escapes"] == want["escapes"] / count
+        assert got["entropy"] == pytest.approx(want["entropy"], rel=1e-12, abs=1e-12)
+        assert got["bound"] == pytest.approx(sum(want["entropy"]) + want["bitmap"], rel=1e-12)
+        mean = rates[f"mean_bits_{controller}"]
+        assert got["bitmap"] + got["codewords"] + got["escapes"] == pytest.approx(mean, rel=1e-12)
+        assert (want["bitmap"] * count + want["codewords"] + want["escapes"]
+                == sum(int(bits) for _t, _k, s, bits, _h in rows if s == scheme))
 
 
 def test_bitrate_quantizer_overflow_exit_code(tmp_path):

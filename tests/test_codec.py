@@ -6,12 +6,12 @@ from hypothesis.extra import numpy as hnp
 
 import sparseppc as sp
 from sparseppc.codec import (ESCAPE, ESCAPE_RAW_BITS, PacketCodec, PositionCoder, Quantizer,
-                             _code_lengths, dequantize)
+                             _code_lengths, bit_account, dequantize)
 from sparseppc.errors import (CodecTrainingError, ConfigError, DecodeError,
                               QuantizerRangeError)
 
-from .oracles import (codec_reference, codewords, huffman_reference, packet_bits,
-                      packet_of_bits, train_codec_reference)
+from .oracles import (bit_account_reference, codec_reference, codewords, huffman_reference,
+                      packet_bits, packet_of_bits, train_codec_reference)
 
 
 def test_quantize_examples():
@@ -80,6 +80,36 @@ def test_code_lengths_match_tree_reference(freqs, escape):
         return
     want = {s: len(w) for s, w in huffman_reference(freqs).items()}
     assert dict(zip(symbols, _code_lengths([freqs[s] for s in symbols]))) == want
+
+
+@pytest.mark.parametrize("scheme", ["sparse", "dense"])
+def test_bit_account_equals_the_counter_reference(rng, scheme):
+    # test packets with indices training never saw (escapes), a tail
+    # position trained on zeros only (an escape-only code) and one never
+    # nonzero in the test packets
+    train = rng.integers(-6, 7, (200, 10))
+    train[:, 7] = 0
+    test = rng.integers(-9, 10, (120, 10))
+    test[:, 9] = 0
+    test[:3, 0] = [2**31 - 1, -2**31, 40]
+    codec = sp.train_codec(train, scheme, Quantizer(delta=0.001))
+    got, want = bit_account(codec, test.reshape(12, 10, 10)), bit_account_reference(codec, test)
+    assert got["bitmap"] == want["bitmap"] == (5 if scheme == "sparse" else 0)
+    assert got["codewords"] == want["codewords"] / 120 and got["escapes"] == want["escapes"] / 120
+    assert want["escapes"] > 0
+    assert got["entropy"] == pytest.approx(want["entropy"], rel=1e-12, abs=1e-12)
+    assert got["bound"] == pytest.approx(sum(want["entropy"]) + want["bitmap"], rel=1e-12)
+    bits = [sp.encode(codec, row).bit_count for row in test]
+    assert want["bitmap"] * 120 + want["codewords"] + want["escapes"] == sum(bits)
+
+
+def test_bit_account_refuses_what_encode_refuses():
+    codec = sp.train_codec(np.zeros((3, 4), dtype=np.int64), "sparse", Quantizer(delta=0.001))
+    for bad in (np.zeros((0, 4), dtype=np.int64), np.zeros((2, 3), dtype=np.int64), 5, [[0.5] * 4]):
+        with pytest.raises(ConfigError):
+            bit_account(codec, bad)
+    with pytest.raises(QuantizerRangeError):
+        bit_account(codec, [[0, 0, 2**31, 0]])
 
 
 def _train(samples, scheme, delta=0.001):
