@@ -67,13 +67,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-# What json writes as a value without nesting: a container of only these
-# goes to its C encoder, which it uses only when indent is None.
+# What json writes without nesting (int includes bool): a container of only
+# these goes to its C encoder, which json uses only when indent is None.
 _JSON_SCALARS = (str, int, float, type(None))
 
 
 def _json_text(doc, indent: str = "") -> str:
-    """The text of json.dumps(doc, indent=2, sort_keys=True), indent its nesting.
+    """json.dumps(doc, indent=2, sort_keys=True), for doc nested at indent.
 
     Python's json runs its pure-Python encoder whenever indent is set; here
     each dict or list of scalars goes to the C encoder, with the item

@@ -280,6 +280,10 @@ def decode(codec: PacketCodec, enc: EncodedPacket) -> np.ndarray:
     return np.array(idx, dtype=np.int64)
 
 
+# A position's lookup keys are p << _KEY_SHIFT plus its 32-bit indices.
+_KEY_SHIFT = ESCAPE_RAW_BITS + 1
+
+
 def _length_table(codec: PacketCodec) -> tuple:
     """Every position's (symbols, code lengths) as one sorted lookup, and its escapes' bits.
 
@@ -299,23 +303,20 @@ def _length_table(codec: PacketCodec) -> tuple:
     return keys[order], np.concatenate(lengths + [[0]])[order], np.array(escape)
 
 
-# A position's lookup keys are p << _KEY_SHIFT plus its 32-bit indices.
-_KEY_SHIFT = ESCAPE_RAW_BITS + 1
-
-
 def bit_account(codec: PacketCodec, indices: np.ndarray) -> dict:
     """Mean bits per packet that encode spends on a stack of index packets, by field.
 
     indices is (..., N) integer packets, at least one (else ConfigError),
-    each index in the escape's 32-bit range (else QuantizerRangeError). bitmap counts the flag bits, codewords the
-    value codewords of the indices the code knows, and escapes the escape
-    codeword plus 32 raw bits of each index it does not; the three add up
-    to the mean of encode's bit counts. entropy lists each position's
-    empirical entropy, in bits per packet, of the indices it codes (past
-    the head only the nonzero ones, so weighted by their share), and bound
-    is their sum plus bitmap: what an ideal per-position code of these
-    packets would spend. Each distinct coded index is looked up once, by
-    one searchsorted in every position's (sorted symbols, lengths).
+    each index in the escape's 32-bit range (else QuantizerRangeError).
+    bitmap counts the flag bits, codewords the value codewords of the
+    indices the code knows, and escapes the escape codeword plus 32 raw
+    bits of each index it does not; the three add up to the mean of
+    encode's bit counts. entropy lists each position's empirical entropy,
+    in bits per packet, of the indices it codes (past the head only the
+    nonzero ones, so weighted by their share), and bound is their sum plus
+    bitmap: what an ideal per-position code of these packets would spend.
+    Each distinct coded index is looked up once, by one searchsorted in
+    every position's (sorted symbols, lengths).
     """
     idx = number_array(indices, "packet indices", "iu")
     if idx.ndim == 0 or idx.shape[-1] != codec.N or not idx.size:

@@ -248,7 +248,8 @@ def _omp_scaled_rows(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> tuple
     scores are x's times 4^-e, its picks are those exact arithmetic makes
     at x, and 2^e K y is x's packet. The row is refused with its own
     NumericError where that fails: an entry of y below the normal range,
-    whose bits are not x's, or an entry of 2^e K y that overflows.
+    whose bits are not x's, or an entry of 2^e K y that overflows. A row
+    with max |x| < 1 (e <= 0) is refused as it is: no scale shrinks it.
     """
     rows, picks = [], 0
     for x in X:

@@ -643,8 +643,9 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
     training trials fit the scheme's codec to the controller's quantized
     packets; the test trials, on disjoint seeds, are quantized too, and
     each packet is encoded and decoded back, one at a time. Reports mean
-    bits per packet and the relative reduction, and lists the trials that
-    failed in either phase, which neither trains nor codes.
+    bits per packet, their bit_account, and the relative reduction, and
+    lists the trials that failed in either phase, which neither trains nor
+    codes.
 
     Each phase's inputs are drawn once; a controller's train and test trials
     step as the phases of one monte_carlo run, paying the cost per step once.
