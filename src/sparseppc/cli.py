@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -81,23 +82,22 @@ def _json_text(doc, indent: str = "") -> str:
     above those stays in Python. Keys are sorted and converted as json does.
     """
     if isinstance(doc, dict):
-        items, brackets = sorted(doc.items()), "{}"
+        values, brackets = doc.values(), "{}"
     elif isinstance(doc, (list, tuple)):
-        items, brackets = doc, "[]"
+        values, brackets = doc, "[]"
     else:
         return json.dumps(doc)
-    if not items:
+    if not values:
         return brackets
     inner = indent + "  "
-    values = (v for _, v in items) if brackets == "{}" else items
-    if all(isinstance(v, _JSON_SCALARS) for v in values):
+    if all(map(isinstance, values, repeat(_JSON_SCALARS))):
         body = json.dumps(doc, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
     elif brackets == "{}":
         # json.dumps({key: 0}) is '{' + the key as json writes it + ': 0}'
         body = (",\n" + inner).join(f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"
-                                    for k, v in items)
+                                    for k, v in sorted(doc.items()))
     else:
-        body = (",\n" + inner).join(_json_text(v, inner) for v in items)
+        body = (",\n" + inner).join(_json_text(v, inner) for v in doc)
     return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 

@@ -4,7 +4,8 @@ Each oracle takes a deliberately different route from the production code:
 Taylor series instead of Pade for the exponential, a QZ deflating-subspace
 solve instead of fixed-point iteration for the Riccati equation, explicit
 matrix powers instead of incremental assembly, power iteration instead of
-eigh, one pencil per row block instead of the stacked design constants, a stepwise trace interpreter instead of the delivery-age schedule,
+eigh, one pencil per row block instead of the stacked design constants,
+a stepwise trace interpreter instead of the delivery-age schedule,
 a bit-by-bit run counter instead of the delivery ages, a
 per-pick QR refactorization instead of the incremental Gram-Schmidt OMP,
 one QR per support instead of the stacked exhaustive search,

@@ -105,7 +105,8 @@ def test_bit_account_equals_the_counter_reference(rng, scheme):
 
 def test_bit_account_refuses_what_encode_refuses():
     codec = sp.train_codec(np.zeros((3, 4), dtype=np.int64), "sparse", Quantizer(delta=0.001))
-    for bad in (np.zeros((0, 4), dtype=np.int64), np.zeros((2, 3), dtype=np.int64), 5, [[0.5] * 4]):
+    empty, short = np.zeros((0, 4), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)
+    for bad in (empty, short, 5, [[0.5] * 4]):
         with pytest.raises(ConfigError):
             bit_account(codec, bad)
     with pytest.raises(QuantizerRangeError):

@@ -84,8 +84,8 @@ CASES = [
     ("omp_packet-x-inf", lambda w: sp.omp_packet(w.hm, w.W, [INF, 0.0, 0.0, 0.0]), NumericError),
     # finite, but x'Wx, K x, G'Hx or the cost overflows: refused without numpy's warning;
     # OMP walks 2^-e x where x'Wx overflows, and refuses where 2^e times its packet does
-    ("omp_packet-x-overflow", lambda w: sp.omp_packet(w.hm, w.W, [1.7e308, -1.7e308, 1.7e308, 0.0]),
-     NumericError),
+    ("omp_packet-x-overflow",
+     lambda w: sp.omp_packet(w.hm, w.W, [1.7e308, -1.7e308, 1.7e308, 0.0]), NumericError),
     # OMP's scores (C x)_j^2 overflow, and 2^-e x would take an entry below the normal range
     ("omp_packet-x-score-overflow",
      lambda w: sp.omp_packet(w.hm, w.W, 2.0**500 * np.array([1.0, -1.0, 1.0, 2.0**-1030])),

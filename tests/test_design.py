@@ -93,9 +93,12 @@ def test_design_constants_cessna_fixture_and_power_iteration(cessna, cessna_desi
 
 
 def _design_plants():
-    """(plant, Q, N) of every design the tests build: the aircraft at each N
-    they use, with Q = I and with the forced Q = P, the scalar plant, and
-    random reachable plants with random PD weights."""
+    """(plant, Q, P, N) of the designs the tests build.
+
+    The aircraft at each N the tests use, with Q = I and with the forced
+    Q = P, the scalar plant, and random reachable plants with random PD
+    weights.
+    """
     cessna = sp.resolve_plant("cessna500")
     cases = []
     for N in (1, 2, 8, 10, 12, 30):
