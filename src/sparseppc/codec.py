@@ -11,7 +11,8 @@ A position's code is its table of code lengths (np.unique counts, then
 two-queue Huffman merges); its codewords and the decoder's canonical start
 table follow from it as integers. An encoded packet is bytes plus a bit
 count. encode and decode take one packet each, so a tracer can pair every
-decode with the encode just before it.
+decode with the encode just before it. bit_account splits encode's bits
+over a stack of packets by field, reading each coder's lengths.
 """
 
 from bisect import bisect_right
@@ -280,27 +281,9 @@ def decode(codec: PacketCodec, enc: EncodedPacket) -> np.ndarray:
     return np.array(idx, dtype=np.int64)
 
 
-# A position's lookup keys are p << _KEY_SHIFT plus its 32-bit indices.
+# bit_account keys index v of position p as p << _KEY_SHIFT plus v: the
+# 32-bit index range keeps the positions apart.
 _KEY_SHIFT = ESCAPE_RAW_BITS + 1
-
-
-def _length_table(codec: PacketCodec) -> tuple:
-    """Every position's (symbols, code lengths) as one sorted lookup, and its escapes' bits.
-
-    Symbol s of position p is keyed p * 2^33 + s: the 32-bit range keeps
-    the positions apart, so the keys sort by position, then symbol. A last
-    key, N * 2^33, matches no index. Returns the sorted keys, their
-    lengths, and each position's escape length plus its 32 raw bits.
-    """
-    keys, lengths, escape = [], [], []
-    for p, coder in enumerate(codec.coders):
-        table = dict(coder.lengths)
-        escape.append(table.pop(ESCAPE) + ESCAPE_RAW_BITS)
-        keys.append(np.fromiter(table, np.int64, len(table)) + (p << _KEY_SHIFT))
-        lengths.append(np.fromiter(table.values(), np.int64, len(table)))
-    keys = np.concatenate(keys + [[codec.N << _KEY_SHIFT]])
-    order = np.argsort(keys)
-    return keys[order], np.concatenate(lengths + [[0]])[order], np.array(escape)
 
 
 def bit_account(codec: PacketCodec, indices: np.ndarray) -> dict:
@@ -315,8 +298,8 @@ def bit_account(codec: PacketCodec, indices: np.ndarray) -> dict:
     in bits per packet, of the indices it codes (past the head only the
     nonzero ones, so weighted by their share), and bound is their sum plus
     bitmap: what an ideal per-position code of these packets would spend.
-    Each distinct coded index is looked up once, by one searchsorted in
-    every position's (sorted symbols, lengths).
+    Each distinct coded (position, index) is looked up once, in that
+    position coder's lengths.
     """
     idx = number_array(indices, "packet indices", "iu")
     if idx.ndim == 0 or idx.shape[-1] != codec.N or not idx.size:
@@ -331,16 +314,18 @@ def bit_account(codec: PacketCodec, indices: np.ndarray) -> dict:
     distinct, freq = np.unique((idx + (np.arange(codec.N) << _KEY_SHIFT))[coded],
                                return_counts=True)
     where = (distinct + 2 * _RAW_HALF) >> _KEY_SHIFT    # each key's position
-    table, lengths, escape = _length_table(codec)
-    at = np.searchsorted(table, distinct)
-    known = table[at] == distinct
+    # each key's code length, 0 where its coder lacks the index (an escape)
+    lengths = np.array([codec.coders[p].lengths.get(v, 0) for p, v in
+                        zip(where.tolist(), (distinct - (where << _KEY_SHIFT)).tolist())])
+    escaped = lengths == 0
+    escape = np.array([c.lengths[ESCAPE] + ESCAPE_RAW_BITS for c in codec.coders])
     info = -freq * np.log2(freq / np.count_nonzero(coded, axis=0)[where])
     count = len(idx)
     entropy = (np.bincount(where, weights=info, minlength=codec.N) / count).tolist()
     bitmap = codec.N - head
     return {"bitmap": float(bitmap),
-            "codewords": int(freq[known] @ lengths[at[known]]) / count,
-            "escapes": int(freq[~known] @ escape[where[~known]]) / count,
+            "codewords": int(freq @ lengths) / count,
+            "escapes": int(freq[escaped] @ escape[where[escaped]]) / count,
             "entropy": entropy, "bound": sum(entropy) + bitmap}
 
 

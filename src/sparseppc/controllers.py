@@ -457,6 +457,7 @@ def _kkt_gap(u: np.ndarray, c: np.ndarray, nu1) -> np.ndarray:
     return np.max(np.where(u != 0.0, np.abs(c - nu1 * np.sign(u)), np.abs(c) - nu1), axis=-1)
 
 
+@_QUIET
 def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = None) -> ControlPacket:
     """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
 
@@ -483,10 +484,11 @@ def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = Non
     call of that row alone, so each row gets the bits of its own solve.
     Only rows that miss walk, one at a time. A non-finite G'Hx raises
     NumericError before any row is solved; otherwise the first walk that
-    raises ends the call.
+    raises ends the call, with NumericError where its KKT gap is not finite
+    (an overflow).
     """
     X, shape, nu, guess = _solver_input(hm, X, nu1, "nu1", guess)
-    B = _finite_products(hm.GtH, X, "G'Hx")
+    B = _finite(_row_products(hm.GtH, X), "G'Hx")
     lam0 = np.abs(B).max(axis=1)
     u = np.zeros((len(X), hm.N))
     rows = (lam0 > nu).nonzero()[0]
@@ -551,7 +553,8 @@ def _l1_walk(hm: HorizonMatrices, b: np.ndarray, Hx: np.ndarray, lam0: float,
     +-lam (j joins) or a coefficient moving toward zero reaches 0 (j
     leaves, barred from rejoining on that side at once); u_S is re-solved
     there and at nu1. Over 50 N breakpoints or a packet that misses the KKT
-    conditions raise SolverFailureError.
+    conditions raise SolverFailureError, a gap that is not finite (an
+    overflow) NumericError.
     """
     N, Gt = hm.N, hm.G.T
     j = int(np.abs(b).argmax())
@@ -575,7 +578,9 @@ def _l1_walk(hm: HorizonMatrices, b: np.ndarray, Hx: np.ndarray, lam0: float,
                 worst = float(_kkt_gap(u, c, nu1))
                 if worst <= 1e-9 * lam0:
                     return u, iters
-                raise SolverFailureError(                # also a NaN from an overflow
+                if not math.isfinite(worst):
+                    raise NumericError(f"state is not finite: the KKT gap is {worst}")
+                raise SolverFailureError(
                     f"lasso packet misses the KKT conditions by {worst:.3g}", residual=worst)
             # as lam drops by g, u_S moves by g d and c by -g a
             join = (lam - SIDES * c) / (1.0 - SIDES * (GtG_S @ d))

@@ -125,10 +125,14 @@ def design_constants(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int,
     c1 bounds the per-step cost of the sparsification slack, rho is the
     single-step Lyapunov contraction 1 - lambda_min(Q P^-1), and c folds c1
     through the geometric sum over at most N open-loop steps. Spectra of
-    the nonsymmetric products are taken via equivalent symmetric pencils.
+    the nonsymmetric products are taken via equivalent symmetric pencils;
+    a G'G too ill-conditioned to factor raises DesignInfeasibleError.
     """
     Phis = hm.Phi.reshape(N, m.n, N)    # the n x N row blocks of Phi
-    c1 = float(pencil_eigvals(Phis.swapaxes(1, 2) @ P @ Phis, hm.GtG)[:, -1].max())
+    try:
+        c1 = float(pencil_eigvals(Phis.swapaxes(1, 2) @ P @ Phis, hm.GtG)[:, -1].max())
+    except np.linalg.LinAlgError as exc:    # G'G passed the rank test, not Cholesky
+        raise DesignInfeasibleError(f"G'G is not numerically positive definite: {exc}") from exc
     if not (c1 > 0.0):
         raise DesignInfeasibleError(f"c1 = {c1} must be positive")
 

@@ -641,11 +641,11 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
 
     For each (controller, scheme) of BITRATE_PLAN: cfg.train_trials noisy
     training trials fit the scheme's codec to the controller's quantized
-    packets; the test trials, on disjoint seeds, are quantized too, and
-    each packet is encoded and decoded back, one at a time. Reports mean
-    bits per packet, their bit_account, and the relative reduction, and
-    lists the trials that failed in either phase, which neither trains nor
-    codes.
+    packets, and each packet of the test trials, on disjoint seeds, is
+    encoded and decoded back, one at a time; one quantize_packet call
+    quantizes both phases' packets. Reports mean bits per packet, their
+    bit_account, and the relative reduction, and lists the trials that
+    failed in either phase, which neither trains nor codes.
 
     Each phase's inputs are drawn once; a controller's train and test trials
     step as the phases of one monte_carlo run, paying the cost per step once.
@@ -667,10 +667,9 @@ def bitrate_experiment(cfg: SimConfig) -> BitrateReport:
         run = monte_carlo(replace(cfg, controller=name, trials=cfg.train_trials + cfg.trials),
                           setup=setup, inputs=phases)
         train_rows, test_rows = (run.point == phase for phase in (0, 1))
-        samples = quantize_packet(quantizer, run.records.packets[train_rows])
-        codec = train_codec(samples.reshape(-1, cfg.N), scheme, quantizer)
-        packets = run.records.packets[test_rows]
-        indices = quantize_packet(quantizer, packets)
+        quantized = quantize_packet(quantizer, run.records.packets)
+        codec = train_codec(quantized[train_rows].reshape(-1, cfg.N), scheme, quantizer)
+        packets, indices = run.records.packets[test_rows], quantized[test_rows]
         err = float(np.max(np.abs(packets - dequantize(quantizer, indices))))
         max_quant_error = max(max_quant_error, err)
         encoded, rows = [], indices.reshape(-1, cfg.N)

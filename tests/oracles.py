@@ -15,7 +15,7 @@ instead of the homotopy path, a two-stage l1 solver (a guess certified
 on its own, else a walk that gathers G'G afresh at every breakpoint)
 instead of the one active-set loop, an explicit Huffman tree walked for
 its codewords instead of two queues of merges, Counters of each position's
-coded indices instead of the sorted lookup of the bit account, per-column Counters instead
+coded indices instead of the keyed np.unique of the bit account, per-column Counters instead
 of np.unique, the '0'/'1' string codec (dictionary prefix matching and
 byte-by-byte hex packing) instead of integer code tables, a delivery-by-delivery
 walk instead of the masked Lyapunov counts, CSV text rendered a row
@@ -809,6 +809,18 @@ def codec_reference(codec):
         return bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8)).hex()
 
     return SimpleNamespace(codebooks=books, encode=encode, decode=decode, to_hex=to_hex)
+
+
+def codec_from_dict(doc: dict):
+    """Rebuild a codec from codec_to_dict's form as JSON reads it back (string symbols)."""
+    from sparseppc.codec import ESCAPE, PacketCodec, PositionCoder, Quantizer
+
+    coders = tuple(PositionCoder(position=c["position"],
+                                 lengths={(s if s == ESCAPE else int(s)): n
+                                          for s, n in c["lengths"].items()})
+                   for c in doc["coders"])
+    return PacketCodec(N=doc["N"], quantizer=Quantizer(delta=doc["delta"]),
+                       coders=coders, scheme=doc["scheme"])
 
 
 def bit_account_reference(codec, samples) -> dict:

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseppc.cli import _json_text, build_parser, main
-from sparseppc.codec import (ESCAPE, EncodedPacket, PacketCodec, PositionCoder,
-                             Quantizer, decode, encode)
+from sparseppc.codec import EncodedPacket, decode, encode
 from sparseppc.sim import NS_MAIN, NS_TEST, NS_TRAIN
 
-from .oracles import bit_account_reference
+from .oracles import bit_account_reference, codec_from_dict
 
 
 def _write(path, doc):
@@ -161,6 +160,19 @@ def test_design_reads_a_simulate_config(tmp_path, capsys):
     assert doc["N"] == 8 and doc["eta"] == 0.5
     bad = _write(tmp_path / "bad.json", {"N": 8, "not_a_key": 1})
     assert main(["design", "--config", bad]) == 2
+
+
+def test_a_design_whose_gtg_does_not_factor_exits_3_and_writes_nothing(tmp_path, capsys):
+    # G'G of these reachable plants passes build_horizon's rank test, but
+    # not the Cholesky factorization of the contraction constants
+    for i, (A, B, N, delta) in enumerate((([[9.0]], [5e-05], 4, 1), ([[-6.3]], [0.0026], 8, 1),
+                                          ([[-29.874774042211197]], [3.5871756293554187], 7, 0))):
+        cfg = _write(tmp_path / f"c{i}.json", {"plant": {"A": A, "B": B}, "N": N, "delta": delta})
+        out = tmp_path / f"d{i}"
+        assert main(["design", "--config", cfg, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: DesignInfeasibleError: G'G") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_design_has_no_horizon_dump(tmp_path, capsys):
@@ -624,18 +636,6 @@ def test_meta_config_records_the_settings_the_runs_used(tmp_path):
     assert config["nu1"] == 5.3e3
 
 
-def _codec_from_json(path):
-    """Rebuild a codec from the code-length tables of a codec_*.json file."""
-    doc = json.loads(path.read_text())
-    coders = tuple(
-        PositionCoder(position=c["position"],
-                      lengths={(s if s == ESCAPE else int(s)): n
-                               for s, n in c["lengths"].items()})
-        for c in doc["coders"])
-    return PacketCodec(N=doc["N"], quantizer=Quantizer(delta=doc["delta"]),
-                       coders=coders, scheme=doc["scheme"])
-
-
 def test_bitrate_cli(tmp_path):
     cfg = _write(tmp_path / "c.json", {"trials": 4, "train_trials": 4, "steps": 25})
     out = tmp_path / "rates"
@@ -647,8 +647,8 @@ def test_bitrate_cli(tmp_path):
     assert len(rows) == 1 + 2 * 4 * 25
     meta = json.loads((out / "meta.json").read_text())
     assert meta["rates"]["roundtrip_failures"] == 0
-    codecs = {"sparse": _codec_from_json(out / "codec_omp.json"),
-              "dense": _codec_from_json(out / "codec_l2.json")}
+    codecs = {"sparse": codec_from_dict(json.loads((out / "codec_omp.json").read_text())),
+              "dense": codec_from_dict(json.loads((out / "codec_l2.json").read_text()))}
     assert codecs["sparse"].scheme == "sparse" and len(codecs["sparse"].coders) == 10
     assert codecs["dense"].scheme == "dense"
     for name in ("codec_omp.json", "codec_l2.json"):
@@ -695,7 +695,7 @@ def test_bitrate_bit_account_adds_up_to_the_mean_bits(tmp_path, fail_trials):
     assert len(rates["failures"]) == 2
     rows = [row.split(",") for row in (out / "packets.csv").read_text().splitlines()[1:]]
     for controller, scheme in (("omp", "sparse"), ("l2", "dense")):
-        codec = _codec_from_json(out / f"codec_{controller}.json")
+        codec = codec_from_dict(json.loads((out / f"codec_{controller}.json").read_text()))
         packets = [decode(codec, EncodedPacket(bytes.fromhex(hexdump), int(bits)))
                    for _t, _k, s, bits, hexdump in rows if s == scheme]
         assert len(packets) == (3 if scheme == "sparse" else 2) * 15

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,12 @@ from hypothesis.extra import numpy as hnp
 
 import sparseppc as sp
 from sparseppc.codec import (ESCAPE, ESCAPE_RAW_BITS, PacketCodec, PositionCoder, Quantizer,
-                             _code_lengths, bit_account, dequantize)
+                             _code_lengths, bit_account, codec_to_dict, dequantize)
 from sparseppc.errors import (CodecTrainingError, ConfigError, DecodeError,
                               QuantizerRangeError)
 
-from .oracles import (bit_account_reference, codec_reference, codewords, huffman_reference,
-                      packet_bits, packet_of_bits, train_codec_reference)
+from .oracles import (bit_account_reference, codec_from_dict, codec_reference, codewords,
+                      huffman_reference, packet_bits, packet_of_bits, train_codec_reference)
 
 
 def test_quantize_examples():
@@ -94,6 +96,10 @@ def test_bit_account_equals_the_counter_reference(rng, scheme):
     test[:3, 0] = [2**31 - 1, -2**31, 40]
     codec = sp.train_codec(train, scheme, Quantizer(delta=0.001))
     got, want = bit_account(codec, test.reshape(12, 10, 10)), bit_account_reference(codec, test)
+    # the same codes, their length tables in the JSON's string order of the symbols
+    rebuilt = codec_from_dict(json.loads(json.dumps(codec_to_dict(codec), sort_keys=True)))
+    assert list(rebuilt.coders[0].lengths) != list(codec.coders[0].lengths)
+    assert bit_account(rebuilt, test) == got
     assert got["bitmap"] == want["bitmap"] == (5 if scheme == "sparse" else 0)
     assert got["codewords"] == want["codewords"] / 120 and got["escapes"] == want["escapes"] / 120
     assert want["escapes"] > 0

@@ -99,6 +99,13 @@ CASES = [
      lambda w: sp.least_squares_packet(w.hm, [1e308, -1e308, 1e308, 0.0]), NumericError),
     ("l1l2_packet-x-overflow", lambda w: sp.l1l2_packet(w.hm, [1e306, 1e306, 0.0, 0.0], 5300.0),
      NumericError),
+    # G'Hx is finite, but the homotopy's correlations or its guess's products overflow
+    ("l1l2_packet-x-walk-overflow", lambda w: sp.l1l2_packet(
+        w.hm, [-2.080298527609867e301, -3.8139718820534613e301, -1.5458341521736942e302,
+               -3.050487858647962e302], 5300.0), NumericError),
+    ("l1l2_packet-x-guess-overflow", lambda w: sp.l1l2_packet(
+        w.hm, [8.034159875677701e301, 2.2521982253512977e301, -3.556907683998744e300,
+               -2.894290154106352e301], 5300.0, guess=np.ones(10)), NumericError),
     ("cost_quadratic-x-overflow",
      lambda w: sp.cost_quadratic(w.hm, np.zeros(10), [1e200, 0.0, 0.0, 0.0]), NumericError),
     # design inputs of the wrong shape or kind
@@ -107,6 +114,10 @@ CASES = [
     ("build_design-eta-string", lambda w: sp.build_design(w.m, eta="a"), ConfigError),
     ("build_design-delta-string", lambda w: sp.build_design(w.m, delta="a"), ConfigError),
     ("build_design-Q-string", lambda w: sp.build_design(w.m, Q="identity"), ConfigError),
+    # a reachable plant whose G'G passes the rank test but not Cholesky
+    ("build_design-GtG-not-factored",
+     lambda w: sp.build_design(sp.resolve_plant({"A": [[9.0]], "B": [5e-05]}), N=4, delta=1),
+     DesignInfeasibleError),
     ("solve_dare-Q-strings", lambda w: sp.solve_dare(w.m, [["a"] * 4] * 4), ConfigError),
     ("solve_dare-delta-string", lambda w: sp.solve_dare(w.m, np.eye(4), delta="a"), ConfigError),
     ("lq_gain-P-3x3", lambda w: sp.lq_gain(w.m, np.eye(3)), ConfigError),

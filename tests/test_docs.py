@@ -11,6 +11,8 @@ from sparseppc import sim
 from sparseppc.design import CostDesign
 from sparseppc.sim import SimConfig
 
+from .src_lines import code_lines
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -58,3 +60,10 @@ def test_readme_lists_the_public_names():
     public = [name for name in dir(sparseppc) if not name.startswith("_")
               and not inspect.ismodule(getattr(sparseppc, name))]
     assert sorted(names) == public
+
+
+def test_src_lines_counts_neither_blanks_comments_nor_docstrings():
+    # a two-line docstring, a comment, a blank line, and one line of code
+    # whose string holds a '#'
+    snippet = '"""Module\ndocstring."""\n# a comment\n\nx = """# not a comment"""\n'
+    assert len(snippet.splitlines()) == 5 and code_lines(snippet) == 1

@@ -1,5 +1,8 @@
 """Every CLI output of tests/golden.py's cases against the digests in tests/golden.json.
 
+meta.json is digested without its timing block, re-dumped, so each .json
+output's own bytes are also checked against json.dumps of its data.
+
 A PR that changes outputs on purpose rewrites the digests with
 `PYTHONPATH=src python -m tests.golden` and lists the moved files.
 """
@@ -43,6 +46,10 @@ def test_outputs_match_the_golden_digests(tmp_path, golden, case):
             elif got["files"][name]["sha256"] != want["files"][name]["sha256"]:
                 problems.append(f"{run}/{name} differs first at "
                                 f"{_first_moved_line(out / name, want['files'][name])}")
+        for path in sorted(out.glob("*.json")):
+            data = path.read_bytes()
+            if data != (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode():
+                problems.append(f"{run}/{path.name} is not json.dumps's text of its data")
     if problems and environment() != golden["environment"]:
         problems.append(f"golden.json was taken with {golden['environment']}, "
                         f"this run has {environment()}")
