@@ -89,8 +89,8 @@ def _solver_input(hm: HorizonMatrices, X, nu=None, name: str = None, guess=None)
     X, numbers of shape (n,) or (b, n) with b >= 1, becomes the float (b, n)
     block; shape is the packets', X.shape[:-1] + (N,). nu (the argument
     called name) is a finite positive number, returned as a float, or a
-    (b,) array of them; guess is None or numbers of the packets' shape,
-    returned as (b, N). Anything else raises ConfigError naming the
+    (b,) array of them; guess is None or finite numbers of the packets'
+    shape, returned as (b, N). Anything else raises ConfigError naming the
     argument, except a state that is not finite: NumericError.
     """
     X = number_array(X, "x")
@@ -115,6 +115,9 @@ def _solver_input(hm: HorizonMatrices, X, nu=None, name: str = None, guess=None)
         if guess.shape != shape:
             raise ConfigError(f"guess must have the packets' shape {shape}, got {guess.shape}")
         guess = guess.astype(float, copy=False).reshape(-1, hm.N)
+        bad = guess[~np.isfinite(guess)]
+        if bad.size:
+            raise ConfigError(f"guess must be finite, got {bad[0]}")
     return block, shape, nu, guess
 
 
@@ -462,15 +465,18 @@ def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = Non
     """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
 
     Row r of u depends on row r of X and nu1 alone; nu1 is one number or
-    a (b,) array, a value per row. guess, the loop's previous packets, is
-    None or shaped like u; a row of zeros is no guess.
+    a (b,) array, a value per row. guess is None or candidate packets
+    shaped like u, finite; only their signs are read, and a row of zeros
+    is no guess.
 
     On the active set S with signs s, u_S(lam) = (G'G)_SS^-1 (G'Hx_S -
     lam s) (Osborne, Presnell & Turlach 2000). A row with ||G'Hx||_inf <=
     nu1 gets the zero packet. A row's guess is tried first: that support
     and signs at lam = nu1, kept if every coefficient keeps its sign (an
     exact zero does not) and the KKT conditions hold (Ferreau, Bock & Diehl
-    2008); the minimizer is unique, so it is the walk's packet to the bit.
+    2008); the minimizer is unique, so it is the walk's packet to the bit,
+    unless a coefficient is so small that its support both with and
+    without it meets the KKT tolerance (seen at nu1 <= 5.3 on the aircraft).
     Any other row walks from u = 0 at lam = ||G'Hx||_inf down to nu1 (see
     _l1_walk). solver_iters is the block's total: per row 0 for the zero
     packet, 1 for a certified guess, else the walk's breakpoints, plus 1 if

@@ -201,8 +201,16 @@ def make_controller(cfg: SimConfig, setup: SimSetup, grid: list = None):
     this module at each call, where a tracer may wrap it. l2 and l1l2 get
     the run's one nu as a float, or each row's off the grid, so a packet
     depends on its state and its value alone. l1l2 keeps each row's last
-    packet, in a (rows, N) array, as that row's next warm start; a call
-    that raises keeps none.
+    packet, in a (rows, N) array; a call that raises keeps none. A row's
+    guess, a candidate packet of which l1l2_packet reads only the signs,
+    is the receding-horizon shift of that packet: entry i + 1 moves to i
+    and the last entry is 0, since the packet sent at step k + 1 mostly
+    carries on what the packet at step k planned for later steps (Mayne,
+    Rawlings, Rao & Scokaert 2000). Where the shift is all zero, the
+    guess is the last packet itself: a packet whose support is {0} tends
+    to repeat. A guess that l1l2_packet certifies is its walk's packet, so
+    the guess sets how many rows walk, not the packets, except where the
+    certificate accepts two supports (see l1l2_packet).
     """
     hm, W = setup.hm, setup.design.W
     name = cfg.controller
@@ -220,7 +228,12 @@ def make_controller(cfg: SimConfig, setup: SimSetup, grid: list = None):
     last = np.zeros((cfg.trials if values is None else values.size, hm.N))
 
     def l1l2(X, rows):
-        last[rows] = u = l1l2_packet(hm, X, nu(rows), guess=last[rows]).u
+        prev = last[rows]
+        guess = np.zeros_like(prev)
+        guess[:, :-1] = prev[:, 1:]
+        unshifted = ~guess.any(axis=1)
+        guess[unshifted] = prev[unshifted]
+        last[rows] = u = l1l2_packet(hm, X, nu(rows), guess=guess).u
         return u
 
     return l1l2

@@ -343,9 +343,9 @@ def _kkt_gap(u, c, nu1) -> float:
 def l1l2_reference(hm, x, nu1, guess=None):
     """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
 
-    A guess (the previous packet of the loop) with nonzeros is tried first:
-    its support and signs, solved at nu1 as the walk's last step would
-    solve them, give the packet when every coefficient keeps its guessed
+    A guess, any candidate packet, with nonzeros is tried first: only its
+    signs are read. Its support and signs, solved at nu1 as the walk's last
+    step would solve them, give the packet when every coefficient keeps its guessed
     sign (an exact zero does not) and the KKT conditions hold (Ferreau,
     Bock & Diehl 2008). The minimizer is unique, so a certified guess
     returns the packet the walk would. Otherwise the walk runs from
@@ -427,6 +427,20 @@ def l1l2_reference(hm, x, nu1, guess=None):
         raise SolverFailureError(f"lasso packet misses the KKT conditions by {worst:.3g}",
                                  residual=worst)
     return ControlPacket(u, iters + tried)
+
+
+def receding_guess(packet) -> np.ndarray:
+    """The l1l2 loop's guess from a row's last packet, one row at a time:
+    the packet shifted one step (entry i + 1 to i, a 0 last), or the packet
+    itself where that shift is all zero."""
+    packet = [float(v) for v in packet]
+    shifted = packet[1:] + [0.0]
+    return np.array(shifted if any(v != 0.0 for v in shifted) else packet)
+
+
+def receding_guesses(packets) -> np.ndarray:
+    """receding_guess of each row of a (rows, N) array of last packets."""
+    return np.array([receding_guess(p) for p in packets]).reshape(np.shape(packets))
 
 
 def sweep_reference(cfg, family, grid, match_perf=None):

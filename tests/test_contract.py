@@ -74,6 +74,11 @@ CASES = [
     ("l2_packet-nu-row-inf", lambda w: sp.l2_packet(w.hm, w.X, [310.0, INF, 310.0, 310.0, 310.0]),
      ConfigError),
     ("l1l2_packet-nu-inf", lambda w: sp.l1l2_packet(w.hm, w.x, INF), ConfigError),
+    # a guess that is not finite, which once was tried as a sign pattern and then walked
+    ("l1l2_packet-guess-nan", lambda w: sp.l1l2_packet(w.hm, w.x, 100.0, guess=[NAN] * 10),
+     ConfigError),
+    ("l1l2_packet-guess-row-inf", lambda w: sp.l1l2_packet(
+        w.hm, w.X, 100.0, guess=np.where(np.eye(5, 10) > 0, INF, 0.0)), ConfigError),
     # a state that is not finite, which once gave NaN or inf packets, or warned
     ("l2_packet-x-nan", lambda w: sp.l2_packet(w.hm, [NAN, 0.0, 0.0, 0.0], 310.0), NumericError),
     ("l2_packet-x-inf", lambda w: sp.l2_packet(w.hm, [INF, 0.0, 0.0, 0.0], 310.0), NumericError),

@@ -17,7 +17,7 @@ from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
 from .oracles import (exhaustive_reference, l1l2_reference, l2_reference,
                       lasso_kkt_violation, least_squares_reference, omp_node_reference,
-                      omp_reference, random_reachable, random_spd)
+                      omp_reference, random_reachable, random_spd, receding_guess)
 
 W_SCALE_HUGE = 1e6
 
@@ -758,7 +758,8 @@ def test_l1l2_closed_loop_packets_meet_kkt():
 
 def test_l1l2_warm_start_equals_the_cold_walk_bit_for_bit(monkeypatch):
     # every packet a 100 x 100 closed loop recorded, each solved with the
-    # trial's previous packet as its guess, against a solve with no guess;
+    # guess the loop made from the trial's previous packet, against a solve
+    # with no guess;
     # solver_iters tells a certified guess (1) from a miss (1 + the walk).
     # The loop solves a block of rows at a time, so each row's own count is
     # that of the row solved alone, and the block's is their total
@@ -794,8 +795,8 @@ def test_l1l2_warm_start_equals_the_cold_walk_bit_for_bit(monkeypatch):
 
 
 def test_l1l2_closed_loop_packets_equal_the_reference_solver():
-    # every state of l1 runs over the sweep grid, each solved with its
-    # trial's previous packet as the guess, as the loop solved it
+    # every state of l1 runs over the sweep grid, each solved with the
+    # receding_guess of its trial's previous packet, as the loop solved it
     cfg = SimConfig(trials=20, steps=100, seed=3, controller="l1l2")
     setup = build_setup(cfg)
     for nu1 in (1e2, 1e3, 5.3e3, 1e4):
@@ -808,7 +809,7 @@ def test_l1l2_closed_loop_packets_equal_the_reference_solver():
                 want = l1l2_reference(setup.hm, x, nu1, guess=guess)
                 assert np.array_equal(got.u, want.u) and np.array_equal(got.u, u)
                 assert got.solver_iters == want.solver_iters, (nu1, r.trial)
-                guess = u
+                guess = receding_guess(u)
     # each support's gathers are kept read-only, and a replaced horizon starts without them
     gathers = setup.hm._l1_gathers
     assert gathers and not any(a.flags.writeable for entry in gathers.values() for a in entry)

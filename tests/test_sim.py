@@ -22,8 +22,9 @@ from sparseppc.sim import (BITRATE_PLAN, CONTROLLERS, CSV_CHUNK_ROWS, NS_MAIN, N
                            sweep_columns, sweep_regularization, trace_columns, trajectory_columns,
                            trial_inputs, write_csv)
 
-from .oracles import (bitrate_reference, coded_rows, csv_reference,
-                      lyapunov_audit_reference, sweep_reference, write_csv_reference)
+from .oracles import (bitrate_reference, coded_rows, csv_reference, l1l2_reference,
+                      lyapunov_audit_reference, receding_guess, receding_guesses,
+                      sweep_reference, write_csv_reference)
 
 
 def _setup(**kw):
@@ -761,7 +762,8 @@ def test_a_failing_l1_row_on_a_grid_fails_alone(monkeypatch):
     # fails alone with its own error, and the other eight keep every field
     # of the clean run. The failed call changed no warm start: each retry
     # gets its row's guess from the failed call, and the next block gets
-    # each row's own last packet, the failed row's from before its failure
+    # each row's receding_guess of its own last packet, the failed row's
+    # from before its failure
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(controller="l1l2", trials=3, steps=20, seed=3)
@@ -795,8 +797,8 @@ def test_a_failing_l1_row_on_a_grid_fails_alone(monkeypatch):
     for r in range(9):
         assert [a.tobytes() for a in calls[k + 1 + r]] == [
             X[r:r + 1].tobytes(), nu1[r:r + 1].tobytes(), guess[r:r + 1].tobytes()]
-    assert np.array_equal(calls[k + 10][2][kept], clean.records.packets[kept, k])
-    assert np.array_equal(calls[k + 10][2][row], clean.records.packets[row, k - 1])
+    assert np.array_equal(calls[k + 10][2][kept], receding_guesses(clean.records.packets[kept, k]))
+    assert np.array_equal(calls[k + 10][2][row], receding_guess(clean.records.packets[row, k - 1]))
 
 
 def test_a_config_error_ends_an_l1_grid_run(monkeypatch):
@@ -820,8 +822,8 @@ def test_a_config_error_ends_an_l1_grid_run(monkeypatch):
 
 
 def test_l1_grid_rows_warm_start_from_their_own_packets(monkeypatch):
-    # each row of an l1 grid run is solved at its own value, with its own
-    # last packet as its guess (none at step 0)
+    # each row of an l1 grid run is solved at its own value, with the
+    # receding_guess of its own last packet as its guess (none at step 0)
     import sparseppc.sim as sim_mod
 
     cfg = SimConfig(controller="l1l2", trials=3, steps=20, seed=3)
@@ -833,7 +835,24 @@ def test_l1_grid_rows_warm_start_from_their_own_packets(monkeypatch):
     packets = rep.records.packets
     for k, (nu1, guess) in enumerate(calls):
         assert nu1.tolist() == [L1_GRID[r // 3] for r in range(9)]
-        assert np.array_equal(guess, packets[:, k - 1] if k else np.zeros_like(packets[:, 0]))
+        assert np.array_equal(
+            guess, receding_guesses(packets[:, k - 1]) if k else np.zeros_like(packets[:, 0]))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+def test_l1_grid_packets_are_the_cold_solves_of_their_states(sigma):
+    # a run of the sweep_l1l2 benchmark's shape: every packet the loop
+    # solved from a receding guess has the bytes of the reference solve of
+    # its state with no guess, so the guess changes no bit
+    noise = {"kind": "gaussian", "sigma": sigma} if sigma else {"kind": "none"}
+    cfg = SimConfig(controller="l1l2", trials=2, steps=100, seed=11, noise=noise)
+    setup = build_setup(cfg)
+    grid = [1e2, 1e3, 5.3e3, 1e4]
+    rep = monte_carlo(cfg, setup=setup, grid=grid)
+    assert not rep.failures
+    for r, point in zip(rep.records.rows(), rep.point.tolist(), strict=True):
+        for x, u in zip(r.states, r.packets, strict=True):
+            assert u.tobytes() == l1l2_reference(setup.hm, x, grid[point]).u.tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(SWEEP_KEYS))
