@@ -201,10 +201,10 @@ def make_controller(cfg: SimConfig, setup: SimSetup, grid: list = None):
     this module at each call, where a tracer may wrap it. l2 and l1l2 get
     the run's one nu as a float, or each row's off the grid, so a packet
     depends on its state and its value alone. l1l2 keeps each row's last
-    packet, in a (rows, N) array; a call that raises keeps none. A row's
-    guess, a candidate packet of which l1l2_packet reads only the signs,
-    is the receding-horizon shift of that packet: entry i + 1 moves to i
-    and the last entry is 0, since the packet sent at step k + 1 mostly
+    packet; a call that raises keeps none. A row's guess, a candidate
+    packet of which l1l2_packet reads only the signs, is the
+    receding-horizon shift of that packet: entry i + 1 moves to i and the
+    last entry is 0, since the packet sent at step k + 1 mostly
     carries on what the packet at step k planned for later steps (Mayne,
     Rawlings, Rao & Scokaert 2000). Where the shift is all zero, the
     guess is the last packet itself: a packet whose support is {0} tends
@@ -225,15 +225,14 @@ def make_controller(cfg: SimConfig, setup: SimSetup, grid: list = None):
                 "oracle": lambda X, rows: exhaustive_l0_packet(hm, W, X).u,
                 "least_squares": lambda X, rows: least_squares_packet(hm, X).u,
                 "l2": lambda X, rows: l2_packet(hm, X, nu(rows)).u}[name]
-    last = np.zeros((cfg.trials if values is None else values.size, hm.N))
+    # each row's last packet, then a 0, so that last[r, 1:] is its shift
+    last = np.zeros((cfg.trials if values is None else values.size, hm.N + 1))
 
     def l1l2(X, rows):
         prev = last[rows]
-        guess = np.zeros_like(prev)
-        guess[:, :-1] = prev[:, 1:]
-        unshifted = ~guess.any(axis=1)
-        guess[unshifted] = prev[unshifted]
-        last[rows] = u = l1l2_packet(hm, X, nu(rows), guess=guess).u
+        shift = prev[:, 1:]
+        guess = np.where(shift.any(axis=1, keepdims=True), shift, prev[:, :-1])
+        last[rows, :-1] = u = l1l2_packet(hm, X, nu(rows), guess=guess).u
         return u
 
     return l1l2
