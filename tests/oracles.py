@@ -343,12 +343,13 @@ def _kkt_gap(u, c, nu1) -> float:
 def l1l2_reference(hm, x, nu1, guess=None):
     """Exact minimizer of nu1 ||u||_1 + 0.5 ||G u - H x||^2 by the lasso homotopy.
 
-    A guess, any candidate packet, with nonzeros is tried first: only its
-    signs are read. Its support and signs, solved at nu1 as the walk's last
-    step would solve them, give the packet when every coefficient keeps its guessed
-    sign (an exact zero does not) and the KKT conditions hold (Ferreau,
-    Bock & Diehl 2008). The minimizer is unique, so a certified guess
-    returns the packet the walk would. Otherwise the walk runs from
+    A guess, any candidate packet, with nonzeros is tried first; only its
+    signs are read. Its support and signs, solved at nu1 as the walk's
+    last step would solve them, give the packet when every coefficient
+    keeps its guessed sign (an exact zero does not) and the KKT conditions
+    hold (Ferreau, Bock & Diehl 2008). The minimizer is unique, so a
+    certified guess returns the packet the walk would, unless a coefficient
+    is within the KKT tolerance of 0. Otherwise the walk runs from
     scratch: it takes lam from ||G'Hx||_inf (u = 0) down to nu1 (Osborne,
     Presnell & Turlach 2000). On the active set S with signs s, u_S(lam) =
     (G'G)_SS^-1 (G'Hx_S - lam s). A breakpoint is where an inactive
