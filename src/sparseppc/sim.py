@@ -204,12 +204,12 @@ def make_controller(cfg: SimConfig, setup: SimSetup, grid: list = None):
     packet; a call that raises keeps none. A row's guess, a candidate
     packet of which l1l2_packet reads only the signs, is the
     receding-horizon shift of that packet: entry i + 1 moves to i and the
-    last entry is 0, since the packet sent at step k + 1 mostly
-    carries on what the packet at step k planned for later steps (Mayne,
-    Rawlings, Rao & Scokaert 2000). Where the shift is all zero, the
-    guess is the last packet itself: a packet whose support is {0} tends
-    to repeat. A guess that l1l2_packet certifies is its walk's packet, so
-    the guess sets how many rows walk, not the packets, except where the
+    last entry is 0, since the packet sent at step k + 1 mostly carries
+    on what the packet at step k planned for later steps (Mayne, Rawlings,
+    Rao & Scokaert 2000). Where the shift is all zero, the guess is the
+    last packet itself: a packet whose support is {0} tends to repeat. A
+    guess that l1l2_packet certifies is its walk's packet, so the guess
+    sets how many rows walk, not the packets, except where the
     certificate accepts two supports (see l1l2_packet).
     """
     hm, W = setup.hm, setup.design.W
