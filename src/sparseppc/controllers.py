@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError, FeasibilityError, NumericError, SolverFailureError
 from .horizon import HorizonMatrices, cost_quadratic
 from .linalg import number_array, shown, square_matrix
-from .plant import _frozen
 
 # Feasibility comparisons inflate the budget by this relative slack so that
 # strict float inequalities do not flap at the boundary.
@@ -139,21 +138,61 @@ def _support_lsq(G: np.ndarray, support, b: np.ndarray):
     return coef, Gs
 
 
+def _columns(mask: int) -> np.ndarray:
+    """The columns of the support with bitmask mask (a Python int, any N), ascending."""
+    return np.array([j for j in range(mask.bit_length()) if mask >> j & 1], dtype=np.intp)
+
+
+class SupportNodes:
+    """OMP's table of support nodes on one horizon, kept in hm._cache["omp"].
+
+    Node i is one support S: its bitmask masks[i], a Python int that gives
+    S's columns and size, and index[masks[i]] = i, through which a walk
+    steps from S to S + {j}. Nodes come in the order solves built them.
+    With E = H - G K, so that r = E x is the least-squares residual on S
+    (see _support_node), C[i] = G'E gives the correlations G'r = C[i] x
+    and M[i] = E'E the norm ||r||^2 = x'M[i] x; w[i] is col_norm_sq with
+    +inf on S, so every node's scores are (C[i] x)^2 / w[i], zero on S.
+    K[i], read-only, maps x to the packet on S, zero off it. C, M and w
+    are stacked over the nodes and grow by doubling, so the first P nodes
+    are one (P, N, n), one (P, n, n) and one (P, N) block.
+    """
+
+    def __init__(self, N: int, n: int):
+        self.index, self.masks, self.K = {}, [], []
+        self.C, self.M, self.w = np.empty((8, N, n)), np.empty((8, n, n)), np.empty((8, N))
+
+    def add(self, mask: int, cols: np.ndarray, C, M, K, col_norm_sq) -> int:
+        """Append the node of mask, whose columns are cols, and return its index."""
+        i = len(self.masks)
+        if i == len(self.w):
+            self.C, self.M, self.w = (np.concatenate((a, np.empty_like(a)))
+                                      for a in (self.C, self.M, self.w))
+        self.C[i], self.M[i], self.w[i] = C, M, col_norm_sq
+        self.w[i, cols] = np.inf
+        self.index[mask] = i
+        self.masks.append(mask)
+        self.K.append(K)
+        return i
+
+
 def _support_node(hm: HorizonMatrices, mask: int, j: int = None) -> int:
-    """Index of the support with bitmask mask in hm._omp_nodes, built once.
+    """Index of the support with bitmask mask in hm's SupportNodes, built once.
 
     The node's K maps x to the least-squares packet on the support, from
-    one QR of G[:, cols]; with E = H - G K it stores C = G'E and M = E'E
-    (see SupportNodes). A node depends on G, H and the support only,
+    one QR of G[:, cols] (see _support_lsq), and is made read-only in place;
+    with E = H - G K the table stacks C = G'E, M = E'E and w, whose +inf it
+    writes into its own row. A node depends on G, H and the support only,
     whichever solve builds it, and a failed build adds nothing. j, the
     column an OMP pick just added, names the failure.
     """
-    nodes = hm._omp_nodes
+    nodes = hm._cache.get("omp")
+    if nodes is None:
+        nodes = hm._cache["omp"] = SupportNodes(hm.N, hm.n)
     i = nodes.index.get(mask)
     if i is not None:
         return i
-    cols = np.array([i for i in range(hm.N) if mask >> i & 1], dtype=np.intp)
-    cols.setflags(write=False)
+    cols = _columns(mask)
     K = np.zeros((hm.N, hm.n))
     E = hm.H
     if cols.size:
@@ -168,9 +207,8 @@ def _support_node(hm: HorizonMatrices, mask: int, j: int = None) -> int:
                                      f"on the support {cols.tolist()}")
         K[cols] = coef
         E = hm.H - Gs @ coef
-    w = hm.col_norm_sq.copy()
-    w[cols] = np.inf
-    return nodes.add(mask, hm.G.T @ E, E.T @ E, w, _frozen(K), cols)
+    K.setflags(write=False)
+    return nodes.add(mask, cols, hm.G.T @ E, E.T @ E, K, hm.col_norm_sq)
 
 
 def _node_products(nodes, P: int, X: np.ndarray):
@@ -205,25 +243,26 @@ def omp_packet(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> ControlPack
     shapes). solver_iters is the block's total of picks, the sum of each
     packet's support size.
 
-    Each walk goes down hm._omp_nodes (see SupportNodes) from the empty
-    support: at node S, with least-squares residual r on S, G'r = C x and
-    ||r||^2 = x'M x, and r is never formed. While x'M x exceeds the budget
-    x'Wx, pick the unselected column with the largest (C x)_j^2 / ||g_j||^2
-    (smallest index on ties), the column whose single-column fit to r
-    leaves the smallest error, and step to the child node S + {j}, built
-    by the first solve on hm that reaches it. The packet is K x.
+    Each walk goes down hm's SupportNodes table from the empty support: at
+    node S, with least-squares residual r on S, G'r = C x and ||r||^2 =
+    x'M x, and r is never formed. While x'M x exceeds the budget x'Wx, pick
+    the unselected column with the largest (C x)_j^2 / ||g_j||^2 (smallest
+    index on ties), the column whose single-column fit to r leaves the
+    smallest error, and step to the node of S + {j}, found in the table's
+    index or built by the first solve on hm that reaches it. The packet is
+    K x.
 
     One budget_for call and one product over the first OMP_PREFIX nodes of
     the table, for every row at once, give each row its budget and each of
     those nodes its norm and scores (see _node_products), bit for bit as
     their own products would, so the walks through them are Python only
     (Batch-OMP: Rubinstein, Zibulevsky & Elad, Technion CS-2008-08). A node
-    past them, or one built during this call, gets its own products. The
-    table's +inf weights score S zero; a pick that still lands on S (every
-    score is 0, or a NaN) is taken again with S at -inf, so every pick is
-    the one the masked scores give. For budgets built by the design
-    procedure the full-support residual is strictly below the budget, so
-    the walk ends for every x. A budget, norm or score that is not finite
+    past them, or one built during this call, gets its own products. Every
+    node's scores are (C x)^2 / w, whose +inf weights score S zero; a pick
+    that still lands on S (every score is 0, or a NaN) is taken again with
+    S at -inf, so every pick is the one the masked scores give. For
+    budgets built by the design procedure the full-support residual is
+    strictly below the budget, so the walk ends for every x. A budget, norm or score that is not finite
     (an overflow of a finite state) is never compared: the block is walked
     again row by row, and a row whose own walk overflows is solved at a
     power-of-two scale (see _omp_scaled_rows). Otherwise the first row
@@ -275,10 +314,10 @@ def _omp_walks(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> tuple:
 
     Raises NumericError on the first budget, norm or score that is not finite.
     """
-    nodes = hm._omp_nodes
     budgets = budget_for(W, X)
     root = _support_node(hm, 0)
-    P = min(nodes.count, OMP_PREFIX)
+    nodes = hm._cache["omp"]
+    P = min(len(nodes.masks), OMP_PREFIX)
     c, q = _node_products(nodes, P, X)
     scores = c * c / nodes.w[:P]
     _finite(q, "x'Mx")
@@ -286,32 +325,34 @@ def _omp_walks(hm: HorizonMatrices, W: np.ndarray, X: np.ndarray) -> tuple:
         raise NumericError(SCORE_OVERFLOW)
     go_rows = (q > budgets[:, None]).tolist()
     pick_rows = scores.argmax(axis=2).tolist()
-    ends = []
+    full, ends = (1 << hm.N) - 1, []
     # ndarray.dot and .argmax: on arrays this small, call overhead is the cost
     for x, budget, go, picks in zip(X, budgets.tolist(), go_rows, pick_rows):
         i = root
         while go[i] if i < P else _finite(float(x.dot(nodes.M[i].dot(x))), "x'Mx") > budget:
-            cols = nodes.cols[i]
-            if cols.size == hm.N:
+            mask = nodes.masks[i]
+            if mask == full:
                 raise FeasibilityError(
                     "all columns selected but the residual still exceeds the budget",
                     residual_sq=float(x.dot(nodes.M[i].dot(x))), budget=budget)
-            if i >= P or nodes.masks[i] >> picks[i] & 1:
-                ci = nodes.C[i].dot(x)
-                score = ci * ci / hm.col_norm_sq
-                score[cols] = -np.inf
+            if i < P and not mask >> picks[i] & 1:
+                j = picks[i]
+            else:
+                c = nodes.C[i].dot(x)
+                score = c * c / nodes.w[i]
                 j = int(score.argmax())
+                if mask >> j & 1:    # every score is 0, or the first NaN is on S
+                    score[_columns(mask)] = -np.inf
+                    j = int(score.argmax())
                 if score[j] == np.inf:    # the largest, or the first NaN
                     raise NumericError(SCORE_OVERFLOW)
-            else:
-                j = picks[i]
-            k = nodes.child[i][j]
-            if k < 0:
-                k = nodes.child[i][j] = _support_node(hm, nodes.masks[i] | 1 << j, j)
-            i = k
+            mask |= 1 << j
+            i = nodes.index.get(mask)
+            if i is None:
+                i = _support_node(hm, mask, j)
         ends.append(i)
     u = np.array([nodes.K[i].dot(x) for i, x in zip(ends, X)])
-    return u, sum(nodes.cols[i].size for i in ends)
+    return u, sum(nodes.masks[i].bit_count() for i in ends)
 
 
 @_QUIET
@@ -393,25 +434,27 @@ def _finite_products(A: np.ndarray, X: np.ndarray, name: str) -> np.ndarray:
 def least_squares_packet(hm: HorizonMatrices, X: np.ndarray) -> ControlPacket:
     """Unconstrained minimizer of ||G u - H x||^2 (generically dense).
 
-    It is the least-squares packet K x of the full-support node of the
-    OMP table (see _support_node); build_horizon has already refused a G
-    without full column rank. A K x that overflows raises NumericError.
+    It is the least-squares packet K x of the full-support node of hm's
+    SupportNodes table (see _support_node); build_horizon has already
+    refused a G without full column rank. A K x that overflows raises
+    NumericError.
     """
     X, shape, _, _ = _solver_input(hm, X)
-    K = hm._omp_nodes.K[_support_node(hm, (1 << hm.N) - 1)]
-    return ControlPacket(_finite_products(K, X, "K x").reshape(shape), 1)
+    i = _support_node(hm, (1 << hm.N) - 1)
+    return ControlPacket(_finite_products(hm._cache["omp"].K[i], X, "K x").reshape(shape), 1)
 
 
 def _l2_gain(hm: HorizonMatrices, nu2: float) -> np.ndarray:
-    """K = (nu2 I + G'G)^-1 G'H, kept read-only in hm._l2_gains; a failed build keeps none."""
-    K = hm._l2_gains.get(nu2)
+    """K = (nu2 I + G'G)^-1 G'H, kept read-only in hm._cache["l2"]; a failed build keeps none."""
+    gains = hm._cache.setdefault("l2", {})
+    K = gains.get(nu2)
     if K is None:
         try:
             K = np.linalg.solve(nu2 * np.eye(hm.N) + hm.GtG, hm.GtH)
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(f"nu2 I + G'G solve failed: {exc}") from exc
         K.setflags(write=False)
-        hm._l2_gains[nu2] = K
+        gains[nu2] = K
     return K
 
 
@@ -420,17 +463,22 @@ def l2_packet(hm: HorizonMatrices, X: np.ndarray, nu2) -> ControlPacket:
 
     With one number nu2 every row is K x; with a (b,) array, a value per
     row, row r is K_r x_r with its own value's gain, taken once per distinct
-    value. One stacked product makes, row by row, the call of K x alone, so
-    each row has the bits of its own one-value solve. A K x that overflows
-    raises NumericError.
+    value that a nonzero row holds. A zero row gets the zero packet, the
+    bits of K 0, and needs no gain, so a resting row's value builds and
+    reads none. One stacked product makes, row by row, the call of K x
+    alone, so each row has the bits of its own one-value solve. A K x that
+    overflows raises NumericError.
     """
     X, shape, nu, _ = _solver_input(hm, X, nu2, "nu2")
-    if np.ndim(nu):
-        values, at = np.unique(nu, return_inverse=True)
-        K = np.array([_l2_gain(hm, v) for v in values.tolist()])[at]
-    else:
-        K = _l2_gain(hm, nu)
-    return ControlPacket(_finite_products(K, X, "K x").reshape(shape), 1)
+    if not np.ndim(nu):
+        return ControlPacket(_finite_products(_l2_gain(hm, nu), X, "K x").reshape(shape), 1)
+    live = X.any(axis=1)
+    values, at = np.unique(nu[live], return_inverse=True)
+    u = np.zeros((len(X), hm.N))
+    if values.size:
+        K = np.array([_l2_gain(hm, v) for v in values.tolist()])
+        u[live] = _finite_products(K[at], X[live], "K x")
+    return ControlPacket(u.reshape(shape), 1)
 
 
 SIDES = np.array([[1.0], [-1.0]])     # join ratio rows: c_j reaches +lam, then -lam
@@ -440,12 +488,13 @@ def _l1_gathers(hm: HorizonMatrices, mask: int) -> tuple:
     """Read-only (S, (G'G)_SS, G_S, (G'G)_:S) of the support with bitmask mask.
 
     S is ascending, and each gather is the array indexing gives, layout
-    included, so products keep their bits. Kept in hm._l1_gathers.
+    included, so products keep their bits. Kept in hm._cache["l1"] by mask.
     """
-    ops = hm._l1_gathers.get(mask)
+    gathers = hm._cache.setdefault("l1", {})
+    ops = gathers.get(mask)
     if ops is None:
-        S = np.array([i for i in range(hm.N) if mask >> i & 1], dtype=np.intp)
-        ops = hm._l1_gathers[mask] = (S, hm.GtG[S[:, None], S], hm.G[:, S], hm.GtG[:, S])
+        S = _columns(mask)
+        ops = gathers[mask] = (S, hm.GtG[S[:, None], S], hm.G[:, S], hm.GtG[:, S])
         for a in ops:
             a.setflags(write=False)
     return ops

@@ -15,70 +15,16 @@ from .linalg import check_sym_pd, int_setting, number_array, numerical_rank, sym
 from .plant import PlantModel, _frozen, impulse_response
 
 
-class SupportNodes:
-    """OMP's table of support nodes, in the order solves discovered them.
-
-    Node i is one support S, the bitmask masks[i], with the operators of
-    its least-squares residual r = E x, E = H - G K (see
-    controllers._support_node): C[i] = G'E gives the correlations G'r =
-    C[i] x, M[i] = E'E the norm ||r||^2 = x'M[i] x, and w[i] is
-    col_norm_sq with +inf on S, so that (C[i] x)^2 / w[i] scores the
-    columns of S zero. K[i] (N x n, zero rows off S) maps x to the packet
-    on S and cols[i] lists S in increasing order; both are read-only.
-    child[i][j] is the node of S + {j}, or -1 until a solve has stepped
-    from node i to it, and index maps a mask to its node. C, M and w are
-    stacked over the nodes and grow by doubling, so the first P nodes are
-    one (P, N, n), one (P, n, n) and one (P, N) block.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self.index = {}
-        self.masks = []
-        self.K = []
-        self.cols = []
-        self.child = []
-        self.C = self.M = self.w = None
-
-    def add(self, mask: int, C, M, w, K, cols) -> int:
-        """Append the node of mask and return its index."""
-        i = self.count
-        if self.C is None or i == len(self.C):
-            self.C, self.M, self.w = (_doubled(self.C, C), _doubled(self.M, M),
-                                      _doubled(self.w, w))
-        self.C[i], self.M[i], self.w[i] = C, M, w
-        self.index[mask] = i
-        self.masks.append(mask)
-        self.K.append(K)
-        self.cols.append(cols)
-        self.child.append([-1] * len(w))
-        self.count = i + 1
-        return i
-
-
-def _doubled(a, row: np.ndarray) -> np.ndarray:
-    """A copy of the stacked rows a with room for as many again (8 when a is None)."""
-    out = np.empty((2 * len(a) if a is not None else 8, *row.shape))
-    if a is not None:
-        out[:len(a)] = a
-    return out
-
-
 @dataclass(frozen=True)
 class HorizonMatrices:
     """Prediction operators for one (plant, Q, P, N) combination.
 
     GtG, GtH and col_norm_sq are cached products the packet solvers read
-    at every solve. Three caches start empty and fill as solves need them,
-    at most one entry per support (2^N) or per nu2: _omp_nodes is the
-    support-node table that omp_packet walks and whose full-support K
-    least_squares_packet applies (see SupportNodes; its stacked arrays
-    only grow, and each node's K and cols are read-only), _l1_gathers the
-    read-only per-support gathers of G'G and G that l1l2_packet solves
-    with (see controllers._l1_gathers), and _l2_gains the read-only gain
-    of l2_packet per nu2 (see controllers.l2_packet). dataclasses.replace
-    starts all three anew, empty. None of these carries information beyond
-    G, H and nu2.
+    at every solve. _cache, empty until a solve fills it, holds the
+    solvers' own caches, each entry a function of G, H and a support or
+    nu2 alone: OMP's support-node table, the l1 gathers and the l2 gains.
+    Only the controllers module reads it, and dataclasses.replace starts
+    it empty.
     """
 
     N: int
@@ -89,10 +35,7 @@ class HorizonMatrices:
     GtG: np.ndarray
     GtH: np.ndarray
     col_norm_sq: np.ndarray
-    _omp_nodes: SupportNodes = field(default_factory=SupportNodes, init=False,
-                                     compare=False, repr=False)
-    _l1_gathers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _l2_gains: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def build_horizon(m: PlantModel, Q: np.ndarray, P: np.ndarray, N: int) -> HorizonMatrices:

@@ -245,7 +245,8 @@ def test_no_l2_gain_kept_is_not_finite(w):
             sp.l2_packet(w.hm, w.X, nu)
     sp.l2_packet(w.hm, w.X, 1e-300)
     sp.l2_packet(w.hm, w.X, 1e300)
-    assert w.hm._l2_gains and all(np.isfinite(K).all() for K in w.hm._l2_gains.values())
+    gains = w.hm._cache["l2"]
+    assert gains and all(np.isfinite(K).all() for K in gains.values())
 
 
 # every solver as solve(hm, W, X, nu); nu reaches the solvers that take it
@@ -311,7 +312,7 @@ def test_nu_is_one_finite_positive_number_or_one_per_row(cessna_horizon, name, n
         else:
             with pytest.raises(ConfigError):
                 SOLVERS[name](cessna_horizon, None, X, nu)
-    assert all(np.isfinite(K).all() for K in cessna_horizon._l2_gains.values())
+    assert all(np.isfinite(K).all() for K in cessna_horizon._cache.get("l2", {}).values())
 
 
 # an int setting that is not an int in its range; no valid int is drawn, so

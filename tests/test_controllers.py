@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.controllers import (FEASIBILITY_SLACK, OMP_PREFIX, ORACLE_CAP, ControlPacket,
-                                   _l1_gathers, _node_products, _row_products, _support_lsq,
-                                   _support_node, budget_for)
+                                   SupportNodes, _columns, _l1_gathers, _node_products,
+                                   _row_products, _support_lsq, _support_node, budget_for)
 from sparseppc.errors import ConfigError, FeasibilityError, NumericError, SolverFailureError
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
@@ -254,6 +254,11 @@ def test_exhaustive_block_equals_its_rows_own_searches(cessna_design, cessna_hor
         sp.exhaustive_l0_packet(hm, d.W, np.array([X[1], [np.nan, 0.0, 0.0, 0.0]]))
 
 
+def _nodes(hm):
+    """hm's OMP support-node table, or an empty one if no solve has made it."""
+    return hm._cache.get("omp", SupportNodes(hm.N, hm.n))
+
+
 def _assert_walk_bits(hm, W, x, ops=None):
     """omp_packet's packet and solver_iters are the per-node walk's, bit for bit."""
     pkt = sp.omp_packet(hm, W, x)
@@ -300,7 +305,7 @@ def test_omp_equals_the_per_node_walk(cessna_design, cessna_horizon, noise):
     hm, ops = replace(cessna_horizon), {}
     for x in _closed_loop_states(trials=100, noise=noise):
         _assert_walk_bits(hm, cessna_design.W, x, ops)
-    assert hm._omp_nodes.count > OMP_PREFIX
+    assert len(_nodes(hm).masks) > OMP_PREFIX
 
 
 def test_omp_equals_the_per_node_walk_past_the_prefix(cessna):
@@ -312,8 +317,8 @@ def test_omp_equals_the_per_node_walk_past_the_prefix(cessna):
     for x in _closed_loop_states(N=30, trials=10):
         pkt = _assert_walk_bits(hm, d.W, x, ops)
         mask = sum(1 << int(j) for j in np.flatnonzero(pkt.u))
-        past += hm._omp_nodes.index[mask] >= OMP_PREFIX
-    assert hm._omp_nodes.count > 4 * OMP_PREFIX and past > 100
+        past += _nodes(hm).index[mask] >= OMP_PREFIX
+    assert len(_nodes(hm).masks) > 4 * OMP_PREFIX and past > 100
 
 
 def test_omp_all_zero_scores_pick_the_smallest_unselected_column(cessna_horizon):
@@ -321,25 +326,27 @@ def test_omp_all_zero_scores_pick_the_smallest_unselected_column(cessna_horizon)
     # residual e_N is orthogonal to every column, so every score is exactly
     # 0, selected ones included, and the walk must go on in index order
     # until the full support still misses the zero budget; the first solve
-    # builds the nodes, the second walks them all inside the prefix
-    N, rows = cessna_horizon.N, cessna_horizon.G.shape[0]
-    G, H = np.eye(rows, N), np.zeros((rows, 4))
-    H[0, 0], H[N, 0] = 2.0, 1.0
-    hm = replace(cessna_horizon, G=G, H=H, col_norm_sq=np.ones(N))
+    # builds the nodes, the second walks them again: at N = 10 all inside
+    # the prefix, at N = 30 the last N + 1 - OMP_PREFIX of them past it
     x, W = np.eye(4)[0], np.zeros((4, 4))
-    for solve in (sp.omp_packet, sp.omp_packet, omp_node_reference):
-        with pytest.raises(FeasibilityError) as err:
-            solve(hm, W, x)
-        assert err.value.residual_sq == 1.0
-    assert hm._omp_nodes.masks == [(1 << k) - 1 for k in range(N + 1)]
+    for N in (10, 30):
+        G, H = np.eye(4 * N, N), np.zeros((4 * N, 4))
+        H[0, 0], H[N, 0] = 2.0, 1.0
+        hm = replace(cessna_horizon, N=N, G=G, H=H, col_norm_sq=np.ones(N))
+        for solve in (sp.omp_packet, sp.omp_packet, omp_node_reference):
+            with pytest.raises(FeasibilityError) as err:
+                solve(hm, W, x)
+            assert err.value.residual_sq == 1.0
+        assert _nodes(hm).masks == [(1 << k) - 1 for k in range(N + 1)]
+        assert (len(_nodes(hm).masks) > OMP_PREFIX) == (N == 30)
 
 
 def _node_table(hm, rng, count):
     """hm's table with the empty support and count - 1 random ones."""
     _support_node(hm, 0)
-    while hm._omp_nodes.count < count:
+    while len(_nodes(hm).masks) < count:
         _support_node(hm, int(rng.integers(1, 2**hm.N)))
-    return hm._omp_nodes
+    return _nodes(hm)
 
 
 def test_node_products_equal_each_nodes_own_products(cessna_design, cessna_horizon, rng):
@@ -351,23 +358,24 @@ def test_node_products_equal_each_nodes_own_products(cessna_design, cessna_horiz
     hm = replace(cessna_horizon)
     states = _closed_loop_states(trials=5)
     sp.omp_packet(hm, cessna_design.W, states)
-    tables = [(hm._omp_nodes, cessna_design.W, states)]
+    tables = [(_nodes(hm), cessna_design.W, states)]
     for n in (9, 12):
         m = random_reachable(rng, n, n)
         tables.append((_node_table(sp.build_horizon(m, np.eye(n), np.eye(n), 10), rng, 60),
                        random_spd(rng, n),
                        rng.standard_normal((100, n)) * 10.0 ** rng.uniform(-3, 3, (100, 1))))
     for nodes, W, X in tables:
-        assert nodes.count > OMP_PREFIX
+        count = len(nodes.masks)
+        assert count > OMP_PREFIX
         for B in (1, 5, 50):
             for block in np.array_split(X, -(-len(X) // B)):
                 budgets = budget_for(W, block)
-                c, q = _node_products(nodes, nodes.count, block)
-                assert c.shape == (len(block), nodes.count, nodes.C.shape[1])
+                c, q = _node_products(nodes, count, block)
+                assert c.shape == (len(block), count, nodes.C.shape[1])
                 assert budgets.shape == (len(block),) and q.shape == c.shape[:2]
                 for r, x in enumerate(block):
                     assert budgets[r].tobytes() == (x @ W @ x).tobytes()
-                    for i in range(nodes.count):
+                    for i in range(count):
                         assert c[r, i].tobytes() == nodes.C[i].dot(x).tobytes()
                         assert q[r, i].tobytes() == x.dot(nodes.M[i].dot(x)).tobytes()
 
@@ -406,12 +414,12 @@ def test_omp_block_equals_the_per_node_walk(cessna, cessna_design, cessna_horizo
         W = E.T @ E + 1e-3 * (hm.H.T @ hm.H - E.T @ E)
         X = rng.standard_normal((100, n)) * 10.0 ** rng.uniform(-3, 3, (100, 1))
         _assert_block_bits(hm, W, X, B, {})
-        assert hm._omp_nodes.count > OMP_PREFIX
+        assert len(_nodes(hm).masks) > OMP_PREFIX
     d = sp.build_design(cessna, N=30)
     hm = sp.build_horizon(cessna, d.Q, d.P, d.N)
     packets = _assert_block_bits(hm, d.W, _closed_loop_states(N=30, trials=3), B, {})
-    ends = [hm._omp_nodes.index[sum(1 << int(j) for j in np.flatnonzero(u))] for u in packets]
-    assert hm._omp_nodes.count > 4 * OMP_PREFIX and sum(i >= OMP_PREFIX for i in ends) > 30
+    ends = [_nodes(hm).index[sum(1 << int(j) for j in np.flatnonzero(u))] for u in packets]
+    assert len(_nodes(hm).masks) > 4 * OMP_PREFIX and sum(i >= OMP_PREFIX for i in ends) > 30
 
 
 def _with_bad_column(hm, value):
@@ -427,7 +435,7 @@ def test_omp_degenerate_column_raises_solver_failure(cessna_design, cessna_horiz
     hm = _with_bad_column(cessna_horizon, value)
     with np.errstate(invalid="ignore"), pytest.raises(SolverFailureError, match="column 0"):
         sp.omp_packet(hm, cessna_design.W, rng.standard_normal(4))
-    assert hm._omp_nodes.masks == [0] and hm._omp_nodes.child == [[-1] * hm.N]
+    assert _nodes(hm).masks == [0] and _nodes(hm).index == {0: 0}
 
 
 def test_omp_failed_support_solve_raises_solver_failure(cessna_design, cessna_horizon, rng,
@@ -442,10 +450,10 @@ def test_omp_failed_support_solve_raises_solver_failure(cessna_design, cessna_ho
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SolverFailureError, match="support solve failed"):
         sp.omp_packet(hm, d.W, x)
-    # a failed build adds no node and no link: only the empty support,
-    # which needs no solve, is kept, and the horizon then solves as an
-    # untouched one does
-    assert hm._omp_nodes.masks == [0] and hm._omp_nodes.child == [[-1] * hm.N]
+    # a failed build adds no node and no index entry: only the empty
+    # support, which needs no solve, is kept, and the horizon then solves as
+    # an untouched one does
+    assert _nodes(hm).masks == [0] and _nodes(hm).index == {0: 0}
     monkeypatch.setattr(np.linalg, "solve", real)
     got = sp.omp_packet(hm, d.W, x)
     want = sp.omp_packet(replace(cessna_horizon), d.W, x)
@@ -456,7 +464,7 @@ def test_omp_packet_does_not_depend_on_cache_history(cessna_design, cessna_horiz
     # a cold horizon builds each support from the state in hand; a warm one
     # reuses operators that earlier states built; the packets are the same
     d, warm = cessna_design, replace(cessna_horizon)
-    assert warm._omp_nodes.count == 0
+    assert warm._cache == {}
     for _ in range(300):
         sp.omp_packet(warm, d.W, rng.standard_normal(4) * 10.0 ** rng.uniform(-2.0, 0.5))
     for _ in range(50):
@@ -464,12 +472,46 @@ def test_omp_packet_does_not_depend_on_cache_history(cessna_design, cessna_horiz
         cold = sp.omp_packet(replace(cessna_horizon), d.W, x)
         hot = sp.omp_packet(warm, d.W, x)
         assert np.array_equal(cold.u, hot.u) and cold.solver_iters == hot.solver_iters
-    nodes = warm._omp_nodes
-    assert 1 < nodes.count <= 2**warm.N
-    assert sorted(nodes.index.values()) == list(range(nodes.count))
+    assert 1 < len(_nodes(warm).masks) <= 2**warm.N
+    _assert_table_layout(warm)
+    assert replace(warm)._cache == {}
+
+
+def _assert_table_layout(hm):
+    """hm's table: index and masks are inverses, w[i] is col_norm_sq with
+    +inf exactly on mask i's bits, and every K is read-only and zero off
+    them."""
+    nodes = _nodes(hm)
+    assert sorted(nodes.index.values()) == list(range(len(nodes.masks)))
     assert all(nodes.masks[i] == mask for mask, i in nodes.index.items())
-    assert not any(a.flags.writeable for a in nodes.K + nodes.cols)
-    assert replace(warm)._omp_nodes.count == 0
+    assert all(nodes.index[mask] == i for i, mask in enumerate(nodes.masks))
+    assert len(nodes.K) == len(nodes.masks) <= len(nodes.C) == len(nodes.M) == len(nodes.w)
+    for i, mask in enumerate(nodes.masks):
+        on = np.array([mask >> j & 1 for j in range(hm.N)], dtype=bool)
+        assert np.array_equal(_columns(mask), np.flatnonzero(on))
+        assert nodes.w[i].tobytes() == np.where(on, np.inf, hm.col_norm_sq).tobytes()
+        assert not nodes.K[i].flags.writeable and not nodes.K[i][~on].any()
+
+
+def test_table_layout_holds_past_63_columns(cessna, rng):
+    # masks are Python ints, so a support may hold columns past bit 63: at
+    # N = 70, random supports over all 70 columns, and OMP walks whose
+    # budget (a heavy terminal weight, just above the full support's cost)
+    # takes them to column 69, build nodes whose columns, weights and K rows
+    # come from the whole mask
+    hm = sp.build_horizon(cessna, np.eye(4), 1e6 * np.eye(4), 70)
+    masks = [0, 1 << 69, (1 << 70) - 1] + [int(m) << 8 for m in rng.integers(1, 2**62, 20)]
+    for mask in masks:
+        _support_node(hm, mask)
+    X = rng.standard_normal((3, 4))
+    E = hm.H - hm.G @ np.linalg.lstsq(hm.G, hm.H, rcond=None)[0]
+    W = E.T @ E + 1e-10 * (hm.H.T @ hm.H - E.T @ E)
+    pkt = sp.omp_packet(hm, W, X)
+    for u, x in zip(pkt.u, X):
+        want, _ = omp_node_reference(hm, W, x)
+        assert u.tobytes() == want.tobytes()
+        assert np.flatnonzero(u).max() > 63
+    _assert_table_layout(hm)
 
 
 def test_exhaustive_singular_support_raises_solver_failure(cessna_design, cessna_horizon, rng):
@@ -482,7 +524,7 @@ def test_l2_singular_system_raises_solver_failure(cessna_horizon, rng):
     hm = replace(cessna_horizon, GtG=-np.eye(10))
     with pytest.raises(SolverFailureError):
         sp.l2_packet(hm, rng.standard_normal(4), 1.0)
-    assert hm._l2_gains == {}   # a failed build keeps nothing
+    assert hm._cache.get("l2", {}) == {}   # a failed build keeps nothing
 
 
 @settings(max_examples=300, deadline=None)
@@ -502,17 +544,17 @@ def test_l2_packet_matches_the_per_state_solve(cessna_horizon, seed, s, t):
 
 def test_l2_gains_are_kept_per_nu2(cessna_horizon, rng):
     hm = replace(cessna_horizon)
-    assert hm._l2_gains == {}
+    assert hm._cache == {}
     x = rng.standard_normal(4)
     packets = {nu2: sp.l2_packet(hm, x, nu2).u for nu2 in (1.0, 3.1e2)}
-    assert set(hm._l2_gains) == {1.0, 3.1e2}
+    assert set(hm._cache["l2"]) == {1.0, 3.1e2}
     assert not np.allclose(packets[1.0], packets[3.1e2])
     for nu2, u in packets.items():
         # the same as on a horizon that has never seen the other nu2
         assert np.array_equal(sp.l2_packet(replace(cessna_horizon), x, nu2).u, u)
         assert np.array_equal(sp.l2_packet(hm, x, nu2).u, u)
-    assert not any(K.flags.writeable for K in hm._l2_gains.values())
-    assert replace(hm)._l2_gains == {}
+    assert not any(K.flags.writeable for K in hm._cache["l2"].values())
+    assert replace(hm)._cache == {}
 
 
 @pytest.mark.parametrize("n", [4, 9, 12])
@@ -534,7 +576,7 @@ def test_l2_per_row_nu2_equals_each_rows_own_solve(cessna_horizon, rng, n):
             for nu in set(nu2.tolist()):
                 rows = nu2[order] == nu
                 assert got.u[rows].tobytes() == sp.l2_packet(hm, X[order][rows], nu).u.tobytes()
-    assert set(hm._l2_gains) == set(grid.tolist())
+    assert set(hm._cache["l2"]) == set(grid.tolist())
     with pytest.raises(ConfigError, match="nu2 must be positive, got -1.0"):
         sp.l2_packet(hm, X[:2], np.array([1.0, -1.0]))
 
@@ -552,8 +594,8 @@ def test_least_squares_packet_is_the_full_support_operator(cessna_horizon, rng):
     hm = replace(cessna_horizon)
     x = rng.standard_normal(4)
     u = sp.least_squares_packet(hm, x).u
-    assert hm._omp_nodes.masks == [(1 << hm.N) - 1]
-    assert np.array_equal(u, hm._omp_nodes.K[0].dot(x))
+    assert _nodes(hm).masks == [(1 << hm.N) - 1]
+    assert np.array_equal(u, _nodes(hm).K[0].dot(x))
 
 
 @pytest.mark.parametrize("solve", [
@@ -572,10 +614,10 @@ def test_packets_are_read_only_and_share_no_memory(cessna_design, cessna_horizon
     for _ in range(5):
         pkt = solve(hm, cessna_design.W, x)
         assert not pkt.u.flags.writeable
-        nodes = hm._omp_nodes
-        cached = nodes.K + nodes.cols + [a for a in (nodes.C, nodes.M, nodes.w) if a is not None]
-        cached += [a for entry in hm._l1_gathers.values() for a in entry]
-        cached += list(hm._l2_gains.values())
+        nodes = _nodes(hm)
+        cached = nodes.K + [nodes.C, nodes.M, nodes.w]
+        cached += [a for entry in hm._cache.get("l1", {}).values() for a in entry]
+        cached += list(hm._cache.get("l2", {}).values())
         cached += [hm.G, hm.H, hm.GtG, hm.GtH, hm.col_norm_sq]
         if before is not None:
             cached.append(before.u)
@@ -593,13 +635,12 @@ def test_zero_rows_change_no_other_row_and_no_cache(cessna_design, cessna_horizo
     # the engine rests a failed row at x = 0 in every later block: each
     # solver gives a zero row the zero packet with no pick, walk or cache
     # entry, and every other row the bits and solver_iters of the block
-    # without the zero rows. A row's l2 gain depends on its nu2 alone, and
-    # a resting row keeps its value, so here every zero row shares its
-    # value with a nonzero row
+    # without the zero rows. A resting row keeps its nu2, so one zero row
+    # holds a value that no nonzero row holds: its gain is never built
     W = cessna_design.W
     X = 2.0 * rng.standard_normal((7, 4))
     X[ZERO_ROWS] = 0.0
-    nu = np.array([31.0, 310.0, 3100.0, 31.0, 310.0, 310.0, 3100.0])
+    nu = np.array([31.0, 310.0, 3100.0, 31.0, 1e4, 310.0, 3100.0])
     # l1l2 guesses: a zero row's is another row's packet, a nonzero row's its own or another's
     guess = sp.l1l2_packet(cessna_horizon, X, 5.3).u[[0, 0, 5, 6, 2, 5, 0]]
     solve = {
@@ -619,9 +660,15 @@ def test_zero_rows_change_no_other_row_and_no_cache(cessna_design, cessna_horizo
     assert part.u.any(axis=1).all()
     assert full.u[rows].tobytes() == part.u.tobytes()
     assert full.solver_iters == part.solver_iters
-    assert full_hm._omp_nodes.count == part_hm._omp_nodes.count
-    assert full_hm._l1_gathers.keys() == part_hm._l1_gathers.keys()
-    assert full_hm._l2_gains.keys() == part_hm._l2_gains.keys()
+    assert _nodes(full_hm).masks == _nodes(part_hm).masks
+    for solver in ("l1", "l2"):
+        assert full_hm._cache.get(solver, {}).keys() == part_hm._cache.get(solver, {}).keys()
+    if name == "l2_per_row":
+        # a zero row's packet has the bits of K 0 with its own value's gain,
+        # each zero's sign included
+        gain_hm = replace(cessna_horizon)
+        for r in ZERO_ROWS:
+            assert full.u[r].tobytes() == sp.l2_packet(gain_hm, X[r], float(nu[r])).u.tobytes()
 
 
 def test_exhaustive_zero_state_and_cap(cessna, cessna_design, cessna_horizon):
@@ -811,9 +858,9 @@ def test_l1l2_closed_loop_packets_equal_the_reference_solver():
                 assert got.solver_iters == want.solver_iters, (nu1, r.trial)
                 guess = receding_guess(u)
     # each support's gathers are kept read-only, and a replaced horizon starts without them
-    gathers = setup.hm._l1_gathers
+    gathers = setup.hm._cache["l1"]
     assert gathers and not any(a.flags.writeable for entry in gathers.values() for a in entry)
-    assert replace(setup.hm)._l1_gathers == {}
+    assert replace(setup.hm)._cache == {}
 
 
 @settings(max_examples=200, deadline=None)
@@ -1059,7 +1106,7 @@ def test_solvers_take_one_input_form_and_refuse_any_other(cessna_design, cessna_
         with pytest.raises(ConfigError, match="^guess must"):
             solve(hm, W, X[0], 310.0, np.zeros((1, 10)))
     assert calls == Counter()
-    assert hm._omp_nodes.count == 0 and hm._l2_gains == {} and hm._l1_gathers == {}
+    assert hm._cache == {}
     # one state gives the (N,) packet and a block the (b, N) packets, each
     # row with the bits of its own solve; one state with its (1,) nu is
     # the one-value call

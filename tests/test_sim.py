@@ -408,7 +408,7 @@ def test_trial_bits_do_not_depend_on_cache_warmth(controller):
     cfg = SimConfig(controller=controller, trials=20, steps=100, seed=5)
     warm = build_setup(cfg)
     monte_carlo(replace(cfg, seed=6, trials=5), setup=warm)
-    assert warm.hm._l2_gains or warm.hm._omp_nodes.count
+    assert warm.hm._cache.get("l2") or warm.hm._cache["omp"].masks
     row = monte_carlo(cfg, setup=warm).records.rows()[13]
     setup = build_setup(cfg)
     alone = run_trial(setup, make_controller(cfg, setup),
@@ -738,6 +738,39 @@ def test_a_gain_that_raises_fails_only_its_block(monkeypatch):
     with pytest.raises(sp.SparsePpcError, match="all 3 trials failed at nu2 = 100.0; "
                                                 "first: SolverFailureError: synthetic failure"):
         sim_mod.monte_carlo(cfg, setup=setup, grid=[1e4, 1e2])
+
+
+def test_a_value_whose_gain_raises_costs_one_call_per_step(monkeypatch):
+    # a grid run whose nu2 = 1e2 gain raises from step 3 on: that step's
+    # block call raises, and its rows, solved again one at a time, fail
+    # where they hold 1e2 and rest at x = 0 with that value. A zero row
+    # needs no gain, so every later step is one call on the whole block
+    import sparseppc.controllers as ctl_mod
+    import sparseppc.sim as sim_mod
+
+    cfg = SimConfig(controller="l2", trials=3, steps=10, seed=5,
+                    noise={"kind": "gaussian", "sigma": 0.01})
+    setup = build_setup(cfg)
+    real_gain, real_packet, gains, sizes = ctl_mod._l2_gain, sim_mod.l2_packet, count(), []
+
+    def gain(hm, nu2):
+        if nu2 == 1e2 and next(gains) >= 3:
+            raise sp.SolverFailureError("synthetic failure")
+        return real_gain(hm, nu2)
+
+    def packet(hm, X, nu2):
+        sizes.append(len(X))
+        return real_packet(hm, X, nu2)
+
+    monkeypatch.setattr(ctl_mod, "_l2_gain", gain)
+    monkeypatch.setattr(sim_mod, "l2_packet", packet)
+    inputs = [(t, *trial_inputs(cfg, setup, NS_MAIN, t)) for t in range(cfg.trials)]
+    controller = make_controller(cfg, setup, [1e2, 1e4])
+    records, failures = sim_mod._lockstep(setup, controller, inputs, copies=2)
+    assert [(row, str(exc)) for row, exc in failures] == [(r, "synthetic failure")
+                                                          for r in range(3)]
+    assert records.trial.tolist() == [0, 1, 2]
+    assert sizes == [6] * 4 + [1] * 6 + [6] * 6
 
 
 L1_GRID = [1e2, 1e3, 5.3e3]
