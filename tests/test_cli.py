@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sparseppc.codec import EncodedPacket, decode, encode
 from sparseppc.sim import NS_MAIN, NS_TEST, NS_TRAIN
 
 from .oracles import bit_account_reference, codec_from_dict
+from .test_svgplot import svg_numbers, tick_counts
 
 
 def _write(path, doc):
@@ -526,6 +528,20 @@ def test_sweep_cli(tmp_path):
     violations = meta["sweep"]["violations"]
     assert len(violations) == 3 and all(isinstance(v, int) and v >= 0 for v in violations)
     assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "s2")]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--grid", "1e-6,2e-6", "--trials", "5"],     # two mean perfs an ulp apart
+    ["--grid", "1e17", "--trials", "1", "--steps", "5"],     # nu + 1.0 == nu
+    ["--grid", "1e308", "--trials", "1", "--steps", "5"],
+], ids=["perf-one-ulp-apart", "nu-1e17", "nu-1e308"])
+def test_a_sweep_plot_of_a_flat_curve_or_a_huge_nu_is_finite(tmp_path, args):
+    out = tmp_path / "o"
+    assert main(["sweep", "--family", "l2", *args, "--plots", "--out-dir", str(out)]) == 0
+    perf = [float(row.split(",")[2]) for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert max(perf) - min(perf) <= 2 * math.ulp(max(perf))    # a flat y axis
+    svg = (out / "sweep.svg").read_text()
+    assert all(map(math.isfinite, svg_numbers(svg))) and max(tick_counts(svg)) <= 6
 
 
 def test_sweep_flags_override_config_family_and_grid(tmp_path):
