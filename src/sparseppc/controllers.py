@@ -424,13 +424,7 @@ def _row_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (A @ X[..., None])[..., 0]
 
 
-def _finite_products(A: np.ndarray, X: np.ndarray, name: str) -> np.ndarray:
-    """_row_products(A, X), or NumericError naming its first entry that overflowed float64."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
-        AX = _row_products(A, X)
-    return _finite(AX, name)
-
-
+@_QUIET
 def least_squares_packet(hm: HorizonMatrices, X: np.ndarray) -> ControlPacket:
     """Unconstrained minimizer of ||G u - H x||^2 (generically dense).
 
@@ -441,7 +435,7 @@ def least_squares_packet(hm: HorizonMatrices, X: np.ndarray) -> ControlPacket:
     """
     X, shape, _, _ = _solver_input(hm, X)
     i = _support_node(hm, (1 << hm.N) - 1)
-    return ControlPacket(_finite_products(hm._cache["omp"].K[i], X, "K x").reshape(shape), 1)
+    return ControlPacket(_finite(_row_products(hm._cache["omp"].K[i], X), "K x").reshape(shape), 1)
 
 
 def _l2_gain(hm: HorizonMatrices, nu2: float) -> np.ndarray:
@@ -458,6 +452,7 @@ def _l2_gain(hm: HorizonMatrices, nu2: float) -> np.ndarray:
     return K
 
 
+@_QUIET
 def l2_packet(hm: HorizonMatrices, X: np.ndarray, nu2) -> ControlPacket:
     """Tikhonov-regularized packet (nu2 I + G'G)^-1 G'H x, as K x (see _l2_gain).
 
@@ -471,13 +466,13 @@ def l2_packet(hm: HorizonMatrices, X: np.ndarray, nu2) -> ControlPacket:
     """
     X, shape, nu, _ = _solver_input(hm, X, nu2, "nu2")
     if not np.ndim(nu):
-        return ControlPacket(_finite_products(_l2_gain(hm, nu), X, "K x").reshape(shape), 1)
+        return ControlPacket(_finite(_row_products(_l2_gain(hm, nu), X), "K x").reshape(shape), 1)
     live = X.any(axis=1)
     values, at = np.unique(nu[live], return_inverse=True)
     u = np.zeros((len(X), hm.N))
     if values.size:
         K = np.array([_l2_gain(hm, v) for v in values.tolist()])
-        u[live] = _finite_products(K[at], X[live], "K x")
+        u[live] = _finite(_row_products(K[at], X[live]), "K x")
     return ControlPacket(u.reshape(shape), 1)
 
 

@@ -50,20 +50,32 @@ class CostDesign:
                 object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
 
 
-def dare_residual(m: PlantModel, P: np.ndarray, Q: np.ndarray, delta: float = 0.0) -> float:
-    """Frobenius norm of A'PA - A'PB (B'PB + delta)^-1 B'PA + Q - P."""
+def _riccati_map(m: PlantModel, P: np.ndarray, Q: np.ndarray, delta: float) -> np.ndarray:
+    """The Riccati map A'PA - A'PB (B'PB + delta)^-1 B'PA + Q, with A'PA taken as A'(PA).
+
+    solve_dare iterates it and dare_residual measures its fixed-point
+    error, so both read the same bits. B'PB + delta <= 0 raises
+    NumericError.
+    """
     Pb = P @ m.B
     bPb = float(m.B @ Pb) + delta
+    if bPb <= 0.0:
+        raise NumericError(f"B'PB + delta = {bPb} is not positive during iteration")
     APb = m.A.T @ Pb
-    R = m.A.T @ P @ m.A - np.outer(APb, APb) / bPb + Q - P
-    return float(np.linalg.norm(R, "fro"))
+    return m.A.T @ (P @ m.A) - np.outer(APb, APb) / bPb + Q
+
+
+def dare_residual(m: PlantModel, P: np.ndarray, Q: np.ndarray, delta: float = 0.0) -> float:
+    """Frobenius norm of _riccati_map(P) - P, the map solve_dare iterates."""
+    return float(np.linalg.norm(_riccati_map(m, P, Q, delta) - P, "fro"))
 
 
 def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0) -> np.ndarray:
     """Riccati solution by fixed-point iteration from P0 = Q.
 
-    Iterates P <- A'PA - A'PB (B'PB + delta)^-1 B'PA + Q until the relative
-    Frobenius change drops below DARE_TOL. delta > 0 regularizes the scalar
+    Iterates P <- A'PA - A'PB (B'PB + delta)^-1 B'PA + Q (_riccati_map, the
+    map dare_residual measures), symmetrized, until the relative Frobenius
+    change drops below DARE_TOL. delta > 0 regularizes the scalar
     inverse for plants where the plain equation lacks a PD solution. The
     OMP termination bound needs delta >= 0, so a negative delta is refused,
     as is one that is not finite. An iteration whose change is not finite
@@ -75,16 +87,10 @@ def solve_dare(m: PlantModel, Q: np.ndarray, delta: float = 0.0) -> np.ndarray:
     Q = check_sym_pd(Q, "Q", m.n)
     require_reachable(m)
 
-    A, B = m.A, m.B
     P = Q.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, DARE_MAX_ITER + 1):
-            Pb = P @ B
-            bPb = float(B @ Pb) + delta
-            if bPb <= 0.0:
-                raise NumericError(f"B'PB + delta = {bPb} is not positive during iteration")
-            APb = A.T @ Pb
-            Pn = A.T @ (P @ A) - np.outer(APb, APb) / bPb + Q
+            Pn = _riccati_map(m, P, Q, delta)
             Pn = 0.5 * (Pn + Pn.T)
             change = np.linalg.norm(Pn - P, "fro")
             if not np.isfinite(change):
