@@ -457,26 +457,32 @@ def l2_packet(hm: HorizonMatrices, X: np.ndarray, nu2) -> ControlPacket:
     """Tikhonov-regularized packet (nu2 I + G'G)^-1 G'H x, as K x (see _l2_gain).
 
     With one number nu2 every row is K x; with a (b,) array, a value per
-    row, row r is K_r x_r with its own value's gain, taken once per distinct
-    value that a nonzero row holds. A zero row gets the zero packet, the
-    bits of K 0, and needs no gain, so a resting row's value builds and
-    reads none. One stacked product makes, row by row, the call of K x
-    alone, so each row has the bits of its own one-value solve. A K x that
+    row, row r is K_r x_r with its own value's gain. A zero row gets the
+    zero packet, the bits of K 0, and needs no gain, so a value that only
+    resting rows hold builds and reads none. The other rows go by runs of
+    equal values, in row order and with no sort (a grid run is grid-major,
+    so each of its values is one run). Each run takes its value's gain and
+    makes one stacked product, which makes, row by row, the call of K x
+    alone, so each row has the bits of its own one-value solve. A gain that
+    cannot be built raises as its run reaches it, before any K x that
     overflows raises NumericError.
     """
     X, shape, nu, _ = _solver_input(hm, X, nu2, "nu2")
     if not np.ndim(nu):
         return ControlPacket(_finite(_row_products(_l2_gain(hm, nu), X), "K x").reshape(shape), 1)
-    live = X.any(axis=1)
-    values, at = np.unique(nu[live], return_inverse=True)
     u = np.zeros((len(X), hm.N))
-    if values.size:
-        K = np.array([_l2_gain(hm, v) for v in values.tolist()])
-        u[live] = _finite(_row_products(K[at], X[live]), "K x")
-    return ControlPacket(u.reshape(shape), 1)
-
-
-SIDES = np.array([[1.0], [-1.0]])     # join ratio rows: c_j reaches +lam, then -lam
+    live = X.any(axis=1)
+    every = bool(live.all())
+    # the nonzero rows, their values and their packets; views where every row is nonzero
+    L, values = (X, nu) if every else (X[live], nu[live])
+    out = u if every else np.empty((len(L), hm.N))
+    if len(L):
+        starts = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), len(L)]
+        for a, z, v in zip(starts, starts[1:], values[starts[:-1]].tolist()):
+            out[a:z] = _row_products(_l2_gain(hm, v), L[a:z])
+    if not every:
+        u[live] = out
+    return ControlPacket(_finite(u, "K x").reshape(shape), 1)
 
 
 def _l1_gathers(hm: HorizonMatrices, mask: int) -> tuple:
@@ -532,10 +538,15 @@ def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = Non
     Batch-OMP saving of Rubinstein, Zibulevsky & Elad applied to the
     homotopy). Stacked matmul and a broadcast solve make, row by row, the
     call of that row alone, so each row gets the bits of its own solve.
-    Only rows that miss walk, one at a time. A non-finite G'Hx raises
-    NumericError before any row is solved; otherwise the first walk that
-    raises ends the call, with NumericError where its KKT gap is not finite
-    (an overflow).
+    Only rows that miss walk, one walk per state: the lasso path does not
+    depend on nu1 (Efron, Hastie, Johnstone & Tibshirani 2004), so rows
+    whose states are byte-equal, such as a grid run's copies of a trial at
+    its first step, share one walk, which ends at each of their values,
+    largest first, with that value's own last solve and KKT check (see
+    _l1_walk). A non-finite G'Hx raises NumericError before any row is
+    solved; otherwise the first row, in row order, whose walk fails ends
+    the call with the error its own walk raises: NumericError where its
+    KKT gap is not finite (an overflow), else SolverFailureError.
     """
     X, shape, nu, guess = _solver_input(hm, X, nu1, "nu1", guess)
     B = _finite(_row_products(hm.GtH, X), "G'Hx")
@@ -554,10 +565,42 @@ def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = Non
             missed = _l1_guesses(hm, u, guessed, signs, B, HX, nu, 1e-9 * lam0)
             iters += guessed.size - len(missed)
             walk += missed
-        for r in sorted(walk):
-            u[r], breaks = _l1_walk(hm, B[r], HX[r], float(lam0[r]), float(nu[r]))
-            iters += breaks + int(tried[r])
+        iters += _l1_shared_walks(hm, u, sorted(walk), X, B, HX, lam0, nu.tolist(), tried)
     return ControlPacket(u.reshape(shape), iters)
+
+
+def _l1_shared_walks(hm: HorizonMatrices, u: np.ndarray, rows: list, X: np.ndarray,
+                     B: np.ndarray, HX: np.ndarray, lam0: np.ndarray, nu1: list,
+                     tried: np.ndarray) -> int:
+    """Walk l1l2_packet's rows (ascending): packets into u, and the rows' iterations.
+
+    A row's iterations are its walk's breakpoints, plus 1 if tried[r].
+    Rows whose states are byte-equal share one _l1_walk to their distinct
+    nu1 values, largest first, and states walk in the order of their first
+    rows. Where rows fail, the first of them raises its own error once
+    every state that holds a row before it has walked.
+    """
+    states = {}
+    for r in rows:
+        states.setdefault(X[r].tobytes(), []).append(r)
+    iters, failed = 0, None
+    for group in states.values():    # in the order of each state's first row
+        if failed is not None and group[0] > failed[0]:
+            break
+        r = group[0]
+        ends = _l1_walk(hm, B[r], HX[r], float(lam0[r]),
+                        sorted({nu1[r] for r in group}, reverse=True))
+        for r in group:
+            end = ends[nu1[r]]
+            if isinstance(end, Exception):
+                if failed is None or r < failed[0]:
+                    failed = r, end
+                break
+            u[r], breaks = end
+            iters += breaks + int(tried[r])
+    if failed is not None:
+        raise failed[1]
+    return iters
 
 
 def _l1_guesses(hm: HorizonMatrices, u: np.ndarray, rows: np.ndarray, signs: np.ndarray,
@@ -594,63 +637,133 @@ def _l1_guesses(hm: HorizonMatrices, u: np.ndarray, rows: np.ndarray, signs: np.
     return rows[~held[rows]].tolist()
 
 
-def _l1_walk(hm: HorizonMatrices, b: np.ndarray, Hx: np.ndarray, lam0: float,
-             nu1: float) -> tuple:
-    """The lasso homotopy of one state, with b = G'Hx: its packet and breakpoints.
+def _l1_ratios(lam: float, c: list, a: list, d: list, u_S: list, s_S: list,
+               blocked: tuple) -> tuple:
+    """The next breakpoint's candidates on Python floats: (join, side, j, leave, i).
 
-    The walk starts from u = 0 at lam = lam0 = ||b||_inf > nu1 and ends at
-    nu1. At a breakpoint an inactive correlation g_j'(Hx - G u) reaches
-    +-lam (j joins) or a coefficient moving toward zero reaches 0 (j
-    leaves, barred from rejoining on that side at once); u_S is re-solved
-    there and at nu1. Over 50 N breakpoints or a packet that misses the KKT
-    conditions raise SolverFailureError, a gap that is not finite (an
-    overflow) NumericError.
+    join is the least ratio (lam - c_j) / (1 - a_j) (side 0, c_j reaches
+    +lam) or (lam + c_j) / (1 + a_j) (side 1, -lam) over the columns that
+    blocked[side] leaves free, the first one in side-major order; leave is
+    the least -u_i / d_i over the coefficients with d_i s_i < 0, moving
+    toward zero. Each IEEE operation is the one numpy's arrays would make,
+    and the picks are argmin's: a zero denominator, a ratio that is not
+    positive or NaN and a barred side count as +inf, so with every join
+    barred the pick is (inf, 0, 0), and the first leave ratio that is NaN
+    wins.
+    """
+    join, side, j = math.inf, 0, 0
+    for k, ck, ak, bar in zip(range(len(c)), c, a, blocked[0]):
+        if not bar and (den := 1.0 - ak) and 0.0 < (g := (lam - ck) / den) < join:
+            join, j = g, k
+    for k, ck, ak, bar in zip(range(len(c)), c, a, blocked[1]):
+        if not bar and (den := 1.0 + ak) and 0.0 < (g := (lam + ck) / den) < join:
+            join, side, j = g, 1, k
+    leave, i = math.inf, 0
+    for p, dp, up, sp in zip(range(len(d)), d, u_S, s_S):
+        if dp * sp < 0.0 and ((g := -up / dp) < leave or g != g):
+            leave, i = g, p
+            if g != g:
+                break
+    return join, side, j, leave, i
+
+
+def _l1_walk(hm: HorizonMatrices, b: np.ndarray, Hx: np.ndarray, lam0: float,
+             targets: list) -> dict:
+    """The lasso homotopy of one state, with b = G'Hx, to each of its targets.
+
+    targets are distinct values nu1 < lam0 = ||b||_inf in descending order.
+    The result maps each to its (packet, breakpoints), or to the error that
+    its own walk would raise. The walk starts from u = 0 at lam = lam0. At
+    a breakpoint an inactive correlation g_j'(Hx - G u) reaches +-lam (j
+    joins) or a coefficient moving toward zero reaches 0 (j leaves, barred
+    from rejoining on that side at once); u_S is re-solved there. The path
+    does not depend on nu1, so one walk serves every target: a target ends
+    where the next breakpoint lies past it, or where lam lands on it, with
+    u_S solved at nu1 and the KKT check, and the walk goes on toward the
+    next one. Each target gets the bits and the count of its own walk. Over
+    50 N breakpoints or a packet that misses the KKT conditions end a
+    target with SolverFailureError, a gap that is not finite (an overflow)
+    with NumericError, and a failed solve at a breakpoint ends every target
+    still walking.
+
+    A breakpoint's numpy work is its solve and the products G'(Hx - G_S
+    u_S) and (G'G)_:S d; its ratio tests run on their Python floats (see
+    _l1_ratios).
     """
     N, Gt = hm.N, hm.G.T
+    bl = b.tolist()
     j = int(np.abs(b).argmax())
-    s, lam, mask, left = np.zeros(N), lam0, 1 << j, (0, j)
-    s[j] = np.sign(b[j])
-    # the active columns, and left: the (side, column) that left last
-    blocked = np.zeros((2, N), dtype=bool)
-    blocked[:, j] = True
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for iters in range(50 * N):
-            S, GtG_SS, G_S, GtG_S = _l1_gathers(hm, mask)
-            s_S = s[S]
-            try:    # d and u_S from one solve against [s_S, b_S - lam s_S]
-                d, u_S = np.linalg.solve(GtG_SS, np.array((s_S, b[S] - lam * s_S)).T).T
-            except np.linalg.LinAlgError as exc:
-                raise SolverFailureError(f"active-set solve failed: {exc}") from exc
-            c = Gt @ (Hx - G_S @ u_S)
+    s = [0.0] * N    # the signs on the active set, 0 off it
+    s[j] = math.copysign(1.0, bl[j])
+    # blocked: the bars on c_j = +lam and on c_j = -lam; left: the (side,
+    # column) that left last
+    lam, mask, left = lam0, 1 << j, (0, j)
+    blocked = ([False] * N, [False] * N)
+    blocked[0][j] = blocked[1][j] = True
+    ends, walking = {}, list(targets)
+    too_long = f"lasso path exceeded {50 * N} breakpoints"
+
+    def solve(lam):
+        """(d, u_S, c) at lam, d and u_S from one solve against [s_S, b_S - lam s_S]."""
+        try:
+            d, u_S = np.linalg.solve(
+                GtG_SS, np.array((s_S, [bl[k] - lam * t for k, t in zip(S, s_S)])).T).T
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"active-set solve failed: {exc}") from exc
+        return d, u_S, Gt @ (Hx - G_S @ u_S)
+
+    def end(nu1, iters, point=None):
+        """The end at nu1 after iters breakpoints, from point = solve(nu1) if
+        the walk has it: (packet, iters), or its error."""
+        if iters == 50 * N:
+            return SolverFailureError(too_long)
+        try:
+            _, u_S, c = point or solve(nu1)
+        except SolverFailureError as exc:
+            return exc
+        u = np.zeros(N)
+        u[S] = u_S
+        worst = float(_kkt_gap(u, c, nu1))
+        if worst <= 1e-9 * lam0:
+            return u, iters
+        if not math.isfinite(worst):
+            return NumericError(f"state is not finite: the KKT gap is {worst}")
+        return SolverFailureError(f"lasso packet misses the KKT conditions by {worst:.3g}",
+                                  residual=worst)
+
+    for iters in range(50 * N):
+        S, GtG_SS, G_S, GtG_S = _l1_gathers(hm, mask)
+        S = S.tolist()
+        s_S = [s[k] for k in S]
+        try:
+            point = solve(lam)
+        except SolverFailureError as exc:
+            return {**ends, **dict.fromkeys(walking, exc)}
+        d, u_S, c = point
+        for nu1 in walking:
             if lam == nu1:
-                u = np.zeros(N)
-                u[S] = u_S
-                worst = float(_kkt_gap(u, c, nu1))
-                if worst <= 1e-9 * lam0:
-                    return u, iters
-                if not math.isfinite(worst):
-                    raise NumericError(f"state is not finite: the KKT gap is {worst}")
-                raise SolverFailureError(
-                    f"lasso packet misses the KKT conditions by {worst:.3g}", residual=worst)
-            # as lam drops by g, u_S moves by g d and c by -g a
-            join = (lam - SIDES * c) / (1.0 - SIDES * (GtG_S @ d))
-            join[blocked | ~(join > 0.0)] = np.inf
-            side, j = divmod(int(join.argmin()), N)
-            leave = np.where(d * s_S < 0.0, -u_S / d, np.inf)
-            i = int(leave.argmin())
-            if min(join[side, j], leave[i]) >= lam - nu1:
-                lam = nu1
-                continue
-            blocked[left] = s[left[1]] != 0.0   # its bar lifts, unless it is active
-            if leave[i] <= join[side, j]:
-                lam -= max(leave[i], 0.0)
-                side, j = int(s[S[i]] < 0), int(S[i])
-                s[j] = 0.0
-                blocked[1 - side, j] = False
-            else:
-                lam -= join[side, j]
-                s[j] = 1.0 - 2.0 * side
-                blocked[:, j] = True
-            left = (side, j)
-            mask ^= 1 << j
-    raise SolverFailureError(f"lasso path exceeded {50 * N} breakpoints")
+                ends[nu1] = end(nu1, iters, point)
+        # as lam drops by g, u_S moves by g d and c by -g a
+        join, side, j, leave, i = _l1_ratios(lam, c.tolist(), (GtG_S @ d).tolist(), d.tolist(),
+                                             u_S.tolist(), s_S, blocked)
+        step = min(join, leave)
+        for nu1 in walking:
+            if nu1 not in ends and step >= lam - nu1:
+                ends[nu1] = end(nu1, iters + 1)
+        walking = [nu1 for nu1 in walking if nu1 not in ends]
+        if not walking:
+            return ends
+        blocked[left[0]][left[1]] = s[left[1]] != 0.0   # its bar lifts, unless it is active
+        if leave <= join:
+            lam -= max(leave, 0.0)
+            j = S[i]
+            side = int(s[j] < 0.0)
+            s[j] = 0.0
+            blocked[1 - side][j] = False
+        else:
+            lam -= join
+            s[j] = 1.0 - 2.0 * side
+            blocked[0][j] = blocked[1][j] = True
+        left = (side, j)
+        mask ^= 1 << j
+    return {**ends, **dict.fromkeys(walking, SolverFailureError(too_long))}

@@ -357,18 +357,21 @@ def l1l2_reference(hm, x, nu1, guess=None):
     moving toward zero reaches 0 (j leaves, barred from rejoining on the
     same side at once); u_S is re-solved at each one and at nu1. Over 50 N
     breakpoints, or a packet that misses the KKT conditions, raises
-    SolverFailureError. solver_iters is 0 for the zero packet, 1 for a
-    certified guess, and otherwise the walk's breakpoints, plus 1 if a
-    guess was tried.
+    SolverFailureError; a G'Hx or a KKT gap that is not finite (an
+    overflow of a finite x) raises NumericError. solver_iters is 0 for the
+    zero packet, 1 for a certified guess, and otherwise the walk's
+    breakpoints, plus 1 if a guess was tried.
     """
     from sparseppc.controllers import ControlPacket
-    from sparseppc.errors import ConfigError, SolverFailureError
+    from sparseppc.errors import ConfigError, NumericError, SolverFailureError
 
     if not (nu1 > 0.0):
         raise ConfigError(f"nu1 must be positive, got {nu1}")
     x = np.asarray(x, dtype=float)
     N = hm.N
     b = hm.GtH @ x
+    if not np.all(np.isfinite(b)):
+        raise NumericError(f"state is not finite: G'Hx = {b[~np.isfinite(b)][0]}")
     lam = lam0 = float(np.max(np.abs(b)))
     if not lam > nu1:
         return ControlPacket(np.zeros(N), 0)
@@ -424,7 +427,9 @@ def l1l2_reference(hm, x, nu1, guess=None):
     u = np.zeros(N)
     u[S] = u_S
     worst = _kkt_gap(u, c, nu1)
-    if not worst <= 1e-9 * lam0:   # also catches a NaN from an overflowed x
+    if not np.isfinite(worst):
+        raise NumericError(f"state is not finite: the KKT gap is {worst}")
+    if not worst <= 1e-9 * lam0:
         raise SolverFailureError(f"lasso packet misses the KKT conditions by {worst:.3g}",
                                  residual=worst)
     return ControlPacket(u, iters + tried)

@@ -2,6 +2,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.controllers import (FEASIBILITY_SLACK, OMP_PREFIX, ORACLE_CAP, ControlPacket,
-                                   SupportNodes, _columns, _l1_gathers, _node_products,
-                                   _row_products, _support_lsq, _support_node, budget_for)
-from sparseppc.errors import ConfigError, FeasibilityError, NumericError, SolverFailureError
+                                   SupportNodes, _columns, _l1_gathers, _l1_ratios,
+                                   _node_products, _row_products, _support_lsq, _support_node,
+                                   budget_for)
+from sparseppc.errors import (ConfigError, FeasibilityError, NumericError, SolverFailureError,
+                              SparsePpcError)
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
 from .oracles import (exhaustive_reference, l1l2_reference, l2_reference,
@@ -863,21 +866,116 @@ def test_l1l2_closed_loop_packets_equal_the_reference_solver():
     assert replace(setup.hm)._cache == {}
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), s=st.floats(-2.0, 0.5),
-       nu1=st.sampled_from([1e-3, 1.0, 5.3, 1e2, 1e3, 5.3e3, 1e4]))
-def test_l1l2_equals_the_reference_solver_for_any_guess(cessna_horizon, seed, s, nu1):
-    hm = cessna_horizon
+def _l1_outcome(solve, hm, x, nu1, guess=None):
+    """A solve's packet bytes and solver_iters, or its error's type and message."""
+    try:
+        pkt = solve(hm, x, nu1, guess=guess)
+    except SparsePpcError as exc:
+        return type(exc), str(exc)
+    return pkt.u.tobytes(), pkt.solver_iters
+
+
+@pytest.fixture(scope="module")
+def l1_horizons(cessna_horizon):
+    """The horizons of _l1_cases: cessna's, then the random n = 9 and n = 12 plants'."""
+    return [hm for hm, _, _ in _l1_cases(cessna_horizon, np.random.default_rng(20240611))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), plant=st.sampled_from([0, 1, 2]),
+       s=st.one_of(st.floats(-2.0, 0.5), st.floats(306.0, 308.25)),
+       nu1=st.sampled_from([1e-3, 1.0, 5.3, 1e2, 1e3, 5.3e3, 1e4]), scaled=st.booleans())
+def test_l1l2_equals_the_reference_solver_for_any_guess(l1_horizons, seed, plant, s, nu1,
+                                                        scaled):
+    # s <= 0.5 scales a normal state by 10^s; s >= 306 scales it toward
+    # overflow, to ||G'Hx||_inf = 10^s, where the walk down to nu1 (or to
+    # 10^(s - 4) nu1, if scaled) meets correlations and coefficients, and
+    # so ratio tests, that are inf or NaN, and some solves raise. Each
+    # guess gives the reference's packet bytes and count, or its error's
+    # type and message; the solver warns of no overflow, the reference may
+    hm = l1_horizons[plant]
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(4) * 10.0**s
-    cold = l1l2_reference(hm, x, nu1).u
-    superset, subset = cold.copy(), cold.copy()
-    superset[cold == 0.0] = 1.0
-    subset[np.flatnonzero(cold)[:1]] = 0.0
-    for guess in (None, cold, -cold, superset, subset):
-        got = sp.l1l2_packet(hm, x, nu1, guess=guess)
-        want = l1l2_reference(hm, x, nu1, guess=guess)
-        assert np.array_equal(got.u, want.u) and got.solver_iters == want.solver_iters
+    x = rng.standard_normal(hm.n)
+    if s >= 306.0:
+        x = x / np.abs(hm.GtH @ x).max() * 10.0**s
+        nu1 *= 10.0 ** (s - 4.0) if scaled else 1.0
+        assume(np.isfinite(x).all())
+    else:
+        x *= 10.0**s
+    guesses = [None, rng.standard_normal(hm.N) * (rng.random(hm.N) < 0.5)]
+    reference = np.errstate(all="ignore")(l1l2_reference)
+    try:
+        cold = reference(hm, x, nu1).u
+    except SparsePpcError:
+        pass
+    else:
+        superset, subset = cold.copy(), cold.copy()
+        superset[cold == 0.0] = 1.0
+        subset[np.flatnonzero(cold)[:1]] = 0.0
+        guesses += [cold, -cold, superset, subset]
+    for guess in guesses:
+        want = _l1_outcome(reference, hm, x, nu1, guess)
+        assert _l1_outcome(sp.l1l2_packet, hm, x, nu1, guess) == want, guess
+
+
+# floats that the ratio tests meet: signed zeros, +-1 (a zero denominator
+# 1 -+ a_j), infinities, NaN, and any other
+RATIO_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                         st.floats(-4.0, 4.0), st.floats())
+
+
+def _same_float(a, b):
+    """a and b are the same number, with the same sign of zero, or both NaN."""
+    return (a != a and b != b) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def _assert_ratios_equal_numpys(lam, c, a, d, u_S, s_S, blocked):
+    """_l1_ratios against the same tests on numpy arrays, as the walk once made them."""
+    sides = np.array([[1.0], [-1.0]])
+    with np.errstate(all="ignore"):
+        join = (lam - sides * np.array(c)) / (1.0 - sides * np.array(a))
+        join[np.array(blocked) | ~(join > 0.0)] = np.inf
+        side, j = divmod(int(join.argmin()), len(c))
+        leave = np.where(np.array(d) * s_S < 0.0, -np.array(u_S) / np.array(d), np.inf)
+        i = int(leave.argmin())
+    got = _l1_ratios(lam, c, a, d, u_S, s_S, blocked)
+    assert got[1:3] == (side, j) and got[4] == i, (got, side, j, i)
+    assert _same_float(got[0], float(join[side, j])) and _same_float(got[3], float(leave[i])), got
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_l1_ratio_tests_on_floats_equal_numpys(data, n):
+    # any floats; the active set is never empty, so neither is u_S
+    lam = data.draw(RATIO_FLOATS)
+    c, a = (data.draw(st.lists(RATIO_FLOATS, min_size=n, max_size=n)) for _ in range(2))
+    k = data.draw(st.integers(1, n))
+    d, u_S = (data.draw(st.lists(RATIO_FLOATS, min_size=k, max_size=k)) for _ in range(2))
+    s_S = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=k, max_size=k))
+    blocked = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(2))
+    _assert_ratios_equal_numpys(lam, c, a, d, u_S, s_S, blocked)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("lam,c,a,d,u_S,s_S", [
+    # leave: the first NaN wins over a smaller ratio and over a later NaN
+    (1.0, [0.0, 0.0], [0.0, 0.0], [-1.0, -1.0, -1.0, -1.0], [0.5, NAN, 0.1, NAN], [1.0] * 4),
+    # join: 1 - a_j = 0 on side 0 and 1 + a_j = 0 on side 1 are +inf, not an error
+    (1.0, [0.0, 0.5, 0.0], [1.0, -1.0, 0.0], [1.0], [1.0], [1.0]),
+    # join: a zero ratio (c_j = lam), a NaN one and an infinite one are +inf
+    (2.0, [2.0, NAN, -2.0, 0.0], [0.0, 0.0, INF, 0.0], [1.0], [1.0], [1.0]),
+    # every join is +inf: the pick is (inf, 0, 0)
+    (1.0, [1.0, -1.0], [1.0, -1.0], [1.0], [-0.0], [-1.0]),
+    # leave: signed zeros, and an infinite coefficient over an infinite step
+    (1.0, [0.0], [0.0], [-1.0, INF, -INF], [-0.0, INF, INF], [1.0, -1.0, 1.0]),
+])
+def test_l1_ratio_tests_edges(lam, c, a, d, u_S, s_S):
+    # under every pattern of bars
+    for bars in product([False, True], repeat=2 * len(c)):
+        blocked = list(bars[:len(c)]), list(bars[len(c):])
+        _assert_ratios_equal_numpys(lam, c, a, d, u_S, s_S, blocked)
 
 
 def _l1_cases(cessna_horizon, rng):
@@ -936,6 +1034,123 @@ def test_l1l2_block_equals_the_reference(cessna_horizon, rng, B):
             shared += sum(len(values) for values in patterns.values() if len(values) > 1)
     assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
     assert (shared > 0) == (B > 1), shared
+
+
+def _count_walks(monkeypatch):
+    """A list that gets the targets of every _l1_walk call from now on."""
+    import sparseppc.controllers as controllers
+
+    real, calls = controllers._l1_walk, []
+
+    def counted(hm, b, Hx, lam0, targets):
+        calls.append(list(targets))
+        return real(hm, b, Hx, lam0, targets)
+
+    monkeypatch.setattr(controllers, "_l1_walk", counted)
+    return calls
+
+
+def _assert_shared_walks(hm, X, nu1, guess, walks):
+    """The block's packets are the reference's bytes, its solver_iters the
+    rows' total, and walks holds one walk per state that walks: the
+    distinct values of its walking rows, largest first, in the order of
+    each state's first walking row."""
+    walks.clear()
+    pkt = sp.l1l2_packet(hm, X, nu1, guess=guess)
+    total, targets = 0, {}
+    for r, u in enumerate(pkt.u):
+        want = l1l2_reference(hm, X[r], nu1[r], guess=guess[r])
+        assert u.tobytes() == want.u.tobytes(), r
+        total += want.solver_iters
+        if want.solver_iters > int(guess[r].any()):    # neither zero nor certified: a walk
+            targets.setdefault(X[r].tobytes(), set()).add(nu1[r])
+    assert pkt.solver_iters == total
+    assert walks == [sorted(values, reverse=True) for values in targets.values()]
+    return sum(len(values) - 1 for values in targets.values())
+
+
+def test_l1l2_rows_of_one_state_share_one_walk(cessna_horizon, rng, monkeypatch):
+    # blocks of 12 rows on 4 states, so that states repeat across nu1
+    # values and within one, in shuffled row order with nu1 unsorted; a row
+    # has no guess, its own cold packet (certified) or another row's (stale:
+    # it misses, then walks). Then a grid run's first block, where every
+    # value's copy of a trial holds the same x0
+    walks = _count_walks(monkeypatch)
+    saved = 0
+    for hm, X, grid in _l1_cases(cessna_horizon, rng):
+        for _ in range(8):
+            at = rng.choice(len(X), 4, replace=False)[rng.integers(0, 4, 12)]
+            B, nu1 = X[at], rng.choice(grid, 12)
+            cold = np.array([l1l2_reference(hm, x, nu).u for x, nu in zip(B, nu1)])
+            kind = rng.integers(0, 3, 12)
+            guess = np.where((kind == 0)[:, None], 0.0, cold)
+            guess[kind == 2] = cold[rng.permutation(12)][kind == 2]
+            saved += _assert_shared_walks(hm, B, nu1, guess, walks)
+    assert saved >= 20, saved
+
+    import sparseppc.sim as sim_mod
+
+    real, blocks = sim_mod.l1l2_packet, []
+
+    def first_block(hm, X, nu1, guess=None):
+        if not blocks:
+            blocks.append((X.copy(), np.array(nu1), guess.copy()))
+        return real(hm, X, nu1, guess=guess)
+
+    monkeypatch.setattr(sim_mod, "l1l2_packet", first_block)
+    cfg = SimConfig(trials=5, steps=2, seed=1, controller="l1l2")
+    setup = build_setup(cfg)
+    monte_carlo(cfg, setup=setup, grid=[1e2, 1e3, 5.3e3, 1e4])
+    X, nu1, guess = blocks[0]
+    assert not guess.any() and len({x.tobytes() for x in X}) == 5
+    assert _assert_shared_walks(setup.hm, X, nu1, guess, walks) >= 5
+
+
+def test_l1l2_block_raises_its_first_failing_rows_own_error(cessna_horizon, rng):
+    # states scaled toward overflow: x's walk ends in a packet for a large
+    # nu1, misses the KKT conditions (SolverFailureError) for a smaller one
+    # and meets a gap that is not finite (NumericError) for a smaller one
+    # still, all in one shared walk; z's walk ends in a packet and in an
+    # error. In any row order the block raises the error of its first
+    # failing row, as that row alone and the reference do, whichever state
+    # walks first
+    hm = cessna_horizon
+    reference = np.errstate(all="ignore")(l1l2_reference)
+    found = []
+    for seed in range(100):
+        z = np.random.default_rng(seed).standard_normal(4)
+        x = z / np.abs(hm.GtH @ z).max() * 10.0**308.2
+        with np.errstate(over="ignore"):
+            lam0 = float(np.abs(hm.GtH @ x).max())
+        if not math.isfinite(lam0):
+            continue
+        ends = {}
+        for f in (0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-8):
+            end = _l1_outcome(sp.l1l2_packet, hm, x, f * lam0)
+            assert end == _l1_outcome(reference, hm, x, f * lam0)
+            ends.setdefault(end[0] if isinstance(end[0], type) else bytes, f * lam0)
+        if len(ends) == 3 and len(found) == 0 or len(ends) > 1 and len(found) == 1:
+            found.append((x, ends))
+        if len(found) == 2:
+            break
+    else:
+        pytest.fail(f"{len(found)} of 2 overflowing states found")
+    (x, xs), (z, zs) = found
+    y = rng.standard_normal(4)
+    X = np.array([x, x, x, z, z, y, y])
+    nu1 = np.array([xs[bytes], xs[SolverFailureError], xs[NumericError], zs[bytes],
+                    zs[max(zs, key=lambda k: k is not bytes)], 5.3, 1e2])
+    raised = Counter()
+    for _ in range(40):
+        order = rng.permutation(len(X))
+        rows = [_l1_outcome(sp.l1l2_packet, hm, X[r], nu1[r]) for r in order]
+        first = next(r for r, end in enumerate(rows) if isinstance(end[0], type))
+        assert _l1_outcome(sp.l1l2_packet, hm, X[order], nu1[order]) == rows[first], order
+        # whether a state whose first row comes later holds the first failing row
+        later = order[first] >= 3 and (X[order[:first]] == x).all(axis=1).any()
+        raised[rows[first][0], later] += 1
+    assert {kind for kind, _ in raised} == {SolverFailureError, NumericError}
+    assert {later for _, later in raised} == {True, False}, raised
 
 
 def test_l1_block_products_equal_each_rows_own(cessna_horizon, rng):
