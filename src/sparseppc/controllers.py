@@ -576,30 +576,26 @@ def _l1_shared_walks(hm: HorizonMatrices, u: np.ndarray, rows: list, X: np.ndarr
 
     A row's iterations are its walk's breakpoints, plus 1 if tried[r].
     Rows whose states are byte-equal share one _l1_walk to their distinct
-    nu1 values, largest first, and states walk in the order of their first
-    rows. Where rows fail, the first of them raises its own error once
-    every state that holds a row before it has walked.
+    nu1 values, largest first. Where rows fail, the first of them raises
+    the error of its own walk.
     """
     states = {}
     for r in rows:
         states.setdefault(X[r].tobytes(), []).append(r)
-    iters, failed = 0, None
-    for group in states.values():    # in the order of each state's first row
-        if failed is not None and group[0] > failed[0]:
-            break
+    iters, failed = 0, []
+    for group in states.values():
         r = group[0]
         ends = _l1_walk(hm, B[r], HX[r], float(lam0[r]),
                         sorted({nu1[r] for r in group}, reverse=True))
         for r in group:
             end = ends[nu1[r]]
             if isinstance(end, Exception):
-                if failed is None or r < failed[0]:
-                    failed = r, end
+                failed.append((r, end))
                 break
             u[r], breaks = end
             iters += breaks + int(tried[r])
-    if failed is not None:
-        raise failed[1]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     return iters
 
 
