@@ -930,7 +930,7 @@ def _same_float(a, b):
 
 
 def _assert_ratios_equal_numpys(lam, c, a, d, u_S, s_S, blocked):
-    """_l1_ratios against the same tests on numpy arrays, as the walk once made them."""
+    """_l1_ratios against the reference: the same tests on numpy arrays."""
     sides = np.array([[1.0], [-1.0]])
     with np.errstate(all="ignore"):
         join = (lam - sides * np.array(c)) / (1.0 - sides * np.array(a))
