@@ -105,18 +105,18 @@ def _solver_input(hm: HorizonMatrices, X, nu=None, name: str = None, guess=None)
         if nu.shape not in ((), (len(block),)):
             raise ConfigError(f"{name} must be one number or have shape ({len(block)},), "
                               f"got {nu.shape}")
-        bad = nu[~((nu > 0.0) & (nu < np.inf))]
-        if bad.size:
-            raise ConfigError(f"{name} must be positive, got {bad[0]}; it must be finite too")
+        ok = (nu > 0.0) & (nu < np.inf)
+        if np.count_nonzero(ok) < ok.size:
+            raise ConfigError(f"{name} must be positive, got {nu[~ok][0]}; it must be finite too")
         nu = float(nu) if nu.ndim == 0 else nu
     if guess is not None:
         guess = number_array(guess, "guess")
         if guess.shape != shape:
             raise ConfigError(f"guess must have the packets' shape {shape}, got {guess.shape}")
         guess = guess.astype(float, copy=False).reshape(-1, hm.N)
-        bad = guess[~np.isfinite(guess)]
-        if bad.size:
-            raise ConfigError(f"guess must be finite, got {bad[0]}")
+        finite = np.isfinite(guess)
+        if np.count_nonzero(finite) < finite.size:
+            raise ConfigError(f"guess must be finite, got {guess[~finite][0]}")
     return block, shape, nu, guess
 
 
@@ -501,13 +501,33 @@ def _l1_gathers(hm: HorizonMatrices, mask: int) -> tuple:
     return ops
 
 
-def _kkt_gap(u: np.ndarray, c: np.ndarray, nu1) -> np.ndarray:
-    """Largest miss of c_j = nu1 sign(u_j) on u's support and |c_j| <= nu1 off it.
+def _kkt_gaps(c: np.ndarray, s: np.ndarray, nu1: np.ndarray) -> np.ndarray:
+    """Each row's KKT gap max_j |c_j - nu1 s_j| - nu1 [s_j = 0], for rows (g, N) of c and s.
 
-    u and c are one row (N,) or rows (g, N), and nu1 a value or one per row.
+    nu1 has a value per row. With s = sign(u), it is the largest miss of
+    c_j = nu1 sign(u_j) on u's support and of |c_j| <= nu1 off it, bit for
+    bit: nu1 s_j is +-nu1 or 0 exactly, and subtracting 0 changes nothing.
     """
-    nu1 = np.asarray(nu1)[..., None]
-    return np.max(np.where(u != 0.0, np.abs(c - nu1 * np.sign(u)), np.abs(c) - nu1), axis=-1)
+    nu1 = nu1[:, None]
+    return (np.abs(c - nu1 * s) - nu1 * (s == 0.0)).max(axis=1)
+
+
+def _kkt_gap_floats(u: list, c: list, nu1: float) -> float:
+    """_kkt_gaps of one packet u with s = sign(u), on Python floats.
+
+    Each entry is numpy's: an exact 0.0 or -0.0 coefficient is off the
+    support, c_j - nu1 sign(u_j) is c_j -+ nu1, and a NaN coefficient gives
+    NaN; the gap is NaN where any entry is, as numpy's max makes it.
+    """
+    worst = -math.inf
+    for uj, cj in zip(u, c):
+        g = (abs(cj) - nu1 if uj == 0.0 else abs(cj - nu1) if uj > 0.0
+             else abs(cj + nu1) if uj < 0.0 else math.nan)
+        if not g <= worst:
+            if g != g:
+                return g
+            worst = g
+    return worst
 
 
 @_QUIET
@@ -533,11 +553,14 @@ def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = Non
     a guess was tried.
 
     One stacked G'H x gives every row its zero test, and the guessed rows
-    are solved per sign pattern: one broadcast solve of (G'G)_SS against
-    each row's own [s_S, b_S - nu1 s_S], then stacked correlations (the
-    Batch-OMP saving of Rubinstein, Zibulevsky & Elad applied to the
-    homotopy). Stacked matmul and a broadcast solve make, row by row, the
-    call of that row alone, so each row gets the bits of its own solve.
+    are solved per support S: one broadcast solve of (G'G)_SS against each
+    row's own [s_S, b_S - nu1 s_S], with s that row's guessed signs, then
+    stacked correlations (the Batch-OMP saving of Rubinstein, Zibulevsky &
+    Elad applied to the homotopy). Stacked matmul and a broadcast solve
+    make, row by row, the call of that row alone, so each row gets the bits
+    of its own solve. The certificate reads the guessed signs: sign(u) = s
+    and max_j |c_j - nu1 s_j| - nu1 [s_j = 0] within the tolerance, which
+    is the KKT gap itself wherever the sign test holds (see _kkt_gaps).
     Only rows that miss walk, one walk per state: the lasso path does not
     depend on nu1 (Efron, Hastie, Johnstone & Tibshirani 2004), so rows
     whose states are byte-equal, such as a grid run's copies of a trial at
@@ -555,7 +578,8 @@ def l1l2_packet(hm: HorizonMatrices, X: np.ndarray, nu1, guess: np.ndarray = Non
     rows = (lam0 > nu).nonzero()[0]
     iters = 0
     if rows.size:
-        nu = np.full(lam0.shape, nu)    # a value per row
+        if isinstance(nu, float):
+            nu = np.full(lam0.shape, nu)    # a value per row
         HX = _row_products(hm.H, X)
         signs = np.zeros((len(X), hm.N)) if guess is None else np.sign(guess)
         tried = signs.any(axis=1)
@@ -604,32 +628,35 @@ def _l1_guesses(hm: HorizonMatrices, u: np.ndarray, rows: np.ndarray, signs: np.
     """Solve each of the rows on its guess's support and signs; return those that miss.
 
     Row r has guess signs[r], G'Hx = B[r], Hx = HX[r], its nu1[r] and its
-    KKT tolerance tol[r]. Rows of one sign pattern share one broadcast
-    solve of (G'G)_SS against each row's [s_S, b_S - nu1 s_S], then
-    stacked correlations c = G'(Hx - G_S u_S). A row holds when every
-    coefficient keeps its sign and the KKT gap is within tol; its packet
-    goes into u[r]. A row that misses, the rows of a pattern whose solve
-    fails included, leaves its u[r] to the walk.
+    KKT tolerance tol[r]. Rows of one support S, whatever their signs,
+    share one broadcast solve of (G'G)_SS against each row's own [s_S, b_S
+    - nu1 s_S], then stacked correlations c = G'(Hx - G_S u_S). A row holds
+    when every coefficient keeps its guessed sign and its KKT gap with the
+    guessed signs is within tol (see _kkt_gaps); its packet goes into u[r].
+    A row that misses, the rows of a support whose solve fails included,
+    leaves its u[r] to the walk.
     """
     c = np.zeros(u.shape)
-    groups = {}
+    N, groups = hm.N, {}
+    on = (signs != 0.0).tobytes()     # row r's support is on[r N:(r + 1) N], a byte per column
     for r in rows.tolist():
-        groups.setdefault(signs[r].tobytes(), []).append(r)
-    for g in groups.values():
-        s, g = signs[g[0]], np.array(g)
-        S, GtG_SS, G_S, _ = _l1_gathers(hm, sum(1 << j for j in s.nonzero()[0].tolist()))
-        s_S = s[S]
+        groups.setdefault(on[r * N:(r + 1) * N], []).append(r)
+    for key, g in groups.items():
+        S, GtG_SS, G_S, _ = _l1_gathers(hm, sum(1 << j for j, bit in enumerate(key) if bit))
+        g = np.array(g)
+        at = (g[:, None], S)
+        s_S = signs[at]
         rhs = np.empty((g.size, S.size, 2))
         rhs[..., 0] = s_S
-        rhs[..., 1] = B[g[:, None], S] - nu1[g, None] * s_S
+        rhs[..., 1] = B[at] - nu1[g, None] * s_S
         try:
             U = np.linalg.solve(GtG_SS, rhs)[..., 1]
         except np.linalg.LinAlgError:
             continue                    # u stays 0, which holds for no guess
-        u[g[:, None], S] = U
+        u[at] = U
         c[g] = _row_products(hm.G.T, HX[g] - _row_products(G_S, U))
     # every row of the block is checked; only the guessed rows are read
-    held = (np.sign(u) == signs).all(axis=1) & (_kkt_gap(u, c, nu1) <= tol)
+    held = (np.sign(u) == signs).all(axis=1) & (_kkt_gaps(c, signs, nu1) <= tol)
     return rows[~held[rows]].tolist()
 
 
@@ -719,7 +746,7 @@ def _l1_walk(hm: HorizonMatrices, b: np.ndarray, Hx: np.ndarray, lam0: float,
             return exc
         u = np.zeros(N)
         u[S] = u_S
-        worst = float(_kkt_gap(u, c, nu1))
+        worst = _kkt_gap_floats(u.tolist(), c.tolist(), nu1)
         if worst <= 1e-9 * lam0:
             return u, iters
         if not math.isfinite(worst):
