@@ -711,7 +711,7 @@ def _l1_walk(hm: HorizonMatrices, b: np.ndarray, Hx: np.ndarray, lam0: float,
 
     A breakpoint's numpy work is its solve and the products G'(Hx - G_S
     u_S) and (G'G)_:S d; its ratio tests run on their Python floats (see
-    _l1_ratios).
+    _l1_ratios), and so does a target's KKT gap (see _kkt_gap_floats).
     """
     N, Gt = hm.N, hm.G.T
     bl = b.tolist()

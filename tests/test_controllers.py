@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc.controllers import (FEASIBILITY_SLACK, OMP_PREFIX, ORACLE_CAP, ControlPacket,
-                                   SupportNodes, _columns, _l1_gathers, _l1_ratios,
-                                   _node_products, _row_products, _support_lsq, _support_node,
-                                   budget_for)
+                                   SupportNodes, _columns, _kkt_gap_floats, _kkt_gaps,
+                                   _l1_gathers, _l1_ratios, _node_products, _row_products,
+                                   _support_lsq, _support_node, budget_for)
 from sparseppc.errors import (ConfigError, FeasibilityError, NumericError, SolverFailureError,
                               SparsePpcError)
 from sparseppc.sim import SimConfig, build_setup, monte_carlo
 
-from .oracles import (exhaustive_reference, l1l2_reference, l2_reference,
+from .oracles import (_kkt_gap, exhaustive_reference, l1l2_reference, l2_reference,
                       lasso_kkt_violation, least_squares_reference, omp_node_reference,
                       omp_reference, random_reachable, random_spd, receding_guess)
 
@@ -875,6 +875,18 @@ def _l1_outcome(solve, hm, x, nu1, guess=None):
     return pkt.u.tobytes(), pkt.solver_iters
 
 
+def _l1_reference_block(hm, X, nu1, guess):
+    """The reference's outcome of a block, as _l1_outcome gives the block's:
+    its packet bytes and the rows' total of solver_iters, or the error of
+    its first failing row."""
+    reference = np.errstate(all="ignore")(l1l2_reference)
+    ends = [_l1_outcome(reference, hm, x, nu, g) for x, nu, g in zip(X, nu1, guess)]
+    failed = [end for end in ends if isinstance(end[0], type)]
+    if failed:
+        return failed[0]
+    return b"".join(u for u, _ in ends), sum(iters for _, iters in ends)
+
+
 @pytest.fixture(scope="module")
 def l1_horizons(cessna_horizon):
     """The horizons of _l1_cases: cessna's, then the random n = 9 and n = 12 plants'."""
@@ -917,6 +929,13 @@ def test_l1l2_equals_the_reference_solver_for_any_guess(l1_horizons, seed, plant
     for guess in guesses:
         want = _l1_outcome(reference, hm, x, nu1, guess)
         assert _l1_outcome(sp.l1l2_packet, hm, x, nu1, guess) == want, guess
+    # the block of x and its mirror -x, guessing one support with opposite
+    # signs, so that one broadcast solve serves both rows
+    X, nu = np.array([x, -x]), np.array([nu1, nu1])
+    for guess in guesses[1:]:
+        mirrored = np.array([guess, -guess])
+        want = _l1_reference_block(hm, X, nu, mirrored)
+        assert _l1_outcome(sp.l1l2_packet, hm, X, nu, mirrored) == want, guess
 
 
 # floats that the ratio tests meet: signed zeros, +-1 (a zero denominator
@@ -977,6 +996,72 @@ def test_l1_ratio_tests_edges(lam, c, a, d, u_S, s_S):
     for bars in product([False, True], repeat=2 * len(c)):
         blocked = list(bars[:len(c)]), list(bars[len(c):])
         _assert_ratios_equal_numpys(lam, c, a, d, u_S, s_S, blocked)
+
+
+# floats that a KKT gap meets: signed zeros, NaN, infinities, the
+# extremes of nu1, and any other
+KKT_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan,
+                                        1e-300, -1e-300, 1e300, -1e300]),
+                       st.floats(-4.0, 4.0), st.floats())
+
+
+def _assert_kkt_forms(u, c, s, nu1, tol):
+    """The walk's gap on floats and the block's signs form against the
+    reference's _kkt_gap: equal bits, or NaN on both sides, and the same
+    held or missed decision. The walk holds where its gap is within tol; a
+    guess with signs s, whose packet u is zero off s's support, holds where
+    sign(u) = s and the signs form with s is within tol, as the reference's
+    guess check decides."""
+    want = _kkt_gap(u, c, nu1)
+    walk = _kkt_gap_floats(u.tolist(), c.tolist(), nu1)
+    signed = float(_kkt_gaps(c[None], np.sign(u)[None], np.array([nu1]))[0])
+    assert _same_float(walk, want) and _same_float(signed, want), (walk, signed, want)
+    assert (walk <= tol) == (want <= tol)
+    on = np.flatnonzero(s)
+    guessed = float(_kkt_gaps(c[None], s[None], np.array([nu1]))[0])
+    held = bool((np.sign(u) == s).all()) and guessed <= tol
+    assert held == (np.array_equal(np.sign(u[on]), s[on]) and want <= tol), (guessed, want)
+    if np.array_equal(np.sign(u), s):
+        assert _same_float(guessed, want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_kkt_gap_in_three_forms_follows_one_rule(data, n):
+    # any coefficients on the guessed support (exact zeros, -0.0 and NaN
+    # among them), any correlations (NaN and +-inf among them), nu1 from
+    # 1e-300 to 1e300 and tolerances down to 0
+    s = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n)))
+    u = np.zeros(n)
+    u[s != 0.0] = [data.draw(KKT_FLOATS) for _ in range(np.count_nonzero(s))]
+    c = np.array(data.draw(st.lists(KKT_FLOATS, min_size=n, max_size=n)))
+    nu1 = data.draw(st.one_of(st.sampled_from([1e-300, 1e300, 5.3]), st.floats(1e-300, 1e300)))
+    tol = data.draw(st.sampled_from([0.0, 1e-9 * nu1, 1e-9, 1.0, 1e300]))
+    _assert_kkt_forms(u, c, s, nu1, tol)
+
+
+@pytest.mark.parametrize("nu1", [1e-300, 5.3, 1e300])
+@pytest.mark.parametrize("u,c", [
+    # a NaN correlation on the support, off it, and +-inf on and off it
+    ([1.0, 0.0, -2.0], [NAN, 0.0, 0.0]),
+    ([1.0, 0.0, -2.0], [0.0, NAN, 0.0]),
+    ([1.0, 0.0, -2.0], [INF, -INF, 0.0]),
+    ([1.0, 0.0, -2.0], [0.0, 0.0, -INF]),
+    # an exact 0 and a -0.0 on the guessed support: off u's support, and
+    # the guess's sign test misses
+    ([0.0, 1.0, -2.0], [0.0, 0.0, 0.0]),
+    ([-0.0, 1.0, -2.0], [-0.0, 1.0, -1.0]),
+    # a NaN coefficient, with finite correlations
+    ([NAN, 1.0, -2.0], [0.0, 0.0, 0.0]),
+    # a held packet: c_j = nu1 sign(u_j) on the support, |c_j| < nu1 off it
+    ([1.0, 0.0, -2.0], [1.0, 0.5, -1.0]),
+])
+def test_kkt_gap_in_three_forms_edges(u, c, nu1):
+    # c is given in units of nu1, so that a held packet holds at every nu1
+    u, c = np.array(u), np.array(c) * nu1
+    for s in ([1.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, -1.0]):
+        for tol in (0.0, 1e-9 * nu1, 1e300):
+            _assert_kkt_forms(u, c, np.array(s), nu1, tol)
 
 
 def _l1_cases(cessna_horizon, rng):
@@ -1152,6 +1237,104 @@ def test_l1l2_block_raises_its_first_failing_rows_own_error(cessna_horizon, rng)
         raised[rows[first][0], later] += 1
     assert {kind for kind, _ in raised} == {SolverFailureError, NumericError}
     assert {later for _, later in raised} == {True, False}, raised
+
+
+def _guess_solves(monkeypatch):
+    """A list that gets the row count of every broadcast guess solve from now on."""
+    real, solves = np.linalg.solve, []
+
+    def counted(A, B):
+        if np.ndim(B) == 3:         # a (rows, k, 2) stack: the guesses' solve
+            solves.append(len(B))
+        return real(A, B)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return solves
+
+
+def test_l1l2_rows_of_one_support_share_one_solve_whatever_their_signs(cessna_horizon, rng,
+                                                                       monkeypatch):
+    # closed-loop states and their mirrors -x, whose packets are -u(x), so
+    # that a row's guess (the shifted cold packet of its trial's previous
+    # state) and its mirror's share a support with opposite signs; among
+    # rows of other states, shuffled, with nu1 per row drawn with repeats.
+    # Each block makes one broadcast solve per support that its guessed rows
+    # hold, and gives every row the reference's bytes and the rows' total
+    # of solver_iters; mixed counts the rows certified in a support whose
+    # rows guess more than one sign pattern
+    hm = cessna_horizon
+    states = _closed_loop_states(controller="l1l2", nu1=1e2, trials=3).reshape(3, 100, 4)
+    grid = [5.3, 1e2, 1e3, 5.3e3]
+    solves = _guess_solves(monkeypatch)
+    mixed = 0
+    for _ in range(30):
+        picks = [(t, k, rng.choice(grid)) for t, k in
+                 zip(rng.integers(0, 3, 8), rng.integers(1, 100, 8))]
+        X, nu1, guess = [], [], []
+        for i, (t, k, nu) in enumerate(picks):
+            g = receding_guess(l1l2_reference(hm, states[t, k - 1], nu).u)
+            mirrors = [1.0, -1.0] if i < 4 else [1.0]
+            for m in mirrors:
+                X.append(m * states[t, k]), nu1.append(nu), guess.append(m * g)
+        order = rng.permutation(len(X))
+        X, nu1, guess = np.array(X)[order], np.array(nu1)[order], np.array(guess)[order]
+        solves.clear()
+        got = _l1_outcome(sp.l1l2_packet, hm, X, nu1, guess)
+        assert got == _l1_reference_block(hm, X, nu1, guess)
+        rows, patterns, held = Counter(), {}, Counter()
+        for x, nu, g in zip(X, nu1, guess):
+            if g.any() and np.abs(hm.GtH @ x).max() > nu:     # a guessed row
+                support = (g != 0.0).tobytes()
+                rows[support] += 1
+                patterns.setdefault(support, set()).add(np.sign(g).tobytes())
+                held[support] += l1l2_reference(hm, x, nu, guess=g).solver_iters == 1
+        assert sorted(solves) == sorted(rows.values())
+        mixed += sum(held[s] for s, p in patterns.items() if len(p) > 1)
+    assert mixed >= 40, mixed
+
+
+def test_l1l2_support_whose_solve_fails_walks_each_of_its_rows(cessna_horizon, rng):
+    # columns 0 and 1 of G are equal, so (G'G)_SS is exactly singular on
+    # any S that holds both. Rows guessing S = {0, 1, 2}, with any signs,
+    # share one solve that fails, and each row walks to its own packet or
+    # its own error, as alone and in the reference; rows guessing their own
+    # cold packet, on other supports, are certified beside them
+    G = cessna_horizon.G.copy()
+    G[:, 1] = G[:, 0]
+    hm = replace(cessna_horizon, G=G, GtG=G.T @ G, GtH=G.T @ cessna_horizon.H,
+                 col_norm_sq=np.sum(G * G, axis=0))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(_l1_gathers(hm, 0b111)[1], np.ones((3, 2)))
+    walked, failed, certified = [], [], []
+    for _ in range(400):
+        x = rng.standard_normal(4)
+        nu = float(rng.choice([0.9, 0.5, 0.1, 1e-3])) * np.abs(hm.GtH @ x).max()
+        guess = np.zeros(hm.N)
+        guess[:3] = rng.choice([-1.0, 1.0], 3)
+        end = _l1_outcome(sp.l1l2_packet, hm, x, nu, guess)
+        cold = _l1_outcome(l1l2_reference, hm, x, nu)
+        assert end == _l1_outcome(l1l2_reference, hm, x, nu, guess)
+        if isinstance(end[0], type):
+            assert end == cold
+            failed.append((x, nu, guess))
+        else:
+            assert end == (cold[0], cold[1] + 1)      # the cold walk's packet, after the try
+            walked.append((x, nu, guess))
+        if isinstance(cold[0], bytes) and np.frombuffer(cold[0]).any():
+            u = np.frombuffer(cold[0]).copy()
+            assert _l1_outcome(sp.l1l2_packet, hm, x, nu, u) == (cold[0], 1)
+            certified.append((x, nu, u))
+        if len(walked) >= 6 and len(failed) >= 2 and len(certified) >= 4:
+            break
+    else:
+        pytest.fail(f"{len(walked)} walks, {len(failed)} failures, {len(certified)} packets")
+    for rows in (walked[:6] + certified[:4], walked[:6] + failed[:2] + certified[:4]):
+        for _ in range(10):
+            X, nu1, guess = (np.array(a) for a in zip(*[rows[r] for r in
+                                                          rng.permutation(len(rows))]))
+            want = _l1_reference_block(hm, X, nu1, guess)
+            assert _l1_outcome(sp.l1l2_packet, hm, X, nu1, guess) == want
+    assert isinstance(want[0], type)
 
 
 def test_l1_block_products_equal_each_rows_own(cessna_horizon, rng):
