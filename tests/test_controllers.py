@@ -1011,14 +1011,16 @@ def _assert_kkt_forms(u, c, s, nu1, tol):
     held or missed decision. The walk holds where its gap is within tol; a
     guess with signs s, whose packet u is zero off s's support, holds where
     sign(u) = s and the signs form with s is within tol, as the reference's
-    guess check decides."""
-    want = _kkt_gap(u, c, nu1)
+    guess check decides. numpy's overflow is not warned of, as in the
+    solver."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _kkt_gap(u, c, nu1)
+        signed = float(_kkt_gaps(c[None], np.sign(u)[None], np.array([nu1]))[0])
+        guessed = float(_kkt_gaps(c[None], s[None], np.array([nu1]))[0])
     walk = _kkt_gap_floats(u.tolist(), c.tolist(), nu1)
-    signed = float(_kkt_gaps(c[None], np.sign(u)[None], np.array([nu1]))[0])
     assert _same_float(walk, want) and _same_float(signed, want), (walk, signed, want)
     assert (walk <= tol) == (want <= tol)
     on = np.flatnonzero(s)
-    guessed = float(_kkt_gaps(c[None], s[None], np.array([nu1]))[0])
     held = bool((np.sign(u) == s).all()) and guessed <= tol
     assert held == (np.array_equal(np.sign(u[on]), s[on]) and want <= tol), (guessed, want)
     if np.array_equal(np.sign(u), s):
@@ -1062,6 +1064,14 @@ def test_kkt_gap_in_three_forms_edges(u, c, nu1):
     for s in ([1.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, -1.0]):
         for tol in (0.0, 1e-9 * nu1, 1e300):
             _assert_kkt_forms(u, c, np.array(s), nu1, tol)
+
+
+def test_kkt_gap_in_three_forms_overflows_alike():
+    # c_j + nu1 overflows to +inf on a negative coefficient
+    big = float(np.finfo(float).max)
+    for s in ([-1.0, 0.0], [-1.0, 1.0]):
+        _assert_kkt_forms(np.array([-1.0, 0.0]), np.array([big, 0.0]), np.array(s), 1e300, 0.0)
+    assert _kkt_gap_floats([-1.0, 0.0], [big, 0.0], 1e300) == math.inf
 
 
 def _l1_cases(cessna_horizon, rng):
